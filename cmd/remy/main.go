@@ -22,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -112,36 +111,6 @@ func runWorker(parallel, exitAfter int) {
 	}
 }
 
-// benchEntry and benchOutput mirror cmd/bench2json's JSON schema, so a
-// -bench-json file drops straight into the benchgate/CI tooling.
-type benchEntry struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-}
-
-type benchOutput struct {
-	Context    map[string]string `json:"context,omitempty"`
-	Benchmarks []benchEntry      `json:"benchmarks"`
-}
-
-func writeBenchJSON(path string, entries []benchEntry) error {
-	out := benchOutput{
-		Context: map[string]string{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"pkg":    "repro/cmd/remy",
-			"cpu":    fmt.Sprintf("%d logical CPUs", runtime.NumCPU()),
-		},
-		Benchmarks: entries,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 func main() {
 	log.SetFlags(0)
 	preset := flag.String("preset", "", "built-in design model: delta0.1, delta1, delta10, 1x, 10x, dc, compete")
@@ -166,7 +135,6 @@ func main() {
 	workerParallel := flag.Int("worker-parallel", 1, "worker mode: inner concurrent simulations")
 	workerExitAfter := flag.Int("worker-exit-after", 0, "worker mode, testing: exit without answering after this many batches (negative: before the first)")
 
-	benchJSON := flag.String("bench-json", "", "write per-round timing/throughput to this path in bench2json schema")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the design run to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after training) to this path")
 
@@ -235,8 +203,7 @@ func main() {
 
 	// Per-round observability: wall-clock, simulation throughput and the
 	// evaluation pipeline's cache/prune effectiveness, on stderr as the run
-	// goes — and optionally as a bench2json file for the CI tooling.
-	var benchEntries []benchEntry
+	// goes.
 	roundStart := time.Now()
 	r.OnRound = func(p optimizer.Progress) {
 		dt := time.Since(roundStart)
@@ -249,19 +216,6 @@ func main() {
 		log.Printf("round %d: %.2fs wall, %d sims (%.1f sims/s), cache hit %.1f%%, pruned %.1f%%",
 			p.Round, secs, p.Stats.SimulatedRuns, simsPerSec,
 			100*p.Stats.CacheHitRate(), 100*p.Stats.PruneRate())
-		if *benchJSON != "" {
-			benchEntries = append(benchEntries, benchEntry{
-				Name:       fmt.Sprintf("TrainRound/round=%d", p.Round),
-				Iterations: 1,
-				Metrics: map[string]float64{
-					"ns/op":       float64(dt.Nanoseconds()),
-					"sims/op":     float64(p.Stats.SimulatedRuns),
-					"sims/sec":    simsPerSec,
-					"cache-hit-%": 100 * p.Stats.CacheHitRate(),
-					"prune-%":     100 * p.Stats.PruneRate(),
-				},
-			})
-		}
 	}
 
 	if *distribute > 0 {
@@ -377,12 +331,6 @@ func main() {
 	}
 	log.Printf("wrote %s (%d rules)", *out, tree.NumWhiskers())
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, benchEntries); err != nil {
-			log.Fatalf("remy: writing %s: %v", *benchJSON, err)
-		}
-		log.Printf("wrote %s (%d rounds)", *benchJSON, len(benchEntries))
-	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {

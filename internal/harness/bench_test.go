@@ -20,20 +20,18 @@ func benchScenario(newAlgo func() cc.Algorithm) Scenario {
 		Off:     workload.Constant{Value: 1},
 		StartOn: true,
 	}
-	s := Scenario{
-		LinkRateBps:   20e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 100,
-		Duration:      3 * sim.Second,
-	}
+	var flows []FlowSpec
 	for i := 0; i < 4; i++ {
-		s.Flows = append(s.Flows, FlowSpec{
+		flows = append(flows, FlowSpec{
 			RTTMs:        100,
 			Workload:     always,
 			NewAlgorithm: newAlgo,
 		})
 	}
-	return s
+	return dumbbell(LinkDef{RateBps: 20e6, NewQueue: dropTailFactory(100)}, Scenario{
+		Duration: 3 * sim.Second,
+		Flows:    flows,
+	})
 }
 
 // BenchmarkRunQuickDumbbellNewReno measures a full harness.Run — engine,

@@ -99,12 +99,8 @@ func newChurnRuntime(s *Scenario, engine *sim.Engine, network *netsim.Network, r
 			oneWay: sim.FromMillis(class.RTTMs / 2),
 			fct:    stats.NewFCTAggregator(),
 		}
-		if len(class.Path) > 0 {
-			cs.fwd = resolveRoute(network, class.Path)
-			cs.rev = resolveRoute(network, class.ReversePath)
-		} else {
-			cs.fwd = []*netsim.Link{network.Link()}
-		}
+		cs.fwd = resolveRoute(network, class.Path)
+		cs.rev = resolveRoute(network, class.ReversePath)
 		probe := class.NewAlgorithm()
 		if probe == nil {
 			return nil, fmt.Errorf("harness: churn class %d NewAlgorithm returned nil", ci)

@@ -15,19 +15,16 @@ import (
 // churnDumbbell is a single-bottleneck scenario with one churn class:
 // constant-size transfers arriving every interarrival seconds.
 func churnDumbbell(interarrival, sizeBytes float64, maxLive int) Scenario {
-	return Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 250,
-		Duration:      10 * sim.Second,
-		MaxLiveFlows:  maxLive,
+	return dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(250)}, Scenario{
+		Duration:     10 * sim.Second,
+		MaxLiveFlows: maxLive,
 		Churn: []ChurnClass{{
 			Interarrival: workload.Constant{Value: interarrival},
 			Size:         workload.Constant{Value: sizeBytes},
 			RTTMs:        60,
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
 		}},
-	}
+	})
 }
 
 func TestChurnBasicCompletion(t *testing.T) {
@@ -106,7 +103,7 @@ func TestChurnMaxLiveFlowsCap(t *testing.T) {
 	// Arrivals every 10 ms of large transfers over a slow link: the
 	// population hits the cap almost immediately.
 	s := churnDumbbell(0.01, 1e6, 4)
-	s.LinkRateBps = 2e6
+	s.Links[0].RateBps = 2e6
 	res, err := Run(s, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -186,17 +183,14 @@ func TestChurnAlongsideStaticFlows(t *testing.T) {
 // churn class must not change the static flows' random streams or slots, so
 // a static flow's results with and without an inert churn class match.
 func TestChurnStaticUnperturbed(t *testing.T) {
-	base := Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 250,
-		Duration:      5 * sim.Second,
+	base := dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(250)}, Scenario{
+		Duration: 5 * sim.Second,
 		Flows: []FlowSpec{{
 			RTTMs:        100,
 			Workload:     workload.DumbbellDefault(),
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
 		}},
-	}
+	})
 	plain, err := Run(base, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +202,7 @@ func TestChurnStaticUnperturbed(t *testing.T) {
 		Size:         workload.Constant{Value: 1e4},
 		RTTMs:        60,
 		NewAlgorithm: func() cc.Algorithm { return newreno.New() },
+		Path:         bottleneckPath,
 	}}
 	mixed, err := Run(withChurn, 9)
 	if err != nil {
@@ -233,6 +228,7 @@ func TestChurnValidation(t *testing.T) {
 		{"negative max live", func(s *Scenario) { s.MaxLiveFlows = -1 }},
 		{"negative max arrivals", func(s *Scenario) { s.Churn[0].MaxArrivals = -1 }},
 		{"path without topology", func(s *Scenario) { s.Churn[0].Path = []string{"hop1"} }},
+		{"no path", func(s *Scenario) { s.Churn[0].Path = nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,18 +15,14 @@ import (
 // faultDumbbell is a saturated single-bottleneck dumbbell with an optional
 // fault schedule on the bottleneck.
 func faultDumbbell(sched *faults.Schedule) Scenario {
-	return Scenario{
-		LinkRateBps:   10e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 250,
-		Duration:      7 * sim.Second,
-		Faults:        sched,
+	return dumbbell(LinkDef{RateBps: 10e6, NewQueue: dropTailFactory(250), Faults: sched}, Scenario{
+		Duration: 7 * sim.Second,
 		Flows: []FlowSpec{{
 			RTTMs:        100,
 			Workload:     alwaysOn(),
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
 		}},
-	}
+	})
 }
 
 func TestOutageStopsDelivery(t *testing.T) {
@@ -163,18 +159,18 @@ func TestTraceLinkOutageWastesOpportunities(t *testing.T) {
 	for i := range trace {
 		trace[i] = sim.Time(i+1) * sim.Millisecond
 	}
-	s := Scenario{
-		Trace:         trace,
-		Queue:         QueueDropTail,
-		QueueCapacity: 250,
-		Duration:      3 * sim.Second,
-		Faults:        &faults.Schedule{Outages: []faults.Outage{{StartS: 1, DurationS: 1}}},
+	s := dumbbell(LinkDef{
+		Trace:    trace,
+		NewQueue: dropTailFactory(250),
+		Faults:   &faults.Schedule{Outages: []faults.Outage{{StartS: 1, DurationS: 1}}},
+	}, Scenario{
+		Duration: 3 * sim.Second,
 		Flows: []FlowSpec{{
 			RTTMs:        60,
 			Workload:     alwaysOn(),
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
 		}},
-	}
+	})
 	var deliveries []sim.Time
 	s.OnDeliver = func(p *netsim.Packet, now sim.Time) { deliveries = append(deliveries, now) }
 	if _, err := Run(s, 1); err != nil {
@@ -253,20 +249,16 @@ func TestChurnOutageGenerationFencing(t *testing.T) {
 		Outages: []faults.Outage{{StartS: 1, DurationS: 1}, {StartS: 3, DurationS: 0.5}},
 		Loss:    &faults.GilbertElliott{PGoodBad: 0.05, PBadGood: 0.3, LossBad: 0.8},
 	}
-	spec := Scenario{
-		LinkRateBps:   10e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 100,
-		Duration:      5 * sim.Second,
-		MaxLiveFlows:  16,
-		Faults:        sched,
+	spec := dumbbell(LinkDef{RateBps: 10e6, NewQueue: dropTailFactory(100), Faults: sched}, Scenario{
+		Duration:     5 * sim.Second,
+		MaxLiveFlows: 16,
 		Churn: []ChurnClass{{
 			Interarrival: workload.Constant{Value: 0.05},
 			Size:         workload.Constant{Value: 20e3},
 			RTTMs:        60,
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
 		}},
-	}
+	})
 	run := func() Result {
 		t.Helper()
 		res, err := Run(spec, 7)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/aqm"
 	"repro/internal/cc"
 	"repro/internal/cc/cubic"
 	"repro/internal/cc/dctcp"
@@ -34,15 +35,35 @@ func flowsOf(n int, rttMs float64, algo func() cc.Algorithm) []FlowSpec {
 	return out
 }
 
+// bottleneckPath is the route of every dumbbell flow.
+var bottleneckPath = []string{netsim.BottleneckLink}
+
+// dumbbell returns the classic single-bottleneck world as the one-link
+// scenario it is: link becomes the scenario's only link, named
+// netsim.BottleneckLink, and every flow and churn class of s crosses it.
+func dumbbell(link LinkDef, s Scenario) Scenario {
+	link.Name = netsim.BottleneckLink
+	s.Links = []LinkDef{link}
+	s.Flows = append([]FlowSpec(nil), s.Flows...)
+	for i := range s.Flows {
+		s.Flows[i].Path = bottleneckPath
+	}
+	s.Churn = append([]ChurnClass(nil), s.Churn...)
+	for i := range s.Churn {
+		s.Churn[i].Path = bottleneckPath
+	}
+	return s
+}
+
 func TestScenarioValidate(t *testing.T) {
 	if err := (Scenario{}).Validate(); err == nil {
 		t.Error("empty scenario accepted")
 	}
-	s := Scenario{
-		LinkRateBps: 1e6,
-		Duration:    sim.Second,
-		Flows:       flowsOf(1, 100, func() cc.Algorithm { return newreno.New() }),
-	}
+	link := LinkDef{RateBps: 1e6, NewQueue: dropTailFactory(1000)}
+	s := dumbbell(link, Scenario{
+		Duration: sim.Second,
+		Flows:    flowsOf(1, 100, func() cc.Algorithm { return newreno.New() }),
+	})
 	if err := s.Validate(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
 	}
@@ -51,29 +72,24 @@ func TestScenarioValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero duration accepted")
 	}
-	bad = s
-	bad.LinkRateBps = 0
-	if bad.Validate() == nil {
+	link.RateBps = 0
+	if dumbbell(link, s).Validate() == nil {
 		t.Error("missing rate accepted")
 	}
 	bad = s
-	bad.Flows = []FlowSpec{{RTTMs: -1, Workload: alwaysOn(), NewAlgorithm: func() cc.Algorithm { return newreno.New() }}}
+	bad.Flows = []FlowSpec{{RTTMs: -1, Workload: alwaysOn(), NewAlgorithm: func() cc.Algorithm { return newreno.New() }, Path: bottleneckPath}}
 	if bad.Validate() == nil {
 		t.Error("negative RTT accepted")
 	}
 	bad = s
-	bad.Flows = []FlowSpec{{RTTMs: 10, Workload: alwaysOn()}}
+	bad.Flows = []FlowSpec{{RTTMs: 10, Workload: alwaysOn(), Path: bottleneckPath}}
 	if bad.Validate() == nil {
 		t.Error("missing algorithm accepted")
 	}
 	bad = s
-	bad.Flows = []FlowSpec{{RTTMs: 10, Workload: workload.Spec{}, NewAlgorithm: func() cc.Algorithm { return newreno.New() }}}
+	bad.Flows = []FlowSpec{{RTTMs: 10, Workload: workload.Spec{}, NewAlgorithm: func() cc.Algorithm { return newreno.New() }, Path: bottleneckPath}}
 	if bad.Validate() == nil {
 		t.Error("invalid workload accepted")
-	}
-	if QueueDropTail.String() == "" || QueueSfqCoDel.String() == "" || QueueXCP.String() == "" ||
-		QueueECN.String() == "" || QueueKind(42).String() == "" {
-		t.Error("QueueKind.String")
 	}
 }
 
@@ -81,39 +97,33 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(Scenario{}, 1); err == nil {
 		t.Error("invalid scenario accepted")
 	}
-	s := Scenario{
-		LinkRateBps: 1e6,
-		Duration:    sim.Second,
-		Queue:       QueueKind(42),
-		Flows:       flowsOf(1, 100, func() cc.Algorithm { return newreno.New() }),
+	// A trace link gives the XCP router no rate to advertise, so its factory
+	// fails; the failure must surface from Run.
+	xcpNoCapacity := LinkDef{
+		Trace:    []sim.Time{sim.Millisecond},
+		NewQueue: func(e *sim.Engine) (netsim.Queue, error) { return aqm.NewXCPQueue(e, 1000, 0) },
 	}
-	if _, err := Run(s, 1); err == nil {
-		t.Error("unknown queue kind accepted")
-	}
-	s.Queue = QueueXCP
-	s.LinkRateBps = 0
-	s.Trace = []sim.Time{sim.Millisecond}
+	s := dumbbell(xcpNoCapacity, Scenario{
+		Duration: sim.Second,
+		Flows:    flowsOf(1, 100, func() cc.Algorithm { return newreno.New() }),
+	})
 	if _, err := Run(s, 1); err == nil {
 		t.Error("XCP without capacity estimate accepted")
 	}
-	nilAlgo := s
-	nilAlgo.Queue = QueueDropTail
-	nilAlgo.LinkRateBps = 1e6
-	nilAlgo.Trace = nil
-	nilAlgo.Flows = []FlowSpec{{RTTMs: 10, Workload: alwaysOn(), NewAlgorithm: func() cc.Algorithm { return nil }}}
+	nilAlgo := dumbbell(LinkDef{RateBps: 1e6, NewQueue: dropTailFactory(1000)}, Scenario{
+		Duration: sim.Second,
+		Flows:    []FlowSpec{{RTTMs: 10, Workload: alwaysOn(), NewAlgorithm: func() cc.Algorithm { return nil }}},
+	})
 	if _, err := Run(nilAlgo, 1); err == nil {
 		t.Error("nil algorithm accepted")
 	}
 }
 
 func TestRunNewRenoFillsDumbbell(t *testing.T) {
-	s := Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 1000,
-		Duration:      20 * sim.Second,
-		Flows:         flowsOf(1, 150, func() cc.Algorithm { return newreno.New() }),
-	}
+	s := dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(1000)}, Scenario{
+		Duration: 20 * sim.Second,
+		Flows:    flowsOf(1, 150, func() cc.Algorithm { return newreno.New() }),
+	})
 	res, err := Run(s, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -143,13 +153,10 @@ func TestRunNewRenoFillsDumbbell(t *testing.T) {
 }
 
 func TestRunFairnessAmongIdenticalSenders(t *testing.T) {
-	s := Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 1000,
-		Duration:      30 * sim.Second,
-		Flows:         flowsOf(4, 150, func() cc.Algorithm { return newreno.New() }),
-	}
+	s := dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(1000)}, Scenario{
+		Duration: 30 * sim.Second,
+		Flows:    flowsOf(4, 150, func() cc.Algorithm { return newreno.New() }),
+	})
 	res, err := Run(s, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -170,16 +177,14 @@ func TestRunFairnessAmongIdenticalSenders(t *testing.T) {
 }
 
 func TestRunVegasKeepsQueuesSmallerThanCubic(t *testing.T) {
-	base := Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 1000,
-		Duration:      30 * sim.Second,
+	build := func(algo func() cc.Algorithm) Scenario {
+		return dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(1000)}, Scenario{
+			Duration: 30 * sim.Second,
+			Flows:    flowsOf(4, 150, algo),
+		})
 	}
-	vegasScenario := base
-	vegasScenario.Flows = flowsOf(4, 150, func() cc.Algorithm { return vegas.New() })
-	cubicScenario := base
-	cubicScenario.Flows = flowsOf(4, 150, func() cc.Algorithm { return cubic.New() })
+	vegasScenario := build(func() cc.Algorithm { return vegas.New() })
+	cubicScenario := build(func() cc.Algorithm { return cubic.New() })
 
 	vres, err := Run(vegasScenario, 3)
 	if err != nil {
@@ -200,13 +205,11 @@ func TestRunVegasKeepsQueuesSmallerThanCubic(t *testing.T) {
 }
 
 func TestRunXCPQueueGivesHighThroughputLowLoss(t *testing.T) {
-	s := Scenario{
-		LinkRateBps:   15e6,
-		Queue:         QueueXCP,
-		QueueCapacity: 1000,
-		Duration:      20 * sim.Second,
-		Flows:         flowsOf(4, 150, func() cc.Algorithm { return xcp.New(netsim.MTU) }),
-	}
+	xcpQueue := func(e *sim.Engine) (netsim.Queue, error) { return aqm.NewXCPQueue(e, 1000, 15e6) }
+	s := dumbbell(LinkDef{RateBps: 15e6, NewQueue: xcpQueue}, Scenario{
+		Duration: 20 * sim.Second,
+		Flows:    flowsOf(4, 150, func() cc.Algorithm { return xcp.New(netsim.MTU) }),
+	})
 	res, err := Run(s, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -226,14 +229,11 @@ func TestRunXCPQueueGivesHighThroughputLowLoss(t *testing.T) {
 }
 
 func TestRunDCTCPOverECNQueue(t *testing.T) {
-	s := Scenario{
-		LinkRateBps:         100e6,
-		Queue:               QueueECN,
-		QueueCapacity:       1000,
-		ECNThresholdPackets: 65,
-		Duration:            10 * sim.Second,
-		Flows:               flowsOf(8, 4, func() cc.Algorithm { return dctcp.New() }),
-	}
+	ecnQueue := func(*sim.Engine) (netsim.Queue, error) { return aqm.NewECNMarking(1000, 65) }
+	s := dumbbell(LinkDef{RateBps: 100e6, NewQueue: ecnQueue}, Scenario{
+		Duration: 10 * sim.Second,
+		Flows:    flowsOf(8, 4, func() cc.Algorithm { return dctcp.New() }),
+	})
 	res, err := Run(s, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -264,13 +264,10 @@ func TestRunRemySenderOnDesignRange(t *testing.T) {
 	pacedTree := core.NewWhiskerTree(core.Action{WindowMultiple: 1, WindowIncrement: 1, IntersendMs: 2})
 
 	run := func(tree *core.WhiskerTree) Result {
-		s := Scenario{
-			LinkRateBps:   15e6,
-			Queue:         QueueDropTail,
-			QueueCapacity: 1000,
-			Duration:      20 * sim.Second,
-			Flows:         flowsOf(2, 150, func() cc.Algorithm { return core.NewSender(tree) }),
-		}
+		s := dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(1000)}, Scenario{
+			Duration: 20 * sim.Second,
+			Flows:    flowsOf(2, 150, func() cc.Algorithm { return core.NewSender(tree) }),
+		})
 		res, err := Run(s, 6)
 		if err != nil {
 			t.Fatal(err)
@@ -308,16 +305,13 @@ func TestRunRemySenderOnDesignRange(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossCalls(t *testing.T) {
-	s := Scenario{
-		LinkRateBps:   10e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 500,
-		Duration:      10 * sim.Second,
+	s := dumbbell(LinkDef{RateBps: 10e6, NewQueue: dropTailFactory(500)}, Scenario{
+		Duration: 10 * sim.Second,
 		Flows: []FlowSpec{
 			{RTTMs: 100, Workload: workload.Spec{Mode: workload.ByBytes, On: workload.Exponential{MeanValue: 100e3}, Off: workload.Exponential{MeanValue: 0.5}}, NewAlgorithm: func() cc.Algorithm { return cubic.New() }},
 			{RTTMs: 100, Workload: workload.Spec{Mode: workload.ByBytes, On: workload.Exponential{MeanValue: 100e3}, Off: workload.Exponential{MeanValue: 0.5}}, NewAlgorithm: func() cc.Algorithm { return newreno.New() }},
 		},
-	}
+	})
 	a, err := Run(s, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -349,11 +343,8 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 }
 
 func TestRunOnOffWorkloadAccounting(t *testing.T) {
-	s := Scenario{
-		LinkRateBps:   10e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 1000,
-		Duration:      60 * sim.Second,
+	s := dumbbell(LinkDef{RateBps: 10e6, NewQueue: dropTailFactory(1000)}, Scenario{
+		Duration: 60 * sim.Second,
 		Flows: []FlowSpec{{
 			RTTMs: 100,
 			Workload: workload.Spec{
@@ -363,7 +354,7 @@ func TestRunOnOffWorkloadAccounting(t *testing.T) {
 			},
 			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
 		}},
-	}
+	})
 	res, err := Run(s, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -391,14 +382,10 @@ func TestRunTraceDrivenScenario(t *testing.T) {
 	for ms := 0; ms < 10000; ms += 2 { // one packet every 2 ms = 6 Mbps
 		trace = append(trace, sim.Time(ms)*sim.Millisecond)
 	}
-	s := Scenario{
-		Trace:          trace,
-		XCPCapacityBps: 6e6,
-		Queue:          QueueDropTail,
-		QueueCapacity:  1000,
-		Duration:       10 * sim.Second,
-		Flows:          flowsOf(2, 50, func() cc.Algorithm { return cubic.New() }),
-	}
+	s := dumbbell(LinkDef{Trace: trace, NewQueue: dropTailFactory(1000)}, Scenario{
+		Duration: 10 * sim.Second,
+		Flows:    flowsOf(2, 50, func() cc.Algorithm { return cubic.New() }),
+	})
 	res, err := Run(s, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -417,14 +404,11 @@ func TestRunTraceDrivenScenario(t *testing.T) {
 
 func TestRunOnDeliverHook(t *testing.T) {
 	count := 0
-	s := Scenario{
-		LinkRateBps:   10e6,
-		Queue:         QueueDropTail,
-		QueueCapacity: 100,
-		Duration:      2 * sim.Second,
-		Flows:         flowsOf(1, 50, func() cc.Algorithm { return newreno.New() }),
-		OnDeliver:     func(p *netsim.Packet, now sim.Time) { count++ },
-	}
+	s := dumbbell(LinkDef{RateBps: 10e6, NewQueue: dropTailFactory(100)}, Scenario{
+		Duration:  2 * sim.Second,
+		Flows:     flowsOf(1, 50, func() cc.Algorithm { return newreno.New() }),
+		OnDeliver: func(p *netsim.Packet, now sim.Time) { count++ },
+	})
 	if _, err := Run(s, 9); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ import (
 // pins the allocation claim.
 //
 // Reuse requires every mutable component to be resettable. All queue
-// disciplines in internal/aqm implement Reset; a scenario whose NewQueue
+// disciplines in internal/aqm implement Reset; a scenario whose link NewQueue
 // returns a custom discipline without a Reset method is still safe for a
 // single Run (harness.Run builds a throwaway session) but must not be reused.
 //
@@ -62,10 +62,6 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 		return nil, err
 	}
 
-	capacity := s.QueueCapacity
-	if capacity <= 0 {
-		capacity = 1000
-	}
 	mtu := s.MTU
 	if mtu <= 0 {
 		mtu = netsim.MTU
@@ -73,14 +69,7 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 
 	ss := &Session{spec: s, engine: engine, mtu: mtu}
 
-	var network *netsim.Network
-	var queues []netsim.Queue
-	var err error
-	if len(s.Links) > 0 {
-		network, queues, err = buildTopologyNetwork(s, engine, mtu)
-	} else {
-		network, queues, err = buildBottleneckNetwork(s, engine, capacity, mtu)
-	}
+	network, queues, err := build(s, engine, mtu)
 	if err != nil {
 		return nil, err
 	}
@@ -90,16 +79,8 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 
 	// Compile and attach fault schedules (nil entries leave links fault-free;
 	// an all-nil scenario allocates nothing here).
-	schedules := make([]*faults.Schedule, 0, len(network.Links()))
-	if len(s.Links) > 0 {
-		for i := range s.Links {
-			schedules = append(schedules, s.Links[i].Faults)
-		}
-	} else {
-		schedules = append(schedules, s.Faults)
-	}
-	for i, sched := range schedules {
-		state, err := faults.Compile(sched)
+	for i := range s.Links {
+		state, err := faults.Compile(s.Links[i].Faults)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +88,7 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 			continue
 		}
 		if ss.linkFaults == nil {
-			ss.linkFaults = make([]*faults.LinkState, len(schedules))
+			ss.linkFaults = make([]*faults.LinkState, len(s.Links))
 		}
 		ss.linkFaults[i] = state
 		network.Links()[i].SetFaults(state)
@@ -137,12 +118,8 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 			transport.OnAck(a, now)
 		})
 		fs.oneWay = sim.FromMillis(spec.RTTMs / 2)
-		if len(spec.Path) > 0 {
-			fs.fwd = resolveRoute(network, spec.Path)
-			fs.rev = resolveRoute(network, spec.ReversePath)
-		} else {
-			fs.fwd = []*netsim.Link{network.Link()}
-		}
+		fs.fwd = resolveRoute(network, spec.Path)
+		fs.rev = resolveRoute(network, spec.ReversePath)
 		port, err := network.AttachFlowRoute(sender, fs.fwd, fs.rev, fs.oneWay)
 		if err != nil {
 			return nil, err

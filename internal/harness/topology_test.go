@@ -113,19 +113,21 @@ func TestTopologyValidation(t *testing.T) {
 		t.Error("link without queue factory accepted")
 	}
 
-	// A single-bottleneck scenario must reject routed flows.
-	s = Scenario{
-		LinkRateBps: 1e6,
-		Duration:    sim.Second,
-		Flows: []FlowSpec{{
-			RTTMs:        10,
-			Workload:     alwaysOn(),
-			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-			Path:         []string{"hop1"},
-		}},
-	}
+	// A dumbbell flow routed over a link the scenario does not define is
+	// rejected like any other unknown route.
+	s = dumbbell(LinkDef{RateBps: 1e6, NewQueue: dropTailFactory(1000)}, Scenario{
+		Duration: sim.Second,
+		Flows:    flowsOf(1, 10, func() cc.Algorithm { return newreno.New() }),
+	})
+	s.Flows[0].Path = []string{"hop1"}
 	if err := s.Validate(); err == nil {
-		t.Error("routed flow without topology links accepted")
+		t.Error("flow routed over an undefined link accepted")
+	}
+
+	s = base
+	s.Links = nil
+	if err := s.Validate(); err == nil {
+		t.Error("scenario without links accepted")
 	}
 }
 

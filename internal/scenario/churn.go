@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/harness"
-	"repro/internal/netsim"
 )
 
 // ChurnClassSpec is the declarative form of one dynamically arriving flow
@@ -37,9 +36,9 @@ type ChurnClassSpec struct {
 	Algorithm func() cc.Algorithm `json:"-"`
 }
 
-// flowSpec adapts the class to the FlowSpec shape protocol factories expect.
-func (c ChurnClassSpec) flowSpec(mtu int) FlowSpec {
-	return FlowSpec{Scheme: c.Scheme, RemyCC: c.RemyCC, RateBps: c.RateBps, specMTU: mtu}
+// flowSpec adapts the class to the FlowSpec shape scheme resolution expects.
+func (c ChurnClassSpec) flowSpec() FlowSpec {
+	return FlowSpec{Scheme: c.Scheme, RemyCC: c.RemyCC, RateBps: c.RateBps, Algorithm: c.Algorithm}
 }
 
 // ChurnSpec is the declarative churn section of a Spec: the arriving flow
@@ -84,41 +83,31 @@ func (cs *ChurnSpec) validate(specName string) error {
 
 // compileChurn resolves the churn section against the registry and appends
 // the executable churn classes to the scenario.
-func (s Spec) compileChurn(reg *Registry, out *harness.Scenario) error {
+func (s Spec) compileChurn(reg *Registry, w lowered, out *harness.Scenario) error {
 	if s.Churn == nil {
 		return nil
 	}
 	out.MaxLiveFlows = s.Churn.MaxLiveFlows
-	mtu := s.MTU
-	if mtu <= 0 {
-		mtu = netsim.MTU
-	}
 	for ci, c := range s.Churn.Classes {
-		alg := c.Algorithm
-		name := c.Scheme
-		if alg == nil {
-			p, err := reg.Protocol(c.flowSpec(mtu))
-			if err != nil {
-				return fmt.Errorf("scenario: spec %q churn class %d: %w", s.Name, ci, err)
-			}
-			alg = p.New
-			name = p.Name
+		p, err := s.resolveScheme(reg, c.flowSpec())
+		if err != nil {
+			return fmt.Errorf("scenario: spec %q churn class %d: %w", s.Name, ci, err)
 		}
 		inter, err := c.Interarrival.Compile()
 		if err != nil {
-			return fmt.Errorf("scenario: spec %q churn class %d (%s) interarrival: %w", s.Name, ci, name, err)
+			return fmt.Errorf("scenario: spec %q churn class %d (%s) interarrival: %w", s.Name, ci, p.Name, err)
 		}
 		size, err := c.Size.Compile()
 		if err != nil {
-			return fmt.Errorf("scenario: spec %q churn class %d (%s) size: %w", s.Name, ci, name, err)
+			return fmt.Errorf("scenario: spec %q churn class %d (%s) size: %w", s.Name, ci, p.Name, err)
 		}
 		out.Churn = append(out.Churn, harness.ChurnClass{
 			Interarrival: inter,
 			Size:         size,
 			MaxArrivals:  c.MaxArrivals,
 			RTTMs:        c.RTTMs,
-			NewAlgorithm: alg,
-			Path:         c.Path,
+			NewAlgorithm: p.New,
+			Path:         w.route(c.Path),
 			ReversePath:  c.ReversePath,
 		})
 	}

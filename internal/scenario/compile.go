@@ -38,65 +38,143 @@ func DeriveSeed(base int64, rep int) int64 {
 // streams that consume the run seed (ASCII "tracegen").
 const traceSalt = 0x747261636567656e
 
-// deriveTraceSeed returns the seed for a repetition's synthesized link trace.
-func deriveTraceSeed(runSeed int64) int64 {
-	return int64(splitmix64(uint64(runSeed) ^ traceSalt))
+// deriveLinkTraceSeed returns the seed for the synthesized trace of a spec's
+// i-th link in one repetition, decorrelating the links' traces from one
+// another and from the run seed. Link 0 takes the salted run seed itself, the
+// derivation the link/queue form has always used.
+func deriveLinkTraceSeed(runSeed int64, link int) int64 {
+	seed := splitmix64(uint64(runSeed) ^ traceSalt)
+	if link > 0 {
+		seed = splitmix64(seed + uint64(link))
+	}
+	return int64(seed)
 }
 
-// deriveLinkTraceSeed returns the trace seed for the i-th link of a topology
-// spec, decorrelating the links' traces from one another. Link 0 reuses the
-// single-link derivation so a one-link topology reproduces the classic form.
-func deriveLinkTraceSeed(runSeed int64, link int) int64 {
-	if link == 0 {
-		return deriveTraceSeed(runSeed)
+// lowered is the one world shape below the JSON surface: the links a spec's
+// flows route over, whichever of the two JSON forms declared them.
+type lowered struct {
+	links []loweredLink
+	// ackBytes is the topology's reverse-path acknowledgment size.
+	ackBytes int
+	// path is the route of flows and churn classes that declare none: the
+	// single bottleneck of the link/queue form. Nil for topology specs, where
+	// Validate requires every route.
+	path []string
+}
+
+// loweredLink is one link of the lowered world: a topology link as declared,
+// or the link/queue form as the one-link topology it is.
+type loweredLink struct {
+	TopoLinkSpec
+	// trace is the link/queue form's explicit programmatic trace
+	// (LinkSpec.Trace); it bypasses the model.
+	trace []sim.Time
+	// faults is the schedule the spec's faults section attaches to the link.
+	faults *faults.Schedule
+}
+
+// synthesized reports whether the link's service is a trace drawn afresh from
+// a registered model each repetition (as opposed to a fixed rate or an
+// explicit trace).
+func (l loweredLink) synthesized() bool {
+	return len(l.trace) == 0 && l.Model != "" && l.Model != "fixed"
+}
+
+// bottleneckPath is the route every flow of the link/queue form takes.
+var bottleneckPath = []string{netsim.BottleneckLink}
+
+// lower resolves the spec's two JSON forms to the one link list Validate,
+// RepInvariant and Compile iterate. The link/queue form becomes a single
+// delay-free link named netsim.BottleneckLink that inherits the spec-level
+// queue, exactly as netsim.NewNetwork has always built it.
+func (s Spec) lower() lowered {
+	if s.Topology == nil {
+		return lowered{
+			links: []loweredLink{{
+				TopoLinkSpec: TopoLinkSpec{
+					Name:           netsim.BottleneckLink,
+					RateBps:        s.Link.RateBps,
+					Model:          s.Link.Model,
+					TraceLoop:      s.Link.TraceLoop,
+					XCPCapacityBps: s.Link.XCPCapacityBps,
+				},
+				trace:  s.Link.Trace,
+				faults: s.Faults.schedule(""),
+			}},
+			path: bottleneckPath,
+		}
 	}
-	return int64(splitmix64(uint64(deriveTraceSeed(runSeed)) + uint64(link)))
+	w := lowered{links: make([]loweredLink, len(s.Topology.Links)), ackBytes: s.Topology.AckBytes}
+	for i, l := range s.Topology.Links {
+		w.links[i] = loweredLink{TopoLinkSpec: l, faults: s.Faults.schedule(l.Name)}
+	}
+	return w
+}
+
+// route returns a flow's declared path, or the lowered world's default.
+func (w lowered) route(path []string) []string {
+	if len(path) == 0 {
+		return w.path
+	}
+	return path
+}
+
+// mtu returns the spec's effective packet size.
+func (s Spec) mtu() int {
+	if s.MTU <= 0 {
+		return netsim.MTU
+	}
+	return s.MTU
+}
+
+// resolveScheme resolves a flow entry (or a churn class adapted to one) to
+// its protocol. A programmatic Algorithm bypasses the registry entirely: its
+// Scheme is only a label and implies no queue.
+func (s Spec) resolveScheme(reg *Registry, f FlowSpec) (Protocol, error) {
+	if f.Algorithm != nil {
+		return Protocol{Name: f.Scheme, New: f.Algorithm}, nil
+	}
+	f.specMTU = s.mtu()
+	return reg.Protocol(f)
 }
 
 // QueueKindFor resolves the effective queue kind of the spec: the explicit
-// Queue.Kind if set, otherwise the kind implied by the flows' protocols. It
-// is an error for two flows to imply different router-assisted kinds.
+// Queue.Kind if set, otherwise the kind implied by the protocols of the flows
+// and churn classes. It is an error for two of them to imply different
+// router-assisted kinds.
 func (s Spec) QueueKindFor(reg *Registry) (string, error) {
 	if s.Queue.Kind != "" {
 		return s.Queue.Kind, nil
 	}
 	kind := QueueDropTail
-	flows := s.Flows
-	if s.Churn != nil {
-		// Churn classes imply queue kinds exactly like static flows do.
-		flows = append(append([]FlowSpec(nil), flows...), churnFlowSpecs(s.Churn.Classes)...)
-	}
-	for _, f := range flows {
-		// Programmatic flows bypass the registry entirely (mirroring
-		// Compile), so their Scheme is only a label and implies no queue.
-		if f.Scheme == "" || f.Algorithm != nil {
-			continue
-		}
-		p, err := reg.Protocol(f)
+	imply := func(f FlowSpec) error {
+		p, err := s.resolveScheme(reg, f)
 		if err != nil {
-			return "", err
+			return err
 		}
 		pk := p.QueueKind()
 		if pk == QueueDropTail {
-			continue
+			return nil
 		}
 		if kind != QueueDropTail && kind != pk {
-			return "", fmt.Errorf("scenario: spec %q mixes protocols implying %q and %q queues; set queue.kind explicitly", s.Name, kind, pk)
+			return fmt.Errorf("scenario: spec %q mixes protocols implying %q and %q queues; set queue.kind explicitly", s.Name, kind, pk)
 		}
 		kind = pk
+		return nil
+	}
+	for _, f := range s.Flows {
+		if err := imply(f); err != nil {
+			return "", err
+		}
+	}
+	if s.Churn != nil {
+		for _, c := range s.Churn.Classes {
+			if err := imply(c.flowSpec()); err != nil {
+				return "", err
+			}
+		}
 	}
 	return kind, nil
-}
-
-// churnFlowSpecs adapts churn classes to the FlowSpec shape used for
-// registry resolution (programmatic classes keep their Algorithm so they are
-// skipped the same way programmatic flows are).
-func churnFlowSpecs(classes []ChurnClassSpec) []FlowSpec {
-	out := make([]FlowSpec, len(classes))
-	for i, c := range classes {
-		out[i] = FlowSpec{Scheme: c.Scheme, RemyCC: c.RemyCC, RateBps: c.RateBps, Algorithm: c.Algorithm}
-	}
-	return out
 }
 
 // RepInvariant reports whether the spec compiles to the same executable
@@ -106,18 +184,12 @@ func churnFlowSpecs(classes []ChurnClassSpec) []FlowSpec {
 // identically for every rep, so the Runner can build one reusable
 // harness.Session per spec and vary only the seed.
 func (s Spec) RepInvariant() bool {
-	if s.Topology != nil {
-		for _, l := range s.Topology.Links {
-			if l.Model != "" && l.Model != "fixed" {
-				return false
-			}
+	for _, l := range s.lower().links {
+		if l.synthesized() {
+			return false
 		}
-		return true
 	}
-	if len(s.Link.Trace) > 0 {
-		return true
-	}
-	return s.Link.Model == "" || s.Link.Model == "fixed"
+	return true
 }
 
 // Compile resolves the spec's names against the registry and materializes the
@@ -128,97 +200,41 @@ func (s Spec) Compile(reg *Registry, rep int) (harness.Scenario, int64, error) {
 	if reg == nil {
 		reg = Default()
 	}
-	if err := s.Validate(); err != nil {
+	w := s.lower()
+	if err := s.validate(w); err != nil {
 		return harness.Scenario{}, 0, err
 	}
 	runSeed := DeriveSeed(s.Seed, rep)
 
 	out := harness.Scenario{
-		Duration: s.Duration(),
-		MTU:      s.MTU,
+		Duration:  s.Duration(),
+		MTU:       s.MTU,
+		AckBytes:  w.ackBytes,
+		OnDeliver: s.OnDeliver,
 	}
-
-	if s.Topology != nil {
-		if err := s.compileTopologyLinks(reg, runSeed, &out); err != nil {
-			return harness.Scenario{}, 0, err
-		}
-		if err := s.compileFlows(reg, &out); err != nil {
-			return harness.Scenario{}, 0, err
-		}
-		if err := s.compileChurn(reg, &out); err != nil {
-			return harness.Scenario{}, 0, err
-		}
-		out.OnDeliver = s.OnDeliver
-		return out, runSeed, nil
-	}
-
-	trace, capacityBps, err := s.resolveLinkService(reg,
-		fmt.Sprintf("spec %q link", s.Name),
-		s.Link.Trace, s.Link.Model, s.Link.RateBps, s.Link.XCPCapacityBps,
-		deriveTraceSeed(runSeed))
-	if err != nil {
+	if err := s.compileLinks(reg, runSeed, w, &out); err != nil {
 		return harness.Scenario{}, 0, err
 	}
-	if len(trace) > 0 {
-		out.Trace = trace
-		out.TraceLoop = s.Link.TraceLoop
-	} else {
-		out.LinkRateBps = s.Link.RateBps
-	}
-	out.XCPCapacityBps = capacityBps
-	if s.Faults != nil {
-		// Validate guarantees a single-bottleneck faults section has exactly
-		// one entry, targeting the bottleneck.
-		out.Faults = &s.Faults.Links[0].Schedule
-	}
-
-	// Queue: resolved through the registry and built per run, so a new AQM is
-	// a registry entry rather than a harness change.
-	kind, err := s.QueueKindFor(reg)
-	if err != nil {
+	if err := s.compileFlows(reg, w, &out); err != nil {
 		return harness.Scenario{}, 0, err
 	}
-	factory, err := reg.Queue(kind)
-	if err != nil {
+	if err := s.compileChurn(reg, w, &out); err != nil {
 		return harness.Scenario{}, 0, err
 	}
-	queueSpec := s.Queue
-	out.NewQueue = func(engine *sim.Engine) (netsim.Queue, error) {
-		return factory(queueSpec, QueueEnv{Engine: engine, CapacityBps: capacityBps})
-	}
-
-	if err := s.compileFlows(reg, &out); err != nil {
-		return harness.Scenario{}, 0, err
-	}
-	if err := s.compileChurn(reg, &out); err != nil {
-		return harness.Scenario{}, 0, err
-	}
-	out.OnDeliver = s.OnDeliver
 	return out, runSeed, nil
 }
 
 // compileFlows expands flow counts and resolves schemes into the executable
-// scenario, carrying topology routes through.
-func (s Spec) compileFlows(reg *Registry, out *harness.Scenario) error {
-	mtu := s.MTU
-	if mtu <= 0 {
-		mtu = netsim.MTU
-	}
+// scenario, routing every flow over the lowered world.
+func (s Spec) compileFlows(reg *Registry, w lowered, out *harness.Scenario) error {
 	for i, f := range s.Flows {
-		f.specMTU = mtu
-		alg := f.Algorithm
-		name := f.Scheme
-		if alg == nil {
-			p, err := reg.Protocol(f)
-			if err != nil {
-				return fmt.Errorf("scenario: spec %q flow %d: %w", s.Name, i, err)
-			}
-			alg = p.New
-			name = p.Name
-		}
-		w, err := f.Workload.Compile()
+		p, err := s.resolveScheme(reg, f)
 		if err != nil {
-			return fmt.Errorf("scenario: spec %q flow %d (%s): %w", s.Name, i, name, err)
+			return fmt.Errorf("scenario: spec %q flow %d: %w", s.Name, i, err)
+		}
+		wl, err := f.Workload.Compile()
+		if err != nil {
+			return fmt.Errorf("scenario: spec %q flow %d (%s): %w", s.Name, i, p.Name, err)
 		}
 		count := f.Count
 		if count < 1 {
@@ -227,9 +243,9 @@ func (s Spec) compileFlows(reg *Registry, out *harness.Scenario) error {
 		for c := 0; c < count; c++ {
 			out.Flows = append(out.Flows, harness.FlowSpec{
 				RTTMs:        f.RTTMs,
-				Workload:     w,
-				NewAlgorithm: alg,
-				Path:         f.Path,
+				Workload:     wl,
+				NewAlgorithm: p.New,
+				Path:         w.route(f.Path),
 				ReversePath:  f.ReversePath,
 			})
 		}
@@ -240,33 +256,29 @@ func (s Spec) compileFlows(reg *Registry, out *harness.Scenario) error {
 // resolveLinkService resolves one link's service description — explicit
 // trace > trace model > fixed rate — and the capacity estimate for
 // rate-aware queues (explicit override, then the fixed rate, then the
-// trace's long-term average). Shared by the single-bottleneck and topology
-// compile paths so service semantics cannot drift apart.
-func (s Spec) resolveLinkService(reg *Registry, label string, explicitTrace []sim.Time, model string, rateBps, xcpOverride float64, traceSeed int64) (trace []sim.Time, capacityBps float64, err error) {
-	packetBytes := s.MTU
-	if packetBytes <= 0 {
-		packetBytes = netsim.MTU
-	}
+// trace's long-term average).
+func (s Spec) resolveLinkService(reg *Registry, l loweredLink, traceSeed int64) (trace []sim.Time, capacityBps float64, err error) {
+	packetBytes := s.mtu()
 	switch {
-	case len(explicitTrace) > 0:
-		trace = explicitTrace
-	case model != "" && model != "fixed":
-		m, err := reg.LinkModel(model)
+	case len(l.trace) > 0:
+		trace = l.trace
+	case l.synthesized():
+		m, err := reg.LinkModel(l.Model)
 		if err != nil {
 			return nil, 0, err
 		}
 		tr, err := m.Generate(s.Duration(), sim.NewRNG(traceSeed))
 		if err != nil {
-			return nil, 0, fmt.Errorf("scenario: %s model %q: %w", label, model, err)
+			return nil, 0, fmt.Errorf("scenario: spec %q link %q model %q: %w", s.Name, l.Name, l.Model, err)
 		}
 		trace = tr
 		if m.PacketBytes > 0 {
 			packetBytes = m.PacketBytes
 		}
 	}
-	capacityBps = xcpOverride
+	capacityBps = l.XCPCapacityBps
 	if capacityBps <= 0 && len(trace) == 0 {
-		capacityBps = rateBps
+		capacityBps = l.RateBps
 	}
 	if capacityBps <= 0 && len(trace) > 0 {
 		capacityBps = traces.AverageRateBps(trace, packetBytes, s.Duration())
@@ -274,33 +286,23 @@ func (s Spec) resolveLinkService(reg *Registry, label string, explicitTrace []si
 	return trace, capacityBps, nil
 }
 
-// compileTopologyLinks materializes a Topology spec's links: per-link trace
-// synthesis (decorrelated across links), queue-kind resolution (the link's
-// own queue, else the spec-level one, with the kind the flows imply as the
-// final fallback) and per-link capacity estimates for rate-aware queues.
-func (s Spec) compileTopologyLinks(reg *Registry, runSeed int64, out *harness.Scenario) error {
-	t := s.Topology
-	out.AckBytes = t.AckBytes
-	var faultsByLink map[string]*faults.Schedule
-	if s.Faults != nil {
-		faultsByLink = make(map[string]*faults.Schedule, len(s.Faults.Links))
-		for i := range s.Faults.Links {
-			lf := &s.Faults.Links[i]
-			faultsByLink[lf.Link] = &lf.Schedule
-		}
-	}
+// compileLinks materializes the lowered links: per-link trace synthesis
+// (decorrelated across links), queue-kind resolution (the link's own queue,
+// else the spec-level one, with the kind the flows imply as the final
+// fallback) and per-link capacity estimates for rate-aware queues. Queues are
+// resolved through the registry and built per run, so a new AQM is a registry
+// entry rather than a harness change.
+func (s Spec) compileLinks(reg *Registry, runSeed int64, w lowered, out *harness.Scenario) error {
+	out.Links = make([]harness.LinkDef, 0, len(w.links))
 	defaultKind := ""
-	for li, l := range t.Links {
-		trace, capacityBps, err := s.resolveLinkService(reg,
-			fmt.Sprintf("spec %q link %q", s.Name, l.Name),
-			nil, l.Model, l.RateBps, l.XCPCapacityBps,
-			deriveLinkTraceSeed(runSeed, li))
+	for li, l := range w.links {
+		trace, capacityBps, err := s.resolveLinkService(reg, l, deriveLinkTraceSeed(runSeed, li))
 		if err != nil {
 			return err
 		}
 		// A link that declares no queue at all inherits the spec-level Queue
 		// wholesale (kind and parameters); a kindless queue falls back to the
-		// kind the spec's flows imply, like the single-bottleneck form.
+		// kind the spec's flows imply.
 		queueSpec := l.Queue
 		if queueSpec == (QueueSpec{}) {
 			queueSpec = s.Queue
@@ -320,18 +322,15 @@ func (s Spec) compileTopologyLinks(reg *Registry, runSeed int64, out *harness.Sc
 		if err != nil {
 			return err
 		}
-		env := QueueEnv{CapacityBps: capacityBps}
 		out.Links = append(out.Links, harness.LinkDef{
 			Name:      l.Name,
 			RateBps:   l.RateBps,
 			Trace:     trace,
 			TraceLoop: l.TraceLoop,
 			DelayMs:   l.DelayMs,
-			Faults:    faultsByLink[l.Name],
+			Faults:    l.faults,
 			NewQueue: func(engine *sim.Engine) (netsim.Queue, error) {
-				e := env
-				e.Engine = engine
-				return factory(queueSpec, e)
+				return factory(queueSpec, QueueEnv{Engine: engine, CapacityBps: capacityBps})
 			},
 		})
 	}

@@ -25,6 +25,20 @@ type FaultsSpec struct {
 	Links []LinkFaultSpec `json:"links"`
 }
 
+// schedule returns the fault schedule declared for the named link (the
+// link/queue form's one entry carries the empty name), or nil.
+func (f *FaultsSpec) schedule(link string) *faults.Schedule {
+	if f == nil {
+		return nil
+	}
+	for i := range f.Links {
+		if f.Links[i].Link == link {
+			return &f.Links[i].Schedule
+		}
+	}
+	return nil
+}
+
 // validate checks the section against the spec's shape: schedules must be
 // well-formed and non-empty, and each must target a resolvable link.
 func (f *FaultsSpec) validate(specName string, topo *TopologySpec) error {

@@ -4,15 +4,42 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
+
+// fuzzBuildable bounds the specs FuzzSpecRoundTrip builds a session for, so
+// the fuzzer cannot synthesise a giant trace, a giant population, the
+// deliberate chaos/ failures, or a read of a path of its own choosing.
+func fuzzBuildable(s Spec) bool {
+	if s.DurationSeconds > 10 || s.NumFlows() > 64 {
+		return false
+	}
+	flows := append([]FlowSpec{}, s.Flows...)
+	if s.Churn != nil {
+		for _, c := range s.Churn.Classes {
+			flows = append(flows, c.flowSpec())
+		}
+	}
+	for _, f := range flows {
+		if strings.HasPrefix(f.Scheme, "chaos/") || f.RemyCC != "" {
+			return false
+		}
+	}
+	return true
+}
 
 // FuzzSpecRoundTrip checks the declarative pipeline on arbitrary inputs:
 // any JSON that decodes into a valid Spec must re-encode to a stable fixed
 // point — decode(encode(decode(x))) produces the same bytes as
 // encode(decode(x)) — and re-encoding must never turn a valid spec into an
-// invalid or undecodable one. The corpus is seeded from the checked-in
-// example scenario files.
+// invalid or undecodable one. A bounded valid spec must furthermore compile
+// (or fail with a name-resolution error) into a scenario harness.NewSession
+// accepts: nothing Validate lets through may die on a harness-level validation
+// error or panic. The session is built, not run. The corpus is seeded from the
+// checked-in example scenario files.
 //
 // Run with: go test ./internal/scenario -fuzz FuzzSpecRoundTrip
 func FuzzSpecRoundTrip(f *testing.F) {
@@ -90,6 +117,16 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("encoding is not a fixed point\nfirst:  %s\nsecond: %s", b1, b2)
+		}
+		if !fuzzBuildable(s) {
+			return
+		}
+		scn, _, err := s.Compile(nil, 0)
+		if err != nil {
+			return // unregistered scheme, queue kind or link model
+		}
+		if _, err := harness.NewSession(scn); err != nil {
+			t.Fatalf("valid spec compiled to a scenario the harness rejects: %v\nspec: %s", err, b1)
 		}
 	})
 }

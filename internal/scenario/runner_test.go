@@ -177,10 +177,10 @@ func TestCompileExpandsFlowCounts(t *testing.T) {
 	if seed != spec.Seed {
 		t.Errorf("rep 0 seed = %d, want %d", seed, spec.Seed)
 	}
-	if scn.NewQueue == nil {
-		t.Fatal("compiled scenario has no queue factory")
+	if len(scn.Links) != 1 || scn.Links[0].Name != netsim.BottleneckLink || scn.Links[0].NewQueue == nil {
+		t.Fatalf("link/queue form did not compile to the one bottleneck link: %+v", scn.Links)
 	}
-	q, err := scn.NewQueue(sim.NewEngine())
+	q, err := scn.Links[0].NewQueue(sim.NewEngine())
 	if err != nil {
 		t.Fatal(err)
 	}

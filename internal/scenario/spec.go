@@ -172,9 +172,24 @@ func (s Spec) NumFlows() int {
 	return n
 }
 
+// validate reports out-of-range queue parameters (zero means "default").
+func (q QueueSpec) validate() error {
+	if q.CapacityPackets < 0 {
+		return fmt.Errorf("negative capacity_packets %d", q.CapacityPackets)
+	}
+	if q.ECNThresholdPackets < 0 {
+		return fmt.Errorf("negative ecn_threshold_packets %d", q.ECNThresholdPackets)
+	}
+	return nil
+}
+
 // Validate reports structural errors that do not require a registry (name
 // resolution happens at compile time).
-func (s Spec) Validate() error {
+func (s Spec) Validate() error { return s.validate(s.lower()) }
+
+// validate is Validate over the already-lowered link list, so Compile lowers
+// once.
+func (s Spec) validate(w lowered) error {
 	if len(s.Flows) == 0 && (s.Churn == nil || len(s.Churn.Classes) == 0) {
 		return fmt.Errorf("scenario: spec %q has no flows", s.Name)
 	}
@@ -197,6 +212,12 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
+	if s.MTU < 0 {
+		return fmt.Errorf("scenario: spec %q has negative mtu %d", s.Name, s.MTU)
+	}
+	if err := s.Queue.validate(); err != nil {
+		return fmt.Errorf("scenario: spec %q queue: %w", s.Name, err)
+	}
 	if s.Topology != nil {
 		if err := s.Topology.Validate(s.Name); err != nil {
 			return err
@@ -210,10 +231,6 @@ func (s Spec) Validate() error {
 			}
 		}
 	} else {
-		fixed := s.Link.Model == "" || s.Link.Model == "fixed"
-		if fixed && len(s.Link.Trace) == 0 && s.Link.RateBps <= 0 {
-			return fmt.Errorf("scenario: spec %q needs a link rate, trace or link model", s.Name)
-		}
 		for i, f := range s.Flows {
 			if len(f.Path) > 0 || len(f.ReversePath) > 0 {
 				return fmt.Errorf("scenario: spec %q flow %d routes over links but the spec has no topology", s.Name, i)
@@ -225,6 +242,17 @@ func (s Spec) Validate() error {
 					return fmt.Errorf("scenario: spec %q churn class %d routes over links but the spec has no topology", s.Name, ci)
 				}
 			}
+		}
+	}
+	for _, l := range w.links {
+		if l.RateBps < 0 || l.XCPCapacityBps < 0 {
+			return fmt.Errorf("scenario: spec %q link %q has a negative rate_bps or xcp_capacity_bps", s.Name, l.Name)
+		}
+		if len(l.trace) == 0 && !l.synthesized() && l.RateBps == 0 {
+			return fmt.Errorf("scenario: spec %q link %q needs a positive rate_bps, a trace or a trace model", s.Name, l.Name)
+		}
+		if err := l.Queue.validate(); err != nil {
+			return fmt.Errorf("scenario: spec %q link %q queue: %w", s.Name, l.Name, err)
 		}
 	}
 	for i, f := range s.Flows {

@@ -113,6 +113,22 @@ func TestSpecValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("invalid workload accepted")
 	}
+
+	// Out-of-range numbers must be rejected, not silently replaced by the
+	// defaults their zero values select.
+	for name, mut := range map[string]func(*Spec){
+		"negative queue capacity":   func(s *Spec) { s.Queue.CapacityPackets = -5 },
+		"negative ecn threshold":    func(s *Spec) { s.Queue.ECNThresholdPackets = -3 },
+		"negative mtu":              func(s *Spec) { s.MTU = -1 },
+		"negative rate under model": func(s *Spec) { s.Link = LinkSpec{Model: "verizon", RateBps: -4} },
+		"negative xcp capacity":     func(s *Spec) { s.Link.XCPCapacityBps = -1 },
+	} {
+		bad = sampleSpec()
+		mut(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestDistSpecCompile(t *testing.T) {

@@ -61,9 +61,10 @@ func (t *TopologySpec) Link(name string) (TopoLinkSpec, bool) {
 }
 
 // Validate reports structural errors in the topology itself: missing or
-// duplicate names, links dangling off undeclared nodes, self-loops, and
-// unusable service models. Flow routes are validated by Spec.Validate, which
-// knows the flows.
+// duplicate names, links dangling off undeclared nodes and self-loops. Flow
+// routes and the links' service and queue parameters are validated by
+// Spec.Validate, which knows the flows and checks both JSON forms' links in one
+// place.
 func (t *TopologySpec) Validate(specName string) error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("scenario: spec %q topology has no nodes", specName)
@@ -98,9 +99,6 @@ func (t *TopologySpec) Validate(specName string) error {
 		}
 		if l.From == l.To {
 			return fmt.Errorf("scenario: spec %q link %q is a self-loop on node %q", specName, l.Name, l.From)
-		}
-		if l.Model == "" && l.RateBps <= 0 {
-			return fmt.Errorf("scenario: spec %q link %q needs a positive rate_bps or a model", specName, l.Name)
 		}
 		if l.DelayMs < 0 {
 			return fmt.Errorf("scenario: spec %q link %q has negative delay", specName, l.Name)

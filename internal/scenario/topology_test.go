@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -144,6 +147,24 @@ func TestTopologyValidationErrors(t *testing.T) {
 	s.Topology = &topo
 	errContains(t, s, "rate_bps")
 
+	// A "fixed" model is a fixed-rate link and needs its rate just the same;
+	// negative rates and capacities are garbage even where a model would
+	// otherwise ignore them, and so are negative per-link queue parameters.
+	for fragment, mut := range map[string]func(*TopoLinkSpec){
+		"rate_bps":              func(l *TopoLinkSpec) { l.Model, l.RateBps = "fixed", 0 },
+		"negative rate_bps":     func(l *TopoLinkSpec) { l.Model, l.RateBps = "verizon", -4 },
+		"xcp_capacity_bps":      func(l *TopoLinkSpec) { l.XCPCapacityBps = -1 },
+		"capacity_packets":      func(l *TopoLinkSpec) { l.Queue.CapacityPackets = -5 },
+		"ecn_threshold_packets": func(l *TopoLinkSpec) { l.Queue.ECNThresholdPackets = -3 },
+	} {
+		s = base
+		topo = *base.Topology
+		topo.Links = append([]TopoLinkSpec{}, base.Topology.Links...)
+		mut(&topo.Links[0])
+		s.Topology = &topo
+		errContains(t, s, fragment)
+	}
+
 	// Routed flows require a topology.
 	s = base
 	s.Topology = nil
@@ -157,6 +178,94 @@ func TestTopologyValidationErrors(t *testing.T) {
 	s = base
 	s.Topology = &TopologySpec{Nodes: []NodeSpec{{Name: "a"}, {Name: "b"}}}
 	errContains(t, s, "no links")
+}
+
+// asOneLinkTopology rewrites a link/queue-form spec as the hand-written
+// one-link topology it lowers to: the same service on a link named
+// netsim.BottleneckLink, every flow and churn class routed over it, and the
+// fault schedule addressed to it by name.
+func asOneLinkTopology(s Spec) Spec {
+	path := []string{netsim.BottleneckLink}
+	s.Topology = &TopologySpec{
+		Nodes: []NodeSpec{{Name: "src"}, {Name: "dst"}},
+		Links: []TopoLinkSpec{{
+			Name: netsim.BottleneckLink, From: "src", To: "dst",
+			RateBps: s.Link.RateBps, Model: s.Link.Model, TraceLoop: s.Link.TraceLoop,
+			XCPCapacityBps: s.Link.XCPCapacityBps,
+		}},
+	}
+	s.Link = LinkSpec{}
+	s.Flows = append([]FlowSpec{}, s.Flows...)
+	for i := range s.Flows {
+		s.Flows[i].Path = path
+	}
+	if s.Churn != nil {
+		churn := *s.Churn
+		churn.Classes = append([]ChurnClassSpec{}, churn.Classes...)
+		for i := range churn.Classes {
+			churn.Classes[i].Path = path
+		}
+		s.Churn = &churn
+	}
+	if s.Faults != nil {
+		s.Faults = &FaultsSpec{Links: []LinkFaultSpec{{Link: netsim.BottleneckLink, Schedule: s.Faults.Links[0].Schedule}}}
+	}
+	return s
+}
+
+// TestLinkFormEqualsOneLinkTopology pins the lowering at the spec level: a
+// spec written in the link/queue form and the same world written as a one-link
+// topology must produce identical results on every repetition, at any worker
+// count — across queue kinds, trace models, faults and churn.
+func TestLinkFormEqualsOneLinkTopology(t *testing.T) {
+	dumbbell := func(name, scheme string, opts ...Option) Spec {
+		base := []Option{
+			WithName(name),
+			WithLink(15e6),
+			WithDuration(5),
+			WithSeed(7),
+			WithRepetitions(2),
+			WithFlows(2, scheme, 100, topoWorkload()),
+		}
+		return New(append(base, opts...)...)
+	}
+	specs := []Spec{
+		dumbbell("newreno", "newreno"),
+		dumbbell("xcp", "xcp"),
+		dumbbell("cubic-sfqcodel", "cubic/sfqcodel", WithQueue("", 300)),
+		dumbbell("cubic-verizon", "cubic", WithLinkModel("verizon")),
+		dumbbell("xcp-verizon-loop", "xcp", WithLinkModel("verizon"), func(s *Spec) { s.Link.TraceLoop = true }),
+		dumbbell("cubic-outage", "cubic", WithFaults(FaultsSpec{Links: []LinkFaultSpec{{
+			Schedule: faults.Schedule{Outages: []faults.Outage{{StartS: 2, DurationS: 1}}},
+		}}})),
+		dumbbell("vegas-churn", "vegas", WithChurn(ChurnSpec{Classes: []ChurnClassSpec{{
+			Scheme: "newreno", RTTMs: 60, Interarrival: ExponentialDist(0.1), Size: ExponentialDist(30e3),
+		}}})),
+	}
+	for _, spec := range specs {
+		t.Run(spec.Name, func(t *testing.T) {
+			topo := asOneLinkTopology(spec)
+			for _, workers := range []int{1, 4} {
+				want, err := (Runner{Workers: workers}).RunOne(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := (Runner{Workers: workers}).RunOne(topo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for rep := range want {
+					if want[rep].Res.Delivered == 0 {
+						t.Fatalf("workers=%d rep %d delivered nothing; comparison is vacuous", workers, rep)
+					}
+					if !reflect.DeepEqual(want[rep].Res, got[rep].Res) {
+						t.Errorf("workers=%d rep %d: link form and one-link topology differ:\n link: %+v\n topo: %+v",
+							workers, rep, want[rep].Res, got[rep].Res)
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestFamiliesCompileAndRun executes one short repetition of each canonical

@@ -7,8 +7,8 @@ import (
 	"strconv"
 )
 
-// This file is the one CSV encoder report writers share (cmd/campaign,
-// cmd/bench2json). Floats are formatted with strconv — shortest decimal that
+// This file is the one CSV encoder report writers share (the campaign
+// report). Floats are formatted with strconv — shortest decimal that
 // round-trips, always a '.' decimal separator — never with locale-sensitive
 // printf-style formatting, so a report generated under any LC_NUMERIC parses
 // back to the identical float64. Quoting follows RFC 4180 via encoding/csv.
