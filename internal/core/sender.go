@@ -58,6 +58,21 @@ func NewSender(tree *WhiskerTree) *Sender {
 	return s
 }
 
+// Rebind points an idle sender at another rule table and recorder. The
+// matched-rule hint is dropped (it indexes the old table) and the connection
+// state cleared; the first lookup in the new table happens where a fresh
+// sender's first recorded one does, in the Reset its transport issues at flow
+// start, so from there on a rebound sender and NewSender(tree) with the same
+// Recorder are indistinguishable. The optimizer scores ~100 candidate tables
+// per improvement step on the same specimen worlds and rebinds a warm world's
+// senders to each candidate instead of building the world again.
+func (s *Sender) Rebind(tree *WhiskerTree, rec UsageRecorder) {
+	s.tree = tree
+	s.Recorder = rec
+	s.lastWhisker = -1
+	s.clear()
+}
+
 // Name implements cc.Algorithm.
 func (s *Sender) Name() string { return "remy" }
 
@@ -71,13 +86,17 @@ func (s *Sender) Memory() Memory { return s.mem }
 // initial state at the start of each connection (§4.1) and the window starts
 // at one segment.
 func (s *Sender) Reset(now sim.Time) {
+	s.clear()
+	s.applyCurrent()
+}
+
+func (s *Sender) clear() {
 	s.mem = Memory{}
 	s.cwnd = 1
 	s.intersend = 0
 	s.haveAck = false
 	s.lastAckTime = 0
 	s.lastSentTS = 0
-	s.applyCurrent()
 }
 
 // applyCurrent refreshes the pacing interval from the rule matching the

@@ -211,7 +211,7 @@ func Compile(s *Schedule) (*LinkState, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	ls := &LinkState{}
+	ls := &LinkState{rng: sim.NewRNG(0)}
 	for _, o := range s.Outages {
 		start := sim.FromSeconds(o.StartS)
 		ls.outages = append(ls.outages, window{start, start + sim.FromSeconds(o.DurationS)})
@@ -258,10 +258,10 @@ func MustCompile(s *Schedule) *LinkState {
 }
 
 // Reset rewinds every window cursor, restarts the burst-loss chain in the
-// good state, and reseeds the RNG. Call once per run before the engine
-// starts.
+// good state, and reseeds the RNG in place. Call once per run before the
+// engine starts.
 func (ls *LinkState) Reset(seed int64) {
-	ls.rng = sim.NewRNG(seed)
+	ls.rng.Reseed(seed)
 	ls.outIdx, ls.spikeIdx, ls.droopIdx = 0, 0, 0
 	ls.geBad = false
 }

@@ -77,10 +77,9 @@ type churnRuntime struct {
 }
 
 // newChurnRuntime builds the arrival processes and per-class state. It must
-// run after the static flows have attached: churn RNG streams split off the
-// root with labels beyond the static flows' so adding churn never perturbs a
-// static scenario, and static ports keep slots 0..len(flows)-1.
-func newChurnRuntime(s *Scenario, engine *sim.Engine, network *netsim.Network, rootRNG *sim.RNG, mtu int) (*churnRuntime, error) {
+// run after the static flows have attached, so static ports keep slots
+// 0..len(flows)-1.
+func newChurnRuntime(s *Scenario, engine *sim.Engine, network *netsim.Network, mtu int) (*churnRuntime, error) {
 	maxLive := s.MaxLiveFlows
 	if maxLive <= 0 {
 		maxLive = DefaultMaxLiveFlows
@@ -110,7 +109,7 @@ func newChurnRuntime(s *Scenario, engine *sim.Engine, network *netsim.Network, r
 			Interarrival: class.Interarrival,
 			Size:         class.Size,
 			MaxArrivals:  class.MaxArrivals,
-		}, engine, rootRNG.Split(int64(len(s.Flows))+int64(ci)+1))
+		}, engine, sim.NewRNG(0))
 		if err != nil {
 			return nil, fmt.Errorf("harness: churn class %d: %w", ci, err)
 		}
@@ -125,10 +124,10 @@ func newChurnRuntime(s *Scenario, engine *sim.Engine, network *netsim.Network, r
 
 // reset rewinds the runtime for another session run: every flow state —
 // still-live ones were already detached by Network.Reset — returns to its
-// class pool, aggregates clear, and each class's arrival process receives the
-// new run's random stream, split from the root with the same label a fresh
-// build would use (churn class ci draws child numFlows+ci+1, after the
-// static flows' children).
+// class pool, aggregates clear, and each class's arrival process restarts its
+// random stream from a child seed split off the run's root: churn class ci
+// draws child numFlows+ci+1, after the static flows' children, so adding
+// churn never perturbs a static scenario.
 func (rt *churnRuntime) reset(rootRNG *sim.RNG, numFlows int) {
 	rt.live = 0
 	rt.err = nil
@@ -146,7 +145,7 @@ func (rt *churnRuntime) reset(rootRNG *sim.RNG, numFlows int) {
 		cs.fctMinUs = 0
 		cs.fctMaxUs = 0
 		cs.agg = cc.Stats{}
-		cs.proc.Reset(rootRNG.Split(int64(numFlows) + int64(cs.index) + 1))
+		cs.proc.Reset(rootRNG.SplitSeed(int64(numFlows) + int64(cs.index) + 1))
 	}
 }
 

@@ -43,6 +43,11 @@ type Session struct {
 	// fault-free links), indexed like network.Links(); reset reseeds each from
 	// the run seed so fault realizations replay exactly across warm runs.
 	linkFaults []*faults.LinkState
+	// root is the run's root stream: reset reseeds it from the run seed and
+	// splits one child seed per flow and churn class off it, each restarting
+	// the stream its switcher or arrival process owns, so a warm run creates
+	// no RNG state.
+	root *sim.RNG
 }
 
 // NewSession builds a reusable session for the scenario on a fresh engine.
@@ -52,7 +57,9 @@ func NewSession(s Scenario) (*Session, error) {
 
 // NewSessionOn builds a reusable session for the scenario on the supplied
 // engine — typically one drawn from a pool, carrying warm slab and bucket
-// capacity from earlier runs. The engine must be idle; the session resets it
+// capacity from earlier runs. The engine must be idle; whatever an earlier
+// session left pending on it is discarded here (its in-flight packets belong
+// to that session's pools, not this one's), and the session resets the engine
 // at the start of every Run.
 func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 	if engine == nil {
@@ -61,13 +68,14 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	engine.Reset()
 
 	mtu := s.MTU
 	if mtu <= 0 {
 		mtu = netsim.MTU
 	}
 
-	ss := &Session{spec: s, engine: engine, mtu: mtu}
+	ss := &Session{spec: s, engine: engine, mtu: mtu, root: sim.NewRNG(0)}
 
 	network, queues, err := build(s, engine, mtu)
 	if err != nil {
@@ -103,10 +111,9 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 	}
 
 	// Static flows. Construction consumes no randomness (verified by the
-	// session differential tests), so switchers are built with a placeholder
-	// stream; Run installs each run's real per-flow stream via Reset, split
-	// from the run seed with the same labels a fresh build would use.
-	placeholder := sim.NewRNG(0)
+	// session differential tests), so each switcher is built owning a
+	// placeholder stream; Run restarts it via Reset from the child seed split
+	// off the run seed under the flow's label.
 	ss.flows = make([]*flowState, len(s.Flows))
 	for i := range s.Flows {
 		spec := &ss.spec.Flows[i]
@@ -137,7 +144,7 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 		fs.transport = transport
 		fs.algoName = algo.Name()
 
-		switcher, err := workload.NewSwitcher(spec.Workload, engine, placeholder)
+		switcher, err := workload.NewSwitcher(spec.Workload, engine, sim.NewRNG(0))
 		if err != nil {
 			return nil, err
 		}
@@ -160,8 +167,8 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 	// The churn runtime attaches after every static flow, so static ports
 	// keep slots 0..len(flows)-1 and the static RNG split order is unchanged
 	// — a churn-free scenario runs the byte-identical event sequence it
-	// always has. Its arrival processes likewise get placeholder streams.
-	churn, err := newChurnRuntime(&ss.spec, engine, network, placeholder, mtu)
+	// always has. Its arrival processes likewise own placeholder streams.
+	churn, err := newChurnRuntime(&ss.spec, engine, network, mtu)
 	if err != nil {
 		return nil, err
 	}
@@ -219,19 +226,19 @@ func (ss *Session) reset(seed int64) error {
 		}
 	}
 
-	root := sim.NewRNG(seed)
+	ss.root.Reseed(seed)
 	for i, fs := range ss.flows {
 		if err := ss.network.ReattachFlowRoute(fs.port, fs.fwd, fs.rev, fs.oneWay); err != nil {
 			return err
 		}
 		fs.transport.Reset()
-		// Same split label order as a fresh build: flow i draws child i+1.
-		fs.switcher.Reset(root.Split(int64(i) + 1))
+		// Flow i draws child i+1.
+		fs.switcher.Reset(ss.root.SplitSeed(int64(i) + 1))
 		fs.onTime = 0
 		fs.lastOn = 0
 		fs.onPeriods = 0
 	}
-	ss.churn.reset(root, len(ss.flows))
+	ss.churn.reset(ss.root, len(ss.flows))
 	return nil
 }
 

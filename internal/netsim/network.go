@@ -90,6 +90,7 @@ type Network struct {
 	// → receiver → ack cycle, keeping the per-packet path allocation-free.
 	pool    packetPool
 	ackFree []*ackCarrier
+	ackAll  []*ackCarrier // every carrier allocated, in order (see rewind)
 
 	propApply func(now sim.Time, arg any)
 	ackApply  func(now sim.Time, arg any)
@@ -537,11 +538,7 @@ func (n *Network) onPropagated(t sim.Time, arg any) {
 func (n *Network) onAckReturned(t sim.Time, arg any) {
 	ac := arg.(*ackCarrier)
 	port, ack, gen := ac.port, ac.ack, ac.gen
-	ac.port = nil
-	ac.ack = Ack{}
-	ac.gen = 0
-	//lint:ignore hotalloc free-list push returns a carrier taken from this same list; capacity is steady once warm
-	n.ackFree = append(n.ackFree, ac)
+	n.putAckCarrier(ac)
 	if !port.attached || port.gen != gen {
 		return // flow detached while the ack was propagating
 	}
@@ -564,6 +561,24 @@ func (n *Network) onAckPacketReturned(t sim.Time, arg any) {
 	port.sender.OnAck(ack, t)
 }
 
+//repo:hotpath per-ack carrier recycling
+func (n *Network) putAckCarrier(ac *ackCarrier) {
+	*ac = ackCarrier{}
+	//lint:ignore hotalloc free-list push returns a carrier taken from this same list; capacity is steady once warm
+	n.ackFree = append(n.ackFree, ac)
+}
+
+// reclaimInFlight takes back the argument of a canceled in-flight event: a
+// data or ack packet between hops, or an ack carrier on its way home.
+func (n *Network) reclaimInFlight(arg any) {
+	switch a := arg.(type) {
+	case *Packet:
+		n.pool.put(a)
+	case *ackCarrier:
+		n.putAckCarrier(a)
+	}
+}
+
 func (n *Network) getAckCarrier() *ackCarrier {
 	if m := len(n.ackFree); m > 0 {
 		ac := n.ackFree[m-1]
@@ -571,12 +586,15 @@ func (n *Network) getAckCarrier() *ackCarrier {
 		n.ackFree = n.ackFree[:m-1]
 		return ac
 	}
-	return &ackCarrier{}
+	ac := &ackCarrier{}
+	n.ackAll = append(n.ackAll, ac)
+	return ac
 }
 
 // Reset returns the network to its just-built state for engine-pooled reuse
-// (harness.Session): links and queues stay, but every queued or in-service
-// packet is recycled, every flow slot is vacated and all counters are zeroed.
+// (harness.Session): links and queues stay, but every queued, in-service or
+// in-flight packet (and in-flight ack carrier) is recycled, every flow slot is
+// vacated and all counters are zeroed.
 // Ports survive detached — the owner re-attaches them (ReattachFlowRoute)
 // for the next run, which reuses their route capacity and allocates nothing.
 // The attachment-generation counter keeps counting monotonically, so a
@@ -588,6 +606,10 @@ func (n *Network) getAckCarrier() *ackCarrier {
 // packets' enqueue stamps.
 func (n *Network) Reset() {
 	now := n.engine.Now()
+	// Packets and carriers between hops ride engine events; cancel those and
+	// take the arguments back, or the engine's reset would drop a
+	// bandwidth-delay product of them for the next run to re-allocate.
+	n.engine.CancelArgs(n.reclaimInFlight)
 	for _, l := range n.links {
 		if p := l.reset(); p != nil {
 			n.pool.put(p)
@@ -614,6 +636,8 @@ func (n *Network) Reset() {
 		p.receiver.packetsReceived = 0
 		p.receiver.bytesReceived = 0
 	}
+	rewind(n.pool.free, n.pool.all)
+	rewind(n.ackFree, n.ackAll)
 	n.flows = n.flows[:0]
 	n.freeSlots = n.freeSlots[:0]
 	n.liveFlows = 0

@@ -103,6 +103,9 @@ func (p *Packet) EnsureXCP() *XCPHeader {
 // dropped them), and hands them out again to senders.
 type packetPool struct {
 	free []*Packet
+	// all lists every packet the pool allocated, in allocation order (see
+	// rewind).
+	all []*Packet
 }
 
 func (pl *packetPool) get() *Packet {
@@ -112,7 +115,28 @@ func (pl *packetPool) get() *Packet {
 		pl.free = pl.free[:n-1]
 		return p
 	}
-	return &Packet{}
+	p := &Packet{}
+	pl.all = append(pl.all, p)
+	return p
+}
+
+// rewind puts a free list back in allocation order once every object in all
+// is home, as after Network.Reset. A run cycles its in-flight objects in the
+// order they were first handed out — each one freed is the next one taken —
+// and ends with them scattered over queues and pending events. Handed out
+// again in that scattered order they would be walked in it for the whole of
+// the next run; in allocation order, which is address order within the
+// allocator's spans, the walk is sequential. On the 10 Gbps world of
+// remy_exec, with ~3 000 packets in flight, the difference is 5 % of wall
+// time. With an object still held elsewhere any order is valid and the list
+// is left alone.
+func rewind[T any](free, all []*T) {
+	if len(free) != len(all) {
+		return
+	}
+	for i, p := range all {
+		free[len(free)-1-i] = p
+	}
 }
 
 // put zeroes the packet and returns it to the free list. The XCP header, if

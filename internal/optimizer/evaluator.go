@@ -6,9 +6,7 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -324,32 +322,6 @@ func (e *Evaluator) ensureRoomLocked() {
 	}
 }
 
-// specFor builds the declarative scenario simulating the tree on one
-// specimen. Every sender runs the same candidate RemyCC (the superrational
-// setting of §4), injected programmatically so that, when rec is non-nil, it
-// observes every rule lookup.
-func specFor(tree *core.WhiskerTree, spec Specimen, cfg ConfigRange, rec core.UsageRecorder) scenario.Spec {
-	return scenario.New(
-		scenario.WithName(spec.String()),
-		scenario.WithLink(spec.LinkRateBps),
-		scenario.WithQueue(scenario.QueueDropTail, cfg.QueueCapacityPackets),
-		scenario.WithDuration(cfg.SpecimenDuration.Seconds()),
-		scenario.WithSeed(spec.Seed),
-		scenario.WithoutSummaries(),
-		scenario.WithFlow(scenario.FlowSpec{
-			Scheme:   "remy-candidate",
-			Count:    spec.Senders,
-			RTTMs:    spec.RTTMs,
-			Workload: cfg.scenarioWorkload(),
-			Algorithm: func() cc.Algorithm {
-				s := core.NewSender(tree)
-				s.Recorder = rec
-				return s
-			},
-		}),
-	)
-}
-
 // flowUtility evaluates Equation 1 for one flow, normalizing throughput by
 // the fair share of the bottleneck and delay by the flow's minimum RTT so
 // scores are comparable across specimens with different scales.
@@ -382,17 +354,26 @@ func (e *Evaluator) runBatch(jobs []BatchJob) ([]BatchResult, error) {
 	return RunBatchLocal(e.Objective, e.Workers, jobs)
 }
 
-// evaluateTrees resolves the per-specimen result of every (tree, specimen)
-// pair, serving what it can from the memo cache and simulating the rest as
-// one batch over the worker pool. out[t][s] is the result for trees[t] on
-// specimens[s]. Results are deterministic per (tree, specimen, cfg), so the
-// cache only changes speed, never values.
-func (e *Evaluator) evaluateTrees(trees []*core.WhiskerTree, specimens []Specimen, cfg ConfigRange, withSamples bool) ([][]*specimenResult, error) {
-	out := make([][]*specimenResult, len(trees))
+// canonicalKeys encodes each tree once; the keys are then shared by cache
+// seeding and evaluateTrees.
+func canonicalKeys(trees []*core.WhiskerTree) []string {
 	keys := make([]string, len(trees))
 	for ti, tree := range trees {
-		out[ti] = make([]*specimenResult, len(specimens))
 		keys[ti] = tree.CanonicalKey()
+	}
+	return keys
+}
+
+// evaluateTrees resolves the per-specimen result of every (tree, specimen)
+// pair, serving what it can from the memo cache and simulating the rest as
+// one batch over the worker pool. keys[t] is trees[t]'s canonical key;
+// out[t][s] is the result for trees[t] on specimens[s]. Results are
+// deterministic per (tree, specimen, cfg), so the cache only changes speed,
+// never values.
+func (e *Evaluator) evaluateTrees(trees []*core.WhiskerTree, keys []string, specimens []Specimen, cfg ConfigRange, withSamples bool) ([][]*specimenResult, error) {
+	out := make([][]*specimenResult, len(trees))
+	for ti := range trees {
+		out[ti] = make([]*specimenResult, len(specimens))
 	}
 
 	type ref struct{ ti, si int }
@@ -496,7 +477,7 @@ func (e *Evaluator) evaluate(tree *core.WhiskerTree, specimens []Specimen, cfg C
 	if len(specimens) == 0 {
 		return Evaluation{}, fmt.Errorf("optimizer: no specimens to evaluate")
 	}
-	per, err := e.evaluateTrees([]*core.WhiskerTree{tree}, specimens, cfg, withSamples)
+	per, err := e.evaluateTrees([]*core.WhiskerTree{tree}, []string{tree.CanonicalKey()}, specimens, cfg, withSamples)
 	if err != nil {
 		return Evaluation{}, err
 	}
@@ -508,13 +489,17 @@ func (e *Evaluator) evaluate(tree *core.WhiskerTree, specimens []Specimen, cfg C
 // actions) and returns one score per tree. All (tree, specimen) simulations
 // share the worker pool.
 func (e *Evaluator) ScoreMany(trees []*core.WhiskerTree, specimens []Specimen, cfg ConfigRange) ([]float64, error) {
+	return e.scoreMany(trees, canonicalKeys(trees), specimens, cfg)
+}
+
+func (e *Evaluator) scoreMany(trees []*core.WhiskerTree, keys []string, specimens []Specimen, cfg ConfigRange) ([]float64, error) {
 	if len(trees) == 0 {
 		return nil, nil
 	}
 	if len(specimens) == 0 {
 		return nil, fmt.Errorf("optimizer: no specimens to evaluate")
 	}
-	per, err := e.evaluateTrees(trees, specimens, cfg, false)
+	per, err := e.evaluateTrees(trees, keys, specimens, cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -544,15 +529,9 @@ func (e *Evaluator) ScoreMany(trees []*core.WhiskerTree, specimens []Specimen, c
 // to the incumbent's and the incumbent's per-specimen result is transferred
 // outright. The remaining (affected) specimens are simulated as one batch.
 func (e *Evaluator) ScoreCandidates(incumbent Evaluation, trees []*core.WhiskerTree, changed int, specimens []Specimen, cfg ConfigRange) ([]float64, error) {
-	if len(trees) == 0 {
-		return nil, nil
-	}
-	if len(specimens) == 0 {
-		return nil, fmt.Errorf("optimizer: no specimens to evaluate")
-	}
+	keys := canonicalKeys(trees)
 	if !e.NoPrune && !e.NoCache && len(incumbent.perSpec) == len(specimens) {
-		for _, tree := range trees {
-			ck := tree.CanonicalKey()
+		for _, ck := range keys {
 			for si, sp := range specimens {
 				inc := incumbent.perSpec[si]
 				if changed < 0 || changed >= len(inc.consulted) || inc.consulted[changed] {
@@ -562,5 +541,5 @@ func (e *Evaluator) ScoreCandidates(incumbent Evaluation, trees []*core.WhiskerT
 			}
 		}
 	}
-	return e.ScoreMany(trees, specimens, cfg)
+	return e.scoreMany(trees, keys, specimens, cfg)
 }

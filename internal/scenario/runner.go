@@ -118,71 +118,87 @@ type task struct {
 	spec    *Spec
 }
 
-// runCache is one worker's warm state: a pooled engine, and — for
-// rep-invariant specs — the session built for the spec it is currently
-// draining, reused across that spec's repetitions with only the seed varying.
-// Specs whose compiled scenario differs per rep (synthesized link traces)
-// rebuild the session each rep but still reuse the pooled engine underneath.
-type runCache struct {
-	engine    *sim.Engine
+// Worker is one goroutine's warm run state: a pooled engine and, on it, the
+// session of the spec it ran last. It is the single place a compiled spec
+// meets an engine — compile once, build the session on the pooled engine, then
+// Run(seed) per repetition, with panics recovered into Result.Err — and both
+// Runner.Stream's goroutines and the optimizer's batch workers execute
+// through it. A Worker is not safe for concurrent use.
+type Worker struct {
+	reg    *Registry
+	engine *sim.Engine
+	// spec, session and invariant describe the warm session: consecutive runs
+	// of the same *Spec reuse it with only the seed varying when the spec is
+	// rep-invariant. Specs whose compiled scenario differs per rep
+	// (synthesized link traces) rebuild the session each rep but still reuse
+	// the pooled engine underneath.
 	spec      *Spec
 	session   *harness.Session
 	invariant bool
 }
 
-func (c *runCache) release() {
-	releaseEngine(c.engine)
-	c.engine = nil
-	c.spec = nil
-	c.session = nil
+// NewWorker returns an idle worker resolving names against the runner's
+// registry. Close it to return its engine to the pool.
+func (r Runner) NewWorker() *Worker { return &Worker{reg: r.registry()} }
+
+// Close returns the worker's engine to the pool and forgets its session.
+func (w *Worker) Close() {
+	releaseEngine(w.engine)
+	w.engine = nil
+	w.drop()
 }
 
-// runTask executes one repetition through the worker's cache. A panic
-// anywhere in the run — a buggy scheme, a custom queue, the harness itself —
-// is recovered into Result.Err so one poisoned repetition cannot torch a
-// whole campaign; the worker's engine and session are discarded (not
-// returned to the pool) because a panic leaves them in an unknown state.
-func (r Runner) runTask(c *runCache, t task) (out Result) {
+func (w *Worker) drop() {
+	w.spec = nil
+	w.session = nil
+}
+
+// Run executes repetition rep of spec, reusing the warm session when spec is
+// the rep-invariant spec the worker ran last (the caller must not modify a
+// spec between runs). A panic anywhere in the run — a buggy scheme, a custom
+// queue, the harness itself — is recovered into Result.Err so one poisoned
+// repetition cannot torch a whole campaign or training batch; the worker's
+// engine and session are then discarded (not returned to the pool) because a
+// panic leaves them in an unknown state, and the next run starts cold.
+func (w *Worker) Run(spec *Spec, rep int) (out Result) {
 	defer func() {
 		if p := recover(); p != nil {
-			c.engine = nil
-			c.spec = nil
-			c.session = nil
-			out = Result{SpecIndex: t.si, Rep: t.rep, SpecName: t.spec.Name,
-				Err: fmt.Errorf("scenario: spec %q rep %d: panic: %v", t.spec.Name, t.rep, p)}
+			w.engine = nil
+			w.drop()
+			out = Result{Rep: rep, SpecName: spec.Name,
+				Err: fmt.Errorf("scenario: spec %q rep %d: panic: %v", spec.Name, rep, p)}
 		}
 	}()
-	out = Result{SpecIndex: t.si, Rep: t.rep, SpecName: t.spec.Name}
-	if c.session == nil || c.spec != t.spec || !c.invariant {
-		scn, seed, err := t.spec.Compile(r.registry(), t.rep)
+	out = Result{Rep: rep, SpecName: spec.Name}
+	if w.session == nil || w.spec != spec || !w.invariant {
+		scn, seed, err := spec.Compile(w.reg, rep)
 		if err != nil {
 			out.Err = err
 			return out
 		}
 		out.Seed = seed
-		if c.engine == nil {
-			c.engine = acquireEngine()
+		if w.engine == nil {
+			w.engine = acquireEngine()
 		}
-		ss, err := harness.NewSessionOn(c.engine, scn)
+		ss, err := harness.NewSessionOn(w.engine, scn)
 		if err != nil {
-			c.spec = nil
-			c.session = nil
-			out.Err = fmt.Errorf("scenario: spec %q rep %d: %w", t.spec.Name, t.rep, err)
+			w.drop()
+			out.Err = fmt.Errorf("scenario: spec %q rep %d: %w", spec.Name, rep, err)
 			return out
 		}
-		c.spec = t.spec
-		c.session = ss
-		c.invariant = t.spec.RepInvariant()
+		w.spec = spec
+		w.session = ss
+		w.invariant = spec.RepInvariant()
 	} else {
-		out.Seed = DeriveSeed(t.spec.Seed, t.rep)
+		out.Seed = DeriveSeed(spec.Seed, rep)
 	}
-	res, err := c.session.Run(out.Seed)
+	res, err := w.session.Run(out.Seed)
 	if err != nil {
-		out.Err = fmt.Errorf("scenario: spec %q rep %d: %w", t.spec.Name, t.rep, err)
+		out.Err = fmt.Errorf("scenario: spec %q rep %d: %w", spec.Name, rep, err)
 		return out
 	}
 	out.Res = res
-	if !t.spec.SkipSummaries {
+	if !spec.SkipSummaries {
 		out.summarize()
 	}
 	return out
@@ -210,8 +226,8 @@ func (r Runner) Stream(done <-chan struct{}, specs []Spec) <-chan Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var cache runCache
-			defer cache.release()
+			worker := r.NewWorker()
+			defer worker.Close()
 			for t := range tasks {
 				select {
 				case <-done:
@@ -219,8 +235,10 @@ func (r Runner) Stream(done <-chan struct{}, specs []Spec) <-chan Result {
 					return
 				default:
 				}
+				res := worker.Run(t.spec, t.rep)
+				res.SpecIndex = t.si
 				select {
-				case out <- r.runTask(&cache, t):
+				case out <- res:
 				case <-done:
 					// The consumer gave up; drop the result so the worker
 					// (and the producer waiting on wg) can exit.

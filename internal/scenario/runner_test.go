@@ -3,9 +3,12 @@ package scenario
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cc"
+	"repro/internal/cc/newreno"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -63,6 +66,60 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	if same {
 		t.Error("all repetitions produced identical summaries (seed derivation suspect)")
+	}
+}
+
+// fusedAlgorithm is NewReno until its fuse is lit, then panics on the next
+// acknowledgment.
+type fusedAlgorithm struct {
+	cc.Algorithm
+	lit *bool
+}
+
+func (a fusedAlgorithm) OnAck(ev cc.AckEvent) {
+	if *a.lit {
+		panic("fuse lit")
+	}
+	a.Algorithm.OnAck(ev)
+}
+
+// TestWorkerRecoversPanicInReusedSession drives one Worker the way Stream's
+// goroutines and the optimizer's batch workers do. An algorithm that panics
+// in the middle of a warm session's run must surface as that repetition's
+// error only: the worker drops the poisoned engine and session, and its later
+// repetitions equal a fresh runner's.
+func TestWorkerRecoversPanicInReusedSession(t *testing.T) {
+	lit := false
+	spec := quickSpec(4)
+	spec.Flows[0].Algorithm = func() cc.Algorithm { return fusedAlgorithm{newreno.New(), &lit} }
+	want, err := Runner{Workers: 1}.RunOne(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := Runner{}.NewWorker()
+	defer w.Close()
+	for rep := 0; rep < 4; rep++ {
+		lit = rep == 1
+		got := w.Run(&spec, rep)
+		if lit {
+			if got.Err == nil || !strings.Contains(got.Err.Error(), "panic: fuse lit") {
+				t.Fatalf("rep %d: panicking run returned Err = %v", rep, got.Err)
+			}
+			if w.session != nil || w.engine != nil {
+				t.Error("worker kept the engine or session a panic ran through")
+			}
+			continue
+		}
+		if got.Err != nil {
+			t.Fatalf("rep %d: %v", rep, got.Err)
+		}
+		if rep > 1 && w.session == nil {
+			t.Errorf("rep %d: worker did not keep its session warm", rep)
+		}
+		if got.Seed != want[rep].Seed || !reflect.DeepEqual(got.Res, want[rep].Res) {
+			t.Errorf("rep %d: result differs from a fresh runner's", rep)
+		}
 	}
 }
 

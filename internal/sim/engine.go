@@ -783,6 +783,43 @@ func (e *Engine) compact() {
 	e.canceled = 0
 }
 
+// eachPending calls visit with the slot index of every queued event, live or
+// canceled, in no particular order.
+func (e *Engine) eachPending(visit func(idx int32)) {
+	for bi := e.cur; bi < e.nb; bi++ {
+		bk := e.buckets[bi]
+		if bi == e.cur && e.curSorted {
+			bk = bk[e.curHead:]
+		}
+		for _, en := range bk {
+			visit(en.idx)
+		}
+	}
+	for _, idx := range e.overflow {
+		visit(idx)
+	}
+}
+
+// CancelArgs cancels every pending ScheduleArg event and hands each one's
+// argument to reclaim, in no particular order. It exists for the owner of
+// pooled event arguments — netsim's packets and ack carriers in flight — to
+// take them back before a reset; Reset alone would drop them with their
+// slots, and every warm run would re-allocate a bandwidth-delay product of
+// them. All ScheduleArg events are canceled, whoever scheduled them, so an
+// engine's arguments must have one owner.
+func (e *Engine) CancelArgs(reclaim func(arg any)) {
+	e.eachPending(func(idx int32) {
+		s := &e.slots[idx]
+		if s.argFn == nil || s.canceled {
+			return
+		}
+		reclaim(s.arg)
+		s.arg = nil
+		s.canceled = true
+		e.canceled++
+	})
+}
+
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -797,19 +834,9 @@ func (e *Engine) Reset() {
 	if e.inCallback {
 		panic("sim: Reset called from inside an event callback")
 	}
+	e.eachPending(e.release)
 	for bi := e.cur; bi < e.nb; bi++ {
-		bk := e.buckets[bi]
-		start := 0
-		if bi == e.cur && e.curSorted {
-			start = e.curHead
-		}
-		for _, en := range bk[start:] {
-			e.release(en.idx)
-		}
-		e.buckets[bi] = bk[:0]
-	}
-	for _, idx := range e.overflow {
-		e.release(idx)
+		e.buckets[bi] = e.buckets[bi][:0]
 	}
 	e.overflow = e.overflow[:0]
 	e.inBuckets = 0

@@ -124,6 +124,58 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
+// TestEngineCancelArgs checks that CancelArgs hands back the argument of every
+// live ScheduleArg event exactly once — from the sorted head bucket, the later
+// buckets and the overflow rung alike — leaves plain events to fire, and finds
+// nothing on a second call.
+func TestEngineCancelArgs(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	argFired := 0
+	onArg := func(Time, any) { argFired++ }
+	args := make([]*int, 300)
+	for i := range args {
+		args[i] = new(int)
+		// Spread over near and far future so both rungs hold some.
+		at := Time(i) * Millisecond
+		if i%7 == 0 {
+			at += Minute
+		}
+		id := e.ScheduleArg(at, onArg, args[i])
+		if i%5 == 0 {
+			e.Cancel(id) // the canceller owns this argument, not CancelArgs
+		}
+		e.Schedule(at, func(Time) { fired++ })
+	}
+	e.Run(50 * Millisecond) // consume a prefix; the head bucket is mid-pop
+	ranArgs := argFired
+
+	seen := make(map[*int]int)
+	e.CancelArgs(func(arg any) { seen[arg.(*int)]++ })
+	for i, a := range args {
+		want := 1
+		if i%5 == 0 || (i <= 50 && i%7 != 0) {
+			want = 0 // canceled by its scheduler, or already fired
+		}
+		if seen[a] != want {
+			t.Fatalf("arg %d reclaimed %d times, want %d", i, seen[a], want)
+		}
+	}
+	e.CancelArgs(func(arg any) { t.Fatalf("second CancelArgs reclaimed %v", arg) })
+
+	e.Run(2 * Minute)
+	if argFired != ranArgs {
+		t.Errorf("%d arg events fired after CancelArgs", argFired-ranArgs)
+	}
+	if fired != len(args) {
+		t.Errorf("%d plain events fired, want %d", fired, len(args))
+	}
+	e.Reset()
+	if e.Pending() != 0 {
+		t.Errorf("Pending after Reset = %d", e.Pending())
+	}
+}
+
 func TestEngineScheduleAfterAndStop(t *testing.T) {
 	e := NewEngine()
 	var fired []Time

@@ -12,25 +12,42 @@ import (
 // seen by another. This property is essential for the Remy optimizer, which
 // must evaluate candidate actions on byte-identical specimen networks.
 type RNG struct {
-	r *rand.Rand
+	// src is math/rand's seeded source, stream-exact but lazily seeded and
+	// reseedable in place (rng_source.go); r wraps it so every derived
+	// distribution is the standard library's own derivation.
+	src rngSource
+	r   *rand.Rand
 }
 
 // NewRNG returns a new deterministic stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
+
+// Reseed restarts the stream in place: afterwards g yields exactly what
+// NewRNG(seed) would. Long-lived components (sessions, switchers, fault
+// states) own one RNG each and reseed it per run instead of allocating.
+func (g *RNG) Reseed(seed int64) { g.src.Seed(seed) }
 
 // Split derives a child stream from this one. The child is seeded from the
 // parent's sequence combined with the supplied label so that distinct labels
 // produce decorrelated streams.
-func (g *RNG) Split(label int64) *RNG {
+func (g *RNG) Split(label int64) *RNG { return NewRNG(g.SplitSeed(label)) }
+
+// SplitSeed consumes the same draw Split does and returns the child's seed,
+// so an existing stream can become that child: child.Reseed(g.SplitSeed(l))
+// leaves both streams exactly where child = g.Split(l) would.
+func (g *RNG) SplitSeed(label int64) int64 {
 	// Mix the label with a draw from the parent using a SplitMix64-style
 	// finalizer so nearby labels do not produce correlated children.
 	z := uint64(g.r.Int63()) ^ (uint64(label) * 0x9E3779B97F4A7C15)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
-	return NewRNG(int64(z & math.MaxInt64))
+	return int64(z & math.MaxInt64)
 }
 
 // Float64 returns a uniform random number in [0, 1).

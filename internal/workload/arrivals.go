@@ -65,7 +65,8 @@ type ArrivalProcess struct {
 	OnArrival func(now sim.Time, bytes int64)
 }
 
-// NewArrivalProcess builds an arrival process for one flow class.
+// NewArrivalProcess builds an arrival process for one flow class. The process
+// owns rng from here on (Reset reseeds it in place).
 func NewArrivalProcess(spec ArrivalSpec, engine *sim.Engine, rng *sim.RNG) (*ArrivalProcess, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -82,10 +83,11 @@ func NewArrivalProcess(spec ArrivalSpec, engine *sim.Engine, rng *sim.RNG) (*Arr
 }
 
 // Reset returns the process to its just-constructed state for engine-pooled
-// reuse (harness.Session), installing the random stream for the next run.
-func (a *ArrivalProcess) Reset(rng *sim.RNG) {
+// reuse (harness.Session), restarting its random stream from seed for the
+// next run.
+func (a *ArrivalProcess) Reset(seed int64) {
 	a.timer.Stop()
-	a.rng = rng
+	a.rng.Reseed(seed)
 	a.arrivals = 0
 }
 

@@ -113,7 +113,8 @@ type Switcher struct {
 	transitions int
 }
 
-// NewSwitcher builds a switcher for one sender.
+// NewSwitcher builds a switcher for one sender. The switcher owns rng from
+// here on (Reset reseeds it in place), so each switcher needs its own.
 func NewSwitcher(spec Spec, engine *sim.Engine, rng *sim.RNG) (*Switcher, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -131,13 +132,13 @@ func NewSwitcher(spec Spec, engine *sim.Engine, rng *sim.RNG) (*Switcher, error)
 }
 
 // Reset returns the switcher to its just-constructed state for engine-pooled
-// reuse (harness.Session), installing the random stream for the next run.
-// Spec, engine, timers and callbacks are kept; any pending transition events
-// belong to the engine being reset alongside and never fire.
-func (s *Switcher) Reset(rng *sim.RNG) {
+// reuse (harness.Session), restarting its random stream from seed for the
+// next run. Spec, engine, timers and callbacks are kept; any pending
+// transition events belong to the engine being reset alongside and never fire.
+func (s *Switcher) Reset(seed int64) {
 	s.onTimer.Stop()
 	s.offTimer.Stop()
-	s.rng = rng
+	s.rng.Reseed(seed)
 	s.state = Off
 	s.onStarted = 0
 	s.bytesTarget = 0
