@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 )
@@ -41,8 +41,17 @@ type eventSlot struct {
 	heapPos int32
 	// canceled events stay queued but are skipped when popped; this is
 	// cheaper than removing them eagerly and keeps Cancel O(1). The engine
-	// compacts the queue when canceled entries pile up.
+	// re-files the queue without them when canceled entries pile up.
 	canceled bool
+}
+
+// nextGen advances the slot's generation past every id handed out for it,
+// skipping 0, which must stay the invalid id.
+func (s *eventSlot) nextGen() {
+	s.gen++
+	if s.gen == 0 {
+		s.gen = 1
+	}
 }
 
 // Engine is a discrete-event simulation engine: a clock plus an ordered
@@ -50,56 +59,59 @@ type eventSlot struct {
 // in this repository is achieved by running many independent engines (one
 // per network specimen), never by sharing one.
 //
-// The event queue is a calendar queue (Brown 1988) over a slab of
-// value-typed slots with a free list: near-future events hash by time into
-// an array of buckets whose width is tuned to the observed inter-event
-// spacing, and far-future events (beyond the calendar's horizon — RTO
-// timers, mostly) wait in a 4-ary heap "overflow rung". Inserts are O(1)
-// appends, and the pop path only ever sorts the one bucket at the head of
-// the calendar, so the dense per-packet event horizon of a busy simulation
-// costs amortized O(1) per event instead of the heap's O(log n) sift per
-// operation. The original heap engine survives as the refEngine reference
-// implementation (reference.go), which differential tests and
-// FuzzEngineVsReference hold this implementation to, fire-for-fire.
+// The event queue is a circular calendar queue (Brown 1988) over a slab of
+// value-typed slots with a free list. Time is cut into days of 1<<shift µs;
+// the nb days from curDay on — the calendar's year — each own one bucket
+// (day & mask), and events beyond the year (RTO timers, mostly) wait in a
+// 4-ary heap, the overflow rung, until the head's advance brings their day
+// into the year. Inserts are O(1) appends and the pop path only ever sorts
+// the one bucket at the head, so a busy simulation pays amortized O(1) per
+// event instead of a heap's O(log n) sift. Day width and bucket count are not
+// configured: every tunePeriod steps the calendar re-derives them from the
+// rate at which events actually left it (see tune). The 4-ary heap engine
+// this replaced is refEngine in reference_test.go, which the differential
+// tests and FuzzEngineVsReference hold this implementation to,
+// fire-for-fire.
 //
-// Invariants:
-//   - every queued event has at >= now;
-//   - every calendar-bucket event has at < threshold, and every overflow
-//     event has at >= the threshold in force when it was inserted, which
-//     only ever decreases between rebuilds — so the earliest pending event
-//     always lives in a bucket whenever any bucket is occupied;
-//   - buckets before cur are empty; cur is a hint, rewound by inserts;
-//   - when curSorted, buckets[cur][curHead:] is sorted ascending by
-//     (at, seq) and entries before curHead are already popped.
+// Invariants, whenever control is outside the engine (between calls, and
+// inside event callbacks):
+//   - curDay <= now>>shift: the head never runs ahead of the clock, so an
+//     event scheduled at or after now can never land behind the head;
+//   - a bucketed event of day d has curDay <= d < curDay+nb and sits in
+//     buckets[d&mask], so a bucket never mixes days and the earliest pending
+//     event is in the first occupied bucket from curDay on;
+//   - an overflow event has d >= curDay+nb (migrate restores this each time
+//     curDay moves, rebucket each time shift or nb does);
+//   - curSorted means buckets[curDay&mask][curHead:] is non-empty and sorted
+//     ascending by (at, seq); entries before curHead are already popped.
 type Engine struct {
 	now   Time
 	slots []eventSlot
 	free  []int32 // reclaimed slot indices (LIFO for cache locality)
 
-	// Calendar rung: buckets[b] holds events with
-	// anchor+b*width <= at < anchor+(b+1)*width (bucket 0 also catches
-	// anything earlier than anchor after a rebuild re-anchored ahead of a
-	// subsequent insert — the "low clamp"). Entries carry the ordering key
-	// (at, seq) inline next to the slot index, so sorting, binary inserts
-	// and redistribution compare contiguous memory without chasing slots.
-	buckets [][]bucketEntry
-	nb      int // buckets in use: buckets[:nb] (capacity may exceed it)
-	anchor  Time
-	// width is always a power of two (widthShift is its log2), so the
-	// per-insert bucket hash is a shift, not an int64 division.
-	width      Time // 0 until the first rebuild tunes the calendar
-	widthShift uint
-	threshold  Time // anchor + nb*width, saturated at maxTime
-	cur        int  // first possibly-occupied bucket
-	curSorted  bool
-	curHead    int
-	inBuckets  int // events (live + canceled) across all buckets
+	// Calendar rung. len(buckets) may exceed nb: the tail keeps its slices'
+	// capacity for when the calendar regrows.
+	buckets   [][]bucketEntry
+	nb        int   // buckets in use, a power of two
+	mask      int64 // nb - 1
+	shift     uint  // log2 of the day width in µs
+	curDay    int64 // the day being served
+	curSorted bool
+	curHead   int
+	inBuckets int // events (live + canceled) across all buckets
 
-	// Overflow rung: 4-ary min-heap by (at, seq) of far-future events.
+	// Overflow rung: 4-ary min-heap by (at, seq) of events beyond the year.
 	overflow []int32
 
-	scratch  []int32       // rebuild's overflow staging, reused across calls
-	scratchE []bucketEntry // splitRebuild's staging, reused across calls
+	scratch []int32 // rebucket's staging, reused across calls
+
+	// Tuner state: steps (pops + empty-bucket visits) since the period began,
+	// where the calendar stood then, and the counters' values then.
+	ticks       int
+	tuneAt      Time
+	tuneEmpties uint64
+	tuneMisses  uint64
+	stats       calStats
 
 	// canceled counts canceled events still queued; when they outnumber
 	// live ones the queue is compacted and their slots reclaimed.
@@ -119,24 +131,48 @@ type Engine struct {
 	rearmSeq   uint64
 }
 
-// compactMin is the minimum number of canceled queued events before a
-// compaction is considered; below it the bookkeeping is not worth it.
-const compactMin = 64
+// calStats counts what the calendar did over the engine's lifetime (Reset
+// keeps them). The tuner works from the per-period deltas of empties and
+// misses; the tests pin the calendar's behaviour through the rest.
+type calStats struct {
+	empties uint64 // empty buckets the head stepped over
+	misses  uint64 // inserts that fell beyond the year
 
-// maxTime is the saturation value for the calendar horizon.
-const maxTime = Time(math.MaxInt64)
+	sorts, sorted uint64 // bucket sorts, and entries across them
+	migrated      uint64 // events moved from the overflow rung into a bucket
 
-// minBuckets/maxBuckets bound the calendar size; splitMin is the current-
-// bucket occupancy past which a rebuild re-tunes the bucket width to the
-// dense cluster instead of sorting one oversized bucket per pop.
+	widen, narrow, grow, shrink, missGrow uint64 // tune's decisions
+	// Reschedule of a bucketed event: lifted out of an unsorted bucket, out of
+	// the sorted head bucket, or canceled lazily (bucket too long to scan).
+	movedUnsorted, movedSorted, movedLazy uint64
+}
+
+// Queue constants. None is a knob: the tuner moves shift and nb within their
+// bounds on its own.
 const (
+	// compactMin is how many canceled events must be queued before Cancel
+	// considers re-filing the queue without them.
+	compactMin = 64
 	minBuckets = 64
 	maxBuckets = 1 << 16
-	splitMin   = 128
+	// maxShift caps a day at 2^40 µs (~13 simulated days); it keeps the
+	// tuner's arithmetic far from overflow, and later events simply wait in
+	// the overflow rung.
+	maxShift = 40
+	// tunePeriod is how many steps (pops + empty-bucket visits) pass between
+	// two looks at the dequeue rate.
+	tunePeriod = 512
+	// liftMax is the longest bucket Reschedule scans to move a bucketed event
+	// in place; past it (equal-timestamp storms) it cancels lazily instead.
+	liftMax = 32
 )
 
 // NewEngine returns an engine with the clock at zero and no pending events.
-func NewEngine() *Engine { return &Engine{} }
+// Its calendar starts at the smallest size and the narrowest day; the tuner
+// corrects both within one period of the first run.
+func NewEngine() *Engine {
+	return &Engine{buckets: make([][]bucketEntry, minBuckets), nb: minBuckets, mask: minBuckets - 1}
+}
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -168,110 +204,132 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// release reclaims a slot, clearing its references and advancing its
+// release reclaims a slot whose event will never run, advancing its
 // generation so outstanding EventIDs go stale.
 func (e *Engine) release(idx int32) {
+	e.slots[idx].nextGen()
+	e.recycle(idx)
+}
+
+// recycle clears a slot's references and returns it to the free list.
+func (e *Engine) recycle(idx int32) {
 	s := &e.slots[idx]
 	s.fn = nil
 	s.argFn = nil
 	s.arg = nil
 	s.canceled = false
 	s.heapPos = -1
-	s.gen++
-	if s.gen == 0 { // generation wrapped; 0 must stay "invalid id"
-		s.gen = 1
-	}
 	e.free = append(e.free, idx)
 }
 
-// bucketFor maps an event time (already known to be below threshold) to its
-// bucket. Times before the anchor — possible when a rebuild anchored at a
-// far-future overflow minimum and a later insert lands earlier — clamp to
-// bucket 0, which keeps every bucket's time range monotone.
-func (e *Engine) bucketFor(at Time) int {
-	if at < e.anchor {
-		return 0
-	}
-	return int((at - e.anchor) >> e.widthShift)
+// far reports whether an event at the given time lies beyond the calendar
+// year and so belongs in the overflow rung. Days are compared as differences:
+// both are non-negative, so nothing wraps even for an event at MaxTime.
+func (e *Engine) far(at Time) bool {
+	return int64(at)>>e.shift-e.curDay >= int64(e.nb)
 }
 
-// insert places an already-filled slot into the calendar or the overflow
-// rung according to its time.
+// insert places an already-filled slot into the bucket of its day, or into
+// the overflow rung when that day is beyond the year.
 //
 //repo:hotpath per-event calendar placement
 func (e *Engine) insert(idx int32) {
 	s := &e.slots[idx]
-	if e.width == 0 || s.at >= e.threshold {
+	d := int64(s.at) >> e.shift
+	if d-e.curDay >= int64(e.nb) {
+		e.stats.misses++
 		e.overflowPush(idx)
 		return
 	}
 	s.heapPos = -1
-	en := bucketEntry{at: s.at, seq: s.seq, idx: idx}
-	b := e.bucketFor(en.at)
 	e.inBuckets++
-	if b < e.cur {
-		// Rewind the head hint; the skipped buckets stayed empty, so the
-		// invariant holds. The old cur bucket must first shed its popped
-		// prefix — once cur moves away, curHead no longer guards it.
-		if e.curSorted && e.curHead > 0 {
-			old := e.buckets[e.cur]
-			//lint:ignore hotalloc compacts in place into the bucket's existing backing array
-			e.buckets[e.cur] = append(old[:0], old[e.curHead:]...)
-		}
-		e.cur = b
-		e.curSorted = false
-		e.curHead = 0
-		//lint:ignore hotalloc bucket slices keep their capacity across Reset; append is amortized-free once warm
-		e.buckets[b] = append(e.buckets[b], en)
-		return
-	}
-	if b == e.cur && e.curSorted {
-		bk := e.buckets[b]
-		// New events carry the largest sequence number, so ties on time
-		// always land after existing entries: anything at or past the
-		// current tail appends, O(1) — the common case both for ascending
-		// service-completion times and equal-timestamp storms.
-		if en.at >= bk[len(bk)-1].at {
-			//lint:ignore hotalloc bucket slices keep their capacity across Reset; append is amortized-free once warm
-			e.buckets[b] = append(bk, en)
-			return
-		}
-		if len(bk)-e.curHead >= splitMin && bk[e.curHead].at != bk[len(bk)-1].at {
-			// The live bucket has grown into a dense, splittable cluster —
-			// the calendar width is tuned too coarse for the current event
-			// spacing. Re-tune rather than degenerate into an insertion-
-			// sorted array.
-			e.inBuckets-- // splitRebuild recounts; this slot is re-placed below
-			e.splitRebuild()
-			e.inBuckets++
-			if en.at >= e.threshold {
-				e.inBuckets--
-				e.overflowPush(idx)
-				return
-			}
-			//lint:ignore hotalloc post-split placement; buckets reuse retained capacity
-			e.buckets[e.bucketFor(en.at)] = append(e.buckets[e.bucketFor(en.at)], en)
-			return
-		}
-		// Binary insert into the sorted tail, comparing inline keys.
-		lo, hi := e.curHead, len(bk)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if bk[mid].at < en.at || (bk[mid].at == en.at && bk[mid].seq < en.seq) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		//lint:ignore hotalloc grows into the sorted bucket's retained capacity before the shift-insert
-		bk = append(bk, bucketEntry{})
-		copy(bk[lo+1:], bk[lo:])
-		bk[lo] = en
-		e.buckets[b] = bk
+	en := bucketEntry{at: s.at, seq: s.seq, idx: idx}
+	b := d & e.mask
+	if d == e.curDay && e.curSorted {
+		e.buckets[b] = insertSorted(e.buckets[b], e.curHead, en)
 		return
 	}
 	//lint:ignore hotalloc bucket slices keep their capacity across Reset; append is amortized-free once warm
 	e.buckets[b] = append(e.buckets[b], en)
+}
+
+// insertSorted adds en to the sorted head bucket bk, whose live part starts
+// at head, and returns the grown bucket.
+//
+//repo:hotpath per-event placement into the bucket being served
+func insertSorted(bk []bucketEntry, head int, en bucketEntry) []bucketEntry {
+	// New events carry the largest sequence number, so ties on time always
+	// land after existing entries: anything at or past the current tail
+	// appends, O(1) — the common case both for ascending service-completion
+	// times and equal-timestamp storms.
+	if en.at >= bk[len(bk)-1].at {
+		//lint:ignore hotalloc bucket slices keep their capacity across Reset; append is amortized-free once warm
+		return append(bk, en)
+	}
+	// Binary insert into the sorted tail, comparing inline keys.
+	lo, hi := head, len(bk)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if bk[mid].at < en.at || (bk[mid].at == en.at && bk[mid].seq < en.seq) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	//lint:ignore hotalloc grows into the sorted bucket's retained capacity before the shift-insert
+	bk = append(bk, bucketEntry{})
+	copy(bk[lo+1:], bk[lo:])
+	bk[lo] = en
+	return bk
+}
+
+// lift takes the live bucketed event idx out of its bucket so Reschedule can
+// re-place the slot, and reports whether it did: a bucket of more than
+// liftMax entries is left alone. An unsorted bucket loses the entry by
+// swap-remove (its order is not yet meaningful); the sorted head bucket by
+// shift-remove, searched from curHead on, because the popped prefix can still
+// hold a stale copy of a slot index that has since been reused.
+//
+//repo:hotpath per-ACK timer push-back
+func (e *Engine) lift(idx int32) bool {
+	d := int64(e.slots[idx].at) >> e.shift
+	b := d & e.mask
+	bk := e.buckets[b]
+	sorted := d == e.curDay && e.curSorted
+	i := 0
+	if sorted {
+		i = e.curHead
+	}
+	if len(bk)-i > liftMax {
+		return false
+	}
+	for bk[i].idx != idx {
+		i++
+	}
+	last := len(bk) - 1
+	if sorted {
+		copy(bk[i:], bk[i+1:])
+		e.stats.movedSorted++
+	} else {
+		bk[i] = bk[last]
+		e.stats.movedUnsorted++
+	}
+	e.buckets[b] = bk[:last]
+	if sorted && e.curHead == last {
+		e.retireHead()
+	}
+	e.inBuckets--
+	return true
+}
+
+// retireHead empties the head bucket once its last live entry is gone, so no
+// popped index lingers for a later scan to resurface. curDay stays: the
+// running callback may still schedule into this day.
+func (e *Engine) retireHead() {
+	b := e.curDay & e.mask
+	e.buckets[b] = e.buckets[b][:0]
+	e.curHead = 0
+	e.curSorted = false
 }
 
 // overflow heap primitives; oSet keeps slots' heapPos in sync with every
@@ -284,8 +342,7 @@ func (e *Engine) oSet(pos int, idx int32) {
 
 func (e *Engine) overflowPush(idx int32) {
 	e.overflow = append(e.overflow, idx)
-	e.oSet(len(e.overflow)-1, idx)
-	e.overflowUp(len(e.overflow) - 1)
+	e.overflowUp(len(e.overflow) - 1) // which also records the final heapPos
 }
 
 func (e *Engine) overflowUp(i int) {
@@ -343,200 +400,216 @@ func (e *Engine) overflowRemove(pos int) {
 	e.overflowUp(pos)
 }
 
-// retune re-anchors the calendar: anchor at the earliest pending time m,
-// bucket width at twice the mean inter-event spacing of the n events
-// spanning [m, M] (the classic calendar-queue heuristic: ~half-full
-// buckets), and a power-of-two bucket count close to n. maxThreshold caps
-// the horizon so events already parked in the overflow rung can never be
-// undercut by a bucket entry scheduled after them.
-func (e *Engine) retune(m, M Time, n int, maxThreshold Time) {
-	e.anchor = m
-	span := M - m
-	w := 4 * span / Time(n)
-	if w < 1 {
-		w = 1
-	}
-	// Round the width up to a power of two: the bucket hash becomes a shift
-	// (int64 division is ~20× a shift and sits on every insert), at the cost
-	// of buckets up to 2× wider than the classic heuristic asks for.
-	e.widthShift = uint(bits.Len64(uint64(w) - 1))
-	w = 1 << e.widthShift
-	e.width = w
-	nb := n
-	if nb < minBuckets {
-		nb = minBuckets
-	}
-	if nb > maxBuckets {
-		nb = maxBuckets
-	}
-	nb = 1 << bits.Len(uint(nb-1)) // next power of two
-	if nb > maxBuckets {
-		nb = maxBuckets
-	}
-	if nb > len(e.buckets) {
-		for len(e.buckets) < nb {
-			e.buckets = append(e.buckets, nil)
-		}
-	} else {
-		// Shrinking just forgets the tail slices' capacity; keep them —
-		// the calendar re-expands without reallocating.
-		for i := nb; i < len(e.buckets); i++ {
-			e.buckets[i] = e.buckets[i][:0]
-		}
-	}
-	e.nb = nb
-	if w > (maxTime-m)/Time(nb) {
-		e.threshold = maxTime
-	} else {
-		e.threshold = m + Time(nb)*w
-	}
-	if e.threshold > maxThreshold {
-		e.threshold = maxThreshold
-	}
-	e.cur = 0
-	e.curSorted = false
-	e.curHead = 0
-}
-
-// rebuild migrates the overflow rung into a freshly tuned calendar. Called
-// only when the buckets are empty and the overflow is not; because the new
-// anchor is the overflow minimum and the horizon covers at least minBuckets
-// widths, at least that minimum migrates, so progress is guaranteed.
-func (e *Engine) rebuild() {
-	m, M := maxTime, Time(0)
-	for _, idx := range e.overflow {
-		at := e.slots[idx].at
-		if at < m {
-			m = at
-		}
-		if at > M {
-			M = at
-		}
-	}
-	e.retune(m, M, len(e.overflow), maxTime)
-	e.scratch = e.scratch[:0]
-	for _, idx := range e.overflow {
-		s := &e.slots[idx]
-		if s.at >= e.threshold {
-			e.scratch = append(e.scratch, idx)
-			continue
-		}
-		s.heapPos = -1
-		b := e.bucketFor(s.at)
-		e.buckets[b] = append(e.buckets[b], bucketEntry{at: s.at, seq: s.seq, idx: idx})
-		e.inBuckets++
-	}
-	e.overflow = e.overflow[:0]
-	for _, idx := range e.scratch {
-		e.overflow = append(e.overflow, idx)
-	}
-	for i := range e.overflow {
-		e.slots[e.overflow[i]].heapPos = int32(i)
+// heapify restores the heap order and every slot's heapPos after the overflow
+// array was rewritten wholesale.
+func (e *Engine) heapify() {
+	for i, idx := range e.overflow {
+		e.slots[idx].heapPos = int32(i)
 	}
 	for i := (len(e.overflow) - 2) >> 2; i >= 0; i-- {
 		e.overflowDown(i)
 	}
 }
 
-// splitRebuild re-tunes the calendar to the dense cluster found in the
-// current bucket (whose occupancy exceeded splitMin with distinct times) and
-// redistributes every bucketed event under the new width. The overflow rung
-// is untouched, so the new horizon is capped at the old one.
-func (e *Engine) splitRebuild() {
-	e.scratchE = e.scratchE[:0]
-	m, M := maxTime, Time(0)
-	n := 0
-	for bi := e.cur; bi < e.nb; bi++ {
-		bk := e.buckets[bi]
-		start := 0
-		if bi == e.cur && e.curSorted {
-			start = e.curHead
+// migrate moves every overflow event whose day the year now covers into its
+// bucket. It runs each time curDay moves; when nothing is due it costs the
+// one comparison against the heap's minimum.
+//
+//repo:hotpath runs once per day the head advances
+func (e *Engine) migrate() {
+	for len(e.overflow) > 0 {
+		idx := e.overflow[0]
+		s := &e.slots[idx]
+		if e.far(s.at) {
+			return
 		}
-		for _, en := range bk[start:] {
-			if bi == e.cur {
-				if en.at < m {
-					m = en.at
-				}
-				if en.at > M {
-					M = en.at
-				}
-				n++
-			}
-			e.scratchE = append(e.scratchE, en)
-		}
-		e.buckets[bi] = bk[:0]
-	}
-	oldThreshold := e.threshold
-	e.inBuckets = 0
-	e.retune(m, M, n, oldThreshold)
-	for _, en := range e.scratchE {
-		if en.at >= e.threshold {
-			e.overflowPush(en.idx)
-			continue
-		}
-		e.buckets[e.bucketFor(en.at)] = append(e.buckets[e.bucketFor(en.at)], en)
-		e.inBuckets++
+		e.overflowRemove(0)
+		e.file(idx)
+		e.stats.migrated++
 	}
 }
 
-// first readies the earliest pending event for inspection and returns its
-// slot index, or -1 when the queue is empty. After it returns >= 0, the
-// entry is buckets[cur][curHead] with curSorted set.
+// file appends slot idx to the bucket of its day. It is for callers that know
+// the day is within the year and that no bucket is sorted: migrate, which
+// neither of its call sites reaches with a sorted head, and rebucket.
+//
+//repo:hotpath per migrated event
+func (e *Engine) file(idx int32) {
+	s := &e.slots[idx]
+	s.heapPos = -1
+	b := (int64(s.at) >> e.shift) & e.mask
+	//lint:ignore hotalloc bucket slices keep their capacity across Reset; append is amortized-free once warm
+	e.buckets[b] = append(e.buckets[b], bucketEntry{at: s.at, seq: s.seq, idx: idx})
+	e.inBuckets++
+}
+
+// tune is the calendar's only tuning mechanism. Once per tunePeriod steps it
+// looks at what the period dequeued and re-derives
+//   - the day width: the power of two at or above twice the mean gap between
+//     dequeues (simulated time swept / pops). It follows the rate at which
+//     events leave, so a few timers parked far out cannot stretch it the way
+//     a span-over-pending estimate would. A width within 2x of the target
+//     either way is left alone;
+//   - the bucket count: a power of two that tracks the pending count (regrown
+//     past 2x it, cut back below 1/8 of it), doubled while more than 1/8 of a
+//     period's inserts fall beyond the year, as long as that cannot trigger
+//     the cut.
+//
+// Any change re-buckets every pending event, which the slack on both rules
+// keeps rare.
+func (e *Engine) tune() {
+	// How far the calendar has swept: the clock, or the start of the current
+	// day when the head has run ahead of it over empty buckets.
+	pos := max(e.now, Time(e.curDay<<e.shift))
+	empties := int64(e.stats.empties - e.tuneEmpties)
+	misses := int64(e.stats.misses - e.tuneMisses)
+	pops := int64(e.ticks) - empties
+	// Dead time before a Run resumed, or a clock a stopped Run left ahead of
+	// the queue, can put pos behind tuneAt or absurdly far past it.
+	elapsed := min(max(pos-e.tuneAt, 0), 1<<maxShift)
+	e.ticks = 0
+	e.tuneAt = pos
+	e.tuneEmpties = e.stats.empties
+	e.tuneMisses = e.stats.misses
+
+	shift := e.shift
+	width := max(2*int64(elapsed)/max(pops, 1), 1)
+	want := min(uint(bits.Len64(uint64(width)-1)), maxShift)
+	switch {
+	case want >= shift+2:
+		shift = want
+		e.stats.widen++
+	case want+2 <= shift:
+		shift = want
+		e.stats.narrow++
+	}
+
+	n, nb := e.Pending(), e.nb
+	switch {
+	case n > 2*nb && nb < maxBuckets:
+		nb = bucketsFor(n)
+		e.stats.grow++
+	case n < nb/8 && nb > minBuckets:
+		nb = bucketsFor(n)
+		e.stats.shrink++
+	case misses*8 > pops && nb <= 4*n && nb < maxBuckets:
+		nb *= 2
+		e.stats.missGrow++
+	}
+	if shift != e.shift || nb != e.nb {
+		e.rebucket(shift, nb)
+	}
+}
+
+// bucketsFor returns the bucket count for n pending events: the power of two
+// at or above n, within [minBuckets, maxBuckets].
+func bucketsFor(n int) int {
+	n = min(max(n, minBuckets), maxBuckets)
+	return 1 << bits.Len(uint(n-1))
+}
+
+// rebucket re-files every pending event, bucketed or in the overflow rung,
+// under a new day width and bucket count, reclaiming the canceled ones on the
+// way (with both unchanged it is the queue's compaction). The head keeps its
+// place in time: the new curDay is the day holding the start of the old one,
+// which no pending event precedes.
+func (e *Engine) rebucket(shift uint, nb int) {
+	e.scratch = e.scratch[:0]
+	e.eachPending(func(idx int32) {
+		if e.slots[idx].canceled {
+			e.release(idx)
+		} else {
+			e.scratch = append(e.scratch, idx)
+		}
+	})
+	e.canceled = 0
+	e.clear()
+	// Only ever grow the slice: re-slicing it down would drop the tail's
+	// bucket slices, and a warm engine would allocate them all over again.
+	for len(e.buckets) < nb {
+		e.buckets = append(e.buckets, nil)
+	}
+	e.curDay = e.curDay << e.shift >> shift
+	e.shift, e.nb, e.mask = shift, nb, int64(nb-1)
+	for _, idx := range e.scratch {
+		if e.far(e.slots[idx].at) {
+			e.overflow = append(e.overflow, idx)
+		} else {
+			e.file(idx)
+		}
+	}
+	e.heapify()
+}
+
+// clear empties every bucket and the overflow rung, keeping their capacity.
+// The slots they pointed at are the caller's to release or re-file.
+func (e *Engine) clear() {
+	for bi := range e.buckets[:e.nb] {
+		e.buckets[bi] = e.buckets[bi][:0]
+	}
+	e.overflow = e.overflow[:0]
+	e.inBuckets = 0
+	e.curSorted = false
+	e.curHead = 0
+}
+
+// first readies the earliest pending event and returns its slot index, or -1
+// when none is due by until. After it returns >= 0 the entry is the head
+// bucket's [curHead] with curSorted set. The head never advances past
+// until's day: Run leaves the clock at until, and an event scheduled right
+// after must not find the calendar ahead of it.
 //
 //repo:hotpath per-event dispatch: next-event selection
-func (e *Engine) first() int32 {
+func (e *Engine) first(until Time) int32 {
 	for {
+		// Checked before the fast path: a day far too wide for the traffic keeps
+		// its bucket sorted and refilled for thousands of events, and the tuner
+		// must not wait for it to run dry.
+		if e.ticks >= tunePeriod {
+			e.tune()
+		}
+		bk := e.buckets[e.curDay&e.mask]
+		if e.curSorted {
+			return bk[e.curHead].idx
+		}
+		if len(bk) > 0 {
+			e.sortBucket(bk)
+			e.curSorted = true
+			return bk[0].idx
+		}
 		if e.inBuckets == 0 {
 			if len(e.overflow) == 0 {
+				// If Step popped only canceled events the head is ahead of a
+				// clock that never moved; an empty calendar may fall back.
+				e.curDay = min(e.curDay, int64(e.now)>>e.shift)
 				return -1
 			}
-			e.rebuild()
-		}
-		// Advance cur to the first occupied bucket.
-		for {
-			bk := e.buckets[e.cur]
-			if e.curSorted {
-				if e.curHead < len(bk) {
-					return bk[e.curHead].idx
-				}
-				e.buckets[e.cur] = bk[:0]
-				e.curSorted = false
-				e.curHead = 0
-				e.cur++
-			} else if len(bk) == 0 {
-				e.cur++
-			} else {
-				break
+			// Nothing within the year: jump straight to the overflow rung's
+			// earliest day instead of walking there bucket by bucket.
+			at := e.slots[e.overflow[0]].at
+			if at > until {
+				return -1
 			}
+			e.curDay = int64(at) >> e.shift
+			e.migrate()
+			continue
 		}
-		bk := e.buckets[e.cur]
-		if len(bk) >= splitMin {
-			// Check whether the cluster is splittable (distinct times);
-			// an equal-timestamp storm is not, and simply gets sorted.
-			first := bk[0].at
-			for _, en := range bk[1:] {
-				if en.at != first {
-					e.splitRebuild()
-					bk = nil
-					break
-				}
-			}
-			if bk == nil {
-				continue
-			}
+		if e.curDay >= int64(until)>>e.shift {
+			return -1
 		}
-		e.sortBucket(bk)
-		e.curSorted = true
-		e.curHead = 0
-		return bk[0].idx
+		e.curDay++
+		e.ticks++
+		e.stats.empties++
+		e.migrate()
 	}
 }
 
 // bucketEntry is one calendar-bucket element: the event's ordering key
-// copied out of its slot next to the slot index. The slot remains the source
-// of truth for execution; the inline copy is immutable while queued (a
-// bucketed event's time never changes in place — Reschedule lazily cancels
-// and re-inserts), so the two can never disagree.
+// copied out of its slot next to the slot index, so sorting, binary inserts
+// and scans compare contiguous memory without chasing slots. The slot stays
+// the source of truth for execution; the copy is immutable while queued (a
+// bucketed event's time never changes in place — Reschedule lifts the entry
+// out and files a new one, or lazily cancels), so the two cannot disagree.
 type bucketEntry struct {
 	at  Time
 	seq uint64
@@ -548,6 +621,8 @@ type bucketEntry struct {
 // entries, where a direct insertion sort beats the generic sort's comparator
 // calls; large buckets fall back to it.
 func (e *Engine) sortBucket(bk []bucketEntry) {
+	e.stats.sorts++
+	e.stats.sorted += uint64(len(bk))
 	if len(bk) <= 24 {
 		for i := 1; i < len(bk); i++ {
 			k := bk[i]
@@ -561,32 +636,20 @@ func (e *Engine) sortBucket(bk []bucketEntry) {
 		return
 	}
 	slices.SortFunc(bk, func(a, b bucketEntry) int {
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
-		}
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
 	})
 }
 
-// popFirst removes the entry readied by first, eagerly retiring the bucket
-// once its last entry is popped so no popped index ever lingers where a
-// rebuild or cur rewind could resurface it.
+// popFirst removes the entry readied by first, retiring the bucket at once
+// when that was its last.
 //
 //repo:hotpath per-event dispatch: queue pop
 func (e *Engine) popFirst() {
 	e.curHead++
 	e.inBuckets--
-	if bk := e.buckets[e.cur]; e.curHead == len(bk) {
-		e.buckets[e.cur] = bk[:0]
-		e.curHead = 0
-		e.curSorted = false
-		e.cur++
+	e.ticks++
+	if e.curHead == len(e.buckets[e.curDay&e.mask]) {
+		e.retireHead()
 	}
 }
 
@@ -628,25 +691,29 @@ func (e *Engine) schedule(at Time, fn func(Time), argFn func(Time, any), arg any
 	}
 	idx := e.alloc()
 	s := &e.slots[idx]
-	s.at = at
-	s.seq = e.nextSeq
-	s.fn = fn
-	s.argFn = argFn
-	s.arg = arg
-	e.nextSeq++
+	e.stamp(s, at, fn, argFn, arg)
 	gen := s.gen
 	e.insert(idx)
 	return EventID{slot: idx, gen: gen}
+}
+
+// stamp fills a slot with a new occurrence, consuming one sequence number.
+func (e *Engine) stamp(s *eventSlot, at Time, fn func(Time), argFn func(Time, any), arg any) {
+	s.at, s.seq = at, e.nextSeq
+	s.fn, s.argFn, s.arg = fn, argFn, arg
+	e.nextSeq++
 }
 
 // Reschedule moves a recurring event to a new time: it atomically cancels
 // the old occurrence (a no-op when id is stale or already canceled) and
 // schedules fn at the new time, returning the new id. It is observably
 // identical to Cancel+Schedule — one sequence number is consumed either way
-// — but when the event waits in the overflow rung (the per-ACK RTO pattern:
-// a timer parked hundreds of milliseconds out, pushed back on every ACK) the
-// slot is moved in place instead of being lazily canceled and re-allocated,
-// so the retransmit timer never piles dead entries into the queue.
+// — but a live event is moved in its own slot instead of being lazily
+// canceled and re-allocated: sifted within the overflow rung (the RTO parked
+// hundreds of milliseconds out and pushed back on every ACK), or lifted out
+// of its bucket and filed again (the pacing timer a few packets ahead). So a
+// timer re-armed per packet never piles dead entries into the queue; only a
+// bucket too long to scan (see liftMax) still takes the lazy cancel.
 func (e *Engine) Reschedule(id EventID, at Time, fn func(now Time)) EventID {
 	if fn == nil {
 		panic("sim: Reschedule called with nil callback")
@@ -657,34 +724,27 @@ func (e *Engine) Reschedule(id EventID, at Time, fn func(now Time)) EventID {
 	}
 	if id.gen != 0 && int(id.slot) < len(e.slots) {
 		s := &e.slots[id.slot]
-		if s.gen == id.gen && !s.canceled && s.heapPos >= 0 {
-			// Live, in the overflow heap: move in place.
-			s.at = at
-			s.seq = e.nextSeq
-			e.nextSeq++
-			s.fn = fn
-			s.argFn = nil
-			s.arg = nil
-			s.gen++
-			if s.gen == 0 {
-				s.gen = 1
-			}
-			pos := int(s.heapPos)
-			if e.width != 0 && at < e.threshold {
-				// The new time fell under the calendar horizon; migrate.
-				e.overflowRemove(pos)
-				e.insert(id.slot)
-			} else {
-				e.overflowDown(pos)
-				e.overflowUp(int(s.heapPos))
-			}
-			return EventID{slot: id.slot, gen: s.gen}
-		}
 		if s.gen == id.gen && !s.canceled {
-			// Live, in a bucket: lazy-cancel like Cancel would, then fall
-			// through to a fresh schedule (which consumes the one seq).
+			pos := int(s.heapPos)
+			if pos >= 0 || e.lift(id.slot) {
+				e.stamp(s, at, fn, nil, nil)
+				s.nextGen()
+				if pos >= 0 && e.far(at) { // stays in the overflow rung
+					e.overflowDown(pos)
+					e.overflowUp(int(s.heapPos))
+				} else {
+					if pos >= 0 { // pulled back within the year
+						e.overflowRemove(pos)
+					}
+					e.insert(id.slot)
+				}
+				return EventID{slot: id.slot, gen: s.gen}
+			}
+			// Lazy-cancel like Cancel would, then fall through to a fresh
+			// schedule (which consumes the one seq).
 			s.canceled = true
 			e.canceled++
+			e.stats.movedLazy++
 		}
 	}
 	return e.schedule(at, fn, nil, nil)
@@ -733,62 +793,16 @@ func (e *Engine) Cancel(id EventID) {
 	s.canceled = true
 	e.canceled++
 	if e.canceled >= compactMin && e.canceled*2 >= e.Pending() {
-		e.compact()
+		e.rebucket(e.shift, e.nb) // re-filing drops the canceled entries
 	}
-}
-
-// compact removes every canceled entry from the calendar and the overflow
-// rung, reclaims their slots, and restores ordering state in one pass.
-func (e *Engine) compact() {
-	for bi := e.cur; bi < e.nb; bi++ {
-		bk := e.buckets[bi]
-		start := 0
-		if bi == e.cur && e.curSorted {
-			start = e.curHead
-		}
-		kept := bk[:0]
-		for _, en := range bk[start:] {
-			if e.slots[en.idx].canceled {
-				e.release(en.idx)
-				e.inBuckets--
-			} else {
-				kept = append(kept, en)
-			}
-		}
-		e.buckets[bi] = kept
-	}
-	if e.curSorted {
-		// The survivors were rewritten from index 0, still in sorted order;
-		// a bucket emptied entirely loses its sorted-head state.
-		e.curHead = 0
-		if len(e.buckets[e.cur]) == 0 {
-			e.curSorted = false
-		}
-	}
-	kept := e.overflow[:0]
-	for _, idx := range e.overflow {
-		if e.slots[idx].canceled {
-			e.release(idx)
-		} else {
-			kept = append(kept, idx)
-		}
-	}
-	e.overflow = kept
-	for i := range e.overflow {
-		e.slots[e.overflow[i]].heapPos = int32(i)
-	}
-	for i := (len(e.overflow) - 2) >> 2; i >= 0; i-- {
-		e.overflowDown(i)
-	}
-	e.canceled = 0
 }
 
 // eachPending calls visit with the slot index of every queued event, live or
 // canceled, in no particular order.
 func (e *Engine) eachPending(visit func(idx int32)) {
-	for bi := e.cur; bi < e.nb; bi++ {
-		bk := e.buckets[bi]
-		if bi == e.cur && e.curSorted {
+	head := int(e.curDay & e.mask)
+	for bi, bk := range e.buckets[:e.nb] {
+		if bi == head && e.curSorted {
 			bk = bk[e.curHead:]
 		}
 		for _, en := range bk {
@@ -827,26 +841,22 @@ func (e *Engine) Stop() { e.stopped = true }
 // stale, never firing), rewinds the clock to zero and zeroes the counters,
 // while keeping the slot slab, free list, bucket and heap capacity for
 // reuse. A pooled engine Reset between runs schedules with zero allocation
-// from the first event on. The calendar tuning is also cleared: bucket
-// widths are re-learned from the next run's own event spacing, so reuse
-// cannot change any run's observable behavior.
+// from the first event on. The calendar's day width and bucket count are
+// kept too: the next run most likely resembles the last, and they decide only
+// where an event waits, never when it fires (pop order is always (at, seq)),
+// so reuse cannot change any run's observable behavior.
 func (e *Engine) Reset() {
 	if e.inCallback {
 		panic("sim: Reset called from inside an event callback")
 	}
 	e.eachPending(e.release)
-	for bi := e.cur; bi < e.nb; bi++ {
-		e.buckets[bi] = e.buckets[bi][:0]
-	}
-	e.overflow = e.overflow[:0]
-	e.inBuckets = 0
+	e.clear()
 	e.canceled = 0
-	e.cur = 0
-	e.curSorted = false
-	e.curHead = 0
-	e.anchor = 0
-	e.width = 0
-	e.threshold = 0
+	e.curDay = 0
+	e.ticks = 0
+	e.tuneAt = 0
+	e.tuneEmpties = e.stats.empties
+	e.tuneMisses = e.stats.misses
 	e.now = 0
 	e.stopped = false
 	e.executed = 0
@@ -869,10 +879,7 @@ func (e *Engine) execFirst(idx int32) bool {
 	}
 	at := s.at
 	fn, argFn, arg := s.fn, s.argFn, s.arg
-	s.gen++
-	if s.gen == 0 {
-		s.gen = 1
-	}
+	s.nextGen()
 	e.now = at
 	e.executed++
 	e.inCallback = true
@@ -884,22 +891,15 @@ func (e *Engine) execFirst(idx int32) bool {
 		argFn(at, arg)
 	}
 	e.inCallback = false
-	// The callback may have scheduled events and grown the slab; re-take the
-	// pointer by index.
-	s = &e.slots[idx]
 	if e.rearmed {
+		// The callback may have scheduled events and grown the slab; re-take
+		// the pointer by index.
+		s = &e.slots[idx]
 		s.at = e.rearmAt
 		s.seq = e.rearmSeq
 		e.insert(idx)
 	} else {
-		// Clear and reclaim without advancing the generation again (it
-		// already moved before the callback).
-		s.fn = nil
-		s.argFn = nil
-		s.arg = nil
-		s.canceled = false
-		s.heapPos = -1
-		e.free = append(e.free, idx)
+		e.recycle(idx) // the generation already moved before the callback
 	}
 	return true
 }
@@ -910,7 +910,7 @@ func (e *Engine) execFirst(idx int32) bool {
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	for !e.stopped {
-		idx := e.first()
+		idx := e.first(until)
 		if idx < 0 || e.slots[idx].at > until {
 			break
 		}
@@ -924,7 +924,7 @@ func (e *Engine) Run(until Time) {
 // Step executes the single next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
 	for {
-		idx := e.first()
+		idx := e.first(MaxTime)
 		if idx < 0 {
 			return false
 		}

@@ -1,0 +1,438 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+)
+
+// The tests in this file aim at the self-tuning calendar itself: each of its
+// branches under the differential harness, its far-future arithmetic, how
+// fast it re-tunes, and that a warm engine allocates nothing.
+
+// phaseDriver feeds one seeded op stream to the calendar Engine and to
+// refEngine in lockstep, like runEngineDiff, but in long phases of one
+// traffic shape each: only thousands of pops in one regime, followed by a
+// different one, take the tuner through its decisions.
+type phaseDriver struct {
+	t         *testing.T
+	prod, ref *diffSide
+	sides     [2]*diffSide
+	rng       *RNG
+	nextSeq   int
+	ops       int
+	failed    bool
+}
+
+func newPhaseDriver(t *testing.T, seed int64) *phaseDriver {
+	p := &phaseDriver{t: t, prod: newDiffSide(NewEngine()), ref: newDiffSide(newRefEngine()), rng: NewRNG(seed)}
+	p.sides = [2]*diffSide{p.prod, p.ref}
+	return p
+}
+
+func (p *phaseDriver) engine() *Engine { return p.prod.e.(*Engine) }
+func (p *phaseDriver) now() Time       { return p.prod.e.Now() }
+
+// op accounts for one operation applied to both sides and checks that the
+// engines still agree; the O(pending) invariant walk runs on a stride.
+func (p *phaseDriver) op(what string) {
+	p.ops++
+	if p.failed {
+		return
+	}
+	if err := sidesAgree(p.prod, p.ref, p.ops%16 == 0); err != nil {
+		p.failed = true
+		p.t.Errorf("op %d (%s): %v", p.ops, what, err)
+	}
+}
+
+func (p *phaseDriver) schedule(delay Time) {
+	seq := p.nextSeq
+	p.nextSeq++
+	for _, s := range p.sides {
+		s.scheduleTraced(s.e.Now()+delay, seq)
+	}
+	p.op("schedule")
+}
+
+func (p *phaseDriver) push(k int, delay Time) {
+	for _, s := range p.sides {
+		s.pushTimer(k, s.e.Now()+delay)
+	}
+	p.op("timer push-back")
+}
+
+func (p *phaseDriver) step() {
+	if p.prod.e.Step() != p.ref.e.Step() {
+		p.failed = true
+		p.t.Errorf("op %d: Step return diverged", p.ops)
+	}
+	p.op("step")
+}
+
+func (p *phaseDriver) run(d Time) {
+	until := p.now() + d
+	for _, s := range p.sides {
+		s.e.Run(until)
+	}
+	p.op("run")
+}
+
+func (p *phaseDriver) reset() {
+	for _, s := range p.sides {
+		s.e.Reset()
+		s.ids = s.ids[:0]
+	}
+	p.op("reset")
+}
+
+func (p *phaseDriver) between(lo, hi Time) Time { return p.rng.UniformTime(lo, hi+1) }
+
+// dense: a hold model with events about a microsecond apart.
+func (p *phaseDriver) dense(n int) {
+	for i := 0; i < 200; i++ {
+		p.schedule(p.between(0, 400))
+	}
+	for i := 0; i < n; i++ {
+		p.schedule(p.between(0, 400))
+		p.step()
+	}
+}
+
+// packets: the ACK clock. Each round files a next-hop event under a
+// millisecond out and a propagation event 75 ms out, pushes an RTO-like timer
+// parked 0.2-1 s out, a pacing timer a few hundred microseconds out and one
+// due almost at once (so it often sits in the bucket being served), and
+// fires two events.
+func (p *phaseDriver) packets(n int) {
+	for i := 0; i < 300; i++ {
+		p.schedule(p.between(0, 75*Millisecond))
+	}
+	for i := 0; i < n; i++ {
+		p.schedule(p.between(700, 900))
+		p.schedule(p.between(74*Millisecond, 76*Millisecond))
+		p.push(i%8, p.between(200*Millisecond, Second))
+		p.push(8+i%2, p.between(100, 400))
+		p.push(10+i%2, p.between(0, 40))
+		p.step()
+		p.step()
+	}
+}
+
+// sparse: a handful of events seconds apart.
+func (p *phaseDriver) sparse(n int) {
+	for i := 0; i < 5; i++ {
+		p.schedule(p.between(0, 5*Second))
+	}
+	for i := 0; i < n; i++ {
+		p.schedule(p.between(Second, 5*Second))
+		p.push(i%8, p.between(Second, 10*Second))
+		p.step()
+	}
+}
+
+// storms: more than liftMax events on one instant, with timers parked on the
+// same instant and pushed again both before the bucket is sorted and while it
+// is being served.
+func (p *phaseDriver) storms(n int) {
+	for i := 0; i < n; i++ {
+		delay := p.between(10, 2000)
+		k := 40 + p.rng.Intn(60)
+		for j := 0; j < k; j++ {
+			p.schedule(delay)
+			if j == k/2 {
+				p.push(0, delay)
+				p.push(1, delay)
+			}
+		}
+		p.push(0, delay) // unsorted, too long to scan
+		p.run(delay - 1)
+		at := p.now() + 1
+		for j := 0; j < 3; j++ {
+			p.step()
+		}
+		p.push(1, at-p.now()+p.between(0, 3)) // sorted head, too long to scan
+		p.run(at - p.now())
+	}
+}
+
+// horizons: Run stops short of the next event, then something is scheduled
+// ahead of it — the calendar's head must not have run past the new event.
+func (p *phaseDriver) horizons(n int) {
+	for i := 0; i < n; i++ {
+		p.schedule(p.between(20*Millisecond, 2*Second))
+		p.run(p.between(0, 10*Millisecond))
+		p.schedule(p.between(0, 500))
+		p.push(i%8, p.between(0, 5*Millisecond))
+		p.run(p.between(0, 2*Millisecond))
+	}
+}
+
+// TestEngineVsReferencePhases is the differential test for the tuner: a few
+// dozen fuzz ops never reach a 512-step tuning period, so this drives both
+// engines through 200 000+ ops in phases, requires identical traces, and
+// requires — through the calendar's own counters — that every tuner decision
+// and every Reschedule path was actually taken.
+func TestEngineVsReferencePhases(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			p := newPhaseDriver(t, seed)
+			for round := 0; round < 2 && !p.failed; round++ {
+				p.dense(7000)
+				p.packets(4000)
+				p.horizons(1500)
+				p.sparse(1500)
+				p.storms(40)
+				p.dense(7000)
+				if round == 0 {
+					p.reset() // a recycled engine starts on the last run's tuning
+				}
+				p.sparse(1000)
+				p.packets(4000)
+				for p.prod.e.Pending() > 0 && !p.failed {
+					p.run(Minute) // drain
+				}
+			}
+			if p.failed {
+				return
+			}
+			if p.ops < 200_000 {
+				t.Errorf("program ran %d ops, want >= 200000", p.ops)
+			}
+			if p.prod.e.Pending() != 0 || p.ref.e.Pending() != 0 {
+				t.Fatalf("drain left %d / %d events pending", p.prod.e.Pending(), p.ref.e.Pending())
+			}
+			if err := tracesAgree(p.prod, p.ref); err != nil {
+				t.Fatal(err)
+			}
+			st := p.engine().stats
+			for _, c := range []struct {
+				name string
+				n    uint64
+			}{
+				{"widen", st.widen},
+				{"narrow", st.narrow},
+				{"bucket-count grow", st.grow},
+				{"bucket-count shrink", st.shrink},
+				{"year-miss growth", st.missGrow},
+				{"overflow migration", st.migrated},
+				{"move from an unsorted bucket", st.movedUnsorted},
+				{"move from the sorted head bucket", st.movedSorted},
+				{"lazy-cancel fallback", st.movedLazy},
+			} {
+				if c.n == 0 {
+					t.Errorf("the program never exercised: %s", c.name)
+				}
+			}
+			t.Logf("%d ops, %d events; %+v", p.ops, len(p.prod.trace), st)
+		})
+	}
+}
+
+// TestEngineFarFutureTimes schedules one event at the far edge of the clock's
+// range, MaxTime (the documented "never" sentinel) included, beside a varying
+// number of near ones, on a fresh engine and on one whose calendar has been
+// tuned by an earlier run. The year's end (curDay+nb) and the day of an
+// overflow minimum must be computed without wrapping: the engine runs to a
+// near horizon firing exactly the near events, then drains firing the far one.
+func TestEngineFarFutureTimes(t *testing.T) {
+	for _, tuned := range []bool{false, true} {
+		for _, far := range []Time{1 << 40, 1 << 62, MaxTime - 1, MaxTime} {
+			for _, near := range []int{0, 10, 100, 2000} {
+				t.Run(fmt.Sprintf("tuned=%v/far=%d/near=%d", tuned, far, near), func(t *testing.T) {
+					e := NewEngine()
+					if tuned {
+						var hold func(Time)
+						hold = func(now Time) { e.Schedule(now+37, hold) }
+						for i := 0; i < 300; i++ {
+							e.Schedule(Time(i), hold)
+						}
+						e.Run(50 * Millisecond)
+						if e.shift == 0 && e.nb == minBuckets {
+							t.Fatal("warm-up run did not tune the calendar")
+						}
+						e.Reset()
+					}
+					fired, farFired := 0, 0
+					for i := 0; i < near; i++ {
+						e.Schedule(5+Time(i)*13, func(Time) { fired++ })
+					}
+					e.Schedule(far, func(now Time) {
+						farFired++
+						if now != far {
+							t.Errorf("far event fired at %d, want %d", now, far)
+						}
+					})
+					e.Run(1 << 30)
+					if fired != near || farFired != 0 || e.Pending() != 1 {
+						t.Fatalf("after Run(1<<30): %d near and %d far events fired, %d pending; want %d, 0, 1", fired, farFired, e.Pending(), near)
+					}
+					if err := e.checkInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					e.Run(MaxTime)
+					if farFired != 1 || e.Pending() != 0 || e.Executed() != uint64(near)+1 {
+						t.Fatalf("after drain: far event fired %d times, %d pending, %d executed", farFired, e.Pending(), e.Executed())
+					}
+				})
+			}
+		}
+	}
+}
+
+// holdModel keeps a fixed population of events in an engine: every event that
+// fires schedules one successor a uniform delay in [0, 2·mean) ahead, so with
+// n events pending one leaves every mean/n on average. Delays come from an
+// inline generator so a run allocates nothing itself.
+type holdModel struct {
+	e     *Engine
+	mean  Time
+	state uint64
+	fn    func(Time)
+}
+
+func newHoldModel(e *Engine) *holdModel {
+	h := &holdModel{e: e, state: 1}
+	h.fn = func(now Time) { h.e.Schedule(now+h.delay(), h.fn) }
+	return h
+}
+
+func (h *holdModel) delay() Time {
+	h.state = h.state*6364136223846793005 + 1442695040888963407
+	return Time((h.state >> 33) % uint64(2*h.mean))
+}
+
+// TestEngineAdaptsToRateChange pins the tuner's bounded cost: whatever rate
+// the calendar was tuned to, four tuning periods after the event rate steps
+// 100x up or down it is again sorting buckets of a few entries and stepping
+// over at most a couple of empty ones per event.
+func TestEngineAdaptsToRateChange(t *testing.T) {
+	const pending = 300
+	e := NewEngine()
+	h := newHoldModel(e)
+	h.mean = pending * 100 // one event per 100 µs
+	for i := 0; i < pending; i++ {
+		e.Schedule(h.delay(), h.fn)
+	}
+	steps := func(st calStats) uint64 { return st.empties + e.Executed() }
+	settle := func() {
+		for start := steps(e.stats); steps(e.stats) < start+4*tunePeriod; {
+			e.Step()
+		}
+	}
+	measure := func(what string) {
+		s0, x0 := e.stats, e.Executed()
+		for i := 0; i < 8*tunePeriod; i++ {
+			e.Step()
+		}
+		s1 := e.stats
+		pops := float64(e.Executed() - x0)
+		if s1.sorts == s0.sorts {
+			t.Fatalf("%s: no bucket was sorted in %d events: the head bucket never ran dry", what, 8*tunePeriod)
+		}
+		perSort := float64(s1.sorted-s0.sorted) / float64(s1.sorts-s0.sorts)
+		empties := float64(s1.empties-s0.empties) / pops
+		t.Logf("%s: day 2^%d µs, %d buckets, %.2f entries per sort, %.2f empty buckets per event", what, e.shift, e.nb, perSort, empties)
+		if perSort >= 8 {
+			t.Errorf("%s: %.2f entries per bucket sort, want < 8", what, perSort)
+		}
+		if empties >= 2 {
+			t.Errorf("%s: %.2f empty-bucket visits per event, want < 2", what, empties)
+		}
+	}
+	settle()
+	measure("100 µs apart")
+	for _, c := range []struct {
+		what string
+		mean Time
+	}{
+		{"rate x100, 1 µs apart", pending},
+		{"rate /100, 100 µs apart", pending * 100},
+		{"rate /100 again, 10 ms apart", pending * 10_000},
+		// One day of the old width now holds tens of thousands of events:
+		// the head bucket is refilled faster than it drains, and the tuner
+		// must not wait for it to run dry.
+		{"rate x10000, 1 µs apart", pending},
+		{"rate /100, 100 µs apart", pending * 100},
+	} {
+		h.mean = c.mean
+		// The old population has to leave before the new rate shows; that is
+		// the workload changing, not the calendar catching up.
+		for x0 := e.Executed(); e.Executed() < x0+pending; {
+			e.Step()
+		}
+		settle()
+		measure(c.what)
+	}
+
+	// A burst after a lull, with no old population draining in between: days
+	// tuned to events 10 ms apart, then 1500 events 1 µs apart all inside the
+	// current day. The head bucket is refilled as fast as it is popped and
+	// would take tens of thousands of events to run dry; the tuner has to act
+	// while it is still being served.
+	h.mean = pending * 10_000
+	for x0 := e.Executed(); e.Executed() < x0+pending; {
+		e.Step()
+	}
+	settle()
+	h.mean = 1500
+	for i := 0; i < 1200; i++ {
+		e.Schedule(e.Now()+h.delay(), h.fn)
+	}
+	settle()
+	measure("burst of 1500 events 1 µs apart after a lull")
+}
+
+// TestEngineWarmResetZeroAllocs runs one program again and again on one
+// engine with a Reset in between. Inside each run the pending count rises to
+// thousands, falls to a few dozen and rises again, so the calendar shrinks
+// and regrows its bucket array; once every run starts from the tuning the
+// last one ended on, none of that may allocate — in particular the regrowth
+// must find the bucket slices the shrink retired.
+func TestEngineWarmResetZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	h := newHoldModel(e)
+	h.mean = 2000
+	// Each event steers the population toward target: below it, it leaves two
+	// successors; well above it, none; otherwise one.
+	var target int
+	h.fn = func(now Time) {
+		successors := 1
+		switch n := e.Pending(); {
+		case n < target:
+			successors = 2
+		case n > target+target/4:
+			successors = 0
+		}
+		for i := 0; i < successors; i++ {
+			e.Schedule(now+h.delay(), h.fn)
+		}
+	}
+	run := func() {
+		e.Reset()
+		h.state = 1
+		target = 3000
+		for i := 0; i < 100; i++ {
+			e.Schedule(h.delay(), h.fn)
+		}
+		for _, phase := range []struct {
+			target int
+			events uint64
+		}{{3000, 12000}, {20, 12000}, {3000, 12000}} {
+			target = phase.target
+			for x0 := e.Executed(); e.Executed() < x0+phase.events; {
+				e.Step()
+			}
+		}
+	}
+	run()
+	before := e.stats
+	run()
+	if after := e.stats; after.shrink == before.shrink || after.grow == before.grow {
+		t.Fatalf("a warm run shrank the calendar %d times and grew it %d times; the program must do both",
+			after.shrink-before.shrink, after.grow-before.grow)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+		t.Errorf("a warm run → Reset → same run allocates %.0f times, want 0", allocs)
+	}
+}

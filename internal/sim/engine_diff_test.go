@@ -7,11 +7,12 @@ import (
 )
 
 // This file is the differential harness between the production calendar-queue
-// Engine and the reference 4-ary-heap refEngine (reference.go). Both expose
-// the identical queue contract, so a byte-decoded op program — schedules at
-// equal timestamps, cancel storms that force slot reuse, reschedules,
-// self-rearming events, resets, bounded runs — must produce byte-identical
-// execution traces on both. FuzzEngineVsReference explores the op space;
+// Engine and the reference 4-ary-heap refEngine (reference_test.go). Both
+// expose the identical queue contract, so a byte-decoded op program —
+// schedules at equal timestamps, cancel storms that force slot reuse,
+// reschedules, timers pushed back op after op, self-rearming events, resets,
+// bounded runs, events at MaxTime — must produce byte-identical execution
+// traces on both. FuzzEngineVsReference explores the op space;
 // TestEngineVsReferenceQuick covers it with testing/quick on every plain
 // `go test` (including the -race CI job, which also replays the fuzz seed
 // corpus through the fuzz target).
@@ -38,6 +39,93 @@ var (
 	_ queueEngine = (*refEngine)(nil)
 )
 
+// checkInvariants verifies the calendar invariants documented on Engine, plus
+// the bookkeeping the rest of the engine relies on (inBuckets, canceled,
+// heapPos, the inline keys). It is O(pending + nb), for tests only.
+func (e *Engine) checkInvariants() error {
+	if e.nb < minBuckets || e.nb > maxBuckets || e.nb&(e.nb-1) != 0 || e.mask != int64(e.nb-1) || len(e.buckets) < e.nb {
+		return fmt.Errorf("calendar shape: nb=%d mask=%d len(buckets)=%d", e.nb, e.mask, len(e.buckets))
+	}
+	if e.shift > maxShift {
+		return fmt.Errorf("shift %d past maxShift", e.shift)
+	}
+	if e.curDay > int64(e.now)>>e.shift {
+		return fmt.Errorf("head day %d is ahead of the clock's day %d", e.curDay, int64(e.now)>>e.shift)
+	}
+	seen := make([]bool, len(e.slots))
+	canceled := 0
+	visit := func(idx int32, where string) error {
+		if seen[idx] {
+			return fmt.Errorf("slot %d queued twice (%s)", idx, where)
+		}
+		seen[idx] = true
+		if e.slots[idx].canceled {
+			canceled++
+		}
+		return nil
+	}
+	head := int(e.curDay & e.mask)
+	n := 0
+	for bi, bk := range e.buckets[:e.nb] {
+		if bi == head && e.curSorted {
+			if e.curHead >= len(bk) {
+				return fmt.Errorf("sorted head bucket has no live entry: curHead=%d len=%d", e.curHead, len(bk))
+			}
+			bk = bk[e.curHead:]
+			for i := 1; i < len(bk); i++ {
+				if bk[i-1].at > bk[i].at || (bk[i-1].at == bk[i].at && bk[i-1].seq >= bk[i].seq) {
+					return fmt.Errorf("sorted head bucket out of order at %d", i)
+				}
+			}
+		}
+		for _, en := range bk {
+			s := &e.slots[en.idx]
+			d := int64(en.at) >> e.shift
+			switch {
+			case s.at != en.at || s.seq != en.seq:
+				return fmt.Errorf("bucket %d: inline key (%d,%d) != slot %d's (%d,%d)", bi, en.at, en.seq, en.idx, s.at, s.seq)
+			case s.heapPos != -1:
+				return fmt.Errorf("bucket %d: slot %d has heapPos %d", bi, en.idx, s.heapPos)
+			case d < e.curDay || d-e.curDay >= int64(e.nb) || int(d&e.mask) != bi:
+				return fmt.Errorf("bucket %d holds day %d; year is [%d, %d)", bi, d, e.curDay, e.curDay+int64(e.nb))
+			}
+			if err := visit(en.idx, "bucket"); err != nil {
+				return err
+			}
+		}
+		n += len(bk)
+	}
+	if n != e.inBuckets {
+		return fmt.Errorf("inBuckets=%d, buckets hold %d", e.inBuckets, n)
+	}
+	if !e.curSorted && e.curHead != 0 {
+		return fmt.Errorf("curHead=%d on an unsorted head", e.curHead)
+	}
+	for bi, bk := range e.buckets[e.nb:] {
+		if len(bk) != 0 {
+			return fmt.Errorf("retired bucket %d holds %d entries", e.nb+bi, len(bk))
+		}
+	}
+	for i, idx := range e.overflow {
+		s := &e.slots[idx]
+		switch {
+		case int(s.heapPos) != i:
+			return fmt.Errorf("overflow[%d]: slot %d has heapPos %d", i, idx, s.heapPos)
+		case !e.far(s.at):
+			return fmt.Errorf("overflow[%d]: day %d is inside the year from %d", i, int64(s.at)>>e.shift, e.curDay)
+		case i > 0 && e.less(idx, e.overflow[(i-1)>>2]):
+			return fmt.Errorf("overflow[%d] sorts before its heap parent", i)
+		}
+		if err := visit(idx, "overflow"); err != nil {
+			return err
+		}
+	}
+	if canceled != e.canceled {
+		return fmt.Errorf("canceled=%d, queue holds %d canceled entries", e.canceled, canceled)
+	}
+	return nil
+}
+
 // diffFire is one trace entry: which logical event fired and at what clock.
 type diffFire struct {
 	seq int
@@ -52,6 +140,71 @@ type diffSide struct {
 	ids      []EventID
 	trace    []diffFire
 	childSeq int
+	// timers are long-lived re-armable events, each with one fixed callback —
+	// sim.Timer spelled out over the shared interface (Timer itself is bound
+	// to *Engine).
+	timers  [diffTimers]EventID
+	timerFn [diffTimers]func(Time)
+}
+
+// diffTimers is how many timers each side owns; their trace labels start at
+// diffTimerSeq, clear of both op and child sequence numbers.
+const (
+	diffTimers   = 12
+	diffTimerSeq = 1 << 29
+)
+
+func newDiffSide(e queueEngine) *diffSide {
+	s := &diffSide{e: e, childSeq: 1 << 30}
+	for k := range s.timerFn {
+		s.timerFn[k] = func(now Time) {
+			s.trace = append(s.trace, diffFire{seq: diffTimerSeq + k, at: now})
+		}
+	}
+	return s
+}
+
+// pushTimer re-arms timer k at the given time, exactly as Timer.Schedule does.
+func (s *diffSide) pushTimer(k int, at Time) {
+	s.timers[k] = s.e.Reschedule(s.timers[k], at, s.timerFn[k])
+}
+
+// satAdd is now+d saturated at MaxTime: once a Step has fired an event at
+// MaxTime the clock sits there, and every later offset must stay there too.
+func satAdd(now, d Time) Time {
+	if d > MaxTime-now {
+		return MaxTime
+	}
+	return now + d
+}
+
+// sidesAgree reports the first observable difference between the two sides'
+// clocks and counts; with calendar set it also walks the production engine's
+// invariants, which is O(pending).
+func sidesAgree(prod, ref *diffSide, calendar bool) error {
+	if prod.e.Now() != ref.e.Now() {
+		return fmt.Errorf("Now diverged: engine %d, reference %d", prod.e.Now(), ref.e.Now())
+	}
+	if prod.e.Executed() != ref.e.Executed() {
+		return fmt.Errorf("Executed diverged: engine %d, reference %d", prod.e.Executed(), ref.e.Executed())
+	}
+	if calendar {
+		return prod.e.(*Engine).checkInvariants()
+	}
+	return nil
+}
+
+// tracesAgree reports the first difference between the two sides' traces.
+func tracesAgree(prod, ref *diffSide) error {
+	if len(prod.trace) != len(ref.trace) {
+		return fmt.Errorf("trace lengths diverged: engine %d, reference %d", len(prod.trace), len(ref.trace))
+	}
+	for i := range prod.trace {
+		if prod.trace[i] != ref.trace[i] {
+			return fmt.Errorf("trace diverged at %d: engine %+v, reference %+v", i, prod.trace[i], ref.trace[i])
+		}
+	}
+	return nil
 }
 
 // scheduleTraced registers a plain event that appends to the side's trace.
@@ -77,7 +230,7 @@ func (s *diffSide) scheduleRearm(at, period Time, seq, times int) {
 		s.trace = append(s.trace, diffFire{seq: seq, at: now})
 		n--
 		if n > 0 {
-			s.e.Rearm(now + period)
+			s.e.Rearm(satAdd(now, period))
 		}
 	}))
 }
@@ -91,7 +244,7 @@ func (s *diffSide) scheduleSpawner(at, childDelay Time, seq int) {
 		s.trace = append(s.trace, diffFire{seq: seq, at: now})
 		child := s.childSeq
 		s.childSeq++
-		s.e.Schedule(now+childDelay, func(cnow Time) {
+		s.e.Schedule(satAdd(now, childDelay), func(cnow Time) {
 			s.trace = append(s.trace, diffFire{seq: child, at: cnow})
 		})
 	}))
@@ -103,25 +256,23 @@ func (s *diffSide) scheduleSpawner(at, childDelay Time, seq int) {
 // t.Fatalf-alike under the fuzzer.
 func runEngineDiff(t *testing.T, data []byte) bool {
 	t.Helper()
-	prod := &diffSide{e: NewEngine(), childSeq: 1 << 30}
-	ref := &diffSide{e: newRefEngine(), childSeq: 1 << 30}
+	prod := newDiffSide(NewEngine())
+	ref := newDiffSide(newRefEngine())
 	sides := [2]*diffSide{prod, ref}
 	nextSeq := 0
 
+	// The invariant walk is O(pending); on the long programs the fuzzer grows,
+	// look at a big queue only every 64th op (op is a byte offset, 3 per op).
 	check := func(op int, what string) bool {
-		if prod.e.Now() != ref.e.Now() {
-			t.Errorf("op %d (%s): Now diverged: engine %d, reference %d", op, what, prod.e.Now(), ref.e.Now())
-			return false
-		}
-		if prod.e.Executed() != ref.e.Executed() {
-			t.Errorf("op %d (%s): Executed diverged: engine %d, reference %d", op, what, prod.e.Executed(), ref.e.Executed())
+		if err := sidesAgree(prod, ref, prod.e.Pending() < 2048 || op%(3*64) == 0); err != nil {
+			t.Errorf("op %d (%s): %v", op, what, err)
 			return false
 		}
 		return true
 	}
 
 	for i := 0; i+2 < len(data); i += 3 {
-		op := int(data[i]) % 10
+		op := int(data[i]) % 11
 		payload := Time(data[i+1])<<8 | Time(data[i+2])
 		what := ""
 		switch op {
@@ -130,11 +281,11 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 			seq := nextSeq
 			nextSeq++
 			for _, s := range sides {
-				s.scheduleTraced(s.e.Now()+payload%5000, seq)
+				s.scheduleTraced(satAdd(s.e.Now(), payload%5000), seq)
 			}
 		case 1: // equal-timestamp burst: FIFO tiebreak on (at, seq)
 			what = "equal-time burst"
-			at := prod.e.Now() + payload%2000
+			at := satAdd(prod.e.Now(), payload%2000)
 			k := int(payload%7) + 2
 			for j := 0; j < k; j++ {
 				seq := nextSeq
@@ -147,15 +298,24 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 			what = "far schedule"
 			seq := nextSeq
 			nextSeq++
+			at := satAdd(prod.e.Now(), 1_000_000+payload)
+			switch payload % 16 {
+			case 13: // past any day width the tuner can reach
+				at = satAdd(prod.e.Now(), payload<<46)
+			case 14:
+				at = max(MaxTime-payload, prod.e.Now())
+			case 15: // the documented "never" sentinel
+				at = MaxTime
+			}
 			for _, s := range sides {
-				s.scheduleTraced(s.e.Now()+1_000_000+payload, seq)
+				s.scheduleTraced(at, seq)
 			}
 		case 3: // stop event
 			what = "stop schedule"
 			seq := nextSeq
 			nextSeq++
 			for _, s := range sides {
-				s.scheduleStop(s.e.Now()+payload%5000, seq)
+				s.scheduleStop(satAdd(s.e.Now(), payload%5000), seq)
 			}
 		case 4: // cancel an arbitrary id, live, fired or already canceled
 			what = "cancel"
@@ -170,7 +330,7 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 			for j := Time(0); j < 80; j++ {
 				seq := nextSeq
 				nextSeq++
-				at := prod.e.Now() + 50_000 + j
+				at := satAdd(prod.e.Now(), 50_000+j)
 				for _, s := range sides {
 					s.scheduleTraced(at, seq)
 					s.e.Cancel(s.ids[len(s.ids)-1])
@@ -180,7 +340,7 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 			what = "reschedule"
 			seq := nextSeq
 			nextSeq++
-			at := prod.e.Now() + payload%5000
+			at := satAdd(prod.e.Now(), payload%5000)
 			if len(prod.ids) > 0 {
 				k := int(payload) % len(prod.ids)
 				for _, s := range sides {
@@ -199,10 +359,10 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 			nextSeq += 2
 			times := int(payload%5) + 1
 			period := payload%900 + 1
-			at := prod.e.Now() + payload%3000
+			at := satAdd(prod.e.Now(), payload%3000)
 			for _, s := range sides {
 				s.scheduleRearm(at, period, seq, times)
-				s.scheduleSpawner(at+1, period, seq+1)
+				s.scheduleSpawner(satAdd(at, 1), period, seq+1)
 			}
 		case 8: // single step
 			what = "step"
@@ -219,10 +379,27 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 				}
 			} else { // bounded run
 				what = "run"
-				until := prod.e.Now() + payload%20_000
+				until := satAdd(prod.e.Now(), payload%20_000)
 				for _, s := range sides {
 					s.e.Run(until)
 				}
+			}
+		case 10: // timer push-back: the same timer re-armed across ops
+			what = "timer push-back"
+			k := int(payload % diffTimers)
+			var delay Time
+			switch (payload / diffTimers) % 4 {
+			case 0: // the pacing pattern: a few packets ahead, often the head bucket
+				delay = payload % 64
+			case 1:
+				delay = payload % 5000
+			case 2: // the RTO pattern: parked far out, in the overflow rung
+				delay = 200_000 + payload*16
+			case 3: // onto one shared instant: equal-timestamp pile-ups
+				delay = 1000 - prod.e.Now()%1000
+			}
+			for _, s := range sides {
+				s.pushTimer(k, satAdd(s.e.Now(), delay))
 			}
 		}
 		if !check(i, what) {
@@ -232,23 +409,16 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 
 	// Drain both queues completely; Stop events can end a Run early.
 	for prod.e.Pending() > 0 || ref.e.Pending() > 0 {
-		horizon := Time(1) << 50
-		prod.e.Run(horizon)
-		ref.e.Run(horizon)
+		prod.e.Run(MaxTime)
+		ref.e.Run(MaxTime)
 		if !check(len(data), "drain") {
 			return false
 		}
 	}
 
-	if len(prod.trace) != len(ref.trace) {
-		t.Errorf("trace lengths diverged: engine %d, reference %d", len(prod.trace), len(ref.trace))
+	if err := tracesAgree(prod, ref); err != nil {
+		t.Error(err)
 		return false
-	}
-	for i := range prod.trace {
-		if prod.trace[i] != ref.trace[i] {
-			t.Errorf("trace diverged at %d: engine %+v, reference %+v", i, prod.trace[i], ref.trace[i])
-			return false
-		}
 	}
 	return true
 }
@@ -278,6 +448,14 @@ func engineDiffSeeds() [][]byte {
 		ops([3]byte{0, 0, 5}, [3]byte{9, 0, 0}, [3]byte{0, 0, 5}, [3]byte{1, 0, 1}, [3]byte{9, 0, 77}),
 		// Step-by-step execution with interleaved cancels.
 		ops([3]byte{1, 0, 3}, [3]byte{8, 0, 0}, [3]byte{4, 0, 1}, [3]byte{8, 0, 0}, [3]byte{8, 0, 0}),
+		// One timer pushed back op after op: due at once (payload 4: timer 4,
+		// 4 µs), parked far out (28: timer 4, 200 ms), pulled back in (16:
+		// timer 4, 16 µs), between steps. Longer programs of the same shape
+		// are in testdata/fuzz/FuzzEngineVsReference.
+		ops([3]byte{0, 0, 9}, [3]byte{10, 0, 4}, [3]byte{10, 0, 28}, [3]byte{8, 0, 0}, [3]byte{10, 0, 16}, [3]byte{10, 0, 4}, [3]byte{8, 0, 0}, [3]byte{8, 0, 0}),
+		// Events at MaxTime and MaxTime-14 beside near ones: a bounded run must
+		// stop short of them, and the drain must reach them.
+		ops([3]byte{2, 0, 15}, [3]byte{0, 0, 5}, [3]byte{2, 0, 14}, [3]byte{0, 1, 0}, [3]byte{9, 0, 100}, [3]byte{2, 0, 15}, [3]byte{9, 4, 1}),
 	}
 	return seeds
 }

@@ -481,6 +481,42 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineAckClock is the engine's share of a congestion-controlled
+// dumbbell, which a hold model with uniform delays cannot show: ~300 packets
+// that alternate a sub-millisecond hop with a 75 ms propagation delay (an
+// event every ~125 µs), plus eight RTO-like timers parked 0.2-1 s out, one of
+// which is pushed back on every event. A width taken from the span of all
+// pending events is stretched a hundredfold by those few timers.
+func BenchmarkEngineAckClock(b *testing.B) {
+	e := NewEngine()
+	var timers [8]*Timer
+	for i := range timers {
+		timers[i] = e.NewTimer(func(Time) {})
+	}
+	k := 0
+	var fn func(Time)
+	fn = func(now Time) {
+		k++
+		if k&1 == 0 {
+			e.Schedule(now+800*Microsecond+Time(k&63), fn)
+		} else {
+			e.Schedule(now+75*Millisecond+Time(k&1023), fn)
+		}
+		timers[k&7].Schedule(now + 200*Millisecond + Time(k&7)*100*Millisecond)
+	}
+	for i := 0; i < 300; i++ {
+		e.Schedule(Time(i)*250*Microsecond, fn)
+	}
+	for i := 0; i < 20000; i++ { // let the calendar tune itself
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 func BenchmarkRNGExponential(b *testing.B) {
 	g := NewRNG(1)
 	b.ReportAllocs()

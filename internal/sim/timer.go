@@ -23,9 +23,10 @@ func (e *Engine) NewTimer(fn func(now Time)) *Timer {
 }
 
 // Schedule arms the timer to fire at the absolute time at, canceling any
-// pending firing. Re-arming goes through Engine.Reschedule, so a timer that
-// waits in the calendar's overflow rung (the RTO pushed back on every ACK)
-// is moved in place instead of leaving a lazily-canceled corpse per arming.
+// pending firing. Re-arming goes through Engine.Reschedule, so a pending
+// timer (the RTO pushed back on every ACK, the pacing timer moved per packet)
+// is moved in its own slot instead of leaving a lazily-canceled corpse per
+// arming.
 func (t *Timer) Schedule(at Time) {
 	t.id = t.engine.Reschedule(t.id, at, t.fn)
 }
