@@ -294,6 +294,83 @@ func TestSfqCoDelCapacity(t *testing.T) {
 	}
 }
 
+// TestSfqCoDelLazyBucketsMatchEager drives one packet sequence — an overloaded
+// link, so CoDel drops at dequeue and the shared capacity drops at enqueue,
+// with a Reset in the middle — through a discipline as constructed (buckets
+// created on first use) and through one whose buckets were all created up
+// front. Every return value, drop-hook call and counter must agree: when a
+// bucket comes to exist is not observable.
+func TestSfqCoDelLazyBucketsMatchEager(t *testing.T) {
+	const buckets = 32
+	build := func(eager bool) (*SfqCoDel, *[]int64) {
+		q, err := NewSfqCoDelWithParams(buckets, 60, sim.Millisecond, 10*sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(q.created) != 0 {
+			t.Fatalf("a new discipline already has %d buckets", len(q.created))
+		}
+		if eager {
+			for b := range q.buckets {
+				q.newBucket(b)
+			}
+		}
+		var dropped []int64
+		q.SetDropHook(func(p *netsim.Packet) { dropped = append(dropped, int64(p.Flow)<<32|p.Seq) })
+		return q, &dropped
+	}
+	lazy, lazyDrops := build(false)
+	eager, eagerDrops := build(true)
+
+	rng := sim.NewRNG(11)
+	flows := 0
+	step := func(i int, now sim.Time) {
+		t.Helper()
+		// Three arrivals per departure; flows 0-5, then 0-11 after the Reset.
+		for j := 0; j < 3; j++ {
+			f, size := rng.Intn(flows), 100+rng.Intn(1400)
+			a := lazy.Enqueue(pkt(f, int64(3*i+j), size), now)
+			b := eager.Enqueue(pkt(f, int64(3*i+j), size), now)
+			if a != b {
+				t.Fatalf("step %d: Enqueue accepted lazily %v, eagerly %v", i, a, b)
+			}
+		}
+		a, b := lazy.Dequeue(now), eager.Dequeue(now)
+		if (a == nil) != (b == nil) || (a != nil && (a.Flow != b.Flow || a.Seq != b.Seq)) {
+			t.Fatalf("step %d: Dequeue returned %+v lazily, %+v eagerly", i, a, b)
+		}
+		if lazy.Len() != eager.Len() || lazy.Bytes() != eager.Bytes() || lazy.Drops() != eager.Drops() {
+			t.Fatalf("step %d: Len/Bytes/Drops %d/%d/%d lazily, %d/%d/%d eagerly", i,
+				lazy.Len(), lazy.Bytes(), lazy.Drops(), eager.Len(), eager.Bytes(), eager.Drops())
+		}
+	}
+	for round, n := range []int{6, 12} {
+		flows = n
+		for i := 0; i < 2000; i++ {
+			step(i, sim.Time(i)*200)
+		}
+		if len(*lazyDrops) == 0 || lazy.Drops() == int64(len(*lazyDrops)) {
+			t.Fatalf("round %d: %d hook drops of %d; the sequence must drop at dequeue and at enqueue", round, len(*lazyDrops), lazy.Drops())
+		}
+		if len(lazy.created) == 0 || len(lazy.created) > n || len(eager.created) != buckets {
+			t.Fatalf("round %d: %d flows created %d buckets lazily, %d eagerly", round, n, len(lazy.created), len(eager.created))
+		}
+		lazy.Reset()
+		eager.Reset()
+		if lazy.Len() != 0 || lazy.Bytes() != 0 || lazy.Drops() != 0 || lazy.Dequeue(0) != nil {
+			t.Fatalf("round %d: Reset left Len %d, Bytes %d, Drops %d", round, lazy.Len(), lazy.Bytes(), lazy.Drops())
+		}
+	}
+	if len(*lazyDrops) != len(*eagerDrops) {
+		t.Fatalf("drop hook ran %d times lazily, %d eagerly", len(*lazyDrops), len(*eagerDrops))
+	}
+	for i := range *lazyDrops {
+		if (*lazyDrops)[i] != (*eagerDrops)[i] {
+			t.Fatalf("drop %d: lazily %x, eagerly %x", i, (*lazyDrops)[i], (*eagerDrops)[i])
+		}
+	}
+}
+
 func TestXCPQueueValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	if _, err := NewXCPQueue(nil, 100, 1e6); err == nil {

@@ -36,9 +36,11 @@ func (q *CoDel) Reset() {
 
 // Reset returns the discipline to its just-constructed state: every bucket's
 // CoDel state machine is reset and the deficit round-robin schedule cleared.
+// Only the buckets a packet ever reached exist and carry state; they are kept,
+// so a warm session's flows find their queues already built.
 func (q *SfqCoDel) Reset() {
-	for i, b := range q.buckets {
-		b.Reset()
+	for _, i := range q.created {
+		q.buckets[i].Reset()
 		q.deficits[i] = 0
 		q.inActive[i] = false
 	}

@@ -12,8 +12,16 @@ import (
 // with a Cubic sender. Flows are hashed into a fixed number of buckets, each
 // bucket is an independent CoDel queue, and buckets are served by deficit
 // round robin with an MTU-sized quantum, isolating flows from one another.
+//
+// A bucket's CoDel queue is created on the first packet hashed into it: with
+// far fewer flows than buckets nearly all stay nil, and building a discipline
+// costs a handful of allocations instead of one per bucket.
 type SfqCoDel struct {
-	buckets  []*CoDel
+	buckets []*CoDel // nil until a packet lands in the bucket
+	created []int    // indices of the non-nil buckets, in creation order
+	// template is what a new bucket starts as: the shared capacity, the CoDel
+	// parameters and the drop hook.
+	template CoDel
 	deficits []int
 	active   intRing // round-robin order of non-empty buckets
 	inActive []bool
@@ -43,22 +51,28 @@ func NewSfqCoDelWithParams(buckets, capacity int, target, interval sim.Time) (*S
 	if capacity <= 0 {
 		return nil, fmt.Errorf("aqm: sfqCoDel capacity must be positive, got %d", capacity)
 	}
+	c, err := NewCoDelWithParams(capacity, target, interval)
+	if err != nil {
+		return nil, err
+	}
 	q := &SfqCoDel{
 		buckets:  make([]*CoDel, buckets),
+		template: *c,
 		deficits: make([]int, buckets),
 		inActive: make([]bool, buckets),
 		quantum:  netsim.MTU,
 		capacity: capacity,
 	}
-	for i := range q.buckets {
-		c, err := NewCoDelWithParams(capacity, target, interval)
-		if err != nil {
-			return nil, err
-		}
-		c.SetDropHook(q.onBucketDrop)
-		q.buckets[i] = c
-	}
+	q.template.SetDropHook(q.onBucketDrop)
 	return q, nil
+}
+
+// newBucket creates bucket b's CoDel queue.
+func (q *SfqCoDel) newBucket(b int) *CoDel {
+	c := q.template
+	q.buckets[b] = &c
+	q.created = append(q.created, b)
+	return &c
 }
 
 // onBucketDrop accounts one CoDel dequeue-time drop against the aggregate
@@ -96,7 +110,11 @@ func (q *SfqCoDel) Enqueue(p *netsim.Packet, now sim.Time) bool {
 		return false
 	}
 	b := q.bucketFor(p.Flow)
-	if !q.buckets[b].Enqueue(p, now) {
+	bucket := q.buckets[b]
+	if bucket == nil {
+		bucket = q.newBucket(b)
+	}
+	if !bucket.Enqueue(p, now) {
 		q.drops++
 		return false
 	}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,13 +61,19 @@ type BatchRunner interface {
 // construction.
 //
 // Every job is a warm run. The improvement step scores its candidate trees on
-// the same specimens and seeds, so within a batch the simulated world
-// (Specimen, ConfigRange) repeats from job to job and only the rule table
-// differs. Jobs are dispatched world-major; each worker builds one session per
-// world it meets and re-runs it for every candidate, rebinding the flows'
-// senders to the job's tree and usage collector. Sessions live for this call
-// only, at most workers × worlds of them, and their engines go back to the
-// scenario package's pool.
+// the same specimens, batch after batch, so the simulated world (the
+// specimen's shape and the ConfigRange) repeats from job to job and only the
+// rule table and the seed differ. Jobs are dispatched world-major; each worker
+// builds one session per world it meets and re-runs it for every candidate and
+// every seed, rebinding the flows' senders to the job's tree and usage
+// collector.
+//
+// Workers outlive the call: they come from, and go back to, a package free
+// list with their session, spec and senders intact, so the next batch — the
+// next of a round's improvement steps, or a distrib worker's next shard —
+// starts in a warm world when it meets the same one. A worker whose job failed
+// goes back without its world. The list never holds more workers than the peak
+// concurrency the process has already reached.
 func RunBatchLocal(objective stats.Objective, workers int, jobs []BatchJob) ([]BatchResult, error) {
 	if len(jobs) == 0 {
 		return nil, nil
@@ -86,8 +93,8 @@ func RunBatchLocal(objective stats.Objective, workers int, jobs []BatchJob) ([]B
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bw := batchWorker{objective: objective, sim: scenario.Runner{}.NewWorker()}
-			defer bw.sim.Close()
+			bw := acquireWorker(objective)
+			defer releaseWorker(bw)
 			for {
 				n := int(next.Add(1)) - 1
 				if n >= len(order) {
@@ -107,11 +114,46 @@ func RunBatchLocal(objective stats.Objective, workers int, jobs []BatchJob) ([]B
 	return out, nil
 }
 
+// workerPool keeps idle batch workers, warm worlds included, between
+// RunBatchLocal calls. It is a mutex-guarded free list and not a sync.Pool for
+// the reason scenario's engine pool is: a sync.Pool may drop entries at any GC,
+// which would silently bring the cold session builds back mid-training.
+var workerPool struct {
+	mu   sync.Mutex
+	free []*batchWorker
+}
+
+func acquireWorker(objective stats.Objective) *batchWorker {
+	workerPool.mu.Lock()
+	defer workerPool.mu.Unlock()
+	if n := len(workerPool.free); n > 0 {
+		b := workerPool.free[n-1]
+		workerPool.free[n-1] = nil
+		workerPool.free = workerPool.free[:n-1]
+		b.objective = objective
+		return b
+	}
+	return &batchWorker{objective: objective, sim: scenario.Runner{}.NewWorker()}
+}
+
+func releaseWorker(b *batchWorker) {
+	workerPool.mu.Lock()
+	workerPool.free = append(workerPool.free, b)
+	workerPool.mu.Unlock()
+}
+
 // world identifies the simulated network of a job: everything about it except
-// the rule table the senders execute.
+// the rule table the senders execute and the seed of the run (spec.Seed is
+// always zero here).
 type world struct {
 	spec Specimen
 	cfg  ConfigRange
+}
+
+func worldOf(j BatchJob) world {
+	w := world{j.Specimen, j.Config}
+	w.spec.Seed = 0
+	return w
 }
 
 // worldMajor returns the job indices grouped by world, worlds in order of
@@ -122,7 +164,7 @@ func worldMajor(jobs []BatchJob) []int {
 	rank := make([]int, len(jobs))
 	order := make([]int, len(jobs))
 	for i, j := range jobs {
-		k := world{j.Specimen, j.Config}
+		k := worldOf(j)
 		r, ok := seen[k]
 		if !ok {
 			r = len(seen)
@@ -135,8 +177,8 @@ func worldMajor(jobs []BatchJob) []int {
 	return order
 }
 
-// batchWorker is one goroutine of RunBatchLocal: a scenario worker, plus the
-// world it is currently in and the senders that world's session runs.
+// batchWorker is one goroutine's worth of RunBatchLocal: a scenario worker,
+// plus the world it is currently in and the senders that world's session runs.
 type batchWorker struct {
 	objective stats.Objective
 	sim       *scenario.Worker
@@ -156,20 +198,21 @@ type batchWorker struct {
 // first if it is a different one.
 func (b *batchWorker) run(j BatchJob) (BatchResult, error) {
 	u := newUsageCollector(j.Tree.NumWhiskers(), j.WithSamples)
-	if k := (world{j.Specimen, j.Config}); b.spec == nil || b.world != k {
+	if k := worldOf(j); b.spec == nil || b.world != k {
 		b.world = k
 		b.senders = nil
-		spec := specFor(j.Specimen, j.Config, b.newSender)
+		spec := specFor(k.spec, k.cfg, b.newSender)
 		b.spec = &spec
 	}
 	b.tree, b.rec = j.Tree, u
 	for _, s := range b.senders {
 		s.Rebind(j.Tree, u)
 	}
+	b.spec.Seed = j.Specimen.Seed
 	r := b.sim.Run(b.spec, 0)
 	if r.Err != nil {
 		b.spec = nil
-		return BatchResult{}, r.Err
+		return BatchResult{}, fmt.Errorf("optimizer: %v: %w", j.Specimen, r.Err)
 	}
 	sum, flows := scoreSpecimen(b.objective, r, j.Specimen)
 	return BatchResult{Sum: sum, Flows: flows, Counts: u.counts, Consulted: u.consulted, Samples: u.samples}, nil
@@ -184,16 +227,15 @@ func (b *batchWorker) newSender() cc.Algorithm {
 	return s
 }
 
-// specFor builds the declarative scenario of one specimen world. Every sender
-// runs the same candidate RemyCC (the superrational setting of §4), supplied
-// by newSender.
+// specFor builds the declarative scenario of one specimen world; the caller
+// sets the seed of each run. Every sender runs the same candidate RemyCC (the
+// superrational setting of §4), supplied by newSender.
 func specFor(spec Specimen, cfg ConfigRange, newSender func() cc.Algorithm) scenario.Spec {
 	return scenario.New(
-		scenario.WithName(spec.String()),
+		scenario.WithName("training world"),
 		scenario.WithLink(spec.LinkRateBps),
 		scenario.WithQueue(scenario.QueueDropTail, cfg.QueueCapacityPackets),
 		scenario.WithDuration(cfg.SpecimenDuration.Seconds()),
-		scenario.WithSeed(spec.Seed),
 		scenario.WithoutSummaries(),
 		scenario.WithFlow(scenario.FlowSpec{
 			Scheme:    "remy-candidate",

@@ -39,10 +39,33 @@ func sameBatchResult(a, b BatchResult) bool {
 		reflect.DeepEqual(a.Samples, b.Samples)
 }
 
+// runCold runs one job the way a process that has run nothing yet would: on a
+// worker of its own, in a session built for it and dropped afterwards.
+func runCold(t *testing.T, obj stats.Objective, j BatchJob) BatchResult {
+	t.Helper()
+	w := batchWorker{objective: obj, sim: scenario.Runner{}.NewWorker()}
+	defer w.sim.Close()
+	r, err := w.run(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// idleWorkers empties the package's worker pool and returns what it held, so a
+// test can start from a known pool and look at the one it leaves behind.
+func idleWorkers() []*batchWorker {
+	workerPool.mu.Lock()
+	defer workerPool.mu.Unlock()
+	idle := workerPool.free
+	workerPool.free = nil
+	return idle
+}
+
 // TestRunBatchWarmMatchesCold is the exactness guard for warm training jobs:
 // a shuffled batch of trees × specimens, run through RunBatchLocal's reused
 // per-world sessions, must return for every job exactly what that job returns
-// when it is the only one in its batch (a cold session), at any worker count.
+// in a cold session of its own, at any worker count.
 func TestRunBatchWarmMatchesCold(t *testing.T) {
 	obj := stats.DefaultObjective(1)
 	cfg := tinyConfig()
@@ -85,13 +108,9 @@ func TestRunBatchWarmMatchesCold(t *testing.T) {
 
 	cold := make([]BatchResult, len(jobs))
 	for i, j := range jobs {
-		r, err := RunBatchLocal(obj, 1, []BatchJob{j})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold[i] = r[0]
-		if (r[0].Samples != nil) != j.WithSamples {
-			t.Fatalf("job %d: samples present = %v, asked %v", i, r[0].Samples != nil, j.WithSamples)
+		cold[i] = runCold(t, obj, j)
+		if (cold[i].Samples != nil) != j.WithSamples {
+			t.Fatalf("job %d: samples present = %v, asked %v", i, cold[i].Samples != nil, j.WithSamples)
 		}
 	}
 	for _, workers := range []int{1, 4} {
@@ -109,10 +128,95 @@ func TestRunBatchWarmMatchesCold(t *testing.T) {
 	}
 }
 
+// TestTrainSessionsOutliveBatch is the guard for sessions that outlive the
+// batch and the seed. After one batch over a shape, a second batch over the
+// same shape — other seeds, other rule tables — must run in the session the
+// first one left in the pool: the pooled worker's senders are the very objects
+// it had before, so no session was built and core.NewSender was never called.
+// And every result, at any worker count, must equal bit for bit what the job
+// returns in a cold session of its own.
+func TestTrainSessionsOutliveBatch(t *testing.T) {
+	obj := stats.DefaultObjective(1)
+	cfg := tinyConfig()
+	cfg.SpecimenDuration = 2 * sim.Second
+	first := cfg.SampleSet(3, sim.NewRNG(41))
+	second := cfg.SampleSet(5, sim.NewRNG(42))
+	trees := batchTrees(t, cfg, first)
+	batch := func(specimens []Specimen, trees []*core.WhiskerTree) []BatchJob {
+		var jobs []BatchJob
+		for ti, tree := range trees {
+			for si, sp := range specimens {
+				jobs = append(jobs, BatchJob{Tree: tree, Specimen: sp, Config: cfg, WithSamples: (ti+si)%3 == 0, Affinity: si})
+			}
+		}
+		return jobs
+	}
+	one, two := batch(first, trees[:2]), batch(second, trees[1:])
+	for _, sp := range append(first[1:], second...) {
+		if (worldOf(BatchJob{Specimen: sp}) != worldOf(BatchJob{Specimen: first[0]})) || sp.Seed == first[0].Seed {
+			t.Fatalf("specimen %v: the batches must be other seeds of one shape (%v)", sp, first[0])
+		}
+	}
+	cold := make([]BatchResult, len(two))
+	for i, j := range two {
+		cold[i] = runCold(t, obj, j)
+	}
+	check := func(what string, got []BatchResult) {
+		t.Helper()
+		for i := range two {
+			if !sameBatchResult(got[i], cold[i]) {
+				t.Errorf("%s, job %d (%d rules on %v): result differs from the job's cold run", what, i, two[i].Tree.NumWhiskers(), two[i].Specimen)
+			}
+		}
+	}
+
+	idleWorkers()
+	if _, err := RunBatchLocal(obj, 1, one); err != nil {
+		t.Fatal(err)
+	}
+	pool := idleWorkers()
+	if len(pool) != 1 || pool[0].spec == nil || len(pool[0].senders) != cfg.MaxSenders {
+		t.Fatalf("a one-worker batch left %d workers in the pool (want 1, in a world of %d senders)", len(pool), cfg.MaxSenders)
+	}
+	w := pool[0]
+	built := append([]*core.Sender(nil), w.senders...)
+	releaseWorker(w)
+	got, err := RunBatchLocal(obj, 1, two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("second batch, 1 worker", got)
+	pool = idleWorkers()
+	if len(pool) != 1 || pool[0] != w {
+		t.Fatalf("the second batch did not take the pooled worker and give it back: pool holds %d", len(pool))
+	}
+	for i, s := range w.senders {
+		if len(w.senders) != len(built) || s != built[i] {
+			t.Fatalf("the second batch built a session: sender %d of %d is not the one the first batch left", i, len(w.senders))
+		}
+	}
+	releaseWorker(w)
+
+	// Several workers share the pool (under -race in CI): whichever of them
+	// are warm, cold or new, the results are the cold ones.
+	for round := 0; round < 3; round++ {
+		got, err := RunBatchLocal(obj, 4, two)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("4 workers", got)
+	}
+	if n := len(idleWorkers()); n < 1 || n > 4 {
+		t.Errorf("three 4-worker batches left %d workers in the pool, want at most the peak concurrency, 4", n)
+	}
+}
+
 func TestWorldMajorGroupsInFirstAppearanceOrder(t *testing.T) {
-	a, b, c := Specimen{Seed: 1}, Specimen{Seed: 2}, Specimen{Seed: 3}
+	// A world is a shape: seeds differ within one and do not split it.
+	a, b, c := Specimen{Senders: 1}, Specimen{Senders: 2}, Specimen{Senders: 3}
 	var jobs []BatchJob
-	for _, sp := range []Specimen{b, a, b, c, a, b} {
+	for i, sp := range []Specimen{b, a, b, c, a, b} {
+		sp.Seed = int64(i)
 		jobs = append(jobs, BatchJob{Specimen: sp})
 	}
 	if got, want := worldMajor(jobs), []int{0, 2, 5, 1, 4, 3}; !reflect.DeepEqual(got, want) {
@@ -132,10 +236,7 @@ func TestBatchPanicIsTheJobsError(t *testing.T) {
 	good := BatchJob{Tree: core.DefaultWhiskerTree(), Specimen: sp, Config: cfg}
 	bad := BatchJob{Tree: &core.WhiskerTree{}, Specimen: sp, Config: cfg}
 
-	alone, err := RunBatchLocal(obj, 1, []BatchJob{good})
-	if err != nil {
-		t.Fatal(err)
-	}
+	alone := []BatchResult{runCold(t, obj, good)}
 
 	w := batchWorker{objective: obj, sim: scenario.Runner{}.NewWorker()}
 	defer w.sim.Close()
@@ -155,25 +256,42 @@ func TestBatchPanicIsTheJobsError(t *testing.T) {
 		}
 	}
 
-	if _, err := RunBatchLocal(obj, 2, []BatchJob{good, bad, good}); err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Errorf("batch with a panicking job returned err = %v", err)
-	}
-	again, err := RunBatchLocal(obj, 2, []BatchJob{good, good})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range again {
-		if !sameBatchResult(again[i], alone[0]) {
-			t.Errorf("job %d of the batch after a failed batch differs from the job run alone", i)
+	// Through the pool: a worker whose last job panicked, or could not be
+	// compiled, goes back without a world, and the batch after it — on those
+	// very workers — returns what the job returns alone.
+	unbuildable := good
+	unbuildable.Specimen.LinkRateBps = 0
+	for what, failing := range map[string]BatchJob{"panic": bad, "rate_bps": unbuildable} {
+		idleWorkers()
+		if _, err := RunBatchLocal(obj, 1, []BatchJob{good, failing}); err == nil || !strings.Contains(err.Error(), what) {
+			t.Errorf("batch ending in a failing job (%s) returned err = %v", what, err)
+		}
+		pool := idleWorkers()
+		if len(pool) != 1 || pool[0].spec != nil {
+			t.Fatalf("%s: the failed worker went back to the pool with its world (pool of %d)", what, len(pool))
+		}
+		releaseWorker(pool[0])
+		if _, err := RunBatchLocal(obj, 2, []BatchJob{good, failing, good}); err == nil || !strings.Contains(err.Error(), what) {
+			t.Errorf("batch with a failing job (%s) returned err = %v", what, err)
+		}
+		again, err := RunBatchLocal(obj, 2, []BatchJob{good, good})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range again {
+			if !sameBatchResult(again[i], alone[0]) {
+				t.Errorf("%s: job %d of the batch after a failed batch differs from the job run alone", what, i)
+			}
 		}
 	}
 }
 
 // TestTrainBatchSteadyStateAllocs pins the warm-job contract beside
 // campaign's TestCampaignSteadyStateAllocs: a batch of candidate tables over
-// a few worlds must cost per job only the result assembly (usage collector,
-// flow results), nowhere near the ~700 allocations of building a session per
-// job — so a reintroduced per-job build fails a test rather than a benchmark.
+// a few seeds of one shape, after an earlier batch over that shape, must cost
+// per job only the result assembly (usage collector, flow results; about 6
+// allocations), nowhere near the ~700 of building a session — so a session
+// built per job, per batch or per seed fails a test rather than a benchmark.
 func TestTrainBatchSteadyStateAllocs(t *testing.T) {
 	obj := stats.DefaultObjective(1)
 	cfg := tinyConfig()
@@ -204,10 +322,10 @@ func TestTrainBatchSteadyStateAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs-before.Mallocs) / float64(len(jobs))
 	}
-	measure() // grow the pooled engine
+	measure() // build the world's session; it stays in the pool
 	perJob := measure()
-	t.Logf("warm batch of %d jobs over %d worlds: %.1f allocs/job", len(jobs), len(specimens), perJob)
-	if perJob > 120 {
-		t.Fatalf("warm training batch allocates %.1f allocs/job; per-world session reuse has regressed (want <= 120)", perJob)
+	t.Logf("warm batch of %d jobs over %d seeds of one shape: %.1f allocs/job", len(jobs), len(specimens), perJob)
+	if perJob > 12 {
+		t.Fatalf("warm training batch allocates %.1f allocs/job; session reuse across batches and seeds has regressed (want <= 12)", perJob)
 	}
 }

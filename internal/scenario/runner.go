@@ -154,12 +154,17 @@ func (w *Worker) drop() {
 }
 
 // Run executes repetition rep of spec, reusing the warm session when spec is
-// the rep-invariant spec the worker ran last (the caller must not modify a
-// spec between runs). A panic anywhere in the run — a buggy scheme, a custom
-// queue, the harness itself — is recovered into Result.Err so one poisoned
-// repetition cannot torch a whole campaign or training batch; the worker's
-// engine and session are then discarded (not returned to the pool) because a
-// panic leaves them in an unknown state, and the next run starts cold.
+// the rep-invariant spec the worker ran last. Between such runs the caller may
+// change the spec's Seed and nothing else: a rep-invariant spec compiles to
+// the same scenario under every seed, and the seed is read afresh for each
+// run, so one warm session serves any number of seeds (the optimizer's
+// specimens of one shape).
+//
+// A panic anywhere in the run — a buggy scheme, a custom queue, the harness
+// itself — is recovered into Result.Err so one poisoned repetition cannot
+// torch a whole campaign or training batch; the worker's engine and session
+// are then discarded (not returned to the pool) because a panic leaves them in
+// an unknown state, and the next run starts cold.
 func (w *Worker) Run(spec *Spec, rep int) (out Result) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -36,13 +36,21 @@ type eventSlot struct {
 	// stale EventIDs never touch a reused slot.
 	gen uint32
 	// heapPos is the slot's position in the overflow heap, or -1 while the
-	// event sits in a calendar bucket. Tracking it makes Reschedule of a
-	// far-future event (the per-ACK RTO pattern) an in-place heap move.
+	// event sits in a calendar bucket. Tracking it makes pulling a far-future
+	// event in an in-place heap move.
 	heapPos int32
 	// canceled events stay queued but are skipped when popped; this is
 	// cheaper than removing them eagerly and keeps Cancel O(1). The engine
 	// re-files the queue without them when canceled entries pile up.
 	canceled bool
+	// deferred means the event is wanted under the key (wantAt, wantSeq), not
+	// the (at, seq) it is filed or running under: a push-back that Reschedule
+	// recorded instead of carrying out, or a Rearm. The slot moves to that key
+	// the next time the engine has it in hand — when its filing reaches the
+	// head, or when its callback returns (see refile).
+	deferred bool
+	wantAt   Time
+	wantSeq  uint64
 }
 
 // nextGen advances the slot's generation past every id handed out for it,
@@ -83,7 +91,10 @@ func (s *eventSlot) nextGen() {
 //   - an overflow event has d >= curDay+nb (migrate restores this each time
 //     curDay moves, rebucket each time shift or nb does);
 //   - curSorted means buckets[curDay&mask][curHead:] is non-empty and sorted
-//     ascending by (at, seq); entries before curHead are already popped.
+//     ascending by (at, seq); entries before curHead are already popped;
+//   - a queued slot's bucket entry or heap position is keyed by its (at, seq),
+//     deferred or not; a deferred slot has wantAt >= at and wantSeq > seq, so
+//     the filing it waits under always pops before the key it is wanted at.
 type Engine struct {
 	now   Time
 	slots []eventSlot
@@ -126,9 +137,6 @@ type Engine struct {
 	// so Rearm can reinsert it in place with zero churn.
 	inCallback bool
 	execIdx    int32
-	rearmed    bool
-	rearmAt    Time
-	rearmSeq   uint64
 }
 
 // calStats counts what the calendar did over the engine's lifetime (Reset
@@ -142,9 +150,13 @@ type calStats struct {
 	migrated      uint64 // events moved from the overflow rung into a bucket
 
 	widen, narrow, grow, shrink, missGrow uint64 // tune's decisions
-	// Reschedule of a bucketed event: lifted out of an unsorted bucket, out of
-	// the sorted head bucket, or canceled lazily (bucket too long to scan).
+	// Reschedule to an earlier time of a bucketed event: lifted out of an
+	// unsorted bucket, out of the sorted head bucket, or canceled lazily (bucket
+	// too long to scan).
 	movedUnsorted, movedSorted, movedLazy uint64
+	// Reschedule to the same or a later time: push-backs recorded in the slot,
+	// and filings that reached the head only to be moved to the recorded key.
+	deferred, headVisits uint64
 }
 
 // Queue constants. None is a knob: the tuner moves shift and nb within their
@@ -162,8 +174,8 @@ const (
 	// tunePeriod is how many steps (pops + empty-bucket visits) pass between
 	// two looks at the dequeue rate.
 	tunePeriod = 512
-	// liftMax is the longest bucket Reschedule scans to move a bucketed event
-	// in place; past it (equal-timestamp storms) it cancels lazily instead.
+	// liftMax is the longest bucket Reschedule scans to pull a bucketed event
+	// in; past it (equal-timestamp storms) it cancels lazily instead.
 	liftMax = 32
 )
 
@@ -218,6 +230,7 @@ func (e *Engine) recycle(idx int32) {
 	s.argFn = nil
 	s.arg = nil
 	s.canceled = false
+	s.deferred = false
 	s.heapPos = -1
 	e.free = append(e.free, idx)
 }
@@ -258,11 +271,11 @@ func (e *Engine) insert(idx int32) {
 //
 //repo:hotpath per-event placement into the bucket being served
 func insertSorted(bk []bucketEntry, head int, en bucketEntry) []bucketEntry {
-	// New events carry the largest sequence number, so ties on time always
-	// land after existing entries: anything at or past the current tail
-	// appends, O(1) — the common case both for ascending service-completion
-	// times and equal-timestamp storms.
-	if en.at >= bk[len(bk)-1].at {
+	// Anything past the current tail appends, O(1) — the common case both for
+	// ascending service-completion times and equal-timestamp storms. The full
+	// key decides: a slot filed by refile carries a sequence number reserved
+	// earlier, and may tie on time with entries scheduled since.
+	if last := &bk[len(bk)-1]; en.at > last.at || (en.at == last.at && en.seq > last.seq) {
 		//lint:ignore hotalloc bucket slices keep their capacity across Reset; append is amortized-free once warm
 		return append(bk, en)
 	}
@@ -284,13 +297,13 @@ func insertSorted(bk []bucketEntry, head int, en bucketEntry) []bucketEntry {
 }
 
 // lift takes the live bucketed event idx out of its bucket so Reschedule can
-// re-place the slot, and reports whether it did: a bucket of more than
+// pull the slot in, and reports whether it did: a bucket of more than
 // liftMax entries is left alone. An unsorted bucket loses the entry by
 // swap-remove (its order is not yet meaningful); the sorted head bucket by
 // shift-remove, searched from curHead on, because the popped prefix can still
 // hold a stale copy of a slot index that has since been reused.
 //
-//repo:hotpath per-ACK timer push-back
+//repo:hotpath per-packet pacing-timer pull-in
 func (e *Engine) lift(idx int32) bool {
 	d := int64(e.slots[idx].at) >> e.shift
 	b := d & e.mask
@@ -608,8 +621,9 @@ func (e *Engine) first(until Time) int32 {
 // copied out of its slot next to the slot index, so sorting, binary inserts
 // and scans compare contiguous memory without chasing slots. The slot stays
 // the source of truth for execution; the copy is immutable while queued (a
-// bucketed event's time never changes in place — Reschedule lifts the entry
-// out and files a new one, or lazily cancels), so the two cannot disagree.
+// bucketed event's key never changes in place — a push-back leaves it alone
+// and records the new key beside it, a pull-in lifts the entry out and files a
+// new one, or lazily cancels), so the two cannot disagree.
 type bucketEntry struct {
 	at  Time
 	seq uint64
@@ -708,12 +722,23 @@ func (e *Engine) stamp(s *eventSlot, at Time, fn func(Time), argFn func(Time, an
 // the old occurrence (a no-op when id is stale or already canceled) and
 // schedules fn at the new time, returning the new id. It is observably
 // identical to Cancel+Schedule — one sequence number is consumed either way
-// — but a live event is moved in its own slot instead of being lazily
-// canceled and re-allocated: sifted within the overflow rung (the RTO parked
-// hundreds of milliseconds out and pushed back on every ACK), or lifted out
-// of its bucket and filed again (the pacing timer a few packets ahead). So a
-// timer re-armed per packet never piles dead entries into the queue; only a
-// bucket too long to scan (see liftMax) still takes the lazy cancel.
+// — but a live event keeps its slot and leaves no canceled entry behind.
+//
+// A push-back (at no earlier than where the event is filed — the RTO, pushed
+// out on every send and every ACK and fired a handful of times per run) moves
+// nothing at all: the new time, the sequence number and fn are recorded in
+// the slot, and the event stays filed where it is. When that filing reaches
+// the head, the engine moves the slot to the recorded key instead of running
+// it, without advancing the clock or Executed. The recorded key (at, seq) is
+// the very key an immediate move would have filed it under, and nothing
+// before it in (at, seq) order can be missed, because the stale filing is
+// never later than it; so the fire order is the immediate move's. However
+// many push-backs land between two head visits, they cost one move.
+//
+// A pull-in (at earlier than the filing) cannot wait and is carried out on
+// the spot: sifted or taken out of the overflow rung, or lifted out of its
+// bucket and filed again (the pacing timer a few packets ahead); only from a
+// bucket too long to scan (see liftMax) is it a lazy cancel and a fresh slot.
 func (e *Engine) Reschedule(id EventID, at Time, fn func(now Time)) EventID {
 	if fn == nil {
 		panic("sim: Reschedule called with nil callback")
@@ -725,13 +750,17 @@ func (e *Engine) Reschedule(id EventID, at Time, fn func(now Time)) EventID {
 	if id.gen != 0 && int(id.slot) < len(e.slots) {
 		s := &e.slots[id.slot]
 		if s.gen == id.gen && !s.canceled {
+			if at >= s.at {
+				e.pushBack(s, at, fn)
+				return EventID{slot: id.slot, gen: s.gen}
+			}
 			pos := int(s.heapPos)
 			if pos >= 0 || e.lift(id.slot) {
 				e.stamp(s, at, fn, nil, nil)
+				s.deferred = false
 				s.nextGen()
 				if pos >= 0 && e.far(at) { // stays in the overflow rung
-					e.overflowDown(pos)
-					e.overflowUp(int(s.heapPos))
+					e.overflowUp(pos)
 				} else {
 					if pos >= 0 { // pulled back within the year
 						e.overflowRemove(pos)
@@ -750,6 +779,29 @@ func (e *Engine) Reschedule(id EventID, at Time, fn func(now Time)) EventID {
 	return e.schedule(at, fn, nil, nil)
 }
 
+// pushBack records in a live slot that its event now belongs at time at, not
+// before where it is filed, under a sequence number consumed here, and makes
+// ids handed out for the old occurrence stale. The queue is not touched.
+//
+//repo:hotpath per-send and per-ACK RTO push-back
+func (e *Engine) pushBack(s *eventSlot, at Time, fn func(Time)) {
+	s.wantAt, s.wantSeq, s.deferred = at, e.nextSeq, true
+	e.nextSeq++
+	s.fn, s.argFn, s.arg = fn, nil, nil
+	s.nextGen()
+	e.stats.deferred++
+}
+
+// refile files a slot the engine has in hand — just popped, or held through
+// its callback — under the key recorded in it.
+//
+//repo:hotpath once per head visit of a pushed-back timer, and per Rearm
+func (e *Engine) refile(idx int32) {
+	s := &e.slots[idx]
+	s.at, s.seq, s.deferred = s.wantAt, s.wantSeq, false
+	e.insert(idx)
+}
+
 // Rearm reschedules the currently executing event's callback at the given
 // time, reusing its slot with no free-list churn. It may only be called from
 // inside an event callback, at most once per firing, and consumes the
@@ -764,18 +816,17 @@ func (e *Engine) Rearm(at Time) EventID {
 	if !e.inCallback {
 		panic("sim: Rearm called outside an executing event callback")
 	}
-	if e.rearmed {
+	s := &e.slots[e.execIdx]
+	if s.deferred {
 		panic("sim: Rearm called twice from one event callback")
 	}
 	if at < e.now {
 		//lint:ignore hotalloc panic-path formatting; a causality violation aborts the run
 		panic(fmt.Sprintf("sim: Schedule in the past: at=%v now=%v", at, e.now))
 	}
-	e.rearmed = true
-	e.rearmAt = at
-	e.rearmSeq = e.nextSeq
+	s.wantAt, s.wantSeq, s.deferred = at, e.nextSeq, true
 	e.nextSeq++
-	return EventID{slot: e.execIdx, gen: e.slots[e.execIdx].gen}
+	return EventID{slot: e.execIdx, gen: s.gen}
 }
 
 // Cancel prevents a previously scheduled event from running. Canceling an
@@ -864,17 +915,23 @@ func (e *Engine) Reset() {
 }
 
 // execFirst pops the earliest event (readied by first) and runs it,
-// reporting whether a live (non-canceled) event executed. The slot's
-// generation advances before the callback runs — so the event's own id is
-// already stale inside the callback, exactly as if the slot had been
-// released — but the slot itself is held until the callback returns, which
-// lets Rearm reinsert it in place.
+// reporting whether a live event executed: a canceled one is discarded, and a
+// pushed-back one is only moved to where it is wanted. The slot's generation
+// advances before the callback runs — so the event's own id is already stale
+// inside the callback, exactly as if the slot had been released — but the
+// slot itself is held until the callback returns, which lets Rearm reinsert
+// it in place.
 func (e *Engine) execFirst(idx int32) bool {
 	e.popFirst()
 	s := &e.slots[idx]
 	if s.canceled {
 		e.canceled--
 		e.release(idx)
+		return false
+	}
+	if s.deferred {
+		e.stats.headVisits++
+		e.refile(idx)
 		return false
 	}
 	at := s.at
@@ -884,20 +941,16 @@ func (e *Engine) execFirst(idx int32) bool {
 	e.executed++
 	e.inCallback = true
 	e.execIdx = idx
-	e.rearmed = false
 	if fn != nil {
 		fn(at)
 	} else {
 		argFn(at, arg)
 	}
 	e.inCallback = false
-	if e.rearmed {
-		// The callback may have scheduled events and grown the slab; re-take
-		// the pointer by index.
-		s = &e.slots[idx]
-		s.at = e.rearmAt
-		s.seq = e.rearmSeq
-		e.insert(idx)
+	// The callback may have scheduled events and grown the slab, so the slot
+	// is looked up by index again.
+	if e.slots[idx].deferred { // rearmed
+		e.refile(idx)
 	} else {
 		e.recycle(idx) // the generation already moved before the callback
 	}

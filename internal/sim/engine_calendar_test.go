@@ -61,6 +61,14 @@ func (p *phaseDriver) push(k int, delay Time) {
 	p.op("timer push-back")
 }
 
+// stop is Timer.Stop on timer k.
+func (p *phaseDriver) stop(k int) {
+	for _, s := range p.sides {
+		s.e.Cancel(s.timers[k])
+	}
+	p.op("timer stop")
+}
+
 func (p *phaseDriver) step() {
 	if p.prod.e.Step() != p.ref.e.Step() {
 		p.failed = true
@@ -144,7 +152,7 @@ func (p *phaseDriver) storms(n int) {
 				p.push(1, delay)
 			}
 		}
-		p.push(0, delay) // unsorted, too long to scan
+		p.push(0, delay-p.between(1, 5)) // pulled in from an unsorted bucket too long to scan
 		p.run(delay - 1)
 		at := p.now() + 1
 		for j := 0; j < 3; j++ {
@@ -167,11 +175,137 @@ func (p *phaseDriver) horizons(n int) {
 	}
 }
 
+// pushBacks takes timers through everything that can happen to a pushed-back
+// event between the push and the moment its old filing reaches the head. Each
+// case must agree with the reference like any other op, and must also be the
+// case it claims to be: the calendar's counters say whether the push was
+// recorded or carried out, and whether a head visit moved the slot.
+func (p *phaseDriver) pushBacks(n int) {
+	e := p.engine()
+	// ok sees what f added to the calendar's counters and to Pending.
+	expect := func(what string, f func(), ok func(d calStats, queued int) bool) {
+		b := e.stats
+		pending := e.Pending()
+		f()
+		a := e.stats
+		d := calStats{deferred: a.deferred - b.deferred, headVisits: a.headVisits - b.headVisits, migrated: a.migrated - b.migrated,
+			movedLazy: a.movedLazy - b.movedLazy, movedUnsorted: a.movedUnsorted - b.movedUnsorted, movedSorted: a.movedSorted - b.movedSorted}
+		if !p.failed && !ok(d, e.Pending()-pending) {
+			p.failed = true
+			p.t.Errorf("op %d (%s): counters moved by %+v, Pending %d -> %d", p.ops, what, d, pending, e.Pending())
+		}
+	}
+	moved := func(d calStats) uint64 { return d.movedUnsorted + d.movedSorted + d.movedLazy }
+	// recorded: one push-back noted in the slot, no entry moved, none added.
+	recorded := func(d calStats, queued int) bool { return d.deferred == 1 && moved(d) == 0 && queued == 0 }
+	drain := func() {
+		for p.prod.e.Pending() > 0 && !p.failed {
+			p.step()
+		}
+	}
+	for i := 0; i < n && !p.failed; i++ {
+		k := i % diffTimers
+		near := p.between(50, 400)
+		drain()
+		far := Time(e.nb)<<e.shift + p.between(0, 1000) // beyond the year, whatever the tuning
+
+		// A bucketed event and an overflow event pushed back: recorded, nothing
+		// moves, and the old filing costs one head visit (the overflow one is
+		// first migrated into its bucket).
+		p.push(k, near)
+		expect("push-back, bucketed", func() { p.push(k, 2*near) }, recorded)
+		expect("head visit, bucketed", func() { p.run(near + near/2) }, func(d calStats, _ int) bool { return d.headVisits == 1 })
+		drain()
+		p.push(k, far)
+		if e.slots[p.prod.timers[k].slot].heapPos < 0 {
+			p.failed = true
+			p.t.Errorf("op %d: a timer a year out is not in the overflow rung", p.ops)
+		}
+		expect("push-back, overflow", func() { p.push(k, far+near) }, recorded)
+		expect("head visit, overflow", func() { p.run(far + near/2) }, func(d calStats, _ int) bool { return d.headVisits == 1 && d.migrated >= 1 })
+		drain()
+
+		// Pushed back again and again before the one head visit.
+		p.push(k, near)
+		expect("repeated push-backs", func() {
+			for j := Time(1); j <= 5; j++ {
+				p.push(k, near+j*100)
+			}
+			p.run(near + 450)
+		}, func(d calStats, _ int) bool { return d.deferred == 5 && d.headVisits == 1 })
+		drain()
+
+		// Pushed back, then pulled in ahead of the old filing: carried out at once.
+		p.push(k, near)
+		p.push(k, 3*near)
+		expect("pull-in of a pushed-back event", func() { p.push(k, near/2) }, func(d calStats, queued int) bool {
+			return d.deferred == 0 && moved(d) == 1 && queued == int(d.movedLazy)
+		})
+		expect("no head visit after the pull-in", drain, func(d calStats, _ int) bool { return d.headVisits == 0 })
+
+		// Stopped while pushed back: the old filing is discarded, not moved.
+		fired := len(p.prod.trace)
+		p.push(k, near)
+		p.push(k, 2*near)
+		p.stop(k)
+		expect("stop of a pushed-back event", drain, func(d calStats, _ int) bool { return d.headVisits == 0 })
+		if !p.failed && len(p.prod.trace) != fired {
+			p.failed = true
+			p.t.Errorf("op %d: a stopped timer fired", p.ops)
+		}
+
+		// Run reaches the old filing and stops short of the wanted time: the
+		// slot moves, nothing fires, and the next Run fires it on time.
+		p.push(k, near)
+		p.push(k, 3*near)
+		fired, x := len(p.prod.trace), e.Executed()
+		expect("run to between filing and wanted time", func() { p.run(2 * near) }, func(d calStats, _ int) bool { return d.headVisits == 1 })
+		if !p.failed && (len(p.prod.trace) != fired || e.Executed() != x || e.Pending() != 1) {
+			p.failed = true
+			p.t.Errorf("op %d: head visit fired %d events, Executed %d -> %d, Pending %d", p.ops, len(p.prod.trace)-fired, x, e.Executed(), e.Pending())
+		}
+		p.run(near)
+		if !p.failed && (len(p.prod.trace) != fired+1 || e.Pending() != 0) {
+			p.failed = true
+			p.t.Errorf("op %d: the pushed-back timer did not fire on the second Run", p.ops)
+		}
+
+		// Pushed back inside a bucket too long to scan: no lazy cancel, no
+		// second entry.
+		at := p.between(500, 900)
+		for j := 0; j <= liftMax; j++ {
+			p.schedule(at)
+		}
+		p.push(k, at)
+		expect("push-back in a long bucket", func() { p.push(k, at+p.between(0, 50)) }, recorded)
+		drain()
+
+		// CancelArgs with a pushed-back timer pending: a timer carries no
+		// argument, so nothing is reclaimed and it fires where it was pushed to.
+		p.push(k, near)
+		p.push(k, 2*near)
+		e.CancelArgs(func(arg any) {
+			p.failed = true
+			p.t.Errorf("op %d: CancelArgs reclaimed %v from a pushed-back timer", p.ops, arg)
+		})
+		expect("CancelArgs past a pushed-back timer", drain, func(d calStats, _ int) bool { return d.headVisits == 1 })
+
+		// Reset with a pushed-back event pending: it never fires, and its slot
+		// comes back clean (checkInvariants looks at the free list).
+		if i%64 == 0 {
+			p.push(k, near)
+			p.push(k, far)
+			p.reset()
+		}
+	}
+}
+
 // TestEngineVsReferencePhases is the differential test for the tuner: a few
 // dozen fuzz ops never reach a 512-step tuning period, so this drives both
 // engines through 200 000+ ops in phases, requires identical traces, and
 // requires — through the calendar's own counters — that every tuner decision
-// and every Reschedule path was actually taken.
+// and every Reschedule path was actually taken; pushBacks checks the paths of
+// a pushed-back event case by case.
 func TestEngineVsReferencePhases(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -182,6 +316,7 @@ func TestEngineVsReferencePhases(t *testing.T) {
 				p.horizons(1500)
 				p.sparse(1500)
 				p.storms(40)
+				p.pushBacks(150)
 				p.dense(7000)
 				if round == 0 {
 					p.reset() // a recycled engine starts on the last run's tuning
@@ -218,6 +353,8 @@ func TestEngineVsReferencePhases(t *testing.T) {
 				{"move from an unsorted bucket", st.movedUnsorted},
 				{"move from the sorted head bucket", st.movedSorted},
 				{"lazy-cancel fallback", st.movedLazy},
+				{"push-back recorded in the slot", st.deferred},
+				{"head visit of a pushed-back event", st.headVisits},
 			} {
 				if c.n == 0 {
 					t.Errorf("the program never exercised: %s", c.name)
@@ -275,6 +412,56 @@ func TestEngineFarFutureTimes(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestRearmThenScheduleSameInstant pins Rearm's documented order — that of a
+// Schedule issued at the same spot — against an event scheduled after it, from
+// the same callback, onto the rearm instant. The rearmed occurrence holds the
+// earlier sequence number but is filed only when the callback returns; when
+// both land in the sorted bucket being served (the same day as the firing: gap
+// 0 on a fresh engine's 1 µs days, any of these gaps once the tuner has widened
+// them) it must still be filed ahead of the later tie.
+func TestRearmThenScheduleSameInstant(t *testing.T) {
+	for _, tuned := range []bool{false, true} {
+		for _, gap := range []Time{0, 1, 5, 40} {
+			t.Run(fmt.Sprintf("tuned=%v/gap=%d", tuned, gap), func(t *testing.T) {
+				e := NewEngine()
+				if tuned {
+					var hold func(Time)
+					hold = func(now Time) { e.Schedule(now+400, hold) }
+					for i := 0; i < 4; i++ {
+						e.Schedule(Time(i)*100, hold)
+					}
+					e.Run(500 * Millisecond)
+					if e.shift < 6 {
+						t.Fatalf("warm-up left days of 2^%d µs, want >= 2^6", e.shift)
+					}
+					e.Reset()
+				}
+				at := Time(4) << e.shift // a day's first instant: at+gap stays inside it
+				var order []string
+				fired := false
+				e.Schedule(at, func(now Time) {
+					if fired {
+						order = append(order, "rearmed")
+						return
+					}
+					fired = true
+					order = append(order, "first")
+					e.Rearm(now + gap)
+					e.Schedule(now+gap, func(Time) { order = append(order, "scheduled after the rearm") })
+				})
+				// Company on the firing instant keeps the head bucket sorted and
+				// in service while the callback runs.
+				e.Schedule(at, func(Time) { order = append(order, "company") })
+				e.Run(at + 100)
+				want := []string{"first", "company", "rearmed", "scheduled after the rearm"}
+				if fmt.Sprint(order) != fmt.Sprint(want) {
+					t.Errorf("fire order %q, want %q", order, want)
+				}
+			})
 		}
 	}
 }

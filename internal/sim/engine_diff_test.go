@@ -59,8 +59,14 @@ func (e *Engine) checkInvariants() error {
 			return fmt.Errorf("slot %d queued twice (%s)", idx, where)
 		}
 		seen[idx] = true
-		if e.slots[idx].canceled {
+		s := &e.slots[idx]
+		if s.canceled {
 			canceled++
+		}
+		// A deferred slot is filed under (at, seq) — which the callers check
+		// against the bucket entry or heap order — and wanted no earlier.
+		if s.deferred && (s.wantAt < s.at || s.wantSeq <= s.seq) {
+			return fmt.Errorf("slot %d (%s) filed at (%d,%d) is wanted earlier, at (%d,%d)", idx, where, s.at, s.seq, s.wantAt, s.wantSeq)
 		}
 		return nil
 	}
@@ -123,6 +129,11 @@ func (e *Engine) checkInvariants() error {
 	if canceled != e.canceled {
 		return fmt.Errorf("canceled=%d, queue holds %d canceled entries", e.canceled, canceled)
 	}
+	for _, idx := range e.free {
+		if s := &e.slots[idx]; seen[idx] || s.canceled || s.deferred {
+			return fmt.Errorf("free slot %d: queued=%v canceled=%v deferred=%v", idx, seen[idx], s.canceled, s.deferred)
+		}
+	}
 	return nil
 }
 
@@ -180,7 +191,9 @@ func satAdd(now, d Time) Time {
 
 // sidesAgree reports the first observable difference between the two sides'
 // clocks and counts; with calendar set it also walks the production engine's
-// invariants, which is O(pending).
+// invariants, which is O(pending). Pending is compared net of canceled
+// entries: how many of those are still queued is each implementation's own
+// business (the reference leaves one per Reschedule, the engine almost none).
 func sidesAgree(prod, ref *diffSide, calendar bool) error {
 	if prod.e.Now() != ref.e.Now() {
 		return fmt.Errorf("Now diverged: engine %d, reference %d", prod.e.Now(), ref.e.Now())
@@ -188,8 +201,12 @@ func sidesAgree(prod, ref *diffSide, calendar bool) error {
 	if prod.e.Executed() != ref.e.Executed() {
 		return fmt.Errorf("Executed diverged: engine %d, reference %d", prod.e.Executed(), ref.e.Executed())
 	}
+	p, r := prod.e.(*Engine), ref.e.(*refEngine)
+	if live, want := p.Pending()-p.canceled, r.Pending()-r.canceled; live != want {
+		return fmt.Errorf("live Pending diverged: engine %d, reference %d", live, want)
+	}
 	if calendar {
-		return prod.e.(*Engine).checkInvariants()
+		return p.checkInvariants()
 	}
 	return nil
 }
@@ -235,6 +252,26 @@ func (s *diffSide) scheduleRearm(at, period Time, seq, times int) {
 	}))
 }
 
+// scheduleRearmFirst registers an event that, times-1 more times, re-arms
+// itself gap ahead and only then schedules a child on that same instant. The
+// rearmed occurrence holds the earlier sequence number but is filed after the
+// callback returns, behind the child: it must still fire first.
+func (s *diffSide) scheduleRearmFirst(at, gap Time, seq, times int) {
+	n := times
+	s.ids = append(s.ids, s.e.Schedule(at, func(now Time) {
+		s.trace = append(s.trace, diffFire{seq: seq, at: now})
+		n--
+		if n > 0 {
+			s.e.Rearm(satAdd(now, gap))
+		}
+		child := s.childSeq
+		s.childSeq++
+		s.e.Schedule(satAdd(now, gap), func(cnow Time) {
+			s.trace = append(s.trace, diffFire{seq: child, at: cnow})
+		})
+	}))
+}
+
 // scheduleSpawner registers an event that schedules a fresh child event from
 // inside its callback (the in-callback Schedule path). Child seqs draw from a
 // per-side counter offset far above the driver's op seqs; the counters advance
@@ -272,7 +309,7 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 	}
 
 	for i := 0; i+2 < len(data); i += 3 {
-		op := int(data[i]) % 11
+		op := int(data[i]) % 13
 		payload := Time(data[i+1])<<8 | Time(data[i+2])
 		what := ""
 		switch op {
@@ -401,6 +438,43 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 			for _, s := range sides {
 				s.pushTimer(k, satAdd(s.e.Now(), delay))
 			}
+		case 11: // Rearm, then Schedule at the rearm instant
+			what = "rearm, then schedule on its instant"
+			seq := nextSeq
+			nextSeq++
+			gap := [...]Time{0, 0, 1, 5, 40, 300}[payload%6]
+			at := satAdd(prod.e.Now(), payload%700)
+			for _, s := range sides {
+				s.scheduleRearmFirst(at, gap, seq, int(payload%4)+2)
+				// Company on the first instant, so the bucket that event is
+				// popped from is still being served while its callback runs.
+				s.scheduleTraced(at, seq)
+			}
+		case 12: // a timer pushed back, and what can happen before its old filing is reached
+			what = "deferred push-back"
+			k := int(payload % diffTimers)
+			d := (payload/diffTimers)%500 + 1
+			if payload%3 == 0 { // parked in the overflow rung
+				d += 300_000
+			}
+			now := prod.e.Now()
+			for _, s := range sides {
+				s.pushTimer(k, satAdd(now, d))
+				s.pushTimer(k, satAdd(now, 3*d)) // recorded, not moved
+				switch (payload / 7) % 5 {
+				case 0: // again, before the filing at now+d is reached
+					s.pushTimer(k, satAdd(now, 3*d))
+					s.pushTimer(k, satAdd(now, 4*d))
+				case 1: // pulled in ahead of the filing
+					s.pushTimer(k, satAdd(now, d/2))
+				case 2: // Timer.Stop
+					s.e.Cancel(s.timers[k])
+				case 3: // the filing falls due, the timer does not
+					s.e.Run(satAdd(now, 2*d))
+				case 4: // between the filing and the wanted time
+					s.pushTimer(k, satAdd(now, 2*d))
+				}
+			}
 		}
 		if !check(i, what) {
 			return false
@@ -456,6 +530,16 @@ func engineDiffSeeds() [][]byte {
 		// Events at MaxTime and MaxTime-14 beside near ones: a bounded run must
 		// stop short of them, and the drain must reach them.
 		ops([3]byte{2, 0, 15}, [3]byte{0, 0, 5}, [3]byte{2, 0, 14}, [3]byte{0, 1, 0}, [3]byte{9, 0, 100}, [3]byte{2, 0, 15}, [3]byte{9, 4, 1}),
+		// Rearm, then Schedule on the rearm instant, at gaps 0, 1 and 40 µs:
+		// the rearmed occurrence fires first. Run in between so later ones
+		// meet a calendar already being served.
+		ops([3]byte{11, 0, 0}, [3]byte{11, 0, 2}, [3]byte{9, 0, 50}, [3]byte{11, 0, 7}, [3]byte{11, 0, 4}, [3]byte{9, 1, 0}),
+		// A timer pushed back and then, one mode per op: pushed again (payload
+		// 0), pulled in (7), stopped (14), left behind by a Run that reaches only
+		// its old filing (21: parked in the overflow rung; 22: bucketed), pushed
+		// to between the two (28); a reset with one pending.
+		ops([3]byte{12, 0, 0}, [3]byte{12, 0, 7}, [3]byte{12, 0, 14}, [3]byte{12, 0, 21}, [3]byte{12, 0, 22}, [3]byte{12, 0, 28},
+			[3]byte{8, 0, 0}, [3]byte{12, 1, 0}, [3]byte{9, 0, 0}, [3]byte{12, 0, 22}, [3]byte{9, 2, 0}),
 	}
 	return seeds
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -150,8 +151,20 @@ func TestEngineCancelArgs(t *testing.T) {
 	e.Run(50 * Millisecond) // consume a prefix; the head bucket is mid-pop
 	ranArgs := argFired
 
+	// Two pushed-back events are pending as well, still filed at their old
+	// times: a plain timer, and what was an arg event until Reschedule gave its
+	// slot a plain callback (its argument went back to its owner then).
+	var pushedAt []Time
+	onPushed := func(now Time) { pushedAt = append(pushedAt, now) }
+	e.Reschedule(e.Schedule(60*Millisecond, onPushed), 90*Millisecond, onPushed)
+	taken := new(int)
+	e.Reschedule(e.ScheduleArg(70*Millisecond, onArg, taken), 80*Millisecond, onPushed)
+
 	seen := make(map[*int]int)
 	e.CancelArgs(func(arg any) { seen[arg.(*int)]++ })
+	if seen[taken] != 0 {
+		t.Fatal("CancelArgs reclaimed the argument of an event Reschedule had taken over")
+	}
 	for i, a := range args {
 		want := 1
 		if i%5 == 0 || (i <= 50 && i%7 != 0) {
@@ -169,6 +182,9 @@ func TestEngineCancelArgs(t *testing.T) {
 	}
 	if fired != len(args) {
 		t.Errorf("%d plain events fired, want %d", fired, len(args))
+	}
+	if want := []Time{80 * Millisecond, 90 * Millisecond}; fmt.Sprint(pushedAt) != fmt.Sprint(want) {
+		t.Errorf("pushed-back events fired at %v, want %v", pushedAt, want)
 	}
 	e.Reset()
 	if e.Pending() != 0 {

@@ -24,9 +24,10 @@ func (e *Engine) NewTimer(fn func(now Time)) *Timer {
 
 // Schedule arms the timer to fire at the absolute time at, canceling any
 // pending firing. Re-arming goes through Engine.Reschedule, so a pending
-// timer (the RTO pushed back on every ACK, the pacing timer moved per packet)
-// is moved in its own slot instead of leaving a lazily-canceled corpse per
-// arming.
+// timer keeps its slot and leaves no lazily-canceled corpse per arming: pushed
+// back (the RTO, on every send and every ACK) it is not even moved, the engine
+// only notes the new time; pulled in (the pacing timer, per packet) it is
+// moved on the spot.
 func (t *Timer) Schedule(at Time) {
 	t.id = t.engine.Reschedule(t.id, at, t.fn)
 }
