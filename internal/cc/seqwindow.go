@@ -106,10 +106,18 @@ func (w *seqWindow) forgetBelow(floor int64) {
 }
 
 // clearAll removes every record but keeps the ring's capacity, so a pooled
-// transport's next flow incarnation starts allocation-free.
+// transport's next flow incarnation starts allocation-free. Only the occupied
+// span [lo, hi) is cleared — slots outside it are zero already — which matters
+// once a ring has grown to tens of thousands of records around an old hole.
 func (w *seqWindow) clearAll() {
 	if w.count != 0 {
-		clear(w.recs)
+		from := int(w.lo) & (len(w.recs) - 1)
+		if to := from + int(w.hi-w.lo); to <= len(w.recs) {
+			clear(w.recs[from:to])
+		} else { // the span wraps around the ring's end
+			clear(w.recs[from:])
+			clear(w.recs[:to-len(w.recs)])
+		}
 		w.count = 0
 	}
 	w.lo, w.hi = 0, 0

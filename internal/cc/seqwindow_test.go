@@ -138,3 +138,55 @@ func TestSeqWindowGrowth(t *testing.T) {
 		}
 	}
 }
+
+// TestSeqWindowClearAllSpan pins clearAll's contract on the spans it has to
+// tell apart: it clears [lo, hi) only, in two pieces when the span wraps, and
+// must leave every slot of the ring zero — the invariant put and get rely on —
+// so that a record from before the clear can never resurface.
+func TestSeqWindowClearAllSpan(t *testing.T) {
+	const n = seqWindowMinSize
+	for _, c := range []struct {
+		name     string
+		lo, hi   int64 // records put at every seq in [lo, hi)
+		del      func(seq int64) bool
+		wantLive int
+	}{
+		{"span inside the ring", 5, 20, nil, 15},
+		{"span wrapping the ring's end", n - 10, n + 25, nil, 35},
+		{"span wrapping, far along the sequence space", 1000*n + n - 3, 1000*n + n + 3, nil, 6},
+		{"span equal to the ring", 7, 7 + n, nil, n},
+		{"span equal to the ring, holes inside", 7, 7 + n, func(seq int64) bool { return seq%3 == 0 }, n - 21},
+		{"every record dead, count zero", n - 10, n + 25, func(int64) bool { return true }, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var w seqWindow
+			for seq := c.lo; seq < c.hi; seq++ {
+				w.put(seq, sentRecord{sentAt: sim.Time(seq), queued: true})
+			}
+			for seq := c.lo; seq < c.hi; seq++ {
+				if c.del != nil && c.del(seq) {
+					w.del(seq)
+				}
+			}
+			if len(w.recs) != n || w.Len() != c.wantLive {
+				t.Fatalf("ring of %d holds %d records, want %d and %d", len(w.recs), w.Len(), n, c.wantLive)
+			}
+			w.clearAll()
+			if w.Len() != 0 || w.lo != 0 || w.hi != 0 {
+				t.Errorf("after clearAll: Len=%d lo=%d hi=%d", w.Len(), w.lo, w.hi)
+			}
+			for i, rec := range w.recs {
+				if rec != (sentRecord{}) {
+					t.Fatalf("slot %d still holds %+v after clearAll", i, rec)
+				}
+			}
+			// The next incarnation starts anywhere and sees none of the old one.
+			w.put(c.hi-1, sentRecord{sentAt: 1})
+			for seq := c.lo - 2; seq < c.hi+2; seq++ {
+				if _, ok := w.get(seq); ok != (seq == c.hi-1) {
+					t.Errorf("after clearAll and one put at %d: get(%d) live=%v", c.hi-1, seq, ok)
+				}
+			}
+		})
+	}
+}

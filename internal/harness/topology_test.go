@@ -233,3 +233,37 @@ func TestTopologyDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmSessionAllocsNothingForLanes pins that the engine lanes the network
+// and its links take anew at every reset cost a warm run nothing: their rings
+// survive the engine's Reset. A warm parking-lot session (hop-to-hop, last-hop
+// and acknowledgment lanes, two service lanes) allocates its handful of result
+// slices and no more, however many packets the run carries.
+func TestWarmSessionAllocsNothingForLanes(t *testing.T) {
+	warmAllocs := func(duration sim.Time) (allocs float64, offered int64) {
+		s := parkingLotScenario(20e6, 12e6, func() cc.Algorithm { return newreno.New() })
+		s.Duration = duration
+		ss, err := NewSession(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			res, err := ss.Run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offered = res.Offered
+		}
+		run() // grow slabs, pools and lane rings
+		return testing.AllocsPerRun(3, run), offered
+	}
+	short, shortPkts := warmAllocs(2 * sim.Second)
+	long, longPkts := warmAllocs(6 * sim.Second)
+	t.Logf("warm run: %.0f allocs for %d packets, %.0f allocs for %d packets", short, shortPkts, long, longPkts)
+	if longPkts < 2*shortPkts {
+		t.Fatalf("the long run offered %d packets against %d; it must carry at least twice the traffic", longPkts, shortPkts)
+	}
+	if long > short+4 || short > 100 {
+		t.Errorf("a warm run allocates %.0f times over 2 s and %.0f over 6 s; want the same handful", short, long)
+	}
+}

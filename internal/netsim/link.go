@@ -7,8 +7,10 @@ import (
 )
 
 // Link models the bottleneck: it drains a Queue and hands packets to a
-// delivery callback. Two service models are supported, matching the paper's
-// two topologies:
+// delivery callback. Its service event rides an engine lane of its own (see
+// sim.Lane), taken the first time the link has something to schedule on an
+// engine that has been reset since. Two service models are supported, matching
+// the paper's two topologies:
 //
 //   - Fixed-rate: the link transmits back-to-back packets at RateBps
 //     (the dumbbell and datacenter experiments).
@@ -35,14 +37,22 @@ type Link struct {
 	// closure.
 	serving     *Packet
 	servingTime sim.Time
-	serviceDone func(now sim.Time)
+	serviceDone func(now sim.Time, _ any)
+
+	// svcLane is the engine lane the link's one pending service event (the
+	// service completion, or a trace link's next opportunity) waits in: with at
+	// most one entry it is always in order. hopLane, set by the Network, takes
+	// packets leaving this link for the next hop of their route, a constant
+	// delay away.
+	svcLane sim.Lane
+	hopLane sim.Lane
 
 	// trace-driven service
 	trace       []sim.Time // delivery opportunity times, strictly increasing
 	traceLoop   bool
 	traceIdx    int
 	traceOff    sim.Time // offset added when the trace wraps around
-	opportunity func(now sim.Time)
+	opportunity func(now sim.Time, _ any)
 
 	deliver func(p *Packet, now sim.Time)
 
@@ -99,7 +109,7 @@ func NewTraceLink(engine *sim.Engine, queue Queue, trace []sim.Time, loop bool, 
 // opportunity. Start is idempotent for fixed-rate links.
 func (l *Link) Start(now sim.Time) {
 	if l.trace != nil {
-		l.scheduleNextOpportunity(now, false)
+		l.scheduleNextOpportunity(now)
 	}
 }
 
@@ -194,18 +204,29 @@ func (l *Link) serveNext(now sim.Time) {
 	if l.faults != nil {
 		l.servingTime = l.faultServiceTime(p, now)
 	}
-	l.engine.Schedule(now+l.servingTime, l.serviceDone)
+	l.service().ScheduleArg(now+l.servingTime, l.serviceDone, nil)
+}
+
+// service returns the link's service lane, taking a new one from the engine
+// when the link has none yet or the engine was reset since — so a link built
+// without a Network gets one too. A fixed-rate link asks where a busy period
+// begins, not per packet: while its service event is pending or running the
+// engine has not been reset, so the handle is good.
+func (l *Link) service() sim.Lane {
+	if !l.svcLane.Live() {
+		l.svcLane = l.engine.NewLane()
+	}
+	return l.svcLane
 }
 
 // onServiceDone completes the transmission of the packet in service and
-// starts the next one (fixed-rate links only). During a busy period the
-// link's one service event is rearmed in place per packet rather than
-// released and rescheduled — back-to-back transmissions at a saturated
-// bottleneck, the hottest event pattern in the simulator, reuse a single
-// engine slot for the whole burst.
+// starts the next one (fixed-rate links only). Back-to-back transmissions at
+// a saturated bottleneck are the hottest event pattern in the simulator: the
+// link's one service event goes through its lane, a ring of one entry, and
+// never touches the calendar.
 //
 //repo:hotpath per-packet service completion
-func (l *Link) onServiceDone(t sim.Time) {
+func (l *Link) onServiceDone(t sim.Time, _ any) {
 	p := l.serving
 	l.serving = nil
 	l.busyTime += l.servingTime
@@ -230,10 +251,10 @@ func (l *Link) onServiceDone(t sim.Time) {
 	if l.faults != nil {
 		l.servingTime = l.faultServiceTime(next, t)
 	}
-	l.engine.Rearm(t + l.servingTime)
+	l.svcLane.ScheduleArg(t+l.servingTime, l.serviceDone, nil)
 }
 
-func (l *Link) scheduleNextOpportunity(now sim.Time, rearm bool) {
+func (l *Link) scheduleNextOpportunity(now sim.Time) {
 	for {
 		if l.traceIdx >= len(l.trace) {
 			if !l.traceLoop {
@@ -249,26 +270,23 @@ func (l *Link) scheduleNextOpportunity(now sim.Time, rearm bool) {
 		if at < now {
 			continue // skip opportunities already in the past
 		}
-		if rearm {
-			l.engine.Rearm(at)
-		} else {
-			l.engine.Schedule(at, l.opportunity)
-		}
+		l.service().ScheduleArg(at, l.opportunity, nil)
 		return
 	}
 }
 
 // onOpportunity serves one delivery opportunity of a trace-driven link; an
 // empty queue wastes the opportunity, exactly as in the paper's setup. The
-// opportunity event rearms itself in place for the next trace instant.
+// opportunity event schedules its successor, the next trace instant, through
+// the link's lane.
 //
 //repo:hotpath per-opportunity trace-link service
-func (l *Link) onOpportunity(t sim.Time) {
+func (l *Link) onOpportunity(t sim.Time, _ any) {
 	if l.faults != nil {
 		if down, _ := l.faults.Outage(t); down {
 			// The link is down: the opportunity is wasted even with a
 			// non-empty queue.
-			l.scheduleNextOpportunity(t, true)
+			l.scheduleNextOpportunity(t)
 			return
 		}
 	}
@@ -277,5 +295,5 @@ func (l *Link) onOpportunity(t sim.Time) {
 		l.deliveredBytes += int64(p.Size)
 		l.deliver(p, t)
 	}
-	l.scheduleNextOpportunity(t, true)
+	l.scheduleNextOpportunity(t)
 }

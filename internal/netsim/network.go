@@ -29,6 +29,18 @@ import (
 // instead of reaching whichever flow later reuses the slot. Detached ports
 // can be re-attached (ReattachFlowRoute) without allocating, so a churning
 // steady state recycles ports just like it recycles packets.
+//
+// Every event between hops is scheduled a constant delay after the clock — a
+// packet leaving a link for the next hop (the link's delay), for its receiver
+// or sender (the last link's delay plus the flow's access delay), an
+// acknowledgment returning over pure delay (the access delay) — so each such
+// stream is sorted by construction and waits in an engine lane (sim.Lane)
+// rather than on the calendar. Lanes are keyed by the nominal delay and shared
+// by everything with that delay: in the paper's dumbbell, with its delay-free
+// link and one RTT, data and acknowledgments of every flow ride one lane. A
+// fault's extra delay is simply added to the time; the lane takes the event
+// while times keep rising (a spike beginning) and the calendar takes it when
+// they do not (a spike ending). Either way it fires where it always did.
 
 // AckBytes is the default size of acknowledgment packets traversing
 // reverse-path links (a TCP ACK without options).
@@ -97,9 +109,19 @@ type Network struct {
 	hopApply  func(now sim.Time, arg any)
 	ackDone   func(now sim.Time, arg any)
 
+	// lanes are the engine lanes taken so far, one per distinct nominal delay
+	// (see laneFor).
+	lanes []delayLane
+
 	packetsOffered int64
 	packetsDropped int64
 	acksDropped    int64
+}
+
+// delayLane is the engine lane for events scheduled delay after the clock.
+type delayLane struct {
+	delay sim.Time
+	lane  sim.Lane
 }
 
 // ackCarrier ferries one acknowledgment through its return-path propagation
@@ -136,6 +158,11 @@ type Port struct {
 	// attached is false between DetachFlow and the next ReattachFlowRoute.
 	gen      uint64
 	attached bool
+
+	// Engine lanes, resolved by register: dataLane carries packets from the
+	// last forward link to the receiver, ackLane acknowledgments to the sender
+	// — from the receiver over pure delay, or from the last reverse link.
+	dataLane, ackLane sim.Lane
 
 	packetsSent int64
 	bytesSent   int64
@@ -359,8 +386,47 @@ func (n *Network) validateRoutes(fwd, rev []*Link, oneWay sim.Time) error {
 	return nil
 }
 
-// register places the port in a flow slot (reusing a freed one if available)
-// and stamps a fresh attachment generation.
+// laneFor returns the engine lane for events scheduled delay after the clock,
+// taking a new one for a delay not seen since the engine was last reset (Reset
+// drops every lane, so the handles go stale together). Past the engine's cap
+// the handle it gets files on the calendar; it is kept like any other.
+func (n *Network) laneFor(delay sim.Time) sim.Lane {
+	if len(n.lanes) > 0 && !n.lanes[0].lane.Live() {
+		n.lanes = n.lanes[:0]
+	}
+	for _, dl := range n.lanes {
+		if dl.delay == delay {
+			return dl.lane
+		}
+	}
+	lane := n.engine.NewLane()
+	n.lanes = append(n.lanes, delayLane{delay: delay, lane: lane})
+	return lane
+}
+
+// resolveLanes gives the port and the links it crosses mid-route the lanes of
+// their delays. It runs once per attachment, never per packet; if the engine
+// is reset while the port stays attached the handles go stale and its events
+// wait on the calendar until it registers again.
+func (n *Network) resolveLanes(p *Port) {
+	last := len(p.fwd) - 1
+	p.dataLane = n.laneFor(p.fwd[last].delay + p.oneWay)
+	for _, l := range p.fwd[:last] {
+		l.hopLane = n.laneFor(l.delay)
+	}
+	if len(p.rev) == 0 {
+		p.ackLane = n.laneFor(p.oneWay)
+		return
+	}
+	last = len(p.rev) - 1
+	p.ackLane = n.laneFor(p.rev[last].delay + p.oneWay)
+	for _, l := range p.rev[:last] {
+		l.hopLane = n.laneFor(l.delay)
+	}
+}
+
+// register places the port in a flow slot (reusing a freed one if available),
+// stamps a fresh attachment generation and resolves the port's lanes.
 func (n *Network) register(p *Port) {
 	var slot int
 	if m := len(n.freeSlots); m > 0 {
@@ -377,6 +443,7 @@ func (n *Network) register(p *Port) {
 	p.gen = n.nextGen
 	p.attached = true
 	n.liveFlows++
+	n.resolveLanes(p)
 }
 
 // Flows returns the number of flow slots ever created (attachment order
@@ -450,14 +517,14 @@ func (n *Network) onLinkDelivered(l *Link, p *Packet, now sim.Time) {
 	}
 	if p.hop+1 < len(route) {
 		p.hop++
-		n.engine.ScheduleArg(now+delay, n.hopApply, p)
+		l.hopLane.ScheduleArg(now+delay, n.hopApply, p)
 		return
 	}
 	if p.isAck {
-		n.engine.ScheduleArg(now+delay+port.oneWay, n.ackDone, p)
+		port.ackLane.ScheduleArg(now+delay+port.oneWay, n.ackDone, p)
 		return
 	}
-	n.engine.ScheduleArg(now+delay+port.oneWay, n.propApply, p)
+	port.dataLane.ScheduleArg(now+delay+port.oneWay, n.propApply, p)
 }
 
 // onHopArrived runs when a packet reaches an intermediate hop of its route:
@@ -512,7 +579,7 @@ func (n *Network) onPropagated(t sim.Time, arg any) {
 		// uncongested, as in the paper's setup).
 		ac := n.getAckCarrier()
 		ac.port, ac.ack, ac.gen = port, ack, port.gen
-		n.engine.ScheduleArg(t+port.oneWay, n.ackApply, ac)
+		port.ackLane.ScheduleArg(t+port.oneWay, n.ackApply, ac)
 		return
 	}
 	pa := n.pool.get()

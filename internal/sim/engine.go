@@ -44,10 +44,9 @@ type eventSlot struct {
 	// re-files the queue without them when canceled entries pile up.
 	canceled bool
 	// deferred means the event is wanted under the key (wantAt, wantSeq), not
-	// the (at, seq) it is filed or running under: a push-back that Reschedule
-	// recorded instead of carrying out, or a Rearm. The slot moves to that key
-	// the next time the engine has it in hand — when its filing reaches the
-	// head, or when its callback returns (see refile).
+	// the (at, seq) it is filed under: a push-back that Reschedule recorded
+	// instead of carrying out. The slot moves to that key the next time the
+	// engine has it in hand — when its filing reaches the head (see refile).
 	deferred bool
 	wantAt   Time
 	wantSeq  uint64
@@ -81,6 +80,14 @@ func (s *eventSlot) nextGen() {
 // tests and FuzzEngineVsReference hold this implementation to,
 // fire-for-fire.
 //
+// Beside the calendar the engine keeps up to maxLanes FIFO lanes (see Lane)
+// for event streams that are sorted by construction — constant-delay
+// propagation, a link's one pending service event — and every step runs the
+// smaller by (at, seq) of the calendar's head and the earliest lane head. The
+// fire order is that of a calendar holding every event: a merge of sorted
+// sequences under one total order. The tuner and Cancel's compaction look at
+// the calendar's own events only; Pending counts both.
+//
 // Invariants, whenever control is outside the engine (between calls, and
 // inside event callbacks):
 //   - curDay <= now>>shift: the head never runs ahead of the clock, so an
@@ -94,7 +101,13 @@ func (s *eventSlot) nextGen() {
 //     ascending by (at, seq); entries before curHead are already popped;
 //   - a queued slot's bucket entry or heap position is keyed by its (at, seq),
 //     deferred or not; a deferred slot has wantAt >= at and wantSeq > seq, so
-//     the filing it waits under always pops before the key it is wanted at.
+//     the filing it waits under always pops before the key it is wanted at;
+//   - each lane's entries are sorted ascending by (at, seq) — an entry is
+//     appended only at or after the lane's newest time, under a fresh sequence
+//     number; heads[i] is lane i's head key (noHead when empty) and best/bestKey
+//     name the smallest of them. The head is only ever readied up to the
+//     earliest lane head's day, so curDay <= now>>shift holds inside lane
+//     callbacks too.
 type Engine struct {
 	now   Time
 	slots []eventSlot
@@ -133,10 +146,19 @@ type Engine struct {
 	// workload sizes.
 	executed uint64
 
-	// Rearm support: while a callback runs, its slot is held (not released)
-	// so Rearm can reinsert it in place with zero churn.
+	// inCallback is set while an event callback runs; Reset refuses to run
+	// under one.
 	inCallback bool
-	execIdx    int32
+
+	// Lanes (lane.go). nLanes of them are handed out; handles carry laneEpoch,
+	// which Reset advances. inLanes counts the entries across all lanes.
+	lanes     [maxLanes]lane
+	heads     [maxLanes]laneKey
+	nLanes    int
+	laneEpoch uint32
+	best      int // lane with the smallest head key, -1 when every lane is empty
+	bestKey   laneKey
+	inLanes   int
 }
 
 // calStats counts what the calendar did over the engine's lifetime (Reset
@@ -157,6 +179,9 @@ type calStats struct {
 	// Reschedule to the same or a later time: push-backs recorded in the slot,
 	// and filings that reached the head only to be moved to the recorded key.
 	deferred, headVisits uint64
+	// Lane pushes: appended to a lane, filed on the calendar because they would
+	// have broken the lane's order, and NewLane calls refused at the cap.
+	laned, laneFallbacks, laneRefused uint64
 }
 
 // Queue constants. None is a knob: the tuner moves shift and nb within their
@@ -183,15 +208,24 @@ const (
 // Its calendar starts at the smallest size and the narrowest day; the tuner
 // corrects both within one period of the first run.
 func NewEngine() *Engine {
-	return &Engine{buckets: make([][]bucketEntry, minBuckets), nb: minBuckets, mask: minBuckets - 1}
+	e := &Engine{buckets: make([][]bucketEntry, minBuckets), nb: minBuckets, mask: minBuckets - 1, best: -1, bestKey: noHead}
+	for i := range e.heads {
+		e.heads[i] = noHead
+	}
+	return e
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of events currently scheduled (including
-// canceled events not yet discarded).
-func (e *Engine) Pending() int { return e.inBuckets + len(e.overflow) }
+// Pending returns the number of events currently scheduled, on the calendar
+// (including canceled events not yet discarded) and in lanes.
+func (e *Engine) Pending() int { return e.queued() + e.inLanes }
+
+// queued returns the number of events on the calendar, live or canceled: what
+// the tuner sizes the bucket array for and Cancel weighs canceled entries
+// against. Lane events are not its business.
+func (e *Engine) queued() int { return e.inBuckets + len(e.overflow) }
 
 // Executed returns the number of events that have run.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -497,7 +531,7 @@ func (e *Engine) tune() {
 		e.stats.narrow++
 	}
 
-	n, nb := e.Pending(), e.nb
+	n, nb := e.queued(), e.nb
 	switch {
 	case n > 2*nb && nb < maxBuckets:
 		nb = bucketsFor(n)
@@ -566,49 +600,51 @@ func (e *Engine) clear() {
 	e.curHead = 0
 }
 
-// first readies the earliest pending event and returns its slot index, or -1
-// when none is due by until. After it returns >= 0 the entry is the head
-// bucket's [curHead] with curSorted set. The head never advances past
-// until's day: Run leaves the clock at until, and an event scheduled right
-// after must not find the calendar ahead of it.
+// advance readies the earliest pending calendar event and reports whether
+// there is one the head could reach without passing until's day. After it
+// returns true the event is the head bucket's [curHead] with curSorted set
+// (and may still be later than until). The head never advances past until's
+// day: the clock is about to be left at until (by Run) or at a lane head no
+// later than it (by step), and an event scheduled right after must not find
+// the calendar ahead of it. step calls it only when the head bucket is not
+// already sorted and being served, or when a look at the dequeue rate is due.
 //
 //repo:hotpath per-event dispatch: next-event selection
-func (e *Engine) first(until Time) int32 {
+func (e *Engine) advance(until Time) bool {
 	for {
-		// Checked before the fast path: a day far too wide for the traffic keeps
+		// Checked before anything else: a day far too wide for the traffic keeps
 		// its bucket sorted and refilled for thousands of events, and the tuner
 		// must not wait for it to run dry.
 		if e.ticks >= tunePeriod {
 			e.tune()
 		}
-		bk := e.buckets[e.curDay&e.mask]
 		if e.curSorted {
-			return bk[e.curHead].idx
+			return true
 		}
-		if len(bk) > 0 {
+		if bk := e.buckets[e.curDay&e.mask]; len(bk) > 0 {
 			e.sortBucket(bk)
 			e.curSorted = true
-			return bk[0].idx
+			return true
 		}
 		if e.inBuckets == 0 {
 			if len(e.overflow) == 0 {
 				// If Step popped only canceled events the head is ahead of a
 				// clock that never moved; an empty calendar may fall back.
 				e.curDay = min(e.curDay, int64(e.now)>>e.shift)
-				return -1
+				return false
 			}
 			// Nothing within the year: jump straight to the overflow rung's
 			// earliest day instead of walking there bucket by bucket.
 			at := e.slots[e.overflow[0]].at
 			if at > until {
-				return -1
+				return false
 			}
 			e.curDay = int64(at) >> e.shift
 			e.migrate()
 			continue
 		}
 		if e.curDay >= int64(until)>>e.shift {
-			return -1
+			return false
 		}
 		e.curDay++
 		e.ticks++
@@ -654,7 +690,7 @@ func (e *Engine) sortBucket(bk []bucketEntry) {
 	})
 }
 
-// popFirst removes the entry readied by first, retiring the bucket at once
+// popFirst removes the entry readied by advance, retiring the bucket at once
 // when that was its last.
 //
 //repo:hotpath per-event dispatch: queue pop
@@ -792,41 +828,14 @@ func (e *Engine) pushBack(s *eventSlot, at Time, fn func(Time)) {
 	e.stats.deferred++
 }
 
-// refile files a slot the engine has in hand — just popped, or held through
-// its callback — under the key recorded in it.
+// refile files a slot the engine has just popped under the key recorded in
+// it.
 //
-//repo:hotpath once per head visit of a pushed-back timer, and per Rearm
+//repo:hotpath once per head visit of a pushed-back timer
 func (e *Engine) refile(idx int32) {
 	s := &e.slots[idx]
 	s.at, s.seq, s.deferred = s.wantAt, s.wantSeq, false
 	e.insert(idx)
-}
-
-// Rearm reschedules the currently executing event's callback at the given
-// time, reusing its slot with no free-list churn. It may only be called from
-// inside an event callback, at most once per firing, and consumes the
-// sequence number at the point of the call — so the fire order is exactly
-// that of an equivalent Schedule issued at the same spot. The returned id
-// cancels the rearmed occurrence. Recurring per-packet events (link service
-// completions) use this to turn schedule/fire/release churn into one
-// long-lived slot.
-//
-//repo:hotpath per-packet link service retargeting
-func (e *Engine) Rearm(at Time) EventID {
-	if !e.inCallback {
-		panic("sim: Rearm called outside an executing event callback")
-	}
-	s := &e.slots[e.execIdx]
-	if s.deferred {
-		panic("sim: Rearm called twice from one event callback")
-	}
-	if at < e.now {
-		//lint:ignore hotalloc panic-path formatting; a causality violation aborts the run
-		panic(fmt.Sprintf("sim: Schedule in the past: at=%v now=%v", at, e.now))
-	}
-	s.wantAt, s.wantSeq, s.deferred = at, e.nextSeq, true
-	e.nextSeq++
-	return EventID{slot: e.execIdx, gen: s.gen}
 }
 
 // Cancel prevents a previously scheduled event from running. Canceling an
@@ -843,7 +852,7 @@ func (e *Engine) Cancel(id EventID) {
 	}
 	s.canceled = true
 	e.canceled++
-	if e.canceled >= compactMin && e.canceled*2 >= e.Pending() {
+	if e.canceled >= compactMin && e.canceled*2 >= e.queued() {
 		e.rebucket(e.shift, e.nb) // re-filing drops the canceled entries
 	}
 }
@@ -871,8 +880,10 @@ func (e *Engine) eachPending(visit func(idx int32)) {
 // take them back before a reset; Reset alone would drop them with their
 // slots, and every warm run would re-allocate a bandwidth-delay product of
 // them. All ScheduleArg events are canceled, whoever scheduled them, so an
-// engine's arguments must have one owner.
+// engine's arguments must have one owner. Lane events are among them: their
+// arguments are reclaimed too and the entries dropped at once (the lanes stay).
 func (e *Engine) CancelArgs(reclaim func(arg any)) {
+	e.emptyLanes(reclaim)
 	e.eachPending(func(idx int32) {
 		s := &e.slots[idx]
 		if s.argFn == nil || s.canceled {
@@ -890,9 +901,11 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Reset discards all pending events (outstanding EventIDs and Timers go
 // stale, never firing), rewinds the clock to zero and zeroes the counters,
-// while keeping the slot slab, free list, bucket and heap capacity for
-// reuse. A pooled engine Reset between runs schedules with zero allocation
-// from the first event on. The calendar's day width and bucket count are
+// while keeping the slot slab, free list, bucket, heap and lane-ring capacity
+// for reuse. A pooled engine Reset between runs schedules with zero allocation
+// from the first event on. Every lane is dropped with its entries and Lane
+// handles go stale: who rides which lane is the next run's to decide, and a
+// stale handle files on the calendar, so a forgotten one costs speed only. The calendar's day width and bucket count are
 // kept too: the next run most likely resembles the last, and they decide only
 // where an event waits, never when it fires (pop order is always (at, seq)),
 // so reuse cannot change any run's observable behavior.
@@ -902,6 +915,9 @@ func (e *Engine) Reset() {
 	}
 	e.eachPending(e.release)
 	e.clear()
+	e.emptyLanes(nil)
+	e.nLanes = 0
+	e.laneEpoch++
 	e.canceled = 0
 	e.curDay = 0
 	e.ticks = 0
@@ -914,13 +930,14 @@ func (e *Engine) Reset() {
 	e.nextSeq = 0
 }
 
-// execFirst pops the earliest event (readied by first) and runs it,
+// execFirst pops the earliest calendar event (readied by advance) and runs it,
 // reporting whether a live event executed: a canceled one is discarded, and a
-// pushed-back one is only moved to where it is wanted. The slot's generation
-// advances before the callback runs — so the event's own id is already stale
-// inside the callback, exactly as if the slot had been released — but the
-// slot itself is held until the callback returns, which lets Rearm reinsert
-// it in place.
+// pushed-back one is only moved to where it is wanted. The slot is released
+// before the callback runs — the event's own id is already stale inside the
+// callback, and the free list, being LIFO, hands the callback's first Schedule
+// this still-hot slot.
+//
+//repo:hotpath per-event dispatch of a calendar event
 func (e *Engine) execFirst(idx int32) bool {
 	e.popFirst()
 	s := &e.slots[idx]
@@ -936,52 +953,86 @@ func (e *Engine) execFirst(idx int32) bool {
 	}
 	at := s.at
 	fn, argFn, arg := s.fn, s.argFn, s.arg
-	s.nextGen()
+	e.release(idx)
 	e.now = at
 	e.executed++
 	e.inCallback = true
-	e.execIdx = idx
 	if fn != nil {
 		fn(at)
 	} else {
 		argFn(at, arg)
 	}
 	e.inCallback = false
-	// The callback may have scheduled events and grown the slab, so the slot
-	// is looked up by index again.
-	if e.slots[idx].deferred { // rearmed
-		e.refile(idx)
-	} else {
-		e.recycle(idx) // the generation already moved before the callback
-	}
 	return true
 }
 
-// Run executes events in time order until the queue is empty or the clock
-// would pass the `until` horizon. The clock is left at min(until, time of
-// last executed event); events scheduled after `until` remain queued.
+// stepped is what one step of the engine did.
+type stepped uint8
+
+const (
+	stepIdle    stepped = iota // nothing is due by the horizon
+	stepSkipped                // a canceled entry was discarded or a pushed-back one moved
+	stepRan                    // an event ran
+)
+
+// step runs the earliest pending event due by until, calendar head or lane
+// head, whichever is smaller by (at, seq). The calendar is asked for its head
+// only up to the earliest lane head: advance never moves the head past its
+// horizon's day, so when the lane head runs and sets the clock, the calendar's
+// head is not ahead of it and the callback can schedule at any time from now
+// on. A calendar event later than that horizon loses to the lane head anyway.
+//
+//repo:hotpath per-event dispatch: the merge of the calendar and the lanes
+func (e *Engine) step(until Time) stepped {
+	lk := e.bestKey
+	// The common case needs no call: the head bucket is sorted and being served.
+	if (e.curSorted && e.ticks < tunePeriod) || e.advance(min(until, lk.at)) {
+		// The head's key is inline in its bucket entry; the slot is not loaded
+		// unless the event runs.
+		en := &e.buckets[e.curDay&e.mask][e.curHead]
+		if en.at < lk.at || (en.at == lk.at && en.seq < lk.seq) {
+			switch {
+			case en.at > until:
+				return stepIdle
+			case e.execFirst(en.idx):
+				return stepRan
+			}
+			return stepSkipped
+		}
+	}
+	if e.best < 0 || lk.at > until {
+		return stepIdle
+	}
+	e.execLane()
+	return stepRan
+}
+
+// Run executes events in (time, sequence) order, calendar and lane events
+// alike, until none is left or the next one lies beyond the `until` horizon,
+// and leaves the clock at until; events scheduled after `until` remain queued.
+// A Run ended by Stop leaves the clock at the event that stopped it: earlier
+// events may still be pending, and the next Run must not find the clock ahead
+// of them.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	for !e.stopped {
-		idx := e.first(until)
-		if idx < 0 || e.slots[idx].at > until {
-			break
+		if e.step(until) == stepIdle {
+			if e.now < until {
+				e.now = until
+			}
+			return
 		}
-		e.execFirst(idx)
-	}
-	if e.now < until {
-		e.now = until
 	}
 }
 
-// Step executes the single next event, if any, and reports whether one ran.
+// Step executes the single next event, calendar or lane, if any, and reports
+// whether one ran.
 func (e *Engine) Step() bool {
 	for {
-		idx := e.first(MaxTime)
-		if idx < 0 {
+		switch e.step(MaxTime) {
+		case stepIdle:
 			return false
-		}
-		if e.execFirst(idx) {
+		case stepRan:
 			return true
 		}
 	}

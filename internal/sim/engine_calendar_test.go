@@ -85,12 +85,54 @@ func (p *phaseDriver) run(d Time) {
 	p.op("run")
 }
 
+// reset resets both engines and drops the lane handles, stale from here on, so
+// the next push on lane k takes a new lane from the engine.
 func (p *phaseDriver) reset() {
 	for _, s := range p.sides {
 		s.e.Reset()
 		s.ids = s.ids[:0]
+		s.lanes = [diffLanes]diffLane{}
 	}
 	p.op("reset")
+}
+
+// lanePush pushes a traced event onto lane k, delay ahead.
+func (p *phaseDriver) lanePush(k int, delay Time) {
+	seq := p.nextSeq
+	p.nextSeq++
+	for _, s := range p.sides {
+		s.lane(k).ScheduleArg(s.e.Now()+delay, s.packetFn, diffPacket{label: seq})
+	}
+	p.op("lane push")
+}
+
+// packet sends a packet over lane k and hops more lanes after it.
+func (p *phaseDriver) packet(k, hops int) {
+	seq := p.nextSeq
+	p.nextSeq++
+	for _, s := range p.sides {
+		s.sendPacket(k, seq, hops)
+	}
+	p.op("lane packet")
+}
+
+// cancelArgs takes every ScheduleArg event back on both sides and checks that
+// they gave up the same arguments, each once.
+func (p *phaseDriver) cancelArgs() {
+	for _, s := range p.sides {
+		s.e.CancelArgs(s.reclaim)
+	}
+	if err := reclaimedAgree(p.prod, p.ref); err != nil && !p.failed {
+		p.failed = true
+		p.t.Errorf("op %d: %v", p.ops, err)
+	}
+	p.op("cancel args")
+}
+
+func (p *phaseDriver) drain() {
+	for p.prod.e.Pending() > 0 && !p.failed {
+		p.step()
+	}
 }
 
 func (p *phaseDriver) between(lo, hi Time) Time { return p.rng.UniformTime(lo, hi+1) }
@@ -107,10 +149,10 @@ func (p *phaseDriver) dense(n int) {
 }
 
 // packets: the ACK clock. Each round files a next-hop event under a
-// millisecond out and a propagation event 75 ms out, pushes an RTO-like timer
-// parked 0.2-1 s out, a pacing timer a few hundred microseconds out and one
-// due almost at once (so it often sits in the bucket being served), and
-// fires two events.
+// millisecond out and a propagation event 75 ms out, sends a packet over the
+// 75 ms lane, pushes an RTO-like timer parked 0.2-1 s out, a pacing timer a few
+// hundred microseconds out and one due almost at once (so it often sits in the
+// bucket being served), and fires three events.
 func (p *phaseDriver) packets(n int) {
 	for i := 0; i < 300; i++ {
 		p.schedule(p.between(0, 75*Millisecond))
@@ -118,6 +160,8 @@ func (p *phaseDriver) packets(n int) {
 	for i := 0; i < n; i++ {
 		p.schedule(p.between(700, 900))
 		p.schedule(p.between(74*Millisecond, 76*Millisecond))
+		p.packet(6, 0)
+		p.step()
 		p.push(i%8, p.between(200*Millisecond, Second))
 		p.push(8+i%2, p.between(100, 400))
 		p.push(10+i%2, p.between(0, 40))
@@ -198,11 +242,7 @@ func (p *phaseDriver) pushBacks(n int) {
 	moved := func(d calStats) uint64 { return d.movedUnsorted + d.movedSorted + d.movedLazy }
 	// recorded: one push-back noted in the slot, no entry moved, none added.
 	recorded := func(d calStats, queued int) bool { return d.deferred == 1 && moved(d) == 0 && queued == 0 }
-	drain := func() {
-		for p.prod.e.Pending() > 0 && !p.failed {
-			p.step()
-		}
-	}
+	drain := p.drain
 	for i := 0; i < n && !p.failed; i++ {
 		k := i % diffTimers
 		near := p.between(50, 400)
@@ -300,12 +340,164 @@ func (p *phaseDriver) pushBacks(n int) {
 	}
 }
 
+// lanes takes lane events through everything the merge with the calendar has
+// to get right. As in pushBacks, each case must agree with the reference (for
+// which a lane push is a plain ScheduleArg) and must be the case it claims to
+// be: the counters say whether a push rode a lane, fell back because it would
+// have broken the lane's order, or met the cap.
+func (p *phaseDriver) lanes(n int) {
+	e := p.engine()
+	expect := func(what string, f func(), laned, fallbacks uint64) {
+		b := e.stats
+		f()
+		if a := e.stats; !p.failed && (a.laned-b.laned != laned || a.laneFallbacks-b.laneFallbacks != fallbacks) {
+			p.failed = true
+			p.t.Errorf("op %d (%s): %d pushes rode a lane and %d fell back, want %d and %d",
+				p.ops, what, a.laned-b.laned, a.laneFallbacks-b.laneFallbacks, laned, fallbacks)
+		}
+	}
+	fail := func(format string, args ...any) {
+		if !p.failed {
+			p.failed = true
+			p.t.Errorf("op %d: "+format, append([]any{p.ops}, args...)...)
+		}
+	}
+	for i := 0; i < n && !p.failed; i++ {
+		p.drain()
+		p.reset() // all eight lanes are free again
+		a, b := i%maxLanes, (i+3)%maxLanes
+		d := p.between(20, 400)
+
+		// One instant shared by a calendar event, a lane entry and another
+		// calendar event, scheduled in that order: they fire in that order.
+		expect("tie", func() {
+			p.schedule(d)
+			p.lanePush(a, d)
+			p.schedule(d)
+			p.drain()
+		}, 1, 0)
+
+		// Two lanes whose heads alternate, calendar events in between, and a
+		// timer pushed back across them.
+		expect("interleaved lanes", func() {
+			for j := Time(1); j <= 3; j++ {
+				p.lanePush(a, 20*j)
+				p.lanePush(b, 20*j+10)
+				p.schedule(20*j + 5)
+			}
+			p.push(i%diffTimers, 15)
+			p.push(i%diffTimers, 45)
+			p.drain()
+		}, 6, 0)
+
+		// A push earlier than the lane's newest entry files on the calendar and
+		// fires in key order all the same; one at the newest entry's own time is
+		// in order and rides.
+		expect("non-monotone push", func() {
+			p.lanePush(a, 2*d)
+			p.lanePush(a, d)
+			p.lanePush(a, 2*d)
+			p.drain()
+		}, 2, 1)
+
+		// Packets a constant delay ahead, forwarded lane to lane from inside the
+		// callbacks while the clock advances: all ride.
+		expect("forwarded packets", func() {
+			for j := 0; j < 4; j++ {
+				p.packet(a, 2)
+				p.run(p.between(0, 3))
+			}
+			p.drain()
+		}, 12, 0)
+
+		// Run stops between a lane head and the calendar head, in both orders;
+		// then both are undercut by events at the clock.
+		for _, laneFirst := range []bool{true, false} {
+			near, far := d, 3*d
+			if !laneFirst {
+				near, far = far, near
+			}
+			p.lanePush(a, near)
+			p.schedule(far)
+			fired := len(p.prod.trace)
+			p.run(2 * d)
+			if len(p.prod.trace) != fired+1 || e.Pending() != 1 {
+				fail("a Run to between a lane entry and a calendar event fired %d events and left %d pending", len(p.prod.trace)-fired, e.Pending())
+			}
+			p.lanePush(b, 0)
+			p.schedule(0)
+			p.drain()
+		}
+
+		// Stop from a lane callback: the Run ends there, the clock stays there,
+		// and the next Run picks up what is left.
+		seq := p.nextSeq
+		p.nextSeq++
+		for _, s := range p.sides {
+			s.scheduleLaneStop(a, s.e.Now()+d, seq)
+		}
+		p.lanePush(a, 2*d)
+		p.schedule(2 * d)
+		at := p.now() + d
+		p.run(10 * d)
+		if p.now() != at || e.Pending() != 2 {
+			fail("a Run stopped from a lane callback at %d left the clock at %d with %d events pending, want 2", at, p.now(), e.Pending())
+		}
+		p.run(10 * d)
+
+		// The ninth lane: refused, and its events file on the calendar.
+		refused := e.stats.laneRefused
+		expect("lanes past the cap", func() {
+			for k := 0; k < diffLanes; k++ {
+				p.lanePush(k, d+Time(k))
+			}
+		}, maxLanes, 0)
+		if got := e.stats.laneRefused - refused; got != diffLanes-maxLanes {
+			fail("%d lanes of %d were refused, want %d", got, diffLanes, diffLanes-maxLanes)
+		}
+
+		// CancelArgs with entries pending in lanes and on the calendar: each
+		// argument comes back once, nothing fires, the lanes stay usable.
+		fired := len(p.prod.trace)
+		p.cancelArgs()
+		if len(p.prod.reclaimed) < diffLanes {
+			fail("CancelArgs reclaimed %d arguments so far, want at least %d", len(p.prod.reclaimed), diffLanes)
+		}
+		expect("push after CancelArgs", func() { p.lanePush(a, d) }, 1, 0)
+		p.drain()
+		if len(p.prod.trace) != fired+1 {
+			fail("%d events fired around a CancelArgs, want only the one pushed after it", len(p.prod.trace)-fired)
+		}
+
+		// Reset with lane entries pending: they never fire, and the handles are
+		// stale — their events file on the calendar, counted neither as riding
+		// nor as falling back.
+		p.packet(a, 1)
+		p.lanePush(b, d)
+		stale := [2][diffLanes]diffLane{p.prod.lanes, p.ref.lanes}
+		p.reset()
+		p.prod.lanes, p.ref.lanes = stale[0], stale[1]
+		if e.Pending() != 0 {
+			fail("Reset left %d events pending", e.Pending())
+		}
+		fired = len(p.prod.trace)
+		expect("stale handle", func() {
+			p.lanePush(a, d)
+			p.lanePush(b, d/2)
+			p.drain()
+		}, 0, 0)
+		if len(p.prod.trace) != fired+2 {
+			fail("%d events fired through stale handles, want 2", len(p.prod.trace)-fired)
+		}
+	}
+}
+
 // TestEngineVsReferencePhases is the differential test for the tuner: a few
 // dozen fuzz ops never reach a 512-step tuning period, so this drives both
 // engines through 200 000+ ops in phases, requires identical traces, and
 // requires — through the calendar's own counters — that every tuner decision
 // and every Reschedule path was actually taken; pushBacks checks the paths of
-// a pushed-back event case by case.
+// a pushed-back event case by case, and lanes those of a lane event.
 func TestEngineVsReferencePhases(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -317,6 +509,7 @@ func TestEngineVsReferencePhases(t *testing.T) {
 				p.sparse(1500)
 				p.storms(40)
 				p.pushBacks(150)
+				p.lanes(60)
 				p.dense(7000)
 				if round == 0 {
 					p.reset() // a recycled engine starts on the last run's tuning
@@ -355,6 +548,9 @@ func TestEngineVsReferencePhases(t *testing.T) {
 				{"lazy-cancel fallback", st.movedLazy},
 				{"push-back recorded in the slot", st.deferred},
 				{"head visit of a pushed-back event", st.headVisits},
+				{"lane push", st.laned},
+				{"lane push out of order", st.laneFallbacks},
+				{"lane refused at the cap", st.laneRefused},
 			} {
 				if c.n == 0 {
 					t.Errorf("the program never exercised: %s", c.name)
@@ -416,14 +612,17 @@ func TestEngineFarFutureTimes(t *testing.T) {
 	}
 }
 
-// TestRearmThenScheduleSameInstant pins Rearm's documented order — that of a
-// Schedule issued at the same spot — against an event scheduled after it, from
-// the same callback, onto the rearm instant. The rearmed occurrence holds the
-// earlier sequence number but is filed only when the callback returns; when
-// both land in the sorted bucket being served (the same day as the firing: gap
-// 0 on a fresh engine's 1 µs days, any of these gaps once the tuner has widened
-// them) it must still be filed ahead of the later tie.
-func TestRearmThenScheduleSameInstant(t *testing.T) {
+// TestRefiledKeyOlderThanBucketTail pins the full-key comparison on
+// insertSorted's tail-append fast path. A pushed-back timer's sequence number
+// is reserved at the push and the slot filed only when its old filing reaches
+// the head; an event scheduled in between onto the timer's new instant holds a
+// newer number and, when both land in the sorted bucket being served (the same
+// day as the old filing: gap 0 on a fresh engine's 1 µs days, any of these gaps
+// once the tuner has widened them), sits at the bucket's tail when the timer
+// arrives. The timer must be filed ahead of it, not appended behind. (Lane
+// events that fall back to the calendar cannot produce this: they take their
+// sequence number as they are filed.)
+func TestRefiledKeyOlderThanBucketTail(t *testing.T) {
 	for _, tuned := range []bool{false, true} {
 		for _, gap := range []Time{0, 1, 5, 40} {
 			t.Run(fmt.Sprintf("tuned=%v/gap=%d", tuned, gap), func(t *testing.T) {
@@ -442,24 +641,23 @@ func TestRearmThenScheduleSameInstant(t *testing.T) {
 				}
 				at := Time(4) << e.shift // a day's first instant: at+gap stays inside it
 				var order []string
-				fired := false
+				timer := e.NewTimer(func(Time) { order = append(order, "timer") })
+				// The first event sorts the bucket and keeps it in service; the
+				// timer's old filing is the second entry.
 				e.Schedule(at, func(now Time) {
-					if fired {
-						order = append(order, "rearmed")
-						return
-					}
-					fired = true
 					order = append(order, "first")
-					e.Rearm(now + gap)
-					e.Schedule(now+gap, func(Time) { order = append(order, "scheduled after the rearm") })
+					timer.Schedule(now + gap) // recorded in the slot, not moved
+					e.Schedule(now+gap, func(Time) { order = append(order, "scheduled after the push-back") })
 				})
-				// Company on the firing instant keeps the head bucket sorted and
-				// in service while the callback runs.
-				e.Schedule(at, func(Time) { order = append(order, "company") })
+				timer.Schedule(at)
+				before := e.stats
 				e.Run(at + 100)
-				want := []string{"first", "company", "rearmed", "scheduled after the rearm"}
+				want := []string{"first", "timer", "scheduled after the push-back"}
 				if fmt.Sprint(order) != fmt.Sprint(want) {
 					t.Errorf("fire order %q, want %q", order, want)
+				}
+				if d := e.stats.headVisits - before.headVisits; d != 1 {
+					t.Errorf("the timer's old filing was visited %d times, want 1: the push-back was not a recorded one", d)
 				}
 			})
 		}
@@ -574,13 +772,20 @@ func TestEngineAdaptsToRateChange(t *testing.T) {
 // thousands, falls to a few dozen and rises again, so the calendar shrinks
 // and regrows its bucket array; once every run starts from the tuning the
 // last one ended on, none of that may allocate — in particular the regrowth
-// must find the bucket slices the shrink retired.
+// must find the bucket slices the shrink retired. Half the events ride lanes
+// taken anew after each Reset — a propagation lane some hundreds of entries
+// deep and a service lane of one — and must find the rings the last run grew.
 func TestEngineWarmResetZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	h := newHoldModel(e)
 	h.mean = 2000
+	var prop, svc Lane
+	arrive := func(Time, any) {}
+	var serve func(Time, any)
+	serve = func(now Time, _ any) { svc.ScheduleArg(now+3, serve, nil) }
 	// Each event steers the population toward target: below it, it leaves two
-	// successors; well above it, none; otherwise one.
+	// successors; well above it, none; otherwise one. Each also sends a packet
+	// down the propagation lane.
 	var target int
 	h.fn = func(now Time) {
 		successors := 1
@@ -593,9 +798,12 @@ func TestEngineWarmResetZeroAllocs(t *testing.T) {
 		for i := 0; i < successors; i++ {
 			e.Schedule(now+h.delay(), h.fn)
 		}
+		prop.ScheduleArg(now+500, arrive, nil)
 	}
 	run := func() {
 		e.Reset()
+		prop, svc = e.NewLane(), e.NewLane()
+		svc.ScheduleArg(0, serve, nil)
 		h.state = 1
 		target = 3000
 		for i := 0; i < 100; i++ {
@@ -618,7 +826,12 @@ func TestEngineWarmResetZeroAllocs(t *testing.T) {
 		t.Fatalf("a warm run shrank the calendar %d times and grew it %d times; the program must do both",
 			after.shrink-before.shrink, after.grow-before.grow)
 	}
+	before = e.stats
 	run()
+	if after := e.stats; after.laned-before.laned < 10000 || after.laneFallbacks != 0 || after.laneRefused != 0 {
+		t.Fatalf("a warm run put %d events on lanes (%d fell back, %d lanes refused); the program must ride them",
+			after.laned-before.laned, after.laneFallbacks, after.laneRefused)
+	}
 	if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
 		t.Errorf("a warm run → Reset → same run allocates %.0f times, want 0", allocs)
 	}

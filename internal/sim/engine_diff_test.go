@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,9 +11,9 @@ import (
 // Engine and the reference 4-ary-heap refEngine (reference_test.go). Both
 // expose the identical queue contract, so a byte-decoded op program —
 // schedules at equal timestamps, cancel storms that force slot reuse,
-// reschedules, timers pushed back op after op, self-rearming events, resets,
-// bounded runs, events at MaxTime — must produce byte-identical execution
-// traces on both. FuzzEngineVsReference explores the op space;
+// reschedules, timers pushed back op after op, events riding lanes (which the
+// reference files like any other), resets, bounded and stopped runs, events at
+// MaxTime — must produce byte-identical execution traces on both. FuzzEngineVsReference explores the op space;
 // TestEngineVsReferenceQuick covers it with testing/quick on every plain
 // `go test` (including the -race CI job, which also replays the fuzz seed
 // corpus through the fuzz target).
@@ -24,10 +25,11 @@ type queueEngine interface {
 	Pending() int
 	Executed() uint64
 	Schedule(at Time, fn func(now Time)) EventID
+	ScheduleArg(at Time, fn func(now Time, arg any), arg any) EventID
 	ScheduleAfter(delay Time, fn func(now Time)) EventID
 	Reschedule(id EventID, at Time, fn func(now Time)) EventID
-	Rearm(at Time) EventID
 	Cancel(id EventID)
+	CancelArgs(reclaim func(arg any))
 	Run(until Time)
 	Step() bool
 	Stop()
@@ -39,18 +41,74 @@ var (
 	_ queueEngine = (*refEngine)(nil)
 )
 
-// checkInvariants verifies the calendar invariants documented on Engine, plus
-// the bookkeeping the rest of the engine relies on (inBuckets, canceled,
-// heapPos, the inline keys). It is O(pending + nb), for tests only.
+// checkLanes verifies the lane invariants documented on Engine: every lane
+// sorted by (at, seq), the head keys and the cached best lane true, the entry
+// count right, nothing left in a lane that was not handed out, and the
+// calendar's head not ahead of the clock. It is O(lane entries), cheap enough
+// to run from inside lane callbacks.
+func (e *Engine) checkLanes() error {
+	if e.curDay > int64(e.now)>>e.shift {
+		return fmt.Errorf("head day %d is ahead of the clock's day %d", e.curDay, int64(e.now)>>e.shift)
+	}
+	laned := 0
+	best, bestKey := -1, noHead
+	for i := range e.lanes {
+		ln := &e.lanes[i]
+		if len(ln.buf)&(len(ln.buf)-1) != 0 || ln.n < 0 || ln.n > len(ln.buf) {
+			return fmt.Errorf("lane %d: ring of %d holds %d entries", i, len(ln.buf), ln.n)
+		}
+		if i >= e.nLanes && ln.n != 0 {
+			return fmt.Errorf("lane %d was not handed out (nLanes=%d) and holds %d entries", i, e.nLanes, ln.n)
+		}
+		head := noHead
+		var prev laneKey
+		for j := 0; j < ln.n; j++ {
+			en := &ln.buf[(ln.head+j)&(len(ln.buf)-1)]
+			k := laneKey{at: en.at, seq: en.seq}
+			switch {
+			case en.fn == nil:
+				return fmt.Errorf("lane %d entry %d has no callback", i, j)
+			case en.at < e.now || en.seq >= e.nextSeq:
+				return fmt.Errorf("lane %d entry %d keyed (%d,%d) with the clock at %d and nextSeq %d", i, j, en.at, en.seq, e.now, e.nextSeq)
+			case j == 0:
+				head = k
+			case !prev.less(k):
+				return fmt.Errorf("lane %d out of order at entry %d: (%d,%d) after (%d,%d)", i, j, k.at, k.seq, prev.at, prev.seq)
+			}
+			prev = k
+		}
+		if ln.n > 0 && ln.lastAt != prev.at {
+			return fmt.Errorf("lane %d: lastAt=%d, newest entry is at %d", i, ln.lastAt, prev.at)
+		}
+		if e.heads[i] != head {
+			return fmt.Errorf("lane %d: cached head key %+v, ring says %+v", i, e.heads[i], head)
+		}
+		if head.less(bestKey) {
+			best, bestKey = i, head
+		}
+		laned += ln.n
+	}
+	if laned != e.inLanes || e.Pending() != e.queued()+laned {
+		return fmt.Errorf("laned=%d Pending=%d, lanes hold %d and the calendar %d", e.inLanes, e.Pending(), laned, e.queued())
+	}
+	if e.best != best || e.bestKey != bestKey {
+		return fmt.Errorf("best lane cached as %d %+v, the smallest head is %d %+v", e.best, e.bestKey, best, bestKey)
+	}
+	return nil
+}
+
+// checkInvariants verifies the calendar and lane invariants documented on
+// Engine, plus the bookkeeping the rest of the engine relies on (inBuckets,
+// canceled, heapPos, the inline keys). It is O(pending + nb), for tests only.
 func (e *Engine) checkInvariants() error {
+	if err := e.checkLanes(); err != nil {
+		return err
+	}
 	if e.nb < minBuckets || e.nb > maxBuckets || e.nb&(e.nb-1) != 0 || e.mask != int64(e.nb-1) || len(e.buckets) < e.nb {
 		return fmt.Errorf("calendar shape: nb=%d mask=%d len(buckets)=%d", e.nb, e.mask, len(e.buckets))
 	}
 	if e.shift > maxShift {
 		return fmt.Errorf("shift %d past maxShift", e.shift)
-	}
-	if e.curDay > int64(e.now)>>e.shift {
-		return fmt.Errorf("head day %d is ahead of the clock's day %d", e.curDay, int64(e.now)>>e.shift)
 	}
 	seen := make([]bool, len(e.slots))
 	canceled := 0
@@ -156,6 +214,36 @@ type diffSide struct {
 	// to *Engine).
 	timers  [diffTimers]EventID
 	timerFn [diffTimers]func(Time)
+	// lanes are taken on first use (nil until then), so the production side
+	// meets its cap at the ninth distinct one; for the reference a lane is a
+	// plain ScheduleArg. reclaimed collects the labels CancelArgs handed back.
+	newLane   func() diffLane
+	lanes     [diffLanes]diffLane
+	packetFn  func(Time, any)
+	reclaimed []int
+	// inCallback, when set, checks the engine's lane invariants from inside a
+	// lane callback; the first failure is kept in err.
+	inCallback func() error
+	err        error
+}
+
+// diffLane is a lane as the driver sees it: Engine's Lane, or refLane.
+type diffLane interface {
+	ScheduleArg(at Time, fn func(now Time, arg any), arg any)
+}
+
+// refLane is the reference semantics of a Lane: the engine's own ScheduleArg.
+type refLane struct{ e *refEngine }
+
+func (l refLane) ScheduleArg(at Time, fn func(now Time, arg any), arg any) {
+	l.e.ScheduleArg(at, fn, arg)
+}
+
+// diffPacket is the argument of every lane event the driver pushes: its trace
+// label, and for the propagation pattern the lane it rides and how many more
+// lanes it crosses after this one.
+type diffPacket struct {
+	label, lane, hops int
 }
 
 // diffTimers is how many timers each side owns; their trace labels start at
@@ -163,7 +251,15 @@ type diffSide struct {
 const (
 	diffTimers   = 12
 	diffTimerSeq = 1 << 29
+	// diffLanes is how many lanes each side uses, two more than an engine
+	// hands out.
+	diffLanes = maxLanes + 2
 )
+
+// diffLaneDelays is each lane's nominal delay for the propagation pattern:
+// zero, microseconds, the dumbbell's 75 ms, past a fresh calendar's year, and
+// two lanes sharing one delay.
+var diffLaneDelays = [diffLanes]Time{0, 1, 7, 150, 150, 1000, 75_000, 300_000, 40, 5}
 
 func newDiffSide(e queueEngine) *diffSide {
 	s := &diffSide{e: e, childSeq: 1 << 30}
@@ -172,7 +268,76 @@ func newDiffSide(e queueEngine) *diffSide {
 			s.trace = append(s.trace, diffFire{seq: diffTimerSeq + k, at: now})
 		}
 	}
+	switch e := e.(type) {
+	case *Engine:
+		s.newLane = func() diffLane { return e.NewLane() }
+		calls := 0
+		s.inCallback = func() error {
+			if calls++; e.inLanes >= 256 && calls%64 != 0 {
+				return nil
+			}
+			return e.checkLanes()
+		}
+	case *refEngine:
+		s.newLane = func() diffLane { return refLane{e} }
+	}
+	s.packetFn = s.onPacket
 	return s
+}
+
+// lane returns the side's lane k, taking it on first use.
+func (s *diffSide) lane(k int) diffLane {
+	if s.lanes[k] == nil {
+		s.lanes[k] = s.newLane()
+	}
+	return s.lanes[k]
+}
+
+// fired traces a lane event and, on the production side, walks the engine's
+// lanes from inside the callback.
+func (s *diffSide) fired(label int, now Time) {
+	s.trace = append(s.trace, diffFire{seq: label, at: now})
+	if s.inCallback != nil && s.err == nil {
+		s.err = s.inCallback()
+	}
+}
+
+// child draws the next child label. Child labels come from a per-side counter
+// far above the driver's op seqs; the counters advance in fire order, which is
+// identical on both sides whenever the engines agree.
+func (s *diffSide) child() int {
+	s.childSeq++
+	return s.childSeq - 1
+}
+
+// spawn schedules a fresh traced child event from inside a callback.
+func (s *diffSide) spawn(at Time) {
+	child := s.child()
+	s.e.Schedule(at, func(now Time) {
+		s.trace = append(s.trace, diffFire{seq: child, at: now})
+	})
+}
+
+// sendPacket pushes a packet onto lane k its nominal delay ahead: the
+// constant-delay stream lanes exist for.
+func (s *diffSide) sendPacket(k, label, hops int) {
+	s.lane(k).ScheduleArg(satAdd(s.e.Now(), diffLaneDelays[k]), s.packetFn, diffPacket{label: label, lane: k, hops: hops})
+}
+
+// onPacket fires a packet and forwards it over the next lane while it has
+// hops left, so lanes are pushed from inside lane callbacks and their heads
+// interleave.
+func (s *diffSide) onPacket(now Time, arg any) {
+	p := arg.(diffPacket)
+	s.fired(p.label, now)
+	if p.hops > 0 {
+		s.sendPacket((p.lane+1)%diffLanes, s.child(), p.hops-1)
+	}
+}
+
+// reclaim is the side's CancelArgs callback.
+func (s *diffSide) reclaim(arg any) {
+	s.reclaimed = append(s.reclaimed, arg.(diffPacket).label)
 }
 
 // pushTimer re-arms timer k at the given time, exactly as Timer.Schedule does.
@@ -205,6 +370,9 @@ func sidesAgree(prod, ref *diffSide, calendar bool) error {
 	if live, want := p.Pending()-p.canceled, r.Pending()-r.canceled; live != want {
 		return fmt.Errorf("live Pending diverged: engine %d, reference %d", live, want)
 	}
+	if prod.err != nil {
+		return fmt.Errorf("inside a lane callback: %w", prod.err)
+	}
 	if calendar {
 		return p.checkInvariants()
 	}
@@ -224,6 +392,21 @@ func tracesAgree(prod, ref *diffSide) error {
 	return nil
 }
 
+// reclaimedAgree checks that CancelArgs handed both sides the same arguments,
+// each exactly once (the order is the implementation's own).
+func reclaimedAgree(prod, ref *diffSide) error {
+	a, b := slices.Clone(prod.reclaimed), slices.Clone(ref.reclaimed)
+	slices.Sort(a)
+	slices.Sort(b)
+	if !slices.Equal(a, b) {
+		return fmt.Errorf("CancelArgs reclaimed %d arguments on the engine, %d on the reference, or not the same ones", len(a), len(b))
+	}
+	if len(slices.Compact(a)) != len(b) {
+		return fmt.Errorf("CancelArgs reclaimed an argument twice")
+	}
+	return nil
+}
+
 // scheduleTraced registers a plain event that appends to the side's trace.
 func (s *diffSide) scheduleTraced(at Time, seq int) {
 	s.ids = append(s.ids, s.e.Schedule(at, func(now Time) {
@@ -239,51 +422,57 @@ func (s *diffSide) scheduleStop(at Time, seq int) {
 	}))
 }
 
-// scheduleRearm registers an event that re-arms itself times-1 more times at
-// the given period — the batched link-service pattern.
-func (s *diffSide) scheduleRearm(at, period Time, seq, times int) {
+// scheduleLaneChain pushes onto lane k an event that pushes itself again
+// times-1 more times at the given period — the link-service pattern: one lane,
+// at most one entry of the chain pending.
+func (s *diffSide) scheduleLaneChain(k int, at, period Time, seq, times int) {
 	n := times
-	s.ids = append(s.ids, s.e.Schedule(at, func(now Time) {
-		s.trace = append(s.trace, diffFire{seq: seq, at: now})
+	var fire func(now Time, arg any)
+	fire = func(now Time, arg any) {
+		s.fired(seq, now)
 		n--
 		if n > 0 {
-			s.e.Rearm(satAdd(now, period))
+			s.lane(k).ScheduleArg(satAdd(now, period), fire, arg)
 		}
-	}))
+	}
+	s.lane(k).ScheduleArg(at, fire, diffPacket{label: seq})
 }
 
-// scheduleRearmFirst registers an event that, times-1 more times, re-arms
-// itself gap ahead and only then schedules a child on that same instant. The
-// rearmed occurrence holds the earlier sequence number but is filed after the
-// callback returns, behind the child: it must still fire first.
-func (s *diffSide) scheduleRearmFirst(at, gap Time, seq, times int) {
+// scheduleLaneTie registers an event that, times-1 more times, files three
+// events on one instant gap ahead: a calendar event, then an entry on lane k,
+// then another calendar event. The lane entry waits in another structure than
+// the two around it, and must still fire between them.
+func (s *diffSide) scheduleLaneTie(k int, at, gap Time, seq, times int) {
 	n := times
-	s.ids = append(s.ids, s.e.Schedule(at, func(now Time) {
-		s.trace = append(s.trace, diffFire{seq: seq, at: now})
+	var fire func(now Time, arg any)
+	fire = func(now Time, arg any) {
+		s.fired(seq, now)
 		n--
-		if n > 0 {
-			s.e.Rearm(satAdd(now, gap))
+		if n <= 0 {
+			return
 		}
-		child := s.childSeq
-		s.childSeq++
-		s.e.Schedule(satAdd(now, gap), func(cnow Time) {
-			s.trace = append(s.trace, diffFire{seq: child, at: cnow})
-		})
-	}))
+		t := satAdd(now, gap)
+		s.spawn(t)
+		s.lane(k).ScheduleArg(t, fire, arg)
+		s.spawn(t)
+	}
+	s.ids = append(s.ids, s.e.Schedule(at, func(now Time) { fire(now, diffPacket{label: seq}) }))
+}
+
+// scheduleLaneStop pushes onto lane k an event that halts the current Run.
+func (s *diffSide) scheduleLaneStop(k int, at Time, seq int) {
+	s.lane(k).ScheduleArg(at, func(now Time, _ any) {
+		s.fired(seq, now)
+		s.e.Stop()
+	}, diffPacket{label: seq})
 }
 
 // scheduleSpawner registers an event that schedules a fresh child event from
-// inside its callback (the in-callback Schedule path). Child seqs draw from a
-// per-side counter offset far above the driver's op seqs; the counters advance
-// in fire order, which is identical on both sides whenever the engines agree.
+// inside its callback (the in-callback Schedule path).
 func (s *diffSide) scheduleSpawner(at, childDelay Time, seq int) {
 	s.ids = append(s.ids, s.e.Schedule(at, func(now Time) {
 		s.trace = append(s.trace, diffFire{seq: seq, at: now})
-		child := s.childSeq
-		s.childSeq++
-		s.e.Schedule(satAdd(now, childDelay), func(cnow Time) {
-			s.trace = append(s.trace, diffFire{seq: child, at: cnow})
-		})
+		s.spawn(satAdd(now, childDelay))
 	}))
 }
 
@@ -300,16 +489,25 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 
 	// The invariant walk is O(pending); on the long programs the fuzzer grows,
 	// look at a big queue only every 64th op (op is a byte offset, 3 per op).
+	// The clock must never go back between two ops, Reset aside.
+	var lastNow Time
 	check := func(op int, what string) bool {
-		if err := sidesAgree(prod, ref, prod.e.Pending() < 2048 || op%(3*64) == 0); err != nil {
+		err := sidesAgree(prod, ref, prod.e.Pending() < 2048 || op%(3*64) == 0)
+		if now := prod.e.Now(); err == nil && now < lastNow && what != "reset" {
+			err = fmt.Errorf("the clock went back from %d to %d", lastNow, now)
+		}
+		if err != nil {
 			t.Errorf("op %d (%s): %v", op, what, err)
 			return false
 		}
+		lastNow = prod.e.Now()
 		return true
 	}
 
+	// Ops 0-12 keep the bytes they had when 7 and 11 drove Engine.Rearm, so the
+	// committed corpus (which uses no other) decodes as it always did.
 	for i := 0; i+2 < len(data); i += 3 {
-		op := int(data[i]) % 13
+		op := int(data[i]) % 16
 		payload := Time(data[i+1])<<8 | Time(data[i+2])
 		what := ""
 		switch op {
@@ -390,15 +588,15 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 					s.scheduleTraced(at, seq)
 				}
 			}
-		case 7: // self-rearming event and an in-callback spawner
-			what = "rearm+spawn"
+		case 7: // self-rescheduling lane event (link service) and an in-callback spawner
+			what = "lane chain+spawn"
 			seq := nextSeq
 			nextSeq += 2
 			times := int(payload%5) + 1
 			period := payload%900 + 1
 			at := satAdd(prod.e.Now(), payload%3000)
 			for _, s := range sides {
-				s.scheduleRearm(at, period, seq, times)
+				s.scheduleLaneChain(int(payload%diffLanes), at, period, seq, times)
 				s.scheduleSpawner(satAdd(at, 1), period, seq+1)
 			}
 		case 8: // single step
@@ -413,6 +611,10 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 				for _, s := range sides {
 					s.e.Reset()
 					s.ids = s.ids[:0]
+					// Every other reset the lane handles are kept, stale.
+					if payload/11%2 == 0 {
+						s.lanes = [diffLanes]diffLane{}
+					}
 				}
 			} else { // bounded run
 				what = "run"
@@ -438,14 +640,14 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 			for _, s := range sides {
 				s.pushTimer(k, satAdd(s.e.Now(), delay))
 			}
-		case 11: // Rearm, then Schedule at the rearm instant
-			what = "rearm, then schedule on its instant"
+		case 11: // a lane entry between two calendar events on its instant
+			what = "lane entry tied with calendar events"
 			seq := nextSeq
 			nextSeq++
 			gap := [...]Time{0, 0, 1, 5, 40, 300}[payload%6]
 			at := satAdd(prod.e.Now(), payload%700)
 			for _, s := range sides {
-				s.scheduleRearmFirst(at, gap, seq, int(payload%4)+2)
+				s.scheduleLaneTie(int(payload/6%diffLanes), at, gap, seq, int(payload%4)+2)
 				// Company on the first instant, so the bucket that event is
 				// popped from is still being served while its callback runs.
 				s.scheduleTraced(at, seq)
@@ -475,6 +677,66 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 					s.pushTimer(k, satAdd(now, 2*d))
 				}
 			}
+		case 13: // packets a constant delay ahead, forwarded from lane to lane
+			what = "lane packets"
+			k := int(payload % diffLanes)
+			hops := int(payload / diffLanes % 3)
+			for j := payload / (3 * diffLanes) % 4; j >= 0; j-- {
+				seq := nextSeq
+				nextSeq++
+				for _, s := range sides {
+					s.sendPacket(k, seq, hops)
+				}
+			}
+		case 14: // a lane push at any delay: most break the lane's order and fall back
+			what = "lane push, any delay"
+			seq := nextSeq
+			nextSeq++
+			at := satAdd(prod.e.Now(), payload/diffLanes%5000)
+			if payload%16 == 15 {
+				at = MaxTime
+			}
+			for _, s := range sides {
+				s.lane(int(payload%diffLanes)).ScheduleArg(at, s.packetFn, diffPacket{label: seq})
+			}
+		case 15:
+			k := int(payload / 4 % diffLanes)
+			switch payload % 4 {
+			case 0: // every ScheduleArg event, lane or calendar, taken back
+				what = "cancel args"
+				for _, s := range sides {
+					s.e.CancelArgs(s.reclaim)
+				}
+				if err := reclaimedAgree(prod, ref); err != nil {
+					t.Errorf("op %d (%s): %v", i, what, err)
+					return false
+				}
+			case 1:
+				what = "lane stop"
+				seq := nextSeq
+				nextSeq++
+				for _, s := range sides {
+					s.scheduleLaneStop(k, satAdd(s.e.Now(), payload/64%5000), seq)
+				}
+			case 2: // Run ends between a lane event and a calendar event; then both are undercut
+				what = "horizon between lane and calendar"
+				seq := nextSeq
+				nextSeq += 4
+				now := prod.e.Now()
+				a, b := 10+payload/64%90, 10+payload/64/90%90
+				for _, s := range sides {
+					s.lane(k).ScheduleArg(satAdd(now, a), s.packetFn, diffPacket{label: seq})
+					s.scheduleTraced(satAdd(now, b), seq+1)
+					s.e.Run(satAdd(now, (a+b)/2))
+					s.lane(k).ScheduleArg(s.e.Now(), s.packetFn, diffPacket{label: seq + 2})
+					s.scheduleTraced(s.e.Now(), seq+3)
+				}
+			case 3: // the handles are forgotten: the next pushes take new lanes, up to the cap
+				what = "new lanes"
+				for _, s := range sides {
+					s.lanes = [diffLanes]diffLane{}
+				}
+			}
 		}
 		if !check(i, what) {
 			return false
@@ -491,6 +753,10 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 	}
 
 	if err := tracesAgree(prod, ref); err != nil {
+		t.Error(err)
+		return false
+	}
+	if err := reclaimedAgree(prod, ref); err != nil {
 		t.Error(err)
 		return false
 	}
@@ -516,7 +782,7 @@ func engineDiffSeeds() [][]byte {
 		ops([3]byte{2, 10, 0}, [3]byte{0, 0, 10}, [3]byte{9, 0, 99}, [3]byte{2, 0, 1}, [3]byte{9, 255, 255}),
 		// Reschedule churn across both rungs.
 		ops([3]byte{0, 1, 0}, [3]byte{2, 0, 0}, [3]byte{6, 0, 7}, [3]byte{6, 0, 3}, [3]byte{9, 4, 1}),
-		// Rearm chains (link-service pattern) interleaved with stop events.
+		// Lane chains (link-service pattern) interleaved with stop events.
 		ops([3]byte{7, 2, 200}, [3]byte{3, 0, 30}, [3]byte{9, 8, 8}, [3]byte{7, 1, 9}),
 		// Reset mid-stream, then rebuild from empty.
 		ops([3]byte{0, 0, 5}, [3]byte{9, 0, 0}, [3]byte{0, 0, 5}, [3]byte{1, 0, 1}, [3]byte{9, 0, 77}),
@@ -530,9 +796,9 @@ func engineDiffSeeds() [][]byte {
 		// Events at MaxTime and MaxTime-14 beside near ones: a bounded run must
 		// stop short of them, and the drain must reach them.
 		ops([3]byte{2, 0, 15}, [3]byte{0, 0, 5}, [3]byte{2, 0, 14}, [3]byte{0, 1, 0}, [3]byte{9, 0, 100}, [3]byte{2, 0, 15}, [3]byte{9, 4, 1}),
-		// Rearm, then Schedule on the rearm instant, at gaps 0, 1 and 40 µs:
-		// the rearmed occurrence fires first. Run in between so later ones
-		// meet a calendar already being served.
+		// A lane entry between two calendar events on one instant, 0, 1 and
+		// 40 µs ahead: it fires between them. Run in between so later ones meet
+		// a calendar already being served.
 		ops([3]byte{11, 0, 0}, [3]byte{11, 0, 2}, [3]byte{9, 0, 50}, [3]byte{11, 0, 7}, [3]byte{11, 0, 4}, [3]byte{9, 1, 0}),
 		// A timer pushed back and then, one mode per op: pushed again (payload
 		// 0), pulled in (7), stopped (14), left behind by a Run that reaches only
@@ -540,6 +806,26 @@ func engineDiffSeeds() [][]byte {
 		// to between the two (28); a reset with one pending.
 		ops([3]byte{12, 0, 0}, [3]byte{12, 0, 7}, [3]byte{12, 0, 14}, [3]byte{12, 0, 21}, [3]byte{12, 0, 22}, [3]byte{12, 0, 28},
 			[3]byte{8, 0, 0}, [3]byte{12, 1, 0}, [3]byte{9, 0, 0}, [3]byte{12, 0, 22}, [3]byte{9, 2, 0}),
+		// A Run ended by a stop event with earlier events pending, resumed: the
+		// clock must not go back. Then the same with the stop on a lane (payload
+		// 0x0a41: mode 1, lane 6, 41 µs ahead).
+		ops([3]byte{3, 0, 10}, [3]byte{0, 0, 20}, [3]byte{9, 0, 100}, [3]byte{9, 0, 200},
+			[3]byte{15, 0x0a, 0x41}, [3]byte{0, 0, 60}, [3]byte{13, 0, 3}, [3]byte{9, 1, 0}, [3]byte{9, 1, 0}),
+		// Packets on the 150 µs lanes 3 and 4 forwarded two lanes on, stepped
+		// through; pushes at any delay onto the lane they ride (payloads 33, 13:
+		// lane 3, 3 µs and 1 µs ahead, behind the packets: they fall back); Runs
+		// that end between a lane event and a calendar event (15 with mode 2:
+		// payload 0x1002 puts the calendar event first, 0x7142 the lane event).
+		ops([3]byte{13, 0, 23}, [3]byte{13, 0, 24}, [3]byte{14, 0, 33}, [3]byte{14, 0, 13}, [3]byte{8, 0, 0}, [3]byte{8, 0, 0},
+			[3]byte{15, 0x10, 0x02}, [3]byte{15, 0x71, 0x42}, [3]byte{9, 2, 0}),
+		// All ten lanes taken (the last two are refused), every ScheduleArg event
+		// taken back (15 with mode 0), the lanes used again, a reset that keeps
+		// the handles (payload 11) and one that drops them (payload 0), handles
+		// dropped without a reset (15 with mode 3).
+		ops([3]byte{13, 0, 0}, [3]byte{13, 0, 1}, [3]byte{13, 0, 2}, [3]byte{13, 0, 3}, [3]byte{13, 0, 4}, [3]byte{13, 0, 5},
+			[3]byte{13, 0, 6}, [3]byte{13, 0, 7}, [3]byte{13, 0, 8}, [3]byte{13, 0, 9}, [3]byte{7, 0, 8}, [3]byte{15, 0, 0},
+			[3]byte{13, 0, 12}, [3]byte{8, 0, 0}, [3]byte{9, 0, 11}, [3]byte{13, 0, 12}, [3]byte{14, 0, 52}, [3]byte{9, 0, 0},
+			[3]byte{13, 0, 12}, [3]byte{15, 0, 3}, [3]byte{13, 0, 13}, [3]byte{13, 0, 14}, [3]byte{9, 4, 1}),
 	}
 	return seeds
 }

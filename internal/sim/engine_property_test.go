@@ -80,7 +80,7 @@ func (m *refModel) run(until Time) {
 		m.now = ev.at
 		m.trace = append(m.trace, ev.seq)
 		if ev.stop {
-			break
+			return // a stopped run leaves the clock at the stop event
 		}
 	}
 	if m.now < until {

@@ -221,6 +221,97 @@ func TestEngineScheduleAfterAndStop(t *testing.T) {
 	}
 }
 
+// TestStoppedRunKeepsClockMonotone: a Run ended by Stop has events earlier
+// than its horizon still pending, so it must leave the clock at the event that
+// stopped it. Moved to the horizon, the clock would go backwards when the next
+// Run fires them (and a Schedule between the two Runs at a time before the
+// horizon would panic as "in the past").
+func TestStoppedRunKeepsClockMonotone(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	e.Schedule(10, func(Time) { e.Stop() })
+	e.Schedule(20, func(now Time) { fired = append(fired, now) })
+	e.Run(100)
+	if e.Now() != 10 || e.Pending() != 1 {
+		t.Fatalf("stopped Run(100) left the clock at %v with %d events pending, want 10 and 1", e.Now(), e.Pending())
+	}
+	e.Schedule(15, func(now Time) { fired = append(fired, now) })
+	last := e.Now()
+	e.Run(200)
+	if fmt.Sprint(fired) != fmt.Sprint([]Time{15, 20}) {
+		t.Errorf("resumed Run fired at %v, want [15 20]", fired)
+	}
+	if e.Now() != 200 || e.Now() < last {
+		t.Errorf("resumed Run(200) left the clock at %v (it stood at %v before)", e.Now(), last)
+	}
+
+	// The same from a lane callback.
+	e.Reset()
+	fired = fired[:0]
+	lane := e.NewLane()
+	lane.ScheduleArg(10, func(Time, any) { e.Stop() }, nil)
+	lane.ScheduleArg(20, func(now Time, _ any) { fired = append(fired, now) }, nil)
+	e.Run(100)
+	if e.Now() != 10 || e.Pending() != 1 {
+		t.Fatalf("Run(100) stopped from a lane left the clock at %v with %d events pending, want 10 and 1", e.Now(), e.Pending())
+	}
+	e.Run(100)
+	if e.Now() != 100 || fmt.Sprint(fired) != fmt.Sprint([]Time{20}) {
+		t.Errorf("resumed Run(100) left the clock at %v having fired at %v, want 100 and [20]", e.Now(), fired)
+	}
+}
+
+// TestLaneHandles covers what the differential tests cannot see from the
+// outside: which handles are live, that the zero Lane is not, and that Lane's
+// checks are Engine.ScheduleArg's.
+func TestLaneHandles(t *testing.T) {
+	e := NewEngine()
+	var zero Lane
+	if zero.Live() {
+		t.Error("the zero Lane reports itself live")
+	}
+	lanes := make([]Lane, maxLanes+2)
+	for i := range lanes {
+		lanes[i] = e.NewLane()
+		if !lanes[i].Live() {
+			t.Errorf("lane %d of a fresh engine is not live", i)
+		}
+	}
+	fired := 0
+	for _, l := range lanes {
+		l.ScheduleArg(5, func(Time, any) { fired++ }, nil)
+	}
+	if e.inLanes != maxLanes || e.Pending() != len(lanes) || e.stats.laneRefused != 2 {
+		t.Errorf("%d lanes hold %d events of %d pending, %d lanes refused; want %d, %d and 2", len(lanes), e.inLanes, e.Pending(), e.stats.laneRefused, maxLanes, len(lanes))
+	}
+	e.Run(10)
+	if fired != len(lanes) {
+		t.Errorf("%d events fired, want %d", fired, len(lanes))
+	}
+	e.Reset()
+	for i, l := range lanes {
+		if l.Live() {
+			t.Errorf("lane %d is still live after Reset", i)
+		}
+	}
+	if l := e.NewLane(); !l.Live() || l == lanes[0] {
+		t.Error("the first lane after a Reset is not live, or equals its stale predecessor")
+	}
+	for name, f := range map[string]func(){
+		"nil callback": func() { lanes[0].ScheduleArg(10, nil, nil) },
+		"the past":     func() { e.Run(50); e.NewLane().ScheduleArg(10, func(Time, any) {}, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Lane.ScheduleArg with %s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(50, func(Time) {})

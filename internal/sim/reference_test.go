@@ -26,15 +26,6 @@ type refEngine struct {
 	nextSeq  uint64
 	stopped  bool
 	executed uint64
-
-	// Rearm support: the callback currently executing, stashed so Rearm can
-	// reschedule it (mirrors Engine's in-place rearm, expressed as a plain
-	// schedule here).
-	inCallback bool
-	execFn     func(Time)
-	execArgFn  func(Time, any)
-	execArg    any
-	rearmed    bool
 }
 
 func newRefEngine() *refEngine { return &refEngine{} }
@@ -165,20 +156,6 @@ func (e *refEngine) Reschedule(id EventID, at Time, fn func(now Time)) EventID {
 	return e.schedule(at, fn, nil, nil)
 }
 
-// Rearm is the reference semantics of Engine.Rearm: from inside a callback,
-// schedule that same callback again at the given time, consuming one
-// sequence number at the point of the call.
-func (e *refEngine) Rearm(at Time) EventID {
-	if !e.inCallback {
-		panic("sim: Rearm called outside an executing event callback")
-	}
-	if e.rearmed {
-		panic("sim: Rearm called twice from one event callback")
-	}
-	e.rearmed = true
-	return e.schedule(at, e.execFn, e.execArgFn, e.execArg)
-}
-
 func (e *refEngine) Cancel(id EventID) {
 	if id.gen == 0 || int(id.slot) >= len(e.slots) {
 		return
@@ -207,6 +184,22 @@ func (e *refEngine) compact() {
 	e.canceled = 0
 	for i := (len(h) - 2) >> 2; i >= 0; i-- {
 		e.siftDown(i)
+	}
+}
+
+// CancelArgs is the reference semantics of Engine.CancelArgs: every pending
+// ScheduleArg event is canceled and its argument handed to reclaim. A lane
+// push is a plain ScheduleArg here, so lane events are among them.
+func (e *refEngine) CancelArgs(reclaim func(arg any)) {
+	for _, idx := range e.heap {
+		s := &e.slots[idx]
+		if s.argFn == nil || s.canceled {
+			continue
+		}
+		reclaim(s.arg)
+		s.arg = nil
+		s.canceled = true
+		e.canceled++
 	}
 }
 
@@ -252,16 +245,11 @@ func (e *refEngine) execTop() bool {
 	}
 	e.now = at
 	e.executed++
-	e.inCallback = true
-	e.execFn, e.execArgFn, e.execArg = fn, argFn, arg
-	e.rearmed = false
 	if fn != nil {
 		fn(at)
 	} else {
 		argFn(at, arg)
 	}
-	e.inCallback = false
-	e.execFn, e.execArgFn, e.execArg = nil, nil, nil
 	return true
 }
 
@@ -273,7 +261,9 @@ func (e *refEngine) Run(until Time) {
 		}
 		e.execTop()
 	}
-	if e.now < until {
+	// A stopped Run leaves the clock at the event that stopped it: earlier
+	// events may still be pending.
+	if !e.stopped && e.now < until {
 		e.now = until
 	}
 }
