@@ -44,7 +44,7 @@ func TestCampaignSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state campaign: %.1f allocs/rep", perRep)
 
 	// Cold construction of this cell costs several thousand allocations
-	// (engine slab, calendar buckets, network, transports, churn pools — see
+	// (engine slab, heap and lane rings, network, transports, churn pools — see
 	// BenchmarkFlowChurnCold in internal/harness). The warm path
 	// keeps only per-rep result assembly; 250 gives headroom over the ~63
 	// measured while still catching any reintroduced per-rep construction.

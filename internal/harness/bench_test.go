@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cc"
@@ -124,6 +125,41 @@ func BenchmarkFlowChurnCold(b *testing.B) {
 		if _, err := Run(s, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkManyDelays is the engine's measured limit: a world whose packets
+// cannot all ride lanes. Always-on NewReno flows, each with an RTT of its own,
+// share the 15 Mbps dumbbell for ten simulated seconds on a warm session;
+// every distinct delay takes an engine lane until the engine's cap, and past
+// it a flow's packets wait on the timer heap and pay a sift each. 4 and 16
+// delay classes fit the cap, 64 do not.
+func BenchmarkManyDelays(b *testing.B) {
+	for _, n := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("rtts=%d", n), func(b *testing.B) {
+			s := Scenario{Duration: 10 * sim.Second}
+			for i := 0; i < n; i++ {
+				s.Flows = append(s.Flows, FlowSpec{
+					RTTMs:        100 + 2*float64(i),
+					Workload:     alwaysOn(),
+					NewAlgorithm: func() cc.Algorithm { return newreno.New() },
+				})
+			}
+			ss, err := NewSession(dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(1000)}, s))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ss.Run(1); err != nil { // warm-up: grow slabs and pools
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ss.Run(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

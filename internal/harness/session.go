@@ -17,7 +17,7 @@ import (
 // component to its just-constructed state and replays the scenario under a
 // fresh seed, so a warm session executes the byte-identical event sequence a
 // freshly built harness.Run would, while allocating (almost) nothing: the
-// engine's calendar buckets and slab, the network's packet pool, the
+// engine's slab, heap and lane rings, the network's packet pool, the
 // transports' maps and the churn pools all persist across runs.
 //
 // The campaign and optimizer layers pump thousands of repetitions through

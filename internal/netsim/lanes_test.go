@@ -14,7 +14,7 @@ import (
 // exactly the same with no lane at all. The tests here hold it to that: each
 // scripted world runs once on a fresh engine and once on an engine whose lanes
 // were all taken beforehand, so that every handle netsim gets is a refused one
-// and all its events file on the calendar.
+// and all its events file on the engine's heap.
 
 // boundedQueue is a drop-tail FIFO of at most limit packets.
 type boundedQueue struct {
@@ -202,7 +202,7 @@ var laneWorlds = map[string]func(t *testing.T, engine *sim.Engine, exhaust func(
 	},
 	// Delay spikes: while the extra delay rises the lane keeps taking the
 	// packets, when it falls they are due before the lane's newest entry and
-	// file on the calendar.
+	// file on the heap.
 	"delay steps up and back down": func(t *testing.T, engine *sim.Engine, exhaust func()) *laneWorld {
 		w := newLaneWorld(t, engine)
 		l1 := w.link("l1", 10e6, 3*sim.Millisecond, &benchQueue{})
@@ -242,7 +242,7 @@ var laneWorlds = map[string]func(t *testing.T, engine *sim.Engine, exhaust func(
 	"more delays than lanes": func(t *testing.T, engine *sim.Engine, exhaust func()) *laneWorld {
 		w := newLaneWorld(t, engine)
 		l := w.link("bottleneck", 20e6, 0, &boundedQueue{limit: 60})
-		for i := 0; i < 12; i++ {
+		for i := 0; i < 40; i++ {
 			w.flow([]*Link{l}, nil, sim.Time(i+1)*sim.Millisecond, 6, 150)
 		}
 		w.start()
@@ -251,7 +251,7 @@ var laneWorlds = map[string]func(t *testing.T, engine *sim.Engine, exhaust func(
 	},
 	// The engine alone is reset between two runs of a world that had gone
 	// idle: the ports stay attached with stale handles, so their events wait
-	// on the calendar, and the link takes a new lane when it next goes busy.
+	// on the heap, and the link takes a new lane when it next goes busy.
 	"engine reset alone": func(t *testing.T, engine *sim.Engine, exhaust func()) *laneWorld {
 		w := newLaneWorld(t, engine)
 		l1 := w.link("l1", 10e6, 3*sim.Millisecond, &benchQueue{})

@@ -223,7 +223,7 @@ func (l *Link) service() sim.Lane {
 // starts the next one (fixed-rate links only). Back-to-back transmissions at
 // a saturated bottleneck are the hottest event pattern in the simulator: the
 // link's one service event goes through its lane, a ring of one entry, and
-// never touches the calendar.
+// never touches the engine's heap.
 //
 //repo:hotpath per-packet service completion
 func (l *Link) onServiceDone(t sim.Time, _ any) {

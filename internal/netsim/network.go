@@ -35,11 +35,11 @@ import (
 // or sender (the last link's delay plus the flow's access delay), an
 // acknowledgment returning over pure delay (the access delay) — so each such
 // stream is sorted by construction and waits in an engine lane (sim.Lane)
-// rather than on the calendar. Lanes are keyed by the nominal delay and shared
+// rather than on the engine's heap. Lanes are keyed by the nominal delay and shared
 // by everything with that delay: in the paper's dumbbell, with its delay-free
 // link and one RTT, data and acknowledgments of every flow ride one lane. A
 // fault's extra delay is simply added to the time; the lane takes the event
-// while times keep rising (a spike beginning) and the calendar takes it when
+// while times keep rising (a spike beginning) and the heap takes it when
 // they do not (a spike ending). Either way it fires where it always did.
 
 // AckBytes is the default size of acknowledgment packets traversing
@@ -262,10 +262,6 @@ func (n *Network) Queue() Queue {
 // MTU returns the data segment size in bytes.
 func (n *Network) MTU() int { return n.mtu }
 
-// AckPacketBytes returns the acknowledgment packet size used on reverse-path
-// links.
-func (n *Network) AckPacketBytes() int { return n.ackBytes }
-
 // PacketsOffered returns the number of data packets senders have offered to
 // their first-hop queues.
 func (n *Network) PacketsOffered() int64 { return n.packetsOffered }
@@ -389,7 +385,7 @@ func (n *Network) validateRoutes(fwd, rev []*Link, oneWay sim.Time) error {
 // laneFor returns the engine lane for events scheduled delay after the clock,
 // taking a new one for a delay not seen since the engine was last reset (Reset
 // drops every lane, so the handles go stale together). Past the engine's cap
-// the handle it gets files on the calendar; it is kept like any other.
+// the handle it gets files on the heap; it is kept like any other.
 func (n *Network) laneFor(delay sim.Time) sim.Lane {
 	if len(n.lanes) > 0 && !n.lanes[0].lane.Live() {
 		n.lanes = n.lanes[:0]
@@ -407,7 +403,7 @@ func (n *Network) laneFor(delay sim.Time) sim.Lane {
 // resolveLanes gives the port and the links it crosses mid-route the lanes of
 // their delays. It runs once per attachment, never per packet; if the engine
 // is reset while the port stays attached the handles go stale and its events
-// wait on the calendar until it registers again.
+// wait on the heap until it registers again.
 func (n *Network) resolveLanes(p *Port) {
 	last := len(p.fwd) - 1
 	p.dataLane = n.laneFor(p.fwd[last].delay + p.oneWay)
@@ -713,9 +709,6 @@ func (n *Network) Reset() {
 	n.acksDropped = 0
 }
 
-// ReleasePacket returns a packet to the network's pool.
-func (n *Network) ReleasePacket(p *Packet) { n.pool.put(p) }
-
 // ReleaseDropped recycles a packet a queue discipline dropped internally
 // (CoDel's dequeue-time drops); the harness wires it as the drop hook.
 // Dropped acknowledgments are counted so AcksDropped covers both enqueue-
@@ -789,13 +782,6 @@ func (p *Port) Attached() bool { return p.attached }
 
 // OneWayDelay returns the flow's access one-way propagation delay.
 func (p *Port) OneWayDelay() sim.Time { return p.oneWay }
-
-// ForwardRoute returns the flow's forward route.
-func (p *Port) ForwardRoute() []*Link { return p.fwd }
-
-// ReverseRoute returns the flow's reverse route (empty for pure-delay
-// return paths).
-func (p *Port) ReverseRoute() []*Link { return p.rev }
 
 // Receiver returns the flow's receiver (for statistics and resets).
 func (p *Port) Receiver() *Receiver { return p.receiver }

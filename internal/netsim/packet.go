@@ -79,11 +79,6 @@ type Packet struct {
 	gen   uint64
 }
 
-// IsAck reports whether this packet is an acknowledgment traversing a
-// reverse-path link (queue disciplines and observers may want to treat acks
-// differently from data).
-func (p *Packet) IsAck() bool { return p.isAck }
-
 // EnsureXCP returns the packet's XCP header, attaching a (possibly recycled)
 // one if the packet has none. Stampers must use it instead of allocating a
 // header directly, so pooled packets keep their header across reuses.

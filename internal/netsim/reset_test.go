@@ -111,7 +111,7 @@ func TestResetReclaimsInFlight(t *testing.T) {
 		run(horizon)
 		inFlight := engine.Pending()
 		// The network's reset takes lane entries out of the engine at once,
-		// where calendar events stay behind as canceled entries until the
+		// where heap events stay behind as canceled entries until the
 		// engine's own reset. This world has five distinct delays and three
 		// links, so everything pending rode a lane.
 		n.Reset()

@@ -230,8 +230,6 @@ type Evaluator struct {
 	// re-simulates from scratch — the pre-optimization behaviour, kept for
 	// benchmarking and equivalence tests.
 	NoCache bool
-	// NoPrune disables only the usage-pruned candidate scoring.
-	NoPrune bool
 	// MaxCacheEntries bounds the memo cache; <= 0 means
 	// DefaultMaxCacheEntries. Exceeding the bound clears the cache.
 	MaxCacheEntries int
@@ -530,7 +528,7 @@ func (e *Evaluator) scoreMany(trees []*core.WhiskerTree, keys []string, specimen
 // outright. The remaining (affected) specimens are simulated as one batch.
 func (e *Evaluator) ScoreCandidates(incumbent Evaluation, trees []*core.WhiskerTree, changed int, specimens []Specimen, cfg ConfigRange) ([]float64, error) {
 	keys := canonicalKeys(trees)
-	if !e.NoPrune && !e.NoCache && len(incumbent.perSpec) == len(specimens) {
+	if !e.NoCache && len(incumbent.perSpec) == len(specimens) {
 		for _, ck := range keys {
 			for si, sp := range specimens {
 				inc := incumbent.perSpec[si]

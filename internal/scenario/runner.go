@@ -80,7 +80,7 @@ func (r Runner) logf(format string, args ...any) {
 }
 
 // enginePool recycles simulation engines across runs and Runner instances.
-// A pooled engine carries warm slab, free-list and calendar-bucket capacity
+// A pooled engine carries warm slab, free-list, heap and lane-ring capacity
 // from earlier runs, so a steady-state campaign's per-run setup allocates
 // (almost) nothing. A plain mutex-guarded free list is used instead of
 // sync.Pool deliberately: sync.Pool may drop entries at any GC, which would

@@ -363,16 +363,6 @@ func WithLinkModel(model string) Option {
 	return func(s *Spec) { s.Link.Model = model }
 }
 
-// WithTrace sets an explicit delivery-opportunity trace.
-func WithTrace(trace []sim.Time, loop bool) Option {
-	return func(s *Spec) { s.Link.Trace = trace; s.Link.TraceLoop = loop }
-}
-
-// WithXCPCapacity overrides the capacity advertised to an XCP bottleneck.
-func WithXCPCapacity(bps float64) Option {
-	return func(s *Spec) { s.Link.XCPCapacityBps = bps }
-}
-
 // WithQueue sets the bottleneck queue kind and capacity.
 func WithQueue(kind string, capacityPackets int) Option {
 	return func(s *Spec) { s.Queue.Kind = kind; s.Queue.CapacityPackets = capacityPackets }

@@ -7,8 +7,9 @@ import (
 	"testing/quick"
 )
 
-// This file is the differential harness between the production calendar-queue
-// Engine and the reference 4-ary-heap refEngine (reference_test.go). Both
+// This file is the differential harness between the production Engine (a timer
+// heap beside FIFO lanes) and the reference refEngine (reference_test.go: one
+// heap, no lanes, plain Cancel+Schedule). Both
 // expose the identical queue contract, so a byte-decoded op program —
 // schedules at equal timestamps, cancel storms that force slot reuse,
 // reschedules, timers pushed back op after op, events riding lanes (which the
@@ -43,13 +44,9 @@ var (
 
 // checkLanes verifies the lane invariants documented on Engine: every lane
 // sorted by (at, seq), the head keys and the cached best lane true, the entry
-// count right, nothing left in a lane that was not handed out, and the
-// calendar's head not ahead of the clock. It is O(lane entries), cheap enough
-// to run from inside lane callbacks.
+// count right and nothing left in a lane that was not handed out. It is
+// O(lane entries), cheap enough to run from inside lane callbacks.
 func (e *Engine) checkLanes() error {
-	if e.curDay > int64(e.now)>>e.shift {
-		return fmt.Errorf("head day %d is ahead of the clock's day %d", e.curDay, int64(e.now)>>e.shift)
-	}
 	laned := 0
 	best, bestKey := -1, noHead
 	for i := range e.lanes {
@@ -88,8 +85,8 @@ func (e *Engine) checkLanes() error {
 		}
 		laned += ln.n
 	}
-	if laned != e.inLanes || e.Pending() != e.queued()+laned {
-		return fmt.Errorf("laned=%d Pending=%d, lanes hold %d and the calendar %d", e.inLanes, e.Pending(), laned, e.queued())
+	if laned != e.inLanes || e.Pending() != len(e.heap)+laned {
+		return fmt.Errorf("laned=%d Pending=%d, lanes hold %d and the heap %d", e.inLanes, e.Pending(), laned, len(e.heap))
 	}
 	if e.best != best || e.bestKey != bestKey {
 		return fmt.Errorf("best lane cached as %d %+v, the smallest head is %d %+v", e.best, e.bestKey, best, bestKey)
@@ -97,99 +94,43 @@ func (e *Engine) checkLanes() error {
 	return nil
 }
 
-// checkInvariants verifies the calendar and lane invariants documented on
-// Engine, plus the bookkeeping the rest of the engine relies on (inBuckets,
-// canceled, heapPos, the inline keys). It is O(pending + nb), for tests only.
+// checkInvariants verifies the heap and lane invariants documented on Engine,
+// plus the bookkeeping the rest of the engine relies on (canceled, heapPos, the
+// inline keys, the free list). It is O(pending), for tests only.
 func (e *Engine) checkInvariants() error {
 	if err := e.checkLanes(); err != nil {
 		return err
 	}
-	if e.nb < minBuckets || e.nb > maxBuckets || e.nb&(e.nb-1) != 0 || e.mask != int64(e.nb-1) || len(e.buckets) < e.nb {
-		return fmt.Errorf("calendar shape: nb=%d mask=%d len(buckets)=%d", e.nb, e.mask, len(e.buckets))
-	}
-	if e.shift > maxShift {
-		return fmt.Errorf("shift %d past maxShift", e.shift)
-	}
-	seen := make([]bool, len(e.slots))
+	queued := make([]bool, len(e.slots))
 	canceled := 0
-	visit := func(idx int32, where string) error {
-		if seen[idx] {
-			return fmt.Errorf("slot %d queued twice (%s)", idx, where)
+	for i, en := range e.heap {
+		s := &e.slots[en.idx]
+		switch {
+		case queued[en.idx]:
+			return fmt.Errorf("heap[%d]: slot %d queued twice", i, en.idx)
+		case int(s.heapPos) != i:
+			return fmt.Errorf("heap[%d]: slot %d has heapPos %d", i, en.idx, s.heapPos)
+		case s.at != en.at || s.seq != en.seq:
+			return fmt.Errorf("heap[%d]: inline key (%d,%d) != slot %d's (%d,%d)", i, en.at, en.seq, en.idx, s.at, s.seq)
+		case en.at < e.now || en.seq >= e.nextSeq:
+			return fmt.Errorf("heap[%d] keyed (%d,%d) with the clock at %d and nextSeq %d", i, en.at, en.seq, e.now, e.nextSeq)
+		case i > 0 && en.less(e.heap[(i-1)>>2]):
+			return fmt.Errorf("heap[%d] sorts before its parent", i)
+		// A deferred slot is filed under (at, seq) and wanted no earlier.
+		case s.deferred && (s.wantAt < s.at || s.wantSeq <= s.seq):
+			return fmt.Errorf("heap[%d]: slot %d filed at (%d,%d) is wanted earlier, at (%d,%d)", i, en.idx, s.at, s.seq, s.wantAt, s.wantSeq)
 		}
-		seen[idx] = true
-		s := &e.slots[idx]
+		queued[en.idx] = true
 		if s.canceled {
 			canceled++
 		}
-		// A deferred slot is filed under (at, seq) — which the callers check
-		// against the bucket entry or heap order — and wanted no earlier.
-		if s.deferred && (s.wantAt < s.at || s.wantSeq <= s.seq) {
-			return fmt.Errorf("slot %d (%s) filed at (%d,%d) is wanted earlier, at (%d,%d)", idx, where, s.at, s.seq, s.wantAt, s.wantSeq)
-		}
-		return nil
-	}
-	head := int(e.curDay & e.mask)
-	n := 0
-	for bi, bk := range e.buckets[:e.nb] {
-		if bi == head && e.curSorted {
-			if e.curHead >= len(bk) {
-				return fmt.Errorf("sorted head bucket has no live entry: curHead=%d len=%d", e.curHead, len(bk))
-			}
-			bk = bk[e.curHead:]
-			for i := 1; i < len(bk); i++ {
-				if bk[i-1].at > bk[i].at || (bk[i-1].at == bk[i].at && bk[i-1].seq >= bk[i].seq) {
-					return fmt.Errorf("sorted head bucket out of order at %d", i)
-				}
-			}
-		}
-		for _, en := range bk {
-			s := &e.slots[en.idx]
-			d := int64(en.at) >> e.shift
-			switch {
-			case s.at != en.at || s.seq != en.seq:
-				return fmt.Errorf("bucket %d: inline key (%d,%d) != slot %d's (%d,%d)", bi, en.at, en.seq, en.idx, s.at, s.seq)
-			case s.heapPos != -1:
-				return fmt.Errorf("bucket %d: slot %d has heapPos %d", bi, en.idx, s.heapPos)
-			case d < e.curDay || d-e.curDay >= int64(e.nb) || int(d&e.mask) != bi:
-				return fmt.Errorf("bucket %d holds day %d; year is [%d, %d)", bi, d, e.curDay, e.curDay+int64(e.nb))
-			}
-			if err := visit(en.idx, "bucket"); err != nil {
-				return err
-			}
-		}
-		n += len(bk)
-	}
-	if n != e.inBuckets {
-		return fmt.Errorf("inBuckets=%d, buckets hold %d", e.inBuckets, n)
-	}
-	if !e.curSorted && e.curHead != 0 {
-		return fmt.Errorf("curHead=%d on an unsorted head", e.curHead)
-	}
-	for bi, bk := range e.buckets[e.nb:] {
-		if len(bk) != 0 {
-			return fmt.Errorf("retired bucket %d holds %d entries", e.nb+bi, len(bk))
-		}
-	}
-	for i, idx := range e.overflow {
-		s := &e.slots[idx]
-		switch {
-		case int(s.heapPos) != i:
-			return fmt.Errorf("overflow[%d]: slot %d has heapPos %d", i, idx, s.heapPos)
-		case !e.far(s.at):
-			return fmt.Errorf("overflow[%d]: day %d is inside the year from %d", i, int64(s.at)>>e.shift, e.curDay)
-		case i > 0 && e.less(idx, e.overflow[(i-1)>>2]):
-			return fmt.Errorf("overflow[%d] sorts before its heap parent", i)
-		}
-		if err := visit(idx, "overflow"); err != nil {
-			return err
-		}
 	}
 	if canceled != e.canceled {
-		return fmt.Errorf("canceled=%d, queue holds %d canceled entries", e.canceled, canceled)
+		return fmt.Errorf("canceled=%d, heap holds %d canceled entries", e.canceled, canceled)
 	}
 	for _, idx := range e.free {
-		if s := &e.slots[idx]; seen[idx] || s.canceled || s.deferred {
-			return fmt.Errorf("free slot %d: queued=%v canceled=%v deferred=%v", idx, seen[idx], s.canceled, s.deferred)
+		if s := &e.slots[idx]; queued[idx] || s.canceled || s.deferred || s.heapPos != -1 {
+			return fmt.Errorf("free slot %d: queued=%v canceled=%v deferred=%v heapPos=%d", idx, queued[idx], s.canceled, s.deferred, s.heapPos)
 		}
 	}
 	return nil
@@ -214,9 +155,10 @@ type diffSide struct {
 	// to *Engine).
 	timers  [diffTimers]EventID
 	timerFn [diffTimers]func(Time)
-	// lanes are taken on first use (nil until then), so the production side
-	// meets its cap at the ninth distinct one; for the reference a lane is a
-	// plain ScheduleArg. reclaimed collects the labels CancelArgs handed back.
+	// lanes are taken on first use (nil until then) and again after the driver
+	// forgets the handles, so the production side meets its cap at the
+	// maxLanes+1st taken since a Reset; for the reference a lane is a plain
+	// ScheduleArg. reclaimed collects the labels CancelArgs handed back.
 	newLane   func() diffLane
 	lanes     [diffLanes]diffLane
 	packetFn  func(Time, any)
@@ -251,14 +193,15 @@ type diffPacket struct {
 const (
 	diffTimers   = 12
 	diffTimerSeq = 1 << 29
-	// diffLanes is how many lanes each side uses, two more than an engine
-	// hands out.
-	diffLanes = maxLanes + 2
+	// diffLanes is how many lane handles each side holds at a time. It is part
+	// of how op bytes decode, so it does not follow maxLanes: a program reaches
+	// the cap by forgetting its handles (op 15, mode 3) and taking new ones.
+	diffLanes = 10
 )
 
 // diffLaneDelays is each lane's nominal delay for the propagation pattern:
-// zero, microseconds, the dumbbell's 75 ms, past a fresh calendar's year, and
-// two lanes sharing one delay.
+// zero, microseconds, the dumbbell's 75 ms, a third of a second, and two lanes
+// sharing one delay.
 var diffLaneDelays = [diffLanes]Time{0, 1, 7, 150, 150, 1000, 75_000, 300_000, 40, 5}
 
 func newDiffSide(e queueEngine) *diffSide {
@@ -355,11 +298,11 @@ func satAdd(now, d Time) Time {
 }
 
 // sidesAgree reports the first observable difference between the two sides'
-// clocks and counts; with calendar set it also walks the production engine's
+// clocks and counts; with walk set it also walks the production engine's
 // invariants, which is O(pending). Pending is compared net of canceled
 // entries: how many of those are still queued is each implementation's own
 // business (the reference leaves one per Reschedule, the engine almost none).
-func sidesAgree(prod, ref *diffSide, calendar bool) error {
+func sidesAgree(prod, ref *diffSide, walk bool) error {
 	if prod.e.Now() != ref.e.Now() {
 		return fmt.Errorf("Now diverged: engine %d, reference %d", prod.e.Now(), ref.e.Now())
 	}
@@ -373,7 +316,7 @@ func sidesAgree(prod, ref *diffSide, calendar bool) error {
 	if prod.err != nil {
 		return fmt.Errorf("inside a lane callback: %w", prod.err)
 	}
-	if calendar {
+	if walk {
 		return p.checkInvariants()
 	}
 	return nil
@@ -439,8 +382,8 @@ func (s *diffSide) scheduleLaneChain(k int, at, period Time, seq, times int) {
 }
 
 // scheduleLaneTie registers an event that, times-1 more times, files three
-// events on one instant gap ahead: a calendar event, then an entry on lane k,
-// then another calendar event. The lane entry waits in another structure than
+// events on one instant gap ahead: a heap event, then an entry on lane k,
+// then another heap event. The lane entry waits in another structure than
 // the two around it, and must still fire between them.
 func (s *diffSide) scheduleLaneTie(k int, at, gap Time, seq, times int) {
 	n := times
@@ -477,8 +420,7 @@ func (s *diffSide) scheduleSpawner(at, childDelay Time, seq int) {
 }
 
 // runEngineDiff decodes data as an op program, applies it in lockstep to the
-// calendar-queue Engine and the reference heap engine, and reports the first
-// divergence. fatalf is t.Errorf in tests so quick.Check can shrink, and a
+// Engine and the reference engine, and reports the first divergence. fatalf is t.Errorf in tests so quick.Check can shrink, and a
 // t.Fatalf-alike under the fuzzer.
 func runEngineDiff(t *testing.T, data []byte) bool {
 	t.Helper()
@@ -529,13 +471,13 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 					s.scheduleTraced(at, seq)
 				}
 			}
-		case 2: // far-future schedule: lands in the overflow rung
+		case 2: // far-future schedule: sinks to the bottom of the heap
 			what = "far schedule"
 			seq := nextSeq
 			nextSeq++
 			at := satAdd(prod.e.Now(), 1_000_000+payload)
 			switch payload % 16 {
-			case 13: // past any day width the tuner can reach
+			case 13: // tens of simulated years out
 				at = satAdd(prod.e.Now(), payload<<46)
 			case 14:
 				at = max(MaxTime-payload, prod.e.Now())
@@ -628,11 +570,11 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 			k := int(payload % diffTimers)
 			var delay Time
 			switch (payload / diffTimers) % 4 {
-			case 0: // the pacing pattern: a few packets ahead, often the head bucket
+			case 0: // the pacing pattern: a few packets ahead, often the heap's root
 				delay = payload % 64
 			case 1:
 				delay = payload % 5000
-			case 2: // the RTO pattern: parked far out, in the overflow rung
+			case 2: // the RTO pattern: parked far out
 				delay = 200_000 + payload*16
 			case 3: // onto one shared instant: equal-timestamp pile-ups
 				delay = 1000 - prod.e.Now()%1000
@@ -640,23 +582,23 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 			for _, s := range sides {
 				s.pushTimer(k, satAdd(s.e.Now(), delay))
 			}
-		case 11: // a lane entry between two calendar events on its instant
-			what = "lane entry tied with calendar events"
+		case 11: // a lane entry between two heap events on its instant
+			what = "lane entry tied with heap events"
 			seq := nextSeq
 			nextSeq++
 			gap := [...]Time{0, 0, 1, 5, 40, 300}[payload%6]
 			at := satAdd(prod.e.Now(), payload%700)
 			for _, s := range sides {
 				s.scheduleLaneTie(int(payload/6%diffLanes), at, gap, seq, int(payload%4)+2)
-				// Company on the first instant, so the bucket that event is
-				// popped from is still being served while its callback runs.
+				// Company on the first instant, so the heap's root ties with that
+				// event's instant while its callback runs.
 				s.scheduleTraced(at, seq)
 			}
 		case 12: // a timer pushed back, and what can happen before its old filing is reached
 			what = "deferred push-back"
 			k := int(payload % diffTimers)
 			d := (payload/diffTimers)%500 + 1
-			if payload%3 == 0 { // parked in the overflow rung
+			if payload%3 == 0 { // parked far out
 				d += 300_000
 			}
 			now := prod.e.Now()
@@ -702,7 +644,7 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 		case 15:
 			k := int(payload / 4 % diffLanes)
 			switch payload % 4 {
-			case 0: // every ScheduleArg event, lane or calendar, taken back
+			case 0: // every ScheduleArg event, lane or heap, taken back
 				what = "cancel args"
 				for _, s := range sides {
 					s.e.CancelArgs(s.reclaim)
@@ -718,8 +660,8 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 				for _, s := range sides {
 					s.scheduleLaneStop(k, satAdd(s.e.Now(), payload/64%5000), seq)
 				}
-			case 2: // Run ends between a lane event and a calendar event; then both are undercut
-				what = "horizon between lane and calendar"
+			case 2: // Run ends between a lane event and a heap event; then both are undercut
+				what = "horizon between lane and heap"
 				seq := nextSeq
 				nextSeq += 4
 				now := prod.e.Now()
@@ -764,7 +706,7 @@ func runEngineDiff(t *testing.T, data []byte) bool {
 }
 
 // engineDiffSeeds are the hand-written fuzz seeds: each encodes a program
-// that hits a queue edge the calendar structure must get right.
+// that hits a queue edge the heap and the lanes must get right.
 func engineDiffSeeds() [][]byte {
 	ops := func(triples ...[3]byte) []byte {
 		var out []byte
@@ -774,13 +716,13 @@ func engineDiffSeeds() [][]byte {
 		return out
 	}
 	seeds := [][]byte{
-		// Equal-timestamp storm then run: FIFO within a bucket.
+		// Equal-timestamp storm then run: FIFO on one instant.
 		ops([3]byte{1, 0, 100}, [3]byte{1, 0, 100}, [3]byte{9, 1, 0}),
 		// Cancel storm forcing slot reuse, then fresh schedules on reused slots.
 		ops([3]byte{5, 0, 0}, [3]byte{0, 0, 50}, [3]byte{5, 0, 0}, [3]byte{9, 3, 0}),
-		// Far-future events (overflow rung) mixed with near ones, partial run.
+		// Far-future events mixed with near ones, partial run.
 		ops([3]byte{2, 10, 0}, [3]byte{0, 0, 10}, [3]byte{9, 0, 99}, [3]byte{2, 0, 1}, [3]byte{9, 255, 255}),
-		// Reschedule churn across both rungs.
+		// Reschedule churn across near and far events.
 		ops([3]byte{0, 1, 0}, [3]byte{2, 0, 0}, [3]byte{6, 0, 7}, [3]byte{6, 0, 3}, [3]byte{9, 4, 1}),
 		// Lane chains (link-service pattern) interleaved with stop events.
 		ops([3]byte{7, 2, 200}, [3]byte{3, 0, 30}, [3]byte{9, 8, 8}, [3]byte{7, 1, 9}),
@@ -796,13 +738,13 @@ func engineDiffSeeds() [][]byte {
 		// Events at MaxTime and MaxTime-14 beside near ones: a bounded run must
 		// stop short of them, and the drain must reach them.
 		ops([3]byte{2, 0, 15}, [3]byte{0, 0, 5}, [3]byte{2, 0, 14}, [3]byte{0, 1, 0}, [3]byte{9, 0, 100}, [3]byte{2, 0, 15}, [3]byte{9, 4, 1}),
-		// A lane entry between two calendar events on one instant, 0, 1 and
-		// 40 µs ahead: it fires between them. Run in between so later ones meet
-		// a calendar already being served.
+		// A lane entry between two heap events on one instant, 0, 1 and 40 µs
+		// ahead: it fires between them. Run in between so later ones meet a heap
+		// already being popped.
 		ops([3]byte{11, 0, 0}, [3]byte{11, 0, 2}, [3]byte{9, 0, 50}, [3]byte{11, 0, 7}, [3]byte{11, 0, 4}, [3]byte{9, 1, 0}),
 		// A timer pushed back and then, one mode per op: pushed again (payload
 		// 0), pulled in (7), stopped (14), left behind by a Run that reaches only
-		// its old filing (21: parked in the overflow rung; 22: bucketed), pushed
+		// its old filing (21: parked far out; 22: near), pushed
 		// to between the two (28); a reset with one pending.
 		ops([3]byte{12, 0, 0}, [3]byte{12, 0, 7}, [3]byte{12, 0, 14}, [3]byte{12, 0, 21}, [3]byte{12, 0, 22}, [3]byte{12, 0, 28},
 			[3]byte{8, 0, 0}, [3]byte{12, 1, 0}, [3]byte{9, 0, 0}, [3]byte{12, 0, 22}, [3]byte{9, 2, 0}),
@@ -814,20 +756,30 @@ func engineDiffSeeds() [][]byte {
 		// Packets on the 150 µs lanes 3 and 4 forwarded two lanes on, stepped
 		// through; pushes at any delay onto the lane they ride (payloads 33, 13:
 		// lane 3, 3 µs and 1 µs ahead, behind the packets: they fall back); Runs
-		// that end between a lane event and a calendar event (15 with mode 2:
-		// payload 0x1002 puts the calendar event first, 0x7142 the lane event).
+		// that end between a lane event and a heap event (15 with mode 2:
+		// payload 0x1002 puts the heap event first, 0x7142 the lane event).
 		ops([3]byte{13, 0, 23}, [3]byte{13, 0, 24}, [3]byte{14, 0, 33}, [3]byte{14, 0, 13}, [3]byte{8, 0, 0}, [3]byte{8, 0, 0},
 			[3]byte{15, 0x10, 0x02}, [3]byte{15, 0x71, 0x42}, [3]byte{9, 2, 0}),
-		// All ten lanes taken (the last two are refused), every ScheduleArg event
-		// taken back (15 with mode 0), the lanes used again, a reset that keeps
-		// the handles (payload 11) and one that drops them (payload 0), handles
-		// dropped without a reset (15 with mode 3).
+		// All ten lanes taken, every ScheduleArg event taken back (15 with mode
+		// 0), the lanes used again, a reset that keeps the handles (payload 11)
+		// and one that drops them (payload 0), handles dropped without a reset
+		// (15 with mode 3).
 		ops([3]byte{13, 0, 0}, [3]byte{13, 0, 1}, [3]byte{13, 0, 2}, [3]byte{13, 0, 3}, [3]byte{13, 0, 4}, [3]byte{13, 0, 5},
 			[3]byte{13, 0, 6}, [3]byte{13, 0, 7}, [3]byte{13, 0, 8}, [3]byte{13, 0, 9}, [3]byte{7, 0, 8}, [3]byte{15, 0, 0},
 			[3]byte{13, 0, 12}, [3]byte{8, 0, 0}, [3]byte{9, 0, 11}, [3]byte{13, 0, 12}, [3]byte{14, 0, 52}, [3]byte{9, 0, 0},
 			[3]byte{13, 0, 12}, [3]byte{15, 0, 3}, [3]byte{13, 0, 13}, [3]byte{13, 0, 14}, [3]byte{9, 4, 1}),
 	}
-	return seeds
+	// All ten lanes taken four times over, the handles forgotten in between (15
+	// with mode 3): the last eight of the forty are refused at the cap and their
+	// packets file on the heap.
+	var capped []byte
+	for round := 0; round < 4; round++ {
+		for k := byte(0); k < diffLanes; k++ {
+			capped = append(capped, 13, 0, k)
+		}
+		capped = append(capped, 15, 0, 3)
+	}
+	return append(seeds, append(capped, 9, 4, 1))
 }
 
 // FuzzEngineVsReference fuzzes byte-decoded op programs through both queue

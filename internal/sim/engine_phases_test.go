@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-// The tests in this file aim at the self-tuning calendar itself: each of its
-// branches under the differential harness, its far-future arithmetic, how
-// fast it re-tunes, and that a warm engine allocates nothing.
+// The tests in this file aim at the queue itself: every path of the heap and
+// the lanes under the differential harness, in long phases of one traffic
+// shape each, keys at the far edge of the clock, and that a warm engine
+// allocates nothing.
 
-// phaseDriver feeds one seeded op stream to the calendar Engine and to
-// refEngine in lockstep, like runEngineDiff, but in long phases of one
-// traffic shape each: only thousands of pops in one regime, followed by a
-// different one, take the tuner through its decisions.
+// phaseDriver feeds one seeded op stream to Engine and to refEngine in
+// lockstep, like runEngineDiff, but in long phases of one traffic shape each:
+// populations from a handful to thousands, which a few dozen fuzz ops never
+// build.
 type phaseDriver struct {
 	t         *testing.T
 	prod, ref *diffSide
@@ -85,15 +86,22 @@ func (p *phaseDriver) run(d Time) {
 	p.op("run")
 }
 
-// reset resets both engines and drops the lane handles, stale from here on, so
-// the next push on lane k takes a new lane from the engine.
+// reset resets both engines and drops the lane handles, stale from here on.
 func (p *phaseDriver) reset() {
 	for _, s := range p.sides {
 		s.e.Reset()
 		s.ids = s.ids[:0]
+	}
+	p.forgetLanes()
+	p.op("reset")
+}
+
+// forgetLanes drops the lane handles, so the next push on lane k takes a new
+// lane from the engine.
+func (p *phaseDriver) forgetLanes() {
+	for _, s := range p.sides {
 		s.lanes = [diffLanes]diffLane{}
 	}
-	p.op("reset")
 }
 
 // lanePush pushes a traced event onto lane k, delay ahead.
@@ -151,8 +159,8 @@ func (p *phaseDriver) dense(n int) {
 // packets: the ACK clock. Each round files a next-hop event under a
 // millisecond out and a propagation event 75 ms out, sends a packet over the
 // 75 ms lane, pushes an RTO-like timer parked 0.2-1 s out, a pacing timer a few
-// hundred microseconds out and one due almost at once (so it often sits in the
-// bucket being served), and fires three events.
+// hundred microseconds out and one due almost at once (so it often sits at the
+// heap's root), and fires three events.
 func (p *phaseDriver) packets(n int) {
 	for i := 0; i < 300; i++ {
 		p.schedule(p.between(0, 75*Millisecond))
@@ -182,9 +190,9 @@ func (p *phaseDriver) sparse(n int) {
 	}
 }
 
-// storms: more than liftMax events on one instant, with timers parked on the
-// same instant and pushed again both before the bucket is sorted and while it
-// is being served.
+// storms: dozens of events on one instant, with timers parked on the same
+// instant and pushed again both before the instant is reached and while its
+// events are being popped.
 func (p *phaseDriver) storms(n int) {
 	for i := 0; i < n; i++ {
 		delay := p.between(10, 2000)
@@ -196,19 +204,19 @@ func (p *phaseDriver) storms(n int) {
 				p.push(1, delay)
 			}
 		}
-		p.push(0, delay-p.between(1, 5)) // pulled in from an unsorted bucket too long to scan
+		p.push(0, delay-p.between(1, 5)) // pulled in from among its ties
 		p.run(delay - 1)
 		at := p.now() + 1
 		for j := 0; j < 3; j++ {
 			p.step()
 		}
-		p.push(1, at-p.now()+p.between(0, 3)) // sorted head, too long to scan
+		p.push(1, at-p.now()+p.between(0, 3)) // while its ties are being popped
 		p.run(at - p.now())
 	}
 }
 
 // horizons: Run stops short of the next event, then something is scheduled
-// ahead of it — the calendar's head must not have run past the new event.
+// ahead of it and must fire first.
 func (p *phaseDriver) horizons(n int) {
 	for i := 0; i < n; i++ {
 		p.schedule(p.between(20*Millisecond, 2*Second))
@@ -220,75 +228,72 @@ func (p *phaseDriver) horizons(n int) {
 }
 
 // pushBacks takes timers through everything that can happen to a pushed-back
-// event between the push and the moment its old filing reaches the head. Each
+// event between the push and the moment its old filing reaches the root. Each
 // case must agree with the reference like any other op, and must also be the
-// case it claims to be: the calendar's counters say whether the push was
-// recorded or carried out, and whether a head visit moved the slot.
+// case it claims to be: the engine's counters say whether the push was
+// recorded or carried out and whether a root visit moved the slot, and Pending
+// says whether an entry was added.
 func (p *phaseDriver) pushBacks(n int) {
 	e := p.engine()
-	// ok sees what f added to the calendar's counters and to Pending.
-	expect := func(what string, f func(), ok func(d calStats, queued int) bool) {
+	// ok sees what f added to the engine's counters and to Pending.
+	expect := func(what string, f func(), ok func(d engineStats, queued int) bool) {
 		b := e.stats
 		pending := e.Pending()
 		f()
 		a := e.stats
-		d := calStats{deferred: a.deferred - b.deferred, headVisits: a.headVisits - b.headVisits, migrated: a.migrated - b.migrated,
-			movedLazy: a.movedLazy - b.movedLazy, movedUnsorted: a.movedUnsorted - b.movedUnsorted, movedSorted: a.movedSorted - b.movedSorted}
+		d := engineStats{deferred: a.deferred - b.deferred, headVisits: a.headVisits - b.headVisits}
 		if !p.failed && !ok(d, e.Pending()-pending) {
 			p.failed = true
 			p.t.Errorf("op %d (%s): counters moved by %+v, Pending %d -> %d", p.ops, what, d, pending, e.Pending())
 		}
 	}
-	moved := func(d calStats) uint64 { return d.movedUnsorted + d.movedSorted + d.movedLazy }
-	// recorded: one push-back noted in the slot, no entry moved, none added.
-	recorded := func(d calStats, queued int) bool { return d.deferred == 1 && moved(d) == 0 && queued == 0 }
+	// recorded: one push-back noted in the slot, no entry added.
+	recorded := func(d engineStats, queued int) bool { return d.deferred == 1 && queued == 0 }
+	oneVisit := func(d engineStats, _ int) bool { return d.headVisits == 1 }
+	noVisit := func(d engineStats, _ int) bool { return d.headVisits == 0 }
 	drain := p.drain
 	for i := 0; i < n && !p.failed; i++ {
 		k := i % diffTimers
 		near := p.between(50, 400)
+		far := 10*Second + p.between(0, 1000)
 		drain()
-		far := Time(e.nb)<<e.shift + p.between(0, 1000) // beyond the year, whatever the tuning
 
-		// A bucketed event and an overflow event pushed back: recorded, nothing
-		// moves, and the old filing costs one head visit (the overflow one is
-		// first migrated into its bucket).
+		// A near event and a far one pushed back: recorded, nothing moves, and
+		// the old filing costs one root visit.
 		p.push(k, near)
-		expect("push-back, bucketed", func() { p.push(k, 2*near) }, recorded)
-		expect("head visit, bucketed", func() { p.run(near + near/2) }, func(d calStats, _ int) bool { return d.headVisits == 1 })
+		expect("push-back, near", func() { p.push(k, 2*near) }, recorded)
+		expect("root visit, near", func() { p.run(near + near/2) }, oneVisit)
 		drain()
 		p.push(k, far)
-		if e.slots[p.prod.timers[k].slot].heapPos < 0 {
-			p.failed = true
-			p.t.Errorf("op %d: a timer a year out is not in the overflow rung", p.ops)
-		}
-		expect("push-back, overflow", func() { p.push(k, far+near) }, recorded)
-		expect("head visit, overflow", func() { p.run(far + near/2) }, func(d calStats, _ int) bool { return d.headVisits == 1 && d.migrated >= 1 })
+		expect("push-back, far", func() { p.push(k, far+near) }, recorded)
+		expect("root visit, far", func() { p.run(far + near/2) }, oneVisit)
 		drain()
 
-		// Pushed back again and again before the one head visit.
+		// Pushed back again and again before the one root visit.
 		p.push(k, near)
 		expect("repeated push-backs", func() {
 			for j := Time(1); j <= 5; j++ {
 				p.push(k, near+j*100)
 			}
 			p.run(near + 450)
-		}, func(d calStats, _ int) bool { return d.deferred == 5 && d.headVisits == 1 })
+		}, func(d engineStats, _ int) bool { return d.deferred == 5 && d.headVisits == 1 })
 		drain()
 
-		// Pushed back, then pulled in ahead of the old filing: carried out at once.
+		// Pushed back, then pulled in ahead of the old filing: carried out at
+		// once, in the slot's own entry.
 		p.push(k, near)
 		p.push(k, 3*near)
-		expect("pull-in of a pushed-back event", func() { p.push(k, near/2) }, func(d calStats, queued int) bool {
-			return d.deferred == 0 && moved(d) == 1 && queued == int(d.movedLazy)
+		expect("pull-in of a pushed-back event", func() { p.push(k, near/2) }, func(d engineStats, queued int) bool {
+			return d.deferred == 0 && queued == 0
 		})
-		expect("no head visit after the pull-in", drain, func(d calStats, _ int) bool { return d.headVisits == 0 })
+		expect("no root visit after the pull-in", drain, noVisit)
 
 		// Stopped while pushed back: the old filing is discarded, not moved.
 		fired := len(p.prod.trace)
 		p.push(k, near)
 		p.push(k, 2*near)
 		p.stop(k)
-		expect("stop of a pushed-back event", drain, func(d calStats, _ int) bool { return d.headVisits == 0 })
+		expect("stop of a pushed-back event", drain, noVisit)
 		if !p.failed && len(p.prod.trace) != fired {
 			p.failed = true
 			p.t.Errorf("op %d: a stopped timer fired", p.ops)
@@ -299,10 +304,10 @@ func (p *phaseDriver) pushBacks(n int) {
 		p.push(k, near)
 		p.push(k, 3*near)
 		fired, x := len(p.prod.trace), e.Executed()
-		expect("run to between filing and wanted time", func() { p.run(2 * near) }, func(d calStats, _ int) bool { return d.headVisits == 1 })
+		expect("run to between filing and wanted time", func() { p.run(2 * near) }, oneVisit)
 		if !p.failed && (len(p.prod.trace) != fired || e.Executed() != x || e.Pending() != 1) {
 			p.failed = true
-			p.t.Errorf("op %d: head visit fired %d events, Executed %d -> %d, Pending %d", p.ops, len(p.prod.trace)-fired, x, e.Executed(), e.Pending())
+			p.t.Errorf("op %d: root visit fired %d events, Executed %d -> %d, Pending %d", p.ops, len(p.prod.trace)-fired, x, e.Executed(), e.Pending())
 		}
 		p.run(near)
 		if !p.failed && (len(p.prod.trace) != fired+1 || e.Pending() != 0) {
@@ -310,14 +315,17 @@ func (p *phaseDriver) pushBacks(n int) {
 			p.t.Errorf("op %d: the pushed-back timer did not fire on the second Run", p.ops)
 		}
 
-		// Pushed back inside a bucket too long to scan: no lazy cancel, no
-		// second entry.
+		// Pushed back, then pulled in, among dozens of events on its instant: no
+		// lazy cancel, no second entry.
 		at := p.between(500, 900)
-		for j := 0; j <= liftMax; j++ {
+		for j := 0; j < 40; j++ {
 			p.schedule(at)
 		}
 		p.push(k, at)
-		expect("push-back in a long bucket", func() { p.push(k, at+p.between(0, 50)) }, recorded)
+		expect("push-back among ties", func() { p.push(k, at+p.between(0, 50)) }, recorded)
+		expect("pull-in among ties", func() { p.push(k, at-p.between(1, 50)) }, func(d engineStats, queued int) bool {
+			return d.deferred == 0 && queued == 0
+		})
 		drain()
 
 		// CancelArgs with a pushed-back timer pending: a timer carries no
@@ -328,7 +336,7 @@ func (p *phaseDriver) pushBacks(n int) {
 			p.failed = true
 			p.t.Errorf("op %d: CancelArgs reclaimed %v from a pushed-back timer", p.ops, arg)
 		})
-		expect("CancelArgs past a pushed-back timer", drain, func(d calStats, _ int) bool { return d.headVisits == 1 })
+		expect("CancelArgs past a pushed-back timer", drain, oneVisit)
 
 		// Reset with a pushed-back event pending: it never fires, and its slot
 		// comes back clean (checkInvariants looks at the free list).
@@ -340,8 +348,8 @@ func (p *phaseDriver) pushBacks(n int) {
 	}
 }
 
-// lanes takes lane events through everything the merge with the calendar has
-// to get right. As in pushBacks, each case must agree with the reference (for
+// lanes takes lane events through everything the merge with the heap has to
+// get right. As in pushBacks, each case must agree with the reference (for
 // which a lane push is a plain ScheduleArg) and must be the case it claims to
 // be: the counters say whether a push rode a lane, fell back because it would
 // have broken the lane's order, or met the cap.
@@ -364,12 +372,12 @@ func (p *phaseDriver) lanes(n int) {
 	}
 	for i := 0; i < n && !p.failed; i++ {
 		p.drain()
-		p.reset() // all eight lanes are free again
-		a, b := i%maxLanes, (i+3)%maxLanes
+		p.reset() // every lane is free again
+		a, b := i%diffLanes, (i+3)%diffLanes
 		d := p.between(20, 400)
 
-		// One instant shared by a calendar event, a lane entry and another
-		// calendar event, scheduled in that order: they fire in that order.
+		// One instant shared by a heap event, a lane entry and another heap
+		// event, scheduled in that order: they fire in that order.
 		expect("tie", func() {
 			p.schedule(d)
 			p.lanePush(a, d)
@@ -377,8 +385,8 @@ func (p *phaseDriver) lanes(n int) {
 			p.drain()
 		}, 1, 0)
 
-		// Two lanes whose heads alternate, calendar events in between, and a
-		// timer pushed back across them.
+		// Two lanes whose heads alternate, heap events in between, and a timer
+		// pushed back across them.
 		expect("interleaved lanes", func() {
 			for j := Time(1); j <= 3; j++ {
 				p.lanePush(a, 20*j)
@@ -390,7 +398,7 @@ func (p *phaseDriver) lanes(n int) {
 			p.drain()
 		}, 6, 0)
 
-		// A push earlier than the lane's newest entry files on the calendar and
+		// A push earlier than the lane's newest entry files on the heap and
 		// fires in key order all the same; one at the newest entry's own time is
 		// in order and rides.
 		expect("non-monotone push", func() {
@@ -410,7 +418,7 @@ func (p *phaseDriver) lanes(n int) {
 			p.drain()
 		}, 12, 0)
 
-		// Run stops between a lane head and the calendar head, in both orders;
+		// Run stops between a lane head and the heap's root, in both orders;
 		// then both are undercut by events at the clock.
 		for _, laneFirst := range []bool{true, false} {
 			near, far := d, 3*d
@@ -422,7 +430,7 @@ func (p *phaseDriver) lanes(n int) {
 			fired := len(p.prod.trace)
 			p.run(2 * d)
 			if len(p.prod.trace) != fired+1 || e.Pending() != 1 {
-				fail("a Run to between a lane entry and a calendar event fired %d events and left %d pending", len(p.prod.trace)-fired, e.Pending())
+				fail("a Run to between a lane entry and a heap event fired %d events and left %d pending", len(p.prod.trace)-fired, e.Pending())
 			}
 			p.lanePush(b, 0)
 			p.schedule(0)
@@ -445,18 +453,26 @@ func (p *phaseDriver) lanes(n int) {
 		}
 		p.run(10 * d)
 
-		// The ninth lane: refused, and its events file on the calendar.
+		// Lanes past the cap: the handles are forgotten and every lane taken
+		// anew, round after round, until the engine has handed out maxLanes; the
+		// rest are refused, and their events file on the heap.
+		held := [2][diffLanes]diffLane{p.prod.lanes, p.ref.lanes}
+		free, rounds := maxLanes-e.nLanes, maxLanes/diffLanes+1
 		refused := e.stats.laneRefused
 		expect("lanes past the cap", func() {
-			for k := 0; k < diffLanes; k++ {
-				p.lanePush(k, d+Time(k))
+			for r := 0; r < rounds; r++ {
+				p.forgetLanes()
+				for k := 0; k < diffLanes; k++ {
+					p.lanePush(k, d+Time(k))
+				}
 			}
-		}, maxLanes, 0)
-		if got := e.stats.laneRefused - refused; got != diffLanes-maxLanes {
-			fail("%d lanes of %d were refused, want %d", got, diffLanes, diffLanes-maxLanes)
+		}, uint64(free), 0)
+		if got, want := e.stats.laneRefused-refused, uint64(rounds*diffLanes-free); got != want {
+			fail("%d lanes of %d were refused, want %d", got, rounds*diffLanes, want)
 		}
+		p.prod.lanes, p.ref.lanes = held[0], held[1] // a and b as they were, live
 
-		// CancelArgs with entries pending in lanes and on the calendar: each
+		// CancelArgs with entries pending in lanes and on the heap: each
 		// argument comes back once, nothing fires, the lanes stay usable.
 		fired := len(p.prod.trace)
 		p.cancelArgs()
@@ -470,8 +486,8 @@ func (p *phaseDriver) lanes(n int) {
 		}
 
 		// Reset with lane entries pending: they never fire, and the handles are
-		// stale — their events file on the calendar, counted neither as riding
-		// nor as falling back.
+		// stale — their events file on the heap, counted neither as riding nor
+		// as falling back.
 		p.packet(a, 1)
 		p.lanePush(b, d)
 		stale := [2][diffLanes]diffLane{p.prod.lanes, p.ref.lanes}
@@ -492,12 +508,11 @@ func (p *phaseDriver) lanes(n int) {
 	}
 }
 
-// TestEngineVsReferencePhases is the differential test for the tuner: a few
-// dozen fuzz ops never reach a 512-step tuning period, so this drives both
-// engines through 200 000+ ops in phases, requires identical traces, and
-// requires — through the calendar's own counters — that every tuner decision
-// and every Reschedule path was actually taken; pushBacks checks the paths of
-// a pushed-back event case by case, and lanes those of a lane event.
+// TestEngineVsReferencePhases drives both engines through 200 000+ ops in
+// phases, requires identical traces, and requires — through the engine's own
+// counters — that every Reschedule and lane path was actually taken;
+// pushBacks checks the paths of a pushed-back event case by case, and lanes
+// those of a lane event.
 func TestEngineVsReferencePhases(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -512,7 +527,7 @@ func TestEngineVsReferencePhases(t *testing.T) {
 				p.lanes(60)
 				p.dense(7000)
 				if round == 0 {
-					p.reset() // a recycled engine starts on the last run's tuning
+					p.reset() // the second round runs on a recycled engine
 				}
 				p.sparse(1000)
 				p.packets(4000)
@@ -537,17 +552,8 @@ func TestEngineVsReferencePhases(t *testing.T) {
 				name string
 				n    uint64
 			}{
-				{"widen", st.widen},
-				{"narrow", st.narrow},
-				{"bucket-count grow", st.grow},
-				{"bucket-count shrink", st.shrink},
-				{"year-miss growth", st.missGrow},
-				{"overflow migration", st.migrated},
-				{"move from an unsorted bucket", st.movedUnsorted},
-				{"move from the sorted head bucket", st.movedSorted},
-				{"lazy-cancel fallback", st.movedLazy},
 				{"push-back recorded in the slot", st.deferred},
-				{"head visit of a pushed-back event", st.headVisits},
+				{"root visit of a pushed-back event", st.headVisits},
 				{"lane push", st.laned},
 				{"lane push out of order", st.laneFallbacks},
 				{"lane refused at the cap", st.laneRefused},
@@ -563,26 +569,23 @@ func TestEngineVsReferencePhases(t *testing.T) {
 
 // TestEngineFarFutureTimes schedules one event at the far edge of the clock's
 // range, MaxTime (the documented "never" sentinel) included, beside a varying
-// number of near ones, on a fresh engine and on one whose calendar has been
-// tuned by an earlier run. The year's end (curDay+nb) and the day of an
-// overflow minimum must be computed without wrapping: the engine runs to a
-// near horizon firing exactly the near events, then drains firing the far one.
+// number of near ones, on a fresh engine and on one recycled after an earlier
+// run (tuned=true in the subtest names). No key comparison may wrap: the
+// engine runs to a near horizon firing exactly the near events, then drains
+// firing the far one.
 func TestEngineFarFutureTimes(t *testing.T) {
-	for _, tuned := range []bool{false, true} {
+	for _, recycled := range []bool{false, true} {
 		for _, far := range []Time{1 << 40, 1 << 62, MaxTime - 1, MaxTime} {
 			for _, near := range []int{0, 10, 100, 2000} {
-				t.Run(fmt.Sprintf("tuned=%v/far=%d/near=%d", tuned, far, near), func(t *testing.T) {
+				t.Run(fmt.Sprintf("tuned=%v/far=%d/near=%d", recycled, far, near), func(t *testing.T) {
 					e := NewEngine()
-					if tuned {
+					if recycled {
 						var hold func(Time)
 						hold = func(now Time) { e.Schedule(now+37, hold) }
 						for i := 0; i < 300; i++ {
 							e.Schedule(Time(i), hold)
 						}
 						e.Run(50 * Millisecond)
-						if e.shift == 0 && e.nb == minBuckets {
-							t.Fatal("warm-up run did not tune the calendar")
-						}
 						e.Reset()
 					}
 					fired, farFired := 0, 0
@@ -612,38 +615,35 @@ func TestEngineFarFutureTimes(t *testing.T) {
 	}
 }
 
-// TestRefiledKeyOlderThanBucketTail pins the full-key comparison on
-// insertSorted's tail-append fast path. A pushed-back timer's sequence number
-// is reserved at the push and the slot filed only when its old filing reaches
-// the head; an event scheduled in between onto the timer's new instant holds a
-// newer number and, when both land in the sorted bucket being served (the same
-// day as the old filing: gap 0 on a fresh engine's 1 µs days, any of these gaps
-// once the tuner has widened them), sits at the bucket's tail when the timer
-// arrives. The timer must be filed ahead of it, not appended behind. (Lane
-// events that fall back to the calendar cannot produce this: they take their
-// sequence number as they are filed.)
+// TestRefiledKeyOlderThanBucketTail pins the full-key comparison where a
+// refiled key meets entries scheduled after it was reserved. A pushed-back
+// timer's sequence number is taken at the push and the slot moved only when
+// its old filing reaches the root; an event scheduled in between onto the
+// timer's new instant holds a newer number and is already in the heap when the
+// timer's entry is rewritten. The timer must settle ahead of it, on a fresh
+// engine and on a recycled one (tuned=true in the subtest names), whether the
+// new instant is the old filing's own (gap 0) or later. (Lane events that fall
+// back to the heap cannot produce this: they take their sequence number as
+// they are filed.)
 func TestRefiledKeyOlderThanBucketTail(t *testing.T) {
-	for _, tuned := range []bool{false, true} {
+	for _, recycled := range []bool{false, true} {
 		for _, gap := range []Time{0, 1, 5, 40} {
-			t.Run(fmt.Sprintf("tuned=%v/gap=%d", tuned, gap), func(t *testing.T) {
+			t.Run(fmt.Sprintf("tuned=%v/gap=%d", recycled, gap), func(t *testing.T) {
 				e := NewEngine()
-				if tuned {
+				if recycled {
 					var hold func(Time)
 					hold = func(now Time) { e.Schedule(now+400, hold) }
 					for i := 0; i < 4; i++ {
 						e.Schedule(Time(i)*100, hold)
 					}
 					e.Run(500 * Millisecond)
-					if e.shift < 6 {
-						t.Fatalf("warm-up left days of 2^%d µs, want >= 2^6", e.shift)
-					}
 					e.Reset()
 				}
-				at := Time(4) << e.shift // a day's first instant: at+gap stays inside it
+				const at = Time(256)
 				var order []string
 				timer := e.NewTimer(func(Time) { order = append(order, "timer") })
-				// The first event sorts the bucket and keeps it in service; the
-				// timer's old filing is the second entry.
+				// The timer's old filing is the second entry on the first event's
+				// instant.
 				e.Schedule(at, func(now Time) {
 					order = append(order, "first")
 					timer.Schedule(now + gap) // recorded in the slot, not moved
@@ -661,6 +661,43 @@ func TestRefiledKeyOlderThanBucketTail(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRescheduleOfLiveEventKeepsPending pulls one of a hundred events sharing
+// a near instant earlier, pushes it later and pulls it earlier again. Each move
+// must be made in the event's own heap entry — Pending does not move, no
+// canceled entry is left behind — and the fire order must be the reference's
+// Cancel+Schedule order.
+func TestRescheduleOfLiveEventKeepsPending(t *testing.T) {
+	prod, ref := newDiffSide(NewEngine()), newDiffSide(newRefEngine())
+	const at, moved = Time(50), 41
+	for _, s := range []*diffSide{prod, ref} {
+		for i := 0; i < 100; i++ {
+			s.scheduleTraced(at, i)
+		}
+	}
+	e := prod.e.(*Engine)
+	for i, to := range []Time{at - 7, at + 10, at - 30} {
+		for _, s := range []*diffSide{prod, ref} {
+			s.ids[moved] = s.e.Reschedule(s.ids[moved], to, func(now Time) {
+				s.trace = append(s.trace, diffFire{seq: moved, at: now})
+			})
+		}
+		if e.Pending() != 100 || e.canceled != 0 {
+			t.Fatalf("after Reschedule %d (to %d): Pending %d with %d canceled, want 100 and 0", i, to, e.Pending(), e.canceled)
+		}
+		if err := sidesAgree(prod, ref, true); err != nil {
+			t.Fatalf("after Reschedule %d (to %d): %v", i, to, err)
+		}
+	}
+	prod.e.Run(MaxTime)
+	ref.e.Run(MaxTime)
+	if err := tracesAgree(prod, ref); err != nil {
+		t.Fatal(err)
+	}
+	if first := prod.trace[0]; len(prod.trace) != 100 || first.seq != moved || first.at != at-30 {
+		t.Errorf("%d events fired, the first %+v; want 100 and the moved one at %d", len(prod.trace), first, at-30)
 	}
 }
 
@@ -686,95 +723,13 @@ func (h *holdModel) delay() Time {
 	return Time((h.state >> 33) % uint64(2*h.mean))
 }
 
-// TestEngineAdaptsToRateChange pins the tuner's bounded cost: whatever rate
-// the calendar was tuned to, four tuning periods after the event rate steps
-// 100x up or down it is again sorting buckets of a few entries and stepping
-// over at most a couple of empty ones per event.
-func TestEngineAdaptsToRateChange(t *testing.T) {
-	const pending = 300
-	e := NewEngine()
-	h := newHoldModel(e)
-	h.mean = pending * 100 // one event per 100 µs
-	for i := 0; i < pending; i++ {
-		e.Schedule(h.delay(), h.fn)
-	}
-	steps := func(st calStats) uint64 { return st.empties + e.Executed() }
-	settle := func() {
-		for start := steps(e.stats); steps(e.stats) < start+4*tunePeriod; {
-			e.Step()
-		}
-	}
-	measure := func(what string) {
-		s0, x0 := e.stats, e.Executed()
-		for i := 0; i < 8*tunePeriod; i++ {
-			e.Step()
-		}
-		s1 := e.stats
-		pops := float64(e.Executed() - x0)
-		if s1.sorts == s0.sorts {
-			t.Fatalf("%s: no bucket was sorted in %d events: the head bucket never ran dry", what, 8*tunePeriod)
-		}
-		perSort := float64(s1.sorted-s0.sorted) / float64(s1.sorts-s0.sorts)
-		empties := float64(s1.empties-s0.empties) / pops
-		t.Logf("%s: day 2^%d µs, %d buckets, %.2f entries per sort, %.2f empty buckets per event", what, e.shift, e.nb, perSort, empties)
-		if perSort >= 8 {
-			t.Errorf("%s: %.2f entries per bucket sort, want < 8", what, perSort)
-		}
-		if empties >= 2 {
-			t.Errorf("%s: %.2f empty-bucket visits per event, want < 2", what, empties)
-		}
-	}
-	settle()
-	measure("100 µs apart")
-	for _, c := range []struct {
-		what string
-		mean Time
-	}{
-		{"rate x100, 1 µs apart", pending},
-		{"rate /100, 100 µs apart", pending * 100},
-		{"rate /100 again, 10 ms apart", pending * 10_000},
-		// One day of the old width now holds tens of thousands of events:
-		// the head bucket is refilled faster than it drains, and the tuner
-		// must not wait for it to run dry.
-		{"rate x10000, 1 µs apart", pending},
-		{"rate /100, 100 µs apart", pending * 100},
-	} {
-		h.mean = c.mean
-		// The old population has to leave before the new rate shows; that is
-		// the workload changing, not the calendar catching up.
-		for x0 := e.Executed(); e.Executed() < x0+pending; {
-			e.Step()
-		}
-		settle()
-		measure(c.what)
-	}
-
-	// A burst after a lull, with no old population draining in between: days
-	// tuned to events 10 ms apart, then 1500 events 1 µs apart all inside the
-	// current day. The head bucket is refilled as fast as it is popped and
-	// would take tens of thousands of events to run dry; the tuner has to act
-	// while it is still being served.
-	h.mean = pending * 10_000
-	for x0 := e.Executed(); e.Executed() < x0+pending; {
-		e.Step()
-	}
-	settle()
-	h.mean = 1500
-	for i := 0; i < 1200; i++ {
-		e.Schedule(e.Now()+h.delay(), h.fn)
-	}
-	settle()
-	measure("burst of 1500 events 1 µs apart after a lull")
-}
-
 // TestEngineWarmResetZeroAllocs runs one program again and again on one
 // engine with a Reset in between. Inside each run the pending count rises to
-// thousands, falls to a few dozen and rises again, so the calendar shrinks
-// and regrows its bucket array; once every run starts from the tuning the
-// last one ended on, none of that may allocate — in particular the regrowth
-// must find the bucket slices the shrink retired. Half the events ride lanes
-// taken anew after each Reset — a propagation lane some hundreds of entries
-// deep and a service lane of one — and must find the rings the last run grew.
+// thousands, falls to a few dozen and rises again; once the slab, the free
+// list and the heap have grown to the first run's high-water mark, none of
+// that may allocate. Half the events ride lanes taken anew after each Reset —
+// a propagation lane some hundreds of entries deep and a service lane of one —
+// and must find the rings the last run grew.
 func TestEngineWarmResetZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	h := newHoldModel(e)
@@ -821,12 +776,6 @@ func TestEngineWarmResetZeroAllocs(t *testing.T) {
 	}
 	run()
 	before := e.stats
-	run()
-	if after := e.stats; after.shrink == before.shrink || after.grow == before.grow {
-		t.Fatalf("a warm run shrank the calendar %d times and grew it %d times; the program must do both",
-			after.shrink-before.shrink, after.grow-before.grow)
-	}
-	before = e.stats
 	run()
 	if after := e.stats; after.laned-before.laned < 10000 || after.laneFallbacks != 0 || after.laneRefused != 0 {
 		t.Fatalf("a warm run put %d events on lanes (%d fell back, %d lanes refused); the program must ride them",

@@ -126,9 +126,8 @@ func TestEngineCancel(t *testing.T) {
 }
 
 // TestEngineCancelArgs checks that CancelArgs hands back the argument of every
-// live ScheduleArg event exactly once — from the sorted head bucket, the later
-// buckets and the overflow rung alike — leaves plain events to fire, and finds
-// nothing on a second call.
+// live ScheduleArg event exactly once — near the heap's root and at its bottom
+// alike — leaves plain events to fire, and finds nothing on a second call.
 func TestEngineCancelArgs(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -137,7 +136,7 @@ func TestEngineCancelArgs(t *testing.T) {
 	args := make([]*int, 300)
 	for i := range args {
 		args[i] = new(int)
-		// Spread over near and far future so both rungs hold some.
+		// Spread over the near and the far future.
 		at := Time(i) * Millisecond
 		if i%7 == 0 {
 			at += Minute
@@ -148,7 +147,7 @@ func TestEngineCancelArgs(t *testing.T) {
 		}
 		e.Schedule(at, func(Time) { fired++ })
 	}
-	e.Run(50 * Millisecond) // consume a prefix; the head bucket is mid-pop
+	e.Run(50 * Millisecond) // consume a prefix
 	ranArgs := argFired
 
 	// Two pushed-back events are pending as well, still filed at their old
@@ -592,8 +591,8 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 // dumbbell, which a hold model with uniform delays cannot show: ~300 packets
 // that alternate a sub-millisecond hop with a 75 ms propagation delay (an
 // event every ~125 µs), plus eight RTO-like timers parked 0.2-1 s out, one of
-// which is pushed back on every event. A width taken from the span of all
-// pending events is stretched a hundredfold by those few timers.
+// which is pushed back on every event. All of it waits on the heap: this is
+// the engine without lanes, a population the simulator no longer gives it.
 func BenchmarkEngineAckClock(b *testing.B) {
 	e := NewEngine()
 	var timers [8]*Timer
@@ -614,7 +613,7 @@ func BenchmarkEngineAckClock(b *testing.B) {
 	for i := 0; i < 300; i++ {
 		e.Schedule(Time(i)*250*Microsecond, fn)
 	}
-	for i := 0; i < 20000; i++ { // let the calendar tune itself
+	for i := 0; i < 20000; i++ { // past the start-up transient
 		e.Step()
 	}
 	b.ReportAllocs()

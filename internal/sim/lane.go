@@ -16,17 +16,17 @@ import (
 //
 // A lane changes where an event waits, never when it fires: the entry carries
 // exactly the key Engine.ScheduleArg would have filed it under, and the engine
-// executes whichever is smaller by (at, seq), the calendar's head or the
-// earliest lane head — a merge of sorted sequences under one total order. An
-// event that would break the lane's order (earlier than the lane's newest
-// entry) is filed on the calendar under the same key instead, so a caller that
-// gets monotonicity wrong loses speed, never order.
+// executes whichever is smaller by (at, seq), the heap's root or the earliest
+// lane head — a merge of sorted sequences under one total order. An event that
+// would break the lane's order (earlier than the lane's newest entry) is filed
+// on the heap under the same key instead, so a caller that gets monotonicity
+// wrong loses speed, never order.
 //
 // Lane events cannot be canceled one by one: no EventID comes back.
 // Engine.CancelArgs takes them all back, and Engine.Reset drops them along
 // with the lanes themselves: a handle from before the Reset is stale the way
-// an EventID or a Timer is, and files on the calendar. The zero Lane belongs
-// to no engine and must not be scheduled on.
+// an EventID or a Timer is, and files on the heap. The zero Lane belongs to no
+// engine and must not be scheduled on.
 type Lane struct {
 	e     *Engine
 	epoch uint32
@@ -34,9 +34,10 @@ type Lane struct {
 }
 
 // maxLanes is how many lanes one engine hands out; NewLane beyond it returns a
-// handle that files on the calendar. Every lane adds a comparison to the pick
-// of the next lane head, so the cap keeps that pick a scan of two cache lines.
-const maxLanes = 8
+// handle that files on the heap, where every event costs a sift. The pick of
+// the next lane head scans only the lanes handed out, so the cap costs a world
+// with a handful of delay classes nothing.
+const maxLanes = 32
 
 // laneEntry is one queued lane event under the key ScheduleArg would have
 // given it.
@@ -76,7 +77,7 @@ func (k laneKey) less(o laneKey) bool {
 
 // NewLane returns a handle to a fresh, empty lane, or — once the engine has
 // handed out maxLanes of them since its last Reset — a handle whose events all
-// file on the calendar.
+// file on the heap.
 func (e *Engine) NewLane() Lane {
 	if e.nLanes == maxLanes {
 		e.stats.laneRefused++
@@ -88,13 +89,13 @@ func (e *Engine) NewLane() Lane {
 
 // Live reports whether the handle was issued by its engine since the engine's
 // last Reset. A handle that is not live still schedules correctly, on the
-// calendar; its owner should take a new one.
+// heap; its owner should take a new one.
 func (l Lane) Live() bool { return l.e != nil && l.epoch == l.e.laneEpoch }
 
 // ScheduleArg registers fn to run at the absolute simulated time at with arg,
 // like Engine.ScheduleArg — same checks, same sequence number consumed at the
 // same point, same place in the fire order — but the event waits in the lane
-// when at is no earlier than the lane's newest entry, and on the calendar
+// when at is no earlier than the lane's newest entry, and on the heap
 // otherwise (or when the handle is stale or was refused).
 //
 //repo:hotpath per-packet propagation and link-service scheduling

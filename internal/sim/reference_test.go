@@ -6,12 +6,12 @@ import (
 
 // refEngine is the original 4-ary slab-heap event engine, kept verbatim as
 // the reference implementation for differential testing of the production
-// calendar-queue Engine. It is intentionally simple: one binary heap of slot
+// Engine. It is intentionally simple: one binary heap of slot
 // indices ordered by (time, sequence), lazy cancellation, periodic
 // compaction. The differential harness (engine_diff_test.go and
 // FuzzEngineVsReference) drives refEngine and Engine through identical op
 // traces and asserts identical fire order, clocks and counters, so any
-// calendar-queue bug that changes observable behavior is caught against
+// Engine bug that changes observable behavior is caught against
 // this model rather than against golden fixtures three layers up.
 //
 // refEngine must match Engine observably: same (at, seq) fire order, same

@@ -9,10 +9,7 @@
 // schedule the same events in the same order.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a simulated timestamp measured in integer microseconds since the
 // start of the simulation. Using an integer representation (rather than
@@ -41,9 +38,6 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
 // Micros returns the time as an integer number of microseconds.
 func (t Time) Micros() int64 { return int64(t) }
-
-// Std converts the simulated time into a time.Duration.
-func (t Time) Std() time.Duration { return time.Duration(t) * time.Microsecond }
 
 // String implements fmt.Stringer, rendering the time in seconds.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }

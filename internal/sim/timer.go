@@ -24,10 +24,10 @@ func (e *Engine) NewTimer(fn func(now Time)) *Timer {
 
 // Schedule arms the timer to fire at the absolute time at, canceling any
 // pending firing. Re-arming goes through Engine.Reschedule, so a pending
-// timer keeps its slot and leaves no lazily-canceled corpse per arming: pushed
-// back (the RTO, on every send and every ACK) it is not even moved, the engine
-// only notes the new time; pulled in (the pacing timer, per packet) it is
-// moved on the spot.
+// timer keeps its slot and its one heap entry, whatever it shares its instant
+// with: pushed back (the RTO, on every send and every ACK) it is not even
+// moved, the engine only notes the new time; pulled in (the pacing timer, per
+// packet) its entry is sifted up on the spot.
 func (t *Timer) Schedule(at Time) {
 	t.id = t.engine.Reschedule(t.id, at, t.fn)
 }
