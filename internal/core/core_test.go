@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -643,6 +644,78 @@ func TestWhiskerTreeWithAction(t *testing.T) {
 	}
 	if _, err := tree.WithAction(99, newAction); err == nil {
 		t.Error("out-of-range WithAction accepted")
+	}
+}
+
+// TestWhiskerTreeDiffFromAndVariant pins the pair the distributed wire is
+// built on: DiffFrom names exactly the rules that separate two trees on one
+// node array, bit for bit, and Variant rebuilds the one from the other.
+func TestWhiskerTreeDiffFromAndVariant(t *testing.T) {
+	base := DefaultWhiskerTree()
+	base.Split(0, Memory{100, 100, 2})
+	base.SetAction(5, Action{WindowMultiple: 1, WindowIncrement: 0, IntersendMs: 1})
+
+	same := base.Clone()
+	if rules, shared := same.DiffFrom(base, nil); !shared || len(rules) != 0 {
+		t.Fatalf("a clone differs from its source in %v (shared=%v)", rules, shared)
+	}
+	cand, _ := base.WithAction(3, Action{WindowMultiple: 2, WindowIncrement: 5, IntersendMs: 1})
+	cand.SetEpoch(6, 4)
+	// -0 equals 0 under ==, and must still count: CanonicalKey is bitwise.
+	cand.SetAction(5, Action{WindowMultiple: 1, WindowIncrement: math.Copysign(0, -1), IntersendMs: 1})
+	rules, shared := cand.DiffFrom(base, []int{-1})
+	if want := []int{-1, 3, 5, 6}; !shared || !slices.Equal(rules, want) {
+		t.Fatalf("DiffFrom = %v (shared=%v), want %v appended to dst", rules, shared, want)
+	}
+
+	rules = rules[1:]
+	actions, epochs := make([]Action, len(rules)), make([]int, len(rules))
+	for i, r := range rules {
+		w, _ := cand.Whisker(r)
+		actions[i], epochs[i] = w.Action, w.Epoch
+	}
+	rebuilt, err := base.Variant(rules, actions, epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.CanonicalKey() != cand.CanonicalKey() {
+		t.Error("Variant did not rebuild the candidate's behaviour")
+	}
+	for i, w := range cand.Whiskers() {
+		if got, _ := rebuilt.Whisker(i); got != w {
+			t.Errorf("rule %d rebuilt as %+v, want %+v", i, got, w)
+		}
+	}
+	if _, shared := rebuilt.DiffFrom(cand, nil); !shared {
+		t.Error("Variant did not share its base's node array")
+	}
+	if w, _ := base.Whisker(3); w.Action.WindowMultiple == 2 {
+		t.Error("Variant mutated its base")
+	}
+	// Verbatim: an action outside the legal range is not clamped on the way.
+	wild := []Action{{WindowMultiple: 1e9, WindowIncrement: math.Inf(-1), IntersendMs: 0}}
+	if v, err := base.Variant([]int{0}, wild, []int{0}); err != nil {
+		t.Fatal(err)
+	} else if w, _ := v.Whisker(0); w.Action != wild[0] {
+		t.Errorf("Variant altered the action it was given: %+v", w.Action)
+	}
+
+	// A split, or a decode, builds a new node array: not a variant.
+	split := base.Clone()
+	split.Split(1, Memory{})
+	if _, shared := split.DiffFrom(base, nil); shared {
+		t.Error("a split tree claims its source's node array")
+	}
+	if _, shared := DefaultWhiskerTree().DiffFrom(DefaultWhiskerTree(), nil); shared {
+		t.Error("two separately built trees claim one node array")
+	}
+	for _, bad := range [][]int{{-1}, {base.NumWhiskers()}} {
+		if _, err := base.Variant(bad, actions[:1], epochs[:1]); err == nil {
+			t.Errorf("Variant accepted rule %v", bad)
+		}
+	}
+	if _, err := base.Variant([]int{1, 2}, actions[:1], epochs[:2]); err == nil {
+		t.Error("Variant accepted slices of different lengths")
 	}
 }
 

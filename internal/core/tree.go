@@ -263,6 +263,46 @@ func (t *WhiskerTree) WithAction(index int, a Action) (*WhiskerTree, error) {
 	return out, nil
 }
 
+// DiffFrom reports whether t shares base's node array (it is a Clone or
+// WithAction descendant of the same structure, with no Split in between)
+// and, if so, appends to dst the indices of the rules whose action or epoch
+// differ. Domains follow from the shared structure, so those rules are all
+// that separate the two trees; Variant is the inverse.
+func (t *WhiskerTree) DiffFrom(base *WhiskerTree, dst []int) (rules []int, shared bool) {
+	if len(t.nodes) != len(base.nodes) || len(t.nodes) == 0 || &t.nodes[0] != &base.nodes[0] {
+		return dst, false
+	}
+	bits := math.Float64bits // bitwise, as CanonicalKey: -0 and NaN payloads count
+	for i := range t.whiskers {
+		w, b := &t.whiskers[i], &base.whiskers[i]
+		if w.Epoch != b.Epoch ||
+			bits(w.Action.WindowMultiple) != bits(b.Action.WindowMultiple) ||
+			bits(w.Action.WindowIncrement) != bits(b.Action.WindowIncrement) ||
+			bits(w.Action.IntersendMs) != bits(b.Action.IntersendMs) {
+			dst = append(dst, i)
+		}
+	}
+	return dst, true
+}
+
+// Variant returns a structure-sharing copy of the tree in which rule
+// rules[i] carries actions[i] and epochs[i] verbatim — no clamping: it
+// rebuilds a tree that already exists elsewhere (see DiffFrom), bit for bit.
+func (t *WhiskerTree) Variant(rules []int, actions []Action, epochs []int) (*WhiskerTree, error) {
+	if len(actions) != len(rules) || len(epochs) != len(rules) {
+		return nil, fmt.Errorf("core: variant with %d rules, %d actions, %d epochs", len(rules), len(actions), len(epochs))
+	}
+	out := t.Clone()
+	for i, r := range rules {
+		if r < 0 || r >= len(out.whiskers) {
+			return nil, fmt.Errorf("core: whisker index %d out of range [0,%d)", r, len(out.whiskers))
+		}
+		out.whiskers[r].Action = actions[i]
+		out.whiskers[r].Epoch = epochs[i]
+	}
+	return out, nil
+}
+
 // CanonicalKey returns a byte-exact encoding of everything that affects the
 // tree's run-time behaviour: the root domain, the octree structure with its
 // split points, and each leaf's action. Epochs and indices are excluded —

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -58,6 +59,45 @@ func BenchmarkDistribRound(b *testing.B) {
 			}
 			defer c.Close()
 			run(b, c)
+		})
+	}
+}
+
+// BenchmarkBatchCodec carries one improvement-step batch — 16 WithAction
+// candidates of one incumbent × 4 specimens — the whole way across:
+// encodeJobs → WriteFrame → ReadFrame → decodeJobs. A frame of jobs that
+// share one opaque tree measures framing only; this one sees what a batch's
+// candidate trees cost, for a young tree and for a ≥ 150-rule one.
+func BenchmarkBatchCodec(b *testing.B) {
+	for _, rules := range []int{15, 150} {
+		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
+			tree := splitTree(b, rules)
+			jobs := specimenJobs(candidates(b, tree, tree.NumWhiskers()/2, 16), 4)
+			var wire bytes.Buffer
+			conn := NewConn(&wire, &wire)
+			sent := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req, err := encodeJobs(jobs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := conn.WriteFrame(&Frame{Type: TypeEval, Eval: req}); err != nil {
+					b.Fatal(err)
+				}
+				sent += wire.Len()
+				f, err := conn.ReadFrame()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got, err := decodeJobs(f.Eval); err != nil || len(got) != len(jobs) {
+					b.Fatalf("%d jobs decoded from %d: %v", len(got), len(jobs), err)
+				}
+			}
+			perJob := float64(b.N * len(jobs))
+			b.ReportMetric(float64(sent)/perJob, "B/job")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perJob, "ns/job")
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -292,10 +291,11 @@ func (c *Coordinator) runWorkerBatch(s *slot, objective stats.Objective, jobs []
 	for i, ji := range idxs {
 		batch[i] = jobs[ji]
 	}
-	trees, wire, err := encodeJobs(batch)
+	req, err := encodeJobs(batch)
 	if err != nil {
 		return err
 	}
+	req.Objective = objective
 	attempts := 1 + c.opts.retries()
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -306,7 +306,7 @@ func (c *Coordinator) runWorkerBatch(s *slot, objective stats.Objective, jobs []
 			c.logf("distrib: worker %d: re-dispatching batch of %d jobs (attempt %d/%d) after: %v", s.index, len(batch), a+1, attempts, lastErr)
 			time.Sleep(c.opts.retryBackoff())
 		}
-		wireResults, err := c.tryBatch(s, objective, trees, wire)
+		wireResults, err := c.tryBatch(s, req)
 		if err == nil {
 			for i, ji := range idxs {
 				wr := wireResults[i]
@@ -325,13 +325,13 @@ func (c *Coordinator) runWorkerBatch(s *slot, objective stats.Objective, jobs []
 }
 
 // tryBatch performs one dispatch attempt against the slot's (possibly
-// respawned) worker.
-func (c *Coordinator) tryBatch(s *slot, objective stats.Objective, trees []json.RawMessage, wire []WireJob) ([]WireResult, error) {
+// respawned) worker, under a fresh request ID.
+func (c *Coordinator) tryBatch(s *slot, req *EvalRequest) ([]WireResult, error) {
 	if err := c.ensureWorker(s); err != nil {
 		return nil, err
 	}
 	id := c.nextID.Add(1)
-	req := &EvalRequest{ID: id, Objective: objective, Trees: trees, Jobs: wire}
+	req.ID = id
 	if err := s.handle.Conn().WriteFrame(&Frame{Type: TypeEval, Eval: req}); err != nil {
 		return nil, fmt.Errorf("sending batch: %w", err)
 	}
@@ -350,8 +350,8 @@ func (c *Coordinator) tryBatch(s *slot, objective stats.Objective, trees []json.
 		// identical batch cannot change the outcome.
 		return nil, errBatch{errors.New(f.Result.Error)}
 	}
-	if len(f.Result.Results) != len(wire) {
-		return nil, fmt.Errorf("batch returned %d results for %d jobs", len(f.Result.Results), len(wire))
+	if len(f.Result.Results) != len(req.Jobs) {
+		return nil, fmt.Errorf("batch returned %d results for %d jobs", len(f.Result.Results), len(req.Jobs))
 	}
 	return f.Result.Results, nil
 }

@@ -2,10 +2,13 @@ package distrib
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -128,34 +131,32 @@ func newTestCoordinator(t *testing.T, factory Factory, opts Options) *Coordinato
 
 // --- protocol ----------------------------------------------------------------
 
+// TestFrameRoundTrip sends every shape of every frame type (wireFrames,
+// codec_test.go) through WriteFrame → ReadFrame: the parsed frame must be
+// deeply equal to the one sent, and re-encode to the same bytes.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	conn := NewConn(&buf, &buf)
-	req := &EvalRequest{
-		ID:        7,
-		Objective: stats.DefaultObjective(0.5),
-		Trees:     []json.RawMessage{json.RawMessage(`{"leaf":true}`)},
-		Jobs: []WireJob{{
-			Tree:     0,
-			Specimen: optimizer.Specimen{Senders: 2, LinkRateBps: 1e7, RTTMs: 123.456789, Seed: -42},
-			Config:   goldenTrainConfig(),
-		}},
-	}
-	if err := conn.WriteFrame(&Frame{Type: TypeEval, Eval: req}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := conn.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != TypeEval || got.Eval == nil {
-		t.Fatalf("got frame %+v", got)
-	}
-	if got.Eval.ID != 7 || got.Eval.Jobs[0].Specimen != req.Jobs[0].Specimen {
-		t.Fatalf("round-trip mismatch: %+v", got.Eval)
-	}
-	if got.Eval.Jobs[0].Config != req.Jobs[0].Config {
-		t.Fatalf("config mismatch: %+v", got.Eval.Jobs[0].Config)
+	for _, tc := range wireFrames() {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			conn := NewConn(&buf, &buf)
+			if err := conn.WriteFrame(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			sent := append([]byte(nil), buf.Bytes()...)
+			got, err := conn.ReadFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.frame) {
+				t.Fatalf("round-trip mismatch:\n got %s\nwant %s", dump(got), dump(tc.frame))
+			}
+			if err := conn.WriteFrame(got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), sent) {
+				t.Fatalf("the parsed frame re-encodes to %d different bytes (first: %d)", buf.Len(), len(sent))
+			}
+		})
 	}
 }
 
@@ -421,6 +422,28 @@ func TestVersionMismatchRefused(t *testing.T) {
 	if _, err := NewCoordinator(bad, Options{Procs: 1}); err == nil || !strings.Contains(err.Error(), "protocol") {
 		t.Fatalf("want version-mismatch error, got %v", err)
 	}
+
+	// A v1 binary's hello, as recorded off its wire: JSON behind the length
+	// prefix. It must be refused by name, not as an unknown tag.
+	v1 := factoryFunc(func(slot, attempt int) (WorkerHandle, error) {
+		toWorkerR, toWorkerW := io.Pipe()
+		fromWorkerR, fromWorkerW := io.Pipe()
+		w := &pipeWorker{
+			conn:    NewConn(fromWorkerR, toWorkerW),
+			closers: []io.Closer{toWorkerR, toWorkerW, fromWorkerR, fromWorkerW},
+			done:    make(chan struct{}),
+		}
+		go func() {
+			defer close(w.done)
+			defer fromWorkerW.Close()
+			hello := `{"type":"hello","hello":{"version":1,"parallel":1,"pid":4242}}`
+			fromWorkerW.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...))
+		}()
+		return w, nil
+	})
+	if _, err := NewCoordinator(v1, Options{Procs: 1}); err == nil || !strings.Contains(err.Error(), "JSON protocol (v1)") || !strings.Contains(err.Error(), "mixed binaries") {
+		t.Fatalf("want the v1-peer error, got %v", err)
+	}
 }
 
 type factoryFunc func(slot, attempt int) (WorkerHandle, error)
@@ -538,20 +561,40 @@ func TestCoordinatorRejectsZeroProcs(t *testing.T) {
 // --- wire-float exactness -----------------------------------------------------
 
 func TestWireResultFloatExactness(t *testing.T) {
-	// The determinism argument leans on encoding/json round-tripping
-	// float64 exactly; pin it with adversarial values.
-	vals := []float64{0, 1.0 / 3.0, -1e9, 4.9e-324, 1.7976931348623157e308, 123.45600000000002}
+	// The determinism argument leans on every float64 crossing the wire bit
+	// for bit — including the values a decimal codec cannot carry, which
+	// must not turn a healthy worker's answer into a write error.
+	vals := []float64{0, 1.0 / 3.0, -1e9, 123.45600000000002,
+		math.SmallestNonzeroFloat64, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	var buf bytes.Buffer
+	conn := NewConn(&buf, &buf)
 	for _, v := range vals {
-		data, err := json.Marshal(WireResult{Sum: v})
-		if err != nil {
-			t.Fatal(err)
+		want := math.Float64bits(v)
+		frames := []*Frame{
+			{Type: TypeResult, Result: &EvalResponse{ID: 1, Results: []WireResult{{Sum: v}}}},
+			{Type: TypeEval, Eval: &EvalRequest{ID: 1, Objective: stats.Objective{Alpha: v, Beta: v, Delta: v}}},
 		}
-		var got WireResult
-		if err := json.Unmarshal(data, &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.Sum != v {
-			t.Fatalf("float %v did not round-trip (got %v)", v, got.Sum)
+		for _, f := range frames {
+			if err := conn.WriteFrame(f); err != nil {
+				t.Fatalf("float %v: %v", v, err)
+			}
+			got, err := conn.ReadFrame()
+			if err != nil {
+				t.Fatalf("float %v: %v", v, err)
+			}
+			var crossed []float64
+			if got.Result != nil {
+				crossed = []float64{got.Result.Results[0].Sum}
+			} else {
+				o := got.Eval.Objective
+				crossed = []float64{o.Alpha, o.Beta, o.Delta}
+			}
+			for _, g := range crossed {
+				if math.Float64bits(g) != want {
+					t.Fatalf("float %v (%#x) crossed a %s frame as %v (%#x)", v, want, f.Type, g, math.Float64bits(g))
+				}
+			}
 		}
 	}
 }
