@@ -33,6 +33,8 @@ func (w *seqWindow) Len() int { return w.count }
 func (w *seqWindow) floor() int64 { return w.lo }
 
 // get returns seq's record, if live.
+//
+//repo:hotpath per-packet record lookup
 func (w *seqWindow) get(seq int64) (sentRecord, bool) {
 	if seq < w.lo || seq >= w.hi {
 		return sentRecord{}, false
@@ -45,6 +47,8 @@ func (w *seqWindow) get(seq int64) (sentRecord, bool) {
 }
 
 // put inserts or replaces seq's record.
+//
+//repo:hotpath per-packet record store
 func (w *seqWindow) put(seq int64, rec sentRecord) {
 	rec.live = true
 	if w.count == 0 {
@@ -73,6 +77,8 @@ func (w *seqWindow) put(seq int64, rec sentRecord) {
 }
 
 // del removes seq's record, if live.
+//
+//repo:hotpath per-ack record removal
 func (w *seqWindow) del(seq int64) {
 	if seq < w.lo || seq >= w.hi {
 		return
@@ -92,6 +98,8 @@ func (w *seqWindow) del(seq int64) {
 // and a late cumulative ack then overtakes it), so the bound may only skip
 // slots known to be empty. The walk is amortized O(1) per acked packet: lo
 // is monotone within a flow incarnation.
+//
+//repo:hotpath per-ack window floor advance
 func (w *seqWindow) forgetBelow(floor int64) {
 	if floor > w.hi {
 		floor = w.hi

@@ -1,7 +1,9 @@
 package cc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/ring"
@@ -49,6 +51,19 @@ type sentRecord struct {
 	live bool
 }
 
+// resend is one entry of the transport's retransmission log: seq was re-sent
+// at time at. The entry speaks for seq's record only while the record's
+// sentAt still equals at; a later re-send appends its own entry.
+type resend struct {
+	seq int64
+	at  sim.Time
+}
+
+// resendLogMinCap is the retransmission log's first capacity: enough that a
+// cold session pays one allocation per transport that ever retransmits and
+// leaves doubling to unusually deep recoveries.
+const resendLogMinCap = 128
+
 // Transport is the generic reliable sender: it decides *when* packets may be
 // transmitted (window and pacing), performs loss detection and recovery, and
 // defers all congestion decisions to its Algorithm. One Transport drives one
@@ -56,7 +71,10 @@ type sentRecord struct {
 type Transport struct {
 	port *netsim.Port
 	algo Algorithm
-	mss  int
+	// stamper is algo's PacketStamper side, resolved once; nil for the
+	// algorithms that stamp nothing.
+	stamper PacketStamper
+	mss     int
 
 	active bool
 
@@ -80,6 +98,14 @@ type Transport struct {
 	// has acknowledged; packets three or more below it that remain
 	// outstanding are presumed lost (SACK-style loss detection).
 	highestAcked int64
+	// State of the presumed-lost scan (see queuePresumedLost), reset with the
+	// window. Every never-retransmitted record below firstCursor is queued or
+	// gone. resends[resendHead:] logs the retransmissions of this epoch in
+	// send order; its buffer outlives Reset, as the window's and the
+	// retransmission queue's do.
+	firstCursor int64
+	resends     []resend
+	resendHead  int
 
 	// RTT estimation (RFC 6298).
 	srtt   sim.Time
@@ -121,6 +147,7 @@ func NewTransport(engine *sim.Engine, port *netsim.Port, algo Algorithm, mss int
 		mss:  mss,
 		rto:  initialRTO,
 	}
+	t.stamper, _ = algo.(PacketStamper)
 	t.rtoTimer = engine.NewTimer(t.onRTO)
 	t.paceTimer = engine.NewTimer(func(fireAt sim.Time) {
 		t.pacePending = false
@@ -151,12 +178,11 @@ func (t *Transport) Reset() {
 	t.paceTimer.Stop()
 	t.nextSeq = 0
 	t.cumAck = 0
-	t.outstanding.clearAll()
-	t.retransmitQueue.Clear()
+	t.clearWindow()
 	t.dupAcks = 0
 	t.inRecovery = false
 	t.recoverUntil = 0
-	t.highestAcked = 0
+	t.highestAcked = -1
 	t.srtt = 0
 	t.rttvar = 0
 	t.rto = initialRTO
@@ -183,8 +209,7 @@ func (t *Transport) StartFlow(now sim.Time) {
 	t.active = true
 	t.nextSeq = 0
 	t.cumAck = 0
-	t.outstanding.clearAll()
-	t.retransmitQueue.Clear()
+	t.clearWindow()
 	t.dupAcks = 0
 	t.inRecovery = false
 	t.highestAcked = -1
@@ -213,8 +238,18 @@ func (t *Transport) StopFlow(now sim.Time) {
 	t.rtoTimer.Stop()
 	t.paceTimer.Stop()
 	t.pacePending = false
+	t.clearWindow()
+}
+
+// clearWindow discards every outstanding record and, with them, what was
+// derived from them: the retransmission queue and the presumed-lost scan's
+// cursor and log. It is what ends a scan epoch (see queuePresumedLost).
+func (t *Transport) clearWindow() {
 	t.outstanding.clearAll()
 	t.retransmitQueue.Clear()
+	t.firstCursor = 0
+	t.resends = t.resends[:0]
+	t.resendHead = 0
 }
 
 // effectiveWindow clamps the algorithm's window to at least one packet.
@@ -285,18 +320,18 @@ func (t *Transport) sendOne(now sim.Time) {
 	p.SentAt = now
 	p.FirstSentAt = now
 	p.Retransmit = retransmit
-	if stamper, ok := t.algo.(PacketStamper); ok {
-		stamper.StampPacket(p, now)
+	if t.stamper != nil {
+		t.stamper.StampPacket(p, now)
 	}
-	rec, ok := t.outstanding.get(seq)
-	if !ok {
-		rec = sentRecord{sentAt: now}
-	} else {
-		rec.sentAt = now
+	// A record already there makes this a re-send, whichever branch above
+	// chose seq (a queued retransmission always finds its record).
+	rec, resent := t.outstanding.get(seq)
+	rec.sentAt = now
+	if resent {
 		rec.retransmitted = true
+		t.logResend(seq, now)
 	}
 	if retransmit {
-		rec.retransmitted = true
 		t.stats.Retransmissions++
 	}
 	t.outstanding.put(seq, rec)
@@ -324,8 +359,7 @@ func (t *Transport) onRTO(now sim.Time) {
 	// will be resent as new data. RTT sampling stays safe across the rewind
 	// without Karn's rule because ACKs echo the delivered copy's own SentAt,
 	// so every sample is per-transmission accurate.
-	t.outstanding.clearAll()
-	t.retransmitQueue.Clear()
+	t.clearWindow()
 	t.nextSeq = t.cumAck
 	t.dupAcks = 0
 	t.inRecovery = false
@@ -463,30 +497,142 @@ func (t *Transport) OnAck(ack netsim.Ack, now sim.Time) {
 	t.maybeSend(now)
 }
 
+// testHookLossScan is nil outside tests. A test sets it to watch every
+// presumed-lost scan: it is called before the scan has touched anything, and
+// the function it returns is called once the scan has queued what it found.
+var testHookLossScan func(t *Transport, now sim.Time) (done func())
+
 // queuePresumedLost queues every outstanding packet that is presumed lost
 // under a SACK-style rule: at least three higher sequence numbers have
 // already been acknowledged, and the packet has not been (re)sent within the
 // last smoothed RTT (to avoid retransmitting data that is merely still in
-// flight). A single ascending scan from the window's floor visits every
-// outstanding record in sequence order, which keeps retransmission order
-// (and therefore whole simulations) deterministic across runs of the same
-// seed. The floor is usually the cumulative ack, but can trail it when a
-// go-back-N rewind left packets outstanding below it; the scan spans at most
-// the send window either way.
+// flight). They are queued in ascending sequence order, which keeps
+// retransmission order (and therefore whole simulations) deterministic across
+// runs of the same seed.
+//
+// A record's age only matters once, so instead of walking the send window the
+// scan visits records in the order they were sent — in which "has gone stale"
+// is a prefix — and keeps two such orders:
+//
+//   - First transmissions are sent in sequence order, so among the
+//     never-retransmitted records of one epoch sentAt ascends with seq.
+//     firstCursor walks them upward once: dead, queued and retransmitted
+//     slots are passed for good (the first two can only come back as
+//     retransmissions), stale ones are queued, and the walk stops at the
+//     first fresh one, since everything above it is fresher still. It also
+//     stops at nextSeq: highestAcked survives a go-back-N rewind, so the
+//     bound can lie above data not sent yet, which the cursor must not pass.
+//   - Retransmissions are logged by sendOne as they are sent, so along
+//     resends the time at ascends with position. takeStaleResends examines
+//     only the stale prefix.
+//
+// The two selections are disjoint and together are exactly what an ascending
+// walk from the window's floor to the bound would find; merging them by
+// sequence number reproduces that walk's order. An epoch ends, and cursor and
+// log restart, when the window is cleared: StartFlow, StopFlow, Reset and a
+// retransmission timeout (clearWindow).
+//
+//repo:hotpath per-recovery-ack loss scan
 func (t *Transport) queuePresumedLost(now sim.Time) {
+	if testHookLossScan != nil {
+		defer testHookLossScan(t, now)()
+	}
 	staleAfter := t.srtt
 	if staleAfter <= 0 {
 		staleAfter = t.rto
 	}
-	for seq := t.outstanding.floor(); seq+3 <= t.highestAcked; seq++ {
+	bound := t.highestAcked - 3
+	if bound >= t.nextSeq {
+		bound = t.nextSeq - 1
+	}
+	resent := t.takeStaleResends(now, staleAfter, bound)
+	seq := max(t.firstCursor, t.outstanding.floor())
+	for ; seq <= bound; seq++ {
 		rec, ok := t.outstanding.get(seq)
-		if !ok || rec.queued || now-rec.sentAt < staleAfter {
+		if !ok || rec.queued || rec.retransmitted {
 			continue
+		}
+		if now-rec.sentAt < staleAfter {
+			break
+		}
+		for len(resent) > 0 && resent[0].seq < seq {
+			t.queueRetransmit(resent[0].seq)
+			resent = resent[1:]
 		}
 		t.queueRetransmit(seq)
 	}
+	t.firstCursor = seq
+	for _, e := range resent {
+		t.queueRetransmit(e.seq)
+	}
 }
 
+// takeStaleResends consumes the stale prefix of the retransmission log (the
+// entries sent at least staleAfter before now) and returns, ascending by seq,
+// the ones that are presumed lost again. An entry whose record is gone,
+// queued or re-sent since (sentAt != at; the re-send has its own entry
+// further on) is dropped, one at or below bound is returned, and one still
+// above bound stays in the log, in order, for a later scan. The result lives
+// in the part of the log the call has just freed and is valid until the next
+// logResend.
+//
+//repo:hotpath per-recovery-ack loss scan
+func (t *Transport) takeStaleResends(now, staleAfter sim.Time, bound int64) []resend {
+	log, head := t.resends, t.resendHead
+	stale := head
+	for stale < len(log) && now-log[stale].at >= staleAfter {
+		stale++
+	}
+	// Backwards, so the entries that stay can be swapped to the end of the
+	// prefix, next to the fresh ones, without losing their order; what the
+	// swaps scramble is sorted or dropped below.
+	keep := stale
+	for i := stale - 1; i >= head; i-- {
+		e := log[i]
+		rec, ok := t.outstanding.get(e.seq)
+		switch {
+		case !ok || rec.queued || rec.sentAt != e.at:
+			log[i].seq = -1
+		case e.seq <= bound:
+		default:
+			keep--
+			log[i], log[keep] = log[keep], e
+		}
+	}
+	t.resendHead = keep
+	n := head
+	for _, e := range log[head:keep] {
+		if e.seq >= 0 {
+			log[n] = e
+			n++
+		}
+	}
+	lost := log[head:n]
+	slices.SortFunc(lost, resendBySeq)
+	return lost
+}
+
+func resendBySeq(a, b resend) int { return cmp.Compare(a.seq, b.seq) }
+
+// logResend appends a retransmission to the scan's log. The log is consumed
+// from the front, so when full it reclaims a front that is more than half of
+// it, and doubles otherwise.
+//
+//repo:hotpath per-retransmission
+func (t *Transport) logResend(seq int64, now sim.Time) {
+	if len(t.resends) == cap(t.resends) {
+		live := t.resends[t.resendHead:]
+		if t.resendHead*2 <= len(t.resends) {
+			t.resends = make([]resend, len(live), max(2*cap(t.resends), resendLogMinCap))
+		}
+		t.resends = t.resends[:copy(t.resends[:cap(t.resends)], live)]
+		t.resendHead = 0
+	}
+	//lint:ignore hotalloc room was made above; the log doubles only up to the deepest recovery seen and outlives Reset
+	t.resends = append(t.resends, resend{seq: seq, at: now})
+}
+
+//repo:hotpath per-lost-packet queueing
 func (t *Transport) queueRetransmit(seq int64) {
 	rec, ok := t.outstanding.get(seq)
 	if !ok || rec.queued {
