@@ -77,8 +77,8 @@ func TestTransportRecoverySteadyStateAllocs(t *testing.T) {
 		w.eng.Run(now) // let what was in flight drain
 	}
 	// The log is allocated in the first epoch; the simulator's own pools
-	// (packets, ACK carriers, lane rings) reach their high-water mark a few
-	// epochs later.
+	// (packets, out for the whole round trip, and lane rings) reach their
+	// high-water mark a few epochs later.
 	for i := 0; i < 5; i++ {
 		epoch()
 	}

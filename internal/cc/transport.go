@@ -318,7 +318,6 @@ func (t *Transport) sendOne(now sim.Time) {
 	p.Seq = seq
 	p.Size = t.mss
 	p.SentAt = now
-	p.FirstSentAt = now
 	p.Retransmit = retransmit
 	if t.stamper != nil {
 		t.stamper.StampPacket(p, now)

@@ -365,11 +365,22 @@ func (t *WhiskerTree) toJSON(ni int32) *treeJSON {
 	return out
 }
 
-// fromJSON appends the node described by j (and its subtree) to the tree's
-// arrays in DFS order and returns its node index.
-func (t *WhiskerTree) fromJSON(j *treeJSON) (int32, error) {
+// maxTreeDepth bounds how deep a deserialized tree may nest. Each level is two
+// levels of JSON and a leaf four, so a deeper tree could be accepted from JSON
+// that leaves out a leaf's domain and then fail to marshal, its own encoding
+// past encoding/json's nesting limit of 10 000. Trained tables are a few
+// levels deep.
+const maxTreeDepth = 1024
+
+// fromJSON appends the node described by j (and its subtree), depth levels
+// below the root, to the tree's arrays in DFS order and returns its node
+// index.
+func (t *WhiskerTree) fromJSON(j *treeJSON, depth int) (int32, error) {
 	if j == nil {
 		return 0, fmt.Errorf("core: nil tree node")
+	}
+	if depth > maxTreeDepth {
+		return 0, fmt.Errorf("core: tree deeper than %d levels", maxTreeDepth)
 	}
 	ni := int32(len(t.nodes))
 	t.nodes = append(t.nodes, flatNode{})
@@ -387,7 +398,7 @@ func (t *WhiskerTree) fromJSON(j *treeJSON) (int32, error) {
 	t.nodes[ni].leaf = -1
 	t.nodes[ni].split = *j.Split
 	for i, cj := range j.Children {
-		ci, err := t.fromJSON(cj)
+		ci, err := t.fromJSON(cj, depth+1)
 		if err != nil {
 			return 0, err
 		}
@@ -408,7 +419,7 @@ func (t *WhiskerTree) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	fresh := WhiskerTree{}
-	if _, err := fresh.fromJSON(&j); err != nil {
+	if _, err := fresh.fromJSON(&j, 0); err != nil {
 		return err
 	}
 	*t = fresh

@@ -186,10 +186,7 @@ func (rt *churnRuntime) onArrival(cs *churnState, now sim.Time, bytes int64) {
 		fs.transport.ResetStats()
 	} else {
 		fs = &flowState{class: cs.index}
-		sender := netsim.SenderFunc(func(a netsim.Ack, at sim.Time) {
-			fs.transport.OnAck(a, at)
-		})
-		port, err := rt.network.AttachFlowRoute(sender, cs.fwd, cs.rev, cs.oneWay)
+		port, err := rt.network.AttachFlowRoute(unbound, cs.fwd, cs.rev, cs.oneWay)
 		if err != nil {
 			rt.fail(fmt.Errorf("harness: churn class %d attach: %w", cs.index, err))
 			return
@@ -204,6 +201,7 @@ func (rt *churnRuntime) onArrival(cs *churnState, now sim.Time, bytes int64) {
 			rt.fail(fmt.Errorf("harness: churn class %d: %w", cs.index, err))
 			return
 		}
+		port.SetSender(transport)
 		transport.OnBytesAcked = func(at sim.Time, n int64) {
 			rt.onBytesAcked(cs, fs, at, n)
 		}

@@ -50,6 +50,11 @@ type Session struct {
 	root *sim.RNG
 }
 
+// unbound is the sender a flow's port is attached with until its transport,
+// which needs the port to exist, is built and bound as the port's sender. No
+// acknowledgment can arrive in between, since nothing has been sent.
+var unbound = netsim.SenderFunc(func(netsim.Ack, sim.Time) {})
+
 // NewSession builds a reusable session for the scenario on a fresh engine.
 func NewSession(s Scenario) (*Session, error) {
 	return NewSessionOn(sim.NewEngine(), s)
@@ -120,14 +125,10 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 		fs := &flowState{class: -1}
 		ss.flows[i] = fs
 
-		var transport *cc.Transport
-		sender := netsim.SenderFunc(func(a netsim.Ack, now sim.Time) {
-			transport.OnAck(a, now)
-		})
 		fs.oneWay = sim.FromMillis(spec.RTTMs / 2)
 		fs.fwd = resolveRoute(network, spec.Path)
 		fs.rev = resolveRoute(network, spec.ReversePath)
-		port, err := network.AttachFlowRoute(sender, fs.fwd, fs.rev, fs.oneWay)
+		port, err := network.AttachFlowRoute(unbound, fs.fwd, fs.rev, fs.oneWay)
 		if err != nil {
 			return nil, err
 		}
@@ -137,10 +138,11 @@ func NewSessionOn(engine *sim.Engine, s Scenario) (*Session, error) {
 		if algo == nil {
 			return nil, fmt.Errorf("harness: flow %d NewAlgorithm returned nil", i)
 		}
-		transport, err = cc.NewTransport(engine, port, algo, mtu)
+		transport, err := cc.NewTransport(engine, port, algo, mtu)
 		if err != nil {
 			return nil, err
 		}
+		port.SetSender(transport)
 		fs.transport = transport
 		fs.algoName = algo.Name()
 

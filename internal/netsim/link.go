@@ -29,9 +29,13 @@ type Link struct {
 	name  string
 	delay sim.Time
 
-	// fixed-rate service
-	rateBps float64
-	busy    bool
+	// fixed-rate service; memoSize/memoTime remember the service time of the
+	// last packet size served (memoTime 0: none yet), so a stream of
+	// equal-sized packets computes it once.
+	rateBps  float64
+	memoSize int
+	memoTime sim.Time
+	busy     bool
 	// serving/servingTime carry the packet currently in transmission between
 	// serveNext and serviceDone, so the service event needs no per-packet
 	// closure.
@@ -134,12 +138,18 @@ func (l *Link) reset() *Packet {
 }
 
 // Transmission time of a packet on a fixed-rate link.
+//
+//repo:hotpath per-packet service start
 func (l *Link) serviceTime(p *Packet) sim.Time {
+	if p.Size == l.memoSize && l.memoTime != 0 {
+		return l.memoTime
+	}
 	seconds := float64(p.Size) * 8 / l.rateBps
 	st := sim.FromSeconds(seconds)
 	if st < 1 {
 		st = 1 // quantize to at least one microsecond
 	}
+	l.memoSize, l.memoTime = p.Size, st
 	return st
 }
 

@@ -2,6 +2,7 @@ package netsim_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/aqm"
 	"repro/internal/netsim"
@@ -190,21 +191,21 @@ func TestReceiverCumAckAndReordering(t *testing.T) {
 	if r.Flow() != 3 {
 		t.Error("Flow")
 	}
-	a0 := r.Receive(&netsim.Packet{Flow: 3, Seq: 0, Size: 100}, 10)
+	a0 := r.Receive(&netsim.Packet{Flow: 3, Seq: 0, Size: 100})
 	if a0.CumAck != 1 || a0.Seq != 0 {
 		t.Errorf("a0 = %+v", a0)
 	}
 	// Out of order: seq 2 before seq 1.
-	a2 := r.Receive(&netsim.Packet{Flow: 3, Seq: 2, Size: 100}, 20)
+	a2 := r.Receive(&netsim.Packet{Flow: 3, Seq: 2, Size: 100})
 	if a2.CumAck != 1 {
 		t.Errorf("cumack after gap = %d, want 1", a2.CumAck)
 	}
-	a1 := r.Receive(&netsim.Packet{Flow: 3, Seq: 1, Size: 100}, 30)
+	a1 := r.Receive(&netsim.Packet{Flow: 3, Seq: 1, Size: 100})
 	if a1.CumAck != 3 {
 		t.Errorf("cumack after filling gap = %d, want 3", a1.CumAck)
 	}
 	// Duplicate delivery does not regress state.
-	dup := r.Receive(&netsim.Packet{Flow: 3, Seq: 1, Size: 100}, 40)
+	dup := r.Receive(&netsim.Packet{Flow: 3, Seq: 1, Size: 100})
 	if dup.CumAck != 3 {
 		t.Error("duplicate changed cumack")
 	}
@@ -220,13 +221,26 @@ func TestReceiverCumAckAndReordering(t *testing.T) {
 func TestReceiverEchoesECNAndXCP(t *testing.T) {
 	r := netsim.NewReceiver(0)
 	p := &netsim.Packet{Seq: 0, Size: 100, ECNMarked: true, XCP: &netsim.XCPHeader{Feedback: 123}}
-	a := r.Receive(p, 5)
+	a := r.Receive(p)
 	if !a.ECNEcho || !a.HasXCP || a.XCPFeedback != 123 {
 		t.Errorf("ack did not echo ECN/XCP: %+v", a)
 	}
-	plain := r.Receive(&netsim.Packet{Seq: 1, Size: 100}, 6)
+	plain := r.Receive(&netsim.Packet{Seq: 1, Size: 100})
 	if plain.ECNEcho || plain.HasXCP {
 		t.Error("plain packet should not echo ECN/XCP")
+	}
+}
+
+// TestHotStructSizes pins the size of the structs every simulated packet
+// moves through: a Packet is two cache lines and carries its Ack home, and
+// the Ack is copied once more into the sender. Growing either should be a
+// decision made here, not a side effect of adding a field.
+func TestHotStructSizes(t *testing.T) {
+	if size := unsafe.Sizeof(netsim.Packet{}); size > 128 {
+		t.Errorf("netsim.Packet is %d bytes, want at most 128", size)
+	}
+	if size := unsafe.Sizeof(netsim.Ack{}); size > 48 {
+		t.Errorf("netsim.Ack is %d bytes, want at most 48", size)
 	}
 }
 

@@ -93,21 +93,20 @@ type Network struct {
 	liveFlows int
 
 	// OnDeliver, if set, is invoked for every data packet delivered to a
-	// receiver (used by the Figure 6 sequence-plot experiment). The packet is
-	// recycled once the callback returns; observers must copy what they need
-	// rather than retain the pointer.
+	// receiver (used by the Figure 6 sequence-plot experiment). Once the
+	// callback returns the packet turns around to carry its acknowledgment
+	// home; observers must copy what they need rather than retain the pointer.
 	OnDeliver func(p *Packet, now sim.Time)
 
-	// pool recycles packets and ack carriers through the send → queue → link
-	// → receiver → ack cycle, keeping the per-packet path allocation-free.
-	pool    packetPool
-	ackFree []*ackCarrier
-	ackAll  []*ackCarrier // every carrier allocated, in order (see rewind)
+	// pool recycles packets through the send → queue → link → receiver →
+	// ack → sender cycle, keeping the per-packet path allocation-free. A
+	// packet goes home with its own acknowledgment, so one round trip takes
+	// one packet.
+	pool packetPool
 
 	propApply func(now sim.Time, arg any)
 	ackApply  func(now sim.Time, arg any)
 	hopApply  func(now sim.Time, arg any)
-	ackDone   func(now sim.Time, arg any)
 
 	// lanes are the engine lanes taken so far, one per distinct nominal delay
 	// (see laneFor).
@@ -124,26 +123,13 @@ type delayLane struct {
 	lane  sim.Lane
 }
 
-// ackCarrier ferries one acknowledgment through its return-path propagation
-// event without boxing the Ack value into an interface (which would allocate
-// per packet). It is used only by flows whose reverse path is pure delay;
-// flows with reverse links carry their acks in pooled packets instead. gen
-// pins the flow attachment the ack belongs to, so acks in flight when their
-// flow detaches are dropped rather than delivered to a respawned flow.
-type ackCarrier struct {
-	port *Port
-	ack  Ack
-	gen  uint64
-}
-
 // Port is one flow's attachment point to the network. The sender transmits
 // by calling Send; the network delivers acknowledgments to the attached
 // Sender once they have crossed the flow's reverse path.
 type Port struct {
-	net      *Network
-	flow     int
-	sender   Sender
-	receiver *Receiver
+	net    *Network
+	flow   int
+	sender Sender
 	// oneWay is the flow's access propagation delay in each direction: the
 	// part of the minimum RTT not owned by any link. For a dumbbell flow it is
 	// half the two-way propagation delay, as in the paper's setup.
@@ -166,6 +152,11 @@ type Port struct {
 
 	packetsSent int64
 	bytesSent   int64
+
+	// receiver is held in the port, not beside it: the receiver writes every
+	// packet's acknowledgment, and next to the port fields the delivery has
+	// just read it costs no pointer chase and no cache line of its own.
+	receiver Receiver
 }
 
 // NewGraph builds an empty topology network on the engine. Links are added
@@ -184,9 +175,8 @@ func NewGraph(engine *sim.Engine, cfg GraphConfig) (*Network, error) {
 	}
 	n := &Network{engine: engine, mtu: mtu, ackBytes: ackBytes, byName: make(map[string]*Link)}
 	n.propApply = n.onPropagated
-	n.ackApply = n.onAckReturned
+	n.ackApply = n.onAckArrived
 	n.hopApply = n.onHopArrived
-	n.ackDone = n.onAckPacketReturned
 	return n, nil
 }
 
@@ -308,12 +298,11 @@ func (n *Network) AttachFlowRoute(sender Sender, fwd, rev []*Link, oneWay sim.Ti
 		return nil, err
 	}
 	p := &Port{
-		net:      n,
-		sender:   sender,
-		receiver: NewReceiver(0),
-		oneWay:   oneWay,
-		fwd:      append([]*Link(nil), fwd...),
-		rev:      append([]*Link(nil), rev...),
+		net:    n,
+		sender: sender,
+		oneWay: oneWay,
+		fwd:    append([]*Link(nil), fwd...),
+		rev:    append([]*Link(nil), rev...),
 	}
 	n.register(p)
 	return p, nil
@@ -517,7 +506,7 @@ func (n *Network) onLinkDelivered(l *Link, p *Packet, now sim.Time) {
 		return
 	}
 	if p.isAck {
-		port.ackLane.ScheduleArg(now+delay+port.oneWay, n.ackDone, p)
+		port.ackLane.ScheduleArg(now+delay+port.oneWay, n.ackApply, p)
 		return
 	}
 	port.dataLane.ScheduleArg(now+delay+port.oneWay, n.propApply, p)
@@ -552,10 +541,11 @@ func (n *Network) onHopArrived(t sim.Time, arg any) {
 	l.Offer(t)
 }
 
-// onPropagated runs when a data packet reaches its receiver: acknowledge it,
-// notify observers, recycle the packet, and send the acknowledgment back —
-// over pure delay when the flow has no reverse links, or as an ack packet
-// entering the first reverse link's queue.
+// onPropagated runs when a data packet reaches its receiver: the receiver
+// writes the acknowledgment into the packet, observers are notified, and the
+// packet carries the acknowledgment back — as it is, over pure delay, when the
+// flow has no reverse links, or turned into an ack packet entering the first
+// reverse link's queue.
 //
 //repo:hotpath per-packet receiver delivery
 func (n *Network) onPropagated(t sim.Time, arg any) {
@@ -565,58 +555,35 @@ func (n *Network) onPropagated(t sim.Time, arg any) {
 		n.pool.put(p) // stale packet of a detached flow
 		return
 	}
-	ack := port.receiver.Receive(p, t)
+	port.receiver.Receive(p)
 	if n.OnDeliver != nil {
 		n.OnDeliver(p, t)
 	}
-	n.pool.put(p)
 	if len(port.rev) == 0 {
 		// Return propagation of the acknowledgment (reverse path is
 		// uncongested, as in the paper's setup).
-		ac := n.getAckCarrier()
-		ac.port, ac.ack, ac.gen = port, ack, port.gen
-		port.ackLane.ScheduleArg(t+port.oneWay, n.ackApply, ac)
+		port.ackLane.ScheduleArg(t+port.oneWay, n.ackApply, p)
 		return
 	}
-	pa := n.pool.get()
-	pa.Flow = port.flow
-	pa.Size = n.ackBytes
-	pa.isAck = true
-	pa.ack = ack
-	pa.gen = port.gen
-	pa.EnqueuedAt = t
+	p.turnAround(n.ackBytes, t)
 	l := port.rev[0]
-	if !l.queue.Enqueue(pa, t) {
+	if !l.queue.Enqueue(p, t) {
 		n.acksDropped++
-		n.pool.put(pa)
+		n.pool.put(p)
 		return
 	}
 	l.Offer(t)
 }
 
-// onAckReturned delivers a pure-delay acknowledgment to its sender after the
-// reverse propagation delay.
+// onAckArrived delivers an acknowledgment to its sender, whichever way it
+// came home: over pure delay or across the flow's reverse links.
 //
 //repo:hotpath per-ack delivery to the sender
-func (n *Network) onAckReturned(t sim.Time, arg any) {
-	ac := arg.(*ackCarrier)
-	port, ack, gen := ac.port, ac.ack, ac.gen
-	n.putAckCarrier(ac)
-	if !port.attached || port.gen != gen {
-		return // flow detached while the ack was propagating
-	}
-	port.sender.OnAck(ack, t)
-}
-
-// onAckPacketReturned delivers an acknowledgment that crossed the flow's
-// reverse links to its sender.
-//
-//repo:hotpath per-ack reverse-path delivery
-func (n *Network) onAckPacketReturned(t sim.Time, arg any) {
+func (n *Network) onAckArrived(t sim.Time, arg any) {
 	p := arg.(*Packet)
 	port := n.flows[p.Flow]
 	if port == nil || port.gen != p.gen {
-		n.pool.put(p) // stale ack of a detached flow
+		n.pool.put(p) // stale ack of a detached flow or an earlier connection
 		return
 	}
 	ack := p.ack
@@ -624,39 +591,17 @@ func (n *Network) onAckPacketReturned(t sim.Time, arg any) {
 	port.sender.OnAck(ack, t)
 }
 
-//repo:hotpath per-ack carrier recycling
-func (n *Network) putAckCarrier(ac *ackCarrier) {
-	*ac = ackCarrier{}
-	//lint:ignore hotalloc free-list push returns a carrier taken from this same list; capacity is steady once warm
-	n.ackFree = append(n.ackFree, ac)
-}
-
 // reclaimInFlight takes back the argument of a canceled in-flight event: a
-// data or ack packet between hops, or an ack carrier on its way home.
+// packet between hops, on its way to the receiver or home with its ack.
 func (n *Network) reclaimInFlight(arg any) {
-	switch a := arg.(type) {
-	case *Packet:
-		n.pool.put(a)
-	case *ackCarrier:
-		n.putAckCarrier(a)
+	if p, ok := arg.(*Packet); ok {
+		n.pool.put(p)
 	}
-}
-
-func (n *Network) getAckCarrier() *ackCarrier {
-	if m := len(n.ackFree); m > 0 {
-		ac := n.ackFree[m-1]
-		n.ackFree[m-1] = nil
-		n.ackFree = n.ackFree[:m-1]
-		return ac
-	}
-	ac := &ackCarrier{}
-	n.ackAll = append(n.ackAll, ac)
-	return ac
 }
 
 // Reset returns the network to its just-built state for engine-pooled reuse
 // (harness.Session): links and queues stay, but every queued, in-service or
-// in-flight packet (and in-flight ack carrier) is recycled, every flow slot is
+// in-flight packet — data or acknowledgment — is recycled, every flow slot is
 // vacated and all counters are zeroed.
 // Ports survive detached — the owner re-attaches them (ReattachFlowRoute)
 // for the next run, which reuses their route capacity and allocates nothing.
@@ -669,9 +614,9 @@ func (n *Network) getAckCarrier() *ackCarrier {
 // packets' enqueue stamps.
 func (n *Network) Reset() {
 	now := n.engine.Now()
-	// Packets and carriers between hops ride engine events; cancel those and
-	// take the arguments back, or the engine's reset would drop a
-	// bandwidth-delay product of them for the next run to re-allocate.
+	// Packets between hops ride engine events; cancel those and take the
+	// arguments back, or the engine's reset would drop a bandwidth-delay
+	// product of them for the next run to re-allocate.
 	n.engine.CancelArgs(n.reclaimInFlight)
 	for _, l := range n.links {
 		if p := l.reset(); p != nil {
@@ -699,8 +644,7 @@ func (n *Network) Reset() {
 		p.receiver.packetsReceived = 0
 		p.receiver.bytesReceived = 0
 	}
-	rewind(n.pool.free, n.pool.all)
-	rewind(n.ackFree, n.ackAll)
+	n.pool.rewind()
 	n.flows = n.flows[:0]
 	n.freeSlots = n.freeSlots[:0]
 	n.liveFlows = 0
@@ -721,6 +665,12 @@ func (n *Network) ReleaseDropped(p *Packet) {
 	}
 	n.pool.put(p)
 }
+
+// SetSender makes s the sender the port delivers acknowledgments to. A
+// transport needs its port to exist before it does, so it is attached with a
+// placeholder and bound here once built; the acknowledgment then reaches it
+// directly rather than through a forwarding closure. s must not be nil.
+func (p *Port) SetSender(s Sender) { p.sender = s }
 
 // NewPacket returns a blank packet for this flow's sender to fill in and
 // Send. Senders must obtain packets here rather than allocating them, so the
@@ -784,7 +734,7 @@ func (p *Port) Attached() bool { return p.attached }
 func (p *Port) OneWayDelay() sim.Time { return p.oneWay }
 
 // Receiver returns the flow's receiver (for statistics and resets).
-func (p *Port) Receiver() *Receiver { return p.receiver }
+func (p *Port) Receiver() *Receiver { return &p.receiver }
 
 // PacketsSent returns the number of packets this flow has offered.
 func (p *Port) PacketsSent() int64 { return p.packetsSent }

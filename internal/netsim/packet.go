@@ -33,7 +33,13 @@ type XCPHeader struct {
 	Feedback float64
 }
 
-// Packet is one data segment traveling from a sender to its receiver.
+// Packet is one data segment traveling from a sender to its receiver, and
+// then the acknowledgment traveling back: the receiver writes the Ack into the
+// packet, which returns to the sender carrying it — over pure delay as it is,
+// or across the flow's reverse links turned into a 40-byte ack packet.
+//
+// Its bools sit together at the end, so the struct is 128 bytes (two cache
+// lines) on 64-bit platforms; TestHotStructSizes holds it there.
 type Packet struct {
 	// Flow identifies the sender–receiver pair.
 	Flow int
@@ -45,16 +51,6 @@ type Packet struct {
 	// it is echoed in the acknowledgment so the sender can compute the RTT
 	// and the send_ewma congestion signal.
 	SentAt sim.Time
-	// FirstSentAt is the timestamp of the packet's first transmission (used
-	// only for bookkeeping of retransmissions).
-	FirstSentAt sim.Time
-	// Retransmit marks retransmitted packets.
-	Retransmit bool
-	// ECNCapable marks packets from ECN-capable senders (DCTCP); only such
-	// packets are marked rather than dropped by ECN queues.
-	ECNCapable bool
-	// ECNMarked is set by a queue that signals congestion via ECN.
-	ECNMarked bool
 	// XCP, when non-nil, is the XCP congestion header.
 	XCP *XCPHeader
 	// EnqueuedAt records when the packet entered the bottleneck queue; queue
@@ -67,16 +63,25 @@ type Packet struct {
 	xcpScratch *XCPHeader
 
 	// Route state, maintained by the Network: hop indexes the packet's
-	// position in its flow's route; isAck marks acknowledgment packets
-	// traversing a reverse route, carrying their Ack in ack; gen is the
-	// attachment generation of the flow that sent the packet, so packets
-	// still in flight when their flow detaches (and its slot is possibly
-	// reused by a later flow) are recognized as stale and recycled instead of
-	// being delivered to the wrong flow.
-	hop   int
+	// position in its flow's route; ack is the acknowledgment the receiver
+	// wrote, carried home; gen is the attachment generation of the flow that
+	// sent the packet, so packets still in flight when their flow detaches
+	// (and its slot is possibly reused by a later flow) are recognized as
+	// stale and recycled instead of being delivered to the wrong flow.
+	hop int
+	ack Ack
+	gen uint64
+
+	// Retransmit marks retransmitted packets.
+	Retransmit bool
+	// ECNCapable marks packets from ECN-capable senders (DCTCP); only such
+	// packets are marked rather than dropped by ECN queues.
+	ECNCapable bool
+	// ECNMarked is set by a queue that signals congestion via ECN.
+	ECNMarked bool
+	// isAck marks a packet turned into an acknowledgment packet, crossing its
+	// flow's reverse route.
 	isAck bool
-	ack   Ack
-	gen   uint64
 }
 
 // EnsureXCP returns the packet's XCP header, attaching a (possibly recycled)
@@ -94,8 +99,8 @@ func (p *Packet) EnsureXCP() *XCPHeader {
 
 // packetPool is a per-engine free list of packets. Engines are
 // single-threaded by design, so the pool needs no locking; the network puts
-// packets back once the receiver has acknowledged them (or the bottleneck
-// dropped them), and hands them out again to senders.
+// packets back once the acknowledgment they carry is home (or a queue dropped
+// them), and hands them out again to senders.
 type packetPool struct {
 	free []*Packet
 	// all lists every packet the pool allocated, in allocation order (see
@@ -115,45 +120,75 @@ func (pl *packetPool) get() *Packet {
 	return p
 }
 
-// rewind puts a free list back in allocation order once every object in all
-// is home, as after Network.Reset. A run cycles its in-flight objects in the
+// rewind puts the free list back in allocation order once every packet is
+// home, as after Network.Reset. A run cycles its in-flight packets in the
 // order they were first handed out — each one freed is the next one taken —
 // and ends with them scattered over queues and pending events. Handed out
 // again in that scattered order they would be walked in it for the whole of
 // the next run; in allocation order, which is address order within the
 // allocator's spans, the walk is sequential. On the 10 Gbps world of
 // remy_exec, with ~3 000 packets in flight, the difference is 5 % of wall
-// time. With an object still held elsewhere any order is valid and the list
+// time. With a packet still held elsewhere any order is valid and the list
 // is left alone.
-func rewind[T any](free, all []*T) {
-	if len(free) != len(all) {
+func (pl *packetPool) rewind() {
+	if len(pl.free) != len(pl.all) {
 		return
 	}
-	for i, p := range all {
-		free[len(free)-1-i] = p
+	for i, p := range pl.all {
+		pl.free[len(pl.free)-1-i] = p
 	}
 }
 
-// put zeroes the packet and returns it to the free list. The XCP header, if
-// one was ever attached, is zeroed and kept as scratch for the next use.
+// put zeroes the packet and returns it to the free list.
 func (pl *packetPool) put(p *Packet) {
 	if p == nil {
 		return
 	}
-	scratch := p.xcpScratch
-	if scratch == nil {
-		scratch = p.XCP // header attached without EnsureXCP; keep it anyway
-	}
-	if scratch != nil {
-		*scratch = XCPHeader{}
-	}
-	*p = Packet{xcpScratch: scratch}
+	p.detachXCP()
+	*p = Packet{xcpScratch: p.xcpScratch}
 	pl.free = append(pl.free, p)
+}
+
+// detachXCP takes the XCP header off the packet. The header, if one was ever
+// attached, is zeroed and kept as scratch for the next use.
+func (p *Packet) detachXCP() {
+	if p.xcpScratch == nil {
+		p.xcpScratch = p.XCP // header attached without EnsureXCP; keep it anyway
+	}
+	if p.xcpScratch != nil {
+		*p.xcpScratch = XCPHeader{}
+	}
+	p.XCP = nil
+}
+
+// turnAround makes a delivered data packet, whose ack the receiver has just
+// written, into the acknowledgment packet that carries it across the flow's
+// reverse links: size bytes, entering a queue at now, and otherwise exactly
+// the fresh packet put and get would hand out — XCP header detached, flags
+// clear — with its flow, generation and ack kept. It rewrites the fields in
+// place; putting the packet and taking it back would zero all of it only for
+// the ack to be copied in again.
+//
+//repo:hotpath per-packet reverse-path turnaround
+func (p *Packet) turnAround(size int, now sim.Time) {
+	p.detachXCP()
+	p.Seq = 0
+	p.Size = size
+	p.SentAt = 0
+	p.EnqueuedAt = now
+	p.hop = 0
+	p.Retransmit = false
+	p.ECNCapable = false
+	p.ECNMarked = false
+	p.isAck = true
 }
 
 // Ack acknowledges one data packet. The receiver acknowledges every packet
 // individually (per-packet ACK clocking, as the paper assumes) and also
 // reports the cumulative ack so senders can run standard loss recovery.
+//
+// Its bools sit together at the end, so the struct is 48 bytes on 64-bit
+// platforms; TestHotStructSizes holds it there.
 type Ack struct {
 	// Flow identifies the sender–receiver pair.
 	Flow int
@@ -164,13 +199,11 @@ type Ack struct {
 	CumAck int64
 	// SentAt echoes the data packet's sender timestamp.
 	SentAt sim.Time
-	// ReceivedAt is the receiver's clock when the data packet arrived.
-	ReceivedAt sim.Time
-	// ECNEcho is set when the acknowledged packet carried an ECN mark.
-	ECNEcho bool
 	// XCPFeedback carries the router-allocated feedback (bytes) when the
 	// data packet had an XCP header.
 	XCPFeedback float64
+	// ECNEcho is set when the acknowledged packet carried an ECN mark.
+	ECNEcho bool
 	// HasXCP reports whether XCPFeedback is meaningful.
 	HasXCP bool
 }
@@ -199,7 +232,8 @@ type Queue interface {
 
 // Sender consumes acknowledgments. The congestion-control transports in
 // internal/cc implement it; the network delivers each Ack to the owning
-// sender after the reverse-path propagation delay.
+// sender after the reverse-path propagation delay. A transport built after
+// its port is bound to it with Port.SetSender.
 type Sender interface {
 	// OnAck delivers an acknowledgment at simulated time now.
 	OnAck(ack Ack, now sim.Time)

@@ -1,14 +1,11 @@
 package netsim
 
-import (
-	"repro/internal/sim"
-)
-
 // Receiver is the per-flow receiving endpoint. It acknowledges every data
 // packet immediately (the periodic ACK feedback the paper assumes) and
 // tracks the cumulative acknowledgment so senders can run ordinary TCP loss
-// recovery. The receiver requires no congestion-control changes, matching
-// the paper's "no receiver changes are necessary".
+// recovery. The acknowledgment is written into the delivered packet itself,
+// which then carries it home. The receiver requires no congestion-control
+// changes, matching the paper's "no receiver changes are necessary".
 type Receiver struct {
 	flow   int
 	cumAck int64
@@ -39,9 +36,12 @@ func (r *Receiver) PacketsReceived() int64 { return r.packetsReceived }
 // BytesReceived returns the number of bytes delivered to this receiver.
 func (r *Receiver) BytesReceived() int64 { return r.bytesReceived }
 
-// Receive processes a delivered data packet and returns the acknowledgment
-// to send back.
-func (r *Receiver) Receive(p *Packet, now sim.Time) Ack {
+// Receive processes a delivered data packet and writes its acknowledgment in
+// place, into the packet that carries it home, returning it. Every field is
+// written, so nothing an earlier use of the packet left there survives.
+//
+//repo:hotpath per-packet acknowledgment
+func (r *Receiver) Receive(p *Packet) *Ack {
 	r.packetsReceived++
 	r.bytesReceived += int64(p.Size)
 	if p.Seq == r.cumAck && r.received.empty() {
@@ -53,19 +53,23 @@ func (r *Receiver) Receive(p *Packet, now sim.Time) Ack {
 		// Advance the cumulative ack over any now-contiguous prefix.
 		r.cumAck = r.received.advanceFrom(r.cumAck)
 	}
-	ack := Ack{
-		Flow:       p.Flow,
-		Seq:        p.Seq,
-		CumAck:     r.cumAck,
-		SentAt:     p.SentAt,
-		ReceivedAt: now,
-		ECNEcho:    p.ECNMarked,
-	}
+	// Field by field: a composite literal would be built on the stack and
+	// copied, and the copy's wide reload of the narrow stores just made
+	// stalls once per packet.
+	a := &p.ack
+	a.Flow = p.Flow
+	a.Seq = p.Seq
+	a.CumAck = r.cumAck
+	a.SentAt = p.SentAt
+	a.ECNEcho = p.ECNMarked
 	if p.XCP != nil {
-		ack.HasXCP = true
-		ack.XCPFeedback = p.XCP.Feedback
+		a.HasXCP = true
+		a.XCPFeedback = p.XCP.Feedback
+	} else {
+		a.HasXCP = false
+		a.XCPFeedback = 0
 	}
-	return ack
+	return a
 }
 
 // Reset clears receiver state for a new connection (new "on" period). The

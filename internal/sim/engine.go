@@ -424,10 +424,10 @@ func (e *Engine) Cancel(id EventID) {
 
 // CancelArgs cancels every pending ScheduleArg event and hands each one's
 // argument to reclaim, in no particular order. It exists for the owner of
-// pooled event arguments — netsim's packets and ack carriers in flight — to
-// take them back before a reset; Reset alone would drop them with their
-// slots, and every warm run would re-allocate a bandwidth-delay product of
-// them. All ScheduleArg events are canceled, whoever scheduled them, so an
+// pooled event arguments — netsim's packets in flight, carrying data out or an
+// acknowledgment home — to take them back before a reset; Reset alone would
+// drop them with their slots, and every warm run would re-allocate a
+// bandwidth-delay product of them. All ScheduleArg events are canceled, whoever scheduled them, so an
 // engine's arguments must have one owner. Lane events are among them: their
 // arguments are reclaimed too and the entries dropped at once (the lanes stay).
 func (e *Engine) CancelArgs(reclaim func(arg any)) {
