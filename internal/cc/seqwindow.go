@@ -19,6 +19,9 @@ type seqWindow struct {
 	lo    int64 // inclusive: no live sequence number is below lo
 	hi    int64 // exclusive: no live sequence number is at or above hi
 	count int
+	// first is the first-size ring the window allocated, kept once the
+	// window has grown past it so that renew can go back to it.
+	first []sentRecord
 }
 
 // seqWindowMinSize is the initial ring size; it covers a typical congestion
@@ -54,6 +57,7 @@ func (w *seqWindow) put(seq int64, rec sentRecord) {
 	if w.count == 0 {
 		if len(w.recs) == 0 {
 			w.recs = make([]sentRecord, seqWindowMinSize)
+			w.first = w.recs
 		}
 		w.lo, w.hi = seq, seq+1
 	} else {
@@ -129,6 +133,19 @@ func (w *seqWindow) clearAll() {
 		w.count = 0
 	}
 	w.lo, w.hi = 0, 0
+}
+
+// renew empties the window for a new flow. A ring grown past the first size
+// is dropped — the flow it was grown for has gone with its world — and the
+// window goes back to its first ring, so whatever it served before, a renewed
+// window allocates exactly what a new one allocates less that first ring.
+func (w *seqWindow) renew() {
+	if len(w.recs) > seqWindowMinSize {
+		clear(w.first) // grow left the records it copied behind
+		*w = seqWindow{recs: w.first, first: w.first}
+		return
+	}
+	w.clearAll()
 }
 
 // grow reindexes the live records into a ring large enough for span slots.

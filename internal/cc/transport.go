@@ -138,22 +138,53 @@ func NewTransport(engine *sim.Engine, port *netsim.Port, algo Algorithm, mss int
 	if engine == nil || port == nil || algo == nil {
 		return nil, fmt.Errorf("cc: NewTransport requires engine, port and algorithm")
 	}
+	t := &Transport{}
+	t.rtoTimer = engine.NewTimer(t.onRTO)
+	t.paceTimer = engine.NewTimer(t.onPace)
+	if err := t.Rebind(port, algo, mss); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Rebind makes t the transport NewTransport would build running algo over
+// port, on the engine t was built on, out of t's own parts: its timers, its
+// window ring at its first size (see seqWindow.renew), its retransmission
+// queue and resend log, emptied; everything else — connection state,
+// statistics, observers — starts afresh. A session builds its worlds'
+// transports this way (see harness.Session).
+func (t *Transport) Rebind(port *netsim.Port, algo Algorithm, mss int) error {
+	if port == nil || algo == nil {
+		return fmt.Errorf("cc: Rebind requires port and algorithm")
+	}
 	if mss <= 0 {
 		mss = netsim.MTU
 	}
-	t := &Transport{
-		port: port,
-		algo: algo,
-		mss:  mss,
-		rto:  initialRTO,
+	t.rtoTimer.Stop()
+	t.paceTimer.Stop()
+	t.outstanding.renew()
+	t.retransmitQueue.Clear()
+	*t = Transport{
+		port:            port,
+		algo:            algo,
+		mss:             mss,
+		rto:             initialRTO,
+		outstanding:     t.outstanding,
+		retransmitQueue: t.retransmitQueue,
+		resends:         t.resends[:0],
+		rtoTimer:        t.rtoTimer,
+		paceTimer:       t.paceTimer,
 	}
 	t.stamper, _ = algo.(PacketStamper)
-	t.rtoTimer = engine.NewTimer(t.onRTO)
-	t.paceTimer = engine.NewTimer(func(fireAt sim.Time) {
-		t.pacePending = false
-		t.maybeSend(fireAt)
-	})
-	return t, nil
+	return nil
+}
+
+// onPace is the pacing timer's callback: the next paced packet may go.
+//
+//repo:hotpath per-packet pacing timer
+func (t *Transport) onPace(fireAt sim.Time) {
+	t.pacePending = false
+	t.maybeSend(fireAt)
 }
 
 // Algorithm returns the congestion-control algorithm driving this transport.

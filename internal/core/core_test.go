@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"path/filepath"
@@ -752,6 +753,69 @@ func TestWhiskerTreeCanonicalKey(t *testing.T) {
 	}
 	if back.CanonicalKey() != c.CanonicalKey() {
 		t.Error("JSON round trip changed the key")
+	}
+}
+
+// refCanonicalKey is the key's encoding written out plainly: the root domain,
+// then the octree depth-first, 'N' and the split point for an inner node, 'L'
+// and the action for a leaf, every value as its little-endian IEEE-754 bits.
+func refCanonicalKey(t *WhiskerTree) string {
+	var buf []byte
+	f64 := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
+	for axis := 0; axis < 3; axis++ {
+		f64(t.domain.Lower.Axis(axis))
+		f64(t.domain.Upper.Axis(axis))
+	}
+	var walk func(ni int32)
+	walk = func(ni int32) {
+		n := t.nodes[ni]
+		if n.leaf >= 0 {
+			a := t.whiskers[n.leaf].Action
+			buf = append(buf, 'L')
+			f64(a.WindowMultiple)
+			f64(a.WindowIncrement)
+			f64(a.IntersendMs)
+			return
+		}
+		buf = append(buf, 'N')
+		for axis := 0; axis < 3; axis++ {
+			f64(n.split.Axis(axis))
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(0)
+	return string(buf)
+}
+
+// TestCanonicalKeyEncodingAndAllocation pins the key's bytes to the plain
+// encoding on trees of one, nine and many rules, and pins that building it
+// takes one allocation.
+func TestCanonicalKeyEncodingAndAllocation(t *testing.T) {
+	deep := DefaultWhiskerTree()
+	for deep.NumWhiskers() < 150 {
+		for i := deep.NumWhiskers() - 1; i >= 0 && deep.NumWhiskers() < 150; i-- {
+			w, err := deep.Whisker(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := deep.Split(i, w.Domain.Midpoint()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	nine := DefaultWhiskerTree()
+	if err := nine.Split(0, Memory{100, 100, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tree := range []*WhiskerTree{DefaultWhiskerTree(), nine, deep} {
+		if got, want := tree.CanonicalKey(), refCanonicalKey(tree); got != want {
+			t.Errorf("%d rules: key is %d bytes, the plain encoding %d, or they differ", tree.NumWhiskers(), len(got), len(want))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = tree.CanonicalKey() }); allocs != 1 {
+			t.Errorf("%d rules: CanonicalKey allocates %.0f times, want 1", tree.NumWhiskers(), allocs)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 )
 
 // Whisker is one rule of a RemyCC: a rectangular region of memory space
@@ -310,37 +311,44 @@ func (t *WhiskerTree) Variant(rules []int, actions []Action, epochs []int) (*Whi
 // trees with equal keys produce identical simulations, which is the
 // property the optimizer's evaluation memoization keys on.
 func (t *WhiskerTree) CanonicalKey() string {
-	buf := make([]byte, 0, 8+25*len(t.nodes))
-	var tmp [8]byte
-	f64 := func(v float64) {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		buf = append(buf, tmp[:]...)
-	}
+	// 48 bytes of root domain, then 25 per node reached: a tag and three
+	// values. len(t.nodes) bounds the nodes reached, so the buffer grown here
+	// is the key's one allocation and String hands it over without a copy.
+	var b strings.Builder
+	b.Grow(48 + 25*len(t.nodes))
 	for axis := 0; axis < 3; axis++ {
-		f64(t.domain.Lower.Axis(axis))
-		f64(t.domain.Upper.Axis(axis))
+		appendKeyFloat(&b, t.domain.Lower.Axis(axis))
+		appendKeyFloat(&b, t.domain.Upper.Axis(axis))
 	}
-	var walk func(ni int32)
-	walk = func(ni int32) {
-		n := t.nodes[ni]
-		if n.leaf >= 0 {
-			a := t.whiskers[n.leaf].Action
-			buf = append(buf, 'L')
-			f64(a.WindowMultiple)
-			f64(a.WindowIncrement)
-			f64(a.IntersendMs)
-			return
-		}
-		buf = append(buf, 'N')
-		for axis := 0; axis < 3; axis++ {
-			f64(n.split.Axis(axis))
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
+	t.appendKey(&b, 0)
+	return b.String()
+}
+
+// appendKey writes node ni's subtree of the canonical key.
+func (t *WhiskerTree) appendKey(b *strings.Builder, ni int32) {
+	n := &t.nodes[ni]
+	if n.leaf >= 0 {
+		a := t.whiskers[n.leaf].Action
+		b.WriteByte('L')
+		appendKeyFloat(b, a.WindowMultiple)
+		appendKeyFloat(b, a.WindowIncrement)
+		appendKeyFloat(b, a.IntersendMs)
+		return
 	}
-	walk(0)
-	return string(buf)
+	b.WriteByte('N')
+	for axis := 0; axis < 3; axis++ {
+		appendKeyFloat(b, n.split.Axis(axis))
+	}
+	for _, c := range n.children {
+		t.appendKey(b, c)
+	}
+}
+
+// appendKeyFloat writes v's IEEE-754 bits, little-endian.
+func appendKeyFloat(b *strings.Builder, v float64) {
+	var tmp [8]byte
+	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
+	b.Write(tmp[:])
 }
 
 // treeJSON is the serialized form: a recursive node structure.

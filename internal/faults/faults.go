@@ -204,14 +204,24 @@ type LinkState struct {
 // Compile validates the schedule and converts it to a LinkState. The state
 // must be Reset with a seed before use. Compiling an empty schedule returns
 // nil (attach nothing to the link).
-func Compile(s *Schedule) (*LinkState, error) {
+func Compile(s *Schedule) (*LinkState, error) { return Recompile(nil, s) }
+
+// Recompile is Compile building the state out of spare, a state an earlier
+// world left behind, when spare is not nil: its random stream and window
+// tables are reused. An empty schedule returns nil and leaves spare unused.
+func Recompile(spare *LinkState, s *Schedule) (*LinkState, error) {
 	if s.Empty() {
 		return nil, nil
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	ls := &LinkState{rng: sim.NewRNG(0)}
+	ls := spare
+	if ls == nil {
+		ls = &LinkState{rng: sim.NewRNG(0)}
+	}
+	loss := ls.loss
+	*ls = LinkState{rng: ls.rng, outages: ls.outages[:0], spikes: ls.spikes[:0], droops: ls.droops[:0]}
 	for _, o := range s.Outages {
 		start := sim.FromSeconds(o.StartS)
 		ls.outages = append(ls.outages, window{start, start + sim.FromSeconds(o.DurationS)})
@@ -236,13 +246,17 @@ func Compile(s *Schedule) (*LinkState, error) {
 		if l.EndS != 0 {
 			end = sim.FromSeconds(l.EndS)
 		}
-		ls.loss = &geParams{
+		if loss == nil {
+			loss = new(geParams)
+		}
+		*loss = geParams{
 			window:   window{sim.FromSeconds(l.StartS), end},
 			pGoodBad: l.PGoodBad,
 			pBadGood: l.PBadGood,
 			lossGood: l.LossGood,
 			lossBad:  l.LossBad,
 		}
+		ls.loss = loss
 	}
 	return ls, nil
 }

@@ -13,22 +13,29 @@ import (
 // This file is the dynamic half of the flow population. Static flows (the
 // Scenario.Flows list) are permanent members: they attach before the run and
 // never detach. Churn classes spawn a flow per arrival and retire it when its
-// transfer completes, recycling the whole per-flow apparatus — port,
-// transport, algorithm, sender closure — through a per-class pool, so a
-// churning steady state allocates only while a pool is still growing toward
-// the peak live population. Stale packets of retired flows are fenced off by
-// the network's attachment generations (see netsim).
+// transfer completes, returning the whole per-flow apparatus — port,
+// transport, algorithm — to the session's parts set, from which the next
+// arrival of the class takes it back; a churning steady state allocates only
+// while the set is still growing toward the peak live population. Stale
+// packets of retired flows are fenced off by the network's attachment
+// generations (see netsim).
 
-// flowState is one member of the run's flow population. Static flows use the
+// flowState is one member of the run's flow population, and between worlds
+// one flow apparatus in the session's parts set. Static flows use the
 // switcher fields (on/off offered load); churn flows use the arrival fields
-// (one transfer per incarnation) and are recycled through their class pool.
+// (one transfer per incarnation).
 type flowState struct {
 	transport *cc.Transport
 	port      *netsim.Port
 	algoName  string
+	// bytesAcked is onBytesAcked bound to the flow, made once with the flow
+	// state and installed on every transport the flow is bound to.
+	bytesAcked func(now sim.Time, bytes int64)
 
 	// Static-flow state: the on/off switcher and its bookkeeping, plus the
-	// resolved routes the session re-attaches the port with on each run.
+	// resolved routes the session re-attaches the port with on each run. A
+	// flow state keeps its switcher, stream included, for whichever static
+	// flow uses it next.
 	switcher  *workload.Switcher
 	onTime    sim.Time
 	lastOn    sim.Time
@@ -36,17 +43,75 @@ type flowState struct {
 	fwd, rev  []*netsim.Link
 	oneWay    sim.Time
 
-	// Churn-flow state.
-	class     int // class index; -1 for static flows
+	// Churn-flow state. cs is the class the flow belongs to, nil for static
+	// flows and for flow states in the parts set whose algorithm no class of
+	// the current world built.
+	cs        *churnState
 	arrivedAt sim.Time
 	remaining int64 // bytes left in the current transfer
 	liveIdx   int   // position in the class's live list (swap-remove)
 	retired   bool
 }
 
-// churnState is one class's runtime: its arrival process, pooled retired
-// flow states, live flows, and streaming aggregates.
+// attach attaches the flow's port, as a new flow's, over the given routes,
+// making the port when the flow state has none yet.
+func (fs *flowState) attach(network *netsim.Network, fwd, rev []*netsim.Link, oneWay sim.Time) error {
+	if fs.port == nil {
+		port, err := network.AttachFlowRoute(unbound, fwd, rev, oneWay)
+		if err != nil {
+			return err
+		}
+		fs.port = port
+		return nil
+	}
+	return network.AttachPort(fs.port, fwd, rev, oneWay)
+}
+
+// bind gives the attached flow a transport running algo: its own transport
+// re-bound, or a new one bound as its port's sender.
+func (fs *flowState) bind(engine *sim.Engine, algo cc.Algorithm, mtu int) error {
+	if fs.transport == nil {
+		transport, err := cc.NewTransport(engine, fs.port, algo, mtu)
+		if err != nil {
+			return err
+		}
+		fs.port.SetSender(transport)
+		fs.transport = transport
+	} else if err := fs.transport.Rebind(fs.port, algo, mtu); err != nil {
+		return err
+	}
+	fs.transport.OnBytesAcked = fs.bytesAcked
+	return nil
+}
+
+// switchedOn and switchedOff are the static flow's switcher callbacks.
+func (fs *flowState) switchedOn(now sim.Time, bytes int64) {
+	fs.lastOn = now
+	fs.onPeriods++
+	fs.transport.StartFlow(now)
+}
+
+func (fs *flowState) switchedOff(now sim.Time) {
+	fs.onTime += now - fs.lastOn
+	fs.transport.StopFlow(now)
+}
+
+// onBytesAcked feeds newly acknowledged bytes to whatever ends the flow's
+// transfers: its churn class, or its switcher.
+//
+//repo:hotpath per-ack transfer accounting
+func (fs *flowState) onBytesAcked(now sim.Time, bytes int64) {
+	if fs.cs != nil {
+		fs.cs.rt.onBytesAcked(fs.cs, fs, now, bytes)
+		return
+	}
+	fs.switcher.BytesDelivered(now, bytes)
+}
+
+// churnState is one class's runtime: its arrival process, live flows, and
+// streaming aggregates.
 type churnState struct {
+	rt    *churnRuntime
 	class *ChurnClass
 	index int
 	proc  *workload.ArrivalProcess
@@ -55,8 +120,12 @@ type churnState struct {
 	fwd, rev []*netsim.Link
 	oneWay   sim.Time
 
-	pool []*flowState // retired states ready for reuse
 	live []*flowState // currently attached flows, swap-removed on retire
+	// parked counts the flows the class has retired to the parts set in this
+	// world; probe is the algorithm built to learn the class's scheme name,
+	// unused, and spent on the first flow that needs a new one.
+	parked int
+	probe  cc.Algorithm
 
 	algoName                     string
 	spawned, completed, rejected int64
@@ -65,10 +134,11 @@ type churnState struct {
 	agg                          cc.Stats
 }
 
-// churnRuntime owns every churn class of one run.
+// churnRuntime owns every churn class of one world.
 type churnRuntime struct {
 	engine  *sim.Engine
 	network *netsim.Network
+	parts   *parts
 	mtu     int
 	maxLive int
 	live    int // live churn flows across all classes
@@ -76,66 +146,78 @@ type churnRuntime struct {
 	err     error // first fatal error; stops the engine
 }
 
-// newChurnRuntime builds the arrival processes and per-class state. It must
-// run after the static flows have attached, so static ports keep slots
-// 0..len(flows)-1.
-func newChurnRuntime(s *Scenario, engine *sim.Engine, network *netsim.Network, mtu int) (*churnRuntime, error) {
+// assemble builds the arrival processes and per-class state of the world, out
+// of the parts set where it can. It must run after the static flows have
+// attached, so static ports keep slots 0..len(flows)-1.
+func (rt *churnRuntime) assemble(s *Scenario, engine *sim.Engine, network *netsim.Network, mtu int, p *parts) error {
 	maxLive := s.MaxLiveFlows
 	if maxLive <= 0 {
 		maxLive = DefaultMaxLiveFlows
 	}
-	rt := &churnRuntime{
-		engine:  engine,
-		network: network,
-		mtu:     mtu,
-		maxLive: maxLive,
-	}
+	rt.engine, rt.network, rt.parts = engine, network, p
+	rt.mtu, rt.maxLive = mtu, maxLive
+	rt.live, rt.err = 0, nil
 	for ci := range s.Churn {
 		class := &s.Churn[ci]
-		cs := &churnState{
-			class:  class,
-			index:  ci,
-			oneWay: sim.FromMillis(class.RTTMs / 2),
-			fct:    stats.NewFCTAggregator(),
+		cs := take(&p.classes)
+		if cs == nil {
+			cs = &churnState{rt: rt, fct: stats.NewFCTAggregator()}
 		}
-		cs.fwd = resolveRoute(network, class.Path)
-		cs.rev = resolveRoute(network, class.ReversePath)
+		rt.classes = append(rt.classes, cs)
+		cs.class, cs.index = class, ci
+		cs.oneWay = sim.FromMillis(class.RTTMs / 2)
+		cs.fwd = appendRoute(cs.fwd[:0], network, class.Path)
+		cs.rev = appendRoute(cs.rev[:0], network, class.ReversePath)
 		probe := class.NewAlgorithm()
 		if probe == nil {
-			return nil, fmt.Errorf("harness: churn class %d NewAlgorithm returned nil", ci)
+			return fmt.Errorf("harness: churn class %d NewAlgorithm returned nil", ci)
 		}
-		cs.algoName = probe.Name()
-		proc, err := workload.NewArrivalProcess(workload.ArrivalSpec{
+		cs.algoName, cs.probe = probe.Name(), probe
+		spec := workload.ArrivalSpec{
 			Interarrival: class.Interarrival,
 			Size:         class.Size,
 			MaxArrivals:  class.MaxArrivals,
-		}, engine, sim.NewRNG(0))
-		if err != nil {
-			return nil, fmt.Errorf("harness: churn class %d: %w", ci, err)
 		}
-		proc.OnArrival = func(now sim.Time, bytes int64) {
-			rt.onArrival(cs, now, bytes)
+		if cs.proc == nil {
+			proc, err := workload.NewArrivalProcess(spec, engine, sim.NewRNG(0))
+			if err != nil {
+				return fmt.Errorf("harness: churn class %d: %w", ci, err)
+			}
+			proc.OnArrival = cs.arrived
+			cs.proc = proc
+		} else if err := cs.proc.SetSpec(spec); err != nil {
+			return fmt.Errorf("harness: churn class %d: %w", ci, err)
 		}
-		cs.proc = proc
-		rt.classes = append(rt.classes, cs)
 	}
-	return rt, nil
+	return nil
 }
 
-// reset rewinds the runtime for another session run: every flow state —
-// still-live ones were already detached by Network.Reset — returns to its
-// class pool, aggregates clear, and each class's arrival process restarts its
+// dismantle returns every class, and every flow still live, to the parts set.
+func (rt *churnRuntime) dismantle(p *parts) {
+	for _, cs := range rt.classes {
+		p.flows = append(p.flows, cs.live...)
+		clear(cs.live)
+		cs.live = cs.live[:0]
+		cs.class, cs.probe, cs.parked = nil, nil, 0
+		p.classes = append(p.classes, cs)
+	}
+	clear(rt.classes)
+	rt.classes = rt.classes[:0]
+}
+
+// reset rewinds the runtime for another session run: every flow still live —
+// already detached by Network.Reset — goes back to the parts set, still its
+// class's, aggregates clear, and each class's arrival process restarts its
 // random stream from a child seed split off the run's root: churn class ci
 // draws child numFlows+ci+1, after the static flows' children, so adding
 // churn never perturbs a static scenario.
-func (rt *churnRuntime) reset(rootRNG *sim.RNG, numFlows int) {
+func (rt *churnRuntime) reset(rootRNG *sim.RNG, numFlows int, p *parts) {
 	rt.live = 0
 	rt.err = nil
 	for _, cs := range rt.classes {
-		cs.pool = append(cs.pool, cs.live...)
-		for i := range cs.live {
-			cs.live[i] = nil
-		}
+		p.flows = append(p.flows, cs.live...)
+		cs.parked += len(cs.live)
+		clear(cs.live)
 		cs.live = cs.live[:0]
 		cs.spawned = 0
 		cs.completed = 0
@@ -164,8 +246,11 @@ func (rt *churnRuntime) fail(err error) {
 	}
 }
 
-// onArrival spawns one flow of the class, reusing a pooled flow state when
-// one is available (the steady-state path, which allocates nothing).
+// arrived is the class's arrival callback.
+func (cs *churnState) arrived(now sim.Time, bytes int64) { cs.rt.onArrival(cs, now, bytes) }
+
+// onArrival spawns one flow of the class, reusing one the class retired
+// earlier when there is one (the steady-state path, which allocates nothing).
 func (rt *churnRuntime) onArrival(cs *churnState, now sim.Time, bytes int64) {
 	if rt.err != nil {
 		return
@@ -174,40 +259,34 @@ func (rt *churnRuntime) onArrival(cs *churnState, now sim.Time, bytes int64) {
 		cs.rejected++
 		return
 	}
-	var fs *flowState
-	if m := len(cs.pool); m > 0 {
-		fs = cs.pool[m-1]
-		cs.pool[m-1] = nil
-		cs.pool = cs.pool[:m-1]
+	fs := rt.parts.takeFlow(cs)
+	if fs.cs == cs {
 		if err := rt.network.ReattachFlowRoute(fs.port, cs.fwd, cs.rev, cs.oneWay); err != nil {
 			rt.fail(fmt.Errorf("harness: churn class %d reattach: %w", cs.index, err))
 			return
 		}
 		fs.transport.ResetStats()
 	} else {
-		fs = &flowState{class: cs.index}
-		port, err := rt.network.AttachFlowRoute(unbound, cs.fwd, cs.rev, cs.oneWay)
-		if err != nil {
-			rt.fail(fmt.Errorf("harness: churn class %d attach: %w", cs.index, err))
-			return
-		}
-		algo := cs.class.NewAlgorithm()
+		algo := cs.probe
+		cs.probe = nil
 		if algo == nil {
+			algo = cs.class.NewAlgorithm()
+		}
+		if algo == nil {
+			rt.parts.flows = append(rt.parts.flows, fs)
 			rt.fail(fmt.Errorf("harness: churn class %d NewAlgorithm returned nil", cs.index))
 			return
 		}
-		transport, err := cc.NewTransport(rt.engine, port, algo, rt.mtu)
-		if err != nil {
+		if err := fs.attach(rt.network, cs.fwd, cs.rev, cs.oneWay); err != nil {
+			rt.fail(fmt.Errorf("harness: churn class %d attach: %w", cs.index, err))
+			return
+		}
+		if err := fs.bind(rt.engine, algo, rt.mtu); err != nil {
 			rt.fail(fmt.Errorf("harness: churn class %d: %w", cs.index, err))
 			return
 		}
-		port.SetSender(transport)
-		transport.OnBytesAcked = func(at sim.Time, n int64) {
-			rt.onBytesAcked(cs, fs, at, n)
-		}
-		fs.port = port
-		fs.transport = transport
-		fs.algoName = algo.Name()
+		fs.cs = cs
+		fs.algoName = cs.algoName
 	}
 	fs.retired = false
 	fs.arrivedAt = now
@@ -241,7 +320,8 @@ func (rt *churnRuntime) onBytesAcked(cs *churnState, fs *flowState, now sim.Time
 	rt.retire(cs, fs, now)
 }
 
-// retire detaches a live flow and recycles its state into the class pool.
+// retire detaches a live flow and returns it to the parts set, still the
+// class's.
 func (rt *churnRuntime) retire(cs *churnState, fs *flowState, now sim.Time) {
 	fs.retired = true
 	accumulateStats(&cs.agg, fs.transport.Stats())
@@ -257,18 +337,19 @@ func (rt *churnRuntime) retire(cs *churnState, fs *flowState, now sim.Time) {
 	moved.liveIdx = fs.liveIdx
 	cs.live[last] = nil
 	cs.live = cs.live[:last]
-	cs.pool = append(cs.pool, fs)
+	rt.parts.flows = append(rt.parts.flows, fs)
+	cs.parked++
 	rt.live--
 }
 
 // collect folds each class's aggregates — including the flows still live at
-// the horizon — into the run result.
-func (rt *churnRuntime) collect(res *Result) {
-	for _, cs := range rt.classes {
+// the horizon — into out, one entry per class.
+func (rt *churnRuntime) collect(out []ChurnResult) {
+	for i, cs := range rt.classes {
 		for _, fs := range cs.live {
 			accumulateStats(&cs.agg, fs.transport.Stats())
 		}
-		res.Churn = append(res.Churn, ChurnResult{
+		out[i] = ChurnResult{
 			Class:     cs.index,
 			Algorithm: cs.algoName,
 			Spawned:   cs.spawned,
@@ -279,7 +360,7 @@ func (rt *churnRuntime) collect(res *Result) {
 			FCTMinUs:  cs.fctMinUs,
 			FCTMaxUs:  cs.fctMaxUs,
 			Transport: cs.agg,
-		})
+		}
 	}
 }
 

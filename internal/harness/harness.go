@@ -26,12 +26,12 @@ type FlowSpec struct {
 	// Workload is the on/off offered-load process.
 	Workload workload.Spec
 	// NewAlgorithm constructs the congestion-control algorithm for this
-	// flow. It is invoked once per Session (harness.Run builds one session
-	// per call), and the instance is reused across a session's runs with
-	// Reset called at each flow start — algorithms must rewind completely in
-	// Reset, a property pinned by TestSessionReuseMatchesFresh. Closures may
-	// capture per-session state (the optimizer attaches usage recorders this
-	// way).
+	// flow. It is invoked once per world a session builds (NewSession or
+	// Rebuild; harness.Run builds one session per call), and the instance is
+	// reused across the world's runs with Reset called at each flow start —
+	// algorithms must rewind completely in Reset, a property pinned by
+	// TestSessionReuseMatchesFresh. Closures may capture per-world state (the
+	// optimizer attaches usage recorders this way).
 	NewAlgorithm func() cc.Algorithm
 	// Path routes the flow across Scenario.Links by link name; every flow has
 	// one (a dumbbell flow's is the single bottleneck). ReversePath routes its
@@ -58,6 +58,13 @@ type LinkDef struct {
 	// Start(sim.Time) method (the XCP router's control loop) are started
 	// automatically.
 	NewQueue func(engine *sim.Engine) (netsim.Queue, error)
+	// QueueKey, when not nil, declares NewQueue a pure function of it: links
+	// with equal keys get queues of the same discipline and parameters. A
+	// session rebuilding its world (Session.Rebuild) then reuses a queue an
+	// earlier world on its engine built under an equal key, reset, instead
+	// of calling NewQueue. Leave it nil for a factory with state or side
+	// effects of its own. A key must be comparable.
+	QueueKey any
 	// Faults, when set, attaches a deterministic fault schedule to the link
 	// (outages, burst loss, delay spikes, rate droops). The schedule's RNG is
 	// reseeded per run from the run seed.
@@ -126,9 +133,10 @@ type ChurnClass struct {
 	// RTTMs is the flows' two-way access propagation delay in milliseconds.
 	RTTMs float64
 	// NewAlgorithm constructs the congestion-control algorithm for one
-	// spawned flow. Pooled flow states reuse algorithm instances across
-	// incarnations (they are Reset at each spawn), so it is invoked once per
-	// concurrently-live flow, not once per arrival.
+	// spawned flow. A retired flow's apparatus is reused, algorithm included
+	// (it is Reset at each spawn), by the class's later arrivals in the same
+	// world, so it is invoked about once per concurrently-live flow, not once
+	// per arrival.
 	NewAlgorithm func() cc.Algorithm
 	// Path and ReversePath route spawned flows across Scenario.Links, exactly
 	// as in FlowSpec.
@@ -288,44 +296,11 @@ func Run(s Scenario, seed int64) (Result, error) {
 	return ss.Run(seed)
 }
 
-// resolveRoute maps link names (already validated) to the network's links.
-func resolveRoute(n *netsim.Network, names []string) []*netsim.Link {
-	if len(names) == 0 {
-		return nil
+// appendRoute appends the network's links of the given (validated) names to
+// dst.
+func appendRoute(dst []*netsim.Link, n *netsim.Network, names []string) []*netsim.Link {
+	for _, name := range names {
+		dst = append(dst, n.LinkByName(name))
 	}
-	out := make([]*netsim.Link, len(names))
-	for i, name := range names {
-		out[i] = n.LinkByName(name)
-	}
-	return out
-}
-
-// build materializes the scenario's links on the engine.
-func build(s Scenario, engine *sim.Engine, mtu int) (*netsim.Network, []netsim.Queue, error) {
-	network, err := netsim.NewGraph(engine, netsim.GraphConfig{MTU: mtu, AckBytes: s.AckBytes})
-	if err != nil {
-		return nil, nil, err
-	}
-	queues := make([]netsim.Queue, 0, len(s.Links))
-	for _, def := range s.Links {
-		q, err := def.NewQueue(engine)
-		if err != nil {
-			return nil, nil, err
-		}
-		if q == nil {
-			return nil, nil, fmt.Errorf("harness: link %q queue factory returned a nil queue", def.Name)
-		}
-		if _, err := network.AddLink(netsim.LinkConfig{
-			Name:      def.Name,
-			RateBps:   def.RateBps,
-			Trace:     def.Trace,
-			TraceLoop: def.TraceLoop,
-			Delay:     sim.FromMillis(def.DelayMs),
-			Queue:     q,
-		}); err != nil {
-			return nil, nil, err
-		}
-		queues = append(queues, q)
-	}
-	return network, queues, nil
+	return dst
 }

@@ -77,14 +77,11 @@ type Link struct {
 // NewFixedRateLink builds a link serving queue at rateBps bits per second.
 // Delivered packets are passed to deliver.
 func NewFixedRateLink(engine *sim.Engine, queue Queue, rateBps float64, deliver func(*Packet, sim.Time)) (*Link, error) {
-	if engine == nil || queue == nil || deliver == nil {
-		return nil, fmt.Errorf("netsim: NewFixedRateLink requires engine, queue and deliver")
+	if err := checkFixedRate(engine, queue, rateBps, deliver); err != nil {
+		return nil, err
 	}
-	if rateBps <= 0 {
-		return nil, fmt.Errorf("netsim: link rate must be positive, got %g", rateBps)
-	}
-	l := &Link{engine: engine, queue: queue, rateBps: rateBps, deliver: deliver}
-	l.serviceDone = l.onServiceDone
+	l := new(Link)
+	l.configure(engine, queue, rateBps, nil, false, deliver)
 	return l, nil
 }
 
@@ -92,20 +89,58 @@ func NewFixedRateLink(engine *sim.Engine, queue Queue, rateBps float64, deliver 
 // the link delivers one queued packet (if any). If loop is true the trace
 // repeats indefinitely, shifted by its final timestamp.
 func NewTraceLink(engine *sim.Engine, queue Queue, trace []sim.Time, loop bool, deliver func(*Packet, sim.Time)) (*Link, error) {
+	if err := checkTrace(engine, queue, trace, deliver); err != nil {
+		return nil, err
+	}
+	l := new(Link)
+	l.configure(engine, queue, 0, trace, loop, deliver)
+	return l, nil
+}
+
+func checkFixedRate(engine *sim.Engine, queue Queue, rateBps float64, deliver func(*Packet, sim.Time)) error {
 	if engine == nil || queue == nil || deliver == nil {
-		return nil, fmt.Errorf("netsim: NewTraceLink requires engine, queue and deliver")
+		return fmt.Errorf("netsim: NewFixedRateLink requires engine, queue and deliver")
+	}
+	if rateBps <= 0 {
+		return fmt.Errorf("netsim: link rate must be positive, got %g", rateBps)
+	}
+	return nil
+}
+
+func checkTrace(engine *sim.Engine, queue Queue, trace []sim.Time, deliver func(*Packet, sim.Time)) error {
+	if engine == nil || queue == nil || deliver == nil {
+		return fmt.Errorf("netsim: NewTraceLink requires engine, queue and deliver")
 	}
 	if len(trace) == 0 {
-		return nil, fmt.Errorf("netsim: empty delivery trace")
+		return fmt.Errorf("netsim: empty delivery trace")
 	}
 	for i := 1; i < len(trace); i++ {
 		if trace[i] < trace[i-1] {
-			return nil, fmt.Errorf("netsim: delivery trace not sorted at index %d", i)
+			return fmt.Errorf("netsim: delivery trace not sorted at index %d", i)
 		}
 	}
-	l := &Link{engine: engine, queue: queue, trace: trace, traceLoop: loop, deliver: deliver}
-	l.opportunity = l.onOpportunity
-	return l, nil
+	return nil
+}
+
+// configure makes l the just-constructed link of the given service model (a
+// trace makes it trace-driven, otherwise it serves at rateBps). Every field is
+// set afresh; only the callbacks bound to l itself are kept, so a link the
+// Network recycles (see Network.Rebuild) is indistinguishable from a new one
+// and costs no allocation.
+func (l *Link) configure(engine *sim.Engine, queue Queue, rateBps float64, trace []sim.Time, loop bool, deliver func(*Packet, sim.Time)) {
+	*l = Link{engine: engine, queue: queue, deliver: deliver,
+		serviceDone: l.serviceDone, opportunity: l.opportunity, resumeEv: l.resumeEv}
+	if len(trace) > 0 {
+		l.trace, l.traceLoop = trace, loop
+		if l.opportunity == nil {
+			l.opportunity = l.onOpportunity
+		}
+		return
+	}
+	l.rateBps = rateBps
+	if l.serviceDone == nil {
+		l.serviceDone = l.onServiceDone
+	}
 }
 
 // Start arms the link. Fixed-rate links are demand-driven and need no

@@ -82,6 +82,9 @@ type Network struct {
 	byName   map[string]*Link
 	mtu      int
 	ackBytes int
+	// spareLinks are the links of the topologies this network was rebuilt
+	// from (see Rebuild), for AddLink to reuse.
+	spareLinks []*Link
 
 	flows []*Port
 	// freeSlots lists detached flow slots available for reuse (LIFO, so a
@@ -165,19 +168,47 @@ func NewGraph(engine *sim.Engine, cfg GraphConfig) (*Network, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("netsim: nil engine")
 	}
-	mtu := cfg.MTU
-	if mtu <= 0 {
-		mtu = MTU
-	}
-	ackBytes := cfg.AckBytes
-	if ackBytes <= 0 {
-		ackBytes = AckBytes
-	}
-	n := &Network{engine: engine, mtu: mtu, ackBytes: ackBytes, byName: make(map[string]*Link)}
+	n := &Network{engine: engine, byName: make(map[string]*Link)}
 	n.propApply = n.onPropagated
 	n.ackApply = n.onAckArrived
 	n.hopApply = n.onHopArrived
+	n.setSizes(cfg)
 	return n, nil
+}
+
+// setSizes takes the segment and acknowledgment sizes from cfg, defaulting
+// the zeros.
+func (n *Network) setSizes(cfg GraphConfig) {
+	n.mtu = cfg.MTU
+	if n.mtu <= 0 {
+		n.mtu = MTU
+	}
+	n.ackBytes = cfg.AckBytes
+	if n.ackBytes <= 0 {
+		n.ackBytes = AckBytes
+	}
+}
+
+// Rebuild empties the network for another topology on the same engine, as
+// NewGraph(engine, cfg) would build it, out of what the old one leaves
+// behind. It resets the network — so, like Reset, it must run before the
+// engine is reset — and then removes every link; AddLink reuses them. The
+// packet pool, whole and rewound by the reset, serves the new topology, and
+// the flow-slot, lane and link-name tables keep their capacity. Ports attached
+// before stay valid, for AttachPort to make them a new topology's.
+func (n *Network) Rebuild(cfg GraphConfig) {
+	n.Reset()
+	for i, l := range n.links {
+		// Drop the old world's queue, trace and fault state; the callbacks
+		// bound to the link stay for its next use.
+		l.configure(nil, nil, 0, nil, false, l.deliver)
+		n.spareLinks = append(n.spareLinks, l)
+		n.links[i] = nil
+	}
+	n.links = n.links[:0]
+	clear(n.byName)
+	n.OnDeliver = nil
+	n.setSizes(cfg)
 }
 
 // AddLink creates a link from the config and adds it to the topology.
@@ -195,25 +226,38 @@ func (n *Network) AddLink(cfg LinkConfig) (*Link, error) {
 	if cfg.Queue == nil {
 		return nil, fmt.Errorf("netsim: link %q has no queue", name)
 	}
-	// The deliver closure must capture the link it serves, which exists only
-	// after construction; capture the variable instead.
-	var link *Link
-	deliver := func(p *Packet, now sim.Time) { n.onLinkDelivered(link, p, now) }
 	var err error
 	if len(cfg.Trace) > 0 {
-		link, err = NewTraceLink(n.engine, cfg.Queue, cfg.Trace, cfg.TraceLoop, deliver)
+		err = checkTrace(n.engine, cfg.Queue, cfg.Trace, noDeliver)
 	} else {
-		link, err = NewFixedRateLink(n.engine, cfg.Queue, cfg.RateBps, deliver)
+		err = checkFixedRate(n.engine, cfg.Queue, cfg.RateBps, noDeliver)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("netsim: link %q: %w", name, err)
 	}
+	var link *Link
+	if m := len(n.spareLinks); m > 0 {
+		link = n.spareLinks[m-1]
+		n.spareLinks[m-1] = nil
+		n.spareLinks = n.spareLinks[:m-1]
+	} else {
+		// The deliver closure captures the link it serves, which is why it
+		// is made here and kept with the link for good.
+		link = new(Link)
+		l := link
+		link.deliver = func(p *Packet, now sim.Time) { n.onLinkDelivered(l, p, now) }
+	}
+	link.configure(n.engine, cfg.Queue, cfg.RateBps, cfg.Trace, cfg.TraceLoop, link.deliver)
 	link.name = name
 	link.delay = cfg.Delay
 	n.links = append(n.links, link)
 	n.byName[name] = link
 	return link, nil
 }
+
+// noDeliver stands in for the delivery callback while AddLink checks a link
+// config: the network's own callback is only made once the check has passed.
+func noDeliver(*Packet, sim.Time) {}
 
 // Start arms every link (needed for trace-driven links).
 func (n *Network) Start(now sim.Time) {
@@ -315,21 +359,46 @@ func (n *Network) AttachFlowRoute(sender Sender, fwd, rev []*Link, oneWay sim.Ti
 // cumulative-ack state regardless of what the previous one received. The
 // port may land in a different slot than it previously occupied.
 func (n *Network) ReattachFlowRoute(p *Port, fwd, rev []*Link, oneWay sim.Time) error {
+	if err := n.reattachable(p, fwd, rev, oneWay); err != nil {
+		return err
+	}
+	p.receiver.Reset()
+	n.reattach(p, fwd, rev, oneWay)
+	return nil
+}
+
+// AttachPort attaches a detached port of this network as the port of a new
+// flow: the same as AttachFlowRoute with the port's sender, but made out of
+// p. Its counters start at zero and its receiver is a new receiver's — empty,
+// with the window ring a new one starts with, which the receiver's
+// acknowledgments depend on (see recvWindow.advanceFrom) — and it keeps only
+// buffer capacity. A session building a new world reuses the ports of the old
+// one this way; ReattachFlowRoute is for another incarnation of the same flow.
+func (n *Network) AttachPort(p *Port, fwd, rev []*Link, oneWay sim.Time) error {
+	if err := n.reattachable(p, fwd, rev, oneWay); err != nil {
+		return err
+	}
+	p.packetsSent, p.bytesSent = 0, 0
+	p.receiver.renew()
+	n.reattach(p, fwd, rev, oneWay)
+	return nil
+}
+
+func (n *Network) reattachable(p *Port, fwd, rev []*Link, oneWay sim.Time) error {
 	if p == nil || p.net != n {
 		return fmt.Errorf("netsim: ReattachFlowRoute with a foreign or nil port")
 	}
 	if p.attached {
 		return fmt.Errorf("netsim: port for flow %d is still attached", p.flow)
 	}
-	if err := n.validateRoutes(fwd, rev, oneWay); err != nil {
-		return err
-	}
+	return n.validateRoutes(fwd, rev, oneWay)
+}
+
+func (n *Network) reattach(p *Port, fwd, rev []*Link, oneWay sim.Time) {
 	p.oneWay = oneWay
 	p.fwd = append(p.fwd[:0], fwd...)
 	p.rev = append(p.rev[:0], rev...)
-	p.receiver.Reset()
 	n.register(p)
-	return nil
 }
 
 // DetachFlow removes a flow from the network. Packets of the flow still in

@@ -78,3 +78,10 @@ func (r *Receiver) Reset() {
 	r.cumAck = 0
 	r.received.clearAll()
 }
+
+// renew makes the receiver a new one for whatever flow registers it next.
+func (r *Receiver) renew() {
+	r.cumAck = 0
+	r.received.renew()
+	r.packetsReceived, r.bytesReceived = 0, 0
+}

@@ -20,6 +20,8 @@ type recvWindow struct {
 	lo    int64    // inclusive: no set bit below lo
 	hi    int64    // inclusive: no set bit above hi
 	count int      // set bits
+	// first is the first-size ring the window allocated, kept for renew.
+	first []uint64
 }
 
 // recvWindowMinWords is the initial ring size: 4 words cover a 256-packet
@@ -41,7 +43,10 @@ func (w *recvWindow) has(seq int64) bool {
 func (w *recvWindow) set(seq int64) {
 	if w.count == 0 {
 		if len(w.words) == 0 {
-			w.words = make([]uint64, recvWindowMinWords)
+			if w.first == nil {
+				w.first = make([]uint64, recvWindowMinWords)
+			}
+			w.words = w.first // zero: see renew
 		}
 		w.lo, w.hi = seq, seq
 	} else {
@@ -68,6 +73,14 @@ func (w *recvWindow) set(seq int64) {
 // advanceFrom consumes the contiguous run of set bits starting at seq and
 // returns the first sequence number not held — the new cumulative ack. Runs
 // spanning whole words consume 64 sequence numbers per step.
+//
+// Known flaw, kept because fixing it changes recorded results: seq (the
+// cumulative ack) is not checked against lo, so when it lies a ring's span
+// or more below the lowest held sequence number its ring slot belongs to a
+// higher word, and bits held there are consumed as if seq had arrived — the
+// receiver acknowledges data it never received. What it does then depends on
+// the ring's size, which is why a receiver serving a new flow must start from
+// a new one's (renew).
 func (w *recvWindow) advanceFrom(seq int64) int64 {
 	for w.count > 0 {
 		word := &w.words[int(seq>>6)&(len(w.words)-1)]
@@ -106,6 +119,18 @@ func (w *recvWindow) clearAll() {
 		w.count = 0
 	}
 	w.lo, w.hi = 0, 0
+}
+
+// renew empties the window and gives it back the ring size a new window
+// starts with: a new window's first set sizes its ring to
+// recvWindowMinWords, and so does a renewed one's, out of its first ring,
+// zeroed. A ring grown past it, sized for the old flow's peak, is dropped.
+func (w *recvWindow) renew() {
+	w.clearAll()
+	if len(w.words) > recvWindowMinWords {
+		clear(w.first) // grow left the words it copied behind
+	}
+	w.words = nil
 }
 
 // grow reindexes the live words into a ring large enough for span words.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -309,5 +310,163 @@ func TestTurnAroundIsFreshAckPacket(t *testing.T) {
 		if *got != *want {
 			t.Errorf("viaEnsure=%v: turned around\n %+v\nwant\n %+v", viaEnsure, *got, *want)
 		}
+	}
+}
+
+// rebuildWorld is one topology of TestPoolInvariantsAcrossRebuilds: link
+// delays and flows.
+type rebuildWorld struct {
+	links []sim.Time
+	flows []rebuildFlow
+}
+
+// rebuildFlow is an ack-clocked flow: its window, forward and reverse routes
+// (link indices) and access delay.
+type rebuildFlow struct {
+	window   int
+	fwd, rev []int
+	oneWay   sim.Time
+}
+
+// TestPoolInvariantsAcrossRebuilds runs the packet-pool checks across
+// Network.Rebuild: a network rebuilt from topology to topology — growing,
+// shrinking, with and without reverse links — and stopped with packets
+// everywhere must hand its whole pool, no packet twice and in allocation
+// order, to each next topology. A topology it has built before takes every
+// packet, link and port from what the earlier ones left behind.
+func TestPoolInvariantsAcrossRebuilds(t *testing.T) {
+	type flow = rebuildFlow
+	worlds := []rebuildWorld{
+		{links: []sim.Time{3 * sim.Millisecond, 7 * sim.Millisecond, 5 * sim.Millisecond},
+			flows: []flow{{40, []int{0, 1}, nil, 11 * sim.Millisecond}, {25, []int{0}, []int{2}, 4 * sim.Millisecond}}},
+		{links: []sim.Time{2 * sim.Millisecond},
+			flows: []flow{{60, []int{0}, nil, 9 * sim.Millisecond}, {60, []int{0}, nil, 13 * sim.Millisecond}, {30, []int{0}, nil, 1}}},
+		{links: []sim.Time{0, 4 * sim.Millisecond},
+			flows: []flow{{10, []int{1}, []int{0}, 6 * sim.Millisecond}}},
+	}
+	engine := sim.NewEngine()
+	n, err := NewGraph(engine, GraphConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spares []*ackClocked
+	var live []*ackClocked
+	seenLinks := make(map[*Link]bool)
+	for step, wi := range []int{0, 1, 2, 0, 1, 2, 1, 0} {
+		w := worlds[wi]
+		what := fmt.Sprintf("step %d (world %d)", step, wi)
+		n.Rebuild(GraphConfig{MTU: 1000 + 100*wi})
+		engine.Reset()
+		pkts := pooled(t, n, what+": after rebuild")
+		for i, p := range n.pool.all {
+			if n.pool.free[len(n.pool.free)-1-i] != p {
+				t.Fatalf("%s: free list not in allocation order at %d", what, i)
+			}
+		}
+		spares = append(spares, live...)
+		live = live[:0]
+
+		links := make([]*Link, len(w.links))
+		for i, d := range w.links {
+			if links[i], err = n.AddLink(LinkConfig{Name: fmt.Sprint("l", i), RateBps: 10e6, Delay: d, Queue: &benchQueue{}}); err != nil {
+				t.Fatal(err)
+			}
+			if step >= len(worlds) && !seenLinks[links[i]] {
+				t.Errorf("%s: link %d is new, though the network has had three links before", what, i)
+			}
+			seenLinks[links[i]] = true
+		}
+		route := func(idx []int) []*Link {
+			var r []*Link
+			for _, i := range idx {
+				r = append(r, links[i])
+			}
+			return r
+		}
+		for _, f := range w.flows {
+			var s *ackClocked
+			if m := len(spares); m > 0 {
+				s, spares = spares[m-1], spares[:m-1]
+				if err := n.AttachPort(s.port, route(f.fwd), route(f.rev), f.oneWay); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				s = &ackClocked{}
+				if s.port, err = n.AttachFlowRoute(s, route(f.fwd), route(f.rev), f.oneWay); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.port.PacketsSent() != 0 || s.port.receiver.CumAck() != 0 || s.port.receiver.PacketsReceived() != 0 {
+				t.Errorf("%s: reused port is not a new one", what)
+			}
+			s.window, s.seq, s.acked = f.window, 0, 0
+			live = append(live, s)
+			for i := 0; i < s.window; i++ {
+				s.send(0)
+			}
+		}
+		engine.Run(23*sim.Millisecond + sim.Time(step))
+		if engine.Pending() == 0 {
+			t.Fatalf("%s: nothing in flight at the horizon", what)
+		}
+		if step >= len(worlds) && len(n.pool.all) != len(pkts) {
+			t.Errorf("%s: a world seen before grew the pool from %d to %d packets", what, len(pkts), len(n.pool.all))
+		}
+	}
+}
+
+// TestAttachPortRenewsReceiver pins the two ways a detached port comes back.
+// A receiver's acknowledgments depend on the size of its window ring (see
+// recvWindow.advanceFrom), so AttachPort, which makes the port a new flow's,
+// must give it exactly a new receiver — while ReattachFlowRoute, another
+// incarnation of the same flow, keeps the ring the receiver grew, as it
+// always has.
+func TestAttachPortRenewsReceiver(t *testing.T) {
+	engine := sim.NewEngine()
+	n, err := NewGraph(engine, GraphConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := n.AddLink(LinkConfig{Name: "l", RateBps: 10e6, Queue: &benchQueue{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, err := n.AttachFlowRoute(SenderFunc(func(Ack, sim.Time) {}), []*Link{l}, nil, sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cumulative ack a receiver at 0 reports on taking only seq 256,
+	// which lies a new ring's span above it.
+	probe := func(r *Receiver) int64 { return r.Receive(&Packet{Seq: 256}).CumAck }
+	want := probe(NewReceiver(0))
+
+	r := &port.receiver
+	for _, seq := range []int64{1, 5000} {
+		r.Receive(&Packet{Seq: seq})
+	}
+	grown := len(r.received.words)
+	if grown <= recvWindowMinWords {
+		t.Fatalf("ring did not grow: %d words", grown)
+	}
+	again := func(attach func(*Port, []*Link, []*Link, sim.Time) error) {
+		t.Helper()
+		if err := n.DetachFlow(port); err != nil {
+			t.Fatal(err)
+		}
+		if err := attach(port, []*Link{l}, nil, sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again(n.ReattachFlowRoute)
+	if len(r.received.words) != grown {
+		t.Errorf("ReattachFlowRoute resized the ring: %d → %d words", grown, len(r.received.words))
+	}
+	if got := probe(r); got == want {
+		t.Errorf("a grown ring answers the probe like a new one (%d): if advanceFrom no longer depends on the ring's size, AttachPort need not renew it", got)
+	}
+	again(n.AttachPort)
+	if got := probe(r); got != want || len(r.received.words) != recvWindowMinWords {
+		t.Errorf("AttachPort's receiver answers %d with %d ring words, a new receiver %d with %d",
+			got, len(r.received.words), want, recvWindowMinWords)
 	}
 }

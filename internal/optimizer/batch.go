@@ -48,8 +48,9 @@ type BatchResult struct {
 // BatchRunner executes a batch of specimen simulations and returns one
 // result per job, in job order. Implementations must be exact: the results
 // for a job must be bit-identical to RunBatchLocal's, regardless of where
-// or how often the job runs. internal/distrib's Coordinator is the
-// multi-process implementation.
+// or how often the job runs. They must not keep jobs once RunBatch has
+// returned: the Evaluator reuses the slice. internal/distrib's Coordinator is
+// the multi-process implementation.
 type BatchRunner interface {
 	RunBatch(objective stats.Objective, jobs []BatchJob) ([]BatchResult, error)
 }
@@ -192,29 +193,36 @@ type batchWorker struct {
 	senders []*core.Sender
 	tree    *core.WhiskerTree
 	rec     *usageCollector
+	// res is the buffer every run's result is collected into; nothing run
+	// returns aliases it.
+	res scenario.Result
 }
 
 // run simulates one job in the worker's warm world, entering the job's world
 // first if it is a different one.
 func (b *batchWorker) run(j BatchJob) (BatchResult, error) {
-	u := newUsageCollector(j.Tree.NumWhiskers(), j.WithSamples)
+	if b.rec == nil {
+		b.rec = new(usageCollector)
+	}
+	u := b.rec
+	u.reset(j.Tree.NumWhiskers(), j.WithSamples)
 	if k := worldOf(j); b.spec == nil || b.world != k {
 		b.world = k
-		b.senders = nil
+		b.senders = b.senders[:0]
 		spec := specFor(k.spec, k.cfg, b.newSender)
 		b.spec = &spec
 	}
-	b.tree, b.rec = j.Tree, u
+	b.tree = j.Tree
 	for _, s := range b.senders {
 		s.Rebind(j.Tree, u)
 	}
 	b.spec.Seed = j.Specimen.Seed
-	r := b.sim.Run(b.spec, 0)
-	if r.Err != nil {
+	b.sim.RunInto(b.spec, 0, &b.res)
+	if err := b.res.Err; err != nil {
 		b.spec = nil
-		return BatchResult{}, fmt.Errorf("optimizer: %v: %w", j.Specimen, r.Err)
+		return BatchResult{}, fmt.Errorf("optimizer: %v: %w", j.Specimen, err)
 	}
-	sum, flows := scoreSpecimen(b.objective, r, j.Specimen)
+	sum, flows := scoreSpecimen(b.objective, &b.res, j.Specimen)
 	return BatchResult{Sum: sum, Flows: flows, Counts: u.counts, Consulted: u.consulted, Samples: u.samples}, nil
 }
 
@@ -249,7 +257,7 @@ func specFor(spec Specimen, cfg ConfigRange, newSender func() cc.Algorithm) scen
 
 // scoreSpecimen converts one specimen run into the summed per-flow utilities
 // and the number of flows that contributed.
-func scoreSpecimen(objective stats.Objective, res scenario.Result, spec Specimen) (float64, int) {
+func scoreSpecimen(objective stats.Objective, res *scenario.Result, spec Specimen) (float64, int) {
 	fairShare := spec.LinkRateBps / float64(spec.Senders)
 	var sum float64
 	flows := 0

@@ -176,19 +176,21 @@ func (e Evaluation) MedianMemory(idx int) (core.Memory, bool) {
 }
 
 // usageCollector implements core.UsageRecorder (and core.TouchRecorder) for
-// one specimen simulation.
+// one specimen simulation at a time: a batch worker's senders stay bound to
+// its one collector, which reset gives new rows for each job, since the rows
+// of the last are the job's result.
 type usageCollector struct {
 	counts    []int64
 	consulted []bool
 	samples   [][]core.Memory // nil when sample collection is disabled
 }
 
-func newUsageCollector(n int, collectSamples bool) *usageCollector {
-	u := &usageCollector{counts: make([]int64, n), consulted: make([]bool, n)}
+// reset gives the collector new, zeroed rows for a tree with n rules.
+func (u *usageCollector) reset(n int, collectSamples bool) {
+	*u = usageCollector{counts: make([]int64, n), consulted: make([]bool, n)}
 	if collectSamples {
 		u.samples = make([][]core.Memory, n)
 	}
-	return u
 }
 
 // RecordUse implements core.UsageRecorder.
@@ -248,6 +250,8 @@ type Evaluator struct {
 	// instead of a cache hit.
 	seeded map[evalKey]bool
 	stats  EvalStats
+	// rows are evaluateTrees' working rows between calls.
+	rows *evalRows
 }
 
 // NewEvaluator returns an evaluator for the given objective.
@@ -362,6 +366,45 @@ func canonicalKeys(trees []*core.WhiskerTree) []string {
 	return keys
 }
 
+// evalRows are evaluateTrees' working rows: the batch's jobs, their memo
+// keys, which (tree, specimen) cells each job answers, the pending jobs by
+// key, and each job's result. An evaluator keeps one set between calls;
+// concurrent calls each take their own.
+type evalRows struct {
+	jobs    []BatchJob
+	keys    []evalKey
+	refs    []pendingRef
+	pending map[evalKey]int
+	results []*specimenResult
+}
+
+// pendingRef says that job answers trees[ti] on specimens[si].
+type pendingRef struct{ job, ti, si int }
+
+func (e *Evaluator) takeRows() *evalRows {
+	e.mu.Lock()
+	rows := e.rows
+	e.rows = nil
+	e.mu.Unlock()
+	if rows == nil {
+		rows = &evalRows{pending: make(map[evalKey]int)}
+	}
+	return rows
+}
+
+// putRows empties the rows, dropping what they reference, and keeps them for
+// the next call.
+func (e *Evaluator) putRows(rows *evalRows) {
+	clear(rows.jobs)
+	clear(rows.keys)
+	clear(rows.results)
+	clear(rows.pending)
+	rows.jobs, rows.keys, rows.refs, rows.results = rows.jobs[:0], rows.keys[:0], rows.refs[:0], rows.results[:0]
+	e.mu.Lock()
+	e.rows = rows
+	e.mu.Unlock()
+}
+
 // evaluateTrees resolves the per-specimen result of every (tree, specimen)
 // pair, serving what it can from the memo cache and simulating the rest as
 // one batch over the worker pool. keys[t] is trees[t]'s canonical key;
@@ -369,18 +412,15 @@ func canonicalKeys(trees []*core.WhiskerTree) []string {
 // deterministic per (tree, specimen, cfg), so the cache only changes speed,
 // never values.
 func (e *Evaluator) evaluateTrees(trees []*core.WhiskerTree, keys []string, specimens []Specimen, cfg ConfigRange, withSamples bool) ([][]*specimenResult, error) {
+	n := len(specimens)
 	out := make([][]*specimenResult, len(trees))
+	cells := make([]*specimenResult, len(trees)*n)
 	for ti := range trees {
-		out[ti] = make([]*specimenResult, len(specimens))
+		out[ti] = cells[ti*n : (ti+1)*n : (ti+1)*n]
 	}
 
-	type ref struct{ ti, si int }
-	var (
-		jobs     []BatchJob
-		pendKeys []evalKey
-		pendRefs [][]ref
-	)
-	pendingByKey := make(map[evalKey]int)
+	rows := e.takeRows()
+	defer e.putRows(rows)
 	for ti, tree := range trees {
 		for si, sp := range specimens {
 			k := evalKey{tree: keys[ti], spec: sp, cfg: cfg}
@@ -388,34 +428,35 @@ func (e *Evaluator) evaluateTrees(trees []*core.WhiskerTree, keys []string, spec
 				out[ti][si] = r
 				continue
 			}
-			if pi, ok := pendingByKey[k]; ok {
-				pendRefs[pi] = append(pendRefs[pi], ref{ti, si})
-				continue
+			pi, ok := rows.pending[k]
+			if !ok {
+				pi = len(rows.jobs)
+				rows.pending[k] = pi
+				rows.jobs = append(rows.jobs, BatchJob{Tree: tree, Specimen: sp, Config: cfg, WithSamples: withSamples, Affinity: si})
+				rows.keys = append(rows.keys, k)
 			}
-			pendingByKey[k] = len(jobs)
-			jobs = append(jobs, BatchJob{Tree: tree, Specimen: sp, Config: cfg, WithSamples: withSamples, Affinity: si})
-			pendKeys = append(pendKeys, k)
-			pendRefs = append(pendRefs, []ref{{ti, si}})
+			rows.refs = append(rows.refs, pendingRef{job: pi, ti: ti, si: si})
 		}
 	}
 
-	if len(jobs) > 0 {
-		results, err := e.runBatch(jobs)
+	if len(rows.jobs) > 0 {
+		results, err := e.runBatch(rows.jobs)
 		if err != nil {
 			return nil, err
 		}
-		if len(results) != len(jobs) {
-			return nil, fmt.Errorf("optimizer: batch backend returned %d results for %d jobs", len(results), len(jobs))
+		if len(results) != len(rows.jobs) {
+			return nil, fmt.Errorf("optimizer: batch backend returned %d results for %d jobs", len(results), len(rows.jobs))
 		}
 		for pi, br := range results {
 			res := &specimenResult{sum: br.Sum, flows: br.Flows, counts: br.Counts, consulted: br.Consulted, samples: br.Samples}
-			e.cachePut(pendKeys[pi], res)
-			for _, rf := range pendRefs[pi] {
-				out[rf.ti][rf.si] = res
-			}
+			e.cachePut(rows.keys[pi], res)
+			rows.results = append(rows.results, res)
+		}
+		for _, rf := range rows.refs {
+			out[rf.ti][rf.si] = rows.results[rf.job]
 		}
 		e.mu.Lock()
-		e.stats.SimulatedRuns += int64(len(jobs))
+		e.stats.SimulatedRuns += int64(len(rows.jobs))
 		e.mu.Unlock()
 	}
 	return out, nil

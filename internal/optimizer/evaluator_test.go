@@ -216,7 +216,8 @@ func TestEvaluationEdgeCases(t *testing.T) {
 // TestUsageCollectorTouches checks touches mark consultation without
 // counting as uses, and that the sample-free collector stays sample-free.
 func TestUsageCollectorTouches(t *testing.T) {
-	u := newUsageCollector(2, false)
+	u := new(usageCollector)
+	u.reset(2, false)
 	u.RecordTouch(1)
 	u.RecordTouch(-1)
 	u.RecordTouch(5)

@@ -237,7 +237,8 @@ func TestEvaluatorErrors(t *testing.T) {
 }
 
 func TestUsageCollectorBounds(t *testing.T) {
-	u := newUsageCollector(2, true)
+	u := new(usageCollector)
+	u.reset(2, true)
 	u.RecordUse(-1, core.Memory{})
 	u.RecordUse(5, core.Memory{})
 	if u.counts[0] != 0 && u.counts[1] != 0 {

@@ -332,6 +332,7 @@ func (s Spec) compileLinks(reg *Registry, runSeed int64, w lowered, out *harness
 			NewQueue: func(engine *sim.Engine) (netsim.Queue, error) {
 				return factory(queueSpec, QueueEnv{Engine: engine, CapacityBps: capacityBps})
 			},
+			QueueKey: reg.queueKey(kind, queueSpec, capacityBps),
 		})
 	}
 	return nil

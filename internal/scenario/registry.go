@@ -96,6 +96,10 @@ type Registry struct {
 	protocols map[string]ProtocolFactory
 	queues    map[string]QueueFactory
 	links     map[string]LinkModel
+	// stock marks the queue kinds whose factories are the stock ones
+	// registerDefaults installs: pure functions of the queue spec, so their
+	// queues may be reused across worlds (see queueKey).
+	stock map[string]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -104,6 +108,7 @@ func NewRegistry() *Registry {
 		protocols: make(map[string]ProtocolFactory),
 		queues:    make(map[string]QueueFactory),
 		links:     make(map[string]LinkModel),
+		stock:     make(map[string]bool),
 	}
 }
 
@@ -270,6 +275,10 @@ func (r *Registry) Clone() *Registry {
 	for name, m := range r.links {
 		out.links[name] = m
 	}
+	//lint:ignore detmap map-to-map copy keyed identically; iteration order is unobservable
+	for name, ok := range r.stock {
+		out.stock[name] = ok
+	}
 	return out
 }
 
@@ -351,11 +360,7 @@ func mustRegisterBuiltins(r *Registry) {
 		return aqm.NewSfqCoDel(1024, capacityOf(q))
 	}))
 	must(r.RegisterQueue(QueueECN, func(q QueueSpec, env QueueEnv) (netsim.Queue, error) {
-		threshold := q.ECNThresholdPackets
-		if threshold <= 0 {
-			threshold = 65
-		}
-		return aqm.NewECNMarking(capacityOf(q), threshold)
+		return aqm.NewECNMarking(capacityOf(q), ecnThresholdOf(q))
 	}))
 	must(r.RegisterQueue(QueueXCP, func(q QueueSpec, env QueueEnv) (netsim.Queue, error) {
 		if env.CapacityBps <= 0 {
@@ -363,6 +368,9 @@ func mustRegisterBuiltins(r *Registry) {
 		}
 		return aqm.NewXCPQueue(env.Engine, capacityOf(q), env.CapacityBps)
 	}))
+	for _, kind := range []string{QueueDropTail, QueueSfqCoDel, QueueECN, QueueXCP} {
+		r.stock[kind] = true
+	}
 
 	// Deliberate failure injectors for the campaign fail-safe tests; see
 	// chaos.go.
@@ -397,6 +405,41 @@ func capacityOf(q QueueSpec) int {
 		return 1000
 	}
 	return q.CapacityPackets
+}
+
+func ecnThresholdOf(q QueueSpec) int {
+	if q.ECNThresholdPackets <= 0 {
+		return 65
+	}
+	return q.ECNThresholdPackets
+}
+
+// stockQueueKey is the harness.LinkDef.QueueKey of a stock discipline's
+// queue: its kind and everything its factory reads.
+type stockQueueKey struct {
+	kind                string
+	capacity, threshold int
+	capacityBps         float64
+}
+
+// queueKey returns the QueueKey of a queue of the given kind built from q with
+// the given capacity estimate: a stockQueueKey for a stock kind, nil for a
+// registered factory, which may have state or side effects of its own.
+func (r *Registry) queueKey(kind string, q QueueSpec, capacityBps float64) any {
+	r.mu.RLock()
+	stock := r.stock[kind]
+	r.mu.RUnlock()
+	if !stock {
+		return nil
+	}
+	k := stockQueueKey{kind: kind, capacity: capacityOf(q)}
+	switch kind {
+	case QueueECN:
+		k.threshold = ecnThresholdOf(q)
+	case QueueXCP:
+		k.capacityBps = capacityBps
+	}
+	return k
 }
 
 func must(err error) {

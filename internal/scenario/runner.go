@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/harness"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -29,18 +28,18 @@ type Result struct {
 	Err error
 }
 
-// summarize fills the derived summaries from the flow results.
-func (r *Result) summarize() {
-	var tputs, delays []float64
+// summarize fills r's derived summaries from its flow results.
+func (w *Worker) summarize(r *Result) {
+	w.tputs, w.delays = w.tputs[:0], w.delays[:0]
 	for _, f := range r.Res.Flows {
 		if f.Metrics.OnDuration <= 0 {
 			continue
 		}
-		tputs = append(tputs, f.Metrics.Mbps())
-		delays = append(delays, f.Metrics.QueueingDelayMs())
+		w.tputs = append(w.tputs, f.Metrics.Mbps())
+		w.delays = append(w.delays, f.Metrics.QueueingDelayMs())
 	}
-	r.Throughput = stats.Summarize(tputs)
-	r.Delay = stats.Summarize(delays)
+	r.Throughput = stats.Summarize(w.tputs)
+	r.Delay = stats.Summarize(w.delays)
 }
 
 // Runner executes batches of Specs across a worker pool, one independent
@@ -79,37 +78,39 @@ func (r Runner) logf(format string, args ...any) {
 	}
 }
 
-// enginePool recycles simulation engines across runs and Runner instances.
-// A pooled engine carries warm slab, free-list, heap and lane-ring capacity
-// from earlier runs, so a steady-state campaign's per-run setup allocates
-// (almost) nothing. A plain mutex-guarded free list is used instead of
-// sync.Pool deliberately: sync.Pool may drop entries at any GC, which would
-// silently reintroduce cold-start allocations mid-campaign (and flake the
-// allocation regression tests that pin the warm path).
-var enginePool struct {
+// sessionPool keeps idle sessions between workers and Runner instances. A
+// pooled session is an engine with warm slab, heap and lane-ring capacity,
+// and beside it every part the worlds built on that engine left behind, so
+// the next world built on it — a campaign cell, a training world, a cold
+// repetition — allocates (almost) nothing. A plain mutex-guarded free list is
+// used instead of sync.Pool deliberately: sync.Pool may drop entries at any
+// GC, which would silently reintroduce cold-start allocations mid-campaign
+// (and flake the allocation regression tests that pin the warm path).
+var sessionPool struct {
 	mu   sync.Mutex
-	free []*sim.Engine
+	free []*harness.Session
 }
 
-func acquireEngine() *sim.Engine {
-	enginePool.mu.Lock()
-	defer enginePool.mu.Unlock()
-	if n := len(enginePool.free); n > 0 {
-		e := enginePool.free[n-1]
-		enginePool.free[n-1] = nil
-		enginePool.free = enginePool.free[:n-1]
-		return e
+// acquireSession returns an idle session, or nil when there is none.
+func acquireSession() *harness.Session {
+	sessionPool.mu.Lock()
+	defer sessionPool.mu.Unlock()
+	if n := len(sessionPool.free); n > 0 {
+		ss := sessionPool.free[n-1]
+		sessionPool.free[n-1] = nil
+		sessionPool.free = sessionPool.free[:n-1]
+		return ss
 	}
-	return sim.NewEngine()
+	return nil
 }
 
-func releaseEngine(e *sim.Engine) {
-	if e == nil {
+func releaseSession(ss *harness.Session) {
+	if ss == nil {
 		return
 	}
-	enginePool.mu.Lock()
-	enginePool.free = append(enginePool.free, e)
-	enginePool.mu.Unlock()
+	sessionPool.mu.Lock()
+	sessionPool.free = append(sessionPool.free, ss)
+	sessionPool.mu.Unlock()
 }
 
 // task is one (spec, repetition) unit of work.
@@ -118,39 +119,40 @@ type task struct {
 	spec    *Spec
 }
 
-// Worker is one goroutine's warm run state: a pooled engine and, on it, the
-// session of the spec it ran last. It is the single place a compiled spec
-// meets an engine — compile once, build the session on the pooled engine, then
-// Run(seed) per repetition, with panics recovered into Result.Err — and both
+// Worker is one goroutine's warm run state: a pooled session and the spec
+// whose world it holds. It is the single place a compiled spec meets an
+// engine — compile once, rebuild the session's world for it, then Run(seed)
+// per repetition, with panics recovered into Result.Err — and both
 // Runner.Stream's goroutines and the optimizer's batch workers execute
 // through it. A Worker is not safe for concurrent use.
 type Worker struct {
-	reg    *Registry
-	engine *sim.Engine
-	// spec, session and invariant describe the warm session: consecutive runs
-	// of the same *Spec reuse it with only the seed varying when the spec is
-	// rep-invariant. Specs whose compiled scenario differs per rep
-	// (synthesized link traces) rebuild the session each rep but still reuse
-	// the pooled engine underneath.
-	spec      *Spec
+	reg *Registry
+	// session is the worker's session, nil until its first run; spec and
+	// invariant describe its world: consecutive runs of the same *Spec reuse
+	// it with only the seed varying when the spec is rep-invariant. Specs
+	// whose compiled scenario differs per rep (synthesized link traces)
+	// rebuild the world each rep, out of the previous one's parts.
 	session   *harness.Session
+	spec      *Spec
 	invariant bool
+	// tputs and delays are summarize's working slices, kept between runs.
+	tputs, delays []float64
 }
 
 // NewWorker returns an idle worker resolving names against the runner's
-// registry. Close it to return its engine to the pool.
+// registry. Close it to return its session to the pool.
 func (r Runner) NewWorker() *Worker { return &Worker{reg: r.registry()} }
 
-// Close returns the worker's engine to the pool and forgets its session.
+// Close returns the worker's session, parts and all, to the pool.
 func (w *Worker) Close() {
-	releaseEngine(w.engine)
-	w.engine = nil
-	w.drop()
+	releaseSession(w.session)
+	w.discard()
 }
 
-func (w *Worker) drop() {
-	w.spec = nil
+// discard forgets the worker's session without pooling it.
+func (w *Worker) discard() {
 	w.session = nil
+	w.spec = nil
 }
 
 // Run executes repetition rep of spec, reusing the warm session when spec is
@@ -162,61 +164,74 @@ func (w *Worker) drop() {
 //
 // A panic anywhere in the run — a buggy scheme, a custom queue, the harness
 // itself — is recovered into Result.Err so one poisoned repetition cannot
-// torch a whole campaign or training batch; the worker's engine and session
-// are then discarded (not returned to the pool) because a panic leaves them in
-// an unknown state, and the next run starts cold.
-func (w *Worker) Run(spec *Spec, rep int) (out Result) {
+// torch a whole campaign or training batch; the worker's session, engine and
+// parts included, is then discarded (not returned to the pool) because a
+// panic leaves it in an unknown state, and the next run starts cold.
+func (w *Worker) Run(spec *Spec, rep int) Result {
+	var out Result
+	w.RunInto(spec, rep, &out)
+	return out
+}
+
+// RunInto is Run writing the result into out, reusing the capacity of the
+// slices out.Res holds: a caller that keeps one Result across runs collects
+// every run's flows, links and churn classes without allocating for them.
+// Everything in out is overwritten.
+func (w *Worker) RunInto(spec *Spec, rep int, out *Result) {
+	res := out.Res
+	*out = Result{Rep: rep, SpecName: spec.Name}
 	defer func() {
 		if p := recover(); p != nil {
-			w.engine = nil
-			w.drop()
-			out = Result{Rep: rep, SpecName: spec.Name,
+			w.discard()
+			*out = Result{Rep: rep, SpecName: spec.Name,
 				Err: fmt.Errorf("scenario: spec %q rep %d: panic: %v", spec.Name, rep, p)}
 		}
 	}()
-	out = Result{Rep: rep, SpecName: spec.Name}
 	if w.session == nil || w.spec != spec || !w.invariant {
 		scn, seed, err := spec.Compile(w.reg, rep)
 		if err != nil {
 			out.Err = err
-			return out
+			return
 		}
 		out.Seed = seed
-		if w.engine == nil {
-			w.engine = acquireEngine()
+		w.spec = nil
+		if w.session == nil {
+			w.session = acquireSession()
 		}
-		ss, err := harness.NewSessionOn(w.engine, scn)
+		if w.session == nil {
+			w.session, err = harness.NewSession(scn)
+		} else {
+			err = w.session.Rebuild(scn)
+		}
 		if err != nil {
-			w.drop()
 			out.Err = fmt.Errorf("scenario: spec %q rep %d: %w", spec.Name, rep, err)
-			return out
+			return
 		}
 		w.spec = spec
-		w.session = ss
 		w.invariant = spec.RepInvariant()
 	} else {
 		out.Seed = DeriveSeed(spec.Seed, rep)
 	}
-	res, err := w.session.Run(out.Seed)
-	if err != nil {
+	if err := w.session.RunInto(out.Seed, &res); err != nil {
 		out.Err = fmt.Errorf("scenario: spec %q rep %d: %w", spec.Name, rep, err)
-		return out
+		return
 	}
 	out.Res = res
 	if !spec.SkipSummaries {
-		out.summarize()
+		w.summarize(out)
 	}
-	return out
 }
 
 // Stream executes every repetition of every spec across a fixed pool of
 // worker goroutines and streams results over the returned channel as they
-// complete. Each worker owns one pooled engine for its lifetime and reuses
-// sessions across a rep-invariant spec's repetitions, so steady-state
-// campaigns run with warm-start (near-zero) per-rep allocation. Completion
-// order depends on scheduling, but each Result is deterministic for its
-// (spec, rep) pair; use RunAll for a deterministic ordering. The channel
-// closes after the last result.
+// complete. Each worker owns one pooled session for its lifetime, reuses its
+// world across a rep-invariant spec's repetitions and returns it to the pool
+// when the stream ends (a cancelled stream's workers drop theirs instead), so
+// steady-state campaigns run with warm-start (near-zero) per-rep allocation.
+// Every Result sent is the consumer's: nothing in it is reused by a later
+// repetition. Completion order depends on scheduling, but each Result is
+// deterministic for its (spec, rep) pair; use RunAll for a deterministic
+// ordering. The channel closes after the last result.
 //
 // done, when non-nil, cancels the stream: once it is closed, no new
 // repetitions start, in-flight workers discard their results instead of
@@ -232,7 +247,17 @@ func (r Runner) Stream(done <-chan struct{}, specs []Spec) <-chan Result {
 		go func() {
 			defer wg.Done()
 			worker := r.NewWorker()
-			defer worker.Close()
+			defer func() {
+				// A worker whose stream was cancelled may have been
+				// abandoned mid-run (the campaign watchdog does that):
+				// whatever state its session is in, it is not pooled.
+				select {
+				case <-done:
+					worker.discard()
+				default:
+					worker.Close()
+				}
+			}()
 			for t := range tasks {
 				select {
 				case <-done:

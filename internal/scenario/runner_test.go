@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,7 +87,7 @@ func (a fusedAlgorithm) OnAck(ev cc.AckEvent) {
 // TestWorkerRecoversPanicInReusedSession drives one Worker the way Stream's
 // goroutines and the optimizer's batch workers do. An algorithm that panics
 // in the middle of a warm session's run must surface as that repetition's
-// error only: the worker drops the poisoned engine and session, and its later
+// error only: the worker drops the poisoned session, engine included, and its later
 // repetitions equal a fresh runner's.
 func TestWorkerRecoversPanicInReusedSession(t *testing.T) {
 	lit := false
@@ -106,8 +107,8 @@ func TestWorkerRecoversPanicInReusedSession(t *testing.T) {
 			if got.Err == nil || !strings.Contains(got.Err.Error(), "panic: fuse lit") {
 				t.Fatalf("rep %d: panicking run returned Err = %v", rep, got.Err)
 			}
-			if w.session != nil || w.engine != nil {
-				t.Error("worker kept the engine or session a panic ran through")
+			if w.session != nil {
+				t.Error("worker kept the session a panic ran through")
 			}
 			continue
 		}
@@ -313,5 +314,56 @@ func TestStreamNilDoneDrainsToCompletion(t *testing.T) {
 	}
 	if len(seen) != 5 {
 		t.Fatalf("drained %d repetitions, want 5", len(seen))
+	}
+}
+
+// wedgedAlgorithm is NewReno whose first acknowledgment blocks until release
+// is closed: a repetition wedged inside a run. wedged is closed once it is.
+type wedgedAlgorithm struct {
+	cc.Algorithm
+	once            *sync.Once
+	wedged, release chan struct{}
+}
+
+func (a wedgedAlgorithm) OnAck(ev cc.AckEvent) {
+	a.once.Do(func() {
+		close(a.wedged)
+		<-a.release
+	})
+	a.Algorithm.OnAck(ev)
+}
+
+func idleSessions() int {
+	sessionPool.mu.Lock()
+	defer sessionPool.mu.Unlock()
+	return len(sessionPool.free)
+}
+
+// TestAbandonedWorkerDiscardsSession is the campaign watchdog's case: it
+// cancels a stream whose repetition is wedged inside a run and walks away.
+// When the run comes unstuck, its worker must drop the session it ran on,
+// not return it to the pool, whatever state it is in.
+func TestAbandonedWorkerDiscardsSession(t *testing.T) {
+	// Leave an idle session in the pool for the wedged worker to take.
+	if _, err := (Runner{Workers: 1}).RunOne(quickSpec(1)); err != nil {
+		t.Fatal(err)
+	}
+	before := idleSessions()
+	var once sync.Once
+	wedged, release := make(chan struct{}), make(chan struct{})
+	spec := quickSpec(1)
+	spec.Flows[0].Algorithm = func() cc.Algorithm { return wedgedAlgorithm{newreno.New(), &once, wedged, release} }
+	done := make(chan struct{})
+	results := Runner{Workers: 1}.Stream(done, []Spec{spec})
+	<-wedged
+	if got := idleSessions(); got != before-1 {
+		t.Fatalf("the wedged worker took no idle session: %d idle before, %d now", before, got)
+	}
+	close(done)
+	close(release)
+	for range results {
+	}
+	if got := idleSessions(); got != before-1 {
+		t.Errorf("the abandoned worker pooled its session: %d idle sessions, want %d", got, before-1)
 	}
 }

@@ -181,7 +181,10 @@ func Write(w io.Writer, trace []sim.Time) error {
 }
 
 // Read parses a schedule written by Write (or a real capture converted to
-// microsecond delivery timestamps, one per line).
+// microsecond delivery timestamps, one per line, LF or CRLF). A delivery
+// schedule starts at time zero, so negative timestamps are refused, as are
+// decreasing ones, lines that are not integers and lines too long to scan;
+// whatever Read accepts, Write writes back in a form Read returns unchanged.
 func Read(r io.Reader) ([]sim.Time, error) {
 	var out []sim.Time
 	sc := bufio.NewScanner(r)
@@ -196,13 +199,16 @@ func Read(r io.Reader) ([]sim.Time, error) {
 		if err != nil {
 			return nil, fmt.Errorf("traces: line %d: %w", line, err)
 		}
+		if v < 0 {
+			return nil, fmt.Errorf("traces: line %d: negative timestamp %d", line, v)
+		}
 		if len(out) > 0 && sim.Time(v) < out[len(out)-1] {
 			return nil, fmt.Errorf("traces: line %d: timestamps must be non-decreasing", line)
 		}
 		out = append(out, sim.Time(v))
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("traces: line %d: %w", line+1, err)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("traces: empty trace")

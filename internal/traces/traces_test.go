@@ -2,6 +2,8 @@ package traces
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,4 +194,76 @@ func TestReadErrors(t *testing.T) {
 	if err != nil || len(got) != 2 {
 		t.Error("blank lines should be skipped")
 	}
+}
+
+// TestReadBoundaries pins what the loader refuses and what it tolerates: a
+// schedule cannot start before time zero, a CRLF file reads like an LF one,
+// and a line too long to scan is an error, not a panic.
+func TestReadBoundaries(t *testing.T) {
+	for _, in := range []string{"-1\n", "5\n-3\n", "-9223372036854775808\n"} {
+		if _, err := Read(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("Read(%q) = %v, want a negative-timestamp error", in, err)
+		}
+	}
+	crlf, err := Read(strings.NewReader("10\r\n20\r\n\r\n30\r\n"))
+	if err != nil || !slices.Equal(crlf, []sim.Time{10, 20, 30}) {
+		t.Errorf("CRLF trace read as %v, %v", crlf, err)
+	}
+	long := "1\n" + strings.Repeat("7", 70_000) + "\n"
+	if _, err := Read(strings.NewReader(long)); err == nil {
+		t.Error("over-long line accepted")
+	}
+}
+
+// traceReadSeeds are FuzzTraceRead's starting inputs: a cmd/tracegen output
+// (testdata/verizon-0.5s.trace, from tracegen -model verizon -duration 0.5
+// -seed 3), a CRLF file, an over-long line, and small edge cases.
+func traceReadSeeds(f *testing.F) [][]byte {
+	gen, err := os.ReadFile("testdata/verizon-0.5s.trace")
+	if err != nil {
+		f.Fatal(err)
+	}
+	return [][]byte{
+		gen,
+		[]byte("0\r\n1500\r\n1500\r\n9000\r\n"),
+		[]byte("1\n" + strings.Repeat("9", 70_000) + "\n2\n"),
+		[]byte("+5\n007\n\n-0\n"),
+		[]byte("-1\n"),
+		[]byte("9223372036854775807\n"),
+		[]byte("3\n2\n"),
+	}
+}
+
+// FuzzTraceRead feeds the trace loader arbitrary bytes. It must never panic;
+// whatever it accepts must be a non-empty, non-negative, non-decreasing
+// schedule that Write and Read carry back to the identical slice.
+func FuzzTraceRead(f *testing.F) {
+	for _, seed := range traceReadSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		trace, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(trace) == 0 {
+			t.Fatal("accepted an empty trace")
+		}
+		for i, v := range trace {
+			if v < 0 || (i > 0 && v < trace[i-1]) {
+				t.Fatalf("accepted timestamp %d at %d of %v", v, i, trace)
+			}
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, trace); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-reading the written trace: %v", err)
+		}
+		if !slices.Equal(back, trace) {
+			t.Fatalf("round trip changed the trace: %v -> %v", trace, back)
+		}
+	})
 }

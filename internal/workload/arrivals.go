@@ -82,6 +82,16 @@ func NewArrivalProcess(spec ArrivalSpec, engine *sim.Engine, rng *sim.RNG) (*Arr
 	return a, nil
 }
 
+// SetSpec makes the process follow spec from its next Reset on, keeping its
+// engine, timer, stream and callback (see Switcher.SetSpec).
+func (a *ArrivalProcess) SetSpec(spec ArrivalSpec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	a.spec = spec
+	return nil
+}
+
 // Reset returns the process to its just-constructed state for engine-pooled
 // reuse (harness.Session), restarting its random stream from seed for the
 // next run.

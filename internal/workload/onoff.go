@@ -131,6 +131,17 @@ func NewSwitcher(spec Spec, engine *sim.Engine, rng *sim.RNG) (*Switcher, error)
 	return s, nil
 }
 
+// SetSpec makes the switcher drive spec from its next Reset on, keeping its
+// engine, timers, stream and callbacks: a session rebuilding its world on the
+// same engine re-targets its switchers this way instead of building new ones.
+func (s *Switcher) SetSpec(spec Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	s.spec = spec
+	return nil
+}
+
 // Reset returns the switcher to its just-constructed state for engine-pooled
 // reuse (harness.Session), restarting its random stream from seed for the
 // next run. Spec, engine, timers and callbacks are kept; any pending
