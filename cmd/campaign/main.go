@@ -1,10 +1,10 @@
 // Command campaign runs fleet-scale sweep campaigns: a JSON sweep spec
 // (internal/campaign.SweepSpec) expands into a grid of scenario cells that
-// execute across a work-stealing worker pool, checkpoint to a JSONL manifest
-// as they finish, and consolidate into one versioned JSON report plus a flat
-// CSV. A campaign can be split across processes or machines with -shard; the
-// merged shard manifests produce a report byte-identical to a single-process
-// run.
+// execute across a worker pool, each attempt under the internal/supervise
+// watchdog, checkpoint to a JSONL manifest as they finish, and consolidate
+// into one versioned JSON report plus a flat CSV. A campaign can be split
+// across processes or machines with -shard; the merged shard manifests
+// produce a report byte-identical to a single-process run.
 //
 //	campaign run -spec examples/campaigns/parking_lot_churn.json -out out/
 //	campaign run -spec sweep.json -out out/ -shard 0/3   # one of three shards
@@ -12,9 +12,9 @@
 //	campaign merge-shards -spec sweep.json -out out/ out/manifest-*.jsonl
 //	campaign report out/report.json
 //
-// Interrupting a run (SIGINT/SIGTERM) stops it at the next cell boundary with
-// the manifest intact; `campaign resume` with the same arguments picks up
-// where it stopped.
+// Interrupting a run (SIGINT/SIGTERM) stops it at once with the manifest
+// intact: cells in flight, even hung ones, are abandoned and run again on
+// resume. `campaign resume` with the same arguments picks up where it stopped.
 package main
 
 import (

@@ -36,6 +36,7 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/exp"
 	"repro/internal/optimizer"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -78,17 +79,13 @@ func presetSpec(name string, budget float64) (exp.TrainSpec, error) {
 	}
 }
 
-// effectiveWorkers mirrors the optimizer's default so the coordinator can
-// split one machine's parallelism across its worker processes.
+// effectiveWorkers is the optimizer's pool size for a -workers value, so the
+// coordinator can split one machine's parallelism across its worker processes.
 func effectiveWorkers(flagValue int) int {
 	if flagValue > 0 {
 		return flagValue
 	}
-	n := runtime.NumCPU() - 1
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return scenario.DefaultWorkers()
 }
 
 // runWorker is the -worker mode: speak the distrib protocol on stdio until

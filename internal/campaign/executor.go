@@ -1,15 +1,17 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/supervise"
 )
 
 // ErrInterrupted reports a run stopped by its Stop channel. The manifest
@@ -17,15 +19,15 @@ import (
 var ErrInterrupted = errors.New("campaign: interrupted (resume from the manifest)")
 
 // Executor runs a campaign's cells over scenario.Runner. Parallelism has two
-// levels: Workers cells run concurrently (each on its own work-stealing
-// worker), and each cell's repetitions run under an inner scenario.Runner
-// pool of InnerWorkers. Neither knob affects any number in the output — only
+// levels: Workers cells run concurrently, each worker taking the next pending
+// cell, and each cell's repetitions run under an inner scenario.Runner pool
+// of InnerWorkers. Neither knob affects any number in the output — only
 // wall-clock time.
 type Executor struct {
 	// Registry resolves scheme/queue/link names; nil means scenario.Default().
 	Registry *scenario.Registry
-	// Workers bounds concurrently running cells; <= 0 means NumCPU-1 (at
-	// least 1).
+	// Workers bounds concurrently running cells; <= 0 means
+	// scenario.DefaultWorkers().
 	Workers int
 	// InnerWorkers is each cell's repetition pool; <= 0 means 1 (the outer
 	// pool already saturates the cores on wide grids).
@@ -75,25 +77,17 @@ func (e Executor) workers() int {
 	if e.Workers > 0 {
 		return e.Workers
 	}
-	n := runtime.NumCPU() - 1
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return scenario.DefaultWorkers()
 }
 
-func (e Executor) innerWorkers() int {
-	if e.InnerWorkers > 0 {
-		return e.InnerWorkers
+// policy is a cell's supervision: 1+Retries attempts under the CellTimeout
+// watchdog, RetryBackoff (default 100 ms) apart.
+func (e Executor) policy() supervise.Policy {
+	p := supervise.Policy{Attempts: 1 + e.Retries, Backoff: e.RetryBackoff, Timeout: e.CellTimeout}
+	if p.Backoff <= 0 {
+		p.Backoff = 100 * time.Millisecond
 	}
-	return 1
-}
-
-func (e Executor) retryBackoff() time.Duration {
-	if e.RetryBackoff > 0 {
-		return e.RetryBackoff
-	}
-	return 100 * time.Millisecond
+	return p
 }
 
 func (e Executor) logf(format string, args ...any) {
@@ -102,58 +96,11 @@ func (e Executor) logf(format string, args ...any) {
 	}
 }
 
-// cellQueue is one worker's deque of cell indices. The owner pops from the
-// front; thieves steal half from the back, so an owner keeps the locality of
-// its contiguous range while big leftovers migrate to idle workers.
-type cellQueue struct {
-	mu    sync.Mutex
-	cells []int
-}
-
-func (q *cellQueue) popFront() (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.cells) == 0 {
-		return 0, false
-	}
-	c := q.cells[0]
-	q.cells = q.cells[1:]
-	return c, true
-}
-
-// stealBack removes up to half of the victim's remaining cells from the back
-// and returns them (empty when there is nothing to steal).
-func (q *cellQueue) stealBack() []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := len(q.cells)
-	if n == 0 {
-		return nil
-	}
-	take := (n + 1) / 2
-	stolen := make([]int, take)
-	copy(stolen, q.cells[n-take:])
-	q.cells = q.cells[:n-take]
-	return stolen
-}
-
-func (q *cellQueue) pushAll(cells []int) {
-	q.mu.Lock()
-	q.cells = append(q.cells, cells...)
-	q.mu.Unlock()
-}
-
-func (q *cellQueue) size() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.cells)
-}
-
 // Run executes this process's share of the campaign: every shard cell not
 // already checkpointed in the manifest. It returns the shard's complete
 // record set — resumed cells plus freshly executed ones — sorted by cell
-// index. Numbers are independent of Workers, InnerWorkers and steal
-// scheduling because each cell is a deterministic unit: its seed derives
+// index. Numbers are independent of Workers, InnerWorkers and which worker
+// runs which cell because each cell is a deterministic unit: its seed derives
 // from the campaign seed and its ID, its repetitions fold in repetition
 // order, and nothing crosses cell boundaries.
 func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
@@ -227,43 +174,32 @@ func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
 	return records, nil
 }
 
-// runPending executes the given cell indices across the work-stealing pool.
+// runPending executes the given cell indices on Workers goroutines, each
+// taking the next pending cell from one shared cursor. A cell's session comes
+// from scenario's process-wide pool whichever worker runs it, so no worker
+// needs a run of cells of its own.
 func (e Executor) runPending(sweep *SweepSpec, pending []int, opts RunOptions) ([]CellRecord, error) {
-	workers := e.workers()
-	if workers > len(pending) {
-		workers = len(pending)
+	var manifest *os.File
+	if opts.ManifestPath != "" {
+		f, err := os.OpenFile(opts.ManifestPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: %w", err)
+		}
+		defer f.Close()
+		manifest = f
 	}
 
-	// Internal stop: closed on first error or when the caller's Stop fires.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	cancel := func() { stopOnce.Do(func() { close(stop) }) }
-	finished := make(chan struct{})
-	defer close(finished)
+	// ctx ends on the first error or when the caller's Stop fires.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	if opts.Stop != nil {
 		go func() {
 			select {
 			case <-opts.Stop:
 				cancel()
-			case <-finished:
+			case <-ctx.Done():
 			}
 		}()
-	}
-
-	// Split the pending cells into contiguous per-worker runs; idle workers
-	// steal from the fullest victim.
-	queues := make([]*cellQueue, workers)
-	chunk := (len(pending) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo > len(pending) {
-			lo = len(pending)
-		}
-		if hi > len(pending) {
-			hi = len(pending)
-		}
-		queues[w] = &cellQueue{cells: append([]int(nil), pending[lo:hi]...)}
 	}
 
 	type cellDone struct {
@@ -273,85 +209,44 @@ func (e Executor) runPending(sweep *SweepSpec, pending []int, opts RunOptions) (
 		err     error
 	}
 	out := make(chan cellDone)
-
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(e.workers(), len(pending)); w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
+			for ctx.Err() == nil {
+				n := int(next.Add(1)) - 1
+				if n >= len(pending) {
 					return
-				default:
 				}
-				idx, ok := queues[self].popFront()
-				if !ok {
-					// Own queue dry: steal from the victim with the most
-					// remaining work.
-					victim, best := -1, 0
-					for v := range queues {
-						if v == self {
-							continue
-						}
-						if n := queues[v].size(); n > best {
-							victim, best = v, n
-						}
-					}
-					if victim < 0 {
-						return
-					}
-					stolen := queues[victim].stealBack()
-					if len(stolen) == 0 {
-						continue // lost the race; rescan
-					}
-					queues[self].pushAll(stolen)
-					continue
-				}
-				cell, rec, results, err := e.runCell(sweep, idx, stop)
+				var d cellDone
+				d.cell, d.rec, d.results, d.err = e.runCell(ctx, sweep, pending[n])
 				select {
-				case out <- cellDone{cell: cell, rec: rec, results: results, err: err}:
-				case <-stop:
+				case out <- d:
+				case <-ctx.Done():
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	go func() { wg.Wait(); close(out) }()
 
 	// Collector: checkpoint each completed cell, hand results to OnCell,
 	// accumulate records. Single goroutine — manifest writes and OnCell
 	// calls are naturally serialized.
-	var manifest *os.File
-	if opts.ManifestPath != "" {
-		f, err := os.OpenFile(opts.ManifestPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			cancel()
-			for range out {
-			}
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
-		manifest = f
-		defer manifest.Close()
-	}
 	var fresh []CellRecord
 	var firstErr error
 	for d := range out {
+		if d.err == nil && manifest != nil {
+			d.err = AppendRecord(manifest, d.rec)
+		}
 		if d.err != nil {
 			if firstErr == nil && !errors.Is(d.err, ErrInterrupted) {
 				firstErr = d.err
 			}
 			cancel()
 			continue
-		}
-		if manifest != nil {
-			if err := AppendRecord(manifest, d.rec); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				cancel()
-				continue
-			}
 		}
 		if e.OnCell != nil && d.rec.Failure == "" {
 			e.OnCell(d.cell, d.results)
@@ -366,131 +261,64 @@ func (e Executor) runPending(sweep *SweepSpec, pending []int, opts RunOptions) (
 	if firstErr != nil {
 		return fresh, firstErr
 	}
-	select {
-	case <-stop:
+	if ctx.Err() != nil {
 		return fresh, ErrInterrupted
-	default:
 	}
 	return fresh, nil
 }
 
 // runCell materializes and executes one cell, folding its repetitions — in
-// repetition order — into the O(1) aggregate. A cell whose attempts all fail
-// (panic, error, watchdog timeout) does not abort the campaign: it comes back
-// as a quarantine record (Failure set, zero aggregate) that is checkpointed
-// like any other, so a resume skips the known-bad cell. Only interruption and
+// repetition order — into the O(1) aggregate. Each attempt is one stream of
+// the cell's repetitions on an InnerWorkers runner, supervised: a watchdog
+// timeout or Stop ends the attempt's context, which cancels the stream, and
+// the attempt is abandoned, since a repetition wedged inside a single sim run
+// never observes cancellation. A cell whose attempts all fail (panic, error,
+// watchdog timeout) does not abort the campaign: it comes back as a
+// quarantine record (Failure set, zero aggregate) that is checkpointed like
+// any other, so a resume skips the known-bad cell. Only interruption and
 // infrastructure errors (a broken sweep) propagate as errors.
-func (e Executor) runCell(sweep *SweepSpec, idx int, stop <-chan struct{}) (Cell, CellRecord, []scenario.Result, error) {
+func (e Executor) runCell(ctx context.Context, sweep *SweepSpec, idx int) (Cell, CellRecord, []scenario.Result, error) {
 	cell, err := sweep.Cell(idx)
 	if err != nil {
 		return cell, CellRecord{}, nil, err
 	}
-	spec, specErr := cell.Spec()
-	if specErr != nil {
+	spec, err := cell.Spec()
+	if err != nil {
 		// Materialization is deterministic; retrying cannot help.
-		return cell, failedRecordFor(sweep.Name, cell, "", specErr, 1), nil, nil
+		return cell, failedRecordFor(sweep.Name, cell, "", err, 1), nil, nil
 	}
-	attempts := 1 + e.Retries
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for a := 1; a <= attempts; a++ {
-		if a > 1 {
-			e.logf("campaign: cell %q attempt %d/%d after: %v", cell.ID, a, attempts, lastErr)
-			select {
-			case <-time.After(e.retryBackoff()):
-			case <-stop:
-				return cell, CellRecord{}, nil, ErrInterrupted
-			}
-		}
-		results, err := e.attemptCell(cell, spec, stop)
-		if err == nil {
-			agg := newCellAggregator()
-			for _, res := range results {
-				agg.fold(res)
-			}
-			rec := recordFor(sweep.Name, cell, spec.Name, agg.finalize())
-			if a > 1 {
-				rec.Attempts = a
-			}
-			return cell, rec, results, nil
-		}
-		if errors.Is(err, ErrInterrupted) {
-			return cell, CellRecord{}, nil, ErrInterrupted
-		}
-		lastErr = err
-	}
-	return cell, failedRecordFor(sweep.Name, cell, spec.Name, lastErr, attempts), nil, nil
-}
-
-// attemptCell executes one attempt of a cell under the watchdog. The cell's
-// repetitions run on an inner scenario.Runner pool driven from a separate
-// goroutine; if the watchdog fires first, the attempt's stop channel is
-// closed (reaping every repetition that still checks it) and the goroutine is
-// abandoned — a repetition wedged inside a single sim run never observes
-// cancellation, and abandoning it is the only way to keep the campaign alive.
-func (e Executor) attemptCell(cell Cell, spec scenario.Spec, stop <-chan struct{}) ([]scenario.Result, error) {
-	cellStop := make(chan struct{})
-	var once sync.Once
-	cancel := func() { once.Do(func() { close(cellStop) }) }
-	defer cancel()
-	fwd := make(chan struct{})
-	defer close(fwd)
-	go func() {
-		select {
-		case <-stop:
-			cancel()
-		case <-fwd:
-		}
-	}()
-
-	type outcome struct {
-		results []scenario.Result
-		err     error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		reps := spec.Reps()
-		runner := scenario.Runner{Registry: e.Registry, Workers: e.innerWorkers()}
-		results := make([]scenario.Result, reps)
+	runner := scenario.Runner{Registry: e.Registry, Workers: max(1, e.InnerWorkers)}
+	specs := []scenario.Spec{spec}
+	results, attempts, err := supervise.Run(ctx, e.policy(), func(ctx context.Context) ([]scenario.Result, error) {
+		results := make([]scenario.Result, spec.Reps())
 		got := 0
-		var firstErr error
-		for res := range runner.Stream(cellStop, []scenario.Spec{spec}) {
+		for res := range runner.Stream(ctx.Done(), specs) {
 			if res.Err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("campaign: cell %q: %w", cell.ID, res.Err)
-				}
-				cancel()
-				continue
+				return nil, fmt.Errorf("campaign: cell %q: %w", cell.ID, res.Err)
 			}
 			results[res.Rep] = res
 			got++
 		}
-		switch {
-		case firstErr != nil:
-			done <- outcome{err: firstErr}
-		case got < reps:
-			done <- outcome{err: ErrInterrupted}
-		default:
-			done <- outcome{results: results}
+		if got < len(results) {
+			return nil, ctx.Err()
 		}
-	}()
-
-	var timeout <-chan time.Time
-	if e.CellTimeout > 0 {
-		timer := time.NewTimer(e.CellTimeout)
-		defer timer.Stop()
-		timeout = timer.C
+		return results, nil
+	})
+	switch {
+	case err == nil:
+		agg := newCellAggregator()
+		for _, res := range results {
+			agg.fold(res)
+		}
+		rec := recordFor(sweep.Name, cell, spec.Name, agg.finalize())
+		if attempts > 1 {
+			rec.Attempts = attempts
+		}
+		return cell, rec, results, nil
+	case ctx.Err() != nil:
+		return cell, CellRecord{}, nil, ErrInterrupted
+	case errors.As(err, new(supervise.TimeoutError)):
+		err = fmt.Errorf("campaign: cell %q exceeded the %v cell timeout; attempt abandoned", cell.ID, e.CellTimeout)
 	}
-	select {
-	case o := <-done:
-		return o.results, o.err
-	case <-stop:
-		cancel()
-		return nil, ErrInterrupted
-	case <-timeout:
-		cancel()
-		return nil, fmt.Errorf("campaign: cell %q exceeded the %v cell timeout; attempt abandoned", cell.ID, e.CellTimeout)
-	}
+	return cell, failedRecordFor(sweep.Name, cell, spec.Name, err, attempts), nil, nil
 }

@@ -69,7 +69,7 @@ func TestShardUnionByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance pins that neither the outer work-stealing pool
+// TestWorkerCountInvariance pins that neither the outer cell pool
 // nor the inner repetition pool changes a single output byte.
 func TestWorkerCountInvariance(t *testing.T) {
 	s := testSweep()

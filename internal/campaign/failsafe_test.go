@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -134,6 +135,51 @@ func TestFailSafeQuarantineAndResume(t *testing.T) {
 		if fc.Failure == "" || fc.Attempts != 2 {
 			t.Errorf("failed cell %s lacks failure detail: %+v", fc.ID, fc)
 		}
+	}
+}
+
+// TestInterruptDuringHungCell closes Stop while a chaos/hang cell runs with no
+// CellTimeout to end it: the hung attempt is abandoned, Run returns
+// ErrInterrupted within a second, and the manifest holds the cell that
+// finished before it.
+func TestInterruptDuringHungCell(t *testing.T) {
+	sweep := SweepSpec{Name: "hang", Specs: []scenario.Spec{chaosSpec("good-a", "newreno"), chaosSpec("wedge", "chaos/hang")}}
+	manifest := filepath.Join(t.TempDir(), "manifest.jsonl")
+	stop := make(chan struct{})
+	healthyDone := make(chan struct{})
+	e := Executor{Workers: 1, OnCell: func(Cell, []scenario.Result) { close(healthyDone) }}
+	type runResult struct {
+		records []CellRecord
+		err     error
+	}
+	ran := make(chan runResult, 1)
+	go func() {
+		records, err := e.Run(sweep, RunOptions{ManifestPath: manifest, Stop: stop})
+		ran <- runResult{records, err}
+	}()
+	<-healthyDone
+	// The one worker takes the hanging cell next; let it reach the hang.
+	time.Sleep(100 * time.Millisecond)
+	stopped := time.Now()
+	close(stop)
+	var got runResult
+	select {
+	case got = <-ran:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after Stop while a cell hung")
+	}
+	if waited := time.Since(stopped); waited > time.Second {
+		t.Errorf("Run returned %v after Stop, want within 1s", waited)
+	}
+	if !errors.Is(got.err, ErrInterrupted) {
+		t.Fatalf("Run returned %v, want ErrInterrupted", got.err)
+	}
+	persisted, err := ReadManifest(manifest)
+	if err != nil {
+		t.Fatalf("manifest unreadable after the interrupt: %v", err)
+	}
+	if len(got.records) != 1 || len(persisted) != 1 || persisted[0].ID != "spec[0]=good-a" || !reflect.DeepEqual(got.records, persisted) {
+		t.Errorf("records %+v, manifest %+v; want the healthy cell alone in both", got.records, persisted)
 	}
 }
 

@@ -2,7 +2,7 @@
 // scenario.Runner: it turns a declarative sweep — a cartesian grid of named
 // axes over the canonical scenario families, plus optional explicit specs —
 // into thousands of scenario cells, executes them across an in-process
-// work-stealing pool and an optional process-level shard split, folds every
+// worker pool and an optional process-level shard split, folds every
 // cell's results into O(1) streaming aggregates (the stats P²/FCTAggregator
 // machinery; per-flow samples are never retained), and emits one consolidated
 // versioned report in JSON and CSV.

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/optimizer"
 	"repro/internal/stats"
+	"repro/internal/supervise"
 )
 
 // WorkerHandle is one live worker as the coordinator sees it: a framed
@@ -42,42 +44,31 @@ type Options struct {
 	Retries int
 	// RetryBackoff is the pause before a re-dispatch (default 100 ms).
 	RetryBackoff time.Duration
-	// HandshakeTimeout bounds the wait for a fresh worker's hello frame
-	// (<= 0 means 30 seconds).
-	HandshakeTimeout time.Duration
 	// Logf, if non-nil, receives progress and respawn messages.
 	Logf func(format string, args ...any)
 }
 
-func (o Options) batchTimeout() time.Duration {
-	if o.BatchTimeout > 0 {
-		return o.BatchTimeout
-	}
-	return 5 * time.Minute
-}
+const (
+	// handshakeTimeout bounds the wait for a fresh worker's hello frame.
+	handshakeTimeout = 30 * time.Second
+	// shutdownGrace is how long Close lets a worker exit on its own before
+	// killing it.
+	shutdownGrace = 2 * time.Second
+)
 
-func (o Options) retries() int {
-	if o.Retries < 0 {
-		return 0
+// policy is a batch's supervision, with the defaults documented on Options.
+func (o Options) policy() supervise.Policy {
+	p := supervise.Policy{Attempts: 3, Backoff: 100 * time.Millisecond, Timeout: 5 * time.Minute}
+	if o.Retries != 0 {
+		p.Attempts = 1 + max(o.Retries, 0)
 	}
-	if o.Retries == 0 {
-		return 2
-	}
-	return o.Retries
-}
-
-func (o Options) retryBackoff() time.Duration {
 	if o.RetryBackoff > 0 {
-		return o.RetryBackoff
+		p.Backoff = o.RetryBackoff
 	}
-	return 100 * time.Millisecond
-}
-
-func (o Options) handshakeTimeout() time.Duration {
-	if o.HandshakeTimeout > 0 {
-		return o.HandshakeTimeout
+	if o.BatchTimeout > 0 {
+		p.Timeout = o.BatchTimeout
 	}
-	return 30 * time.Second
+	return p
 }
 
 // Stats counts the coordinator's work and its fail-safe activations.
@@ -92,9 +83,12 @@ type Stats struct {
 	Redispatches int64
 }
 
-// slot is one worker position. Its handle is touched only by New/Close and
-// by the slot's own dispatch goroutine during a RunBatch call — RunBatch
-// itself is not concurrency-safe, matching the evaluator's serialized use.
+// slot is one worker position. Its handle belongs to one batch attempt at a
+// time: the attempt takes it out of the slot (spawning a new incarnation when
+// the slot is empty) and puts it back only if the attempt ended with the
+// worker healthy and not killed, so an attempt the watchdog abandoned never
+// shares a worker with the retry that follows it. handle and attempt are
+// guarded by Coordinator.mu.
 type slot struct {
 	index   int
 	attempt int
@@ -134,10 +128,12 @@ func NewCoordinator(factory Factory, opts Options) (*Coordinator, error) {
 		c.slots = append(c.slots, &slot{index: i})
 	}
 	for _, s := range c.slots {
-		if err := c.ensureWorker(s); err != nil {
+		h, err := c.spawn(context.Background(), s)
+		if err != nil {
 			c.Close()
 			return nil, err
 		}
+		s.handle = h
 	}
 	return c, nil
 }
@@ -155,82 +151,51 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
-// ensureWorker spawns the slot's worker if it has none and verifies the
-// handshake under a timeout.
-func (c *Coordinator) ensureWorker(s *slot) error {
-	if s.handle != nil {
-		return nil
-	}
-	h, err := c.factory.Start(s.index, s.attempt)
+// spawn starts the slot's next incarnation and completes its handshake under
+// the handshake watchdog; ctx ending kills it.
+func (c *Coordinator) spawn(ctx context.Context, s *slot) (WorkerHandle, error) {
+	c.mu.Lock()
+	attempt := s.attempt
+	s.attempt++
+	c.mu.Unlock()
+	h, err := c.factory.Start(s.index, attempt)
 	if err != nil {
-		return fmt.Errorf("distrib: starting worker %d (attempt %d): %w", s.index, s.attempt, err)
+		return nil, fmt.Errorf("distrib: starting worker %d (attempt %d): %w", s.index, attempt, err)
 	}
-	if s.attempt > 0 {
+	if attempt > 0 {
 		c.mu.Lock()
 		c.stats.Respawns++
 		c.mu.Unlock()
-		c.logf("distrib: worker %d respawned (spawn %d)", s.index, s.attempt)
+		c.logf("distrib: worker %d respawned (spawn %d)", s.index, attempt)
 	}
-	s.attempt++
-	f, err := readFrameTimeout(h, c.opts.handshakeTimeout())
+	f, _, err := supervise.Run(ctx, supervise.Policy{Timeout: handshakeTimeout}, func(ctx context.Context) (*Frame, error) {
+		defer context.AfterFunc(ctx, h.Kill)()
+		return h.Conn().ReadFrame()
+	})
+	switch {
+	case err != nil:
+		err = fmt.Errorf("distrib: worker %d handshake: %w", s.index, err)
+	case f.Type != TypeHello || f.Hello == nil:
+		err = fmt.Errorf("distrib: worker %d sent %q before hello", s.index, f.Type)
+	case f.Hello.Version != ProtocolVersion:
+		err = fmt.Errorf("distrib: worker %d speaks protocol v%d, coordinator v%d — mixed binaries?", s.index, f.Hello.Version, ProtocolVersion)
+	}
 	if err != nil {
 		h.Kill()
 		h.Wait()
-		return fmt.Errorf("distrib: worker %d handshake: %w", s.index, err)
+		return nil, err
 	}
-	if f.Type != TypeHello || f.Hello == nil {
-		h.Kill()
-		h.Wait()
-		return fmt.Errorf("distrib: worker %d sent %q before hello", s.index, f.Type)
-	}
-	if f.Hello.Version != ProtocolVersion {
-		h.Kill()
-		h.Wait()
-		return fmt.Errorf("distrib: worker %d speaks protocol v%d, coordinator v%d — mixed binaries?", s.index, f.Hello.Version, ProtocolVersion)
-	}
-	s.handle = h
-	return nil
+	return h, nil
 }
 
-// killWorker hard-stops a slot's worker (if any) and reaps it.
-func (c *Coordinator) killWorker(s *slot) {
-	if s.handle == nil {
-		return
-	}
-	s.handle.Kill()
-	s.handle.Wait()
+// take removes the slot's worker, if it has one, for the caller's sole use.
+func (c *Coordinator) take(s *slot) WorkerHandle {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h := s.handle
 	s.handle = nil
+	return h
 }
-
-// readFrameTimeout reads one frame from the handle's connection under a
-// wall-clock watchdog. On timeout the worker is killed, which unblocks the
-// reading goroutine; its late result is dropped via the buffered channel.
-func readFrameTimeout(h WorkerHandle, d time.Duration) (*Frame, error) {
-	type readResult struct {
-		f   *Frame
-		err error
-	}
-	ch := make(chan readResult, 1)
-	go func() {
-		f, err := h.Conn().ReadFrame()
-		ch <- readResult{f, err}
-	}()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.f, r.err
-	case <-timer.C:
-		h.Kill()
-		return nil, fmt.Errorf("distrib: no frame within the %v watchdog; worker killed", d)
-	}
-}
-
-// errBatch marks batch-level (non-retryable) failures: the worker is
-// healthy but the batch itself cannot succeed.
-type errBatch struct{ err error }
-
-func (e errBatch) Error() string { return e.err.Error() }
 
 // RunBatch implements optimizer.BatchRunner: shard jobs across the fleet by
 // affinity, execute every shard's batch (in parallel across workers, with
@@ -282,10 +247,10 @@ func (c *Coordinator) RunBatch(objective stats.Objective, jobs []optimizer.Batch
 	return results, nil
 }
 
-// runWorkerBatch drives one slot through one batch: dispatch, await under
-// the watchdog, and on worker failure kill + respawn + re-dispatch the
-// identical jobs (same specimens, same seeds — determinism makes the retry
-// safe) up to the retry bound.
+// runWorkerBatch drives one slot through one batch under the batch policy: a
+// worker that fails or blows the watchdog is killed, and the identical jobs
+// (same specimens, same seeds — determinism makes the retry safe) go to a
+// fresh incarnation, up to the retry bound.
 func (c *Coordinator) runWorkerBatch(s *slot, objective stats.Objective, jobs []optimizer.BatchJob, idxs []int, results []optimizer.BatchResult) error {
 	batch := make([]optimizer.BatchJob, len(idxs))
 	for i, ji := range idxs {
@@ -296,68 +261,88 @@ func (c *Coordinator) runWorkerBatch(s *slot, objective stats.Objective, jobs []
 		return err
 	}
 	req.Objective = objective
-	attempts := 1 + c.opts.retries()
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			c.mu.Lock()
-			c.stats.Redispatches++
-			c.mu.Unlock()
-			c.logf("distrib: worker %d: re-dispatching batch of %d jobs (attempt %d/%d) after: %v", s.index, len(batch), a+1, attempts, lastErr)
-			time.Sleep(c.opts.retryBackoff())
-		}
-		wireResults, err := c.tryBatch(s, req)
-		if err == nil {
-			for i, ji := range idxs {
-				wr := wireResults[i]
-				results[ji] = optimizer.BatchResult{Sum: wr.Sum, Flows: wr.Flows, Counts: wr.Counts, Consulted: wr.Consulted, Samples: wr.Samples}
-			}
-			return nil
-		}
-		var be errBatch
-		if errors.As(err, &be) {
-			return fmt.Errorf("distrib: worker %d: batch failed: %w", s.index, be.err)
-		}
-		lastErr = err
-		c.killWorker(s)
+	p := c.opts.policy()
+	wireResults, attempts, err := supervise.Run(context.Background(), p, func(ctx context.Context) ([]WireResult, error) {
+		return c.tryBatch(ctx, s, *req)
+	})
+	if attempts > 1 {
+		c.mu.Lock()
+		c.stats.Redispatches += int64(attempts - 1)
+		c.mu.Unlock()
+		c.logf("distrib: worker %d: batch of %d jobs dispatched %d times", s.index, len(batch), attempts)
 	}
-	return fmt.Errorf("distrib: worker %d: batch failed after %d attempts: %w", s.index, attempts, lastErr)
+	switch {
+	case err == nil:
+	case attempts < p.Attempts: // a batch error ends the retries early
+		return fmt.Errorf("distrib: worker %d: batch failed: %w", s.index, err)
+	default:
+		return fmt.Errorf("distrib: worker %d: batch failed after %d attempts: %w", s.index, attempts, err)
+	}
+	for i, ji := range idxs {
+		wr := wireResults[i]
+		results[ji] = optimizer.BatchResult{Sum: wr.Sum, Flows: wr.Flows, Counts: wr.Counts, Consulted: wr.Consulted, Samples: wr.Samples}
+	}
+	return nil
 }
 
-// tryBatch performs one dispatch attempt against the slot's (possibly
-// respawned) worker, under a fresh request ID.
-func (c *Coordinator) tryBatch(s *slot, req *EvalRequest) ([]WireResult, error) {
-	if err := c.ensureWorker(s); err != nil {
+// tryBatch is one dispatch attempt: it takes the slot's worker (or spawns
+// one), sends the batch under a fresh request ID — on its own copy of the
+// request, since an abandoned attempt may still hold the last one — and
+// awaits the result. ctx ending, the watchdog, kills the worker, which
+// unblocks the read.
+func (c *Coordinator) tryBatch(ctx context.Context, s *slot, req EvalRequest) ([]WireResult, error) {
+	h := c.take(s)
+	if h == nil {
+		var err error
+		if h, err = c.spawn(ctx, s); err != nil {
+			return nil, err
+		}
+	}
+	req.ID = c.nextID.Add(1)
+	kill := context.AfterFunc(ctx, h.Kill)
+	res, err := exchange(h.Conn(), &req)
+	if kill() && err == nil {
+		c.mu.Lock()
+		s.handle = h
+		c.mu.Unlock()
+	} else {
+		h.Kill()
+		h.Wait()
+	}
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	id := c.nextID.Add(1)
-	req.ID = id
-	if err := s.handle.Conn().WriteFrame(&Frame{Type: TypeEval, Eval: req}); err != nil {
-		return nil, fmt.Errorf("sending batch: %w", err)
-	}
-	f, err := readFrameTimeout(s.handle, c.opts.batchTimeout())
-	if err != nil {
-		return nil, err
-	}
-	if f.Type != TypeResult || f.Result == nil {
-		return nil, fmt.Errorf("expected result frame, got %q", f.Type)
-	}
-	if f.Result.ID != id {
-		return nil, fmt.Errorf("result for batch %d while awaiting %d", f.Result.ID, id)
-	}
-	if f.Result.Error != "" {
+	case res.Error != "":
 		// The worker executed and failed deterministically; retrying the
 		// identical batch cannot change the outcome.
-		return nil, errBatch{errors.New(f.Result.Error)}
+		return nil, supervise.Permanent(errors.New(res.Error))
 	}
-	if len(f.Result.Results) != len(req.Jobs) {
+	return res.Results, nil
+}
+
+// exchange sends one eval request and reads its answer. Any error means the
+// worker can no longer be trusted with another batch.
+func exchange(conn *Conn, req *EvalRequest) (*EvalResponse, error) {
+	if err := conn.WriteFrame(&Frame{Type: TypeEval, Eval: req}); err != nil {
+		return nil, fmt.Errorf("sending batch: %w", err)
+	}
+	f, err := conn.ReadFrame()
+	switch {
+	case err != nil:
+		return nil, err
+	case f.Type != TypeResult || f.Result == nil:
+		return nil, fmt.Errorf("expected result frame, got %q", f.Type)
+	case f.Result.ID != req.ID:
+		return nil, fmt.Errorf("result for batch %d while awaiting %d", f.Result.ID, req.ID)
+	case f.Result.Error == "" && len(f.Result.Results) != len(req.Jobs):
 		return nil, fmt.Errorf("batch returned %d results for %d jobs", len(f.Result.Results), len(req.Jobs))
 	}
-	return f.Result.Results, nil
+	return f.Result, nil
 }
 
 // Close shuts the fleet down: a shutdown frame per worker, a short grace
-// period to exit cleanly, then a hard kill. Safe to call more than once.
+// period to exit cleanly, then a hard kill (a killed worker is reaped in the
+// background). Safe to call more than once.
 func (c *Coordinator) Close() {
 	if c.closed {
 		return
@@ -365,26 +350,19 @@ func (c *Coordinator) Close() {
 	c.closed = true
 	var wg sync.WaitGroup
 	for _, s := range c.slots {
-		if s.handle == nil {
+		h := c.take(s)
+		if h == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(s *slot) {
+		go func() {
 			defer wg.Done()
-			h := s.handle
-			s.handle = nil
 			h.Conn().WriteFrame(&Frame{Type: TypeShutdown})
-			done := make(chan struct{})
-			go func() { h.Wait(); close(done) }()
-			timer := time.NewTimer(2 * time.Second)
-			defer timer.Stop()
-			select {
-			case <-done:
-			case <-timer.C:
-				h.Kill()
-				<-done
-			}
-		}(s)
+			supervise.Run(context.Background(), supervise.Policy{Timeout: shutdownGrace}, func(ctx context.Context) (struct{}, error) {
+				defer context.AfterFunc(ctx, h.Kill)()
+				return struct{}{}, h.Wait()
+			})
+		}()
 	}
 	wg.Wait()
 }

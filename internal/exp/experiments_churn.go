@@ -46,7 +46,7 @@ func ChurnSweep(cfg RunConfig) campaign.SweepSpec {
 // engine removes.
 //
 // The load sweep runs as a campaign: the grid in ChurnSweep executes on the
-// campaign work-stealing executor, FCT numbers come from the campaign's O(1)
+// campaign executor, FCT numbers come from the campaign's O(1)
 // streaming aggregates, and only the figure-style per-flow point clouds are
 // collected on the side (via OnCell) before each cell's repetition results
 // are discarded.

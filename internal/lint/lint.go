@@ -4,8 +4,9 @@
 //
 //   - detmap: no range over a map in result-affecting packages unless the
 //     loop is the collect-keys-then-sort idiom (the PR 2 bug class).
-//   - walltime: no wall-clock (time.Now, time.Sleep, ...) in simulation
-//     packages; simulated time must come from sim.Time only.
+//   - walltime: no wall-clock (time.Now, time.Sleep, ...) in result-affecting
+//     packages; simulated time must come from sim.Time only, and watchdogs
+//     and retry backoff go through internal/supervise.
 //   - globalrand: no global math/rand functions anywhere, and no raw
 //     rand.New outside internal/sim/rng.go; randomness flows through the
 //     seeded, splittable sim.RNG.
@@ -86,7 +87,7 @@ func pathElements(pkgPath string) []string {
 }
 
 // inResultAffectingPackage reports whether the pass's package is one of the
-// result-affecting packages detmap polices.
+// result-affecting packages detmap and walltime police.
 func inResultAffectingPackage(pass *analysis.Pass) bool {
 	for _, e := range pathElements(pass.Pkg.Path()) {
 		if resultAffecting[e] {
@@ -94,21 +95,6 @@ func inResultAffectingPackage(pass *analysis.Pass) bool {
 		}
 	}
 	return false
-}
-
-// inSimulationPackage reports whether the pass's package is one where wall
-// time must never leak into simulation logic. The campaign and distrib
-// packages are allowlisted: their executors legitimately use wall-clock
-// watchdogs and retry backoff around (not inside) simulations — the
-// simulations themselves run through scenario/optimizer code, where
-// walltime still applies.
-func inSimulationPackage(pass *analysis.Pass) bool {
-	for _, e := range pathElements(pass.Pkg.Path()) {
-		if e == "campaign" || e == "distrib" {
-			return false
-		}
-	}
-	return inResultAffectingPackage(pass)
 }
 
 // isTestFile reports whether pos is inside a _test.go file. detmap,

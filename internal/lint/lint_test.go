@@ -27,19 +27,20 @@ func TestWallTime(t *testing.T) {
 	linttest.Run(t, fixture("walltime", "netsim"), "repro/internal/netsim", lint.WallTime)
 }
 
-func TestWallTimeAllowsCampaignWatchdog(t *testing.T) {
+func TestWallTimePolicesCampaign(t *testing.T) {
+	// The campaign executor's watchdog and backoff go through
+	// internal/supervise; a wall-clock call in campaign itself is flagged.
 	linttest.Run(t, fixture("walltime", "campaign"), "repro/internal/campaign", lint.WallTime)
 }
 
-func TestWallTimeAllowsDistribTimeouts(t *testing.T) {
-	// The distributed evaluation plane, like campaign, runs wall-clock
-	// watchdogs around (not inside) simulations.
+func TestWallTimePolicesDistrib(t *testing.T) {
+	// Likewise the coordinator's batch watchdog, backoff and timeouts.
 	linttest.Run(t, fixture("walltime", "distrib"), "repro/internal/distrib", lint.WallTime)
 }
 
 func TestDetMapPolicesDistrib(t *testing.T) {
-	// distrib is exempt from walltime but still result-affecting: a map
-	// iteration ordering bug there could reorder merged results.
+	// distrib is result-affecting: a map iteration ordering bug there could
+	// reorder merged results.
 	linttest.Run(t, fixture("detmap", "distrib"), "repro/internal/distrib", lint.DetMap)
 }
 

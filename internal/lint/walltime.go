@@ -9,12 +9,13 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// WallTime forbids reading or waiting on the wall clock inside simulation
-// packages. Simulated time is sim.Time, advanced only by the event engine;
-// a time.Now or time.Sleep in a simulation path makes results depend on
-// host speed and scheduling, breaking byte-identical replay. The campaign
-// package (wall-clock watchdogs around simulations) and cmd/ are outside
-// the checked set.
+// WallTime forbids reading or waiting on the wall clock inside the
+// result-affecting packages, campaign and distrib included. Simulated time
+// is sim.Time, advanced only by the event engine; a time.Now or time.Sleep
+// in a simulation path makes results depend on host speed and scheduling,
+// breaking byte-identical replay. The wall-clock watchdogs and retry backoff
+// around simulations live in internal/supervise, which (like cmd/) is
+// outside the checked set.
 var WallTime = &analysis.Analyzer{
 	Name:     "walltime",
 	Doc:      "forbids wall-clock time functions in simulation packages",
@@ -38,7 +39,7 @@ var wallClockFuncs = map[string]bool{
 }
 
 func runWallTime(pass *analysis.Pass) (any, error) {
-	if !inSimulationPackage(pass) {
+	if !inResultAffectingPackage(pass) {
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)

@@ -80,7 +80,7 @@ func RunBatchLocal(objective stats.Objective, workers int, jobs []BatchJob) ([]B
 		return nil, nil
 	}
 	if workers <= 0 {
-		workers = defaultWorkers()
+		workers = scenario.DefaultWorkers()
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)

@@ -16,7 +16,6 @@ package optimizer
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -202,14 +201,4 @@ func (c ConfigRange) SampleSet(n int, rng *sim.RNG) []Specimen {
 		out[i] = c.Sample(rng)
 	}
 	return out
-}
-
-// defaultWorkers returns the worker-pool size used when the caller does not
-// override it: all but one of the machine's CPUs, at least one.
-func defaultWorkers() int {
-	n := runtime.NumCPU() - 1
-	if n < 1 {
-		n = 1
-	}
-	return n
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -256,7 +257,7 @@ type Evaluator struct {
 
 // NewEvaluator returns an evaluator for the given objective.
 func NewEvaluator(obj stats.Objective) *Evaluator {
-	return &Evaluator{Objective: obj, Workers: defaultWorkers()}
+	return &Evaluator{Objective: obj, Workers: scenario.DefaultWorkers()}
 }
 
 // Stats returns the evaluator's cumulative work counters.

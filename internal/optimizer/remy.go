@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -89,7 +90,7 @@ func New(cfg ConfigRange, obj stats.Objective) *Remy {
 	return &Remy{
 		Config:           cfg,
 		Objective:        obj,
-		Workers:          defaultWorkers(),
+		Workers:          scenario.DefaultWorkers(),
 		Seed:             1,
 		CandidateRungs:   DefaultCandidateRungs,
 		ImprovementIters: DefaultImprovementIters,

@@ -48,7 +48,7 @@ func (w *Worker) summarize(r *Result) {
 type Runner struct {
 	// Registry resolves spec names; nil means Default().
 	Registry *Registry
-	// Workers bounds concurrent simulations; <= 0 means NumCPU-1 (at least 1).
+	// Workers bounds concurrent simulations; <= 0 means DefaultWorkers().
 	Workers int
 	// Logf, if non-nil, receives progress messages.
 	Logf func(format string, args ...any)
@@ -61,15 +61,15 @@ func (r Runner) registry() *Registry {
 	return Default()
 }
 
+// DefaultWorkers is the pool size every worker pool uses when its caller sets
+// none: all but one of the machine's CPUs, at least one.
+func DefaultWorkers() int { return max(1, runtime.NumCPU()-1) }
+
 func (r Runner) workers() int {
 	if r.Workers > 0 {
 		return r.Workers
 	}
-	n := runtime.NumCPU() - 1
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return DefaultWorkers()
 }
 
 func (r Runner) logf(format string, args ...any) {
