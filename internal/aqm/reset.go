@@ -2,7 +2,7 @@ package aqm
 
 import "repro/internal/sim"
 
-// Reset support for engine-pooled reuse (harness.Session). Each discipline's
+// Reset support for engine-pooled reuse (scenario.Session). Each discipline's
 // Reset returns it to its just-constructed state: configuration (capacity,
 // targets, gains, hooks) is kept, all dynamic state and counters are cleared.
 // Callers are expected to drain queued packets first (Network.Reset recycles

@@ -45,7 +45,7 @@ func TestCampaignSteadyStateAllocs(t *testing.T) {
 
 	// Cold construction of this cell costs several thousand allocations
 	// (engine slab, heap and lane rings, network, transports, churn pools — see
-	// BenchmarkFlowChurnCold in internal/harness). The warm path
+	// BenchmarkFlowChurnCold in internal/scenario). The warm path
 	// keeps only per-rep result assembly; 250 gives headroom over the ~63
 	// measured while still catching any reintroduced per-rep construction.
 	if perRep > 250 {

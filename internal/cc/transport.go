@@ -152,7 +152,7 @@ func NewTransport(engine *sim.Engine, port *netsim.Port, algo Algorithm, mss int
 // window ring at its first size (see seqWindow.renew), its retransmission
 // queue and resend log, emptied; everything else — connection state,
 // statistics, observers — starts afresh. A session builds its worlds'
-// transports this way (see harness.Session).
+// transports this way (see scenario.Session).
 func (t *Transport) Rebind(port *netsim.Port, algo Algorithm, mss int) error {
 	if port == nil || algo == nil {
 		return fmt.Errorf("cc: Rebind requires port and algorithm")
@@ -193,14 +193,14 @@ func (t *Transport) Algorithm() Algorithm { return t.algo }
 // Stats returns a copy of the accumulated counters.
 func (t *Transport) Stats() Stats { return t.stats }
 
-// ResetStats zeroes the accumulated counters. Churn harnesses recycle
+// ResetStats zeroes the accumulated counters. The churn runtime recycles
 // transports across flow incarnations and reset the counters at each spawn
 // so per-flow aggregates stay per-incarnation; long-lived static flows never
 // call it (their counters deliberately span on periods).
 func (t *Transport) ResetStats() { t.stats = Stats{} }
 
 // Reset returns the transport to its just-constructed state for engine-pooled
-// reuse (harness.Session): wiring (port, algorithm, timers, observers) stays,
+// reuse (scenario.Session): wiring (port, algorithm, timers, observers) stays,
 // all per-connection state and statistics are cleared. The algorithm itself is
 // reset by the next StartFlow, exactly as on a fresh transport.
 func (t *Transport) Reset() {

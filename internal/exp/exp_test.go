@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -21,7 +22,7 @@ func quickCfg() RunConfig {
 }
 
 func TestProtocolValidateAndConstructors(t *testing.T) {
-	for _, p := range BaselineProtocols() {
+	for _, p := range scenario.BaselineProtocols() {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
@@ -30,13 +31,13 @@ func TestProtocolValidateAndConstructors(t *testing.T) {
 			t.Errorf("%s constructor", p.Name)
 		}
 	}
-	if err := (Protocol{}).Validate(); err == nil {
+	if err := (scenario.Protocol{}).Validate(); err == nil {
 		t.Error("empty protocol accepted")
 	}
-	if err := (Protocol{Name: "x"}).Validate(); err == nil {
+	if err := (scenario.Protocol{Name: "x"}).Validate(); err == nil {
 		t.Error("protocol without constructor accepted")
 	}
-	if DCTCP().New().Name() != "dctcp" || XCP().New().Name() != "xcp" {
+	if scenario.DCTCP().New().Name() != "dctcp" || scenario.XCP().New().Name() != "xcp" {
 		t.Error("router-assisted protocol constructors")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // tail-drop buffer. XCP is supplied with the trace's long-term average rate,
 // as in the paper (the scenario compiler computes it automatically).
 func cellularSpec(model string, n int, duration sim.Time) specBuilder {
-	return func(p Protocol) (scenario.Spec, error) {
+	return func(p scenario.Protocol) (scenario.Spec, error) {
 		return scenario.New(
 			scenario.WithLinkModel(model),
 			scenario.WithQueue(p.QueueKind(), 1000),
@@ -30,7 +30,7 @@ func cellularExperiment(id, title, model string, n int, cfg RunConfig) (Report, 
 	if err != nil {
 		return Report{}, err
 	}
-	protocols := append(remyProtocols(trees), BaselineProtocols()...)
+	protocols := append(remyProtocols(trees), scenario.BaselineProtocols()...)
 	reg, err := registryWith(protocols...)
 	if err != nil {
 		return Report{}, err

@@ -29,11 +29,11 @@ func loadGeneralPurposeRemyCCs(cfg RunConfig) (map[float64]*core.WhiskerTree, er
 
 // remyProtocols converts the δ-indexed trees into protocols named the way
 // the paper labels them.
-func remyProtocols(trees map[float64]*core.WhiskerTree) []Protocol {
-	return []Protocol{
-		Remy("remy-d0.1", trees[0.1]),
-		Remy("remy-d1", trees[1]),
-		Remy("remy-d10", trees[10]),
+func remyProtocols(trees map[float64]*core.WhiskerTree) []scenario.Protocol {
+	return []scenario.Protocol{
+		scenario.Remy("remy-d0.1", trees[0.1]),
+		scenario.Remy("remy-d1", trees[1]),
+		scenario.Remy("remy-d10", trees[10]),
 	}
 }
 
@@ -43,7 +43,7 @@ func remyProtocols(trees map[float64]*core.WhiskerTree) []Protocol {
 // bottleneck queue follows the protocol under test.
 func dumbbellSpec(n int, linkRateBps float64, rttMs float64, flowLengths scenario.DistSpec,
 	meanOffSeconds float64, duration sim.Time) specBuilder {
-	return func(p Protocol) (scenario.Spec, error) {
+	return func(p scenario.Protocol) (scenario.Spec, error) {
 		return scenario.New(
 			scenario.WithLink(linkRateBps),
 			scenario.WithQueue(p.QueueKind(), 1000),
@@ -62,7 +62,7 @@ func Figure4(cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	protocols := append(remyProtocols(trees), BaselineProtocols()...)
+	protocols := append(remyProtocols(trees), scenario.BaselineProtocols()...)
 	reg, err := registryWith(protocols...)
 	if err != nil {
 		return Report{}, err
@@ -108,7 +108,7 @@ func Figure5(cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	protocols := append(remyProtocols(trees), BaselineProtocols()...)
+	protocols := append(remyProtocols(trees), scenario.BaselineProtocols()...)
 	reg, err := registryWith(protocols...)
 	if err != nil {
 		return Report{}, err

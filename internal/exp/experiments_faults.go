@@ -59,7 +59,7 @@ func Faults(cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	reg, err := registryWith(Remy("remy-1x", tree))
+	reg, err := registryWith(scenario.Remy("remy-1x", tree))
 	if err != nil {
 		return Report{}, err
 	}

@@ -55,7 +55,7 @@ func Figure10(cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	protocols := append(remyProtocols(trees), CubicSfqCoDel())
+	protocols := append(remyProtocols(trees), scenario.CubicSfqCoDel())
 	reg, err := registryWith(protocols...)
 	if err != nil {
 		return Report{}, err
@@ -139,7 +139,7 @@ func Table3(cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	protocols := []Protocol{DCTCP(), Remy("remy-dc", tree)}
+	protocols := []scenario.Protocol{scenario.DCTCP(), scenario.Remy("remy-dc", tree)}
 	reg, err := registryWith(protocols...)
 	if err != nil {
 		return Report{}, err
@@ -161,7 +161,7 @@ func Table3(cfg RunConfig) (Report, error) {
 	localCfg := cfg
 	localCfg.Runs = runs
 
-	build := func(p Protocol) (scenario.Spec, error) {
+	build := func(p scenario.Protocol) (scenario.Spec, error) {
 		return scenario.New(
 			scenario.WithLink(10e9),
 			scenario.WithQueue(p.QueueKind(), 1000),
@@ -202,12 +202,12 @@ func Table4(cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	reg, err := registryWith(Remy("remy-compete", tree))
+	reg, err := registryWith(scenario.Remy("remy-compete", tree))
 	if err != nil {
 		return Report{}, err
 	}
 
-	runPair := func(other Protocol, on scenario.DistSpec, offMean float64) (remyTput, otherTput float64, err error) {
+	runPair := func(other scenario.Protocol, on scenario.DistSpec, offMean float64) (remyTput, otherTput float64, err error) {
 		w := scenario.ByBytesWorkload(on, scenario.ExponentialDist(offMean))
 		spec := scenario.New(
 			scenario.WithName("table4-remy-vs-"+other.Name),
@@ -243,7 +243,7 @@ func Table4(cfg RunConfig) (Report, error) {
 	lines := []string{"RemyCC vs Compound (ICSI flow lengths, varying mean off time):",
 		fmt.Sprintf("  %-14s %16s %16s", "mean off time", "RemyCC tput", "Compound tput")}
 	for _, offMs := range []float64{200, 100, 10} {
-		r, o, err := runPair(Compound(), scenario.ICSIDist(16384), offMs/1000)
+		r, o, err := runPair(scenario.Compound(), scenario.ICSIDist(16384), offMs/1000)
 		if err != nil {
 			return Report{}, err
 		}
@@ -252,7 +252,7 @@ func Table4(cfg RunConfig) (Report, error) {
 	lines = append(lines, "RemyCC vs Cubic (exponential flow lengths, 0.5 s mean off time):",
 		fmt.Sprintf("  %-14s %16s %16s", "mean size", "RemyCC tput", "Cubic tput"))
 	for _, size := range []float64{100e3, 1e6} {
-		r, o, err := runPair(Cubic(), scenario.ExponentialDist(size), 0.5)
+		r, o, err := runPair(scenario.Cubic(), scenario.ExponentialDist(size), 0.5)
 		if err != nil {
 			return Report{}, err
 		}
@@ -281,7 +281,7 @@ func Figure11(cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	protocols := []Protocol{Remy("remy-1x", tree1x), Remy("remy-10x", tree10x), CubicSfqCoDel()}
+	protocols := []scenario.Protocol{scenario.Remy("remy-1x", tree1x), scenario.Remy("remy-10x", tree10x), scenario.CubicSfqCoDel()}
 	reg, err := registryWith(protocols...)
 	if err != nil {
 		return Report{}, err

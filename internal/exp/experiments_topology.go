@@ -22,7 +22,7 @@ func BeyondDumbbell(cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	reg, err := registryWith(Remy("remy-1x", tree))
+	reg, err := registryWith(scenario.Remy("remy-1x", tree))
 	if err != nil {
 		return Report{}, err
 	}

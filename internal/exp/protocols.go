@@ -5,48 +5,12 @@
 // and benchmarks can assert the qualitative shape of the outcome.
 package exp
 
-import (
-	"repro/internal/core"
-	"repro/internal/scenario"
-)
-
-// Protocol is the scenario package's protocol description; the experiment
-// suite evaluates lists of them.
-type Protocol = scenario.Protocol
-
-// NewReno returns the NewReno baseline protocol.
-func NewReno() Protocol { return scenario.NewReno() }
-
-// Vegas returns the Vegas baseline protocol.
-func Vegas() Protocol { return scenario.Vegas() }
-
-// Cubic returns the Cubic baseline protocol over a DropTail queue.
-func Cubic() Protocol { return scenario.Cubic() }
-
-// Compound returns the Compound TCP baseline protocol.
-func Compound() Protocol { return scenario.Compound() }
-
-// CubicSfqCoDel returns Cubic running over an sfqCoDel bottleneck.
-func CubicSfqCoDel() Protocol { return scenario.CubicSfqCoDel() }
-
-// XCP returns the XCP protocol (sender plus XCP router queue).
-func XCP() Protocol { return scenario.XCP() }
-
-// DCTCP returns DCTCP over an ECN-marking queue (datacenter experiment).
-func DCTCP() Protocol { return scenario.DCTCP() }
-
-// Remy returns a RemyCC protocol executing the given rule table over a
-// DropTail bottleneck (RemyCCs are purely end-to-end).
-func Remy(name string, tree *core.WhiskerTree) Protocol { return scenario.Remy(name, tree) }
-
-// BaselineProtocols returns the human-designed schemes of Figures 4–9 in the
-// order the paper lists them.
-func BaselineProtocols() []Protocol { return scenario.BaselineProtocols() }
+import "repro/internal/scenario"
 
 // registryWith clones the default scenario registry and adds the given
 // protocols (the experiment's RemyCCs and any baseline not already present),
 // so every flow in an experiment spec resolves by scheme name.
-func registryWith(protocols ...Protocol) (*scenario.Registry, error) {
+func registryWith(protocols ...scenario.Protocol) (*scenario.Registry, error) {
 	reg := scenario.Default().Clone()
 	for _, p := range protocols {
 		if reg.HasProtocol(p.Name) {

@@ -120,7 +120,7 @@ func (s SchemeResult) MedianDelay() float64 { return stats.Median(s.DelaysMs) }
 // specBuilder constructs the declarative scenario for one protocol.
 // Implementations vary per experiment (different workloads, RTT mixes, link
 // models, and flow counts); the runner adds the seed and repetition count.
-type specBuilder func(p Protocol) (scenario.Spec, error)
+type specBuilder func(p scenario.Protocol) (scenario.Spec, error)
 
 // accumulate folds one repetition's per-flow results into the scheme result.
 func (s *SchemeResult) accumulate(res scenario.Result) {
@@ -142,7 +142,7 @@ func (s *SchemeResult) accumulate(res scenario.Result) {
 
 // runScheme executes cfg.Runs independent repetitions of the spec for one
 // protocol through the scenario runner and aggregates per-flow results.
-func runScheme(p Protocol, build specBuilder, reg *scenario.Registry, cfg RunConfig) (SchemeResult, error) {
+func runScheme(p scenario.Protocol, build specBuilder, reg *scenario.Registry, cfg RunConfig) (SchemeResult, error) {
 	if err := p.Validate(); err != nil {
 		return SchemeResult{}, err
 	}
@@ -169,7 +169,7 @@ func runScheme(p Protocol, build specBuilder, reg *scenario.Registry, cfg RunCon
 
 // runSchemes runs every protocol through the same builder and returns the
 // results in protocol order.
-func runSchemes(protocols []Protocol, build specBuilder, reg *scenario.Registry, cfg RunConfig) ([]SchemeResult, error) {
+func runSchemes(protocols []scenario.Protocol, build specBuilder, reg *scenario.Registry, cfg RunConfig) ([]SchemeResult, error) {
 	out := make([]SchemeResult, 0, len(protocols))
 	for _, p := range protocols {
 		cfg.logf("  running scheme %s (%d runs of %v)", p.Name, cfg.Runs, cfg.Duration)

@@ -11,13 +11,12 @@ import (
 )
 
 // rebuildWorld is one world of the rebuild chain: its spec (two
-// repetitions) and the scenario its first compiles to, with the two results a
-// fresh session gives it — a cold run at seeds[0], then a warm one at
-// seeds[1] — and what a new session gives the second repetition cold.
+// repetitions), whose first repetition the chain builds, with the two results
+// a fresh session gives that world — a cold run at seeds[0], then a warm one
+// at seeds[1] — and what a new session gives the second repetition cold.
 type rebuildWorld struct {
 	name  string
 	spec  scenario.Spec
-	scn   harness.Scenario
 	seeds [2]int64
 	fresh [2]harness.Result
 	cold1 harness.Result
@@ -69,27 +68,20 @@ func rebuildWorlds(t *testing.T) []rebuildWorld {
 	for i, spec := range specs {
 		spec.Repetitions = 2
 		w := rebuildWorld{name: spec.Name, spec: spec}
-		var scns [2]harness.Scenario
-		for rep := range scns {
-			scn, seed, err := spec.Compile(nil, rep)
-			if err != nil {
-				t.Fatalf("%s: compile: %v", spec.Name, err)
-			}
-			scns[rep], w.seeds[rep] = scn, seed
+		for rep := range w.seeds {
+			w.seeds[rep] = scenario.DeriveSeed(spec.Seed, rep)
 		}
-		w.scn = scns[0]
-		ss, err := harness.NewSession(w.scn)
-		if err != nil {
+		var ss scenario.Session
+		if err := ss.Rebuild(nil, &w.spec, 0); err != nil {
 			t.Fatalf("%s: fresh session: %v", spec.Name, err)
 		}
 		for rep, seed := range w.seeds {
+			var err error
 			if w.fresh[rep], err = ss.Run(seed); err != nil {
 				t.Fatalf("%s: fresh run: %v", spec.Name, err)
 			}
 		}
-		if w.cold1, err = harness.Run(scns[1], w.seeds[1]); err != nil {
-			t.Fatalf("%s: fresh run of rep 1: %v", spec.Name, err)
-		}
+		w.cold1 = freshRun(t, spec, 1, w.seeds[1])
 		worlds[i] = w
 	}
 	return worlds
@@ -138,16 +130,10 @@ func TestRebuiltSessionMatchesFresh(t *testing.T) {
 	worlds := rebuildWorlds(t)
 	for oi, order := range rebuildOrders(len(worlds)) {
 		t.Run(fmt.Sprintf("session/order%d", oi), func(t *testing.T) {
-			var ss *harness.Session
+			var ss scenario.Session
 			for step, wi := range order {
 				w := &worlds[wi]
-				var err error
-				if ss == nil {
-					ss, err = harness.NewSession(w.scn)
-				} else {
-					err = ss.Rebuild(w.scn)
-				}
-				if err != nil {
+				if err := ss.Rebuild(nil, &w.spec, 0); err != nil {
 					t.Fatalf("step %d (%s): build: %v", step, w.name, err)
 				}
 				for run, seed := range w.seeds {

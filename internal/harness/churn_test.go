@@ -1,40 +1,31 @@
-package harness
+package harness_test
 
 import (
 	"math"
 	"reflect"
 	"testing"
 
-	"repro/internal/cc"
-	"repro/internal/cc/cubic"
-	"repro/internal/cc/newreno"
-	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/harness"
+	"repro/internal/scenario"
 )
 
-// churnDumbbell is a single-bottleneck scenario with one churn class:
+// churnDumbbell is a single-bottleneck world with one NewReno churn class:
 // constant-size transfers arriving every interarrival seconds.
-func churnDumbbell(interarrival, sizeBytes float64, maxLive int) Scenario {
-	return dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(250)}, Scenario{
-		Duration:     10 * sim.Second,
-		MaxLiveFlows: maxLive,
-		Churn: []ChurnClass{{
-			Interarrival: workload.Constant{Value: interarrival},
-			Size:         workload.Constant{Value: sizeBytes},
-			RTTMs:        60,
-			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-		}},
-	})
+func churnDumbbell(interarrival, sizeBytes float64, maxLive int) scenario.Spec {
+	s := dumbbell(15e6, scenario.QueueDropTail, 250, 10)
+	s.Churn = &scenario.ChurnSpec{MaxLiveFlows: maxLive, Classes: []scenario.ChurnClassSpec{{
+		Scheme:       "newreno",
+		RTTMs:        60,
+		Interarrival: scenario.ConstantDist(interarrival),
+		Size:         scenario.ConstantDist(sizeBytes),
+	}}}
+	return s
 }
 
 func TestChurnBasicCompletion(t *testing.T) {
-	s := churnDumbbell(0.1, 30e3, 0)
-	res, err := Run(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, churnDumbbell(0.1, 30e3, 0), 1)
 	if len(res.Flows) != 0 {
-		t.Errorf("churn-only scenario reported %d static flows", len(res.Flows))
+		t.Errorf("churn-only world reported %d static flows", len(res.Flows))
 	}
 	if len(res.Churn) != 1 {
 		t.Fatalf("got %d churn results, want 1", len(res.Churn))
@@ -77,23 +68,14 @@ func TestChurnBasicCompletion(t *testing.T) {
 
 func TestChurnDeterminism(t *testing.T) {
 	s := churnDumbbell(0.05, 50e3, 0)
-	s.Churn[0].Interarrival = workload.Exponential{MeanValue: 0.05}
-	s.Churn[0].Size = workload.Exponential{MeanValue: 50e3}
-	r1, err := Run(s, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(s, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.Churn.Classes[0].Interarrival = scenario.ExponentialDist(0.05)
+	s.Churn.Classes[0].Size = scenario.ExponentialDist(50e3)
+	r1 := run(t, s, 42)
+	r2 := run(t, s, 42)
 	if !reflect.DeepEqual(r1, r2) {
-		t.Error("same scenario and seed produced different churn results")
+		t.Error("same world and seed produced different churn results")
 	}
-	r3, err := Run(s, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r3 := run(t, s, 43)
 	if r3.Churn[0].FCTSumUs == r1.Churn[0].FCTSumUs && r3.Churn[0].Spawned == r1.Churn[0].Spawned {
 		t.Error("different seeds produced identical churn outcomes (suspicious)")
 	}
@@ -103,12 +85,8 @@ func TestChurnMaxLiveFlowsCap(t *testing.T) {
 	// Arrivals every 10 ms of large transfers over a slow link: the
 	// population hits the cap almost immediately.
 	s := churnDumbbell(0.01, 1e6, 4)
-	s.Links[0].RateBps = 2e6
-	res, err := Run(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := res.Churn[0]
+	s.Link.RateBps = 2e6
+	c := run(t, s, 1).Churn[0]
 	if c.Rejected == 0 {
 		t.Error("no arrivals rejected despite a saturated cap")
 	}
@@ -122,42 +100,25 @@ func TestChurnMaxLiveFlowsCap(t *testing.T) {
 
 func TestChurnMaxArrivals(t *testing.T) {
 	s := churnDumbbell(0.05, 20e3, 0)
-	s.Churn[0].MaxArrivals = 7
-	res, err := Run(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.Churn.Classes[0].MaxArrivals = 7
+	res := run(t, s, 1)
 	if got := res.Churn[0].Spawned + res.Churn[0].Rejected; got != 7 {
 		t.Errorf("arrivals = %d, want exactly MaxArrivals = 7", got)
 	}
 }
 
-// TestChurnAlongsideStaticFlows mixes a static long-running flow with churn
+// TestChurnAlongsideStaticFlows mixes static long-running flows with churn
 // classes on the parking-lot topology: both kinds must report, and the churn
 // flows route over their declared hops.
 func TestChurnAlongsideStaticFlows(t *testing.T) {
-	s := parkingLotScenario(10e6, 6e6, func() cc.Algorithm { return cubic.New() })
-	s.Duration = 10 * sim.Second
-	s.Churn = []ChurnClass{
-		{
-			Interarrival: workload.Exponential{MeanValue: 0.1},
-			Size:         workload.Exponential{MeanValue: 40e3},
-			RTTMs:        40,
-			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-			Path:         []string{"hop1", "hop2"},
-		},
-		{
-			Interarrival: workload.Exponential{MeanValue: 0.2},
-			Size:         workload.Exponential{MeanValue: 40e3},
-			RTTMs:        40,
-			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-			Path:         []string{"hop2"},
-		},
+	s := parkingLot("cubic", 1)
+	s.DurationSeconds = 10
+	class := func(mean float64, path ...string) scenario.ChurnClassSpec {
+		return scenario.ChurnClassSpec{Scheme: "newreno", RTTMs: 40, Path: path,
+			Interarrival: scenario.ExponentialDist(mean), Size: scenario.ExponentialDist(40e3)}
 	}
-	res, err := Run(s, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.Churn = &scenario.ChurnSpec{Classes: []scenario.ChurnClassSpec{class(0.1, "hop1", "hop2"), class(0.2, "hop2")}}
+	res := run(t, s, 3)
 	if len(res.Flows) != 3 {
 		t.Fatalf("static flow count %d, want 3", len(res.Flows))
 	}
@@ -183,116 +144,91 @@ func TestChurnAlongsideStaticFlows(t *testing.T) {
 // churn class must not change the static flows' random streams or slots, so
 // a static flow's results with and without an inert churn class match.
 func TestChurnStaticUnperturbed(t *testing.T) {
-	base := dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(250)}, Scenario{
-		Duration: 5 * sim.Second,
-		Flows: []FlowSpec{{
-			RTTMs:        100,
-			Workload:     workload.DumbbellDefault(),
-			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-		}},
+	base := dumbbell(15e6, scenario.QueueDropTail, 250, 5, scenario.FlowSpec{
+		Scheme: "newreno", RTTMs: 100,
+		Workload: scenario.ByTimeWorkload(scenario.ExponentialDist(5), scenario.ExponentialDist(5)),
 	})
-	plain, err := Run(base, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := run(t, base, 9)
 	// An inert churn class: first arrival would land beyond the horizon.
 	withChurn := base
-	withChurn.Churn = []ChurnClass{{
-		Interarrival: workload.Constant{Value: 1e6},
-		Size:         workload.Constant{Value: 1e4},
-		RTTMs:        60,
-		NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-		Path:         bottleneckPath,
-	}}
-	mixed, err := Run(withChurn, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	withChurn.Churn = &scenario.ChurnSpec{Classes: []scenario.ChurnClassSpec{{
+		Scheme: "newreno", RTTMs: 60,
+		Interarrival: scenario.ConstantDist(1e6), Size: scenario.ConstantDist(1e4),
+	}}}
+	mixed := run(t, withChurn, 9)
 	if !reflect.DeepEqual(plain.Flows, mixed.Flows) {
 		t.Error("adding an inert churn class perturbed the static flow's results")
 	}
 }
 
+// TestChurnValidation: a run refuses a malformed churn class — the spec's
+// validation catches these — and a class whose scheme builds no algorithm,
+// which the build catches.
 func TestChurnValidation(t *testing.T) {
-	algo := func() cc.Algorithm { return newreno.New() }
-	inter := workload.Constant{Value: 1.0}
-	size := workload.Constant{Value: 1e4}
 	cases := []struct {
-		name string
-		mut  func(*Scenario)
+		name, fragment string
+		mut            func(*scenario.ChurnClassSpec, *scenario.ChurnSpec)
 	}{
-		{"no algorithm", func(s *Scenario) { s.Churn[0].NewAlgorithm = nil }},
-		{"no interarrival", func(s *Scenario) { s.Churn[0].Interarrival = nil }},
-		{"no size", func(s *Scenario) { s.Churn[0].Size = nil }},
-		{"negative rtt", func(s *Scenario) { s.Churn[0].RTTMs = -1 }},
-		{"negative max live", func(s *Scenario) { s.MaxLiveFlows = -1 }},
-		{"negative max arrivals", func(s *Scenario) { s.Churn[0].MaxArrivals = -1 }},
-		{"path without topology", func(s *Scenario) { s.Churn[0].Path = []string{"hop1"} }},
-		{"no path", func(s *Scenario) { s.Churn[0].Path = nil }},
+		{"no algorithm", "no scheme", func(c *scenario.ChurnClassSpec, _ *scenario.ChurnSpec) { c.Scheme = "" }},
+		{"nil algorithm", "built no algorithm", func(c *scenario.ChurnClassSpec, _ *scenario.ChurnSpec) { c.Algorithm = nilAlgorithm }},
+		{"no interarrival", "interarrival", func(c *scenario.ChurnClassSpec, _ *scenario.ChurnSpec) { c.Interarrival = scenario.DistSpec{} }},
+		{"no size", "size", func(c *scenario.ChurnClassSpec, _ *scenario.ChurnSpec) { c.Size = scenario.DistSpec{} }},
+		{"negative rtt", "negative RTT", func(c *scenario.ChurnClassSpec, _ *scenario.ChurnSpec) { c.RTTMs = -1 }},
+		{"negative max live", "max_live_flows", func(_ *scenario.ChurnClassSpec, cs *scenario.ChurnSpec) { cs.MaxLiveFlows = -1 }},
+		{"negative max arrivals", "max_arrivals", func(c *scenario.ChurnClassSpec, _ *scenario.ChurnSpec) { c.MaxArrivals = -1 }},
+		{"path without topology", "no topology", func(c *scenario.ChurnClassSpec, _ *scenario.ChurnSpec) { c.Path = []string{"hop1"} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := churnDumbbell(1, 1e4, 0)
-			s.Churn[0].Interarrival = inter
-			s.Churn[0].Size = size
-			s.Churn[0].NewAlgorithm = algo
-			tc.mut(&s)
-			if err := s.Validate(); err == nil {
-				t.Error("invalid churn scenario accepted")
-			}
+			tc.mut(&s.Churn.Classes[0], s.Churn)
+			refuses(t, s, tc.fragment)
 		})
 	}
-	// A churn class referencing an unknown topology link must be rejected.
-	s := parkingLotScenario(10e6, 6e6, algo)
-	s.Churn = []ChurnClass{{Interarrival: inter, Size: size, RTTMs: 40, NewAlgorithm: algo, Path: []string{"nope"}}}
-	if err := s.Validate(); err == nil {
-		t.Error("churn path over unknown link accepted")
-	}
-	// Churn-only scenarios (no static flows) are valid.
-	s2 := churnDumbbell(1, 1e4, 0)
-	s2.Flows = nil
-	if err := s2.Validate(); err != nil {
-		t.Errorf("churn-only scenario rejected: %v", err)
+	// On a topology a churn class needs a path, over links the world has.
+	t.Run("no path", func(t *testing.T) {
+		s := parkingLot("newreno", 1)
+		s.Churn = &scenario.ChurnSpec{Classes: []scenario.ChurnClassSpec{{Scheme: "newreno", RTTMs: 40,
+			Interarrival: scenario.ConstantDist(1), Size: scenario.ConstantDist(1e4)}}}
+		refuses(t, s, "churn class 0 has no path")
+		s.Churn.Classes[0].Path = []string{"nope"}
+		refuses(t, s, "unknown link")
+	})
+	// Churn-only worlds (no static flows) are valid.
+	s := churnDumbbell(1, 1e4, 0)
+	if err := s.Validate(); err != nil {
+		t.Errorf("churn-only world rejected: %v", err)
 	}
 }
 
-// flowChurnBenchScenario is the many-flow churn workload of the acceptance
-// criterion: three Poisson classes (end-to-end plus one per hop) churning
-// through the parking-lot topology alongside one static long flow.
-func flowChurnBenchScenario(duration sim.Time) Scenario {
-	algo := func() cc.Algorithm { return newreno.New() }
-	s := parkingLotScenario(10e6, 6e6, func() cc.Algorithm { return cubic.New() })
+// flowChurnBench is the many-flow churn world: the 10 and 6 Mbps parking lot
+// keeps its long Cubic flow, and three Poisson classes of NewReno transfers
+// (end-to-end, hop1 and hop2, 15 kB on average at 10, 15 and 10 arrivals/s)
+// churn through it alongside, the population capped at 512.
+func flowChurnBench(seconds float64) scenario.Spec {
+	s := parkingLot("cubic", 1)
 	s.Flows = s.Flows[:1] // keep the long flow, replace cross traffic by churn
-	s.Duration = duration
-	s.MaxLiveFlows = 512
-	class := func(path []string, rate float64) ChurnClass {
-		return ChurnClass{
-			Interarrival: workload.Exponential{MeanValue: 1 / rate},
-			Size:         workload.Exponential{MeanValue: 15e3},
-			RTTMs:        40,
-			NewAlgorithm: algo,
-			Path:         path,
-		}
+	s.DurationSeconds = seconds
+	class := func(rate float64, path ...string) scenario.ChurnClassSpec {
+		return scenario.ChurnClassSpec{Scheme: "newreno", RTTMs: 40, Path: path,
+			Interarrival: scenario.ExponentialDist(1 / rate), Size: scenario.ExponentialDist(15e3)}
 	}
 	// ~0.12 Mb per flow: 3 Mbps of churn on each hop, leaving room for the
 	// static long flow, so transfers complete while the flow count stays in
 	// the many-hundreds regime (35 arrivals/s).
-	s.Churn = []ChurnClass{
-		class([]string{"hop1", "hop2"}, 10),
-		class([]string{"hop1"}, 15),
-		class([]string{"hop2"}, 10),
-	}
+	s.Churn = &scenario.ChurnSpec{MaxLiveFlows: 512, Classes: []scenario.ChurnClassSpec{
+		class(10, "hop1", "hop2"),
+		class(15, "hop1"),
+		class(10, "hop2"),
+	}}
 	return s
 }
 
-// TestFlowChurnScale checks the benchmark scenario actually exercises the
+// TestFlowChurnScale checks the many-flow churn world actually exercises the
 // many-flow regime: 500+ flows spawned and the overwhelming majority
 // completed.
 func TestFlowChurnScale(t *testing.T) {
-	res, err := Run(flowChurnBenchScenario(20*sim.Second), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, flowChurnBench(20), 1)
 	var spawned, completed int64
 	for _, c := range res.Churn {
 		spawned += c.Spawned
@@ -309,34 +245,30 @@ func TestFlowChurnScale(t *testing.T) {
 // TestChurnSteadyStateAllocs pins the allocation criterion: once pools have
 // grown to the peak live population, extra simulated time (more packets, more
 // spawns and retires) must cost no extra allocations per packet. It compares
-// total allocations of a short and a long run of the same churning scenario;
-// the difference is attributable to the extra steady-state work.
+// total allocations of a short and a long run of the same churning world,
+// each built on a new session; the difference is attributable to the extra
+// steady-state work.
 func TestChurnSteadyStateAllocs(t *testing.T) {
 	// The horizons are deep enough that pools have plateaued at the peak live
 	// population well before the short horizon ends (the allocation curve is
 	// ~2.6k at 5s, ~4.3k at 30s, and nearly flat after).
-	short := flowChurnBenchScenario(30 * sim.Second)
-	long := flowChurnBenchScenario(60 * sim.Second)
+	short := flowChurnBench(30)
+	long := flowChurnBench(60)
 
 	var shortPackets, longPackets int64
+	var res harness.Result
 	allocShort := testing.AllocsPerRun(3, func() {
-		res, err := Run(short, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res = run(t, short, 1)
 		shortPackets = res.Offered
 	})
 	allocLong := testing.AllocsPerRun(3, func() {
-		res, err := Run(long, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res = run(t, long, 1)
 		longPackets = res.Offered
 	})
 	extraPackets := longPackets - shortPackets
 	extraAllocs := allocLong - allocShort
 	if extraPackets <= 0 {
-		t.Fatalf("long run offered %d packets vs short %d; scenario broken", longPackets, shortPackets)
+		t.Fatalf("long run offered %d packets vs short %d; world broken", longPackets, shortPackets)
 	}
 	// Steady state must be allocation-free per packet. Pool growth differences
 	// between the two horizons allow a small absolute slack.

@@ -1,45 +1,49 @@
-package harness
+package harness_test
 
 import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cc"
-	"repro/internal/cc/newreno"
 	"repro/internal/faults"
+	"repro/internal/harness"
 	"repro/internal/netsim"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
+
+// withFaults attaches a fault schedule to the link of a link/queue-form spec.
+func withFaults(s scenario.Spec, sched *faults.Schedule) scenario.Spec {
+	if sched != nil {
+		s.Faults = &scenario.FaultsSpec{Links: []scenario.LinkFaultSpec{{Schedule: *sched}}}
+	}
+	return s
+}
 
 // faultDumbbell is a saturated single-bottleneck dumbbell with an optional
 // fault schedule on the bottleneck.
-func faultDumbbell(sched *faults.Schedule) Scenario {
-	return dumbbell(LinkDef{RateBps: 10e6, NewQueue: dropTailFactory(250), Faults: sched}, Scenario{
-		Duration: 7 * sim.Second,
-		Flows: []FlowSpec{{
-			RTTMs:        100,
-			Workload:     alwaysOn(),
-			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-		}},
-	})
+func faultDumbbell(sched *faults.Schedule) scenario.Spec {
+	return withFaults(dumbbell(10e6, scenario.QueueDropTail, 250, 7, flows(1, "newreno", 100)), sched)
+}
+
+// deliveries runs spec once with the seed and returns the times packets were
+// delivered to receivers.
+func deliveries(t *testing.T, spec scenario.Spec, seed int64) (harness.Result, []sim.Time) {
+	t.Helper()
+	var at []sim.Time
+	spec.OnDeliver = func(p *netsim.Packet, now sim.Time) { at = append(at, now) }
+	res := run(t, spec, seed)
+	return res, at
 }
 
 func TestOutageStopsDelivery(t *testing.T) {
 	sched := &faults.Schedule{Outages: []faults.Outage{{StartS: 2, DurationS: 2}}}
-	s := faultDumbbell(sched)
-	var deliveries []sim.Time
-	s.OnDeliver = func(p *netsim.Packet, now sim.Time) { deliveries = append(deliveries, now) }
-	res, err := Run(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, delivered := deliveries(t, faultDumbbell(sched), 1)
 	// Packets already past the link when the outage begins still propagate
 	// (one-way access delay is 50 ms); after that grace window nothing may
 	// arrive until the link returns at t=4s.
 	graceEnd := sim.FromSeconds(2) + sim.FromMillis(100)
 	var during, after int
-	for _, at := range deliveries {
+	for _, at := range delivered {
 		if at >= graceEnd && at < sim.FromSeconds(4) {
 			during++
 		}
@@ -54,10 +58,7 @@ func TestOutageStopsDelivery(t *testing.T) {
 		t.Error("no packets delivered after the outage ended; link never resumed")
 	}
 
-	base, err := Run(faultDumbbell(nil), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := run(t, faultDumbbell(nil), 1)
 	if res.Delivered >= base.Delivered {
 		t.Errorf("outage run delivered %d >= fault-free %d", res.Delivered, base.Delivered)
 	}
@@ -68,14 +69,8 @@ func TestOutageStopsDelivery(t *testing.T) {
 
 func TestBurstLossDropsAndDegrades(t *testing.T) {
 	sched := &faults.Schedule{Loss: &faults.GilbertElliott{PGoodBad: 0.02, PBadGood: 0.2, LossBad: 0.5}}
-	res, err := Run(faultDumbbell(sched), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Run(faultDumbbell(nil), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, faultDumbbell(sched), 1)
+	base := run(t, faultDumbbell(nil), 1)
 	if res.FaultDropped == 0 {
 		t.Fatal("burst-loss run destroyed no packets")
 	}
@@ -100,22 +95,13 @@ func TestBurstLossDropsAndDegrades(t *testing.T) {
 func TestDelaySpikeShiftsArrivals(t *testing.T) {
 	extra := 80.0
 	sched := &faults.Schedule{DelaySpikes: []faults.DelaySpike{{StartS: 5, DurationS: 1.5, ExtraMs: extra, JitterMs: 20}}}
-	run := func(sched *faults.Schedule) []sim.Time {
-		t.Helper()
-		s := faultDumbbell(sched)
-		var arrivals []sim.Time
-		s.OnDeliver = func(p *netsim.Packet, now sim.Time) { arrivals = append(arrivals, now) }
-		if _, err := Run(s, 1); err != nil {
-			t.Fatal(err)
-		}
-		return arrivals
-	}
 	// Link deliveries before 5s arrive by 5s + 50ms one-way; the first
 	// delivery at/after 5s arrives no earlier than 5s + 50ms + extra. The
 	// saturated base run streams arrivals ~1.2ms apart here.
 	gapLo := sim.FromSeconds(5) + sim.FromMillis(50)
 	gapHi := gapLo + sim.FromMillis(extra)
-	inGap := func(arrivals []sim.Time) (n int) {
+	inGap := func(sched *faults.Schedule) (n int) {
+		_, arrivals := deliveries(t, faultDumbbell(sched), 1)
 		for _, at := range arrivals {
 			if at >= gapLo && at < gapHi {
 				n++
@@ -123,24 +109,18 @@ func TestDelaySpikeShiftsArrivals(t *testing.T) {
 		}
 		return n
 	}
-	if n := inGap(run(sched)); n != 0 {
+	if n := inGap(sched); n != 0 {
 		t.Errorf("%d arrivals inside the spike-displacement gap [%v, %v)", n, gapLo, gapHi)
 	}
-	if n := inGap(run(nil)); n == 0 {
+	if n := inGap(nil); n == 0 {
 		t.Error("fault-free run has no arrivals in the gap window; assertion is vacuous")
 	}
 }
 
 func TestRateDroopThrottles(t *testing.T) {
 	sched := &faults.Schedule{RateDroops: []faults.RateDroop{{StartS: 1, DurationS: 4, Factor: 0.25}}}
-	res, err := Run(faultDumbbell(sched), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Run(faultDumbbell(nil), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, faultDumbbell(sched), 1)
+	base := run(t, faultDumbbell(nil), 1)
 	// Four of seven seconds at quarter rate: delivery must drop well below
 	// the fault-free run but stay well above zero.
 	if res.Delivered >= base.Delivered*8/10 {
@@ -154,31 +134,17 @@ func TestRateDroopThrottles(t *testing.T) {
 // TestTraceLinkOutageWastesOpportunities pins outage gating on trace-driven
 // links: opportunities inside the outage are wasted even with a full queue.
 func TestTraceLinkOutageWastesOpportunities(t *testing.T) {
+	s := dumbbell(0, scenario.QueueDropTail, 250, 3, flows(1, "newreno", 60))
 	// One delivery opportunity per millisecond for 3 s.
-	trace := make([]sim.Time, 3000)
-	for i := range trace {
-		trace[i] = sim.Time(i+1) * sim.Millisecond
+	s.Link.Trace = make([]sim.Time, 3000)
+	for i := range s.Link.Trace {
+		s.Link.Trace[i] = sim.Time(i+1) * sim.Millisecond
 	}
-	s := dumbbell(LinkDef{
-		Trace:    trace,
-		NewQueue: dropTailFactory(250),
-		Faults:   &faults.Schedule{Outages: []faults.Outage{{StartS: 1, DurationS: 1}}},
-	}, Scenario{
-		Duration: 3 * sim.Second,
-		Flows: []FlowSpec{{
-			RTTMs:        60,
-			Workload:     alwaysOn(),
-			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-		}},
-	})
-	var deliveries []sim.Time
-	s.OnDeliver = func(p *netsim.Packet, now sim.Time) { deliveries = append(deliveries, now) }
-	if _, err := Run(s, 1); err != nil {
-		t.Fatal(err)
-	}
+	s = withFaults(s, &faults.Schedule{Outages: []faults.Outage{{StartS: 1, DurationS: 1}}})
+	_, delivered := deliveries(t, s, 1)
 	graceEnd := sim.FromSeconds(1) + sim.FromMillis(60)
 	var during, after int
-	for _, at := range deliveries {
+	for _, at := range delivered {
 		if at >= graceEnd && at < sim.FromSeconds(2) {
 			during++
 		}
@@ -195,7 +161,7 @@ func TestTraceLinkOutageWastesOpportunities(t *testing.T) {
 }
 
 // TestFaultSessionReuseMatchesFresh extends the warm-start equality guarantee
-// to faulted scenarios: a reused session must replay the identical fault
+// to faulted worlds: a reused session must replay the identical fault
 // realization for the same seed, and distinct seeds must realize distinct
 // fault streams.
 func TestFaultSessionReuseMatchesFresh(t *testing.T) {
@@ -205,8 +171,8 @@ func TestFaultSessionReuseMatchesFresh(t *testing.T) {
 		DelaySpikes: []faults.DelaySpike{{StartS: 4, DurationS: 1, ExtraMs: 20, JitterMs: 10}},
 	}
 	spec := faultDumbbell(sched)
-	warm, err := NewSession(spec)
-	if err != nil {
+	var warm scenario.Session
+	if err := warm.Rebuild(nil, &spec, 0); err != nil {
 		t.Fatal(err)
 	}
 	first, err := warm.Run(11)
@@ -220,21 +186,13 @@ func TestFaultSessionReuseMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Run(spec, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !reflect.DeepEqual(first, again) {
 		t.Error("warm session replayed a different result for the same seed")
 	}
-	if !reflect.DeepEqual(first, fresh) {
+	if fresh := run(t, spec, 11); !reflect.DeepEqual(first, fresh) {
 		t.Error("warm session diverged from a fresh run")
 	}
-	other, err := Run(spec, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(first.Links, other.Links) {
+	if other := run(t, spec, 12); reflect.DeepEqual(first.Links, other.Links) {
 		t.Error("different seeds produced identical link counters; fault streams not reseeded")
 	}
 }
@@ -245,29 +203,17 @@ func TestFaultSessionReuseMatchesFresh(t *testing.T) {
 // generation fencing intact — the run completes without error, completion
 // accounting stays consistent, and the whole thing is deterministic.
 func TestChurnOutageGenerationFencing(t *testing.T) {
-	sched := &faults.Schedule{
+	spec := withFaults(dumbbell(10e6, scenario.QueueDropTail, 100, 5), &faults.Schedule{
 		Outages: []faults.Outage{{StartS: 1, DurationS: 1}, {StartS: 3, DurationS: 0.5}},
 		Loss:    &faults.GilbertElliott{PGoodBad: 0.05, PBadGood: 0.3, LossBad: 0.8},
-	}
-	spec := dumbbell(LinkDef{RateBps: 10e6, NewQueue: dropTailFactory(100), Faults: sched}, Scenario{
-		Duration:     5 * sim.Second,
-		MaxLiveFlows: 16,
-		Churn: []ChurnClass{{
-			Interarrival: workload.Constant{Value: 0.05},
-			Size:         workload.Constant{Value: 20e3},
-			RTTMs:        60,
-			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-		}},
 	})
-	run := func() Result {
-		t.Helper()
-		res, err := Run(spec, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	res := run()
+	spec.Churn = &scenario.ChurnSpec{MaxLiveFlows: 16, Classes: []scenario.ChurnClassSpec{{
+		Scheme:       "newreno",
+		RTTMs:        60,
+		Interarrival: scenario.ConstantDist(0.05),
+		Size:         scenario.ConstantDist(20e3),
+	}}}
+	res := run(t, spec, 7)
 	c := res.Churn[0]
 	if c.Spawned == 0 {
 		t.Fatal("no churn arrivals spawned")
@@ -291,7 +237,7 @@ func TestChurnOutageGenerationFencing(t *testing.T) {
 	}
 	// Determinism across fresh sessions (worker-count invariance of the same
 	// property is pinned by the golden fault fixture).
-	if again := run(); !reflect.DeepEqual(res, again) {
+	if again := run(t, spec, 7); !reflect.DeepEqual(res, again) {
 		t.Error("churn × outage run is not deterministic")
 	}
 }

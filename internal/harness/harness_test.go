@@ -1,133 +1,130 @@
-package harness
+// The tests of this package check what simulation runs report in a
+// harness.Result — throughput, delay, fairness, conservation, churn and fault
+// accounting — and which worlds a run refuses. The worlds are scenario specs,
+// built and run by scenario sessions.
+package harness_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/aqm"
 	"repro/internal/cc"
-	"repro/internal/cc/cubic"
-	"repro/internal/cc/dctcp"
-	"repro/internal/cc/newreno"
-	"repro/internal/cc/vegas"
-	"repro/internal/cc/xcp"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/netsim"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // alwaysOn is a workload that stays on for the whole run.
-func alwaysOn() workload.Spec {
-	return workload.Spec{
-		Mode:    workload.ByTime,
-		On:      workload.Constant{Value: 1e6},
-		Off:     workload.Constant{Value: 1e6},
-		StartOn: true,
-	}
+func alwaysOn() scenario.WorkloadSpec {
+	return scenario.WorkloadSpec{Mode: scenario.ModeByTime, On: scenario.ConstantDist(1e6),
+		Off: scenario.ConstantDist(1e6), StartOn: true}
 }
 
-func flowsOf(n int, rttMs float64, algo func() cc.Algorithm) []FlowSpec {
-	out := make([]FlowSpec, n)
-	for i := range out {
-		out[i] = FlowSpec{RTTMs: rttMs, Workload: alwaysOn(), NewAlgorithm: algo}
-	}
-	return out
+// flows is n always-on flows of the scheme at the given RTT.
+func flows(n int, scheme string, rttMs float64) scenario.FlowSpec {
+	return scenario.FlowSpec{Scheme: scheme, Count: n, RTTMs: rttMs, Workload: alwaysOn()}
 }
 
-// bottleneckPath is the route of every dumbbell flow.
-var bottleneckPath = []string{netsim.BottleneckLink}
-
-// dumbbell returns the classic single-bottleneck world as the one-link
-// scenario it is: link becomes the scenario's only link, named
-// netsim.BottleneckLink, and every flow and churn class of s crosses it.
-func dumbbell(link LinkDef, s Scenario) Scenario {
-	link.Name = netsim.BottleneckLink
-	s.Links = []LinkDef{link}
-	s.Flows = append([]FlowSpec(nil), s.Flows...)
-	for i := range s.Flows {
-		s.Flows[i].Path = bottleneckPath
-	}
-	s.Churn = append([]ChurnClass(nil), s.Churn...)
-	for i := range s.Churn {
-		s.Churn[i].Path = bottleneckPath
-	}
+// dumbbell is the single-bottleneck world: the given flows on a link of the
+// given rate with a queue of the given kind and buffer, for the given time.
+func dumbbell(rateBps float64, kind string, buffer int, seconds float64, fs ...scenario.FlowSpec) scenario.Spec {
+	s := scenario.New(scenario.WithLink(rateBps), scenario.WithQueue(kind, buffer), scenario.WithDuration(seconds))
+	s.Flows = fs
 	return s
 }
 
-func TestScenarioValidate(t *testing.T) {
-	if err := (Scenario{}).Validate(); err == nil {
-		t.Error("empty scenario accepted")
+// run builds spec's world on a new session and runs it once with the seed.
+func run(t testing.TB, spec scenario.Spec, seed int64) harness.Result {
+	t.Helper()
+	var ss scenario.Session
+	if err := ss.Rebuild(nil, &spec, 0); err != nil {
+		t.Fatal(err)
 	}
-	link := LinkDef{RateBps: 1e6, NewQueue: dropTailFactory(1000)}
-	s := dumbbell(link, Scenario{
-		Duration: sim.Second,
-		Flows:    flowsOf(1, 100, func() cc.Algorithm { return newreno.New() }),
-	})
-	if err := s.Validate(); err != nil {
-		t.Errorf("valid scenario rejected: %v", err)
+	res, err := ss.Run(seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := s
-	bad.Duration = 0
-	if bad.Validate() == nil {
-		t.Error("zero duration accepted")
-	}
-	link.RateBps = 0
-	if dumbbell(link, s).Validate() == nil {
-		t.Error("missing rate accepted")
-	}
-	bad = s
-	bad.Flows = []FlowSpec{{RTTMs: -1, Workload: alwaysOn(), NewAlgorithm: func() cc.Algorithm { return newreno.New() }, Path: bottleneckPath}}
-	if bad.Validate() == nil {
-		t.Error("negative RTT accepted")
-	}
-	bad = s
-	bad.Flows = []FlowSpec{{RTTMs: 10, Workload: alwaysOn(), Path: bottleneckPath}}
-	if bad.Validate() == nil {
-		t.Error("missing algorithm accepted")
-	}
-	bad = s
-	bad.Flows = []FlowSpec{{RTTMs: 10, Workload: workload.Spec{}, NewAlgorithm: func() cc.Algorithm { return newreno.New() }, Path: bottleneckPath}}
-	if bad.Validate() == nil {
-		t.Error("invalid workload accepted")
+	return res
+}
+
+// refuses checks that a run of spec fails with an error mentioning fragment.
+func refuses(t *testing.T, spec scenario.Spec, fragment string) {
+	t.Helper()
+	_, err := scenario.Runner{Workers: 1}.RunOne(spec)
+	if err == nil || !strings.Contains(err.Error(), fragment) {
+		t.Errorf("run error %v, want one mentioning %q", err, fragment)
 	}
 }
 
+// nilAlgorithm is a constructor that builds no algorithm.
+func nilAlgorithm() cc.Algorithm { return nil }
+
+// TestScenarioValidate: a run refuses a world without flows or duration, a
+// link without a rate or trace, a flow with a negative RTT, no scheme or an
+// invalid workload — the spec's validation catches these — and a flow whose
+// scheme builds no algorithm, which the build catches.
+func TestScenarioValidate(t *testing.T) {
+	valid := dumbbell(1e6, scenario.QueueDropTail, 1000, 1, flows(1, "newreno", 100))
+	if _, err := (scenario.Runner{Workers: 1}).RunOne(valid); err != nil {
+		t.Fatalf("valid world refused: %v", err)
+	}
+	cases := []struct {
+		check, fragment string
+		mut             func(*scenario.Spec)
+	}{
+		{"no flows", "no flows", func(s *scenario.Spec) { s.Flows = nil }},
+		{"non-positive duration", "positive duration", func(s *scenario.Spec) { s.DurationSeconds = 0 }},
+		{"link without rate or trace", "rate_bps", func(s *scenario.Spec) { s.Link.RateBps = 0 }},
+		{"negative RTT", "negative RTT", func(s *scenario.Spec) { s.Flows[0].RTTMs = -1 }},
+		{"missing algorithm", "no scheme", func(s *scenario.Spec) { s.Flows[0].Scheme = "" }},
+		{"nil-returning algorithm", "built no algorithm", func(s *scenario.Spec) { s.Flows[0].Algorithm = nilAlgorithm }},
+		{"invalid workload", "workload", func(s *scenario.Spec) { s.Flows[0].Workload = scenario.WorkloadSpec{} }},
+	}
+	for _, c := range cases {
+		t.Run(c.check, func(t *testing.T) {
+			s := valid
+			s.Flows = []scenario.FlowSpec{valid.Flows[0]}
+			c.mut(&s)
+			refuses(t, s, c.fragment)
+		})
+	}
+}
+
+// TestRunErrors: an empty spec, a queue factory's failure and a queue kind
+// that builds no queue surface from the run as errors.
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(Scenario{}, 1); err == nil {
-		t.Error("invalid scenario accepted")
+	if _, err := (scenario.Runner{}).RunOne(scenario.Spec{}); err == nil {
+		t.Error("empty spec accepted")
 	}
-	// A trace link gives the XCP router no rate to advertise, so its factory
-	// fails; the failure must surface from Run.
-	xcpNoCapacity := LinkDef{
-		Trace:    []sim.Time{sim.Millisecond},
-		NewQueue: func(e *sim.Engine) (netsim.Queue, error) { return aqm.NewXCPQueue(e, 1000, 0) },
+	// An XCP router that is given no rate to advertise fails to build, and
+	// the failure must surface from the run.
+	reg := scenario.Default().Clone()
+	if err := reg.RegisterQueue("xcp-blind", func(q scenario.QueueSpec, env scenario.QueueEnv) (netsim.Queue, error) {
+		return aqm.NewXCPQueue(env.Engine, 1000, 0)
+	}); err != nil {
+		t.Fatal(err)
 	}
-	s := dumbbell(xcpNoCapacity, Scenario{
-		Duration: sim.Second,
-		Flows:    flowsOf(1, 100, func() cc.Algorithm { return newreno.New() }),
-	})
-	if _, err := Run(s, 1); err == nil {
-		t.Error("XCP without capacity estimate accepted")
+	s := dumbbell(1e6, "xcp-blind", 1000, 1, flows(1, "newreno", 100))
+	if _, err := (scenario.Runner{Registry: reg, Workers: 1}).RunOne(s); err == nil || !strings.Contains(err.Error(), "capacity") {
+		t.Errorf("XCP without capacity estimate: %v", err)
 	}
-	nilAlgo := dumbbell(LinkDef{RateBps: 1e6, NewQueue: dropTailFactory(1000)}, Scenario{
-		Duration: sim.Second,
-		Flows:    []FlowSpec{{RTTMs: 10, Workload: alwaysOn(), NewAlgorithm: func() cc.Algorithm { return nil }}},
-	})
-	if _, err := Run(nilAlgo, 1); err == nil {
-		t.Error("nil algorithm accepted")
+	if err := reg.RegisterQueue("nothing", func(scenario.QueueSpec, scenario.QueueEnv) (netsim.Queue, error) {
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.Queue.Kind = "nothing"
+	if _, err := (scenario.Runner{Registry: reg, Workers: 1}).RunOne(s); err == nil || !strings.Contains(err.Error(), "built no queue") {
+		t.Errorf("a queue kind that builds no queue: %v", err)
 	}
 }
 
 func TestRunNewRenoFillsDumbbell(t *testing.T) {
-	s := dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(1000)}, Scenario{
-		Duration: 20 * sim.Second,
-		Flows:    flowsOf(1, 150, func() cc.Algorithm { return newreno.New() }),
-	})
-	res, err := Run(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, dumbbell(15e6, scenario.QueueDropTail, 1000, 20, flows(1, "newreno", 150)), 1)
 	if len(res.Flows) != 1 {
 		t.Fatal("flow count")
 	}
@@ -153,14 +150,7 @@ func TestRunNewRenoFillsDumbbell(t *testing.T) {
 }
 
 func TestRunFairnessAmongIdenticalSenders(t *testing.T) {
-	s := dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(1000)}, Scenario{
-		Duration: 30 * sim.Second,
-		Flows:    flowsOf(4, 150, func() cc.Algorithm { return newreno.New() }),
-	})
-	res, err := Run(s, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, dumbbell(15e6, scenario.QueueDropTail, 1000, 30, flows(4, "newreno", 150)), 2)
 	var total float64
 	for _, f := range res.Flows {
 		total += f.Metrics.Mbps()
@@ -177,23 +167,8 @@ func TestRunFairnessAmongIdenticalSenders(t *testing.T) {
 }
 
 func TestRunVegasKeepsQueuesSmallerThanCubic(t *testing.T) {
-	build := func(algo func() cc.Algorithm) Scenario {
-		return dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(1000)}, Scenario{
-			Duration: 30 * sim.Second,
-			Flows:    flowsOf(4, 150, algo),
-		})
-	}
-	vegasScenario := build(func() cc.Algorithm { return vegas.New() })
-	cubicScenario := build(func() cc.Algorithm { return cubic.New() })
-
-	vres, err := Run(vegasScenario, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := Run(cubicScenario, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vres := run(t, dumbbell(15e6, scenario.QueueDropTail, 1000, 30, flows(4, "vegas", 150)), 3)
+	cres := run(t, dumbbell(15e6, scenario.QueueDropTail, 1000, 30, flows(4, "cubic", 150)), 3)
 	var vDelay, cDelay float64
 	for i := range vres.Flows {
 		vDelay += vres.Flows[i].Metrics.QueueingDelayMs()
@@ -205,15 +180,7 @@ func TestRunVegasKeepsQueuesSmallerThanCubic(t *testing.T) {
 }
 
 func TestRunXCPQueueGivesHighThroughputLowLoss(t *testing.T) {
-	xcpQueue := func(e *sim.Engine) (netsim.Queue, error) { return aqm.NewXCPQueue(e, 1000, 15e6) }
-	s := dumbbell(LinkDef{RateBps: 15e6, NewQueue: xcpQueue}, Scenario{
-		Duration: 20 * sim.Second,
-		Flows:    flowsOf(4, 150, func() cc.Algorithm { return xcp.New(netsim.MTU) }),
-	})
-	res, err := Run(s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, dumbbell(15e6, scenario.QueueXCP, 1000, 20, flows(4, "xcp", 150)), 4)
 	var total float64
 	var losses int64
 	for _, f := range res.Flows {
@@ -229,15 +196,9 @@ func TestRunXCPQueueGivesHighThroughputLowLoss(t *testing.T) {
 }
 
 func TestRunDCTCPOverECNQueue(t *testing.T) {
-	ecnQueue := func(*sim.Engine) (netsim.Queue, error) { return aqm.NewECNMarking(1000, 65) }
-	s := dumbbell(LinkDef{RateBps: 100e6, NewQueue: ecnQueue}, Scenario{
-		Duration: 10 * sim.Second,
-		Flows:    flowsOf(8, 4, func() cc.Algorithm { return dctcp.New() }),
-	})
-	res, err := Run(s, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := dumbbell(100e6, scenario.QueueECN, 1000, 10, flows(8, "dctcp", 4))
+	s.Queue.ECNThresholdPackets = 65
+	res := run(t, s, 5)
 	var total float64
 	for _, f := range res.Flows {
 		total += f.Metrics.Mbps()
@@ -263,19 +224,13 @@ func TestRunRemySenderOnDesignRange(t *testing.T) {
 	defaultTree := core.DefaultWhiskerTree()
 	pacedTree := core.NewWhiskerTree(core.Action{WindowMultiple: 1, WindowIncrement: 1, IntersendMs: 2})
 
-	run := func(tree *core.WhiskerTree) Result {
-		s := dumbbell(LinkDef{RateBps: 15e6, NewQueue: dropTailFactory(1000)}, Scenario{
-			Duration: 20 * sim.Second,
-			Flows:    flowsOf(2, 150, func() cc.Algorithm { return core.NewSender(tree) }),
-		})
-		res, err := Run(s, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	runTree := func(tree *core.WhiskerTree) harness.Result {
+		f := flows(2, "remy", 150)
+		f.Algorithm = func() cc.Algorithm { return core.NewSender(tree) }
+		return run(t, dumbbell(15e6, scenario.QueueDropTail, 1000, 20, f), 6)
 	}
 
-	defRes := run(defaultTree)
+	defRes := runTree(defaultTree)
 	var defTotal float64
 	for _, f := range defRes.Flows {
 		defTotal += f.Metrics.Mbps()
@@ -287,7 +242,7 @@ func TestRunRemySenderOnDesignRange(t *testing.T) {
 		t.Errorf("default RemyCC delivered almost nothing: %.2f Mbps", defTotal)
 	}
 
-	pacedRes := run(pacedTree)
+	pacedRes := runTree(pacedTree)
 	var pacedTotal, pacedDelay float64
 	for _, f := range pacedRes.Flows {
 		pacedTotal += f.Metrics.Mbps()
@@ -305,21 +260,12 @@ func TestRunRemySenderOnDesignRange(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossCalls(t *testing.T) {
-	s := dumbbell(LinkDef{RateBps: 10e6, NewQueue: dropTailFactory(500)}, Scenario{
-		Duration: 10 * sim.Second,
-		Flows: []FlowSpec{
-			{RTTMs: 100, Workload: workload.Spec{Mode: workload.ByBytes, On: workload.Exponential{MeanValue: 100e3}, Off: workload.Exponential{MeanValue: 0.5}}, NewAlgorithm: func() cc.Algorithm { return cubic.New() }},
-			{RTTMs: 100, Workload: workload.Spec{Mode: workload.ByBytes, On: workload.Exponential{MeanValue: 100e3}, Off: workload.Exponential{MeanValue: 0.5}}, NewAlgorithm: func() cc.Algorithm { return newreno.New() }},
-		},
-	})
-	a, err := Run(s, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(s, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := scenario.ByBytesWorkload(scenario.ExponentialDist(100e3), scenario.ExponentialDist(0.5))
+	s := dumbbell(10e6, scenario.QueueDropTail, 500, 10,
+		scenario.FlowSpec{Scheme: "cubic", RTTMs: 100, Workload: w},
+		scenario.FlowSpec{Scheme: "newreno", RTTMs: 100, Workload: w})
+	a := run(t, s, 42)
+	b := run(t, s, 42)
 	for i := range a.Flows {
 		if a.Flows[i].Metrics.ThroughputBps != b.Flows[i].Metrics.ThroughputBps ||
 			a.Flows[i].Metrics.AvgRTT != b.Flows[i].Metrics.AvgRTT ||
@@ -327,10 +273,7 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 			t.Fatalf("run not deterministic for flow %d", i)
 		}
 	}
-	c, err := Run(s, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := run(t, s, 43)
 	same := true
 	for i := range a.Flows {
 		if a.Flows[i].Transport.PacketsSent != c.Flows[i].Transport.PacketsSent {
@@ -343,22 +286,10 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 }
 
 func TestRunOnOffWorkloadAccounting(t *testing.T) {
-	s := dumbbell(LinkDef{RateBps: 10e6, NewQueue: dropTailFactory(1000)}, Scenario{
-		Duration: 60 * sim.Second,
-		Flows: []FlowSpec{{
-			RTTMs: 100,
-			Workload: workload.Spec{
-				Mode: workload.ByTime,
-				On:   workload.Exponential{MeanValue: 1},
-				Off:  workload.Exponential{MeanValue: 1},
-			},
-			NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-		}},
-	})
-	res, err := Run(s, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, dumbbell(10e6, scenario.QueueDropTail, 1000, 60, scenario.FlowSpec{
+		Scheme: "newreno", RTTMs: 100,
+		Workload: scenario.ByTimeWorkload(scenario.ExponentialDist(1), scenario.ExponentialDist(1)),
+	}), 7)
 	f := res.Flows[0]
 	if f.OnPeriods < 10 {
 		t.Errorf("only %d on periods in 60 s with 1 s means", f.OnPeriods)
@@ -378,18 +309,11 @@ func TestRunOnOffWorkloadAccounting(t *testing.T) {
 func TestRunTraceDrivenScenario(t *testing.T) {
 	// A sparse handmade trace: throughput is bounded by the trace's delivery
 	// opportunities regardless of the congestion controller.
-	var trace []sim.Time
+	s := dumbbell(0, scenario.QueueDropTail, 1000, 10, flows(2, "cubic", 50))
 	for ms := 0; ms < 10000; ms += 2 { // one packet every 2 ms = 6 Mbps
-		trace = append(trace, sim.Time(ms)*sim.Millisecond)
+		s.Link.Trace = append(s.Link.Trace, sim.Time(ms)*sim.Millisecond)
 	}
-	s := dumbbell(LinkDef{Trace: trace, NewQueue: dropTailFactory(1000)}, Scenario{
-		Duration: 10 * sim.Second,
-		Flows:    flowsOf(2, 50, func() cc.Algorithm { return cubic.New() }),
-	})
-	res, err := Run(s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, s, 8)
 	var total float64
 	for _, f := range res.Flows {
 		total += f.Metrics.Mbps()
@@ -404,14 +328,9 @@ func TestRunTraceDrivenScenario(t *testing.T) {
 
 func TestRunOnDeliverHook(t *testing.T) {
 	count := 0
-	s := dumbbell(LinkDef{RateBps: 10e6, NewQueue: dropTailFactory(100)}, Scenario{
-		Duration:  2 * sim.Second,
-		Flows:     flowsOf(1, 50, func() cc.Algorithm { return newreno.New() }),
-		OnDeliver: func(p *netsim.Packet, now sim.Time) { count++ },
-	})
-	if _, err := Run(s, 9); err != nil {
-		t.Fatal(err)
-	}
+	s := dumbbell(10e6, scenario.QueueDropTail, 100, 2, flows(1, "newreno", 50))
+	s.OnDeliver = func(p *netsim.Packet, now sim.Time) { count++ }
+	run(t, s, 9)
 	if count == 0 {
 		t.Error("OnDeliver hook never fired")
 	}

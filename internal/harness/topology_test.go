@@ -1,34 +1,31 @@
-package harness
+package harness_test
 
 import (
 	"testing"
 
 	"repro/internal/aqm"
-	"repro/internal/cc"
-	"repro/internal/cc/newreno"
+	"repro/internal/faults"
 	"repro/internal/netsim"
-	"repro/internal/sim"
+	"repro/internal/scenario"
 )
 
-func dropTailFactory(capacity int) func(*sim.Engine) (netsim.Queue, error) {
-	return func(*sim.Engine) (netsim.Queue, error) { return aqm.NewDropTail(capacity) }
+// parkingLot is the canonical two-bottleneck parking lot at 10 and 6 Mbps
+// times scale, with 250-packet buffers: a long flow crosses both hops while
+// one cross flow loads each hop, all always on, for five seconds.
+func parkingLot(scheme string, scale float64) scenario.Spec {
+	return scenario.ParkingLotSpec(scenario.FamilyConfig{Scheme: scheme, Workload: alwaysOn(),
+		DurationSeconds: 5, RateScale: scale, BufferPackets: 250})
 }
 
-// parkingLotScenario is the canonical two-bottleneck parking lot: a long flow
-// crosses both links while one cross flow loads each link.
-func parkingLotScenario(rate1, rate2 float64, newAlgo func() cc.Algorithm) Scenario {
-	s := Scenario{
-		Links: []LinkDef{
-			{Name: "hop1", RateBps: rate1, DelayMs: 10, NewQueue: dropTailFactory(250)},
-			{Name: "hop2", RateBps: rate2, DelayMs: 10, NewQueue: dropTailFactory(250)},
-		},
-		Duration: 5 * sim.Second,
-		Flows: []FlowSpec{
-			{RTTMs: 40, Workload: alwaysOn(), NewAlgorithm: newAlgo, Path: []string{"hop1", "hop2"}},
-			{RTTMs: 40, Workload: alwaysOn(), NewAlgorithm: newAlgo, Path: []string{"hop1"}},
-			{RTTMs: 40, Workload: alwaysOn(), NewAlgorithm: newAlgo, Path: []string{"hop2"}},
-		},
-	}
+// twoWay is a two-node topology whose flows go out over fwd and may come back
+// over rev.
+func twoWay(fwd, rev scenario.TopoLinkSpec, fs ...scenario.FlowSpec) scenario.Spec {
+	fwd.From, fwd.To, rev.From, rev.To = "a", "b", "b", "a"
+	s := scenario.New(scenario.WithDuration(5), scenario.WithTopology(scenario.TopologySpec{
+		Nodes: []scenario.NodeSpec{{Name: "a"}, {Name: "b"}},
+		Links: []scenario.TopoLinkSpec{fwd, rev},
+	}))
+	s.Flows = fs
 	return s
 }
 
@@ -36,11 +33,7 @@ func parkingLotScenario(rate1, rate2 float64, newAlgo func() cc.Algorithm) Scena
 // flows crossing each bottleneck cannot jointly exceed its rate, and every
 // flow actually moves data.
 func TestParkingLotConservation(t *testing.T) {
-	s := parkingLotScenario(10e6, 6e6, func() cc.Algorithm { return newreno.New() })
-	res, err := Run(s, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, parkingLot("newreno", 1), 7)
 	if len(res.Flows) != 3 {
 		t.Fatalf("got %d flows", len(res.Flows))
 	}
@@ -74,96 +67,72 @@ func TestParkingLotConservation(t *testing.T) {
 	}
 }
 
-// TestTopologyValidation exercises the topology-specific validation errors.
+// TestTopologyValidation: a run refuses a world whose links, routes or fault
+// schedules are malformed — the spec's validation catches these — and a link
+// whose queue kind no registry entry builds, which the build catches.
 func TestTopologyValidation(t *testing.T) {
-	base := parkingLotScenario(10e6, 6e6, func() cc.Algorithm { return newreno.New() })
-
-	s := base
-	s.Links = append([]LinkDef{}, base.Links...)
-	s.Links[1].Name = "hop1"
-	if err := s.Validate(); err == nil {
-		t.Error("duplicate link name accepted")
+	base := parkingLot("newreno", 1)
+	topo := func(mut func(*scenario.TopologySpec)) scenario.Spec {
+		s := base
+		tp := *base.Topology
+		tp.Links = append([]scenario.TopoLinkSpec{}, base.Topology.Links...)
+		mut(&tp)
+		s.Topology = &tp
+		return s
 	}
-
-	s = base
-	s.Flows = append([]FlowSpec{}, base.Flows...)
-	s.Flows[0].Path = nil
-	if err := s.Validate(); err == nil {
-		t.Error("flow without path accepted")
+	flow0 := func(mut func(*scenario.FlowSpec)) scenario.Spec {
+		s := base
+		s.Flows = append([]scenario.FlowSpec{}, base.Flows...)
+		mut(&s.Flows[0])
+		return s
 	}
+	refuses(t, topo(func(tp *scenario.TopologySpec) { tp.Links[1].Name = "hop1" }), "twice")
+	refuses(t, topo(func(tp *scenario.TopologySpec) { tp.Links[1].Name = "" }), "no name")
+	refuses(t, topo(func(tp *scenario.TopologySpec) { tp.Links[1].DelayMs = -1 }), "negative delay")
+	refuses(t, topo(func(tp *scenario.TopologySpec) { tp.Links = nil }), "no links")
+	refuses(t, topo(func(tp *scenario.TopologySpec) { tp.Links[0].Queue.Kind = "teleport" }), "unknown queue kind")
+	refuses(t, flow0(func(f *scenario.FlowSpec) { f.Path = nil }), "no path")
+	refuses(t, flow0(func(f *scenario.FlowSpec) { f.Path = []string{"hop1", "nope"} }), "path references unknown link")
+	refuses(t, flow0(func(f *scenario.FlowSpec) { f.ReversePath = []string{"nope"} }), "reverse path references unknown link")
 
-	s = base
-	s.Flows = append([]FlowSpec{}, base.Flows...)
-	s.Flows[0].Path = []string{"hop1", "nope"}
-	if err := s.Validate(); err == nil {
-		t.Error("unknown path link accepted")
+	// Fault schedules must be well-formed and attach to a link the world has.
+	faulty := func(link string, sched faults.Schedule) scenario.Spec {
+		s := base
+		s.Faults = &scenario.FaultsSpec{Links: []scenario.LinkFaultSpec{{Link: link, Schedule: sched}}}
+		return s
 	}
+	outage := faults.Schedule{Outages: []faults.Outage{{StartS: 1, DurationS: 1}}}
+	refuses(t, faulty("hop1", faults.Schedule{Outages: []faults.Outage{{StartS: 1, DurationS: -1}}}), "duration_s")
+	refuses(t, faulty("nope", outage), "unknown link")
+	refuses(t, faulty("", outage), "must name a topology link")
 
-	s = base
-	s.Flows = append([]FlowSpec{}, base.Flows...)
-	s.Flows[0].ReversePath = []string{"nope"}
-	if err := s.Validate(); err == nil {
-		t.Error("unknown reverse path link accepted")
-	}
-
-	s = base
-	s.Links = append([]LinkDef{}, base.Links...)
-	s.Links[0].NewQueue = nil
-	if err := s.Validate(); err == nil {
-		t.Error("link without queue factory accepted")
-	}
-
-	// A dumbbell flow routed over a link the scenario does not define is
+	// A dumbbell flow routed over a link the world does not define is
 	// rejected like any other unknown route.
-	s = dumbbell(LinkDef{RateBps: 1e6, NewQueue: dropTailFactory(1000)}, Scenario{
-		Duration: sim.Second,
-		Flows:    flowsOf(1, 10, func() cc.Algorithm { return newreno.New() }),
-	})
+	s := dumbbell(1e6, scenario.QueueDropTail, 1000, 1, flows(1, "newreno", 10))
 	s.Flows[0].Path = []string{"hop1"}
-	if err := s.Validate(); err == nil {
-		t.Error("flow routed over an undefined link accepted")
-	}
-
-	s = base
-	s.Links = nil
-	if err := s.Validate(); err == nil {
-		t.Error("scenario without links accepted")
-	}
+	refuses(t, s, "no topology")
 }
 
 // TestAsymmetricReverseSlowsFlow checks that routing acknowledgments over a
 // slow reverse link materially reduces throughput versus the pure-delay
 // return path, all else equal — the ACK clock is really crossing the queue.
 func TestAsymmetricReverseSlowsFlow(t *testing.T) {
-	build := func(reverse bool) Scenario {
-		s := Scenario{
-			Links: []LinkDef{
-				{Name: "fwd", RateBps: 10e6, DelayMs: 5, NewQueue: dropTailFactory(500)},
-				// 40-byte acks over 100 kbps: 312 acks/s, far below the ~833
-				// packets/s the forward link can carry.
-				{Name: "rev", RateBps: 1e5, DelayMs: 5, NewQueue: dropTailFactory(50)},
-			},
-			Duration: 5 * sim.Second,
-			Flows: []FlowSpec{{
-				RTTMs:        40,
-				Workload:     alwaysOn(),
-				NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-				Path:         []string{"fwd"},
-			}},
-		}
+	build := func(reverse bool) scenario.Spec {
+		f := scenario.FlowSpec{Scheme: "newreno", RTTMs: 40, Workload: alwaysOn(), Path: []string{"fwd"}}
 		if reverse {
-			s.Flows[0].ReversePath = []string{"rev"}
+			f.ReversePath = []string{"rev"}
 		}
-		return s
+		return twoWay(
+			scenario.TopoLinkSpec{Name: "fwd", RateBps: 10e6, DelayMs: 5,
+				Queue: scenario.QueueSpec{Kind: scenario.QueueDropTail, CapacityPackets: 500}},
+			// 40-byte acks over 100 kbps: 312 acks/s, far below the ~833
+			// packets/s the forward link can carry.
+			scenario.TopoLinkSpec{Name: "rev", RateBps: 1e5, DelayMs: 5,
+				Queue: scenario.QueueSpec{Kind: scenario.QueueDropTail, CapacityPackets: 50}},
+			f)
 	}
-	fast, err := Run(build(false), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := Run(build(true), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := run(t, build(false), 3)
+	slow := run(t, build(true), 3)
 	ff := fast.Flows[0].Metrics.ThroughputBps
 	sf := slow.Flows[0].Metrics.ThroughputBps
 	if sf <= 0 || ff <= 0 {
@@ -181,29 +150,30 @@ func TestAsymmetricReverseSlowsFlow(t *testing.T) {
 
 // TestAcksDroppedCountsDequeueTimeDrops: acks that a CoDel reverse queue
 // drops at dequeue time must be counted in Result.AcksDropped, not only the
-// enqueue-time tail drops. The reverse queue is given ample capacity so
-// every drop is CoDel's.
+// enqueue-time tail drops. The reverse queue, a registered test kind, is
+// given ample capacity so every drop is CoDel's.
 func TestAcksDroppedCountsDequeueTimeDrops(t *testing.T) {
-	s := Scenario{
-		Links: []LinkDef{
-			{Name: "fwd", RateBps: 15e6, DelayMs: 5, NewQueue: dropTailFactory(500)},
-			{Name: "rev", RateBps: 3e5, DelayMs: 5, NewQueue: func(*sim.Engine) (netsim.Queue, error) {
-				return aqm.NewSfqCoDel(64, 5000)
-			}},
-		},
-		AckBytes: 40,
-		Duration: 10 * sim.Second,
-		Flows: []FlowSpec{
-			{RTTMs: 40, Workload: alwaysOn(), NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-				Path: []string{"fwd"}, ReversePath: []string{"rev"}},
-			{RTTMs: 40, Workload: alwaysOn(), NewAlgorithm: func() cc.Algorithm { return newreno.New() },
-				Path: []string{"fwd"}, ReversePath: []string{"rev"}},
-		},
+	reg := scenario.Default().Clone()
+	if err := reg.RegisterQueue("codel-ample", func(scenario.QueueSpec, scenario.QueueEnv) (netsim.Queue, error) {
+		return aqm.NewSfqCoDel(64, 5000)
+	}); err != nil {
+		t.Fatal(err)
 	}
-	res, err := Run(s, 3)
+	f := scenario.FlowSpec{Scheme: "newreno", Count: 2, RTTMs: 40, Workload: alwaysOn(),
+		Path: []string{"fwd"}, ReversePath: []string{"rev"}}
+	s := twoWay(
+		scenario.TopoLinkSpec{Name: "fwd", RateBps: 15e6, DelayMs: 5,
+			Queue: scenario.QueueSpec{Kind: scenario.QueueDropTail, CapacityPackets: 500}},
+		scenario.TopoLinkSpec{Name: "rev", RateBps: 3e5, DelayMs: 5, Queue: scenario.QueueSpec{Kind: "codel-ample"}},
+		f)
+	s.Topology.AckBytes = 40
+	s.DurationSeconds = 10
+	s.Seed = 3
+	results, err := scenario.Runner{Registry: reg, Workers: 1}.RunOne(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0].Res
 	if res.AcksDropped == 0 {
 		t.Error("CoDel dequeue-time ack drops not counted in AcksDropped")
 	}
@@ -215,15 +185,9 @@ func TestAcksDroppedCountsDequeueTimeDrops(t *testing.T) {
 
 // TestTopologyDeterminism: identical runs produce identical counters.
 func TestTopologyDeterminism(t *testing.T) {
-	s := parkingLotScenario(8e6, 5e6, func() cc.Algorithm { return newreno.New() })
-	a, err := Run(s, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(s, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := parkingLot("newreno", 0.8)
+	a := run(t, s, 11)
+	b := run(t, s, 11)
 	if a.Offered != b.Offered || a.Delivered != b.Delivered || a.Dropped != b.Dropped {
 		t.Errorf("bottleneck counters differ: %+v vs %+v", a, b)
 	}
@@ -240,11 +204,11 @@ func TestTopologyDeterminism(t *testing.T) {
 // and acknowledgment lanes, two service lanes) allocates its handful of result
 // slices and no more, however many packets the run carries.
 func TestWarmSessionAllocsNothingForLanes(t *testing.T) {
-	warmAllocs := func(duration sim.Time) (allocs float64, offered int64) {
-		s := parkingLotScenario(20e6, 12e6, func() cc.Algorithm { return newreno.New() })
-		s.Duration = duration
-		ss, err := NewSession(s)
-		if err != nil {
+	warmAllocs := func(seconds float64) (allocs float64, offered int64) {
+		s := parkingLot("newreno", 2)
+		s.DurationSeconds = seconds
+		var ss scenario.Session
+		if err := ss.Rebuild(nil, &s, 0); err != nil {
 			t.Fatal(err)
 		}
 		run := func() {
@@ -257,8 +221,8 @@ func TestWarmSessionAllocsNothingForLanes(t *testing.T) {
 		run() // grow slabs, pools and lane rings
 		return testing.AllocsPerRun(3, run), offered
 	}
-	short, shortPkts := warmAllocs(2 * sim.Second)
-	long, longPkts := warmAllocs(6 * sim.Second)
+	short, shortPkts := warmAllocs(2)
+	long, longPkts := warmAllocs(6)
 	t.Logf("warm run: %.0f allocs for %d packets, %.0f allocs for %d packets", short, shortPkts, long, longPkts)
 	if longPkts < 2*shortPkts {
 		t.Fatalf("the long run offered %d packets against %d; it must carry at least twice the traffic", longPkts, shortPkts)

@@ -669,7 +669,7 @@ func (n *Network) reclaimInFlight(arg any) {
 }
 
 // Reset returns the network to its just-built state for engine-pooled reuse
-// (harness.Session): links and queues stay, but every queued, in-service or
+// (scenario.Session): links and queues stay, but every queued, in-service or
 // in-flight packet — data or acknowledgment — is recycled, every flow slot is
 // vacated and all counters are zeroed.
 // Ports survive detached — the owner re-attaches them (ReattachFlowRoute)
@@ -723,7 +723,7 @@ func (n *Network) Reset() {
 }
 
 // ReleaseDropped recycles a packet a queue discipline dropped internally
-// (CoDel's dequeue-time drops); the harness wires it as the drop hook.
+// (CoDel's dequeue-time drops); the session wires it as the drop hook.
 // Dropped acknowledgments are counted so AcksDropped covers both enqueue-
 // and dequeue-time losses on reverse links; data-packet dequeue drops stay
 // visible only through the per-queue Drops counter, preserving the

@@ -78,20 +78,32 @@ func (d DistSpec) Validate() error {
 	return nil
 }
 
-// Compile converts the spec into a sampling distribution.
-func (d DistSpec) Compile() (workload.Distribution, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
+// distBox holds one compiled distribution in place. Flows and churn classes
+// keep their boxes from world to world, so compiling a new world's
+// distributions into them allocates nothing.
+type distBox struct {
+	constant    workload.Constant
+	uniform     workload.Uniform
+	exponential workload.Exponential
+	pareto      workload.Pareto
+}
+
+// compile writes the spec, which Validate accepted, into box and returns the
+// sampling distribution it now holds.
+func (d DistSpec) compile(box *distBox) workload.Distribution {
 	switch d.Type {
 	case DistConstant:
-		return workload.Constant{Value: d.Value}, nil
+		box.constant = workload.Constant{Value: d.Value}
+		return &box.constant
 	case DistUniform:
-		return workload.Uniform{Lo: d.Lo, Hi: d.Hi}, nil
+		box.uniform = workload.Uniform{Lo: d.Lo, Hi: d.Hi}
+		return &box.uniform
 	case DistExponential:
-		return workload.Exponential{MeanValue: d.Mean}, nil
+		box.exponential = workload.Exponential{MeanValue: d.Mean}
+		return &box.exponential
 	default: // DistPareto; Validate rejected everything else
-		return workload.Pareto{Xm: d.Xm, Alpha: d.Alpha, Shift: d.Shift}, nil
+		box.pareto = workload.Pareto{Xm: d.Xm, Alpha: d.Alpha, Shift: d.Shift}
+		return &box.pareto
 	}
 }
 
@@ -139,22 +151,12 @@ func (w WorkloadSpec) Validate() error {
 	return nil
 }
 
-// Compile converts the spec into the runtime workload form.
-func (w WorkloadSpec) Compile() (workload.Spec, error) {
-	if err := w.Validate(); err != nil {
-		return workload.Spec{}, err
-	}
-	on, err := w.On.Compile()
-	if err != nil {
-		return workload.Spec{}, err
-	}
-	off, err := w.Off.Compile()
-	if err != nil {
-		return workload.Spec{}, err
-	}
+// compile converts the spec, which Validate accepted, into the runtime
+// workload form, its distributions held in the given boxes.
+func (w WorkloadSpec) compile(on, off *distBox) workload.Spec {
 	mode := workload.ByBytes
 	if w.Mode == ModeByTime {
 		mode = workload.ByTime
 	}
-	return workload.Spec{Mode: mode, On: on, Off: off, StartOn: w.StartOn}, nil
+	return workload.Spec{Mode: mode, On: w.On.compile(on), Off: w.Off.compile(off), StartOn: w.StartOn}
 }

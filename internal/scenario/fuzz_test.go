@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/harness"
 )
 
 // fuzzBuildable bounds the specs FuzzSpecRoundTrip builds a session for, so
@@ -31,15 +29,43 @@ func fuzzBuildable(s Spec) bool {
 	return true
 }
 
+// namesResolve reports whether every name in s resolves against reg: the
+// schemes of its flows and churn classes, the queue kinds of its links (their
+// own, the spec's, or the one the schemes imply) and its link models.
+func namesResolve(reg *Registry, s Spec) bool {
+	protos, err := s.resolveSchemes(reg, nil)
+	if err != nil {
+		return false
+	}
+	for _, l := range s.lower(nil).links {
+		kind := s.queueOf(l).Kind
+		if kind == "" {
+			if kind, err = s.queueKind(protos); err != nil {
+				return false
+			}
+		}
+		if _, err := reg.Queue(kind); err != nil {
+			return false
+		}
+		if !l.synthesized() {
+			continue
+		}
+		if _, err := reg.LinkModel(l.Model); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzSpecRoundTrip checks the declarative pipeline on arbitrary inputs:
 // any JSON that decodes into a valid Spec must re-encode to a stable fixed
 // point — decode(encode(decode(x))) produces the same bytes as
 // encode(decode(x)) — and re-encoding must never turn a valid spec into an
-// invalid or undecodable one. A bounded valid spec must furthermore compile
-// (or fail with a name-resolution error) into a scenario harness.NewSession
-// accepts: nothing Validate lets through may die on a harness-level validation
-// error or panic. The session is built, not run. The corpus is seeded from the
-// checked-in example scenario files.
+// invalid or undecodable one. A bounded valid spec whose names resolve must
+// furthermore build a session: Validate is the only place a world may be
+// rejected, and nothing it lets through may fail to build or panic. The
+// session is built, not run. The corpus is seeded from the checked-in example
+// scenario files.
 //
 // Run with: go test ./internal/scenario -fuzz FuzzSpecRoundTrip
 func FuzzSpecRoundTrip(f *testing.F) {
@@ -118,15 +144,12 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("encoding is not a fixed point\nfirst:  %s\nsecond: %s", b1, b2)
 		}
-		if !fuzzBuildable(s) {
+		if !fuzzBuildable(s) || !namesResolve(Default(), s) {
 			return
 		}
-		scn, _, err := s.Compile(nil, 0)
-		if err != nil {
-			return // unregistered scheme, queue kind or link model
-		}
-		if _, err := harness.NewSession(scn); err != nil {
-			t.Fatalf("valid spec compiled to a scenario the harness rejects: %v\nspec: %s", err, b1)
+		var ss Session
+		if err := ss.Rebuild(nil, &s, 0); err != nil {
+			t.Fatalf("a valid spec whose names resolve does not build: %v\nspec: %s", err, b1)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/faults"
-	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/traces"
@@ -22,11 +21,11 @@ func splitmix64(x uint64) uint64 {
 }
 
 // DeriveSeed returns the seed for one repetition of a spec. Repetition 0 uses
-// the base seed itself, so a single-repetition spec reproduces a direct
-// harness.Run with the same seed; later repetitions are mixed through
-// SplitMix64. The base is mixed before the repetition index is added so that
-// adjacent base seeds produce disjoint repetition streams (naive base+rep
-// would make seed(b, r) collide with seed(b+1, r-1)).
+// the base seed itself, so a single-repetition spec runs with exactly the seed
+// it names; later repetitions are mixed through SplitMix64. The base is mixed
+// before the repetition index is added so that adjacent base seeds produce
+// disjoint repetition streams (naive base+rep would make seed(b, r) collide
+// with seed(b+1, r-1)).
 func DeriveSeed(base int64, rep int) int64 {
 	if rep == 0 {
 		return base
@@ -84,13 +83,14 @@ func (l loweredLink) synthesized() bool {
 var bottleneckPath = []string{netsim.BottleneckLink}
 
 // lower resolves the spec's two JSON forms to the one link list Validate,
-// RepInvariant and Compile iterate. The link/queue form becomes a single
-// delay-free link named netsim.BottleneckLink that inherits the spec-level
-// queue, exactly as netsim.NewNetwork has always built it.
-func (s Spec) lower() lowered {
+// RepInvariant and Session.Rebuild iterate, appending the links to links[:0].
+// The link/queue form becomes a single delay-free link named
+// netsim.BottleneckLink that inherits the spec-level queue.
+func (s Spec) lower(links []loweredLink) lowered {
+	links = links[:0]
 	if s.Topology == nil {
 		return lowered{
-			links: []loweredLink{{
+			links: append(links, loweredLink{
 				TopoLinkSpec: TopoLinkSpec{
 					Name:           netsim.BottleneckLink,
 					RateBps:        s.Link.RateBps,
@@ -100,15 +100,14 @@ func (s Spec) lower() lowered {
 				},
 				trace:  s.Link.Trace,
 				faults: s.Faults.schedule(""),
-			}},
+			}),
 			path: bottleneckPath,
 		}
 	}
-	w := lowered{links: make([]loweredLink, len(s.Topology.Links)), ackBytes: s.Topology.AckBytes}
-	for i, l := range s.Topology.Links {
-		w.links[i] = loweredLink{TopoLinkSpec: l, faults: s.Faults.schedule(l.Name)}
+	for _, l := range s.Topology.Links {
+		links = append(links, loweredLink{TopoLinkSpec: l, faults: s.Faults.schedule(l.Name)})
 	}
-	return w
+	return lowered{links: links, ackBytes: s.Topology.AckBytes}
 }
 
 // route returns a flow's declared path, or the lowered world's default.
@@ -138,6 +137,28 @@ func (s Spec) resolveScheme(reg *Registry, f FlowSpec) (Protocol, error) {
 	return reg.Protocol(f)
 }
 
+// resolveSchemes appends the protocol of every flow entry, then of every
+// churn class, to dst.
+func (s Spec) resolveSchemes(reg *Registry, dst []Protocol) ([]Protocol, error) {
+	for i, f := range s.Flows {
+		p, err := s.resolveScheme(reg, f)
+		if err != nil {
+			return dst, fmt.Errorf("scenario: spec %q flow %d: %w", s.Name, i, err)
+		}
+		dst = append(dst, p)
+	}
+	if s.Churn != nil {
+		for ci, c := range s.Churn.Classes {
+			p, err := s.resolveScheme(reg, c.flowSpec())
+			if err != nil {
+				return dst, fmt.Errorf("scenario: spec %q churn class %d: %w", s.Name, ci, err)
+			}
+			dst = append(dst, p)
+		}
+	}
+	return dst, nil
+}
+
 // QueueKindFor resolves the effective queue kind of the spec: the explicit
 // Queue.Kind if set, otherwise the kind implied by the protocols of the flows
 // and churn classes. It is an error for two of them to imply different
@@ -146,111 +167,53 @@ func (s Spec) QueueKindFor(reg *Registry) (string, error) {
 	if s.Queue.Kind != "" {
 		return s.Queue.Kind, nil
 	}
+	protos, err := s.resolveSchemes(reg, nil)
+	if err != nil {
+		return "", err
+	}
+	return s.queueKind(protos)
+}
+
+// queueKind is QueueKindFor over the spec's already resolved protocols.
+func (s Spec) queueKind(protos []Protocol) (string, error) {
+	if s.Queue.Kind != "" {
+		return s.Queue.Kind, nil
+	}
 	kind := QueueDropTail
-	imply := func(f FlowSpec) error {
-		p, err := s.resolveScheme(reg, f)
-		if err != nil {
-			return err
-		}
+	for _, p := range protos {
 		pk := p.QueueKind()
 		if pk == QueueDropTail {
-			return nil
+			continue
 		}
 		if kind != QueueDropTail && kind != pk {
-			return fmt.Errorf("scenario: spec %q mixes protocols implying %q and %q queues; set queue.kind explicitly", s.Name, kind, pk)
+			return "", fmt.Errorf("scenario: spec %q mixes protocols implying %q and %q queues; set queue.kind explicitly", s.Name, kind, pk)
 		}
 		kind = pk
-		return nil
-	}
-	for _, f := range s.Flows {
-		if err := imply(f); err != nil {
-			return "", err
-		}
-	}
-	if s.Churn != nil {
-		for _, c := range s.Churn.Classes {
-			if err := imply(c.flowSpec()); err != nil {
-				return "", err
-			}
-		}
 	}
 	return kind, nil
 }
 
-// RepInvariant reports whether the spec compiles to the same executable
-// scenario for every repetition. Only synthesized link traces vary across
-// repetitions (a trace *model* generates a fresh trace per rep from a
-// rep-derived seed); fixed-rate links and explicit traces compile
-// identically for every rep, so the Runner can build one reusable
-// harness.Session per spec and vary only the seed.
+// queueOf returns a link's queue: its own, or, when it declares none at all,
+// the spec-level one wholesale (kind and parameters).
+func (s Spec) queueOf(l loweredLink) QueueSpec {
+	if l.Queue == (QueueSpec{}) {
+		return s.Queue
+	}
+	return l.Queue
+}
+
+// RepInvariant reports whether the spec builds the same world for every
+// repetition. Only synthesized link traces vary across repetitions (a trace
+// *model* generates a fresh trace per rep from a rep-derived seed); fixed-rate
+// links and explicit traces are identical for every rep, so the Runner can
+// build one reusable Session per spec and vary only the seed.
 func (s Spec) RepInvariant() bool {
-	for _, l := range s.lower().links {
+	for _, l := range s.lower(nil).links {
 		if l.synthesized() {
 			return false
 		}
 	}
 	return true
-}
-
-// Compile resolves the spec's names against the registry and materializes the
-// executable scenario for one repetition, together with the repetition's
-// derived seed. Trace-driven link models synthesize a fresh trace per
-// repetition from a seed decorrelated with the run seed.
-func (s Spec) Compile(reg *Registry, rep int) (harness.Scenario, int64, error) {
-	if reg == nil {
-		reg = Default()
-	}
-	w := s.lower()
-	if err := s.validate(w); err != nil {
-		return harness.Scenario{}, 0, err
-	}
-	runSeed := DeriveSeed(s.Seed, rep)
-
-	out := harness.Scenario{
-		Duration:  s.Duration(),
-		MTU:       s.MTU,
-		AckBytes:  w.ackBytes,
-		OnDeliver: s.OnDeliver,
-	}
-	if err := s.compileLinks(reg, runSeed, w, &out); err != nil {
-		return harness.Scenario{}, 0, err
-	}
-	if err := s.compileFlows(reg, w, &out); err != nil {
-		return harness.Scenario{}, 0, err
-	}
-	if err := s.compileChurn(reg, w, &out); err != nil {
-		return harness.Scenario{}, 0, err
-	}
-	return out, runSeed, nil
-}
-
-// compileFlows expands flow counts and resolves schemes into the executable
-// scenario, routing every flow over the lowered world.
-func (s Spec) compileFlows(reg *Registry, w lowered, out *harness.Scenario) error {
-	for i, f := range s.Flows {
-		p, err := s.resolveScheme(reg, f)
-		if err != nil {
-			return fmt.Errorf("scenario: spec %q flow %d: %w", s.Name, i, err)
-		}
-		wl, err := f.Workload.Compile()
-		if err != nil {
-			return fmt.Errorf("scenario: spec %q flow %d (%s): %w", s.Name, i, p.Name, err)
-		}
-		count := f.Count
-		if count < 1 {
-			count = 1
-		}
-		for c := 0; c < count; c++ {
-			out.Flows = append(out.Flows, harness.FlowSpec{
-				RTTMs:        f.RTTMs,
-				Workload:     wl,
-				NewAlgorithm: p.New,
-				Path:         w.route(f.Path),
-				ReversePath:  f.ReversePath,
-			})
-		}
-	}
-	return nil
 }
 
 // resolveLinkService resolves one link's service description — explicit
@@ -284,56 +247,4 @@ func (s Spec) resolveLinkService(reg *Registry, l loweredLink, traceSeed int64) 
 		capacityBps = traces.AverageRateBps(trace, packetBytes, s.Duration())
 	}
 	return trace, capacityBps, nil
-}
-
-// compileLinks materializes the lowered links: per-link trace synthesis
-// (decorrelated across links), queue-kind resolution (the link's own queue,
-// else the spec-level one, with the kind the flows imply as the final
-// fallback) and per-link capacity estimates for rate-aware queues. Queues are
-// resolved through the registry and built per run, so a new AQM is a registry
-// entry rather than a harness change.
-func (s Spec) compileLinks(reg *Registry, runSeed int64, w lowered, out *harness.Scenario) error {
-	out.Links = make([]harness.LinkDef, 0, len(w.links))
-	defaultKind := ""
-	for li, l := range w.links {
-		trace, capacityBps, err := s.resolveLinkService(reg, l, deriveLinkTraceSeed(runSeed, li))
-		if err != nil {
-			return err
-		}
-		// A link that declares no queue at all inherits the spec-level Queue
-		// wholesale (kind and parameters); a kindless queue falls back to the
-		// kind the spec's flows imply.
-		queueSpec := l.Queue
-		if queueSpec == (QueueSpec{}) {
-			queueSpec = s.Queue
-		}
-		kind := queueSpec.Kind
-		if kind == "" {
-			if defaultKind == "" {
-				k, err := s.QueueKindFor(reg)
-				if err != nil {
-					return err
-				}
-				defaultKind = k
-			}
-			kind = defaultKind
-		}
-		factory, err := reg.Queue(kind)
-		if err != nil {
-			return err
-		}
-		out.Links = append(out.Links, harness.LinkDef{
-			Name:      l.Name,
-			RateBps:   l.RateBps,
-			Trace:     trace,
-			TraceLoop: l.TraceLoop,
-			DelayMs:   l.DelayMs,
-			Faults:    l.faults,
-			NewQueue: func(engine *sim.Engine) (netsim.Queue, error) {
-				return factory(queueSpec, QueueEnv{Engine: engine, CapacityBps: capacityBps})
-			},
-			QueueKey: reg.queueKey(kind, queueSpec, capacityBps),
-		})
-	}
-	return nil
 }

@@ -74,24 +74,21 @@ func decodeRebuildSpec(b []byte) (spec Spec) {
 }
 
 // coldResults is what a worker must give spec's repetitions: each first
-// repetition of a world from a fresh session, and a warm repetition of a
+// repetition of a world from a new session, and a warm repetition of a
 // rep-invariant spec from that same session; ok is false when the spec does
-// not compile.
+// not build.
 func coldResults(t *testing.T, spec Spec) (want []harness.Result, ok bool) {
-	var ss *harness.Session
+	var ss *Session
 	for rep := 0; rep < spec.Repetitions; rep++ {
-		scn, seed, err := spec.Compile(nil, rep)
-		if err != nil {
-			return nil, false
-		}
 		if ss == nil || !spec.RepInvariant() {
-			if ss, err = harness.NewSession(scn); err != nil {
+			ss = new(Session)
+			if err := ss.Rebuild(nil, &spec, rep); err != nil {
 				return nil, false
 			}
 		}
-		res, err := ss.Run(seed)
+		res, err := ss.Run(DeriveSeed(spec.Seed, rep))
 		if err != nil {
-			t.Fatalf("cold run of a compiled spec: %v", err)
+			t.Fatalf("cold run of a built spec: %v", err)
 		}
 		want = append(want, res)
 	}
@@ -102,7 +99,9 @@ func coldResults(t *testing.T, spec Spec) (want []harness.Result, ok bool) {
 // scenario.Worker, so each world is rebuilt out of its predecessor's parts —
 // bigger or smaller, with other queues, faults and churn classes. Every
 // repetition must equal what a cold build gives it, and no sequence may panic
-// or hang.
+// or hang. The same sequence then goes through a four-worker Runner, whose
+// workers take sessions from the shared pool and rebuild them from whatever
+// world each last held: every repetition must equal the one-worker result.
 //
 // Run with: go test ./internal/scenario -run '^$' -fuzz FuzzRebuildSequence
 func FuzzRebuildSequence(f *testing.F) {
@@ -117,16 +116,18 @@ func FuzzRebuildSequence(f *testing.F) {
 		}
 		w := Runner{}.NewWorker()
 		defer w.Close()
+		var one []Result
 		for i := range specs {
 			spec := &specs[i]
 			want, ok := coldResults(t, *spec)
 			for rep := 0; rep < spec.Repetitions; rep++ {
 				got := w.Run(spec, rep)
+				one = append(one, got)
 				if !ok {
 					if got.Err == nil {
-						t.Fatalf("spec %d rep %d: the worker ran a spec that does not compile cold", i, rep)
+						t.Fatalf("spec %d rep %d: the worker ran a spec that does not build cold", i, rep)
 					}
-					break
+					continue
 				}
 				if got.Err != nil {
 					t.Fatalf("spec %d rep %d: %v", i, rep, got.Err)
@@ -135,6 +136,13 @@ func FuzzRebuildSequence(f *testing.F) {
 					t.Fatalf("spec %d rep %d (%+v): rebuilt world diverges from a cold build\n got: %+v\nwant: %+v",
 						i, rep, *spec, got.Res, want[rep])
 				}
+			}
+		}
+		four, _ := Runner{Workers: 4}.RunAll(specs)
+		for k, got := range four {
+			if (got.Err == nil) != (one[k].Err == nil) || !reflect.DeepEqual(got.Res, one[k].Res) {
+				t.Fatalf("result %d (spec %d rep %d): four workers diverge from one\n got: %+v (%v)\nwant: %+v (%v)",
+					k, got.SpecIndex, got.Rep, got.Res, got.Err, one[k].Res, one[k].Err)
 			}
 		}
 	})

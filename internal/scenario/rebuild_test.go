@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cc"
-	"repro/internal/harness"
 )
 
 // mallocs returns the process's allocation count so far.
@@ -18,18 +17,19 @@ func mallocs() uint64 {
 // TestRebuildAllocatesOnlyAlgorithms pins what rebuilding a world costs once
 // the engine has seen it: a flow-churn parking lot with faults and a
 // two-flow sfqCoDel dumbbell are built, run and rebuilt in turn, and once
-// both have been seen, rebuilding one after the other allocates nothing beyond
-// the algorithms the new world's scheme builds — which the session does not
-// own — and rebuildOverhead more.
+// both have been seen, rebuilding one after the other — validating the spec,
+// resolving its names and building its world — allocates nothing beyond the
+// algorithms the new world's schemes build, which the session does not own,
+// and rebuildOverhead more.
 func TestRebuildAllocatesOnlyAlgorithms(t *testing.T) {
 	// algoAllocs is what the algorithms built so far cost, each at what its
-	// factory was measured to cost alone.
+	// constructor was measured to cost alone.
 	var algoAllocs float64
-	count := func(new func() cc.Algorithm) func() cc.Algorithm {
-		cost := testing.AllocsPerRun(10, func() { new() })
+	count := func(p Protocol) func() cc.Algorithm {
+		cost := testing.AllocsPerRun(10, func() { p.New() })
 		return func() cc.Algorithm {
 			algoAllocs += cost
-			return new()
+			return p.New()
 		}
 	}
 	fc := FamilyConfig{Scheme: "newreno", Workload: ByBytesWorkload(ExponentialDist(300_000), ExponentialDist(0.05)),
@@ -39,29 +39,27 @@ func TestRebuildAllocatesOnlyAlgorithms(t *testing.T) {
 	churn.Faults.Links[0].Link = "hop1"
 	dumbbell := New(WithLink(8e6), WithQueue(QueueSfqCoDel, 200), WithDuration(1), WithSeed(11),
 		WithFlows(2, "cubic/sfqcodel", 60, fc.Workload))
-	var worlds [2]harness.Scenario
-	for i, spec := range []Spec{churn, dumbbell} {
-		scn, _, err := spec.Compile(nil, 0)
+	worlds := []Spec{churn, dumbbell}
+	for _, spec := range worlds {
+		protos, err := spec.resolveSchemes(Default(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for f := range scn.Flows {
-			scn.Flows[f].NewAlgorithm = count(scn.Flows[f].NewAlgorithm)
+		for f := range spec.Flows {
+			spec.Flows[f].Algorithm = count(protos[f])
 		}
-		for c := range scn.Churn {
-			scn.Churn[c].NewAlgorithm = count(scn.Churn[c].NewAlgorithm)
+		if spec.Churn != nil {
+			for c := range spec.Churn.Classes {
+				spec.Churn.Classes[c].Algorithm = count(protos[len(spec.Flows)+c])
+			}
 		}
-		worlds[i] = scn
 	}
-	ss, err := harness.NewSession(worlds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	var ss Session
 	for round := 0; round < 4; round++ {
-		for i, w := range worlds {
+		for i := range worlds {
 			algoAllocs = 0
 			before := mallocs()
-			if err := ss.Rebuild(w); err != nil {
+			if err := ss.Rebuild(nil, &worlds[i], 0); err != nil {
 				t.Fatal(err)
 			}
 			own, algos := float64(mallocs()-before)-algoAllocs, algoAllocs

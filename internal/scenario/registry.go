@@ -315,9 +315,9 @@ func mustRegisterBuiltins(r *Registry) {
 	}
 	must(r.RegisterProtocol(DCTCP()))
 	// "remy" resolves a rule table from the flow's RemyCC file path, which is
-	// how JSON-driven specs name pre-trained tables. Compile resolves flows
-	// once per repetition, so parsed tables are cached by path (they are
-	// immutable once loaded).
+	// how JSON-driven specs name pre-trained tables. Every world a session
+	// builds resolves its flows again, so parsed tables are cached by path
+	// (they are immutable once loaded).
 	var remyTables sync.Map // path -> *core.WhiskerTree
 	must(r.RegisterProtocolFactory("remy", func(flow FlowSpec) (Protocol, error) {
 		if flow.RemyCC == "" {
@@ -414,25 +414,27 @@ func ecnThresholdOf(q QueueSpec) int {
 	return q.ECNThresholdPackets
 }
 
-// stockQueueKey is the harness.LinkDef.QueueKey of a stock discipline's
-// queue: its kind and everything its factory reads.
-type stockQueueKey struct {
+// queueKey names a stock discipline's queue by its kind and everything its
+// factory reads: queues with equal keys are interchangeable once reset, so a
+// session rebuilding its world reuses one an earlier world left behind
+// instead of building another. The zero key names no queue.
+type queueKey struct {
 	kind                string
 	capacity, threshold int
 	capacityBps         float64
 }
 
-// queueKey returns the QueueKey of a queue of the given kind built from q with
-// the given capacity estimate: a stockQueueKey for a stock kind, nil for a
-// registered factory, which may have state or side effects of its own.
-func (r *Registry) queueKey(kind string, q QueueSpec, capacityBps float64) any {
+// queueKey returns the key of a queue of the given kind built from q with the
+// given capacity estimate: the zero key for a registered factory, which may
+// have state or side effects of its own, so its queues are never reused.
+func (r *Registry) queueKey(kind string, q QueueSpec, capacityBps float64) queueKey {
 	r.mu.RLock()
 	stock := r.stock[kind]
 	r.mu.RUnlock()
 	if !stock {
-		return nil
+		return queueKey{}
 	}
-	k := stockQueueKey{kind: kind, capacity: capacityOf(q)}
+	k := queueKey{kind: kind, capacity: capacityOf(q)}
 	switch kind {
 	case QueueECN:
 		k.threshold = ecnThresholdOf(q)

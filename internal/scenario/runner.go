@@ -88,11 +88,11 @@ func (r Runner) logf(format string, args ...any) {
 // (and flake the allocation regression tests that pin the warm path).
 var sessionPool struct {
 	mu   sync.Mutex
-	free []*harness.Session
+	free []*Session
 }
 
-// acquireSession returns an idle session, or nil when there is none.
-func acquireSession() *harness.Session {
+// acquireSession returns an idle session, or a new one when there is none.
+func acquireSession() *Session {
 	sessionPool.mu.Lock()
 	defer sessionPool.mu.Unlock()
 	if n := len(sessionPool.free); n > 0 {
@@ -101,10 +101,10 @@ func acquireSession() *harness.Session {
 		sessionPool.free = sessionPool.free[:n-1]
 		return ss
 	}
-	return nil
+	return new(Session)
 }
 
-func releaseSession(ss *harness.Session) {
+func releaseSession(ss *Session) {
 	if ss == nil {
 		return
 	}
@@ -120,19 +120,19 @@ type task struct {
 }
 
 // Worker is one goroutine's warm run state: a pooled session and the spec
-// whose world it holds. It is the single place a compiled spec meets an
-// engine — compile once, rebuild the session's world for it, then Run(seed)
-// per repetition, with panics recovered into Result.Err — and both
-// Runner.Stream's goroutines and the optimizer's batch workers execute
-// through it. A Worker is not safe for concurrent use.
+// whose world it holds. It is the single place a spec meets an engine —
+// rebuild the session's world for it once, then Run(seed) per repetition,
+// with panics recovered into Result.Err — and both Runner.Stream's goroutines
+// and the optimizer's batch workers execute through it. A Worker is not safe
+// for concurrent use.
 type Worker struct {
 	reg *Registry
 	// session is the worker's session, nil until its first run; spec and
 	// invariant describe its world: consecutive runs of the same *Spec reuse
 	// it with only the seed varying when the spec is rep-invariant. Specs
-	// whose compiled scenario differs per rep (synthesized link traces)
-	// rebuild the world each rep, out of the previous one's parts.
-	session   *harness.Session
+	// whose world differs per rep (synthesized link traces) rebuild the world
+	// each rep, out of the previous one's parts.
+	session   *Session
 	spec      *Spec
 	invariant bool
 	// tputs and delays are summarize's working slices, kept between runs.
@@ -157,12 +157,12 @@ func (w *Worker) discard() {
 
 // Run executes repetition rep of spec, reusing the warm session when spec is
 // the rep-invariant spec the worker ran last. Between such runs the caller may
-// change the spec's Seed and nothing else: a rep-invariant spec compiles to
-// the same scenario under every seed, and the seed is read afresh for each
-// run, so one warm session serves any number of seeds (the optimizer's
-// specimens of one shape).
+// change the spec's Seed and nothing else: a rep-invariant spec builds the
+// same world under every seed, and the seed is read afresh for each run, so
+// one warm session serves any number of seeds (the optimizer's specimens of
+// one shape).
 //
-// A panic anywhere in the run — a buggy scheme, a custom queue, the harness
+// A panic anywhere in the run — a buggy scheme, a custom queue, the session
 // itself — is recovered into Result.Err so one poisoned repetition cannot
 // torch a whole campaign or training batch; the worker's session, engine and
 // parts included, is then discarded (not returned to the pool) because a
@@ -188,30 +188,18 @@ func (w *Worker) RunInto(spec *Spec, rep int, out *Result) {
 		}
 	}()
 	if w.session == nil || w.spec != spec || !w.invariant {
-		scn, seed, err := spec.Compile(w.reg, rep)
-		if err != nil {
-			out.Err = err
-			return
-		}
-		out.Seed = seed
 		w.spec = nil
 		if w.session == nil {
 			w.session = acquireSession()
 		}
-		if w.session == nil {
-			w.session, err = harness.NewSession(scn)
-		} else {
-			err = w.session.Rebuild(scn)
-		}
-		if err != nil {
-			out.Err = fmt.Errorf("scenario: spec %q rep %d: %w", spec.Name, rep, err)
+		if err := w.session.Rebuild(w.reg, spec, rep); err != nil {
+			out.Err = err
 			return
 		}
 		w.spec = spec
 		w.invariant = spec.RepInvariant()
-	} else {
-		out.Seed = DeriveSeed(spec.Seed, rep)
 	}
+	out.Seed = DeriveSeed(spec.Seed, rep)
 	if err := w.session.RunInto(out.Seed, &res); err != nil {
 		out.Err = fmt.Errorf("scenario: spec %q rep %d: %w", spec.Name, rep, err)
 		return

@@ -222,27 +222,26 @@ func TestQueueKindDerivedFromProtocol(t *testing.T) {
 	}
 }
 
+// TestCompileExpandsFlowCounts: a flow entry with a count runs as that many
+// flows, repetition 0 runs at the spec's own seed, and the link/queue form
+// builds the one bottleneck link.
 func TestCompileExpandsFlowCounts(t *testing.T) {
 	spec := quickSpec(1)
 	spec.Flows[0].Count = 5
-	scn, seed, err := spec.Compile(nil, 0)
+	results, err := Runner{Workers: 1}.RunOne(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scn.Flows) != 5 {
-		t.Errorf("compiled %d flows, want 5", len(scn.Flows))
+	res := results[0]
+	if len(res.Res.Flows) != 5 {
+		t.Errorf("ran %d flows, want 5", len(res.Res.Flows))
 	}
-	if seed != spec.Seed {
-		t.Errorf("rep 0 seed = %d, want %d", seed, spec.Seed)
+	if res.Seed != spec.Seed {
+		t.Errorf("rep 0 seed = %d, want %d", res.Seed, spec.Seed)
 	}
-	if len(scn.Links) != 1 || scn.Links[0].Name != netsim.BottleneckLink || scn.Links[0].NewQueue == nil {
-		t.Fatalf("link/queue form did not compile to the one bottleneck link: %+v", scn.Links)
+	if len(res.Res.Links) != 1 || res.Res.Links[0].Name != netsim.BottleneckLink || res.Res.Links[0].Delivered == 0 {
+		t.Fatalf("link/queue form did not build the one bottleneck link: %+v", res.Res.Links)
 	}
-	q, err := scn.Links[0].NewQueue(sim.NewEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ netsim.Queue = q
 }
 
 func TestRunOneWithOnDeliverHook(t *testing.T) {

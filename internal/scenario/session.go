@@ -1,54 +1,56 @@
-package harness
+package scenario
 
 import (
 	"fmt"
 	"slices"
 
 	"repro/internal/faults"
+	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// Session is a reusable simulation: the full object graph of one scenario —
+// Session is a reusable simulation: the full object graph of one world —
 // engine, network, links, queues, transports, algorithms, switchers, churn
-// runtime — built once and run many times. Each Run(seed) rewinds every
-// component to its just-constructed state and replays the scenario under a
+// runtime — built from a Spec once and run many times. Each Run(seed) rewinds
+// every component to its just-constructed state and replays the world under a
 // fresh seed, so a warm session executes the byte-identical event sequence a
-// freshly built harness.Run would, while allocating (almost) nothing: the
-// engine's slab, heap and lane rings, the network's packet pool, the
-// transports' windows and the retired churn flows all persist across runs.
+// freshly built one would, while allocating (almost) nothing: the engine's
+// slab, heap and lane rings, the network's packet pool, the transports'
+// windows and the retired churn flows all persist across runs.
 //
-// Rebuild gives the session another scenario — a world — on the same engine.
-// It builds the new world out of the parts the old one leaves behind (see
-// parts): packets, links, queues, fault states, ports, transports, switchers,
-// arrival processes and their random streams are re-targeted rather than
-// reallocated, and only the congestion-control algorithms, which the scenario
-// owns, are made anew. There is one way to build a world: NewSession is a
-// Rebuild from an empty set of parts.
+// Rebuild gives the session a world: it validates the spec, resolves its names
+// against a registry and builds the world in one pass, out of the parts the
+// old world leaves behind (see parts): packets, links, queues, fault states,
+// ports, transports, switchers, arrival processes, their distributions and
+// random streams are re-targeted rather than reallocated, and only the
+// congestion-control algorithms, which the spec's schemes make, are new. A
+// zero Session holds no world and no parts; its first Rebuild builds from
+// nothing on a new engine.
 //
-// The campaign and optimizer layers pump thousands of repetitions and worlds
-// through pooled sessions; TestSessionReuseMatchesFresh pins warm-vs-fresh
-// equality across schemes and queue disciplines,
+// The runner, the campaign and the optimizer pump thousands of repetitions
+// and worlds through pooled sessions; TestSessionReuseMatchesFresh pins
+// warm-vs-fresh equality across schemes and queue disciplines,
 // TestRebuiltSessionMatchesFresh and FuzzRebuildSequence pin rebuilt-vs-fresh
-// equality across worlds, and TestCampaignSteadyStateAllocs pins the
-// allocation claim.
+// equality across worlds, and TestRebuildAllocatesOnlyAlgorithms and
+// TestCampaignSteadyStateAllocs pin the allocation claims.
 //
 // Reuse requires every mutable component to be resettable. All queue
-// disciplines in internal/aqm implement Reset; a scenario whose link NewQueue
-// returns a custom discipline without a Reset method is still safe for a
-// single Run (harness.Run builds a throwaway session) but must not be reused.
+// disciplines in internal/aqm implement Reset; a registered queue kind whose
+// factory returns a discipline without a Reset method is still safe for a
+// single Run but must not be reused.
 //
 // A Session, like the engine it wraps, is not safe for concurrent use.
 type Session struct {
-	spec    Scenario
-	engine  *sim.Engine
-	network *netsim.Network
-	queues  []netsim.Queue
-	flows   []*flowState
-	churn   churnRuntime
-	mtu     int
+	engine   *sim.Engine
+	network  *netsim.Network
+	queues   []keyedQueue
+	flows    []*flowState
+	churn    churnRuntime
+	mtu      int
+	duration sim.Time
 	// linkFaults holds the compiled fault state of each link (nil for
 	// fault-free links), indexed like network.Links(); reset reseeds each from
 	// the run seed so fault realizations replay exactly across warm runs.
@@ -65,6 +67,10 @@ type Session struct {
 	built bool
 	// dropHook is the network's ReleaseDropped, bound once.
 	dropHook func(*netsim.Packet)
+	// lowered and protos are Rebuild's working lists — the spec's links and
+	// the protocols of its flows and churn classes — kept for their capacity.
+	lowered []loweredLink
+	protos  []Protocol
 }
 
 // parts is the set of pieces the worlds built on one engine leave behind for
@@ -86,11 +92,11 @@ type parts struct {
 	// switcher with its stream. Their algorithms belong to no world, except
 	// for churn flows retired in the current one (flowState.cs).
 	flows []*flowState
-	// queues are reset queue disciplines, by QueueKey. Keys vary from world
-	// to world (discipline, buffer, rate), so the most recently built are
-	// kept up to twice the links of the largest world: what two alternating
-	// worlds need.
-	queues   []spareQueue
+	// queues are reset queue disciplines with a key. Keys vary from world to
+	// world (discipline, buffer, rate), so the most recently built are kept up
+	// to twice the links of the largest world: what two alternating worlds
+	// need.
+	queues   []keyedQueue
 	maxLinks int
 	faults   []*faults.LinkState
 	// classes are churn class runtimes with their arrival processes,
@@ -98,10 +104,9 @@ type parts struct {
 	classes []*churnState
 }
 
-// spareQueue is a queue discipline a world left behind, and the key it was
-// built under (see LinkDef.QueueKey).
-type spareQueue struct {
-	key   any
+// keyedQueue is a link's queue discipline and the key it was built under.
+type keyedQueue struct {
+	key   queueKey
 	queue netsim.Queue
 }
 
@@ -110,43 +115,35 @@ type spareQueue struct {
 // acknowledgment can arrive in between, since nothing has been sent.
 var unbound = netsim.SenderFunc(func(netsim.Ack, sim.Time) {})
 
-// NewSession builds a reusable session for the scenario on a fresh engine:
-// a Rebuild from an empty set of parts.
-func NewSession(s Scenario) (*Session, error) {
-	ss := &Session{engine: sim.NewEngine()}
-	if err := ss.Rebuild(s); err != nil {
-		return nil, err
+// Rebuild makes the session run repetition rep of spec, whose names it
+// resolves against reg (nil means Default()), building the new world out of
+// the parts the current one leaves behind. Its runs then give exactly what the
+// same runs of a zero Session rebuilt for the same spec and rep would. Only a
+// link whose trace a model synthesizes depends on rep (see RepInvariant); the
+// seed of each run is Run's. On error the session holds no world until the
+// next successful Rebuild, but keeps its parts.
+func (ss *Session) Rebuild(reg *Registry, spec *Spec, rep int) error {
+	if reg == nil {
+		reg = Default()
 	}
-	return ss, nil
-}
-
-// Engine returns the engine the session runs on.
-func (ss *Session) Engine() *sim.Engine { return ss.engine }
-
-// Rebuild makes the session run scenario s, building the new world out of
-// the parts the current one leaves behind. Its runs then give exactly what
-// the same runs of a fresh NewSession(s) would. On error the session holds no
-// world until the next successful Rebuild, but keeps its parts.
-func (ss *Session) Rebuild(s Scenario) error {
-	mtu := s.MTU
-	if mtu <= 0 {
-		mtu = netsim.MTU
-	}
+	w := spec.lower(ss.lowered)
 	// The network goes first: it hands its in-flight packets back to its
 	// pool through the engine's pending events, so the engine may only be
 	// reset once it is done.
-	ss.dismantle(netsim.GraphConfig{MTU: mtu, AckBytes: s.AckBytes})
+	ss.dismantle(netsim.GraphConfig{MTU: spec.mtu(), AckBytes: w.ackBytes})
+	if ss.engine == nil {
+		ss.engine = sim.NewEngine()
+	}
 	ss.engine.Reset()
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	ss.spec = s
-	ss.mtu = mtu
-	if err := ss.assemble(); err != nil {
-		return err
-	}
-	ss.built = true
-	return nil
+	err := ss.build(reg, spec, rep, w)
+	// The working lists point into the spec and its schemes; a pooled session
+	// must not keep them alive.
+	clear(w.links)
+	ss.lowered = w.links[:0]
+	clear(ss.protos)
+	ss.protos = ss.protos[:0]
+	ss.built = err == nil
+	return err
 }
 
 // dismantle resets the current world and puts its pieces into the parts set,
@@ -158,12 +155,12 @@ func (ss *Session) dismantle(cfg netsim.GraphConfig) {
 	}
 	ss.network.Rebuild(cfg)
 	p := &ss.parts
-	for i, q := range ss.queues {
-		if key := ss.spec.Links[i].QueueKey; key != nil {
-			p.queues = append(p.queues, spareQueue{key: key, queue: q})
+	for _, q := range ss.queues {
+		if q.key != (queueKey{}) {
+			p.queues = append(p.queues, q)
 		}
 	}
-	p.maxLinks = max(p.maxLinks, len(ss.spec.Links))
+	p.maxLinks = max(p.maxLinks, len(ss.queues))
 	if extra := len(p.queues) - 2*p.maxLinks; extra > 0 {
 		p.queues = slices.Delete(p.queues, 0, extra)
 	}
@@ -183,16 +180,26 @@ func (ss *Session) dismantle(cfg netsim.GraphConfig) {
 	for _, fs := range p.flows {
 		fs.cs = nil // its algorithm belongs to no world now
 	}
-	ss.spec = Scenario{}
 }
 
-// assemble builds the world of ss.spec on the reset engine, taking each piece
-// from the parts set when there is one.
-func (ss *Session) assemble() error {
-	s, engine := &ss.spec, ss.engine
-	cfg := netsim.GraphConfig{MTU: ss.mtu, AckBytes: s.AckBytes}
+// build validates spec and builds its world on the reset engine, taking each
+// piece from the parts set when there is one: links in order, then their
+// fault states, then the static flows in port-slot order, then the churn
+// classes. The schemes are resolved first, since the queue kind they imply is
+// a link's last fallback; every other name is resolved as the piece that
+// needs it is built.
+func (ss *Session) build(reg *Registry, spec *Spec, rep int, w lowered) error {
+	if err := spec.validate(w); err != nil {
+		return err
+	}
+	protos, err := spec.resolveSchemes(reg, ss.protos)
+	ss.protos = protos
+	if err != nil {
+		return err
+	}
+	ss.mtu, ss.duration = spec.mtu(), spec.Duration()
 	if ss.network == nil {
-		network, err := netsim.NewGraph(engine, cfg)
+		network, err := netsim.NewGraph(ss.engine, netsim.GraphConfig{MTU: ss.mtu, AckBytes: w.ackBytes})
 		if err != nil {
 			return err
 		}
@@ -201,38 +208,58 @@ func (ss *Session) assemble() error {
 		ss.dropHook = network.ReleaseDropped
 	}
 	network := ss.network
-	network.OnDeliver = s.OnDeliver
+	network.OnDeliver = spec.OnDeliver
 
-	for _, def := range s.Links {
-		q, err := ss.queueFor(def)
+	// Links: per-link trace synthesis (decorrelated across links), the
+	// link's queue (its own, else the spec-level one, with the kind the
+	// flows imply as the final fallback) and a capacity estimate for
+	// rate-aware queues.
+	runSeed := DeriveSeed(spec.Seed, rep)
+	defaultKind := ""
+	for li, l := range w.links {
+		trace, capacityBps, err := spec.resolveLinkService(reg, l, deriveLinkTraceSeed(runSeed, li))
 		if err != nil {
 			return err
 		}
+		q := spec.queueOf(l)
+		kind := q.Kind
+		if kind == "" {
+			if defaultKind == "" {
+				if defaultKind, err = spec.queueKind(protos); err != nil {
+					return err
+				}
+			}
+			kind = defaultKind
+		}
+		kq, err := ss.queueFor(reg, kind, q, capacityBps)
+		if err != nil {
+			return fmt.Errorf("scenario: spec %q link %q: %w", spec.Name, l.Name, err)
+		}
 		if _, err := network.AddLink(netsim.LinkConfig{
-			Name:      def.Name,
-			RateBps:   def.RateBps,
-			Trace:     def.Trace,
-			TraceLoop: def.TraceLoop,
-			Delay:     sim.FromMillis(def.DelayMs),
-			Queue:     q,
+			Name:      l.Name,
+			RateBps:   l.RateBps,
+			Trace:     trace,
+			TraceLoop: l.TraceLoop,
+			Delay:     sim.FromMillis(l.DelayMs),
+			Queue:     kq.queue,
 		}); err != nil {
 			return err
 		}
-		ss.queues = append(ss.queues, q)
+		ss.queues = append(ss.queues, kq)
 	}
 
-	// Compile and attach fault schedules (nil entries leave links fault-free;
-	// an all-nil scenario allocates nothing here).
-	for i := range s.Links {
-		if s.Links[i].Faults.Empty() {
+	// Compile and attach fault schedules (fault-free links stay nil; a world
+	// without faults allocates nothing here).
+	for i, l := range w.links {
+		if l.faults.Empty() {
 			continue
 		}
-		state, err := faults.Recompile(take(&ss.parts.faults), s.Links[i].Faults)
+		state, err := faults.Recompile(take(&ss.parts.faults), l.faults)
 		if err != nil {
 			return err
 		}
 		if len(ss.linkFaults) == 0 {
-			ss.linkFaults = resize(ss.linkFaults, len(s.Links))
+			ss.linkFaults = resize(ss.linkFaults, len(w.links))
 		}
 		ss.linkFaults[i] = state
 		network.Links()[i].SetFaults(state)
@@ -241,72 +268,89 @@ func (ss *Session) assemble() error {
 	// packets through the network's pool; enqueue-time drops are recycled by
 	// the port itself.
 	for _, q := range ss.queues {
-		if hooked, ok := q.(interface{ SetDropHook(func(*netsim.Packet)) }); ok {
+		if hooked, ok := q.queue.(interface{ SetDropHook(func(*netsim.Packet)) }); ok {
 			hooked.SetDropHook(ss.dropHook)
 		}
 	}
 
-	// Static flows. Construction consumes no randomness (verified by the
-	// session differential tests), so a new switcher is built owning a
-	// placeholder stream; Run restarts it via Reset from the child seed split
-	// off the run seed under the flow's label.
-	for i := range s.Flows {
-		spec := &s.Flows[i]
-		fs := ss.parts.takeFlow(nil)
-		ss.flows = append(ss.flows, fs)
-		fs.oneWay = sim.FromMillis(spec.RTTMs / 2)
-		fs.fwd = appendRoute(fs.fwd[:0], network, spec.Path)
-		fs.rev = appendRoute(fs.rev[:0], network, spec.ReversePath)
-		if err := fs.attach(network, fs.fwd, fs.rev, fs.oneWay); err != nil {
-			return err
-		}
-		algo := spec.NewAlgorithm()
-		if algo == nil {
-			return fmt.Errorf("harness: flow %d NewAlgorithm returned nil", i)
-		}
-		if err := fs.bind(engine, algo, ss.mtu); err != nil {
-			return err
-		}
-		fs.algoName = algo.Name()
-		if fs.switcher == nil {
-			switcher, err := workload.NewSwitcher(spec.Workload, engine, sim.NewRNG(0))
-			if err != nil {
+	// Static flows, each entry expanded to Count flows. Construction consumes
+	// no randomness (verified by the session differential tests), so a new
+	// switcher is built owning a placeholder stream; Run restarts it via
+	// Reset from the child seed split off the run seed under the flow's label.
+	for i := range spec.Flows {
+		f := &spec.Flows[i]
+		for range max(f.Count, 1) {
+			fs := ss.parts.takeFlow(nil)
+			ss.flows = append(ss.flows, fs)
+			fs.oneWay = sim.FromMillis(f.RTTMs / 2)
+			fs.fwd = appendRoute(fs.fwd[:0], network, w.route(f.Path))
+			fs.rev = appendRoute(fs.rev[:0], network, f.ReversePath)
+			if err := fs.attach(network, fs.fwd, fs.rev, fs.oneWay); err != nil {
 				return err
 			}
-			switcher.OnStart = fs.switchedOn
-			switcher.OnStop = fs.switchedOff
-			fs.switcher = switcher
-		} else if err := fs.switcher.SetSpec(spec.Workload); err != nil {
-			return err
+			algo := protos[i].New()
+			if algo == nil {
+				return fmt.Errorf("scenario: spec %q flow %d: scheme %q built no algorithm", spec.Name, i, protos[i].Name)
+			}
+			if err := fs.bind(ss.engine, algo, ss.mtu); err != nil {
+				return err
+			}
+			fs.algoName = algo.Name()
+			wl := f.Workload.compile(&fs.on, &fs.off)
+			if fs.switcher == nil {
+				switcher, err := workload.NewSwitcher(wl, ss.engine, sim.NewRNG(0))
+				if err != nil {
+					return err
+				}
+				switcher.OnStart = fs.switchedOn
+				switcher.OnStop = fs.switchedOff
+				fs.switcher = switcher
+			} else if err := fs.switcher.SetSpec(wl); err != nil {
+				return err
+			}
 		}
 	}
 
 	// The churn runtime attaches after every static flow, so static ports
 	// keep slots 0..len(flows)-1 and the static RNG split order is unchanged
-	// — a churn-free scenario runs the byte-identical event sequence it
-	// always has.
-	return ss.churn.assemble(s, engine, network, ss.mtu, &ss.parts)
+	// — a churn-free world runs the byte-identical event sequence it always
+	// has.
+	return ss.churn.assemble(ss, spec, w, protos[len(spec.Flows):])
 }
 
-// queueFor returns the queue discipline of one link: a spare one built under
-// an equal key, or a new one from the link's factory.
-func (ss *Session) queueFor(def LinkDef) (netsim.Queue, error) {
-	if def.QueueKey != nil {
+// queueFor returns the queue discipline of a link of the given kind: a spare
+// one built under an equal key, or a new one from the kind's factory.
+func (ss *Session) queueFor(reg *Registry, kind string, q QueueSpec, capacityBps float64) (keyedQueue, error) {
+	factory, err := reg.Queue(kind)
+	if err != nil {
+		return keyedQueue{}, err
+	}
+	key := reg.queueKey(kind, q, capacityBps)
+	if key != (queueKey{}) {
 		for i, sq := range ss.parts.queues {
-			if sq.key == def.QueueKey {
+			if sq.key == key {
 				ss.parts.queues = slices.Delete(ss.parts.queues, i, i+1)
-				return sq.queue, nil
+				return sq, nil
 			}
 		}
 	}
-	q, err := def.NewQueue(ss.engine)
+	queue, err := factory(q, QueueEnv{Engine: ss.engine, CapacityBps: capacityBps})
 	if err != nil {
-		return nil, err
+		return keyedQueue{}, err
 	}
-	if q == nil {
-		return nil, fmt.Errorf("harness: link %q queue factory returned a nil queue", def.Name)
+	if queue == nil {
+		return keyedQueue{}, fmt.Errorf("scenario: queue kind %q built no queue", kind)
 	}
-	return q, nil
+	return keyedQueue{key: key, queue: queue}, nil
+}
+
+// appendRoute appends the network's links of the given (validated) names to
+// dst.
+func appendRoute(dst []*netsim.Link, n *netsim.Network, names []string) []*netsim.Link {
+	for _, name := range names {
+		dst = append(dst, n.LinkByName(name))
+	}
+	return dst
 }
 
 // take pops the last element of a parts list, or returns nil.
@@ -355,13 +399,13 @@ func (p *parts) takeFlow(cs *churnState) *flowState {
 	return fs
 }
 
-// Run executes the scenario once with the given seed. Runs with equal
-// scenarios and seeds produce identical results whether executed by a fresh
-// session, a warm one, a rebuilt one, or harness.Run.
-func (ss *Session) Run(seed int64) (Result, error) {
-	var res Result
+// Run executes the session's world once with the given seed. Runs with equal
+// worlds and seeds produce identical results whether executed by a session
+// just built, a warm one or one rebuilt from another world.
+func (ss *Session) Run(seed int64) (harness.Result, error) {
+	var res harness.Result
 	if err := ss.RunInto(seed, &res); err != nil {
-		return Result{}, err
+		return harness.Result{}, err
 	}
 	return res, nil
 }
@@ -369,9 +413,9 @@ func (ss *Session) Run(seed int64) (Result, error) {
 // RunInto is Run writing the result into res, whose slices' capacity it
 // reuses: a caller that keeps one Result across runs collects every run
 // without allocating for it. Everything in res is overwritten.
-func (ss *Session) RunInto(seed int64, res *Result) error {
+func (ss *Session) RunInto(seed int64, res *harness.Result) error {
 	if !ss.built {
-		return fmt.Errorf("harness: the session holds no world: its last build failed")
+		return fmt.Errorf("scenario: the session holds no world: it was never built, or its last build failed")
 	}
 	if err := ss.reset(seed); err != nil {
 		return err
@@ -381,7 +425,7 @@ func (ss *Session) RunInto(seed int64, res *Result) error {
 	// router) expose Start and are armed alongside the network.
 	ss.network.Start(0)
 	for _, q := range ss.queues {
-		if starter, ok := q.(interface{ Start(now sim.Time) }); ok {
+		if starter, ok := q.queue.(interface{ Start(now sim.Time) }); ok {
 			starter.Start(0)
 		}
 	}
@@ -389,7 +433,7 @@ func (ss *Session) RunInto(seed int64, res *Result) error {
 		fs.switcher.Start(0)
 	}
 	ss.churn.start(0)
-	ss.engine.Run(ss.spec.Duration)
+	ss.engine.Run(ss.duration)
 	if ss.churn.err != nil {
 		return ss.churn.err
 	}
@@ -435,9 +479,9 @@ func (ss *Session) reset(seed int64) error {
 
 // collect writes the per-flow and per-link metrics of the run just executed
 // into res.
-func (ss *Session) collect(res *Result) {
-	network, s := ss.network, &ss.spec
-	*res = Result{
+func (ss *Session) collect(res *harness.Result) {
+	network := ss.network
+	*res = harness.Result{
 		Flows:        resize(res.Flows, len(ss.flows)),
 		Churn:        resize(res.Churn, len(ss.churn.classes)),
 		Offered:      network.PacketsOffered(),
@@ -448,7 +492,7 @@ func (ss *Session) collect(res *Result) {
 		Links:        resize(res.Links, len(network.Links())),
 	}
 	for i, l := range network.Links() {
-		res.Links[i] = LinkResult{
+		res.Links[i] = harness.LinkResult{
 			Name:           l.Name(),
 			Delivered:      l.Delivered(),
 			DeliveredBytes: l.DeliveredBytes(),
@@ -459,7 +503,7 @@ func (ss *Session) collect(res *Result) {
 	for i, fs := range ss.flows {
 		onTime := fs.onTime
 		if fs.switcher.State() == workload.On {
-			onTime += s.Duration - fs.lastOn
+			onTime += ss.duration - fs.lastOn
 		}
 		st := fs.transport.Stats()
 		minRTT := network.MinRTT(i)
@@ -473,7 +517,7 @@ func (ss *Session) collect(res *Result) {
 		if queueing < 0 {
 			queueing = 0
 		}
-		res.Flows[i] = FlowResult{
+		res.Flows[i] = harness.FlowResult{
 			Metrics: stats.FlowMetrics{
 				ThroughputBps: throughput,
 				AvgRTT:        meanRTT.Seconds(),

@@ -1,17 +1,23 @@
 // Package scenario is the one way to describe and execute a simulation run.
 //
-// A Spec is a fully declarative description of a run — topology (link rate or
-// cellular trace model), bottleneck queue discipline, per-flow protocol and
-// workload, duration, seed and repetition count. Specs round-trip through
-// JSON, so experiment suites can be files instead of binaries, and are built
-// either with functional options (scenario.New) or by decoding a file
-// (scenario.ReadFile).
+// A Spec is a fully declarative description of a world and its runs —
+// topology (a single bottleneck with a fixed rate or a cellular trace model,
+// or a graph of links), queue disciplines, per-flow protocol and workload,
+// churn classes, faults, duration, seed and repetition count. Specs round-trip
+// through JSON, so experiment suites can be files instead of binaries, and are
+// built either with functional options (scenario.New) or by decoding a file
+// (scenario.ReadFile). A Spec is the only description of a world.
 //
 // Names in a Spec (protocol schemes, queue kinds, link models) are resolved
 // against a Registry; the Default registry knows every scheme, AQM and
 // cellular model in the repository, and experiments clone it to add RemyCCs
-// trained in memory. A Runner executes a batch of Specs across a worker pool
-// — one sim.Engine per run, as the engine requires — with deterministic
+// trained in memory. A Session builds a Spec's world — validating it,
+// resolving its names and wiring engine, network, queues, transports,
+// workload switchers and churn runtime together in one pass — and runs it
+// once per seed, reporting a harness.Result; rebuilt for another Spec, it
+// builds the new world out of the parts the old one leaves behind. A Runner
+// executes a batch of Specs across a worker pool of pooled sessions — one
+// sim.Engine per session, as the engine requires — with deterministic
 // per-repetition seed derivation, so the same Spec and seed produce identical
 // results regardless of worker count.
 package scenario
@@ -85,12 +91,16 @@ type FlowSpec struct {
 
 	// Algorithm, when set, overrides the registry lookup with a programmatic
 	// constructor (the optimizer injects usage-recording senders this way).
-	// It is not part of the JSON form.
+	// It is not part of the JSON form. Like a registered scheme's, it is
+	// invoked once per flow per world a Session builds, and the instance is
+	// reused across the world's runs with Reset called at each flow start —
+	// algorithms must rewind completely in Reset, a property pinned by
+	// TestSessionReuseMatchesFresh.
 	Algorithm func() cc.Algorithm `json:"-"`
 
 	// specMTU carries the spec's effective packet size into protocol
-	// factories at compile time (the cbr factory sizes its pacing gap with
-	// it). Set by Compile; not part of the JSON form.
+	// factories (the cbr factory sizes its pacing gap with it). Set by scheme
+	// resolution; not part of the JSON form.
 	specMTU int
 }
 
@@ -183,12 +193,13 @@ func (q QueueSpec) validate() error {
 	return nil
 }
 
-// Validate reports structural errors that do not require a registry (name
-// resolution happens at compile time).
-func (s Spec) Validate() error { return s.validate(s.lower()) }
+// Validate reports structural errors that do not require a registry (names
+// are resolved when a Session builds the spec's world). It is the only check
+// a world gets: what it lets through, and whose names resolve, builds.
+func (s Spec) Validate() error { return s.validate(s.lower(nil)) }
 
-// validate is Validate over the already-lowered link list, so Compile lowers
-// once.
+// validate is Validate over the already-lowered link list, so a Session's
+// build lowers once.
 func (s Spec) validate(w lowered) error {
 	if len(s.Flows) == 0 && (s.Churn == nil || len(s.Churn.Classes) == 0) {
 		return fmt.Errorf("scenario: spec %q has no flows", s.Name)
@@ -222,27 +233,9 @@ func (s Spec) validate(w lowered) error {
 		if err := s.Topology.Validate(s.Name); err != nil {
 			return err
 		}
-		if err := s.Topology.validateFlowRoutes(s.Name, s.Flows); err != nil {
-			return err
-		}
-		if s.Churn != nil {
-			if err := s.Topology.validateChurnRoutes(s.Name, s.Churn.Classes); err != nil {
-				return err
-			}
-		}
-	} else {
-		for i, f := range s.Flows {
-			if len(f.Path) > 0 || len(f.ReversePath) > 0 {
-				return fmt.Errorf("scenario: spec %q flow %d routes over links but the spec has no topology", s.Name, i)
-			}
-		}
-		if s.Churn != nil {
-			for ci, c := range s.Churn.Classes {
-				if len(c.Path) > 0 || len(c.ReversePath) > 0 {
-					return fmt.Errorf("scenario: spec %q churn class %d routes over links but the spec has no topology", s.Name, ci)
-				}
-			}
-		}
+	}
+	if err := s.validateRoutes(); err != nil {
+		return err
 	}
 	for _, l := range w.links {
 		if l.RateBps < 0 || l.XCPCapacityBps < 0 {

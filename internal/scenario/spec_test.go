@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // sampleSpec returns a fully populated declarative spec (no programmatic
@@ -141,12 +143,14 @@ func TestDistSpecCompile(t *testing.T) {
 		{ExponentialDist(5), 5},
 		{ParetoDist(147, 2, 40), 40 + 2*147/(2-1)},
 	}
+	// One box serves every type in turn, as a flow's boxes do from world to
+	// world.
+	var box distBox
 	for _, c := range cases {
-		d, err := c.spec.Compile()
-		if err != nil {
+		if err := c.spec.Validate(); err != nil {
 			t.Fatalf("%v: %v", c.spec, err)
 		}
-		if got := d.Mean(); got != c.mean {
+		if got := c.spec.compile(&box).Mean(); got != c.mean {
 			t.Errorf("%v: mean %v, want %v", c.spec, got, c.mean)
 		}
 	}
@@ -158,21 +162,19 @@ func TestDistSpecCompile(t *testing.T) {
 		{Type: DistPareto, Xm: 0, Alpha: 1},
 		{Type: DistUniform, Lo: 3, Hi: 1},
 	} {
-		if _, err := bad.Compile(); err == nil {
+		if err := bad.Validate(); err == nil {
 			t.Errorf("bad dist %+v accepted", bad)
 		}
 	}
 }
 
 func TestWorkloadSpecCompile(t *testing.T) {
-	w, err := ByTimeWorkload(ExponentialDist(5), ExponentialDist(5)).Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.On.Mean() != 5 || w.Off.Mean() != 5 {
+	var on, off distBox
+	w := ByTimeWorkload(ExponentialDist(5), ConstantDist(2)).compile(&on, &off)
+	if w.Mode != workload.ByTime || w.On.Mean() != 5 || w.Off.Mean() != 2 {
 		t.Errorf("compiled workload = %v", w)
 	}
-	if _, err := (WorkloadSpec{Mode: "sometimes", On: ConstantDist(1), Off: ConstantDist(1)}).Compile(); err == nil {
+	if err := (WorkloadSpec{Mode: "sometimes", On: ConstantDist(1), Off: ConstantDist(1)}).Validate(); err == nil {
 		t.Error("unknown workload mode accepted")
 	}
 }

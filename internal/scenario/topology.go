@@ -110,76 +110,81 @@ func (t *TopologySpec) Validate(specName string) error {
 	return nil
 }
 
-// validateRoute checks that a route is connected (each link starts where the
-// previous one ended) and acyclic (no node is visited twice). It returns the
-// route's endpoints. owner names the route's owner for error messages
-// ("flow 3", "churn class 1").
-func (t *TopologySpec) validateRoute(specName, owner, kind string, route []string) (from, to string, err error) {
-	visited := make(map[string]bool, len(route)+1)
-	for i, name := range route {
-		l, ok := t.Link(name)
-		if !ok {
-			return "", "", fmt.Errorf("scenario: spec %q %s %s references unknown link %q", specName, owner, kind, name)
+// validateRoutes checks the routes of every route owner of the spec, its flows
+// and then its churn classes. Without a topology no owner may route over
+// links (the link/queue form routes everything over its one bottleneck). With
+// one, every owner needs a path; the path must be connected and acyclic; a
+// non-empty reverse path must likewise be well-formed and must lead from the
+// path's destination back to its source.
+func (s Spec) validateRoutes() error {
+	check := func(owner string, i int, path, reverse []string) error {
+		if s.Topology != nil {
+			return s.Topology.validatePathPair(s.Name, owner, i, path, reverse)
 		}
-		if i == 0 {
-			from = l.From
-			visited[l.From] = true
-		} else if l.From != to {
-			return "", "", fmt.Errorf("scenario: spec %q %s %s is disconnected: link %q starts at %q, previous hop ended at %q", specName, owner, kind, name, l.From, to)
+		if len(path) > 0 || len(reverse) > 0 {
+			return fmt.Errorf("scenario: spec %q %s %d routes over links but the spec has no topology", s.Name, owner, i)
 		}
-		if visited[l.To] {
-			return "", "", fmt.Errorf("scenario: spec %q %s %s has a cycle: node %q visited twice", specName, owner, kind, l.To)
-		}
-		visited[l.To] = true
-		to = l.To
+		return nil
 	}
-	return from, to, nil
-}
-
-// validateFlowRoutes checks every flow's path and reverse path against the
-// topology: a flow must have a path; the path must be connected and acyclic;
-// a non-empty reverse path must likewise be well-formed and must lead from
-// the forward path's destination back to its source.
-func (t *TopologySpec) validateFlowRoutes(specName string, flows []FlowSpec) error {
-	for i, f := range flows {
-		if err := t.validatePathPair(specName, fmt.Sprintf("flow %d", i), f.Path, f.ReversePath); err != nil {
+	for i, f := range s.Flows {
+		if err := check("flow", i, f.Path, f.ReversePath); err != nil {
 			return err
+		}
+	}
+	if s.Churn != nil {
+		for ci, c := range s.Churn.Classes {
+			if err := check("churn class", ci, c.Path, c.ReversePath); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// validateChurnRoutes applies the same route rules to churn classes.
-func (t *TopologySpec) validateChurnRoutes(specName string, classes []ChurnClassSpec) error {
-	for ci, c := range classes {
-		if err := t.validatePathPair(specName, fmt.Sprintf("churn class %d", ci), c.Path, c.ReversePath); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validatePathPair checks one (path, reverse path) pair for a named route
-// owner: the path is required, both routes must be connected and acyclic,
-// and the reverse path must run from the path's destination back to its
-// source.
-func (t *TopologySpec) validatePathPair(specName, owner string, path, reverse []string) error {
+// validatePathPair checks the (path, reverse path) pair of route owner i
+// ("flow", "churn class") against the topology.
+func (t *TopologySpec) validatePathPair(specName, owner string, i int, path, reverse []string) error {
 	if len(path) == 0 {
-		return fmt.Errorf("scenario: spec %q %s has no path through the topology", specName, owner)
+		return fmt.Errorf("scenario: spec %q %s %d has no path through the topology", specName, owner, i)
 	}
-	src, dst, err := t.validateRoute(specName, owner, "path", path)
+	src, dst, err := t.validateRoute(specName, owner, i, "path", path)
 	if err != nil {
 		return err
 	}
 	if len(reverse) == 0 {
 		return nil
 	}
-	rsrc, rdst, err := t.validateRoute(specName, owner, "reverse path", reverse)
+	rsrc, rdst, err := t.validateRoute(specName, owner, i, "reverse path", reverse)
 	if err != nil {
 		return err
 	}
 	if rsrc != dst || rdst != src {
-		return fmt.Errorf("scenario: spec %q %s reverse path runs %s→%s, want %s→%s", specName, owner, rsrc, rdst, dst, src)
+		return fmt.Errorf("scenario: spec %q %s %d reverse path runs %s→%s, want %s→%s", specName, owner, i, rsrc, rdst, dst, src)
 	}
 	return nil
+}
+
+// validateRoute checks that a route of owner i is connected (each link starts
+// where the previous one ended) and acyclic (no node is visited twice). It
+// returns the route's endpoints.
+func (t *TopologySpec) validateRoute(specName, owner string, i int, kind string, route []string) (from, to string, err error) {
+	visited := make(map[string]bool, len(route)+1)
+	for hop, name := range route {
+		l, ok := t.Link(name)
+		if !ok {
+			return "", "", fmt.Errorf("scenario: spec %q %s %d %s references unknown link %q", specName, owner, i, kind, name)
+		}
+		if hop == 0 {
+			from = l.From
+			visited[l.From] = true
+		} else if l.From != to {
+			return "", "", fmt.Errorf("scenario: spec %q %s %d %s is disconnected: link %q starts at %q, previous hop ended at %q", specName, owner, i, kind, name, l.From, to)
+		}
+		if visited[l.To] {
+			return "", "", fmt.Errorf("scenario: spec %q %s %d %s has a cycle: node %q visited twice", specName, owner, i, kind, l.To)
+		}
+		visited[l.To] = true
+		to = l.To
+	}
+	return from, to, nil
 }

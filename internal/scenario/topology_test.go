@@ -335,12 +335,12 @@ func TestCBRSchemeValidation(t *testing.T) {
 		WithDuration(1),
 		WithFlow(FlowSpec{Scheme: "cbr", RTTMs: 50, Workload: topoWorkload()}),
 	)
-	if _, _, err := s.Compile(nil, 0); err == nil || !strings.Contains(err.Error(), "rate_bps") {
-		t.Errorf("cbr without rate_bps compiled: %v", err)
+	if _, err := (Runner{Workers: 1}).RunOne(s); err == nil || !strings.Contains(err.Error(), "rate_bps") {
+		t.Errorf("cbr without rate_bps ran: %v", err)
 	}
 	s.Flows[0].RateBps = 2e6
-	if _, _, err := s.Compile(nil, 0); err != nil {
-		t.Errorf("cbr with rate_bps failed to compile: %v", err)
+	if _, err := (Runner{Workers: 1}).RunOne(s); err != nil {
+		t.Errorf("cbr with rate_bps failed to run: %v", err)
 	}
 }
 
@@ -355,7 +355,7 @@ func TestCBRPacingMatchesSpecMTU(t *testing.T) {
 			WithMTU(mtu),
 			WithFlow(FlowSpec{Scheme: "cbr", RateBps: 1e6, RTTMs: 50, Workload: topoWorkload()}),
 		)
-		scn, _, err := s.Compile(nil, 0)
+		p, err := s.resolveScheme(Default(), s.Flows[0])
 		if err != nil {
 			t.Fatalf("mtu %d: %v", mtu, err)
 		}
@@ -364,7 +364,7 @@ func TestCBRPacingMatchesSpecMTU(t *testing.T) {
 			bytes = 1500
 		}
 		want := sim.FromSeconds(float64(bytes) * 8 / 1e6)
-		if got := scn.Flows[0].NewAlgorithm().PacingGap(); got != want {
+		if got := p.New().PacingGap(); got != want {
 			t.Errorf("mtu %d: pacing gap %v, want %v", mtu, got, want)
 		}
 	}

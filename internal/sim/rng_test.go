@@ -169,7 +169,7 @@ func TestRNGMatchesMathRand(t *testing.T) {
 	})
 
 	// A chain of splits, each child reseeding a long-lived stream the way
-	// harness.Session does, tracks a chain of fresh Split children.
+	// scenario.Session does, tracks a chain of fresh Split children.
 	t.Run("split chain", func(t *testing.T) {
 		for _, seed := range seeds[:20] {
 			p := newRNGPair(seed)

@@ -48,7 +48,7 @@ func PoissonArrivals(ratePerSec float64, size Distribution) ArrivalSpec {
 }
 
 // ArrivalProcess drives one flow class's arrivals on a simulation engine. The
-// harness calls Start once; the process then schedules itself, invoking
+// session calls Start once; the process then schedules itself, invoking
 // OnArrival with each new flow's size. Like the Switcher, it draws every
 // random value from its own stream, so adding an arrival process to a
 // scenario never perturbs the values seen by other stochastic components.
@@ -93,7 +93,7 @@ func (a *ArrivalProcess) SetSpec(spec ArrivalSpec) error {
 }
 
 // Reset returns the process to its just-constructed state for engine-pooled
-// reuse (harness.Session), restarting its random stream from seed for the
+// reuse (scenario.Session), restarting its random stream from seed for the
 // next run.
 func (a *ArrivalProcess) Reset(seed int64) {
 	a.timer.Stop()

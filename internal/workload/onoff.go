@@ -85,7 +85,7 @@ func (s State) String() string {
 	return "off"
 }
 
-// Switcher drives one sender's on/off process. The simulation harness calls
+// Switcher drives one sender's on/off process. The simulation session calls
 // Start once, and the switcher schedules its own transitions on the engine,
 // invoking the callbacks so the attached sender can begin or stop
 // transmitting.
@@ -143,7 +143,7 @@ func (s *Switcher) SetSpec(spec Spec) error {
 }
 
 // Reset returns the switcher to its just-constructed state for engine-pooled
-// reuse (harness.Session), restarting its random stream from seed for the
+// reuse (scenario.Session), restarting its random stream from seed for the
 // next run. Spec, engine, timers and callbacks are kept; any pending
 // transition events belong to the engine being reset alongside and never fire.
 func (s *Switcher) Reset(seed int64) {
