@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
 	"flag"
 	"os"
@@ -82,13 +83,37 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestGoldenReport pins the full report bytes — identity, seeds, aggregates —
-// against a committed fixture. Regenerate with -update after an intentional
-// change to the simulation or the aggregation.
+// TestGoldenReport pins the full report bytes — identity, seeds, aggregates,
+// and the flat CSV rendering of them — against committed fixtures.
+// Regenerate with -update after an intentional change to the simulation or
+// the aggregation.
 func TestGoldenReport(t *testing.T) {
 	s := testSweep()
-	got := encodeRun(t, Executor{Workers: 4}, s, RunOptions{})
-	path := filepath.Join("testdata", "report_12cell.json")
+	records, err := (Executor{Workers: 4}).Run(s, RunOptions{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rep, err := BuildReport(s, records)
+	if err != nil {
+		t.Fatalf("BuildReport: %v", err)
+	}
+	data, err := rep.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	checkGolden(t, "report_12cell.json", data)
+	var csv bytes.Buffer
+	if err := rep.WriteCSV(&csv); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	checkGolden(t, "report_12cell.csv", csv.Bytes())
+}
+
+// checkGolden compares got with testdata/name, rewriting the fixture first
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -247,5 +272,57 @@ func TestReportCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "index,id,family,scheme") {
 		t.Fatalf("unexpected CSV header %q", lines[0])
+	}
+}
+
+// TestReportCSVQuotesSpecName runs an explicit-spec cell whose name needs
+// CSV quoting (a leading space, a comma, quotes and a newline) and holds its
+// rows to encoding/csv: parsing the report back yields the name intact, and
+// re-encoding the parsed records with csv.Writer reproduces the bytes.
+func TestReportCSVQuotesSpecName(t *testing.T) {
+	name := " odd, \"quoted\"\nname"
+	s := SweepSpec{
+		Name: "quoting",
+		Specs: []scenario.Spec{scenario.New(
+			scenario.WithName(name),
+			scenario.WithLink(10e6),
+			scenario.WithQueue(scenario.QueueDropTail, 100),
+			scenario.WithFlows(1, "newreno", 100, scenario.ByBytesWorkload(scenario.ExponentialDist(100e3), scenario.ExponentialDist(0.5))),
+			scenario.WithDuration(0.5),
+		)},
+		Seed: 3,
+	}
+	records, err := (Executor{Workers: 1}).Run(s, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := BuildReport(s, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteCSV(&buf); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	rows, err := csv.NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
+	if err != nil {
+		t.Fatalf("reading the CSV back: %v", err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("CSV has %d records, want header + 1", len(rows))
+	}
+	if got, want := rows[1][1], "spec[0]="+name; got != want {
+		t.Errorf("id column = %q, want %q", got, want)
+	}
+	if got := rows[1][4]; got != name {
+		t.Errorf("spec_name column = %q, want %q", got, name)
+	}
+	var again bytes.Buffer
+	w := csv.NewWriter(&again)
+	if err := w.WriteAll(rows); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatalf("report CSV differs from encoding/csv:\n got %q\nwant %q", buf.Bytes(), again.Bytes())
 	}
 }
