@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -198,6 +199,33 @@ func TestResumeRejectsChangedConfig(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsMovedCell is the resume scan's index check: a manifest
+// record whose ID and seed match a cell but whose index does not is a
+// changed config too.
+func TestResumeRejectsMovedCell(t *testing.T) {
+	s := testSweep()
+	records, err := (Executor{Workers: 2}).Run(s, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := records[5]
+	moved.Index = 6
+	manifest := filepath.Join(t.TempDir(), "manifest.jsonl")
+	var buf bytes.Buffer
+	if err := AppendRecord(&buf, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = (Executor{Workers: 2}).Run(s, RunOptions{ManifestPath: manifest})
+	want := fmt.Sprintf("campaign: manifest cell %q (index 6, seed %d) does not match the sweep (index 5, seed %d); the config changed since the checkpoint",
+		moved.ID, moved.Seed, moved.Seed)
+	if err == nil || err.Error() != want {
+		t.Fatalf("resume with a moved cell returned %v, want %q", err, want)
+	}
+}
+
 func TestManifestTruncatedFinalLine(t *testing.T) {
 	s := testSweep()
 	dir := t.TempDir()
@@ -247,6 +275,50 @@ func TestBuildReportIncomplete(t *testing.T) {
 	}
 	if _, err := BuildReport(s, records); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("BuildReport on one shard returned %v, want an incomplete-report error", err)
+	}
+}
+
+// TestBuildReportRejectsMismatchedRecords pins BuildReport's identity check:
+// a record whose ID, seed or index disagrees with the sweep's cell at that
+// index fails the build with the does-not-match error, naming the record's
+// identity and the sweep's.
+func TestBuildReportRejectsMismatchedRecords(t *testing.T) {
+	s := testSweep()
+	records, err := (Executor{Workers: 2}).Run(s, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell3, cell4 := records[3], records[4]
+	cases := []struct {
+		name   string
+		mutate func([]CellRecord) []CellRecord
+		want   string
+	}{
+		{"id", func(recs []CellRecord) []CellRecord {
+			recs[3].ID = "family=flowchurn/scheme=vegas"
+			return recs
+		}, fmt.Sprintf("campaign: record for index 3 (%q, seed %d) does not match the sweep (%q, seed %d)",
+			"family=flowchurn/scheme=vegas", cell3.Seed, cell3.ID, cell3.Seed)},
+		{"seed", func(recs []CellRecord) []CellRecord {
+			recs[3].Seed++
+			return recs
+		}, fmt.Sprintf("campaign: record for index 3 (%q, seed %d) does not match the sweep (%q, seed %d)",
+			cell3.ID, cell3.Seed+1, cell3.ID, cell3.Seed)},
+		{"index", func(recs []CellRecord) []CellRecord {
+			// Cell 3's record stands in for cell 4's.
+			recs[3].Index = 4
+			return append(recs[:4], recs[5:]...)
+		}, fmt.Sprintf("campaign: record for index 4 (%q, seed %d) does not match the sweep (%q, seed %d)",
+			cell3.ID, cell3.Seed, cell4.ID, cell4.Seed)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := tc.mutate(append([]CellRecord(nil), records...))
+			_, err := BuildReport(s, recs)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("BuildReport = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 
