@@ -2,9 +2,7 @@ package campaign
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
-	"strings"
 
 	"repro/internal/scenario"
 )
@@ -61,80 +59,135 @@ func splitmix64(x uint64) uint64 {
 // than the index means a cell's seed — and hence its results — do not change
 // when axes grow or explicit specs are appended elsewhere in the sweep, and
 // any cell can be re-run standalone from its manifest line alone.
-func DeriveCellSeed(base int64, cellID string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(cellID))
-	return int64(splitmix64(splitmix64(uint64(base)) ^ h.Sum64()))
+func DeriveCellSeed(base int64, cellID string) int64 { return deriveCellSeed(base, cellID) }
+
+// deriveCellSeed is DeriveCellSeed over an ID's bytes, however they are held.
+func deriveCellSeed[ID string | []byte](base int64, id ID) int64 {
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= 1099511628211 // FNV-1a 64-bit prime
+	}
+	return int64(splitmix64(splitmix64(uint64(base)) ^ h))
 }
 
 // Cell returns the i-th cell's metadata (grid cells first, row-major, then
 // explicit specs). It never materializes the scenario spec; call Cell.Spec
 // for that.
 func (s *SweepSpec) Cell(i int) (Cell, error) {
-	grid := s.gridCells()
+	return (&identity{sweep: s, grid: s.gridCells()}).cell(i)
+}
+
+// identity renders a sweep's cell identities: coordinates, ID and seed.
+// values holds each axis's canonical coordinate strings, formatted once by
+// newIdentity and shared by every Coord — and so every Cell and record —
+// rendered from it; without values a coordinate is formatted when rendered,
+// which is all a single SweepSpec.Cell lookup needs.
+type identity struct {
+	sweep  *SweepSpec
+	grid   int
+	values [][]string
+}
+
+// newIdentity formats every axis's coordinates once, for rendering many
+// cells.
+func newIdentity(s *SweepSpec) *identity {
+	x := &identity{sweep: s, grid: s.gridCells(), values: make([][]string, len(s.Axes))}
+	for a, ax := range s.Axes {
+		if len(ax.Strings) > 0 {
+			x.values[a] = ax.Strings
+			continue
+		}
+		x.values[a] = make([]string, len(ax.Values))
+		for k := range ax.Values {
+			x.values[a][k] = ax.coord(k)
+		}
+	}
+	return x
+}
+
+// cell returns cell i's metadata, its coordinates in a slice of its own.
+func (x *identity) cell(i int) (Cell, error) {
+	s := x.sweep
 	if i < 0 || i >= s.NumCells() {
 		return Cell{}, fmt.Errorf("campaign: cell index %d out of range [0,%d)", i, s.NumCells())
 	}
-	if i >= grid {
-		si := i - grid
-		id := fmt.Sprintf("spec[%d]=%s", si, s.Specs[si].Name)
-		c := Cell{
-			Index:  i,
-			ID:     id,
-			Scheme: specScheme(s.Specs[si]),
-			Seed:   DeriveCellSeed(s.Seed, id),
-			sweep:  s,
-			spec:   si,
-		}
-		return c, nil
+	c := Cell{Index: i, sweep: s, spec: -1}
+	if i < x.grid {
+		c.Coords = make([]Coord, len(s.Axes))
+	} else {
+		c.spec = i - x.grid
 	}
-	// Mixed-radix decode: the first axis varies slowest.
-	idx := make([]int, len(s.Axes))
-	rem := i
-	for a := len(s.Axes) - 1; a >= 0; a-- {
-		n := s.Axes[a].Len()
-		idx[a] = rem % n
-		rem /= n
-	}
-	family := s.Family
-	scheme := s.Scheme
-	coords := make([]Coord, 0, len(s.Axes))
-	for a, ax := range s.Axes {
-		v := ax.coord(idx[a])
-		coords = append(coords, Coord{Axis: ax.Name, Value: v})
-		switch ax.Name {
-		case AxisFamily:
-			family = v
-		case AxisScheme:
-			scheme = v
-		}
-	}
-	c := Cell{
-		Index:  i,
-		Family: family,
-		Scheme: scheme,
-		Coords: coords,
-		sweep:  s,
-		spec:   -1,
-	}
-	c.ID = cellID(family, coords)
-	c.Seed = DeriveCellSeed(s.Seed, c.ID)
+	var buf [128]byte
+	id := x.render(buf[:0], c.Coords, i)
+	c.ID = string(id)
+	c.Seed = deriveCellSeed(s.Seed, id)
+	c.Family, c.Scheme = x.kind(c.Coords, i)
 	return c, nil
 }
 
-// cellID renders the stable coordinate identity: the family first (whether
-// it came from the field or the family axis), then every non-family axis in
-// declaration order.
-func cellID(family string, coords []Coord) string {
-	parts := make([]string, 0, len(coords)+1)
-	parts = append(parts, "family="+family)
+// render appends cell i's stable ID to dst. A grid cell's coordinates go
+// into coords, one per axis in axis order, and its ID is "family=<family>"
+// (whether the family came from the field or the family axis) followed by
+// every non-family axis as "<axis>=<value>" in declaration order, joined by
+// '/'. An explicit spec's ID is "spec[<j>]=<name>" and it has no
+// coordinates. i must be a valid cell index.
+func (x *identity) render(dst []byte, coords []Coord, i int) []byte {
+	s := x.sweep
+	if i >= x.grid {
+		j := i - x.grid
+		dst = append(dst, "spec["...)
+		dst = strconv.AppendInt(dst, int64(j), 10)
+		dst = append(dst, "]="...)
+		return append(dst, s.Specs[j].Name...)
+	}
+	// Mixed-radix decode: the first axis varies slowest.
+	stride, rem := x.grid, i
+	for a, ax := range s.Axes {
+		stride /= ax.Len()
+		coords[a] = Coord{Axis: ax.Name, Value: x.value(a, rem/stride)}
+		rem %= stride
+	}
+	family, _ := x.kind(coords, i)
+	dst = append(dst, "family="...)
+	dst = append(dst, family...)
 	for _, c := range coords {
 		if c.Axis == AxisFamily {
 			continue
 		}
-		parts = append(parts, c.Axis+"="+c.Value)
+		dst = append(dst, '/')
+		dst = append(dst, c.Axis...)
+		dst = append(dst, '=')
+		dst = append(dst, c.Value...)
 	}
-	return strings.Join(parts, "/")
+	return dst
+}
+
+// value returns axis a's k-th canonical coordinate.
+func (x *identity) value(a, k int) string {
+	if x.values != nil {
+		return x.values[a][k]
+	}
+	return x.sweep.Axes[a].coord(k)
+}
+
+// kind returns cell i's family and scheme, given the coordinates render
+// filled in for it.
+func (x *identity) kind(coords []Coord, i int) (family, scheme string) {
+	s := x.sweep
+	if i >= x.grid {
+		return "", specScheme(s.Specs[i-x.grid])
+	}
+	family, scheme = s.Family, s.Scheme
+	for _, c := range coords {
+		switch c.Axis {
+		case AxisFamily:
+			family = c.Value
+		case AxisScheme:
+			scheme = c.Value
+		}
+	}
+	return family, scheme
 }
 
 // specScheme returns the single scheme an explicit spec runs, or "" when it

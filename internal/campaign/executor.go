@@ -135,10 +135,14 @@ func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
 		}
 	}
 
-	// Enumerate this shard's cells lazily (metadata only — no specs are
+	// Enumerate this shard's cells (metadata only — no specs are
 	// materialized here) and split out what still needs to run. Resumed
 	// records are re-verified against the sweep: a manifest from an edited
-	// config must fail loudly, not silently misreport.
+	// config must fail loudly, not silently misreport. Each cell's ID is
+	// rendered into one reused buffer and looked up as bytes.
+	x := newIdentity(&sweep)
+	coords := make([]Coord, len(sweep.Axes))
+	var id []byte
 	var pending []int
 	shardCells := 0
 	for i := 0; i < sweep.NumCells(); i++ {
@@ -146,17 +150,16 @@ func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
 			continue
 		}
 		shardCells++
-		cell, err := sweep.Cell(i)
-		if err != nil {
-			return nil, err
-		}
-		if rec, ok := done[cell.ID]; ok {
-			if rec.Seed != cell.Seed || rec.Index != cell.Index {
-				return nil, fmt.Errorf("campaign: manifest cell %q (index %d, seed %d) does not match the sweep (index %d, seed %d); the config changed since the checkpoint",
-					cell.ID, rec.Index, rec.Seed, cell.Index, cell.Seed)
+		if len(done) > 0 {
+			id = x.render(id[:0], coords, i)
+			if rec, ok := done[string(id)]; ok {
+				if seed := deriveCellSeed(sweep.Seed, id); rec.Seed != seed || rec.Index != i {
+					return nil, fmt.Errorf("campaign: manifest cell %q (index %d, seed %d) does not match the sweep (index %d, seed %d); the config changed since the checkpoint",
+						rec.ID, rec.Index, rec.Seed, i, seed)
+				}
+				records = append(records, rec)
+				continue
 			}
-			records = append(records, rec)
-			continue
 		}
 		pending = append(pending, i)
 	}
@@ -164,7 +167,7 @@ func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
 		sweep.Name, opts.Shard, max(1, opts.NumShards), shardCells, len(records), len(pending))
 
 	if len(pending) > 0 {
-		fresh, err := e.runPending(&sweep, pending, opts)
+		fresh, err := e.runPending(x, pending, opts)
 		records = append(records, fresh...)
 		if err != nil {
 			return records, err
@@ -178,7 +181,7 @@ func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
 // taking the next pending cell from one shared cursor. A cell's session comes
 // from scenario's process-wide pool whichever worker runs it, so no worker
 // needs a run of cells of its own.
-func (e Executor) runPending(sweep *SweepSpec, pending []int, opts RunOptions) ([]CellRecord, error) {
+func (e Executor) runPending(x *identity, pending []int, opts RunOptions) ([]CellRecord, error) {
 	var manifest *os.File
 	if opts.ManifestPath != "" {
 		f, err := os.OpenFile(opts.ManifestPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -221,7 +224,7 @@ func (e Executor) runPending(sweep *SweepSpec, pending []int, opts RunOptions) (
 					return
 				}
 				var d cellDone
-				d.cell, d.rec, d.results, d.err = e.runCell(ctx, sweep, pending[n])
+				d.cell, d.rec, d.results, d.err = e.runCell(ctx, x, pending[n])
 				select {
 				case out <- d:
 				case <-ctx.Done():
@@ -277,8 +280,9 @@ func (e Executor) runPending(sweep *SweepSpec, pending []int, opts RunOptions) (
 // quarantine record (Failure set, zero aggregate) that is checkpointed like
 // any other, so a resume skips the known-bad cell. Only interruption and
 // infrastructure errors (a broken sweep) propagate as errors.
-func (e Executor) runCell(ctx context.Context, sweep *SweepSpec, idx int) (Cell, CellRecord, []scenario.Result, error) {
-	cell, err := sweep.Cell(idx)
+func (e Executor) runCell(ctx context.Context, x *identity, idx int) (Cell, CellRecord, []scenario.Result, error) {
+	sweep := x.sweep
+	cell, err := x.cell(idx)
 	if err != nil {
 		return cell, CellRecord{}, nil, err
 	}

@@ -13,8 +13,9 @@ import (
 // stable fixed point — decode(encode(decode(x))) produces the same bytes as
 // encode(decode(x)) — and re-encoding must never turn a valid sweep into an
 // invalid or undecodable one. Cell enumeration must also be stable across the
-// round trip, since cell IDs anchor seeds, manifests and resume. The corpus
-// is seeded from the checked-in example campaigns.
+// round trip, since cell IDs anchor seeds, manifests and resume, and a run's
+// shared identity must render each cell exactly as SweepSpec.Cell does. The
+// corpus is seeded from the checked-in example campaigns.
 //
 // Run with: go test ./internal/campaign -fuzz FuzzSweepSpecRoundTrip
 func FuzzSweepSpecRoundTrip(f *testing.F) {
@@ -69,6 +70,8 @@ func FuzzSweepSpecRoundTrip(f *testing.F) {
 		if s.NumCells() != s2.NumCells() {
 			t.Fatalf("cell count changed across the round trip: %d -> %d", s.NumCells(), s2.NumCells())
 		}
+		// A run's shared identity renders every cell as a lone lookup does.
+		x := newIdentity(&s)
 		for i := 0; i < s.NumCells(); i++ {
 			c1, err1 := s.Cell(i)
 			c2, err2 := s2.Cell(i)
@@ -77,6 +80,9 @@ func FuzzSweepSpecRoundTrip(f *testing.F) {
 			}
 			if err1 == nil && (c1.ID != c2.ID || c1.Seed != c2.Seed || c1.Scheme != c2.Scheme) {
 				t.Fatalf("cell %d identity changed across the round trip: %+v vs %+v", i, c1, c2)
+			}
+			if cx, err := x.cell(i); err != nil || !reflect.DeepEqual(cx, c1) {
+				t.Fatalf("cell %d from the shared identity = %+v, %v; want %+v", i, cx, err, c1)
 			}
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -62,12 +61,14 @@ func BuildReport(sweep SweepSpec, records []CellRecord) (Report, error) {
 	if err := sweep.Validate(); err != nil {
 		return Report{}, err
 	}
-	byIndex := make(map[int]CellRecord, len(records))
-	for _, rec := range records {
+	// byIndex maps a cell index to its record's position in records.
+	byIndex := make(map[int]int, len(records))
+	for j, rec := range records {
 		if rec.Campaign != sweep.Name {
 			return Report{}, fmt.Errorf("campaign: record %q belongs to campaign %q, not %q", rec.ID, rec.Campaign, sweep.Name)
 		}
-		if prev, ok := byIndex[rec.Index]; ok {
+		if k, ok := byIndex[rec.Index]; ok {
+			prev := &records[k]
 			if prev.ID != rec.ID || prev.Seed != rec.Seed {
 				return Report{}, fmt.Errorf("campaign: conflicting records for cell index %d (%q vs %q)", rec.Index, prev.ID, rec.ID)
 			}
@@ -77,29 +78,29 @@ func BuildReport(sweep SweepSpec, records []CellRecord) (Report, error) {
 				continue
 			}
 		}
-		byIndex[rec.Index] = rec
+		byIndex[rec.Index] = j
 	}
+	// Walk the cells in index order, so cells and failed come out sorted.
+	// Each cell's ID is rendered into one reused buffer and compared as
+	// bytes with its record's.
+	x := newIdentity(&sweep)
+	coords := make([]Coord, len(sweep.Axes))
+	var id []byte
 	n := sweep.NumCells()
 	cells := make([]CellRecord, 0, n)
 	var failed []FailedCell
 	var missing []string
 	for i := 0; i < n; i++ {
-		rec, ok := byIndex[i]
+		id = x.render(id[:0], coords, i)
+		j, ok := byIndex[i]
 		if !ok {
-			cell, err := sweep.Cell(i)
-			if err != nil {
-				return Report{}, err
-			}
-			missing = append(missing, cell.ID)
+			missing = append(missing, string(id))
 			continue
 		}
-		cell, err := sweep.Cell(i)
-		if err != nil {
-			return Report{}, err
-		}
-		if cell.ID != rec.ID || cell.Seed != rec.Seed {
+		rec := records[j]
+		if seed := deriveCellSeed(sweep.Seed, id); string(id) != rec.ID || seed != rec.Seed {
 			return Report{}, fmt.Errorf("campaign: record for index %d (%q, seed %d) does not match the sweep (%q, seed %d)",
-				i, rec.ID, rec.Seed, cell.ID, cell.Seed)
+				i, rec.ID, rec.Seed, id, seed)
 		}
 		if rec.Failure != "" {
 			failed = append(failed, FailedCell{Index: rec.Index, ID: rec.ID, Failure: rec.Failure, Attempts: rec.Attempts})
@@ -113,8 +114,6 @@ func BuildReport(sweep SweepSpec, records []CellRecord) (Report, error) {
 		}
 		return Report{}, fmt.Errorf("campaign: report incomplete: %d of %d cells missing (%v); run the remaining shards or resume", n-len(byIndex), n, missing)
 	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Index < cells[j].Index })
-	sort.Slice(failed, func(i, j int) bool { return failed[i].Index < failed[j].Index })
 	rep := Report{
 		Version:     ReportVersion,
 		Campaign:    sweep.Name,
@@ -160,7 +159,7 @@ func DecodeReport(data []byte) (Report, error) {
 
 // csvHeader is the flat per-cell schema (one row per cell; the cell's scheme
 // is a column, so a scheme-axis campaign reads as one row per cell × scheme).
-var csvHeader = []any{
+var csvHeader = []string{
 	"index", "id", "family", "scheme", "spec_name", "seed", "reps",
 	"flow_samples", "tput_mean_mbps", "tput_p50_mbps", "delay_mean_ms", "delay_p50_ms",
 	"utility_mean", "starved_flows",
@@ -172,19 +171,19 @@ var csvHeader = []any{
 // formatting (stats.CSVFloat round-trips every value exactly).
 func (r Report) WriteCSV(w io.Writer) error {
 	cw := stats.NewCSVWriter(w)
-	if err := cw.Row(csvHeader...); err != nil {
+	cw.String(csvHeader...)
+	if err := cw.EndRow(); err != nil {
 		return err
 	}
 	for _, c := range r.Cells {
 		a := c.Aggregate
-		err := cw.Row(
-			c.Index, c.ID, c.Family, c.Scheme, c.SpecName, c.Seed, a.Reps,
-			a.FlowSamples, a.ThroughputMbps.Mean, a.ThroughputMbps.P50, a.QueueDelayMs.Mean, a.QueueDelayMs.P50,
-			a.UtilityMean, a.StarvedFlows,
-			a.FlowsSpawned, a.FlowsCompleted, a.FlowsRejected,
-			a.FCT.MeanMs, a.FCT.P50Ms, a.FCT.P95Ms, a.FCT.P99Ms, a.FCT.MinMs, a.FCT.MaxMs,
-		)
-		if err != nil {
+		cw.Int(int64(c.Index))
+		cw.String(c.ID, c.Family, c.Scheme, c.SpecName)
+		cw.Int(c.Seed, int64(a.Reps), a.FlowSamples)
+		cw.Float(a.ThroughputMbps.Mean, a.ThroughputMbps.P50, a.QueueDelayMs.Mean, a.QueueDelayMs.P50, a.UtilityMean)
+		cw.Int(a.StarvedFlows, a.FlowsSpawned, a.FlowsCompleted, a.FlowsRejected)
+		cw.Float(a.FCT.MeanMs, a.FCT.P50Ms, a.FCT.P95Ms, a.FCT.P99Ms, a.FCT.MinMs, a.FCT.MaxMs)
+		if err := cw.EndRow(); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -222,6 +223,18 @@ func TestDeriveCellSeedStable(t *testing.T) {
 	}
 	if DeriveCellSeed(1, "a") == DeriveCellSeed(2, "a") {
 		t.Fatal("different base seeds derived the same cell seed")
+	}
+	// The inline FNV-1a is hash/fnv's, over a string or the same bytes.
+	for _, id := range []string{"", "a", "spec[0]=x", "family=flowchurn/scheme=cubic/offered_load=0.5", "\xff\x00/="} {
+		h := fnv.New64a()
+		h.Write([]byte(id))
+		want := int64(splitmix64(splitmix64(uint64(20130812)) ^ h.Sum64()))
+		if got := DeriveCellSeed(20130812, id); got != want {
+			t.Fatalf("DeriveCellSeed(%q) = %d, want %d", id, got, want)
+		}
+		if got := deriveCellSeed(20130812, []byte(id)); got != want {
+			t.Fatalf("deriveCellSeed(%q bytes) = %d, want %d", id, got, want)
+		}
 	}
 }
 

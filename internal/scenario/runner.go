@@ -28,7 +28,8 @@ type Result struct {
 	Err error
 }
 
-// summarize fills r's derived summaries from its flow results.
+// summarize fills r's derived summaries from its flow results, sorting the
+// worker's scratch slices in place rather than copying them.
 func (w *Worker) summarize(r *Result) {
 	w.tputs, w.delays = w.tputs[:0], w.delays[:0]
 	for _, f := range r.Res.Flows {
@@ -38,8 +39,8 @@ func (w *Worker) summarize(r *Result) {
 		w.tputs = append(w.tputs, f.Metrics.Mbps())
 		w.delays = append(w.delays, f.Metrics.QueueingDelayMs())
 	}
-	r.Throughput = stats.Summarize(w.tputs)
-	r.Delay = stats.Summarize(w.delays)
+	r.Throughput = stats.SummarizeInPlace(w.tputs)
+	r.Delay = stats.SummarizeInPlace(w.delays)
 }
 
 // Runner executes batches of Specs across a worker pool, one independent

@@ -113,26 +113,34 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[i] + frac*(s[i+1]-s[i])
 }
 
-// Summarize computes a Summary of xs. The runner summarizes every
-// repetition, so the slice is copied and sorted exactly once and every order
-// statistic — median, P10, P90, min, max — reads from that one sorted copy.
+// Summarize computes a Summary of xs, leaving xs as it is: it summarizes a
+// sorted copy with SummarizeInPlace.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
 	s := make([]float64, len(xs))
 	copy(s, xs)
-	sort.Float64s(s)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: quantileSorted(s, 0.5),
-		StdDev: StdDev(xs),
-		P10:    quantileSorted(s, 0.10),
-		P90:    quantileSorted(s, 0.90),
-		Min:    s[0],
-		Max:    s[len(s)-1],
+	return SummarizeInPlace(s)
+}
+
+// SummarizeInPlace computes a Summary of xs and leaves xs sorted. The mean
+// and standard deviation are taken in xs's original order, so every bit of
+// the result equals Summarize's; then xs is sorted once and every order
+// statistic — median, P10, P90, min, max — reads from it. The runner
+// summarizes every repetition on its own scratch slices this way, with no
+// copy.
+func SummarizeInPlace(xs []float64) Summary {
+	if len(xs) == 0 {
+		return Summary{}
 	}
+	out := Summary{N: len(xs), Mean: Mean(xs), StdDev: StdDev(xs)}
+	sort.Float64s(xs)
+	out.Median = quantileSorted(xs, 0.5)
+	out.P10 = quantileSorted(xs, 0.10)
+	out.P90 = quantileSorted(xs, 0.90)
+	out.Min, out.Max = xs[0], xs[len(xs)-1]
+	return out
 }
 
 func (s Summary) String() string {
