@@ -113,8 +113,8 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[i] + frac*(s[i+1]-s[i])
 }
 
-// Summarize computes a Summary of xs, leaving xs as it is: it summarizes a
-// sorted copy with SummarizeInPlace.
+// Summarize computes a Summary of xs, leaving xs as it is: it runs
+// SummarizeInPlace on a copy.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
