@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -61,79 +64,71 @@ func TestParseVetJSONEmpty(t *testing.T) {
 	}
 }
 
-// TestEndToEnd builds the repolint binary, fabricates a module with one
-// result-affecting package containing a detmap violation, and checks both
-// output modes of the standalone driver against it.
+// TestEndToEnd builds the repolint binary and runs it over the module in
+// testdata/mod, which holds one finding per analyzer, globalrand in an
+// in-package and in an external test, a valid suppression, a malformed
+// directive and a cold package. The -json output must match
+// testdata/findings.json byte for byte; the text output must say the same.
+// A clean pattern exits 0 with "[]", and a package that fails to
+// type-check (testdata/broken) exits 2.
 func TestEndToEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
+		t.Skip("builds a binary and runs the go command")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "repolint")
+	bin := filepath.Join(t.TempDir(), "repolint")
 	build := exec.Command("go", "build", "-o", bin, ".")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	run := func(dir string, args ...string) ([]byte, int) {
+		t.Helper()
+		cmd := exec.Command(bin, args...)
+		cmd.Dir = filepath.Join("testdata", dir)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatalf("repolint %v: %v", args, err)
+		}
+		if stderr.Len() > 0 {
+			t.Logf("repolint %v stderr:\n%s", args, stderr.String())
+		}
+		return out, cmd.ProcessState.ExitCode()
+	}
 
-	mod := filepath.Join(dir, "mod")
-	if err := os.MkdirAll(filepath.Join(mod, "sim"), 0o755); err != nil {
+	want, err := os.ReadFile(filepath.Join("testdata", "findings.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	writeFile(t, filepath.Join(mod, "go.mod"), "module tmplint\n\ngo 1.24\n")
-	writeFile(t, filepath.Join(mod, "sim", "x.go"), `package sim
-
-func Sum(m map[string]int) int {
-	t := 0
-	for _, v := range m {
-		t += v
+	out, code := run("mod", "-json", "./...")
+	if code != 1 {
+		t.Errorf("-json ./...: exit %d, want 1", code)
 	}
-	return t
-}
-`)
-
-	run := exec.Command(bin, "-json", "./...")
-	run.Dir = mod
-	out, err := run.Output()
-	if err == nil {
-		t.Fatalf("expected exit 1 on findings, got success; output:\n%s", out)
+	if !bytes.Equal(out, want) {
+		t.Errorf("-json output differs from testdata/findings.json:\n%s", out)
 	}
+
 	var findings []Finding
-	if jerr := json.Unmarshal(out, &findings); jerr != nil {
-		t.Fatalf("bad -json output: %v\n%s", jerr, out)
-	}
-	if len(findings) != 1 {
-		t.Fatalf("got %d findings, want 1: %+v", len(findings), findings)
-	}
-	f := findings[0]
-	if f.Analyzer != "detmap" || f.Line != 5 || filepath.ToSlash(f.File) != "sim/x.go" {
-		t.Errorf("unexpected finding: %+v", f)
-	}
-	if !strings.Contains(f.Message, "nondeterministic iteration order") {
-		t.Errorf("unexpected message: %s", f.Message)
-	}
-
-	// A suppression with a reason silences it; the driver then exits 0.
-	writeFile(t, filepath.Join(mod, "sim", "x.go"), `package sim
-
-func Sum(m map[string]int) int {
-	t := 0
-	//lint:ignore detmap summation is order-insensitive
-	for _, v := range m {
-		t += v
-	}
-	return t
-}
-`)
-	run = exec.Command(bin, "./...")
-	run.Dir = mod
-	if out, err := run.CombinedOutput(); err != nil {
-		t.Fatalf("expected clean exit after suppression, got %v:\n%s", err, out)
-	}
-}
-
-func writeFile(t *testing.T, path, content string) {
-	t.Helper()
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	if err := json.Unmarshal(want, &findings); err != nil {
 		t.Fatal(err)
+	}
+	var text strings.Builder
+	for _, f := range findings {
+		fmt.Fprintf(&text, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+	}
+	fmt.Fprintf(&text, "repolint: %d finding(s)\n", len(findings))
+	out, code = run("mod", "./...")
+	if code != 1 || string(out) != text.String() {
+		t.Errorf("text mode: exit %d, output:\n%s\nwant exit 1, output:\n%s", code, out, text.String())
+	}
+
+	out, code = run("mod", "-json", "./cold/...")
+	if code != 0 || string(out) != "[]\n" {
+		t.Errorf("clean package: exit %d, output %q; want exit 0, \"[]\\n\"", code, out)
+	}
+
+	if _, code = run("broken", "./..."); code != 2 {
+		t.Errorf("package that fails to type-check: exit %d, want 2", code)
 	}
 }
