@@ -2,52 +2,39 @@
 // suite (internal/lint): detmap, walltime, globalrand, hotalloc and
 // lintdirective.
 //
-// It is two drivers in one binary:
+//	repolint ./...          # human-readable, exit 1 on findings
+//	repolint -json ./...    # machine-readable [{file,line,col,analyzer,message}]
 //
-//   - As a vet tool it speaks the unitchecker protocol, so the full Go
-//     build graph loader does the package loading:
-//
-//     go vet -vettool=$(pwd)/repolint ./...
-//
-//   - Standalone it accepts package patterns directly and re-executes
-//     itself through "go vet -json", merging the per-package JSON into one
-//     sorted finding list:
-//
-//     repolint ./...          # human-readable, exit 1 on findings
-//     repolint -json ./...    # machine-readable [{file,line,col,analyzer,message}]
-//
-// The -json mode exists so future tooling can diff findings across
-// commits.
+// It loads packages with one "go list -deps -test -export" and checks each
+// matched package with its in-package tests, plus its external test
+// package; imports are read from the export data the go command built.
+// Exit status is 0 when clean, 1 on findings and 2 when a package fails to
+// load or type-check. The -json mode exists so tooling can diff findings
+// across commits.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
-
-	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	// go vet invokes the tool as "repolint -V=full", "repolint -flags",
-	// then "repolint <dir>/vet.cfg". Anything else is the standalone CLI.
-	for _, arg := range os.Args[1:] {
-		if arg == "-V=full" || arg == "--V=full" || arg == "-flags" ||
-			strings.HasSuffix(arg, ".cfg") {
-			unitchecker.Main(lint.Analyzers...)
-			return // unreachable; Main exits
-		}
-	}
-	os.Exit(standalone(os.Args[1:]))
+	os.Exit(run(os.Args[1:]))
 }
 
 // Finding is one diagnostic in -json output, sorted by (file, line, col,
@@ -60,7 +47,19 @@ type Finding struct {
 	Message  string `json:"message"`
 }
 
-func standalone(args []string) int {
+// listedPackage is the part of "go list -json" output the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	ImportMap  map[string]string
+	ForTest    string
+	Match      []string
+	Error      *struct{ Err string }
+}
+
+func run(args []string) int {
 	fs := flag.NewFlagSet("repolint", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	fs.Usage = func() {
@@ -76,26 +75,9 @@ func standalone(args []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	exe, err := os.Executable()
+	findings, err := check(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
-		return 2
-	}
-	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe, "-json"}, patterns...)...)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	runErr := cmd.Run()
-
-	findings, perr := parseVetJSON(stderr.Bytes())
-	if perr != nil {
-		fmt.Fprintf(os.Stderr, "repolint: cannot parse go vet output: %v\nraw output:\n%s", perr, stderr.String())
-		return 2
-	}
-	if runErr != nil && len(findings) == 0 {
-		// A hard failure (build error, bad pattern) rather than findings.
-		fmt.Fprintf(os.Stderr, "repolint: go vet failed: %v\n%s%s", runErr, stderr.String(), stdout.String())
 		return 2
 	}
 
@@ -140,77 +122,89 @@ func standalone(args []string) int {
 	return 0
 }
 
-// vetDiag is one diagnostic in go vet -json output:
-//
-//	# package/path
-//	{"package/path": {"analyzer": [{"posn": "/abs/file.go:12:3", "message": "..."}]}}
-type vetDiag struct {
-	Posn    string `json:"posn"`
-	Message string `json:"message"`
-}
-
-// parseVetJSON extracts findings from the interleaved "# pkg" comment lines
-// and JSON objects go vet -json writes to stderr.
-func parseVetJSON(out []byte) ([]Finding, error) {
-	var findings []Finding
-	cwd, _ := os.Getwd()
-	dec := json.NewDecoder(bytes.NewReader(stripComments(out)))
-	for dec.More() {
-		var unit map[string]map[string][]vetDiag
-		if err := dec.Decode(&unit); err != nil {
-			return nil, err
+// check lists the packages matching patterns and runs the suite over each
+// one's test variant ("p [p.test]", or p itself when it has no in-package
+// tests) and its external test package ("p_test [p.test]"), the units go
+// vet checks. File names are reported relative to the working directory
+// when they lie under it.
+func check(patterns []string) ([]Finding, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json", "-deps", "-test", "-export"}, patterns...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+	}
+	byPath := make(map[string]*listedPackage)
+	var roots []string
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err != nil {
+			return nil, fmt.Errorf("go list output: %v", err)
 		}
-		for _, byAnalyzer := range unit {
-			for analyzer, diags := range byAnalyzer {
-				for _, d := range diags {
-					f := Finding{Analyzer: analyzer, Message: d.Message}
-					f.File, f.Line, f.Col = splitPosn(d.Posn)
-					if cwd != "" {
-						if rel, err := filepath.Rel(cwd, f.File); err == nil && !strings.HasPrefix(rel, "..") {
-							f.File = rel
-						}
-					}
-					findings = append(findings, f)
+		if p.Error != nil {
+			return nil, errors.New(strings.TrimSpace(p.Error.Err))
+		}
+		byPath[p.ImportPath] = p
+		if len(p.Match) > 0 && p.ForTest == "" {
+			roots = append(roots, p.ImportPath)
+		}
+	}
+
+	cwd, _ := os.Getwd()
+	fset := token.NewFileSet()
+	var findings []Finding
+	for _, root := range roots {
+		units := []*listedPackage{byPath[root]}
+		if p := byPath[root+" ["+root+".test]"]; p != nil {
+			units[0] = p
+		}
+		if p := byPath[root+"_test ["+root+".test]"]; p != nil {
+			units = append(units, p)
+		}
+		for _, p := range units {
+			diags, err := checkPackage(fset, p, byPath)
+			if err != nil {
+				return nil, err
+			}
+			for _, d := range diags {
+				pos := fset.Position(d.Pos)
+				file := pos.Filename
+				if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
+					file = rel
 				}
+				findings = append(findings, Finding{file, pos.Line, pos.Column, d.Analyzer, d.Message})
 			}
 		}
 	}
 	return findings, nil
 }
 
-// stripComments drops the "# package/path" progress lines between JSON
-// objects.
-func stripComments(out []byte) []byte {
-	var b bytes.Buffer
-	for _, line := range bytes.Split(out, []byte("\n")) {
-		if bytes.HasPrefix(bytes.TrimSpace(line), []byte("#")) {
-			continue
+// checkPackage parses p and runs the suite over it, importing its
+// dependencies from their export data.
+func checkPackage(fset *token.FileSet, p *listedPackage, byPath map[string]*listedPackage) ([]lint.Diagnostic, error) {
+	var files []*ast.File
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
 		}
-		b.Write(line)
-		b.WriteByte('\n')
+		files = append(files, f)
 	}
-	return b.Bytes()
-}
-
-// splitPosn parses "file.go:line:col" (the col part may be absent).
-func splitPosn(posn string) (file string, line, col int) {
-	rest := posn
-	// Windows drive letters are not a concern on this repo's platforms, so
-	// split from the right.
-	if i := strings.LastIndexByte(rest, ':'); i >= 0 {
-		if n, err := strconv.Atoi(rest[i+1:]); err == nil {
-			col = n
-			rest = rest[:i]
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if mapped, ok := p.ImportMap[path]; ok {
+			path = mapped
 		}
-	}
-	if i := strings.LastIndexByte(rest, ':'); i >= 0 {
-		if n, err := strconv.Atoi(rest[i+1:]); err == nil {
-			line = n
-			rest = rest[:i]
+		dep := byPath[path]
+		if dep == nil || dep.Export == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
+		return os.Open(dep.Export)
+	})
+	path, _, _ := strings.Cut(p.ImportPath, " ")
+	diags, err := lint.Check(fset, path, files, imp, lint.Analyzers)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 	}
-	if line == 0 && col != 0 {
-		line, col = col, 0
-	}
-	return rest, line, col
+	return diags, nil
 }

@@ -12,58 +12,6 @@ import (
 	"testing"
 )
 
-func TestSplitPosn(t *testing.T) {
-	cases := []struct {
-		in        string
-		file      string
-		line, col int
-	}{
-		{"/a/b/x.go:12:3", "/a/b/x.go", 12, 3},
-		{"x.go:7", "x.go", 7, 0},
-		{"x.go", "x.go", 0, 0},
-	}
-	for _, c := range cases {
-		file, line, col := splitPosn(c.in)
-		if file != c.file || line != c.line || col != c.col {
-			t.Errorf("splitPosn(%q) = (%q,%d,%d), want (%q,%d,%d)", c.in, file, line, col, c.file, c.line, c.col)
-		}
-	}
-}
-
-func TestParseVetJSON(t *testing.T) {
-	out := []byte(`# pkg/a
-{
-	"pkg/a": {
-		"detmap": [
-			{"posn": "/x/a.go:5:2", "message": "range over map"}
-		]
-	}
-}
-# pkg/b
-{
-	"pkg/b": {
-		"walltime": [
-			{"posn": "/x/b.go:9:1", "message": "time.Now"}
-		]
-	}
-}
-`)
-	findings, err := parseVetJSON(out)
-	if err != nil {
-		t.Fatalf("parseVetJSON: %v", err)
-	}
-	if len(findings) != 2 {
-		t.Fatalf("got %d findings, want 2: %+v", len(findings), findings)
-	}
-}
-
-func TestParseVetJSONEmpty(t *testing.T) {
-	findings, err := parseVetJSON([]byte("# pkg/a\n"))
-	if err != nil || len(findings) != 0 {
-		t.Fatalf("got (%v, %v), want no findings, no error", findings, err)
-	}
-}
-
 // TestEndToEnd builds the repolint binary and runs it over the module in
 // testdata/mod, which holds one finding per analyzer, globalrand in an
 // in-package and in an external test, a valid suppression, a malformed

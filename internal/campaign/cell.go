@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // Coord is one cell coordinate: an axis name and the canonical string form
@@ -44,16 +45,6 @@ type Cell struct {
 	spec  int // explicit-spec index, -1 for grid cells
 }
 
-// splitmix64 is the SplitMix64 output function (same mixer scenario uses for
-// repetition seeds), reproduced here so cell-seed derivation is self-
-// contained and stable even if scenario's internals move.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // DeriveCellSeed returns the base seed for a cell: the campaign seed mixed
 // with an FNV-1a hash of the cell's stable ID. Deriving from the ID rather
 // than the index means a cell's seed — and hence its results — do not change
@@ -68,7 +59,7 @@ func deriveCellSeed[ID string | []byte](base int64, id ID) int64 {
 		h ^= uint64(id[i])
 		h *= 1099511628211 // FNV-1a 64-bit prime
 	}
-	return int64(splitmix64(splitmix64(uint64(base)) ^ h))
+	return int64(sim.SplitMix64(sim.SplitMix64(uint64(base)) ^ h))
 }
 
 // Cell returns the i-th cell's metadata (grid cells first, row-major, then

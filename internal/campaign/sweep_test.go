@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // testSweep returns a small valid grid sweep: 2 schemes × 2 loads × 3 RTTs =
@@ -228,7 +229,7 @@ func TestDeriveCellSeedStable(t *testing.T) {
 	for _, id := range []string{"", "a", "spec[0]=x", "family=flowchurn/scheme=cubic/offered_load=0.5", "\xff\x00/="} {
 		h := fnv.New64a()
 		h.Write([]byte(id))
-		want := int64(splitmix64(splitmix64(uint64(20130812)) ^ h.Sum64()))
+		want := int64(sim.SplitMix64(sim.SplitMix64(uint64(20130812)) ^ h.Sum64()))
 		if got := DeriveCellSeed(20130812, id); got != want {
 			t.Fatalf("DeriveCellSeed(%q) = %d, want %d", id, got, want)
 		}

@@ -350,22 +350,14 @@ func (ls *LinkState) DropDelivered(now sim.Time) bool {
 // ("faultgen" in ASCII, mirroring the trace generator's "tracegen" salt).
 const faultSalt = 0x6661756c7467656e
 
-// splitmix64 is the same finalizer used by scenario seed derivation.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // DeriveSeed maps a run seed and a link index to the fault-RNG seed for that
 // link. Mirroring trace-seed derivation, link 0 uses the plain salted form so
 // single-link scenarios are unaffected by how many other links exist, and
 // each additional link gets a decorrelated stream.
 func DeriveSeed(runSeed int64, link int) int64 {
-	s := splitmix64(uint64(runSeed) ^ faultSalt)
+	s := sim.SplitMix64(uint64(runSeed) ^ faultSalt)
 	if link > 0 {
-		s = splitmix64(s + uint64(link))
+		s = sim.SplitMix64(s + uint64(link))
 	}
 	return int64(s & math.MaxInt64)
 }

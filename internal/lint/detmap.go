@@ -3,10 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
 // DetMap flags range statements over maps in result-affecting packages.
@@ -23,21 +19,18 @@ import (
 //
 // Anything else must sort keys first or carry
 // //lint:ignore detmap <reason> explaining why order cannot matter.
-var DetMap = &analysis.Analyzer{
-	Name:     "detmap",
-	Doc:      "flags nondeterministic map iteration in result-affecting packages",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runDetMap,
+var DetMap = &Analyzer{
+	Name: "detmap",
+	Doc:  "flags nondeterministic map iteration in result-affecting packages",
+	Run:  runDetMap,
 }
 
-func runDetMap(pass *analysis.Pass) (any, error) {
+func runDetMap(pass *Pass) {
 	if !inResultAffectingPackage(pass) {
-		return nil, nil
+		return
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	supp := collectSuppressions(pass)
-	ins.Preorder([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node) {
-		rng := n.(*ast.RangeStmt)
+	preorder(pass, func(rng *ast.RangeStmt) {
 		if isTestFile(pass, rng.Pos()) {
 			return
 		}
@@ -51,10 +44,9 @@ func runDetMap(pass *analysis.Pass) (any, error) {
 		if isCollectOnlyBody(rng.Body) {
 			return
 		}
-		supp.report(pass, rng.Pos(), "detmap",
+		supp.report(pass, rng.Pos(),
 			"range over map has nondeterministic iteration order; sort the keys first (or //lint:ignore detmap <reason> if order provably cannot affect results)")
 	})
-	return nil, nil
 }
 
 // isCollectOnlyBody reports whether every statement in the loop body is an

@@ -1,22 +1,18 @@
 package lint
 
-import (
-	"golang.org/x/tools/go/analysis"
-)
-
 // Directive validates every //lint:ignore suppression in the repo: the
 // directive must name at least one known analyzer (detmap, walltime,
 // globalrand, hotalloc) and carry a non-empty reason. A suppression
 // without a reason is a determinism bug waiting for its archaeology;
 // this analyzer makes the reason load-bearing. Directive findings are
 // themselves unsuppressable.
-var Directive = &analysis.Analyzer{
+var Directive = &Analyzer{
 	Name: "lintdirective",
 	Doc:  "checks that every //lint:ignore names a known analyzer and carries a reason",
 	Run:  runDirective,
 }
 
-func runDirective(pass *analysis.Pass) (any, error) {
+func runDirective(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -24,12 +20,8 @@ func runDirective(pass *analysis.Pass) (any, error) {
 				if d == nil || d.malformed == "" {
 					continue
 				}
-				pass.Report(analysis.Diagnostic{
-					Pos:     d.pos,
-					Message: "malformed //lint:ignore directive: " + d.malformed,
-				})
+				pass.Report(d.pos, "malformed //lint:ignore directive: "+d.malformed)
 			}
 		}
 	}
-	return nil, nil
 }

@@ -5,10 +5,6 @@ import (
 	"go/types"
 	"path/filepath"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
 // GlobalRand forces all randomness through the seeded, splittable sim.RNG.
@@ -25,11 +21,10 @@ import (
 //
 // Methods on an explicit *rand.Rand value are not flagged; the analyzer
 // polices where generators come from, not how they are consumed.
-var GlobalRand = &analysis.Analyzer{
-	Name:     "globalrand",
-	Doc:      "forbids global math/rand state and raw generator construction outside sim/rng.go",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runGlobalRand,
+var GlobalRand = &Analyzer{
+	Name: "globalrand",
+	Doc:  "forbids global math/rand state and raw generator construction outside sim/rng.go",
+	Run:  runGlobalRand,
 }
 
 // randConstructors create generators or sources; allowed only in
@@ -46,8 +41,7 @@ func isRandPkg(path string) bool {
 	return path == "math/rand" || path == "math/rand/v2"
 }
 
-func runGlobalRand(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func runGlobalRand(pass *Pass) {
 	supp := collectSuppressions(pass)
 	simPkg := false
 	for _, e := range pathElements(pass.Pkg.Path()) {
@@ -55,8 +49,7 @@ func runGlobalRand(pass *analysis.Pass) (any, error) {
 			simPkg = true
 		}
 	}
-	ins.Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
-		sel := n.(*ast.SelectorExpr)
+	preorder(pass, func(sel *ast.SelectorExpr) {
 		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 		if !ok || fn.Pkg() == nil || !isRandPkg(fn.Pkg().Path()) {
 			return
@@ -73,12 +66,11 @@ func runGlobalRand(pass *analysis.Pass) (any, error) {
 			if test {
 				return // seeded local generators are fine in tests
 			}
-			supp.report(pass, sel.Pos(), "globalrand",
+			supp.report(pass, sel.Pos(),
 				"rand."+fn.Name()+" constructs a raw generator; derive a stream from sim.RNG (NewRNG/Split) so seeding stays centralized (or //lint:ignore globalrand <reason>)")
 			return
 		}
-		supp.report(pass, sel.Pos(), "globalrand",
+		supp.report(pass, sel.Pos(),
 			"rand."+fn.Name()+" uses process-global math/rand state and is nondeterministic; use a seeded sim.RNG stream (or //lint:ignore globalrand <reason>)")
 	})
-	return nil, nil
 }

@@ -4,10 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
 // HotAlloc polices functions annotated //repo:hotpath — the per-event and
@@ -25,11 +21,10 @@ import (
 // Annotate a function by putting //repo:hotpath anywhere in its doc
 // comment. Cold paths inside a hot function (error construction, one-time
 // setup) carry //lint:ignore hotalloc <reason>.
-var HotAlloc = &analysis.Analyzer{
-	Name:     "hotalloc",
-	Doc:      "flags allocation patterns in //repo:hotpath functions",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runHotAlloc,
+var HotAlloc = &Analyzer{
+	Name: "hotalloc",
+	Doc:  "flags allocation patterns in //repo:hotpath functions",
+	Run:  runHotAlloc,
 }
 
 const hotPathDirective = "//repo:hotpath"
@@ -48,25 +43,24 @@ func isHotPath(fn *ast.FuncDecl) bool {
 	return false
 }
 
-func runHotAlloc(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
+func runHotAlloc(pass *Pass) {
 	supp := collectSuppressions(pass)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fn := n.(*ast.FuncDecl)
-		if fn.Body == nil || !isHotPath(fn) || isTestFile(pass, fn.Pos()) {
-			return
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && fn.Body != nil && isHotPath(fn) && !isTestFile(pass, fn.Pos()) {
+				checkHotFunc(pass, supp, fn)
+			}
 		}
-		checkHotFunc(pass, supp, fn)
-	})
-	return nil, nil
+	}
 }
 
-func checkHotFunc(pass *analysis.Pass, supp suppressions, fn *ast.FuncDecl) {
+func checkHotFunc(pass *Pass, supp suppressions, fn *ast.FuncDecl) {
 	capSlices := slicesWithCapacity(pass, fn)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			supp.report(pass, n.Pos(), "hotalloc",
+			supp.report(pass, n.Pos(),
 				"closure literal in //repo:hotpath function allocates per call; hoist it to a method or package-level func (or //lint:ignore hotalloc <reason>)")
 			return false // don't descend: the closure body is not the hot path
 		case *ast.CallExpr:
@@ -76,12 +70,12 @@ func checkHotFunc(pass *analysis.Pass, supp suppressions, fn *ast.FuncDecl) {
 	})
 }
 
-func checkHotCall(pass *analysis.Pass, supp suppressions, capSlices map[*types.Var]bool, call *ast.CallExpr) {
+func checkHotCall(pass *Pass, supp suppressions, capSlices map[*types.Var]bool, call *ast.CallExpr) {
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
 		if f, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok &&
 			f.Pkg() != nil && f.Pkg().Path() == "fmt" {
-			supp.report(pass, call.Pos(), "hotalloc",
+			supp.report(pass, call.Pos(),
 				"fmt."+f.Name()+" in //repo:hotpath function allocates (interface boxing, formatter state); move formatting off the hot path (or //lint:ignore hotalloc <reason>)")
 		}
 	case *ast.Ident:
@@ -93,7 +87,7 @@ func checkHotCall(pass *analysis.Pass, supp suppressions, capSlices map[*types.V
 				return // appending into preallocated capacity
 			}
 		}
-		supp.report(pass, call.Pos(), "hotalloc",
+		supp.report(pass, call.Pos(),
 			"append in //repo:hotpath function may grow the backing array; preallocate with make(..., cap) in this function (or //lint:ignore hotalloc <reason>)")
 	}
 }
@@ -103,7 +97,7 @@ func checkHotCall(pass *analysis.Pass, supp suppressions, capSlices map[*types.V
 // (make([]T, len, cap)) — appends into them are treated as
 // capacity-bounded. A two-argument make([]T, n) is full (len == cap), so
 // the first append would already reallocate; it does not qualify.
-func slicesWithCapacity(pass *analysis.Pass, fn *ast.FuncDecl) map[*types.Var]bool {
+func slicesWithCapacity(pass *Pass, fn *ast.FuncDecl) map[*types.Var]bool {
 	out := make(map[*types.Var]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)

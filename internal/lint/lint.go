@@ -1,6 +1,6 @@
-// Package lint implements repolint, a suite of golang.org/x/tools/go/analysis
-// analyzers that enforce this repository's determinism and hot-path
-// invariants at build time:
+// Package lint implements repolint, a suite of analyzers, built on the
+// standard library's go/ast and go/types alone, that enforce this
+// repository's determinism and hot-path invariants at build time:
 //
 //   - detmap: no range over a map in result-affecting packages unless the
 //     loop is the collect-keys-then-sort idiom (the PR 2 bug class).
@@ -27,13 +27,76 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
+// An Analyzer is one named check run over a type-checked package.
+type Analyzer struct {
+	Name string
+	Doc  string
+	Run  func(*Pass)
+}
+
+// A Pass is one analyzer's view of one package.
+type Pass struct {
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+
+	analyzer string
+	diags    *[]Diagnostic
+}
+
+// Report records a finding of the pass's analyzer at pos.
+func (pass *Pass) Report(pos token.Pos, msg string) {
+	*pass.diags = append(*pass.diags, Diagnostic{Pos: pos, Analyzer: pass.analyzer, Message: msg})
+}
+
+// A Diagnostic is one finding.
+type Diagnostic struct {
+	Pos      token.Pos
+	Analyzer string
+	Message  string
+}
+
+// Check type-checks files as the package pkgPath, resolving its imports
+// through imp, and runs analyzers over it. A type error is returned as the
+// error, with no diagnostics.
+func Check(fset *token.FileSet, pkgPath string, files []*ast.File, imp types.Importer, analyzers []*Analyzer) ([]Diagnostic, error) {
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(pkgPath, fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		a.Run(&Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, analyzer: a.Name, diags: &diags})
+	}
+	return diags, nil
+}
+
+// preorder calls visit on every node of type N in the pass's files, in
+// source order.
+func preorder[N ast.Node](pass *Pass, visit func(N)) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n, ok := n.(N); ok {
+				visit(n)
+			}
+			return true
+		})
+	}
+}
+
 // Analyzers is the full repolint suite in reporting order.
-var Analyzers = []*analysis.Analyzer{
+var Analyzers = []*Analyzer{
 	DetMap,
 	WallTime,
 	GlobalRand,
@@ -88,7 +151,7 @@ func pathElements(pkgPath string) []string {
 
 // inResultAffectingPackage reports whether the pass's package is one of the
 // result-affecting packages detmap and walltime police.
-func inResultAffectingPackage(pass *analysis.Pass) bool {
+func inResultAffectingPackage(pass *Pass) bool {
 	for _, e := range pathElements(pass.Pkg.Path()) {
 		if resultAffecting[e] {
 			return true
@@ -102,7 +165,7 @@ func inResultAffectingPackage(pass *analysis.Pass) bool {
 // order-insensitive map iteration are legitimate in assertions, and test
 // code does not ship results. globalrand still applies to tests (global
 // math/rand state is shared across goroutines and seeds).
-func isTestFile(pass *analysis.Pass, pos token.Pos) bool {
+func isTestFile(pass *Pass, pos token.Pos) bool {
 	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }
 
@@ -172,7 +235,7 @@ type suppressKey struct {
 // collectSuppressions scans every file in the pass for well-formed
 // //lint:ignore directives. Malformed directives are reported by the
 // lintdirective analyzer, not here.
-func collectSuppressions(pass *analysis.Pass) suppressions {
+func collectSuppressions(pass *Pass) suppressions {
 	s := make(suppressions)
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
@@ -193,11 +256,11 @@ func collectSuppressions(pass *analysis.Pass) suppressions {
 }
 
 // report emits a diagnostic unless a //lint:ignore directive for the
-// analyzer covers its line.
-func (s suppressions) report(pass *analysis.Pass, pos token.Pos, analyzer, msg string) {
+// pass's analyzer covers its line.
+func (s suppressions) report(pass *Pass, pos token.Pos, msg string) {
 	p := pass.Fset.Position(pos)
-	if s[suppressKey{p.Filename, p.Line, analyzer}] {
+	if s[suppressKey{p.Filename, p.Line, pass.analyzer}] {
 		return
 	}
-	pass.Report(analysis.Diagnostic{Pos: pos, Message: msg})
+	pass.Report(pos, msg)
 }

@@ -1,13 +1,8 @@
-// Package linttest is a miniature analysistest: it loads a fixture package
-// from a testdata directory, type-checks it against the standard library
-// (source importer, so no network or prebuilt export data is needed), runs
-// an analyzer together with its Requires chain, and compares the reported
-// diagnostics against // want "regexp" comments on the offending lines.
-//
-// golang.org/x/tools/go/analysis/analysistest itself depends on
-// go/packages, which is not part of the toolchain-vendored subset this
-// repository builds against; this package provides the same contract for
-// the repolint suite's needs.
+// Package linttest loads a fixture package from a testdata directory,
+// type-checks it against the standard library (source importer, so no
+// prebuilt export data is needed), runs one repolint analyzer over it, and
+// compares the reported diagnostics against // want "regexp" comments on
+// the offending lines.
 package linttest
 
 import (
@@ -16,7 +11,6 @@ import (
 	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -24,22 +18,43 @@ import (
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/internal/lint"
 )
 
 // Run loads every .go file under dir as one package whose import path is
-// pkgpath, runs a (and its transitive Requires), and asserts that the
-// diagnostics match the fixture's // want comments. A line with no want
-// comment must produce no diagnostic; every want regexp must be matched by
-// a diagnostic on its line.
+// pkgpath, runs a, and asserts that the diagnostics match the fixture's
+// // want comments. A line with no want comment must produce no diagnostic;
+// every want regexp must be matched by a diagnostic on its line.
 //
 // The fixture's package path matters: repolint analyzers scope themselves
 // by import-path elements (e.g. detmap only fires in result-affecting
 // packages), so fixtures opt in by naming their directory after a policed
 // element ("sim", "netsim") or opt out with a neutral name ("cold").
-func Run(t *testing.T, dir, pkgpath string, a *analysis.Analyzer) {
+func Run(t *testing.T, dir, pkgpath string, a *lint.Analyzer) {
 	t.Helper()
-	diags, fset, files := runOnDir(t, dir, pkgpath, a)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("linttest: %v", err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("linttest: parse %s: %v", e.Name(), err)
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		t.Fatalf("linttest: no .go files in %s", dir)
+	}
+	diags, err := lint.Check(fset, pkgpath, files, importer.ForCompiler(fset, "source", nil), []*lint.Analyzer{a})
+	if err != nil {
+		t.Fatalf("linttest: type-check %s: %v", pkgpath, err)
+	}
 
 	type key struct {
 		file string
@@ -150,82 +165,4 @@ func unescape(s string) (string, error) {
 		b.WriteByte(s[i])
 	}
 	return b.String(), nil
-}
-
-// runOnDir parses, type-checks and analyzes one fixture package.
-func runOnDir(t *testing.T, dir, pkgpath string, a *analysis.Analyzer) ([]analysis.Diagnostic, *token.FileSet, []*ast.File) {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("linttest: %v", err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("linttest: parse %s: %v", e.Name(), err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("linttest: no .go files in %s", dir)
-	}
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
-		Sizes:    types.SizesFor("gc", "amd64"),
-	}
-	pkg, err := conf.Check(pkgpath, fset, files, info)
-	if err != nil {
-		t.Fatalf("linttest: type-check %s: %v", pkgpath, err)
-	}
-
-	var diags []analysis.Diagnostic
-	results := make(map[*analysis.Analyzer]any)
-	var runOne func(a *analysis.Analyzer, record bool)
-	runOne = func(a *analysis.Analyzer, record bool) {
-		for _, dep := range a.Requires {
-			if _, done := results[dep]; !done {
-				runOne(dep, false)
-			}
-		}
-		resultOf := make(map[*analysis.Analyzer]any, len(a.Requires))
-		for _, dep := range a.Requires {
-			resultOf[dep] = results[dep]
-		}
-		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      files,
-			Pkg:        pkg,
-			TypesInfo:  info,
-			TypesSizes: conf.Sizes,
-			ResultOf:   resultOf,
-			ReadFile:   os.ReadFile,
-			Report: func(d analysis.Diagnostic) {
-				if record {
-					diags = append(diags, d)
-				}
-			},
-		}
-		res, err := a.Run(pass)
-		if err != nil {
-			t.Fatalf("linttest: analyzer %s: %v", a.Name, err)
-		}
-		results[a] = res
-	}
-	runOne(a, true)
-	return diags, fset, files
 }

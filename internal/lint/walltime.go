@@ -3,10 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
 // WallTime forbids reading or waiting on the wall clock inside the
@@ -16,11 +12,10 @@ import (
 // breaking byte-identical replay. The wall-clock watchdogs and retry backoff
 // around simulations live in internal/supervise, which (like cmd/) is
 // outside the checked set.
-var WallTime = &analysis.Analyzer{
-	Name:     "walltime",
-	Doc:      "forbids wall-clock time functions in simulation packages",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      runWallTime,
+var WallTime = &Analyzer{
+	Name: "walltime",
+	Doc:  "forbids wall-clock time functions in simulation packages",
+	Run:  runWallTime,
 }
 
 // wallClockFuncs are the package-level time functions that observe or wait
@@ -38,14 +33,12 @@ var wallClockFuncs = map[string]bool{
 	"AfterFunc": true,
 }
 
-func runWallTime(pass *analysis.Pass) (any, error) {
+func runWallTime(pass *Pass) {
 	if !inResultAffectingPackage(pass) {
-		return nil, nil
+		return
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	supp := collectSuppressions(pass)
-	ins.Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
-		sel := n.(*ast.SelectorExpr)
+	preorder(pass, func(sel *ast.SelectorExpr) {
 		if isTestFile(pass, sel.Pos()) {
 			return
 		}
@@ -56,8 +49,7 @@ func runWallTime(pass *analysis.Pass) (any, error) {
 		if fn.Signature().Recv() != nil || !wallClockFuncs[fn.Name()] {
 			return
 		}
-		supp.report(pass, sel.Pos(), "walltime",
+		supp.report(pass, sel.Pos(),
 			"time."+fn.Name()+" reads the wall clock in a simulation package; use the event engine's sim.Time instead (or //lint:ignore walltime <reason>)")
 	})
-	return nil, nil
 }

@@ -15,10 +15,10 @@ import (
 // rule for the median-split step, bounding memory use during long searches.
 const maxMemorySamplesPerWhisker = 4096
 
-// DefaultMaxCacheEntries bounds the evaluation memo cache. Entries are
+// maxCacheEntries bounds the evaluation memo cache. Entries are
 // per-(tree, specimen) usage summaries; when the bound is exceeded the cache
 // is cleared, which affects only speed, never results.
-const DefaultMaxCacheEntries = 1 << 16
+const maxCacheEntries = 1 << 16
 
 // specimenResult is the outcome of simulating one rule table on one
 // specimen network: the summed per-flow utilities, the number of flows that
@@ -233,9 +233,6 @@ type Evaluator struct {
 	// re-simulates from scratch — the pre-optimization behaviour, kept for
 	// benchmarking and equivalence tests.
 	NoCache bool
-	// MaxCacheEntries bounds the memo cache; <= 0 means
-	// DefaultMaxCacheEntries. Exceeding the bound clears the cache.
-	MaxCacheEntries int
 	// Backend, when non-nil, executes pending simulation batches instead of
 	// the in-process runner pool — the seam the distributed evaluation plane
 	// (internal/distrib) plugs into. A Backend must be exact: its results
@@ -315,11 +312,7 @@ func (e *Evaluator) cacheSeed(k evalKey, r *specimenResult) {
 }
 
 func (e *Evaluator) ensureRoomLocked() {
-	limit := e.MaxCacheEntries
-	if limit <= 0 {
-		limit = DefaultMaxCacheEntries
-	}
-	if e.cache == nil || len(e.cache) >= limit {
+	if e.cache == nil || len(e.cache) >= maxCacheEntries {
 		e.cache = make(map[evalKey]*specimenResult)
 		e.seeded = make(map[evalKey]bool)
 	}

@@ -9,17 +9,6 @@ import (
 	"repro/internal/traces"
 )
 
-// splitmix64 is the SplitMix64 output function: a bijective mixer whose
-// outputs pass statistical tests even on sequential inputs. It keeps
-// per-repetition seeds decorrelated without any shared state, so seed
-// derivation is identical no matter which worker runs which repetition.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // DeriveSeed returns the seed for one repetition of a spec. Repetition 0 uses
 // the base seed itself, so a single-repetition spec runs with exactly the seed
 // it names; later repetitions are mixed through SplitMix64. The base is mixed
@@ -30,7 +19,7 @@ func DeriveSeed(base int64, rep int) int64 {
 	if rep == 0 {
 		return base
 	}
-	return int64(splitmix64(splitmix64(uint64(base)) + uint64(rep)))
+	return int64(sim.SplitMix64(sim.SplitMix64(uint64(base)) + uint64(rep)))
 }
 
 // traceSalt decorrelates the trace generator's stream from the workload
@@ -42,9 +31,9 @@ const traceSalt = 0x747261636567656e
 // another and from the run seed. Link 0 takes the salted run seed itself, the
 // derivation the link/queue form has always used.
 func deriveLinkTraceSeed(runSeed int64, link int) int64 {
-	seed := splitmix64(uint64(runSeed) ^ traceSalt)
+	seed := sim.SplitMix64(uint64(runSeed) ^ traceSalt)
 	if link > 0 {
-		seed = splitmix64(seed + uint64(link))
+		seed = sim.SplitMix64(seed + uint64(link))
 	}
 	return int64(seed)
 }

@@ -50,6 +50,17 @@ func (g *RNG) SplitSeed(label int64) int64 {
 	return int64(z & math.MaxInt64)
 }
 
+// SplitMix64 is the SplitMix64 output function: a bijective mixer whose
+// outputs pass statistical tests even on sequential inputs. Repetition,
+// cell, trace and fault seeds are all derived through it, so its values are
+// pinned (TestSplitMix64): changing it would move every recorded result.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Float64 returns a uniform random number in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
