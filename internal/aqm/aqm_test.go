@@ -551,3 +551,28 @@ func BenchmarkSfqCoDelEnqueueDequeue(b *testing.B) {
 		q.Dequeue(sim.Time(i))
 	}
 }
+
+// TestXCPControlTickAllocatesNothing pins the router's control loop: once
+// started, closing a control interval and scheduling the next allocates
+// nothing, however many intervals a run holds.
+func TestXCPControlTickAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	q, err := NewXCPQueue(eng, 100, 10e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Start(0)
+	const intervals = 50 // each 100 ms: no traffic refines the interval
+	var until sim.Time
+	allocs := testing.AllocsPerRun(10, func() {
+		until += intervals * 100 * sim.Millisecond
+		eng.Run(until)
+	})
+	// AllocsPerRun's warm-up call plus its ten measured ones.
+	if got, want := eng.Executed(), uint64(11*intervals); got != want {
+		t.Fatalf("%d control ticks ran, want %d", got, want)
+	}
+	if allocs != 0 {
+		t.Errorf("a started XCP router allocates %.1f times per %d control intervals, want 0", allocs, intervals)
+	}
+}

@@ -45,6 +45,8 @@ type XCPQueue struct {
 
 	interval sim.Time
 	started  bool
+	// tick is controlTick bound once, so rescheduling it allocates nothing.
+	tick func(now sim.Time)
 }
 
 // NewXCPQueue builds an XCP router queue with the given packet capacity
@@ -67,6 +69,7 @@ func NewXCPQueue(engine *sim.Engine, capacity int, capacityBps float64) (*XCPQue
 		capacityBps: capacityBps,
 		interval:    100 * sim.Millisecond, // refined to the mean RTT as samples arrive
 	}
+	q.tick = q.controlTick
 	return q, nil
 }
 
@@ -77,9 +80,13 @@ func (q *XCPQueue) Start(now sim.Time) {
 	}
 	q.started = true
 	q.minQueueBytes = q.fifo.Bytes()
-	q.engine.Schedule(now+q.interval, q.controlTick)
+	q.engine.Schedule(now+q.interval, q.tick)
 }
 
+// controlTick closes one control interval: it computes the feedback scales
+// for the next and reschedules itself.
+//
+//repo:hotpath once per control interval for the whole run
 func (q *XCPQueue) controlTick(now sim.Time) {
 	d := q.interval.Seconds()
 	capBytesPerSec := q.capacityBps / 8
@@ -144,7 +151,7 @@ func (q *XCPQueue) controlTick(now sim.Time) {
 	q.sumSize = 0
 	q.minQueueBytes = q.fifo.Bytes()
 
-	q.engine.Schedule(now+q.interval, q.controlTick)
+	q.engine.Schedule(now+q.interval, q.tick)
 }
 
 // Enqueue implements netsim.Queue and accumulates the per-interval state the

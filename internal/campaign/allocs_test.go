@@ -60,7 +60,8 @@ func TestCampaignSteadyStateAllocs(t *testing.T) {
 // the 12-cell test sweep, warm, through Executor.Run, BuildReport, Encode and
 // WriteCSV. Every cell's identity is rendered from axis strings formatted
 // once per run, report rows are appended without boxing, and repetition
-// summaries sort the worker's scratch in place, so what remains per cell is
+// summaries sort the worker's scratch in place, and a rebuilt world's stock
+// algorithms come out of its session's spares, so what remains per cell is
 // its worlds' warm-up, the supervised attempt, the aggregate and the record's
 // JSON.
 func TestCampaignCellAllocs(t *testing.T) {
@@ -90,10 +91,12 @@ func TestCampaignCellAllocs(t *testing.T) {
 	perCell := float64(after.Mallocs-before.Mallocs) / float64(s.NumCells())
 	t.Logf("campaign pass: %.1f allocs/cell", perCell)
 
-	// 89 allocs/cell measured, 97 under -race. The bound of 110 is 24% over
-	// the plain measurement and 13% over -race; writing the report's CSV
-	// through boxed fields and encoding/csv again (130 measured) crosses it.
-	if perCell > 110 {
-		t.Fatalf("campaign pass allocates %.1f allocs/cell; per-cell bookkeeping has regressed (want <= 110)", perCell)
+	// 58 allocs/cell measured, 64-68 under -race, since a rebuilt world
+	// takes its stock algorithms from the session's spares. The bound of 70
+	// is 20% over the plain measurement; building every algorithm anew
+	// again (91 measured) crosses it, and so does writing the report's CSV
+	// through boxed fields and encoding/csv again.
+	if perCell > 70 {
+		t.Fatalf("campaign pass allocates %.1f allocs/cell; per-cell bookkeeping has regressed (want <= 70)", perCell)
 	}
 }

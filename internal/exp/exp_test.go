@@ -55,13 +55,6 @@ func TestRunConfigPresets(t *testing.T) {
 	if d.AssetsDir == "" {
 		t.Error("assets dir")
 	}
-	if d.workers() <= 0 {
-		t.Error("workers")
-	}
-	d.Workers = 3
-	if d.workers() != 3 {
-		t.Error("workers override")
-	}
 }
 
 func TestFindAssetsDir(t *testing.T) {

@@ -64,7 +64,7 @@ func FlowChurn(cfg RunConfig) (Report, error) {
 	schemeResults := make([]SchemeResult, sweep.NumCells())
 	exec := campaign.Executor{
 		Registry: reg,
-		Workers:  cfg.workers(),
+		Workers:  cfg.Workers,
 		Logf:     cfg.Logf,
 		// OnCell calls are serialized, so the slice writes do not race.
 		OnCell: func(c campaign.Cell, results []scenario.Result) {

@@ -68,7 +68,7 @@ func Faults(cfg RunConfig) (Report, error) {
 	faultDrops := make([]int64, sweep.NumCells())
 	exec := campaign.Executor{
 		Registry: reg,
-		Workers:  cfg.workers(),
+		Workers:  cfg.Workers,
 		Logf:     cfg.Logf,
 		// OnCell calls are serialized, so the slice writes do not race.
 		OnCell: func(c campaign.Cell, results []scenario.Result) {

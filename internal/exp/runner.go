@@ -22,7 +22,8 @@ type RunConfig struct {
 	Duration sim.Time
 	// Seed makes the whole experiment reproducible.
 	Seed int64
-	// Workers bounds concurrent simulations (0 = NumCPU-1).
+	// Workers bounds concurrent simulations; <= 0 means
+	// scenario.DefaultWorkers().
 	Workers int
 	// AssetsDir is where pre-trained RemyCC rule tables live.
 	AssetsDir string
@@ -71,16 +72,9 @@ func (c RunConfig) logf(format string, args ...any) {
 	}
 }
 
-func (c RunConfig) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return 4
-}
-
 // runner returns the scenario runner all experiments execute through.
 func (c RunConfig) runner(reg *scenario.Registry) scenario.Runner {
-	return scenario.Runner{Registry: reg, Workers: c.workers()}
+	return scenario.Runner{Registry: reg, Workers: c.Workers}
 }
 
 // SchemeResult aggregates one scheme's outcome over all runs of one

@@ -14,6 +14,8 @@ import (
 // function:
 //
 //   - closure literals (each capture allocates),
+//   - method values that are not called (x.M as a func value binds its
+//     receiver in a new closure each time it is evaluated),
 //   - fmt.* calls (interface boxing + formatting state),
 //   - append to a slice with no make(..., cap) in scope (growth
 //     reallocates under load).
@@ -57,6 +59,9 @@ func runHotAlloc(pass *Pass) {
 
 func checkHotFunc(pass *Pass, supp suppressions, fn *ast.FuncDecl) {
 	capSlices := slicesWithCapacity(pass, fn)
+	// called holds the selectors in call position, seen at their call before
+	// the selector itself is visited.
+	called := make(map[*ast.SelectorExpr]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -64,7 +69,15 @@ func checkHotFunc(pass *Pass, supp suppressions, fn *ast.FuncDecl) {
 				"closure literal in //repo:hotpath function allocates per call; hoist it to a method or package-level func (or //lint:ignore hotalloc <reason>)")
 			return false // don't descend: the closure body is not the hot path
 		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+				called[sel] = true
+			}
 			checkHotCall(pass, supp, capSlices, n)
+		case *ast.SelectorExpr:
+			if s := pass.TypesInfo.Selections[n]; s != nil && s.Kind() == types.MethodVal && !called[n] {
+				supp.report(pass, n.Pos(),
+					"method value "+n.Sel.Name+" in //repo:hotpath function allocates a closure each time it is evaluated; bind it once outside the hot path (or //lint:ignore hotalloc <reason>)")
+			}
 		}
 		return true
 	})

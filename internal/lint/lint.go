@@ -69,6 +69,8 @@ func Check(fset *token.FileSet, pkgPath string, files []*ast.File, imp types.Imp
 		Types: make(map[ast.Expr]types.TypeAndValue),
 		Defs:  make(map[*ast.Ident]types.Object),
 		Uses:  make(map[*ast.Ident]types.Object),
+
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(pkgPath, fset, files, info)

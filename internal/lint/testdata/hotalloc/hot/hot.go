@@ -34,10 +34,35 @@ func suppressedHot(xs []int) []int {
 	return xs
 }
 
+// timer reschedules its own tick, as a periodic controller does.
+type timer struct {
+	tick     func(int)
+	schedule func(func(int))
+	ticker   interface{ Tick(int) }
+}
+
+func (t *timer) onTick(now int) {}
+
+// reschedule passes method values, which allocate, and calls methods, which
+// do not.
+//
+//repo:hotpath fixture hot path
+func (t *timer) reschedule(now int) {
+	t.schedule(t.onTick)      // want `method value onTick in //repo:hotpath function allocates a closure`
+	t.schedule(t.ticker.Tick) // want `method value Tick in //repo:hotpath function allocates a closure`
+	t.schedule(t.tick)        // a bound func field: clean
+	expr := (*timer).onTick   // a method expression: clean
+	expr(t, now)
+	t.onTick(now)
+	(t.onTick)(now)
+	t.ticker.Tick(now)
+}
+
 // cold is unannotated: hotalloc ignores it entirely.
-func cold(sink func(func())) {
+func cold(sink func(func()), t *timer) {
 	sink(func() {})
 	fmt.Println("cold path")
 	var xs []int
 	_ = append(xs, 1)
+	t.tick = t.onTick
 }

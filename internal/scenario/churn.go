@@ -116,6 +116,11 @@ type flowState struct {
 	transport *cc.Transport
 	port      *netsim.Port
 	algoName  string
+	// stockScheme is the stock scheme the transport's algorithm was built
+	// for, which the algorithm goes back to the parts set under when the
+	// world is dismantled: empty when it is not a stock protocol's, or not
+	// this flow's own any more.
+	stockScheme string
 	// bytesAcked is onBytesAcked bound to the flow, made once with the flow
 	// state and installed on every transport the flow is bound to.
 	bytesAcked func(now sim.Time, bytes int64)
@@ -207,9 +212,9 @@ func (fs *flowState) onBytesAcked(now sim.Time, bytes int64) {
 type churnState struct {
 	rt    *churnRuntime
 	index int
-	// newAlgorithm is the class's scheme's constructor.
-	newAlgorithm func() cc.Algorithm
-	proc         *workload.ArrivalProcess
+	// proto is the class's resolved protocol.
+	proto Protocol
+	proc  *workload.ArrivalProcess
 	// fwd/rev are the class's routes, resolved against the network once at
 	// setup and shared by every spawn.
 	fwd, rev []*netsim.Link
@@ -217,8 +222,8 @@ type churnState struct {
 
 	live []*flowState // currently attached flows, swap-removed on retire
 	// parked counts the flows the class has retired to the parts set in this
-	// world; probe is the algorithm built to learn the class's scheme name,
-	// unused, and spent on the first flow that needs a new one.
+	// world; probe is the algorithm taken to learn the class's scheme name,
+	// unused, and spent on the first flow that needs one.
 	parked int
 	probe  cc.Algorithm
 
@@ -265,11 +270,11 @@ func (rt *churnRuntime) assemble(ss *Session, spec *Spec, w lowered, protos []Pr
 			cs = &churnState{rt: rt, fct: stats.NewFCTAggregator()}
 		}
 		rt.classes = append(rt.classes, cs)
-		cs.index, cs.newAlgorithm = ci, protos[ci].New
+		cs.index, cs.proto = ci, protos[ci]
 		cs.oneWay = sim.FromMillis(c.RTTMs / 2)
 		cs.fwd = appendRoute(cs.fwd[:0], rt.network, w.route(c.Path))
 		cs.rev = appendRoute(cs.rev[:0], rt.network, c.ReversePath)
-		probe := cs.newAlgorithm()
+		probe := rt.parts.algorithm(cs.proto)
 		if probe == nil {
 			return fmt.Errorf("scenario: spec %q churn class %d: scheme %q built no algorithm", spec.Name, ci, protos[ci].Name)
 		}
@@ -293,13 +298,15 @@ func (rt *churnRuntime) assemble(ss *Session, spec *Spec, w lowered, protos []Pr
 	return nil
 }
 
-// dismantle returns every class, and every flow still live, to the parts set.
+// dismantle returns every class, every flow still live and every unused
+// probe to the parts set.
 func (rt *churnRuntime) dismantle(p *parts) {
 	for _, cs := range rt.classes {
 		p.flows = append(p.flows, cs.live...)
 		clear(cs.live)
 		cs.live = cs.live[:0]
-		cs.newAlgorithm, cs.probe, cs.parked = nil, nil, 0
+		p.putAlgorithm(cs.proto.stockScheme(), cs.probe)
+		cs.proto, cs.probe, cs.parked = Protocol{}, nil, 0
 		p.classes = append(p.classes, cs)
 	}
 	clear(rt.classes)
@@ -371,7 +378,7 @@ func (rt *churnRuntime) onArrival(cs *churnState, now sim.Time, bytes int64) {
 		algo := cs.probe
 		cs.probe = nil
 		if algo == nil {
-			algo = cs.newAlgorithm()
+			algo = rt.parts.algorithm(cs.proto)
 		}
 		if algo == nil {
 			rt.parts.flows = append(rt.parts.flows, fs)
@@ -387,7 +394,7 @@ func (rt *churnRuntime) onArrival(cs *churnState, now sim.Time, bytes int64) {
 			return
 		}
 		fs.cs = cs
-		fs.algoName = cs.algoName
+		fs.algoName, fs.stockScheme = cs.algoName, cs.proto.stockScheme()
 	}
 	fs.retired = false
 	fs.arrivedAt = now

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/harness"
 )
 
 // mallocs returns the process's allocation count so far.
@@ -14,13 +15,60 @@ func mallocs() uint64 {
 	return m.Mallocs
 }
 
-// TestRebuildAllocatesOnlyAlgorithms pins what rebuilding a world costs once
-// the engine has seen it: a flow-churn parking lot with faults and a
-// two-flow sfqCoDel dumbbell are built, run and rebuilt in turn, and once
-// both have been seen, rebuilding one after the other — validating the spec,
-// resolving its names and building its world — allocates nothing beyond the
-// algorithms the new world's schemes build, which the session does not own,
-// and rebuildOverhead more.
+// rebuildAllocWorlds returns the two worlds the rebuild allocation tests
+// alternate: a flow-churn parking lot with faults, and a two-flow sfqCoDel
+// dumbbell.
+func rebuildAllocWorlds() []Spec {
+	fc := FamilyConfig{Scheme: "newreno", Workload: ByBytesWorkload(ExponentialDist(300_000), ExponentialDist(0.05)),
+		DurationSeconds: 1, Seed: 11, OutageSeconds: 0.1, BurstLoss: 0.3}
+	churn := FlowChurnSpec(fc)
+	churn.Faults = LossyOutageSpec(fc).Faults
+	churn.Faults.Links[0].Link = "hop1"
+	dumbbell := New(WithLink(8e6), WithQueue(QueueSfqCoDel, 200), WithDuration(1), WithSeed(11),
+		WithFlows(2, "cubic/sfqcodel", 60, fc.Workload))
+	return []Spec{churn, dumbbell}
+}
+
+// TestRebuildAllocatesNothing pins what rebuilding a world of stock schemes
+// costs once the engine has seen it: the two worlds of rebuildAllocWorlds
+// are built, run and rebuilt in turn, and once both have been seen,
+// rebuilding one after the other — validating the spec, resolving its names
+// and building its world, algorithms included — allocates nothing. Like
+// testing.AllocsPerRun, it judges the mean over many rebuilds, truncated, so
+// a stray allocation of the runtime's does not fail it and one per rebuild
+// does.
+func TestRebuildAllocatesNothing(t *testing.T) {
+	worlds := rebuildAllocWorlds()
+	var ss Session
+	var res harness.Result
+	const warm, measured = 2, 10
+	var allocs uint64
+	for round := 0; round < warm+measured; round++ {
+		for i := range worlds {
+			before := mallocs()
+			if err := ss.Rebuild(nil, &worlds[i], 0); err != nil {
+				t.Fatal(err)
+			}
+			// Round 0 builds each world, round 1 grows the parts set's
+			// lists to hold both; from round 2 on, both have been seen.
+			if round >= warm {
+				allocs += mallocs() - before
+			}
+			if err := ss.RunInto(int64(round), &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if perRebuild := allocs / (measured * uint64(len(worlds))); perRebuild > 0 {
+		t.Errorf("rebuilding a world of stock schemes allocates %d times (%d over %d rebuilds), want 0",
+			perRebuild, allocs, measured*len(worlds))
+	}
+}
+
+// TestRebuildAllocatesOnlyAlgorithms is TestRebuildAllocatesNothing with
+// every flow's algorithm a FlowSpec.Algorithm override, which the session
+// never reuses: once both worlds have been seen, a rebuild allocates nothing
+// beyond the algorithms the overrides build, and rebuildOverhead more.
 func TestRebuildAllocatesOnlyAlgorithms(t *testing.T) {
 	// algoAllocs is what the algorithms built so far cost, each at what its
 	// constructor was measured to cost alone.
@@ -32,14 +80,7 @@ func TestRebuildAllocatesOnlyAlgorithms(t *testing.T) {
 			return p.New()
 		}
 	}
-	fc := FamilyConfig{Scheme: "newreno", Workload: ByBytesWorkload(ExponentialDist(300_000), ExponentialDist(0.05)),
-		DurationSeconds: 1, Seed: 11, OutageSeconds: 0.1, BurstLoss: 0.3}
-	churn := FlowChurnSpec(fc)
-	churn.Faults = LossyOutageSpec(fc).Faults
-	churn.Faults.Links[0].Link = "hop1"
-	dumbbell := New(WithLink(8e6), WithQueue(QueueSfqCoDel, 200), WithDuration(1), WithSeed(11),
-		WithFlows(2, "cubic/sfqcodel", 60, fc.Workload))
-	worlds := []Spec{churn, dumbbell}
+	worlds := rebuildAllocWorlds()
 	for _, spec := range worlds {
 		protos, err := spec.resolveSchemes(Default(), nil)
 		if err != nil {

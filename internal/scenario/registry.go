@@ -39,6 +39,12 @@ type Protocol struct {
 	Queue string
 	// New constructs a fresh algorithm instance for one flow.
 	New func() cc.Algorithm
+
+	// stock is set by Registry.Protocol when the resolving registry marks
+	// the scheme as a stock protocol (see Registry.stockSchemes): its New
+	// builds an algorithm whose Reset(0) restores exactly what New returns,
+	// so a session may hand one it already has to another flow.
+	stock bool
 }
 
 // QueueKind returns the protocol's bottleneck queue kind name.
@@ -47,6 +53,15 @@ func (p Protocol) QueueKind() string {
 		return QueueDropTail
 	}
 	return p.Queue
+}
+
+// stockScheme returns the scheme a session keeps the protocol's spare
+// algorithms under: its name for a stock protocol, else "".
+func (p Protocol) stockScheme() string {
+	if p.stock {
+		return p.Name
+	}
+	return ""
 }
 
 // Validate reports whether the protocol is usable.
@@ -96,10 +111,14 @@ type Registry struct {
 	protocols map[string]ProtocolFactory
 	queues    map[string]QueueFactory
 	links     map[string]LinkModel
-	// stock marks the queue kinds whose factories are the stock ones
-	// registerDefaults installs: pure functions of the queue spec, so their
-	// queues may be reused across worlds (see queueKey).
-	stock map[string]bool
+	// stockQueues marks the queue kinds whose factories are the stock ones
+	// mustRegisterBuiltins installs: pure functions of the queue spec, so
+	// their queues may be reused across worlds (see queueKey).
+	stockQueues map[string]bool
+	// stockSchemes likewise marks the stock protocols (BaselineProtocols and
+	// DCTCP): their algorithms may be reused across flows and worlds (see
+	// parts.algorithm). A protocol a caller registers never is.
+	stockSchemes map[string]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -108,7 +127,9 @@ func NewRegistry() *Registry {
 		protocols: make(map[string]ProtocolFactory),
 		queues:    make(map[string]QueueFactory),
 		links:     make(map[string]LinkModel),
-		stock:     make(map[string]bool),
+
+		stockQueues:  make(map[string]bool),
+		stockSchemes: make(map[string]bool),
 	}
 }
 
@@ -155,6 +176,7 @@ func (r *Registry) RegisterRemy(name string, tree *core.WhiskerTree) error {
 func (r *Registry) Protocol(flow FlowSpec) (Protocol, error) {
 	r.mu.RLock()
 	f, ok := r.protocols[flow.Scheme]
+	stock := r.stockSchemes[flow.Scheme]
 	r.mu.RUnlock()
 	if !ok {
 		return Protocol{}, fmt.Errorf("scenario: unknown protocol %q (known: %v)", flow.Scheme, r.Protocols())
@@ -166,6 +188,7 @@ func (r *Registry) Protocol(flow FlowSpec) (Protocol, error) {
 	if err := p.Validate(); err != nil {
 		return Protocol{}, err
 	}
+	p.stock = stock
 	return p, nil
 }
 
@@ -276,8 +299,12 @@ func (r *Registry) Clone() *Registry {
 		out.links[name] = m
 	}
 	//lint:ignore detmap map-to-map copy keyed identically; iteration order is unobservable
-	for name, ok := range r.stock {
-		out.stock[name] = ok
+	for name, ok := range r.stockQueues {
+		out.stockQueues[name] = ok
+	}
+	//lint:ignore detmap map-to-map copy keyed identically; iteration order is unobservable
+	for name, ok := range r.stockSchemes {
+		out.stockSchemes[name] = ok
 	}
 	return out
 }
@@ -310,10 +337,10 @@ func Default() *Registry {
 }
 
 func mustRegisterBuiltins(r *Registry) {
-	for _, p := range BaselineProtocols() {
+	for _, p := range append(BaselineProtocols(), DCTCP()) {
 		must(r.RegisterProtocol(p))
+		r.stockSchemes[p.Name] = true
 	}
-	must(r.RegisterProtocol(DCTCP()))
 	// "remy" resolves a rule table from the flow's RemyCC file path, which is
 	// how JSON-driven specs name pre-trained tables. Every world a session
 	// builds resolves its flows again, so parsed tables are cached by path
@@ -369,7 +396,7 @@ func mustRegisterBuiltins(r *Registry) {
 		return aqm.NewXCPQueue(env.Engine, capacityOf(q), env.CapacityBps)
 	}))
 	for _, kind := range []string{QueueDropTail, QueueSfqCoDel, QueueECN, QueueXCP} {
-		r.stock[kind] = true
+		r.stockQueues[kind] = true
 	}
 
 	// Deliberate failure injectors for the campaign fail-safe tests; see
@@ -409,7 +436,7 @@ func capacityOf(q QueueSpec) int {
 
 func ecnThresholdOf(q QueueSpec) int {
 	if q.ECNThresholdPackets <= 0 {
-		return 65
+		return dctcp.MarkThresholdPackets
 	}
 	return q.ECNThresholdPackets
 }
@@ -429,7 +456,7 @@ type queueKey struct {
 // have state or side effects of its own, so its queues are never reused.
 func (r *Registry) queueKey(kind string, q QueueSpec, capacityBps float64) queueKey {
 	r.mu.RLock()
-	stock := r.stock[kind]
+	stock := r.stockQueues[kind]
 	r.mu.RUnlock()
 	if !stock {
 		return queueKey{}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/cc"
 	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/netsim"
@@ -25,16 +26,20 @@ import (
 // against a registry and builds the world in one pass, out of the parts the
 // old world leaves behind (see parts): packets, links, queues, fault states,
 // ports, transports, switchers, arrival processes, their distributions and
-// random streams are re-targeted rather than reallocated, and only the
-// congestion-control algorithms, which the spec's schemes make, are new. A
-// zero Session holds no world and no parts; its first Rebuild builds from
-// nothing on a new engine.
+// random streams are re-targeted rather than reallocated, and so are the
+// algorithms of the registry's stock protocols. Only an algorithm no world on
+// the session has built for its scheme yet, or one of a protocol the caller
+// supplied (a FlowSpec.Algorithm, a registered scheme, a RemyCC, a CBR
+// source), is new. A zero Session holds no world and no parts; its first
+// Rebuild builds from nothing on a new engine.
 //
 // The runner, the campaign and the optimizer pump thousands of repetitions
 // and worlds through pooled sessions; TestSessionReuseMatchesFresh pins
 // warm-vs-fresh equality across schemes and queue disciplines,
-// TestRebuiltSessionMatchesFresh and FuzzRebuildSequence pin rebuilt-vs-fresh
-// equality across worlds, and TestRebuildAllocatesOnlyAlgorithms and
+// TestRebuiltSessionMatchesFresh, TestRebuildSequenceMatchesFresh and
+// FuzzRebuildSequence pin rebuilt-vs-fresh equality across worlds,
+// TestStockResetMatchesNew pins the algorithm reuse, and
+// TestRebuildAllocatesNothing, TestRebuildAllocatesOnlyAlgorithms and
 // TestCampaignSteadyStateAllocs pin the allocation claims.
 //
 // Reuse requires every mutable component to be resettable. All queue
@@ -89,19 +94,32 @@ type Session struct {
 type parts struct {
 	// flows are flow apparatus: port, transport (window ring, resend log,
 	// retransmission queue, timers) and, once a static flow has used it, a
-	// switcher with its stream. Their algorithms belong to no world, except
-	// for churn flows retired in the current one (flowState.cs).
+	// switcher with its stream. A spare flow's transport still points at the
+	// algorithm it last ran, which belongs to no world (it is in algos, or no
+	// stock protocol built it), except for churn flows retired in the current
+	// world (flowState.cs), which keep theirs.
 	flows []*flowState
+	// algos are spare algorithms of stock protocols, keyed by scheme. They
+	// are kept apart from the flows, so which flow apparatus a flow gets (on
+	// which results depend, see takeFlow) does not change with its scheme.
+	algos []keyedAlgorithm
 	// queues are reset queue disciplines with a key. Keys vary from world to
-	// world (discipline, buffer, rate), so the most recently built are kept up
-	// to twice the links of the largest world: what two alternating worlds
-	// need.
+	// world (discipline, buffer, rate), so the most recently built of each
+	// kind are kept, up to twice the links of the largest world: what two
+	// alternating worlds need, and a kind a world does not use keeps its
+	// spares for the next world that does.
 	queues   []keyedQueue
 	maxLinks int
 	faults   []*faults.LinkState
 	// classes are churn class runtimes with their arrival processes,
 	// streams and FCT aggregators.
 	classes []*churnState
+}
+
+// keyedAlgorithm is a spare algorithm and the stock scheme it was built for.
+type keyedAlgorithm struct {
+	scheme string
+	algo   cc.Algorithm
 }
 
 // keyedQueue is a link's queue discipline and the key it was built under.
@@ -161,9 +179,7 @@ func (ss *Session) dismantle(cfg netsim.GraphConfig) {
 		}
 	}
 	p.maxLinks = max(p.maxLinks, len(ss.queues))
-	if extra := len(p.queues) - 2*p.maxLinks; extra > 0 {
-		p.queues = slices.Delete(p.queues, 0, extra)
-	}
+	p.trimQueues()
 	clear(ss.queues)
 	ss.queues = ss.queues[:0]
 	for _, st := range ss.linkFaults {
@@ -178,7 +194,54 @@ func (ss *Session) dismantle(cfg netsim.GraphConfig) {
 	ss.flows = ss.flows[:0]
 	ss.churn.dismantle(p)
 	for _, fs := range p.flows {
+		if fs.stockScheme != "" {
+			p.putAlgorithm(fs.stockScheme, fs.transport.Algorithm())
+			fs.stockScheme = ""
+		}
 		fs.cs = nil // its algorithm belongs to no world now
+	}
+}
+
+// trimQueues drops the oldest spare queues of each kind beyond twice the
+// links of the largest world.
+func (p *parts) trimQueues() {
+	limit := 2 * p.maxLinks
+	for i := len(p.queues) - 1; i >= 0; i-- {
+		newer := 0
+		for _, q := range p.queues[i+1:] {
+			if q.key.kind == p.queues[i].key.kind {
+				newer++
+			}
+		}
+		if newer >= limit {
+			p.queues = slices.Delete(p.queues, i, i+1)
+		}
+	}
+}
+
+// algorithm returns an algorithm of proto: for a stock protocol, the spare
+// of its scheme put back last, reset to what proto.New returns; else, or
+// when there is none, a new one.
+func (p *parts) algorithm(proto Protocol) cc.Algorithm {
+	if scheme := proto.stockScheme(); scheme != "" {
+		for i := len(p.algos) - 1; i >= 0; i-- {
+			if p.algos[i].scheme == scheme {
+				algo := p.algos[i].algo
+				p.algos = slices.Delete(p.algos, i, i+1)
+				algo.Reset(0)
+				return algo
+			}
+		}
+	}
+	return proto.New()
+}
+
+// putAlgorithm puts algo into the set as a spare of the given stock scheme;
+// an empty scheme marks an algorithm no stock protocol built, which is not
+// kept, and neither is a nil one.
+func (p *parts) putAlgorithm(scheme string, algo cc.Algorithm) {
+	if scheme != "" && algo != nil {
+		p.algos = append(p.algos, keyedAlgorithm{scheme: scheme, algo: algo})
 	}
 }
 
@@ -288,14 +351,14 @@ func (ss *Session) build(reg *Registry, spec *Spec, rep int, w lowered) error {
 			if err := fs.attach(network, fs.fwd, fs.rev, fs.oneWay); err != nil {
 				return err
 			}
-			algo := protos[i].New()
+			algo := ss.parts.algorithm(protos[i])
 			if algo == nil {
 				return fmt.Errorf("scenario: spec %q flow %d: scheme %q built no algorithm", spec.Name, i, protos[i].Name)
 			}
 			if err := fs.bind(ss.engine, algo, ss.mtu); err != nil {
 				return err
 			}
-			fs.algoName = algo.Name()
+			fs.algoName, fs.stockScheme = algo.Name(), protos[i].stockScheme()
 			wl := f.Workload.compile(&fs.on, &fs.off)
 			if fs.switcher == nil {
 				switcher, err := workload.NewSwitcher(wl, ss.engine, sim.NewRNG(0))

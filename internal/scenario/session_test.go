@@ -60,3 +60,21 @@ func TestTakeFlowOrder(t *testing.T) {
 		t.Fatal("class b's retired flows did not stay in the set, in order")
 	}
 }
+
+// TestTrimQueuesPerKind pins the bound on spare queues: the newest twice the
+// links of the largest world of each kind are kept, so a run of worlds of one
+// kind does not push out another kind's spares.
+func TestTrimQueuesPerKind(t *testing.T) {
+	q := func(kind string, capacity int) keyedQueue {
+		return keyedQueue{key: queueKey{kind: kind, capacity: capacity}}
+	}
+	p := &parts{maxLinks: 1, queues: []keyedQueue{
+		q(QueueDropTail, 1), q(QueueSfqCoDel, 1), q(QueueDropTail, 2), q(QueueSfqCoDel, 2),
+		q(QueueDropTail, 3), q(QueueDropTail, 4), q(QueueXCP, 1),
+	}}
+	p.trimQueues()
+	want := []keyedQueue{q(QueueSfqCoDel, 1), q(QueueSfqCoDel, 2), q(QueueDropTail, 3), q(QueueDropTail, 4), q(QueueXCP, 1)}
+	if !slices.Equal(p.queues, want) {
+		t.Errorf("spares after trimming %v, want %v", p.queues, want)
+	}
+}
