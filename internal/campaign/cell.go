@@ -37,22 +37,21 @@ type Cell struct {
 	Scheme string `json:"scheme,omitempty"`
 	// Coords lists the grid coordinates in ID order (nil for explicit specs).
 	Coords []Coord `json:"coords,omitempty"`
-	// Seed is the cell's derived base seed; repetition seeds derive from it
-	// through scenario.DeriveSeed exactly as for any standalone spec.
+	// Seed is the cell's base seed: an explicit spec's own Seed when it sets
+	// one, otherwise the campaign seed mixed with the cell's ID. Repetition
+	// seeds derive from it through scenario.DeriveSeed exactly as for any
+	// standalone spec.
 	Seed int64 `json:"seed"`
 
 	sweep *SweepSpec
 	spec  int // explicit-spec index, -1 for grid cells
 }
 
-// DeriveCellSeed returns the base seed for a cell: the campaign seed mixed
-// with an FNV-1a hash of the cell's stable ID. Deriving from the ID rather
-// than the index means a cell's seed — and hence its results — do not change
-// when axes grow or explicit specs are appended elsewhere in the sweep, and
-// any cell can be re-run standalone from its manifest line alone.
-func DeriveCellSeed(base int64, cellID string) int64 { return deriveCellSeed(base, cellID) }
-
-// deriveCellSeed is DeriveCellSeed over an ID's bytes, however they are held.
+// deriveCellSeed mixes the campaign seed with an FNV-1a hash of a cell's
+// stable ID, however its bytes are held. Deriving from the ID rather than the
+// index means a cell's seed — and hence its results — do not change when
+// axes grow or explicit specs are appended elsewhere in the sweep, and any
+// cell can be re-run standalone from its manifest line alone.
 func deriveCellSeed[ID string | []byte](base int64, id ID) int64 {
 	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
 	for i := 0; i < len(id); i++ {
@@ -112,7 +111,7 @@ func (x *identity) cell(i int) (Cell, error) {
 	var buf [128]byte
 	id := x.render(buf[:0], c.Coords, i)
 	c.ID = string(id)
-	c.Seed = deriveCellSeed(s.Seed, id)
+	c.Seed = x.seed(id, i)
 	c.Family, c.Scheme = x.kind(c.Coords, i)
 	return c, nil
 }
@@ -152,6 +151,18 @@ func (x *identity) render(dst []byte, coords []Coord, i int) []byte {
 		dst = append(dst, c.Value...)
 	}
 	return dst
+}
+
+// seed returns cell i's base seed, given the ID render wrote for it: an
+// explicit spec's own Seed when it sets one, otherwise deriveCellSeed of the
+// campaign seed and the ID.
+func (x *identity) seed(id []byte, i int) int64 {
+	if i >= x.grid {
+		if seed := x.sweep.Specs[i-x.grid].Seed; seed != 0 {
+			return seed
+		}
+	}
+	return deriveCellSeed(x.sweep.Seed, id)
 }
 
 // value returns axis a's k-th canonical coordinate.
@@ -209,7 +220,7 @@ func specScheme(spec scenario.Spec) string {
 
 // Spec materializes the cell's executable scenario spec: the family builder
 // applied to the cell's coordinates (or the explicit spec), with the cell's
-// derived seed and the sweep's repetition budget. The result is a plain
+// seed and the sweep's repetition budget. The result is a plain
 // scenario.Spec — running it standalone with any scenario.Runner reproduces
 // the campaign's numbers for this cell exactly.
 func (c Cell) Spec() (scenario.Spec, error) {
@@ -227,7 +238,7 @@ func (c Cell) Spec() (scenario.Spec, error) {
 		}
 		return spec, nil
 	}
-	build, ok := familyBuilder(c.Family)
+	build, ok := scenario.Family(c.Family)
 	if !ok {
 		return scenario.Spec{}, fmt.Errorf("campaign: cell %q names unknown family %q", c.ID, c.Family)
 	}

@@ -100,8 +100,8 @@ func (e Executor) logf(format string, args ...any) {
 // already checkpointed in the manifest. It returns the shard's complete
 // record set — resumed cells plus freshly executed ones — sorted by cell
 // index. Numbers are independent of Workers, InnerWorkers and which worker
-// runs which cell because each cell is a deterministic unit: its seed derives
-// from the campaign seed and its ID, its repetitions fold in repetition
+// runs which cell because each cell is a deterministic unit: its seed is
+// fixed by the sweep (see Cell.Seed), its repetitions fold in repetition
 // order, and nothing crosses cell boundaries.
 func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
 	if err := sweep.Validate(); err != nil {
@@ -153,7 +153,7 @@ func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
 		if len(done) > 0 {
 			id = x.render(id[:0], coords, i)
 			if rec, ok := done[string(id)]; ok {
-				if seed := deriveCellSeed(sweep.Seed, id); rec.Seed != seed || rec.Index != i {
+				if seed := x.seed(id, i); rec.Seed != seed || rec.Index != i {
 					return nil, fmt.Errorf("campaign: manifest cell %q (index %d, seed %d) does not match the sweep (index %d, seed %d); the config changed since the checkpoint",
 						rec.ID, rec.Index, rec.Seed, i, seed)
 				}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -396,5 +397,79 @@ func TestReportCSVQuotesSpecName(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatalf("report CSV differs from encoding/csv:\n got %q\nwant %q", buf.Bytes(), again.Bytes())
+	}
+}
+
+// TestExplicitSpecKeepsSeed: an explicit spec that sets its own Seed runs at
+// exactly that seed — its cell's Seed, its materialized spec's and every
+// repetition's base — resumes from its manifest and passes BuildReport,
+// while an explicit spec with Seed 0 still derives its seed from the cell ID.
+// Editing the kept seed makes the resume fail loudly.
+func TestExplicitSpecKeepsSeed(t *testing.T) {
+	spec := func(name string, seed int64) scenario.Spec {
+		return scenario.New(
+			scenario.WithName(name),
+			scenario.WithLink(10e6),
+			scenario.WithFlows(1, "newreno", 100, scenario.ByBytesWorkload(scenario.ExponentialDist(100e3), scenario.ExponentialDist(0.5))),
+			scenario.WithDuration(0.5),
+			scenario.WithSeed(seed),
+		)
+	}
+	s := SweepSpec{Name: "own-seed", Specs: []scenario.Spec{spec("own", 42), spec("derived", 0)}, Seed: 3, Repetitions: 2}
+	own, err := s.Cell(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, err := s.Cell(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Seed != 42 {
+		t.Fatalf("explicit spec with seed 42 got cell seed %d", own.Seed)
+	}
+	if want := deriveCellSeed(3, derived.ID); derived.Seed != want {
+		t.Fatalf("explicit spec with seed 0 got cell seed %d, want the derived %d", derived.Seed, want)
+	}
+	if got, err := own.Spec(); err != nil || got.Seed != 42 {
+		t.Fatalf("materialized spec seed %d (%v), want 42", got.Seed, err)
+	}
+
+	manifest := filepath.Join(t.TempDir(), "manifest.jsonl")
+	var repSeeds []int64
+	first := Executor{Workers: 1, OnCell: func(c Cell, results []scenario.Result) {
+		if c.Index == 0 {
+			for _, r := range results {
+				repSeeds = append(repSeeds, r.Seed)
+			}
+		}
+	}}
+	if _, err := first.Run(s, RunOptions{ManifestPath: manifest}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{scenario.DeriveSeed(42, 0), scenario.DeriveSeed(42, 1)}; !reflect.DeepEqual(repSeeds, want) {
+		t.Fatalf("repetition seeds %v, want %v", repSeeds, want)
+	}
+
+	reran := 0
+	resumed, err := (Executor{Workers: 1, OnCell: func(Cell, []scenario.Result) { reran++ }}).Run(s, RunOptions{ManifestPath: manifest})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if reran != 0 {
+		t.Fatalf("resume re-ran %d checkpointed cells", reran)
+	}
+	rep, err := BuildReport(s, resumed)
+	if err != nil {
+		t.Fatalf("BuildReport: %v", err)
+	}
+	if rep.Cells[0].Seed != 42 || rep.Cells[1].Seed != derived.Seed {
+		t.Fatalf("report seeds %d, %d; want 42, %d", rep.Cells[0].Seed, rep.Cells[1].Seed, derived.Seed)
+	}
+
+	changed := s
+	changed.Specs = []scenario.Spec{spec("own", 43), spec("derived", 0)}
+	_, err = (Executor{Workers: 1}).Run(changed, RunOptions{ManifestPath: manifest})
+	if err == nil || !strings.Contains(err.Error(), "config changed") {
+		t.Fatalf("resume after editing the spec's seed returned %v, want a config-changed error", err)
 	}
 }

@@ -98,7 +98,7 @@ func BuildReport(sweep SweepSpec, records []CellRecord) (Report, error) {
 			continue
 		}
 		rec := records[j]
-		if seed := deriveCellSeed(sweep.Seed, id); string(id) != rec.ID || seed != rec.Seed {
+		if seed := x.seed(id, i); string(id) != rec.ID || seed != rec.Seed {
 			return Report{}, fmt.Errorf("campaign: record for index %d (%q, seed %d) does not match the sweep (%q, seed %d)",
 				i, rec.ID, rec.Seed, id, seed)
 		}

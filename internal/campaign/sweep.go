@@ -8,11 +8,12 @@
 // versioned report in JSON and CSV.
 //
 // Execution is deterministic end to end: each cell's seed derives from the
-// campaign seed and the cell's stable coordinate-based ID, so any cell is
-// reproducible standalone, the same report comes out whatever the worker
-// count, and the union of shard runs is byte-identical to a single-process
-// run. Completed cells are checkpointed to a JSONL manifest as they finish,
-// so an interrupted campaign resumes where it stopped.
+// campaign seed and the cell's stable coordinate-based ID (an explicit spec
+// that sets its own seed keeps it), so any cell is reproducible standalone,
+// the same report comes out whatever the worker count, and the union of
+// shard runs is byte-identical to a single-process run. Completed cells are
+// checkpointed to a JSONL manifest as they finish, so an interrupted campaign
+// resumes where it stopped.
 package campaign
 
 import (
@@ -33,7 +34,7 @@ import (
 // empty dimension.
 const (
 	AxisScheme        = "scheme"         // registered protocol names
-	AxisFamily        = "family"         // scenario family names (see Families)
+	AxisFamily        = "family"         // scenario family names (see scenario.Families)
 	AxisOfferedLoad   = "offered_load"   // flow-churn offered load (fraction of bottleneck at the median flow size)
 	AxisRTTMs         = "rtt_ms"         // responsive flows' two-way propagation delay
 	AxisRateScale     = "rate_scale"     // multiplier on every link's canonical rate
@@ -142,7 +143,8 @@ type SweepSpec struct {
 	// execution.
 	Description string `json:"description,omitempty"`
 	// Family names the scenario family every grid cell instantiates
-	// (Families lists the options). Mutually exclusive with a "family" axis.
+	// (scenario.Families lists the options). Mutually exclusive with a
+	// "family" axis.
 	Family string `json:"family,omitempty"`
 	// Scheme is the protocol grid cells run when there is no "scheme" axis.
 	Scheme string `json:"scheme,omitempty"`
@@ -153,13 +155,16 @@ type SweepSpec struct {
 	// The first axis varies slowest (row-major cell order).
 	Axes []Axis `json:"axes,omitempty"`
 	// Specs appends explicit scenario cells after the grid (for cells no
-	// family parameterization reaches).
+	// family parameterization reaches). An explicit spec keeps its own Seed,
+	// DurationSeconds and Repetitions when it sets them; a zero Seed derives
+	// the cell's seed from the campaign seed and the cell ID, as for grid
+	// cells.
 	Specs []scenario.Spec `json:"specs,omitempty"`
 	// DurationSeconds is each repetition's simulated length (grid cells, and
 	// explicit specs that do not set their own).
 	DurationSeconds float64 `json:"duration_seconds"`
 	// Seed is the campaign base seed; per-cell seeds derive from it and the
-	// cell ID.
+	// cell ID (except explicit specs that set their own).
 	Seed int64 `json:"seed,omitempty"`
 	// Repetitions is the independent runs per cell (0 means 1; explicit
 	// specs may override with their own count).
@@ -168,28 +173,6 @@ type SweepSpec struct {
 	// cells; nil means the repository's standard exponential 100 kB / 0.5 s
 	// process.
 	Workload *scenario.WorkloadSpec `json:"workload,omitempty"`
-}
-
-// Families returns the scenario family names a grid may instantiate.
-func Families() []string {
-	return []string{"parkinglot", "crosstraffic", "asymreverse", "flowchurn", "lossyoutage"}
-}
-
-// familyBuilder resolves a family name to its spec builder.
-func familyBuilder(name string) (func(scenario.FamilyConfig) scenario.Spec, bool) {
-	switch name {
-	case "parkinglot":
-		return scenario.ParkingLotSpec, true
-	case "crosstraffic":
-		return scenario.CrossTrafficSpec, true
-	case "asymreverse":
-		return scenario.AsymmetricReverseSpec, true
-	case "flowchurn":
-		return scenario.FlowChurnSpec, true
-	case "lossyoutage":
-		return scenario.LossyOutageSpec, true
-	}
-	return nil, false
 }
 
 // Reps returns the effective grid repetition count (at least 1).
@@ -253,14 +236,14 @@ func (s SweepSpec) Validate() error {
 		return fmt.Errorf("campaign: axes need a family (field or axis) to instantiate")
 	}
 	if s.Family != "" {
-		if _, ok := familyBuilder(s.Family); !ok {
-			return fmt.Errorf("campaign: unknown family %q (known: %v)", s.Family, Families())
+		if _, ok := scenario.Family(s.Family); !ok {
+			return fmt.Errorf("campaign: unknown family %q (known: %v)", s.Family, scenario.Families())
 		}
 	}
 	if fam, ok := s.axis(AxisFamily); ok {
 		for _, name := range fam.Strings {
-			if _, known := familyBuilder(name); !known {
-				return fmt.Errorf("campaign: unknown family %q on the family axis (known: %v)", name, Families())
+			if _, known := scenario.Family(name); !known {
+				return fmt.Errorf("campaign: unknown family %q on the family axis (known: %v)", name, scenario.Families())
 			}
 		}
 	}

@@ -216,13 +216,13 @@ func TestCellSeedStability(t *testing.T) {
 func TestDeriveCellSeedStable(t *testing.T) {
 	// Pin the derivation itself: a change to the mixing would silently orphan
 	// every existing manifest and report.
-	if got := DeriveCellSeed(20130812, "family=flowchurn/scheme=cubic/offered_load=0.5"); got != DeriveCellSeed(20130812, "family=flowchurn/scheme=cubic/offered_load=0.5") {
-		t.Fatal("DeriveCellSeed is not a pure function")
+	if got := deriveCellSeed(20130812, "family=flowchurn/scheme=cubic/offered_load=0.5"); got != deriveCellSeed(20130812, "family=flowchurn/scheme=cubic/offered_load=0.5") {
+		t.Fatal("deriveCellSeed is not a pure function")
 	}
-	if DeriveCellSeed(1, "a") == DeriveCellSeed(1, "b") {
+	if deriveCellSeed(1, "a") == deriveCellSeed(1, "b") {
 		t.Fatal("different IDs derived the same seed")
 	}
-	if DeriveCellSeed(1, "a") == DeriveCellSeed(2, "a") {
+	if deriveCellSeed(1, "a") == deriveCellSeed(2, "a") {
 		t.Fatal("different base seeds derived the same cell seed")
 	}
 	// The inline FNV-1a is hash/fnv's, over a string or the same bytes.
@@ -230,8 +230,8 @@ func TestDeriveCellSeedStable(t *testing.T) {
 		h := fnv.New64a()
 		h.Write([]byte(id))
 		want := int64(sim.SplitMix64(sim.SplitMix64(uint64(20130812)) ^ h.Sum64()))
-		if got := DeriveCellSeed(20130812, id); got != want {
-			t.Fatalf("DeriveCellSeed(%q) = %d, want %d", id, got, want)
+		if got := deriveCellSeed(20130812, id); got != want {
+			t.Fatalf("deriveCellSeed(%q) = %d, want %d", id, got, want)
 		}
 		if got := deriveCellSeed(20130812, []byte(id)); got != want {
 			t.Fatalf("deriveCellSeed(%q bytes) = %d, want %d", id, got, want)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -452,5 +453,38 @@ func TestFaultsExperiment(t *testing.T) {
 	}
 	if !sawDrops {
 		t.Error("no cell recorded fault drops; the loss process never fired")
+	}
+}
+
+// TestRunCampaignFailures: a cell the executor quarantines fails the
+// artifact with an error naming the cell, and a zero seed, which would hand
+// explicit specs derived per-cell seeds, is rejected before anything runs.
+func TestRunCampaignFailures(t *testing.T) {
+	w := scenario.ByTimeWorkload(scenario.ConstantDist(10), scenario.ConstantDist(1))
+	w.StartOn = true
+	spec := func(name, scheme string) scenario.Spec {
+		return scenario.New(
+			scenario.WithName(name),
+			scenario.WithLink(5e6),
+			scenario.WithDuration(0.3),
+			scenario.WithFlow(scenario.FlowSpec{Scheme: scheme, RTTMs: 50, Workload: w}),
+		)
+	}
+	sweep := campaign.SweepSpec{Name: "chaos", Specs: []scenario.Spec{spec("good", "newreno"), spec("boom", "chaos/panic")}}
+	_, err := runCampaign(sweep, scenario.Default(), quickCfg(), nil)
+	if err == nil || !strings.Contains(err.Error(), `cell "spec[1]=boom" failed`) || !strings.Contains(err.Error(), scenario.ChaosPanicMessage) {
+		t.Fatalf("runCampaign over a panicking cell returned %v, want an error naming spec[1]=boom and its panic", err)
+	}
+
+	cfg := quickCfg()
+	cfg.Seed = 0
+	ran := false
+	sweep = campaign.SweepSpec{Name: "zero-seed", Specs: []scenario.Spec{spec("good", "newreno")}}
+	_, err = runCampaign(sweep, scenario.Default(), cfg, func(campaign.Cell, []scenario.Result) { ran = true })
+	if err == nil || !strings.Contains(err.Error(), "Seed must be non-zero") || ran {
+		t.Fatalf("runCampaign at seed 0 returned %v (ran cells: %v), want a rejection before any cell runs", err, ran)
+	}
+	if _, err := Table4(cfg); err == nil {
+		t.Fatal("Table4 accepted RunConfig.Seed 0")
 	}
 }

@@ -13,15 +13,15 @@ import (
 // deterministically), with a 50 ms propagation RTT and a 1000-packet
 // tail-drop buffer. XCP is supplied with the trace's long-term average rate,
 // as in the paper (the scenario compiler computes it automatically).
-func cellularSpec(model string, n int, duration sim.Time) specBuilder {
-	return func(p scenario.Protocol) (scenario.Spec, error) {
+func cellularSpec(model string, n int, duration sim.Time) func(scenario.Protocol) scenario.Spec {
+	return func(p scenario.Protocol) scenario.Spec {
 		return scenario.New(
 			scenario.WithLinkModel(model),
 			scenario.WithQueue(p.QueueKind(), 1000),
 			scenario.WithDuration(duration.Seconds()),
 			scenario.WithFlows(n, p.Name, 50,
 				scenario.ByBytesWorkload(scenario.ExponentialDist(100e3), scenario.ExponentialDist(0.5))),
-		), nil
+		)
 	}
 }
 
@@ -35,8 +35,7 @@ func cellularExperiment(id, title, model string, n int, cfg RunConfig) (Report, 
 	if err != nil {
 		return Report{}, err
 	}
-	build := cellularSpec(model, n, cfg.Duration)
-	schemes, err := runSchemes(protocols, build, reg, cfg)
+	schemes, err := runSpecs(id, schemeSpecs(protocols, cellularSpec(model, n, cfg.Duration)), reg, cfg)
 	if err != nil {
 		return Report{}, err
 	}

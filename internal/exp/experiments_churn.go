@@ -62,24 +62,12 @@ func FlowChurn(cfg RunConfig) (Report, error) {
 	sweep := ChurnSweep(cfg)
 
 	schemeResults := make([]SchemeResult, sweep.NumCells())
-	exec := campaign.Executor{
-		Registry: reg,
-		Workers:  cfg.Workers,
-		Logf:     cfg.Logf,
-		// OnCell calls are serialized, so the slice writes do not race.
-		OnCell: func(c campaign.Cell, results []scenario.Result) {
-			load := churnLoads[c.Index/len(churnSchemes)]
-			sr := SchemeResult{Protocol: fmt.Sprintf("churn-%.2f/%s", load, c.Scheme)}
-			for _, r := range results {
-				sr.accumulate(r)
-			}
-			sr.summarize(1)
-			schemeResults[c.Index] = sr
-		},
-	}
-	records, err := exec.Run(sweep, campaign.RunOptions{})
+	records, err := runCampaign(sweep, reg, cfg, func(c campaign.Cell, results []scenario.Result) {
+		load := churnLoads[c.Index/len(churnSchemes)]
+		schemeResults[c.Index] = schemeResult(fmt.Sprintf("churn-%.2f/%s", load, c.Scheme), results)
+	})
 	if err != nil {
-		return Report{}, fmt.Errorf("exp: churn campaign: %w", err)
+		return Report{}, err
 	}
 
 	rep := Report{

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
@@ -42,15 +43,15 @@ func remyProtocols(trees map[float64]*core.WhiskerTree) []scenario.Protocol {
 // drawn from `flowLengths` and exponentially distributed off times. The
 // bottleneck queue follows the protocol under test.
 func dumbbellSpec(n int, linkRateBps float64, rttMs float64, flowLengths scenario.DistSpec,
-	meanOffSeconds float64, duration sim.Time) specBuilder {
-	return func(p scenario.Protocol) (scenario.Spec, error) {
+	meanOffSeconds float64, duration sim.Time) func(scenario.Protocol) scenario.Spec {
+	return func(p scenario.Protocol) scenario.Spec {
 		return scenario.New(
 			scenario.WithLink(linkRateBps),
 			scenario.WithQueue(p.QueueKind(), 1000),
 			scenario.WithDuration(duration.Seconds()),
 			scenario.WithFlows(n, p.Name, rttMs,
 				scenario.ByBytesWorkload(flowLengths, scenario.ExponentialDist(meanOffSeconds))),
-		), nil
+		)
 	}
 }
 
@@ -68,7 +69,7 @@ func Figure4(cfg RunConfig) (Report, error) {
 		return Report{}, err
 	}
 	build := dumbbellSpec(8, 15e6, 150, scenario.ExponentialDist(100e3), 0.5, cfg.Duration)
-	schemes, err := runSchemes(protocols, build, reg, cfg)
+	schemes, err := runSpecs("fig4", schemeSpecs(protocols, build), reg, cfg)
 	if err != nil {
 		return Report{}, err
 	}
@@ -114,7 +115,7 @@ func Figure5(cfg RunConfig) (Report, error) {
 		return Report{}, err
 	}
 	build := dumbbellSpec(12, 15e6, 150, scenario.ICSIDist(16384), 0.2, cfg.Duration)
-	schemes, err := runSchemes(protocols, build, reg, cfg)
+	schemes, err := runSpecs("fig5", schemeSpecs(protocols, build), reg, cfg)
 	if err != nil {
 		return Report{}, err
 	}
@@ -174,7 +175,6 @@ func Figure6(cfg RunConfig) (Report, []SequencePoint, error) {
 		scenario.WithLink(15e6),
 		scenario.WithQueue(scenario.QueueDropTail, 1000),
 		scenario.WithDuration(duration.Seconds()),
-		scenario.WithSeed(cfg.Seed),
 		scenario.WithFlow(scenario.FlowSpec{Scheme: "remy-d1", RTTMs: 150, Workload: observed}),
 		scenario.WithFlow(scenario.FlowSpec{Scheme: "remy-d1", RTTMs: 150, Workload: competitor}),
 		scenario.WithOnDeliver(func(p *netsim.Packet, now sim.Time) {
@@ -185,7 +185,7 @@ func Figure6(cfg RunConfig) (Report, []SequencePoint, error) {
 			series = append(series, SequencePoint{TimeSeconds: now.Seconds(), CumulativePackets: delivered})
 		}),
 	)
-	if _, err := (scenario.Runner{Registry: reg, Workers: 1}).RunOne(spec); err != nil {
+	if _, err := runCampaign(campaign.SweepSpec{Name: "fig6", Specs: []scenario.Spec{spec}}, reg, cfg, nil); err != nil {
 		return Report{}, nil, err
 	}
 

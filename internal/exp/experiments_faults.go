@@ -50,10 +50,9 @@ func FaultsSweep(cfg RunConfig) campaign.SweepSpec {
 // grid probes how gracefully the learned controller degrades against
 // hand-designed loss-recovery machinery.
 //
-// The grid runs as a campaign on the fail-safe executor: metrics come from
-// the campaign's O(1) streaming aggregates, and per-cell fault-drop counts
-// are collected on the side (via OnCell) before repetition results are
-// discarded.
+// The grid runs as a campaign: metrics come from the campaign's O(1)
+// streaming aggregates, and per-cell fault-drop counts are collected on the
+// side (via OnCell) before repetition results are discarded.
 func Faults(cfg RunConfig) (Report, error) {
 	tree, err := LoadOrTrainRemyCC(cfg.AssetsDir, AssetRemy1x, LinkSpeedTrainSpec(15e6, 15e6, cfg.TrainBudget), cfg.Logf)
 	if err != nil {
@@ -66,20 +65,13 @@ func Faults(cfg RunConfig) (Report, error) {
 	sweep := FaultsSweep(cfg)
 
 	faultDrops := make([]int64, sweep.NumCells())
-	exec := campaign.Executor{
-		Registry: reg,
-		Workers:  cfg.Workers,
-		Logf:     cfg.Logf,
-		// OnCell calls are serialized, so the slice writes do not race.
-		OnCell: func(c campaign.Cell, results []scenario.Result) {
-			for _, r := range results {
-				faultDrops[c.Index] += r.Res.FaultDropped
-			}
-		},
-	}
-	records, err := exec.Run(sweep, campaign.RunOptions{})
+	records, err := runCampaign(sweep, reg, cfg, func(c campaign.Cell, results []scenario.Result) {
+		for _, r := range results {
+			faultDrops[c.Index] += r.Res.FaultDropped
+		}
+	})
 	if err != nil {
-		return Report{}, fmt.Errorf("exp: faults campaign: %w", err)
+		return Report{}, err
 	}
 
 	rep := Report{

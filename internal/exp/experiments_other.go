@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"repro/internal/campaign"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -61,32 +62,28 @@ func Figure10(cfg RunConfig) (Report, error) {
 		return Report{}, err
 	}
 	rtts := []float64{50, 100, 150, 200}
-
-	// This experiment needs per-RTT (i.e. per-flow-position) shares, so it
-	// inspects each repetition's flow results rather than pooling them.
-	lines := []string{fmt.Sprintf("%-16s %10s %10s %10s %10s", "scheme", "50ms", "100ms", "150ms", "200ms")}
-	schemes := make([]SchemeResult, 0, len(protocols))
-	shares := make(map[string][]float64)
-	for _, p := range protocols {
-		w := scenario.ByBytesWorkload(scenario.ICSIDist(16384), scenario.ExponentialDist(0.2))
+	w := scenario.ByBytesWorkload(scenario.ICSIDist(16384), scenario.ExponentialDist(0.2))
+	specs := schemeSpecs(protocols, func(p scenario.Protocol) scenario.Spec {
 		spec := scenario.New(
-			scenario.WithName("fig10-"+p.Name),
 			scenario.WithLink(10e6),
 			scenario.WithQueue(p.QueueKind(), 1000),
 			scenario.WithDuration(cfg.Duration.Seconds()),
-			scenario.WithSeed(cfg.Seed),
-			scenario.WithRepetitions(cfg.Runs),
 		)
 		for _, rtt := range rtts {
 			spec.Flows = append(spec.Flows, scenario.FlowSpec{Scheme: p.Name, RTTMs: rtt, Workload: w})
 		}
-		results, err := cfg.runner(reg).RunOne(spec)
-		if err != nil {
-			return Report{}, err
-		}
+		return spec
+	})
+
+	// This experiment needs per-RTT (i.e. per-flow-position) shares, so it
+	// inspects each repetition's flow results rather than pooling them.
+	schemes := make([]SchemeResult, len(protocols))
+	shares := make([][]float64, len(protocols))
+	sweep := campaign.SweepSpec{Name: "fig10", Specs: specs, Repetitions: cfg.Runs}
+	_, err = runCampaign(sweep, reg, cfg, func(c campaign.Cell, results []scenario.Result) {
 		perRTT := make([]float64, len(rtts))
 		counts := make([]int, len(rtts))
-		sr := SchemeResult{Protocol: p.Name}
+		sr := SchemeResult{Protocol: protocols[c.Index].Name}
 		for _, res := range results {
 			var total float64
 			for _, f := range res.Res.Flows {
@@ -107,16 +104,19 @@ func Figure10(cfg RunConfig) (Report, error) {
 			if counts[i] > 0 {
 				perRTT[i] /= float64(counts[i])
 			}
-		}
-		// Normalize so an equal share is 1.0 (4 flows -> multiply by 4).
-		for i := range perRTT {
+			// Normalize so an equal share is 1.0 (4 flows -> multiply by 4).
 			perRTT[i] *= float64(len(rtts))
 		}
-		shares[p.Name] = perRTT
 		sr.summarize(1)
-		schemes = append(schemes, sr)
+		schemes[c.Index], shares[c.Index] = sr, perRTT
+	})
+	if err != nil {
+		return Report{}, err
+	}
+	lines := []string{fmt.Sprintf("%-16s %10s %10s %10s %10s", "scheme", "50ms", "100ms", "150ms", "200ms")}
+	for i, perRTT := range shares {
 		lines = append(lines, fmt.Sprintf("%-16s %10.2f %10.2f %10.2f %10.2f",
-			p.Name, perRTT[0], perRTT[1], perRTT[2], perRTT[3]))
+			protocols[i].Name, perRTT[0], perRTT[1], perRTT[2], perRTT[3]))
 	}
 	lines = append(lines, "(1.0 = exactly the fair share; lower at long RTTs indicates RTT unfairness)")
 
@@ -161,7 +161,7 @@ func Table3(cfg RunConfig) (Report, error) {
 	localCfg := cfg
 	localCfg.Runs = runs
 
-	build := func(p scenario.Protocol) (scenario.Spec, error) {
+	build := func(p scenario.Protocol) scenario.Spec {
 		return scenario.New(
 			scenario.WithLink(10e9),
 			scenario.WithQueue(p.QueueKind(), 1000),
@@ -169,9 +169,9 @@ func Table3(cfg RunConfig) (Report, error) {
 			scenario.WithDuration(duration.Seconds()),
 			scenario.WithFlows(senders, p.Name, 4,
 				scenario.ByBytesWorkload(scenario.ExponentialDist(20e6), scenario.ExponentialDist(0.1))),
-		), nil
+		)
 	}
-	schemes, err := runSchemes(protocols, build, reg, localCfg)
+	schemes, err := runSpecs("table3", schemeSpecs(protocols, build), reg, localCfg)
 	if err != nil {
 		return Report{}, err
 	}
@@ -207,22 +207,32 @@ func Table4(cfg RunConfig) (Report, error) {
 		return Report{}, err
 	}
 
-	runPair := func(other scenario.Protocol, on scenario.DistSpec, offMean float64) (remyTput, otherTput float64, err error) {
+	pair := func(other scenario.Protocol, on scenario.DistSpec, offMean float64) scenario.Spec {
 		w := scenario.ByBytesWorkload(on, scenario.ExponentialDist(offMean))
-		spec := scenario.New(
+		return scenario.New(
 			scenario.WithName("table4-remy-vs-"+other.Name),
 			scenario.WithLink(15e6),
 			scenario.WithQueue(scenario.QueueDropTail, 1000),
 			scenario.WithDuration(cfg.Duration.Seconds()),
-			scenario.WithSeed(cfg.Seed),
-			scenario.WithRepetitions(cfg.Runs),
 			scenario.WithFlow(scenario.FlowSpec{Scheme: "remy-compete", RTTMs: 150, Workload: w}),
 			scenario.WithFlow(scenario.FlowSpec{Scheme: other.Name, RTTMs: 150, Workload: w}),
 		)
-		results, err := cfg.runner(reg).RunOne(spec)
-		if err != nil {
-			return 0, 0, err
-		}
+	}
+	offsMs := []float64{200, 100, 10}
+	sizes := []float64{100e3, 1e6}
+	var specs []scenario.Spec
+	for _, offMs := range offsMs {
+		specs = append(specs, pair(scenario.Compound(), scenario.ICSIDist(16384), offMs/1000))
+	}
+	for _, size := range sizes {
+		specs = append(specs, pair(scenario.Cubic(), scenario.ExponentialDist(size), 0.5))
+	}
+	// remy and other hold each pair's mean throughputs over the runs in
+	// which both flows were on.
+	remy, other := make([]float64, len(specs)), make([]float64, len(specs))
+	valid := make([]bool, len(specs))
+	sweep := campaign.SweepSpec{Name: "table4", Specs: specs, Repetitions: cfg.Runs}
+	_, err = runCampaign(sweep, reg, cfg, func(c campaign.Cell, results []scenario.Result) {
 		var remySum, otherSum float64
 		count := 0
 		for _, res := range results {
@@ -234,29 +244,30 @@ func Table4(cfg RunConfig) (Report, error) {
 			otherSum += flows[1].Metrics.Mbps()
 			count++
 		}
-		if count == 0 {
-			return 0, 0, fmt.Errorf("exp: no valid runs for competing pair")
+		if count > 0 {
+			remy[c.Index], other[c.Index] = remySum/float64(count), otherSum/float64(count)
+			valid[c.Index] = true
 		}
-		return remySum / float64(count), otherSum / float64(count), nil
+	})
+	if err != nil {
+		return Report{}, err
+	}
+	for i, ok := range valid {
+		if !ok {
+			return Report{}, fmt.Errorf("exp: no valid runs for competing pair %q", specs[i].Name)
+		}
 	}
 
 	lines := []string{"RemyCC vs Compound (ICSI flow lengths, varying mean off time):",
 		fmt.Sprintf("  %-14s %16s %16s", "mean off time", "RemyCC tput", "Compound tput")}
-	for _, offMs := range []float64{200, 100, 10} {
-		r, o, err := runPair(scenario.Compound(), scenario.ICSIDist(16384), offMs/1000)
-		if err != nil {
-			return Report{}, err
-		}
-		lines = append(lines, fmt.Sprintf("  %11.0f ms %11.2f Mbps %11.2f Mbps", offMs, r, o))
+	for i, offMs := range offsMs {
+		lines = append(lines, fmt.Sprintf("  %11.0f ms %11.2f Mbps %11.2f Mbps", offMs, remy[i], other[i]))
 	}
 	lines = append(lines, "RemyCC vs Cubic (exponential flow lengths, 0.5 s mean off time):",
 		fmt.Sprintf("  %-14s %16s %16s", "mean size", "RemyCC tput", "Cubic tput"))
-	for _, size := range []float64{100e3, 1e6} {
-		r, o, err := runPair(scenario.Cubic(), scenario.ExponentialDist(size), 0.5)
-		if err != nil {
-			return Report{}, err
-		}
-		lines = append(lines, fmt.Sprintf("  %11.0f kB %11.2f Mbps %11.2f Mbps", size/1e3, r, o))
+	for i, size := range sizes {
+		j := len(offsMs) + i
+		lines = append(lines, fmt.Sprintf("  %11.0f kB %11.2f Mbps %11.2f Mbps", size/1e3, remy[j], other[j]))
 	}
 	rep := Report{
 		ID:    "table4",
@@ -289,16 +300,19 @@ func Figure11(cfg RunConfig) (Report, error) {
 	speeds := []float64{4.7e6, 8e6, 15e6, 27e6, 47e6}
 	objective := stats.DefaultObjective(1)
 
-	lines := []string{fmt.Sprintf("%-14s %12s %12s %12s", "link speed", "remy-1x", "remy-10x", "cubic/sfqcodel")}
-	scoresBySpeed := make(map[float64]map[string]float64)
+	var specs []scenario.Spec
 	for _, speed := range speeds {
+		specs = append(specs, schemeSpecs(protocols, dumbbellSpec(2, speed, 150, scenario.ExponentialDist(100e3), 0.5, cfg.Duration))...)
+	}
+	results, err := runSpecs("fig11", specs, reg, cfg)
+	if err != nil {
+		return Report{}, err
+	}
+
+	lines := []string{fmt.Sprintf("%-14s %12s %12s %12s", "link speed", "remy-1x", "remy-10x", "cubic/sfqcodel")}
+	for si, speed := range speeds {
 		row := make(map[string]float64)
-		for _, p := range protocols {
-			build := dumbbellSpec(2, speed, 150, scenario.ExponentialDist(100e3), 0.5, cfg.Duration)
-			res, err := runScheme(p, build, reg, cfg)
-			if err != nil {
-				return Report{}, err
-			}
+		for _, res := range results[si*len(protocols) : (si+1)*len(protocols)] {
 			// Score each flow sample with Equation 1 (normalized throughput,
 			// delay relative to the 150 ms propagation RTT) and average.
 			var sum float64
@@ -314,10 +328,9 @@ func Figure11(cfg RunConfig) (Report, error) {
 				count++
 			}
 			if count > 0 {
-				row[p.Name] = sum / float64(count)
+				row[res.Protocol] = sum / float64(count)
 			}
 		}
-		scoresBySpeed[speed] = row
 		lines = append(lines, fmt.Sprintf("%9.1f Mbps %12.2f %12.2f %12.2f",
 			speed/1e6, row["remy-1x"], row["remy-10x"], row["cubic/sfqcodel"]))
 	}

@@ -26,48 +26,31 @@ func BeyondDumbbell(cfg RunConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	families := []string{"parkinglot", "crosstraffic", "asymreverse"}
 	schemes := []string{"remy-1x", "cubic", "cubic/sfqcodel"}
 	w := scenario.ByBytesWorkload(scenario.ExponentialDist(100e3), scenario.ExponentialDist(0.5))
-	runner := cfg.runner(reg)
+	var specs []scenario.Spec
+	for _, fam := range families {
+		build, _ := scenario.Family(fam)
+		for _, scheme := range schemes {
+			spec := build(scenario.FamilyConfig{Scheme: scheme, Workload: w, DurationSeconds: cfg.Duration.Seconds()})
+			spec.Name = fam + "/" + scheme
+			specs = append(specs, spec)
+		}
+	}
+	results, err := runSpecs("beyond", specs, reg, cfg)
+	if err != nil {
+		return Report{}, err
+	}
 
 	rep := Report{
-		ID:    "beyond",
-		Title: "Beyond the dumbbell: RemyCC (1x) vs Cubic and Cubic/sfqCoDel on multi-bottleneck, cross-traffic and asymmetric paths",
+		ID:      "beyond",
+		Title:   "Beyond the dumbbell: RemyCC (1x) vs Cubic and Cubic/sfqCoDel on multi-bottleneck, cross-traffic and asymmetric paths",
+		Schemes: results,
 	}
-	for _, fam := range scenario.BeyondDumbbellFamilies() {
-		cfg.logf("  family %s", fam.Name)
-		results := make([]SchemeResult, 0, len(schemes))
-		for _, scheme := range schemes {
-			spec := fam.Build(scenario.FamilyConfig{
-				Scheme:          scheme,
-				Workload:        w,
-				DurationSeconds: cfg.Duration.Seconds(),
-				Seed:            cfg.Seed,
-				Repetitions:     cfg.Runs,
-			})
-			runs, err := runner.RunOne(spec)
-			if err != nil {
-				return Report{}, fmt.Errorf("exp: beyond/%s/%s: %w", fam.Name, scheme, err)
-			}
-			sr := SchemeResult{Protocol: fam.Name + "/" + scheme}
-			for _, run := range runs {
-				// The unresponsive cbr source is scenery, not a contestant: it
-				// does not belong in the scheme's throughput-delay cloud.
-				filtered := run
-				filtered.Res.Flows = nil
-				for _, f := range run.Res.Flows {
-					if f.Algorithm != "cbr" {
-						filtered.Res.Flows = append(filtered.Res.Flows, f)
-					}
-				}
-				sr.accumulate(filtered)
-			}
-			sr.summarize(1)
-			results = append(results, sr)
-		}
-		rep.Schemes = append(rep.Schemes, results...)
-		rep.Lines = append(rep.Lines, fmt.Sprintf("-- %s --", fam.Name))
-		rep.Lines = append(rep.Lines, throughputDelayLines(results)...)
+	for i, fam := range families {
+		rep.Lines = append(rep.Lines, fmt.Sprintf("-- %s --", fam))
+		rep.Lines = append(rep.Lines, throughputDelayLines(results[i*len(schemes):(i+1)*len(schemes)])...)
 	}
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("%d runs of %v per scheme per family; remy-1x trained for a single 15 Mbps dumbbell bottleneck", cfg.Runs, cfg.Duration),

@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -20,9 +22,11 @@ type RunConfig struct {
 	Runs int
 	// Duration is the simulated length of each run.
 	Duration sim.Time
-	// Seed makes the whole experiment reproducible.
+	// Seed makes the whole experiment reproducible. Every scheme of an
+	// artifact runs at this seed, so the schemes see common random draws. It
+	// must be non-zero.
 	Seed int64
-	// Workers bounds concurrent simulations; <= 0 means
+	// Workers bounds concurrently running campaign cells; <= 0 means
 	// scenario.DefaultWorkers().
 	Workers int
 	// AssetsDir is where pre-trained RemyCC rule tables live.
@@ -66,17 +70,6 @@ func PaperRunConfig() RunConfig {
 	return c
 }
 
-func (c RunConfig) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
-}
-
-// runner returns the scenario runner all experiments execute through.
-func (c RunConfig) runner(reg *scenario.Registry) scenario.Runner {
-	return scenario.Runner{Registry: reg, Workers: c.Workers}
-}
-
 // SchemeResult aggregates one scheme's outcome over all runs of one
 // experiment.
 type SchemeResult struct {
@@ -111,15 +104,12 @@ func (s SchemeResult) MedianThroughput() float64 { return stats.Median(s.Through
 // MedianDelay returns the median per-flow queueing delay in milliseconds.
 func (s SchemeResult) MedianDelay() float64 { return stats.Median(s.DelaysMs) }
 
-// specBuilder constructs the declarative scenario for one protocol.
-// Implementations vary per experiment (different workloads, RTT mixes, link
-// models, and flow counts); the runner adds the seed and repetition count.
-type specBuilder func(p scenario.Protocol) (scenario.Spec, error)
-
 // accumulate folds one repetition's per-flow results into the scheme result.
+// The unresponsive cbr source is scenery, not a contestant: it does not belong
+// in a scheme's throughput-delay cloud.
 func (s *SchemeResult) accumulate(res scenario.Result) {
 	for _, f := range res.Res.Flows {
-		if f.Metrics.OnDuration <= 0 {
+		if f.Metrics.OnDuration <= 0 || f.Algorithm == "cbr" {
 			continue
 		}
 		point := stats.Point{
@@ -134,46 +124,62 @@ func (s *SchemeResult) accumulate(res scenario.Result) {
 	}
 }
 
-// runScheme executes cfg.Runs independent repetitions of the spec for one
-// protocol through the scenario runner and aggregates per-flow results.
-func runScheme(p scenario.Protocol, build specBuilder, reg *scenario.Registry, cfg RunConfig) (SchemeResult, error) {
-	if err := p.Validate(); err != nil {
-		return SchemeResult{}, err
-	}
-	spec, err := build(p)
-	if err != nil {
-		return SchemeResult{}, err
-	}
-	if spec.Name == "" {
-		spec.Name = p.Name
-	}
-	spec.Seed = cfg.Seed
-	spec.Repetitions = cfg.Runs
-	results, err := cfg.runner(reg).RunOne(spec)
-	if err != nil {
-		return SchemeResult{}, err
-	}
-	result := SchemeResult{Protocol: p.Name}
+// schemeResult pools every repetition's flows into one scheme result.
+func schemeResult(protocol string, results []scenario.Result) SchemeResult {
+	sr := SchemeResult{Protocol: protocol}
 	for _, res := range results {
-		result.accumulate(res)
+		sr.accumulate(res)
 	}
-	result.summarize(1)
-	return result, nil
+	sr.summarize(1)
+	return sr
 }
 
-// runSchemes runs every protocol through the same builder and returns the
-// results in protocol order.
-func runSchemes(protocols []scenario.Protocol, build specBuilder, reg *scenario.Registry, cfg RunConfig) ([]SchemeResult, error) {
-	out := make([]SchemeResult, 0, len(protocols))
-	for _, p := range protocols {
-		cfg.logf("  running scheme %s (%d runs of %v)", p.Name, cfg.Runs, cfg.Duration)
-		r, err := runScheme(p, build, reg, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("exp: scheme %s: %w", p.Name, err)
-		}
-		out = append(out, r)
+// runCampaign executes an artifact's sweep on the campaign executor, the one
+// path every artifact's simulations take, and hands each cell's repetition
+// results to onCell (serialized, in completion order). Explicit specs run at
+// cfg.Seed, so every scheme of an artifact sees the same random draws; grid
+// cells keep the seeds they derive from the campaign seed and their IDs. A
+// quarantined cell fails the artifact.
+func runCampaign(sweep campaign.SweepSpec, reg *scenario.Registry, cfg RunConfig, onCell func(campaign.Cell, []scenario.Result)) ([]campaign.CellRecord, error) {
+	if cfg.Seed == 0 {
+		return nil, errors.New("exp: RunConfig.Seed must be non-zero")
 	}
-	return out, nil
+	for i := range sweep.Specs {
+		sweep.Specs[i].Seed = cfg.Seed
+	}
+	exec := campaign.Executor{Registry: reg, Workers: cfg.Workers, Logf: cfg.Logf, OnCell: onCell}
+	records, err := exec.Run(sweep, campaign.RunOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("exp: %s campaign: %w", sweep.Name, err)
+	}
+	for _, rec := range records {
+		if rec.Failure != "" {
+			return nil, fmt.Errorf("exp: %s campaign: cell %q failed: %s", sweep.Name, rec.ID, rec.Failure)
+		}
+	}
+	return records, nil
+}
+
+// runSpecs runs each spec as one campaign cell of cfg.Runs repetitions and
+// returns, in spec order, each cell's flows pooled into a scheme result
+// named after its spec.
+func runSpecs(id string, specs []scenario.Spec, reg *scenario.Registry, cfg RunConfig) ([]SchemeResult, error) {
+	out := make([]SchemeResult, len(specs))
+	sweep := campaign.SweepSpec{Name: id, Specs: specs, Repetitions: cfg.Runs}
+	_, err := runCampaign(sweep, reg, cfg, func(c campaign.Cell, results []scenario.Result) {
+		out[c.Index] = schemeResult(specs[c.Index].Name, results)
+	})
+	return out, err
+}
+
+// schemeSpecs builds one spec per protocol, each named after its protocol.
+func schemeSpecs(protocols []scenario.Protocol, build func(p scenario.Protocol) scenario.Spec) []scenario.Spec {
+	specs := make([]scenario.Spec, len(protocols))
+	for i, p := range protocols {
+		specs[i] = build(p)
+		specs[i].Name = p.Name
+	}
+	return specs
 }
 
 // Report is the output of one experiment: formatted text plus the structured

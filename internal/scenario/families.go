@@ -276,18 +276,35 @@ func LossyOutageSpec(c FamilyConfig) Spec {
 	return s
 }
 
-// BeyondDumbbellFamilies returns the three canonical beyond-dumbbell spec
-// builders keyed by family name, in presentation order.
-func BeyondDumbbellFamilies() []struct {
-	Name  string
-	Build func(FamilyConfig) Spec
-} {
-	return []struct {
-		Name  string
-		Build func(FamilyConfig) Spec
-	}{
-		{Name: "parkinglot", Build: ParkingLotSpec},
-		{Name: "crosstraffic", Build: CrossTrafficSpec},
-		{Name: "asymreverse", Build: AsymmetricReverseSpec},
+// families is the one table of scenario families: every name a campaign grid
+// or an experiment may instantiate, with its spec builder, in presentation
+// order (the three beyond-dumbbell families first).
+var families = []struct {
+	name  string
+	build func(FamilyConfig) Spec
+}{
+	{"parkinglot", ParkingLotSpec},
+	{"crosstraffic", CrossTrafficSpec},
+	{"asymreverse", AsymmetricReverseSpec},
+	{"flowchurn", FlowChurnSpec},
+	{"lossyoutage", LossyOutageSpec},
+}
+
+// Families returns the scenario family names, in presentation order.
+func Families() []string {
+	names := make([]string, len(families))
+	for i, f := range families {
+		names[i] = f.name
 	}
+	return names
+}
+
+// Family returns the named family's spec builder.
+func Family(name string) (func(FamilyConfig) Spec, bool) {
+	for _, f := range families {
+		if f.name == name {
+			return f.build, true
+		}
+	}
+	return nil, false
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -33,35 +34,10 @@ func rebuildAllocWorlds() []Spec {
 // costs once the engine has seen it: the two worlds of rebuildAllocWorlds
 // are built, run and rebuilt in turn, and once both have been seen,
 // rebuilding one after the other — validating the spec, resolving its names
-// and building its world, algorithms included — allocates nothing. Like
-// testing.AllocsPerRun, it judges the mean over many rebuilds, truncated, so
-// a stray allocation of the runtime's does not fail it and one per rebuild
-// does.
+// and building its world, algorithms included — allocates nothing.
 func TestRebuildAllocatesNothing(t *testing.T) {
-	worlds := rebuildAllocWorlds()
-	var ss Session
-	var res harness.Result
-	const warm, measured = 2, 10
-	var allocs uint64
-	for round := 0; round < warm+measured; round++ {
-		for i := range worlds {
-			before := mallocs()
-			if err := ss.Rebuild(nil, &worlds[i], 0); err != nil {
-				t.Fatal(err)
-			}
-			// Round 0 builds each world, round 1 grows the parts set's
-			// lists to hold both; from round 2 on, both have been seen.
-			if round >= warm {
-				allocs += mallocs() - before
-			}
-			if err := ss.RunInto(int64(round), &res); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if perRebuild := allocs / (measured * uint64(len(worlds))); perRebuild > 0 {
-		t.Errorf("rebuilding a world of stock schemes allocates %d times (%d over %d rebuilds), want 0",
-			perRebuild, allocs, measured*len(worlds))
+	if perRebuild := meanRebuildAllocs(t, rebuildAllocWorlds(), nil); perRebuild > 0 {
+		t.Errorf("rebuilding a world of stock schemes allocates %.0f times per rebuild, want 0", perRebuild)
 	}
 }
 
@@ -95,28 +71,46 @@ func TestRebuildAllocatesOnlyAlgorithms(t *testing.T) {
 			}
 		}
 	}
-	var ss Session
-	for round := 0; round < 4; round++ {
-		for i := range worlds {
-			algoAllocs = 0
-			before := mallocs()
-			if err := ss.Rebuild(nil, &worlds[i], 0); err != nil {
-				t.Fatal(err)
-			}
-			own, algos := float64(mallocs()-before)-algoAllocs, algoAllocs
-			if _, err := ss.Run(int64(round)); err != nil {
-				t.Fatal(err)
-			}
-			// Round 0 builds each world, round 1 grows the parts set's
-			// lists to hold both; from round 2 on, both have been seen.
-			if round >= 2 && own > rebuildOverhead {
-				t.Errorf("round %d: rebuilding world %d allocates %.0f times besides its algorithms' %.0f (want <= %d)",
-					round, i, own, algos, rebuildOverhead)
-			}
-		}
+	if own := meanRebuildAllocs(t, worlds, &algoAllocs); own > rebuildOverhead {
+		t.Errorf("rebuilding a world allocates %.0f times per rebuild besides its algorithms (want <= %d)", own, rebuildOverhead)
 	}
 }
 
 // rebuildOverhead is what TestRebuildAllocatesOnlyAlgorithms allows a
 // rebuild to allocate of its own: nothing.
 const rebuildOverhead = 0
+
+// meanRebuildAllocs builds, runs and rebuilds worlds in turn, round after
+// round, and returns what a rebuild allocates once every world has been seen,
+// less what *algos (zeroed before each rebuild, when non-nil) counts during
+// it. Like testing.AllocsPerRun, it judges the mean over many rebuilds,
+// truncated, so a stray allocation of the runtime's does not fail a test and
+// one per rebuild does.
+func meanRebuildAllocs(t *testing.T, worlds []Spec, algos *float64) float64 {
+	t.Helper()
+	if algos == nil {
+		algos = new(float64)
+	}
+	var ss Session
+	var res harness.Result
+	const warm, measured = 2, 10
+	var allocs float64
+	for round := 0; round < warm+measured; round++ {
+		for i := range worlds {
+			*algos = 0
+			before := mallocs()
+			if err := ss.Rebuild(nil, &worlds[i], 0); err != nil {
+				t.Fatal(err)
+			}
+			// Round 0 builds each world, round 1 grows the parts set's
+			// lists to hold both; from round 2 on, both have been seen.
+			if round >= warm {
+				allocs += float64(mallocs()-before) - *algos
+			}
+			if err := ss.RunInto(int64(round), &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return math.Trunc(allocs / float64(measured*len(worlds)))
+}

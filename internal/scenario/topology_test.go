@@ -24,13 +24,17 @@ func parkingLotConfig() FamilyConfig {
 	}
 }
 
+// beyondDumbbellFamilies are the families built on an explicit topology.
+var beyondDumbbellFamilies = []string{"parkinglot", "crosstraffic", "asymreverse"}
+
 // TestTopologySpecJSONRoundTrip: a topology spec must survive
 // encode→decode→encode byte-identically, including routes and per-link
 // queues.
 func TestTopologySpecJSONRoundTrip(t *testing.T) {
-	for _, fam := range BeyondDumbbellFamilies() {
-		t.Run(fam.Name, func(t *testing.T) {
-			spec := fam.Build(parkingLotConfig())
+	for _, name := range beyondDumbbellFamilies {
+		t.Run(name, func(t *testing.T) {
+			build, _ := Family(name)
+			spec := build(parkingLotConfig())
 			if err := spec.Validate(); err != nil {
 				t.Fatalf("family spec invalid: %v", err)
 			}
@@ -271,11 +275,12 @@ func TestLinkFormEqualsOneLinkTopology(t *testing.T) {
 // TestFamiliesCompileAndRun executes one short repetition of each canonical
 // family end to end through the runner.
 func TestFamiliesCompileAndRun(t *testing.T) {
-	for _, fam := range BeyondDumbbellFamilies() {
-		t.Run(fam.Name, func(t *testing.T) {
+	for _, name := range beyondDumbbellFamilies {
+		t.Run(name, func(t *testing.T) {
 			cfg := parkingLotConfig()
 			cfg.Repetitions = 1
-			spec := fam.Build(cfg)
+			build, _ := Family(name)
+			spec := build(cfg)
 			results, err := (Runner{Workers: 1}).RunOne(spec)
 			if err != nil {
 				t.Fatal(err)
