@@ -3,6 +3,7 @@ package exp
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -486,5 +487,37 @@ func TestRunCampaignFailures(t *testing.T) {
 	}
 	if _, err := Table4(cfg); err == nil {
 		t.Fatal("Table4 accepted RunConfig.Seed 0")
+	}
+}
+
+// TestRunCampaignWorkers: an explicit spec's repetitions run on every worker
+// without moving a number, and runCampaign leaves the caller's specs (and
+// their seeds) as they were.
+func TestRunCampaignWorkers(t *testing.T) {
+	w := scenario.ByTimeWorkload(scenario.ConstantDist(10), scenario.ConstantDist(1))
+	w.StartOn = true
+	specs := []scenario.Spec{scenario.New(
+		scenario.WithName("newreno"),
+		scenario.WithLink(5e6),
+		scenario.WithDuration(0.5),
+		scenario.WithFlow(scenario.FlowSpec{Scheme: "newreno", RTTMs: 50, Workload: w}),
+	)}
+	specs[0].Seed = 7
+	cfg := quickCfg()
+	cfg.Runs = 4
+	run := func(workers int) SchemeResult {
+		cfg.Workers = workers
+		out, err := runSpecs("workers", specs, scenario.Default(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
+	}
+	serial, wide := run(1), run(4)
+	if len(serial.Points) != 4 || !slices.Equal(serial.Points, wide.Points) || serial.LossEvents != wide.LossEvents {
+		t.Fatalf("workers 1 gave %v (%d losses), workers 4 gave %v (%d losses); want 4 equal points", serial.Points, serial.LossEvents, wide.Points, wide.LossEvents)
+	}
+	if specs[0].Seed != 7 {
+		t.Fatalf("runCampaign rewrote the caller's spec seed to %d", specs[0].Seed)
 	}
 }

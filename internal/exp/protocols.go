@@ -2,8 +2,8 @@
 // scenario per table and figure in §5, built on the unified scenario API.
 // Every experiment's simulations run as one campaign on campaign.Executor:
 // an explicit spec per (scheme, setting), all at the run's seed, or a grid
-// for the churn and faults sweeps. Cells run concurrently, RunConfig.Workers
-// at a time. Each experiment produces a Report containing both formatted text
+// for the churn and faults sweeps. RunConfig.Workers simulations run at
+// once: an explicit spec's repetitions, or a grid's cells. Each experiment produces a Report containing both formatted text
 // (the rows or series the paper shows) and the structured per-scheme results
 // so tests and benchmarks can assert the qualitative shape of the outcome.
 package exp

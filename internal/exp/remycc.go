@@ -83,8 +83,8 @@ func DatacenterTrainSpec(budget float64) TrainSpec {
 	cfg := optimizer.DatacenterDesignRange()
 	// The datacenter model is already short; scale only the specimen count.
 	if budget < 1 {
-		cfg.Specimens = intMax(2, int(float64(cfg.Specimens)*budget))
-		cfg.MaxSenders = intMax(4, int(float64(cfg.MaxSenders)*budget))
+		cfg.Specimens = max(2, int(float64(cfg.Specimens)*budget))
+		cfg.MaxSenders = max(4, int(float64(cfg.MaxSenders)*budget))
 		cfg.SpecimenDuration = scaleDuration(cfg.SpecimenDuration, budget, 500*sim.Millisecond)
 	}
 	return TrainSpec{Config: cfg, Objective: stats.MinPotentialDelayObjective(), Rounds: 6, Seed: 3}
@@ -110,25 +110,14 @@ func scaleConfig(cfg *optimizer.ConfigRange, budget float64) {
 		return
 	}
 	cfg.SpecimenDuration = scaleDuration(cfg.SpecimenDuration, budget, 2*sim.Second)
-	cfg.Specimens = intMax(2, int(float64(cfg.Specimens)*budget))
+	cfg.Specimens = max(2, int(float64(cfg.Specimens)*budget))
 	if cfg.MaxSenders > 8 {
-		cfg.MaxSenders = intMax(cfg.MinSenders, 8)
+		cfg.MaxSenders = max(cfg.MinSenders, 8)
 	}
 }
 
 func scaleDuration(d sim.Time, budget float64, floor sim.Time) sim.Time {
-	scaled := sim.Time(float64(d) * budget)
-	if scaled < floor {
-		scaled = floor
-	}
-	return scaled
-}
-
-func intMax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return max(sim.Time(float64(d)*budget), floor)
 }
 
 // LoadOrTrainRemyCC returns the RemyCC stored at assetsDir/name, or — if the

@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,8 +28,10 @@ type RunConfig struct {
 	// artifact runs at this seed, so the schemes see common random draws. It
 	// must be non-zero.
 	Seed int64
-	// Workers bounds concurrently running campaign cells; <= 0 means
-	// scenario.DefaultWorkers().
+	// Workers is how many simulations run at once; <= 0 means
+	// scenario.DefaultWorkers(). An artifact of explicit specs runs them one
+	// at a time, each spec's repetitions on every worker; a grid sweep (churn,
+	// faults) runs that many cells at once. No number depends on it.
 	Workers int
 	// AssetsDir is where pre-trained RemyCC rule tables live.
 	AssetsDir string
@@ -137,17 +141,24 @@ func schemeResult(protocol string, results []scenario.Result) SchemeResult {
 // runCampaign executes an artifact's sweep on the campaign executor, the one
 // path every artifact's simulations take, and hands each cell's repetition
 // results to onCell (serialized, in completion order). Explicit specs run at
-// cfg.Seed, so every scheme of an artifact sees the same random draws; grid
-// cells keep the seeds they derive from the campaign seed and their IDs. A
-// quarantined cell fails the artifact.
+// cfg.Seed, so every scheme of an artifact sees the same random draws; the
+// seeds are set on a copy, not on the caller's specs. Grid cells keep the
+// seeds they derive from the campaign seed and their IDs. A quarantined cell
+// fails the artifact.
 func runCampaign(sweep campaign.SweepSpec, reg *scenario.Registry, cfg RunConfig, onCell func(campaign.Cell, []scenario.Result)) ([]campaign.CellRecord, error) {
 	if cfg.Seed == 0 {
 		return nil, errors.New("exp: RunConfig.Seed must be non-zero")
 	}
+	sweep.Specs = slices.Clone(sweep.Specs)
 	for i := range sweep.Specs {
 		sweep.Specs[i].Seed = cfg.Seed
 	}
 	exec := campaign.Executor{Registry: reg, Workers: cfg.Workers, Logf: cfg.Logf, OnCell: onCell}
+	if len(sweep.Specs) > 0 {
+		// One spec at a time, its repetitions on every worker: a few unevenly
+		// costly schemes still fill the cores.
+		exec.Workers, exec.InnerWorkers = 1, cmp.Or(max(cfg.Workers, 0), scenario.DefaultWorkers())
+	}
 	records, err := exec.Run(sweep, campaign.RunOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s campaign: %w", sweep.Name, err)
