@@ -36,6 +36,11 @@ import (
 // count of zero decodes as a nil slice, so Samples is nil exactly when the
 // job collected none. Every count is checked against the bytes left in the
 // frame before anything is sized from it.
+//
+// A frame's variant rows, and its results' Counts and Consulted rows, are
+// decoded into one block of each kind for the whole frame, sized exactly by
+// a walk over the frame ahead of the decode; each row is capped at its
+// length.
 const (
 	tagHello    = 1
 	tagEval     = 2
@@ -211,6 +216,9 @@ func appendResult(b []byte, resp *EvalResponse) []byte {
 type frameReader struct {
 	b   []byte
 	err error
+	// blocks counts the elements allocated for the frame's row blocks, which
+	// FuzzParseFrame bounds by the bytes that arrived.
+	blocks int
 }
 
 func (r *frameReader) fail(format string, args ...any) {
@@ -297,7 +305,11 @@ func (r *frameReader) take(n int) []byte {
 // parseFrame decodes one frame body. The result shares no memory with b,
 // which belongs to the Conn and is overwritten by the next read.
 func parseFrame(b []byte) (*Frame, error) {
-	r := &frameReader{b: b}
+	r := frameReader{b: b}
+	return r.frame()
+}
+
+func (r *frameReader) frame() (*Frame, error) {
 	f := &Frame{}
 	switch tag := r.byte(); {
 	case r.err != nil:
@@ -340,8 +352,11 @@ func (r *frameReader) eval() *EvalRequest {
 	}
 	if n := r.count("variants", minVariantBytes); n > 0 {
 		req.Variants = make([]Variant, n)
+		rules := r.variantRules(n)
+		r.blocks += 3 * rules
+		blk := Variant{Rules: make([]int, rules), Actions: make([]core.Action, rules), Epochs: make([]int, rules)}
 		for i := 0; i < n && r.err == nil; i++ {
-			r.variant(&req.Variants[i])
+			r.variant(&req.Variants[i], &blk)
 		}
 	}
 	if n := r.count("jobs", minJobBytes); n > 0 {
@@ -368,15 +383,35 @@ func (r *frameReader) eval() *EvalRequest {
 	return req
 }
 
-func (r *frameReader) variant(v *Variant) {
+// variantRules walks the next n variants on a copy of the reader and returns
+// how many changed rules they hold: the size of the frame's blocks. It reads
+// as variant does, so it stops where variant will fail.
+func (r frameReader) variantRules(n int) int {
+	rules := 0
+	for i := 0; i < n && r.err == nil; i++ {
+		r.index("base tree")
+		k := r.count("changed rules", ruleChangeBytes)
+		rules += k
+		for ; k > 0 && r.err == nil; k-- {
+			r.index("rule")
+			r.take(3 * 8)
+			r.int()
+		}
+	}
+	return rules
+}
+
+// variant decodes one variant, carving its rows from the frame's blocks in
+// blk.
+func (r *frameReader) variant(v *Variant, blk *Variant) {
 	v.Base = r.index("base tree")
 	n := r.count("changed rules", ruleChangeBytes)
 	if n == 0 {
 		return
 	}
-	v.Rules = make([]int, n)
-	v.Actions = make([]core.Action, n)
-	v.Epochs = make([]int, n)
+	v.Rules, blk.Rules = blk.Rules[:n:n], blk.Rules[n:]
+	v.Actions, blk.Actions = blk.Actions[:n:n], blk.Actions[n:]
+	v.Epochs, blk.Epochs = blk.Epochs[:n:n], blk.Epochs[n:]
 	for k := 0; k < n && r.err == nil; k++ {
 		v.Rules[k] = r.index("rule")
 		v.Actions[k] = core.Action{WindowMultiple: r.f64(), WindowIncrement: r.f64(), IntersendMs: r.f64()}
@@ -398,6 +433,36 @@ func (r *frameReader) config(c *optimizer.ConfigRange) {
 	c.Specimens = r.int()
 }
 
+// usageTotals walks the next n results on a copy of the reader and returns
+// how many counts and consulted bits they hold: the sizes of the frame's
+// blocks. It reads as result does, so it stops where result will fail.
+func (r frameReader) usageTotals(n int) (counts, bits int) {
+	for i := 0; i < n && r.err == nil; i++ {
+		r.f64()
+		r.int()
+		nc := r.count("counts", 1)
+		counts += nc
+		for k := 0; k < nc; k++ {
+			r.int64()
+		}
+		nb := r.uvarint()
+		if nb > 8*uint64(len(r.b)) {
+			break
+		}
+		bits += int(nb)
+		r.take((int(nb) + 7) / 8)
+		rows := r.count("sample rows", 1)
+		for k := 0; k < rows && r.err == nil; k++ {
+			r.take(pointBytes * r.count("sample points", pointBytes))
+		}
+	}
+	return counts, bits
+}
+
+// result decodes a result frame's payload. Its allocations are per frame,
+// not per result, except for the sample rows of the jobs that collected them.
+//
+//repo:hotpath per-batch response decoder on the coordinator
 func (r *frameReader) result() *EvalResponse {
 	resp := &EvalResponse{ID: r.uvarint()}
 	resp.Error = string(r.take(r.count("error bytes", 1)))
@@ -406,12 +471,15 @@ func (r *frameReader) result() *EvalResponse {
 		return resp
 	}
 	resp.Results = make([]WireResult, n)
+	nc, nb := r.usageTotals(n)
+	r.blocks += nc + nb
+	counts, consulted := make([]int64, nc), make([]bool, nb)
 	for i := 0; i < n && r.err == nil; i++ {
 		res := &resp.Results[i]
 		res.Sum = r.f64()
 		res.Flows = r.int()
 		if nc := r.count("counts", 1); nc > 0 {
-			res.Counts = make([]int64, nc)
+			res.Counts, counts = counts[:nc:nc], counts[nc:]
 			for k := range res.Counts {
 				res.Counts[k] = r.int64()
 			}
@@ -422,7 +490,7 @@ func (r *frameReader) result() *EvalResponse {
 			return resp
 		}
 		if nb > 0 {
-			res.Consulted = make([]bool, nb)
+			res.Consulted, consulted = consulted[:nb:nb], consulted[nb:]
 			bitmap := r.take((int(nb) + 7) / 8)
 			for k := range res.Consulted {
 				res.Consulted[k] = bitmap[k/8]&(1<<(k%8)) != 0

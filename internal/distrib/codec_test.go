@@ -442,8 +442,9 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 			t.Errorf("WriteFrame of a %d-job %s frame allocates %v times on a warm Conn", jobs, f.Type, n)
 		}
 	}
-	// Reading the result back: Counts and Consulted per job, plus the frame,
-	// the response and its result slice.
+	// Reading the result back costs the frame, the response, its result
+	// slice and one block each of Counts and Consulted rows, however many
+	// jobs the frame carries.
 	var wire bytes.Buffer
 	if err := NewConn(strings.NewReader(""), &wire).WriteFrame(result); err != nil {
 		t.Fatal(err)
@@ -455,40 +456,57 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	read()
-	if n := testing.AllocsPerRun(20, read); n > float64(2*jobs+4) {
-		t.Errorf("ReadFrame of a %d-job result allocates %v times, want at most 2 per job + 4", jobs, n)
+	if n := testing.AllocsPerRun(20, read); n > 5 {
+		t.Errorf("ReadFrame of a %d-job result allocates %v times, want at most 5 whatever the job count", jobs, n)
 	}
 }
 
 // --- fuzz ----------------------------------------------------------------------
 
-// frameElements counts the slice elements a parsed frame holds — what its
-// memory is proportional to.
-func frameElements(f *Frame) int {
-	n := 0
+// frameElements counts the slice elements a frame parsed by r holds — what
+// its memory is proportional to — by capacity, not length: each slice of its
+// own at its capacity, and the rows carved from the frame's blocks (variant
+// rules, result counts and consulted bits) as the blocks' whole size.
+func frameElements(f *Frame, r *frameReader) int {
+	n := r.blocks
 	if f.Eval != nil {
-		n += len(f.Eval.Trees) + len(f.Eval.Variants) + len(f.Eval.Jobs)
+		n += cap(f.Eval.Trees) + cap(f.Eval.Variants) + cap(f.Eval.Jobs)
 		for _, raw := range f.Eval.Trees {
-			n += len(raw)
-		}
-		for _, v := range f.Eval.Variants {
-			n += len(v.Rules) + len(v.Actions) + len(v.Epochs)
+			n += cap(raw)
 		}
 	}
 	if f.Result != nil {
-		n += len(f.Result.Error) + len(f.Result.Results)
-		for _, r := range f.Result.Results {
-			n += len(r.Counts) + len(r.Consulted) + len(r.Samples)
-			for _, row := range r.Samples {
-				n += len(row)
+		n += len(f.Result.Error) + cap(f.Result.Results)
+		for _, res := range f.Result.Results {
+			n += cap(res.Samples)
+			for _, row := range res.Samples {
+				n += cap(row)
 			}
 		}
 	}
 	return n
 }
 
+// blockRows counts the elements of the rows a parsed frame carves from its
+// blocks.
+func blockRows(f *Frame) int {
+	n := 0
+	if f.Eval != nil {
+		for _, v := range f.Eval.Variants {
+			n += len(v.Rules) + len(v.Actions) + len(v.Epochs)
+		}
+	}
+	if f.Result != nil {
+		for _, res := range f.Result.Results {
+			n += len(res.Counts) + len(res.Consulted)
+		}
+	}
+	return n
+}
+
 // FuzzParseFrame: arbitrary bytes never panic the parser or make it hold
-// more than a constant multiple of what arrived, and whatever does parse is
+// more than a constant multiple of what arrived, its row blocks are exactly
+// as large as the rows carved from them, and whatever does parse is
 // a fixed point — it re-encodes, and the re-encoding parses back to a frame
 // with the very same encoding. (The comparison is by encoding, which is
 // canonical and bit-exact, because a frame holding a NaN is not DeepEqual
@@ -498,12 +516,16 @@ func FuzzParseFrame(f *testing.F) {
 		f.Add(frameBody(f, tc.frame))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frame, err := parseFrame(data)
+		r := frameReader{b: data}
+		frame, err := r.frame()
 		if err != nil {
 			return
 		}
-		if n := frameElements(frame); n > 8*len(data) {
+		if n := frameElements(frame, &r); n > 8*len(data) {
 			t.Fatalf("%d input bytes parsed into %d slice elements", len(data), n)
+		}
+		if rows := blockRows(frame); rows != r.blocks {
+			t.Fatalf("the frame's blocks hold %d elements for rows of %d", r.blocks, rows)
 		}
 		again, err := appendFrame(nil, frame)
 		if err != nil {

@@ -35,6 +35,11 @@ type BatchJob struct {
 // whisker index (an ordering the tree's JSON codec preserves, so results
 // computed from a decoded tree line up with the coordinator's in-memory
 // tree).
+//
+// The Counts and Consulted rows of one batch's results are carved from one
+// block of each, and each row is capped at its length: append to a row
+// copies it rather than writing into the next job's, and the block stays
+// alive as long as any of its rows does.
 type BatchResult struct {
 	Sum       float64
 	Flows     int
@@ -49,8 +54,10 @@ type BatchResult struct {
 // result per job, in job order. Implementations must be exact: the results
 // for a job must be bit-identical to RunBatchLocal's, regardless of where
 // or how often the job runs. They must not keep jobs once RunBatch has
-// returned: the Evaluator reuses the slice. internal/distrib's Coordinator is
-// the multi-process implementation.
+// returned: the Evaluator reuses the slice. A batch's rows may share blocks,
+// as RunBatchLocal's and a decoded result frame's do, provided each row is
+// capped at its length. internal/distrib's Coordinator is the multi-process
+// implementation.
 type BatchRunner interface {
 	RunBatch(objective stats.Objective, jobs []BatchJob) ([]BatchResult, error)
 }
@@ -75,6 +82,10 @@ type BatchRunner interface {
 // starts in a warm world when it meets the same one. A worker whose job failed
 // goes back without its world. The list never holds more workers than the peak
 // concurrency the process has already reached.
+//
+// The batch's usage rows are allocated up front, one Counts block and one
+// Consulted block sized from every job's NumWhiskers, so a job allocates none
+// of its own: each worker writes its jobs' disjoint rows in place.
 func RunBatchLocal(objective stats.Objective, workers int, jobs []BatchJob) ([]BatchResult, error) {
 	if len(jobs) == 0 {
 		return nil, nil
@@ -86,7 +97,7 @@ func RunBatchLocal(objective stats.Objective, workers int, jobs []BatchJob) ([]B
 		workers = len(jobs)
 	}
 	order := worldMajor(jobs)
-	out := make([]BatchResult, len(jobs))
+	out := usageRows(jobs)
 	errs := make([]error, len(jobs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -102,7 +113,7 @@ func RunBatchLocal(objective stats.Objective, workers int, jobs []BatchJob) ([]B
 					return
 				}
 				i := order[n]
-				out[i], errs[i] = bw.run(jobs[i])
+				out[i], errs[i] = bw.run(jobs[i], out[i].Counts, out[i].Consulted)
 			}
 		}()
 	}
@@ -113,6 +124,24 @@ func RunBatchLocal(objective stats.Objective, workers int, jobs []BatchJob) ([]B
 		}
 	}
 	return out, nil
+}
+
+// usageRows returns one result per job holding only the job's zeroed Counts
+// and Consulted rows, each capped at its tree's NumWhiskers and carved from
+// one block of each kind for the whole batch.
+func usageRows(jobs []BatchJob) []BatchResult {
+	rules := 0
+	for _, j := range jobs {
+		rules += j.Tree.NumWhiskers()
+	}
+	counts, consulted := make([]int64, rules), make([]bool, rules)
+	out := make([]BatchResult, len(jobs))
+	for i, j := range jobs {
+		n := j.Tree.NumWhiskers()
+		out[i].Counts, counts = counts[:n:n], counts[n:]
+		out[i].Consulted, consulted = consulted[:n:n], consulted[n:]
+	}
+	return out
 }
 
 // workerPool keeps idle batch workers, warm worlds included, between
@@ -199,16 +228,20 @@ type batchWorker struct {
 }
 
 // run simulates one job in the worker's warm world, entering the job's world
-// first if it is a different one.
-func (b *batchWorker) run(j BatchJob) (BatchResult, error) {
+// first if it is a different one. counts and consulted are the job's zeroed
+// usage rows, one element per rule of its tree; the result holds them.
+//
+//repo:hotpath per-job warm run: rebinds the world's senders to the job's tree and usage rows
+func (b *batchWorker) run(j BatchJob, counts []int64, consulted []bool) (BatchResult, error) {
 	if b.rec == nil {
 		b.rec = new(usageCollector)
 	}
 	u := b.rec
-	u.reset(j.Tree.NumWhiskers(), j.WithSamples)
+	u.reset(counts, consulted, j.WithSamples)
 	if k := worldOf(j); b.spec == nil || b.world != k {
 		b.world = k
 		b.senders = b.senders[:0]
+		//lint:ignore hotalloc entering a new world; the session built here is reused for every later job in it
 		spec := specFor(k.spec, k.cfg, b.newSender)
 		b.spec = &spec
 	}
@@ -220,6 +253,7 @@ func (b *batchWorker) run(j BatchJob) (BatchResult, error) {
 	b.sim.RunInto(b.spec, 0, &b.res)
 	if err := b.res.Err; err != nil {
 		b.spec = nil
+		//lint:ignore hotalloc error path; the failed job ends its batch
 		return BatchResult{}, fmt.Errorf("optimizer: %v: %w", j.Specimen, err)
 	}
 	sum, flows := scoreSpecimen(b.objective, &b.res, j.Specimen)

@@ -43,11 +43,14 @@ type specimenResult struct {
 
 // evalKey identifies one deterministic simulation: the behaviour-relevant
 // encoding of the rule table, the specimen network (including its seed),
-// and the design configuration it runs under.
+// and the design configuration it runs under, as the Evaluator's interned id
+// for it (configID). The id rather than the 104-byte ConfigRange keeps the
+// key at 56 bytes, small enough for a map to store it inline: Go's maps put
+// a key larger than 128 bytes in an allocation of its own on every insert.
 type evalKey struct {
 	tree string
 	spec Specimen
-	cfg  ConfigRange
+	cfg  int
 }
 
 // EvalStats counts the work an Evaluator performed and the work it avoided.
@@ -178,19 +181,23 @@ func (e Evaluation) MedianMemory(idx int) (core.Memory, bool) {
 
 // usageCollector implements core.UsageRecorder (and core.TouchRecorder) for
 // one specimen simulation at a time: a batch worker's senders stay bound to
-// its one collector, which reset gives new rows for each job, since the rows
-// of the last are the job's result.
+// its one collector, which reset points at each job's own rows, since the
+// rows of the last are the job's result.
 type usageCollector struct {
 	counts    []int64
 	consulted []bool
 	samples   [][]core.Memory // nil when sample collection is disabled
 }
 
-// reset gives the collector new, zeroed rows for a tree with n rules.
-func (u *usageCollector) reset(n int, collectSamples bool) {
-	*u = usageCollector{counts: make([]int64, n), consulted: make([]bool, n)}
+// reset points the collector at a job's zeroed rows, one element per rule of
+// its tree, which the caller owns (RunBatchLocal carves them from its
+// batch's blocks).
+//
+//repo:hotpath per-job rebinding of a batch worker's usage collector
+func (u *usageCollector) reset(counts []int64, consulted []bool, collectSamples bool) {
+	*u = usageCollector{counts: counts, consulted: consulted}
 	if collectSamples {
-		u.samples = make([][]core.Memory, n)
+		u.samples = make([][]core.Memory, len(counts))
 	}
 }
 
@@ -241,8 +248,13 @@ type Evaluator struct {
 	// simulations cross it.
 	Backend BatchRunner
 
-	mu    sync.Mutex
-	cache map[evalKey]*specimenResult
+	mu sync.Mutex
+	// configs interns each ConfigRange the evaluator has met, for evalKey.
+	// It is never cleared, so an id names one range for the evaluator's
+	// life; it holds one entry per distinct range (a range holding a NaN
+	// equals no range, itself included, and takes a new entry each time).
+	configs map[ConfigRange]int
+	cache   map[evalKey]*specimenResult
 	// seeded marks cache keys filled by usage-pruning transfer rather than
 	// simulation; the first lookup of such a key is counted as a pruned run
 	// instead of a cache hit.
@@ -262,6 +274,21 @@ func (e *Evaluator) Stats() EvalStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.stats
+}
+
+// configID returns the id evalKey carries for cfg.
+func (e *Evaluator) configID(cfg ConfigRange) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	id, ok := e.configs[cfg]
+	if !ok {
+		if e.configs == nil {
+			e.configs = make(map[ConfigRange]int)
+		}
+		id = len(e.configs)
+		e.configs[cfg] = id
+	}
+	return id
 }
 
 func (e *Evaluator) cacheGet(k evalKey, needSamples bool) *specimenResult {
@@ -361,15 +388,14 @@ func canonicalKeys(trees []*core.WhiskerTree) []string {
 }
 
 // evalRows are evaluateTrees' working rows: the batch's jobs, their memo
-// keys, which (tree, specimen) cells each job answers, the pending jobs by
-// key, and each job's result. An evaluator keeps one set between calls;
-// concurrent calls each take their own.
+// keys, which (tree, specimen) cells each job answers, and the pending jobs
+// by key. An evaluator keeps one set between calls; concurrent calls each
+// take their own.
 type evalRows struct {
 	jobs    []BatchJob
 	keys    []evalKey
 	refs    []pendingRef
 	pending map[evalKey]int
-	results []*specimenResult
 }
 
 // pendingRef says that job answers trees[ti] on specimens[si].
@@ -391,9 +417,8 @@ func (e *Evaluator) takeRows() *evalRows {
 func (e *Evaluator) putRows(rows *evalRows) {
 	clear(rows.jobs)
 	clear(rows.keys)
-	clear(rows.results)
 	clear(rows.pending)
-	rows.jobs, rows.keys, rows.refs, rows.results = rows.jobs[:0], rows.keys[:0], rows.refs[:0], rows.results[:0]
+	rows.jobs, rows.keys, rows.refs = rows.jobs[:0], rows.keys[:0], rows.refs[:0]
 	e.mu.Lock()
 	e.rows = rows
 	e.mu.Unlock()
@@ -405,6 +430,9 @@ func (e *Evaluator) putRows(rows *evalRows) {
 // out[t][s] is the result for trees[t] on specimens[s]. Results are
 // deterministic per (tree, specimen, cfg), so the cache only changes speed,
 // never values.
+//
+// The simulated results of one call share one block, which the memo keeps
+// alive as long as it holds any of them.
 func (e *Evaluator) evaluateTrees(trees []*core.WhiskerTree, keys []string, specimens []Specimen, cfg ConfigRange, withSamples bool) ([][]*specimenResult, error) {
 	n := len(specimens)
 	out := make([][]*specimenResult, len(trees))
@@ -413,11 +441,12 @@ func (e *Evaluator) evaluateTrees(trees []*core.WhiskerTree, keys []string, spec
 		out[ti] = cells[ti*n : (ti+1)*n : (ti+1)*n]
 	}
 
+	cid := e.configID(cfg)
 	rows := e.takeRows()
 	defer e.putRows(rows)
 	for ti, tree := range trees {
 		for si, sp := range specimens {
-			k := evalKey{tree: keys[ti], spec: sp, cfg: cfg}
+			k := evalKey{tree: keys[ti], spec: sp, cfg: cid}
 			if r := e.cacheGet(k, withSamples); r != nil {
 				out[ti][si] = r
 				continue
@@ -441,13 +470,13 @@ func (e *Evaluator) evaluateTrees(trees []*core.WhiskerTree, keys []string, spec
 		if len(results) != len(rows.jobs) {
 			return nil, fmt.Errorf("optimizer: batch backend returned %d results for %d jobs", len(results), len(rows.jobs))
 		}
+		block := make([]specimenResult, len(results))
 		for pi, br := range results {
-			res := &specimenResult{sum: br.Sum, flows: br.Flows, counts: br.Counts, consulted: br.Consulted, samples: br.Samples}
-			e.cachePut(rows.keys[pi], res)
-			rows.results = append(rows.results, res)
+			block[pi] = specimenResult{sum: br.Sum, flows: br.Flows, counts: br.Counts, consulted: br.Consulted, samples: br.Samples}
+			e.cachePut(rows.keys[pi], &block[pi])
 		}
 		for _, rf := range rows.refs {
-			out[rf.ti][rf.si] = rows.results[rf.job]
+			out[rf.ti][rf.si] = &block[rf.job]
 		}
 		e.mu.Lock()
 		e.stats.SimulatedRuns += int64(len(rows.jobs))
@@ -564,13 +593,14 @@ func (e *Evaluator) scoreMany(trees []*core.WhiskerTree, keys []string, specimen
 func (e *Evaluator) ScoreCandidates(incumbent Evaluation, trees []*core.WhiskerTree, changed int, specimens []Specimen, cfg ConfigRange) ([]float64, error) {
 	keys := canonicalKeys(trees)
 	if !e.NoCache && len(incumbent.perSpec) == len(specimens) {
+		cid := e.configID(cfg)
 		for _, ck := range keys {
 			for si, sp := range specimens {
 				inc := incumbent.perSpec[si]
 				if changed < 0 || changed >= len(inc.consulted) || inc.consulted[changed] {
 					continue
 				}
-				e.cacheSeed(evalKey{tree: ck, spec: sp, cfg: cfg}, inc)
+				e.cacheSeed(evalKey{tree: ck, spec: sp, cfg: cid}, inc)
 			}
 		}
 	}

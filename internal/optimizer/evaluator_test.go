@@ -1,7 +1,9 @@
 package optimizer
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -170,6 +172,64 @@ func TestEvaluatorCacheStats(t *testing.T) {
 	}
 }
 
+// TestEvalKeyInline keeps memo keys in the maps' own slots. Go's maps store
+// a key larger than 128 bytes (abi.SwissMapMaxKeyBytes) out of line, in an
+// allocation of its own on every insert, so a field that pushed evalKey past
+// that would cost an allocation per pending job, memo entry and pruning
+// transfer again. This is why the key carries an id for its ConfigRange and
+// not the range itself.
+func TestEvalKeyInline(t *testing.T) {
+	if size := unsafe.Sizeof(evalKey{}); size > 128 {
+		t.Fatalf("evalKey is %d bytes; a map stores a key over 128 bytes out of line, one allocation per insert", size)
+	}
+}
+
+// TestEvaluatorKeepsConfigsApart: memo keys carry the evaluator's id for a
+// design range, not the range, so one evaluator used under two ranges must
+// never serve one's result for the other. Whichever range comes first, and
+// again from the memo, each range scores exactly what a fresh evaluator
+// scores under it alone.
+func TestEvaluatorKeepsConfigsApart(t *testing.T) {
+	obj := stats.DefaultObjective(1)
+	long := tinyConfig()
+	short := long
+	short.SpecimenDuration = long.SpecimenDuration / 2
+	specs := long.SampleSet(2, sim.NewRNG(24))
+	tree := core.DefaultWhiskerTree()
+	evaluate := func(e *Evaluator, cfg ConfigRange) Evaluation {
+		t.Helper()
+		ev, err := e.EvaluateUsage(tree, specs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	fresh := func(cfg ConfigRange) Evaluation {
+		e := NewEvaluator(obj)
+		e.Workers = 2
+		return evaluate(e, cfg)
+	}
+	want := []Evaluation{fresh(long), fresh(short)}
+	if want[0].Score == want[1].Score {
+		t.Fatal("the two ranges score alike, so a memo that mixed them up would go unnoticed")
+	}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		shared := NewEvaluator(obj)
+		shared.Workers = 2
+		for pass := 0; pass < 2; pass++ {
+			for _, c := range order {
+				got := evaluate(shared, []ConfigRange{long, short}[c])
+				if got.Score != want[c].Score || !reflect.DeepEqual(got.UseCounts, want[c].UseCounts) {
+					t.Fatalf("order %v, pass %d, range %d: score %v, want %v (the other range's is %v)", order, pass, c, got.Score, want[c].Score, want[1-c].Score)
+				}
+			}
+		}
+		if st := shared.Stats(); st.SimulatedRuns != 2*int64(len(specs)) || st.CacheHits != 2*int64(len(specs)) {
+			t.Fatalf("order %v: %+v, want each range simulated once and then served from the memo", order, st)
+		}
+	}
+}
+
 // TestAggregateSampleCap pins the fix for the cap bypass: a bulk merge of
 // per-specimen samples must truncate to the remaining budget instead of
 // overshooting by up to a whole batch.
@@ -217,7 +277,7 @@ func TestEvaluationEdgeCases(t *testing.T) {
 // counting as uses, and that the sample-free collector stays sample-free.
 func TestUsageCollectorTouches(t *testing.T) {
 	u := new(usageCollector)
-	u.reset(2, false)
+	u.reset(make([]int64, 2), make([]bool, 2), false)
 	u.RecordTouch(1)
 	u.RecordTouch(-1)
 	u.RecordTouch(5)

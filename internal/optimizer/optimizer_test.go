@@ -238,7 +238,7 @@ func TestEvaluatorErrors(t *testing.T) {
 
 func TestUsageCollectorBounds(t *testing.T) {
 	u := new(usageCollector)
-	u.reset(2, true)
+	u.reset(make([]int64, 2), make([]bool, 2), true)
 	u.RecordUse(-1, core.Memory{})
 	u.RecordUse(5, core.Memory{})
 	if u.counts[0] != 0 && u.counts[1] != 0 {
