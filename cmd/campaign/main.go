@@ -71,8 +71,7 @@ run/resume flags:
   -spec file.json   sweep definition (required)
   -out dir          output directory (default ".")
   -shard i/N        run only cells with index ≡ i (mod N)
-  -workers n        concurrent cells (default NumCPU-1)
-  -inner-workers n  concurrent repetitions per cell (default 1)
+  -workers n        concurrent repetitions, across cells (default GOMAXPROCS)
   -cell-timeout d   wall-clock watchdog per cell attempt (e.g. 5m; 0 = none)
   -retries n        extra attempts before a failing cell is quarantined (default 1)
   -quiet            suppress per-cell progress
@@ -118,8 +117,7 @@ func cmdRun(args []string, requireManifest bool) error {
 	outDir := fs.String("out", ".", "output directory for manifest and report")
 	var shard shardValue
 	fs.Var(&shard, "shard", "i/N: run only cells with index ≡ i (mod N)")
-	workers := fs.Int("workers", 0, "concurrent cells (0 = NumCPU-1)")
-	inner := fs.Int("inner-workers", 0, "concurrent repetitions per cell (0 = 1)")
+	workers := fs.Int("workers", 0, "concurrent repetitions, across cells (0 = GOMAXPROCS)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock watchdog per cell attempt (0 = none)")
 	retries := fs.Int("retries", 1, "extra attempts before a failing cell is quarantined")
 	quiet := fs.Bool("quiet", false, "suppress per-cell progress")
@@ -156,10 +154,9 @@ func cmdRun(args []string, requireManifest bool) error {
 	}()
 
 	exec := campaign.Executor{
-		Workers:      *workers,
-		InnerWorkers: *inner,
-		CellTimeout:  *cellTimeout,
-		Retries:      *retries,
+		Workers:     *workers,
+		CellTimeout: *cellTimeout,
+		Retries:     *retries,
 	}
 	if !*quiet {
 		exec.Logf = log.Printf

@@ -26,7 +26,7 @@ func main() {
 	runs := flag.Int("runs", 0, "override the number of runs per scheme")
 	duration := flag.Float64("duration", 0, "override the simulated seconds per run")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = default)")
+	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	assets := flag.String("assets", "", "directory holding RemyCC assets (default: <repo>/assets)")
 	paper := flag.Bool("paper", false, "use the paper's full budget (128 runs of 100 s) — slow")
 	quick := flag.Bool("quick", false, "use the quick budget (2 runs of 8 s)")

@@ -79,15 +79,6 @@ func presetSpec(name string, budget float64) (exp.TrainSpec, error) {
 	}
 }
 
-// effectiveWorkers is the optimizer's pool size for a -workers value, so the
-// coordinator can split one machine's parallelism across its worker processes.
-func effectiveWorkers(flagValue int) int {
-	if flagValue > 0 {
-		return flagValue
-	}
-	return scenario.DefaultWorkers()
-}
-
 // runWorker is the -worker mode: speak the distrib protocol on stdio until
 // the coordinator closes the stream. Exit code 3 marks a chaos exit (the
 // -worker-exit-after test hook), so accidental crashes stay distinguishable.
@@ -115,7 +106,7 @@ func main() {
 	rounds := flag.Int("rounds", 6, "optimization rounds")
 	budget := flag.Float64("budget", 0.05, "training budget scale in (0,1]; 1 reproduces the paper's per-evaluation budget")
 	seed := flag.Int64("seed", 1, "random seed for the design run")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = NumCPU-1)")
+	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	rungs := flag.Int("rungs", 1, "geometric candidate ladder rungs per action component")
 	iters := flag.Int("iters", 2, "max improvement iterations per rule per round")
 	maxRules := flag.Int("max-rules", 64, "stop subdividing beyond this many rules (0 = unlimited)")
@@ -221,9 +212,9 @@ func main() {
 			log.Fatalf("remy: locating own binary for -distribute: %v", err)
 		}
 		// Split the machine's parallelism across the fleet: N processes with
-		// effectiveWorkers/N inner goroutines each keeps the total simulation
+		// scenario.PoolSize/N inner workers each keeps the total simulation
 		// concurrency at the -workers level regardless of N.
-		inner := effectiveWorkers(*workers) / *distribute
+		inner := scenario.PoolSize(*workers) / *distribute
 		if inner < 1 {
 			inner = 1
 		}

@@ -36,7 +36,7 @@ func main() {
 	cell := flag.String("cell", "", "replace the fixed-rate link with a synthetic cellular trace: verizon or att")
 	seed := flag.Int64("seed", 0, "base random seed (overrides the spec file's seed when set; flag mode defaults to 1)")
 	reps := flag.Int("reps", 0, "repetitions (overrides the spec file's count when set; flag mode defaults to 1)")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = NumCPU-1)")
+	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	var spec scenario.Spec

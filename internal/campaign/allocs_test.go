@@ -27,7 +27,7 @@ func allocsSweep(reps int) SweepSpec {
 // thousands of allocations a cold engine+network+transport construction
 // costs. A regression here means campaign runs stopped reusing warm state.
 func TestCampaignSteadyStateAllocs(t *testing.T) {
-	exec := Executor{Workers: 1, InnerWorkers: 1}
+	exec := Executor{Workers: 1}
 	measure := func(reps int) float64 {
 		s := allocsSweep(reps)
 		var before, after runtime.MemStats
@@ -66,7 +66,7 @@ func TestCampaignSteadyStateAllocs(t *testing.T) {
 // JSON.
 func TestCampaignCellAllocs(t *testing.T) {
 	s := testSweep()
-	exec := Executor{Workers: 1, InnerWorkers: 1}
+	exec := Executor{Workers: 1}
 	pass := func() {
 		records, err := exec.Run(s, RunOptions{})
 		if err != nil {

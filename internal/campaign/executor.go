@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/scenario"
@@ -18,20 +16,17 @@ import (
 // written so far is valid; re-running with the same options resumes from it.
 var ErrInterrupted = errors.New("campaign: interrupted (resume from the manifest)")
 
-// Executor runs a campaign's cells over scenario.Runner. Parallelism has two
-// levels: Workers cells run concurrently, each worker taking the next pending
-// cell, and each cell's repetitions run under an inner scenario.Runner pool
-// of InnerWorkers. Neither knob affects any number in the output — only
-// wall-clock time.
+// Executor runs a campaign's cells on one scenario.Pool of Workers: every
+// (cell, repetition) pair is a task, cells open in index order, and a worker
+// that finishes its cell helps with the repetitions of the others, so no
+// worker idles while any repetition of the run is pending, however uneven
+// the cells. Workers affects no number in the output, only wall-clock time.
 type Executor struct {
 	// Registry resolves scheme/queue/link names; nil means scenario.Default().
 	Registry *scenario.Registry
-	// Workers bounds concurrently running cells; <= 0 means
-	// scenario.DefaultWorkers().
+	// Workers bounds concurrently running repetitions; <= 0 means
+	// runtime.GOMAXPROCS(0) (scenario.PoolSize).
 	Workers int
-	// InnerWorkers is each cell's repetition pool; <= 0 means 1 (the outer
-	// pool already saturates the cores on wide grids).
-	InnerWorkers int
 	// Logf, if non-nil, receives progress messages.
 	Logf func(format string, args ...any)
 	// OnCell, if non-nil, observes every freshly executed cell with its full
@@ -43,9 +38,9 @@ type Executor struct {
 	OnCell func(cell Cell, results []scenario.Result)
 	// CellTimeout, when positive, bounds each cell attempt's wall-clock time.
 	// An attempt that exceeds it is cancelled and — because a wedged
-	// simulation cannot be forcibly killed — abandoned: its goroutine is left
-	// to die when (if) it returns, and the cell counts as failed for that
-	// attempt.
+	// simulation cannot be forcibly killed — abandoned: each repetition still
+	// running is left to die when (if) it returns, its worker replaced in the
+	// pool, and the cell counts as failed for that attempt.
 	CellTimeout time.Duration
 	// Retries is how many additional attempts a failed cell gets before it is
 	// quarantined. Every attempt runs the identical spec and seed — cells are
@@ -73,13 +68,6 @@ type RunOptions struct {
 	Stop <-chan struct{}
 }
 
-func (e Executor) workers() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return scenario.DefaultWorkers()
-}
-
 // policy is a cell's supervision: 1+Retries attempts under the CellTimeout
 // watchdog, RetryBackoff (default 100 ms) apart.
 func (e Executor) policy() supervise.Policy {
@@ -99,8 +87,8 @@ func (e Executor) logf(format string, args ...any) {
 // Run executes this process's share of the campaign: every shard cell not
 // already checkpointed in the manifest. It returns the shard's complete
 // record set — resumed cells plus freshly executed ones — sorted by cell
-// index. Numbers are independent of Workers, InnerWorkers and which worker
-// runs which cell because each cell is a deterministic unit: its seed is
+// index. Numbers are independent of Workers and of which worker runs which
+// repetition because each cell is a deterministic unit: its seed is
 // fixed by the sweep (see Cell.Seed), its repetitions fold in repetition
 // order, and nothing crosses cell boundaries.
 func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
@@ -177,10 +165,14 @@ func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
 	return records, nil
 }
 
-// runPending executes the given cell indices on Workers goroutines, each
-// taking the next pending cell from one shared cursor. A cell's session comes
-// from scenario's process-wide pool whichever worker runs it, so no worker
-// needs a run of cells of its own.
+// runPending executes the given cell indices as one scenario.Pool run: a
+// group per cell, a task per repetition, cells opened in index order and
+// each cell's attempts supervised by the pool. A cell's repetitions fold, in
+// repetition order, into the O(1) aggregate. A cell whose attempts all fail
+// (panic, error, watchdog timeout) does not abort the campaign: it comes back
+// as a quarantine record (Failure set, zero aggregate) that is checkpointed
+// like any other, so a resume skips the known-bad cell. Only interruption and
+// infrastructure errors (an unwritable manifest) end the run.
 func (e Executor) runPending(x *identity, pending []int, opts RunOptions) ([]CellRecord, error) {
 	var manifest *os.File
 	if opts.ManifestPath != "" {
@@ -192,137 +184,78 @@ func (e Executor) runPending(x *identity, pending []int, opts RunOptions) ([]Cel
 		manifest = f
 	}
 
-	// ctx ends on the first error or when the caller's Stop fires.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if opts.Stop != nil {
-		go func() {
-			select {
-			case <-opts.Stop:
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
-	}
-
-	type cellDone struct {
-		cell    Cell
-		rec     CellRecord
-		results []scenario.Result
-		err     error
-	}
-	out := make(chan cellDone)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(e.workers(), len(pending)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				n := int(next.Add(1)) - 1
-				if n >= len(pending) {
-					return
-				}
-				var d cellDone
-				d.cell, d.rec, d.results, d.err = e.runCell(ctx, x, pending[n])
-				select {
-				case out <- d:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() { wg.Wait(); close(out) }()
-
-	// Collector: checkpoint each completed cell, hand results to OnCell,
-	// accumulate records. Single goroutine — manifest writes and OnCell
-	// calls are naturally serialized.
+	name := x.sweep.Name
+	cells := make([]Cell, len(pending))
+	specs := make([]scenario.Spec, len(pending))
 	var fresh []CellRecord
-	var firstErr error
-	for d := range out {
-		if d.err == nil && manifest != nil {
-			d.err = AppendRecord(manifest, d.rec)
-		}
-		if d.err != nil {
-			if firstErr == nil && !errors.Is(d.err, ErrInterrupted) {
-				firstErr = d.err
+	pool := scenario.Pool[scenario.Result]{
+		Registry: e.Registry,
+		Workers:  e.Workers,
+		Policy:   e.policy(),
+		Open: func(g int) (int, error) {
+			cell, err := x.cell(pending[g])
+			if err != nil {
+				return 0, err
 			}
-			cancel()
-			continue
-		}
-		if e.OnCell != nil && d.rec.Failure == "" {
-			e.OnCell(d.cell, d.results)
-		}
-		fresh = append(fresh, d.rec)
-		if d.rec.Failure != "" {
-			e.logf("campaign: cell %q quarantined after %d attempt(s): %s", d.rec.ID, d.rec.Attempts, d.rec.Failure)
-		} else {
-			e.logf("campaign: cell %q done (%d reps, %d flows completed)", d.rec.ID, d.rec.Aggregate.Reps, d.rec.Aggregate.FlowsCompleted)
-		}
-	}
-	if firstErr != nil {
-		return fresh, firstErr
-	}
-	if ctx.Err() != nil {
-		return fresh, ErrInterrupted
-	}
-	return fresh, nil
-}
-
-// runCell materializes and executes one cell, folding its repetitions — in
-// repetition order — into the O(1) aggregate. Each attempt is one stream of
-// the cell's repetitions on an InnerWorkers runner, supervised: a watchdog
-// timeout or Stop ends the attempt's context, which cancels the stream, and
-// the attempt is abandoned, since a repetition wedged inside a single sim run
-// never observes cancellation. A cell whose attempts all fail (panic, error,
-// watchdog timeout) does not abort the campaign: it comes back as a
-// quarantine record (Failure set, zero aggregate) that is checkpointed like
-// any other, so a resume skips the known-bad cell. Only interruption and
-// infrastructure errors (a broken sweep) propagate as errors.
-func (e Executor) runCell(ctx context.Context, x *identity, idx int) (Cell, CellRecord, []scenario.Result, error) {
-	sweep := x.sweep
-	cell, err := x.cell(idx)
-	if err != nil {
-		return cell, CellRecord{}, nil, err
-	}
-	spec, err := cell.Spec()
-	if err != nil {
-		// Materialization is deterministic; retrying cannot help.
-		return cell, failedRecordFor(sweep.Name, cell, "", err, 1), nil, nil
-	}
-	runner := scenario.Runner{Registry: e.Registry, Workers: max(1, e.InnerWorkers)}
-	specs := []scenario.Spec{spec}
-	results, attempts, err := supervise.Run(ctx, e.policy(), func(ctx context.Context) ([]scenario.Result, error) {
-		results := make([]scenario.Result, spec.Reps())
-		got := 0
-		for res := range runner.Stream(ctx.Done(), specs) {
-			if res.Err != nil {
-				return nil, fmt.Errorf("campaign: cell %q: %w", cell.ID, res.Err)
+			cells[g] = cell
+			// Materialization is deterministic; a failure fails the cell
+			// without an attempt.
+			specs[g], err = cell.Spec()
+			return specs[g].Reps(), err
+		},
+		Task: func(w *scenario.Worker, g, rep int, out *scenario.Result) error {
+			w.RunInto(&specs[g], rep, out)
+			if out.Err != nil {
+				return fmt.Errorf("campaign: cell %q: %w", cells[g].ID, out.Err)
 			}
-			results[res.Rep] = res
-			got++
-		}
-		if got < len(results) {
-			return nil, ctx.Err()
-		}
-		return results, nil
-	})
-	switch {
-	case err == nil:
-		agg := newCellAggregator()
-		for _, res := range results {
-			agg.fold(res)
-		}
-		rec := recordFor(sweep.Name, cell, spec.Name, agg.finalize())
-		if attempts > 1 {
-			rec.Attempts = attempts
-		}
-		return cell, rec, results, nil
-	case ctx.Err() != nil:
-		return cell, CellRecord{}, nil, ErrInterrupted
-	case errors.As(err, new(supervise.TimeoutError)):
-		err = fmt.Errorf("campaign: cell %q exceeded the %v cell timeout; attempt abandoned", cell.ID, e.CellTimeout)
+			return nil
+		},
+		Done: func(g int, results []scenario.Result, attempts int, err error) error {
+			cell := cells[g]
+			var rec CellRecord
+			switch {
+			case cell.sweep == nil:
+				return err // the cell could not be enumerated
+			case err == nil:
+				agg := newCellAggregator()
+				for _, res := range results {
+					agg.fold(res)
+				}
+				rec = recordFor(name, cell, specs[g].Name, agg.finalize())
+				if attempts > 1 {
+					rec.Attempts = attempts
+				}
+			default:
+				if errors.As(err, new(supervise.TimeoutError)) {
+					err = fmt.Errorf("campaign: cell %q exceeded the %v cell timeout; attempt abandoned", cell.ID, e.CellTimeout)
+				}
+				rec = failedRecordFor(name, cell, specs[g].Name, err, attempts)
+			}
+			if attempts == 1 {
+				// Drop the spec, unless an abandoned repetition may still
+				// be reading it.
+				specs[g] = scenario.Spec{}
+			}
+			if manifest != nil {
+				if err := AppendRecord(manifest, rec); err != nil {
+					return err
+				}
+			}
+			fresh = append(fresh, rec)
+			if rec.Failure != "" {
+				e.logf("campaign: cell %q quarantined after %d attempt(s): %s", rec.ID, rec.Attempts, rec.Failure)
+				return nil
+			}
+			if e.OnCell != nil {
+				e.OnCell(cell, results)
+			}
+			e.logf("campaign: cell %q done (%d reps, %d flows completed)", rec.ID, rec.Aggregate.Reps, rec.Aggregate.FlowsCompleted)
+			return nil
+		},
 	}
-	return cell, failedRecordFor(sweep.Name, cell, spec.Name, err, attempts), nil, nil
+	err := pool.Run(opts.Stop, len(pending))
+	if errors.Is(err, context.Canceled) {
+		err = ErrInterrupted
+	}
+	return fresh, err
 }

@@ -72,15 +72,15 @@ func TestShardUnionByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance pins that neither the outer cell pool
-// nor the inner repetition pool changes a single output byte.
+// TestWorkerCountInvariance pins that the size of the pool the cells'
+// repetitions share changes not a single output byte.
 func TestWorkerCountInvariance(t *testing.T) {
 	s := testSweep()
-	base := encodeRun(t, Executor{Workers: 1, InnerWorkers: 1}, s, RunOptions{})
-	for _, w := range []struct{ outer, inner int }{{4, 1}, {2, 4}, {8, 8}} {
-		got := encodeRun(t, Executor{Workers: w.outer, InnerWorkers: w.inner}, s, RunOptions{})
+	base := encodeRun(t, Executor{Workers: 1}, s, RunOptions{})
+	for _, w := range []int{2, 4, 7} {
+		got := encodeRun(t, Executor{Workers: w}, s, RunOptions{})
 		if !bytes.Equal(base, got) {
-			t.Fatalf("report changed with Workers=%d InnerWorkers=%d", w.outer, w.inner)
+			t.Fatalf("report changed with Workers=%d", w)
 		}
 	}
 }

@@ -5,10 +5,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cc"
+	"repro/internal/cc/newreno"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // chaosSpec builds a one-flow explicit spec running the given scheme; the
@@ -213,5 +217,105 @@ func TestPanicRecoveryIsolatesRepetition(t *testing.T) {
 	}
 	if boomRes == 0 {
 		t.Error("panicking spec produced no errored repetitions")
+	}
+}
+
+// probeAlgorithm is NewReno whose every flow start counts itself in flight
+// for a few milliseconds of wall clock, recording the most repetitions it
+// ever saw in flight at once.
+type probeAlgorithm struct {
+	cc.Algorithm
+	inFlight, peak *atomic.Int32
+}
+
+func (a probeAlgorithm) Reset(now sim.Time) {
+	n := a.inFlight.Add(1)
+	for p := a.peak.Load(); n > p && !a.peak.CompareAndSwap(p, n); p = a.peak.Load() {
+	}
+	time.Sleep(20 * time.Millisecond)
+	a.inFlight.Add(-1)
+	a.Algorithm.Reset(now)
+}
+
+// TestUnevenCellsFillThePool runs a short cell of one repetition beside a
+// long cell of eight on two workers: once the short cell is done, its worker
+// must help with the long cell's repetitions, so two of them run at once.
+func TestUnevenCellsFillThePool(t *testing.T) {
+	var inFlight, peak atomic.Int32
+	long := chaosSpec("long", "newreno")
+	long.Repetitions = 8
+	long.Flows[0].Algorithm = func() cc.Algorithm { return probeAlgorithm{newreno.New(), &inFlight, &peak} }
+	short := chaosSpec("short", "newreno")
+	short.Repetitions = 1
+	sweep := SweepSpec{Name: "uneven", Specs: []scenario.Spec{short, long}}
+	records, err := Executor{Workers: 2}.Run(sweep, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 2 || records[1].Aggregate.Reps != 8 {
+		t.Fatalf("records %+v; want both cells, the long one with 8 repetitions", records)
+	}
+	if got := peak.Load(); got != 2 {
+		t.Errorf("at most %d of the long cell's repetitions ran at once on 2 workers, want 2", got)
+	}
+}
+
+// TestWedgedRepetitionKeepsThePool runs a chaos/hang cell, retried twice
+// under a short watchdog, on a pool of one worker, with healthy cells after
+// it. Each abandoned attempt leaves a repetition wedged for chaosHangSleep;
+// the pool must replace its worker each time, so the healthy cells finish
+// well inside that sleep. With those repetitions still wedged, a Stop during
+// a later run's hanging cell must still end that run within a second.
+func TestWedgedRepetitionKeepsThePool(t *testing.T) {
+	sweep := SweepSpec{Name: "wedged", Specs: []scenario.Spec{
+		chaosSpec("wedge", "chaos/hang"),
+		chaosSpec("good-a", "newreno"),
+		chaosSpec("good-b", "cubic"),
+	}}
+	e := Executor{Workers: 1, CellTimeout: 100 * time.Millisecond, Retries: 2, RetryBackoff: time.Millisecond}
+	start := time.Now()
+	records, err := e.Run(sweep, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("the run took %v, want well inside the %v hang", took, 30*time.Second)
+	}
+	if len(records) != 3 {
+		t.Fatalf("got %d records, want 3", len(records))
+	}
+	if wedge := records[0]; wedge.Attempts != 3 || !strings.Contains(wedge.Failure, "cell timeout") {
+		t.Errorf("wedge record %+v; want quarantined by the watchdog after 3 attempts", wedge)
+	}
+	for _, rec := range records[1:] {
+		if rec.Failure != "" || rec.Aggregate.Reps != 1 {
+			t.Errorf("healthy cell %s: record %+v", rec.ID, rec)
+		}
+	}
+
+	stop := make(chan struct{})
+	healthyDone := make(chan struct{})
+	e.CellTimeout = 10 * time.Second
+	e.OnCell = func(Cell, []scenario.Result) { close(healthyDone) }
+	ran := make(chan error, 1)
+	go func() {
+		hang := SweepSpec{Name: "hang", Specs: []scenario.Spec{chaosSpec("good-a", "newreno"), chaosSpec("wedge", "chaos/hang")}}
+		_, err := e.Run(hang, RunOptions{Stop: stop})
+		ran <- err
+	}()
+	<-healthyDone
+	time.Sleep(100 * time.Millisecond) // let the hanging cell reach the hang
+	stopped := time.Now()
+	close(stop)
+	select {
+	case err = <-ran:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after Stop while a cell hung")
+	}
+	if waited := time.Since(stopped); waited > time.Second {
+		t.Errorf("Run returned %v after Stop, want within 1s", waited)
+	}
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("Run returned %v, want ErrInterrupted", err)
 	}
 }

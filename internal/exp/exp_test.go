@@ -490,9 +490,9 @@ func TestRunCampaignFailures(t *testing.T) {
 	}
 }
 
-// TestRunCampaignWorkers: an explicit spec's repetitions run on every worker
-// without moving a number, and runCampaign leaves the caller's specs (and
-// their seeds) as they were.
+// TestRunCampaignWorkers: an explicit spec's repetitions share 1, 2, 4 or 7
+// workers without moving a number, and runCampaign leaves the caller's specs
+// (and their seeds) as they were.
 func TestRunCampaignWorkers(t *testing.T) {
 	w := scenario.ByTimeWorkload(scenario.ConstantDist(10), scenario.ConstantDist(1))
 	w.StartOn = true
@@ -513,9 +513,14 @@ func TestRunCampaignWorkers(t *testing.T) {
 		}
 		return out[0]
 	}
-	serial, wide := run(1), run(4)
-	if len(serial.Points) != 4 || !slices.Equal(serial.Points, wide.Points) || serial.LossEvents != wide.LossEvents {
-		t.Fatalf("workers 1 gave %v (%d losses), workers 4 gave %v (%d losses); want 4 equal points", serial.Points, serial.LossEvents, wide.Points, wide.LossEvents)
+	serial := run(1)
+	if len(serial.Points) != 4 {
+		t.Fatalf("workers 1 gave %d points, want 4", len(serial.Points))
+	}
+	for _, workers := range []int{2, 4, 7} {
+		if wide := run(workers); !slices.Equal(serial.Points, wide.Points) || serial.LossEvents != wide.LossEvents {
+			t.Fatalf("workers 1 gave %v (%d losses), workers %d gave %v (%d losses); want equal points", serial.Points, serial.LossEvents, workers, wide.Points, wide.LossEvents)
+		}
 	}
 	if specs[0].Seed != 7 {
 		t.Fatalf("runCampaign rewrote the caller's spec seed to %d", specs[0].Seed)

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -29,9 +28,9 @@ type RunConfig struct {
 	// must be non-zero.
 	Seed int64
 	// Workers is how many simulations run at once; <= 0 means
-	// scenario.DefaultWorkers(). An artifact of explicit specs runs them one
-	// at a time, each spec's repetitions on every worker; a grid sweep (churn,
-	// faults) runs that many cells at once. No number depends on it.
+	// runtime.GOMAXPROCS(0). Every artifact runs its specs or grid cells as
+	// one campaign whose repetitions share that many workers, so uneven
+	// schemes still fill the cores. No number depends on it.
 	Workers int
 	// AssetsDir is where pre-trained RemyCC rule tables live.
 	AssetsDir string
@@ -154,11 +153,6 @@ func runCampaign(sweep campaign.SweepSpec, reg *scenario.Registry, cfg RunConfig
 		sweep.Specs[i].Seed = cfg.Seed
 	}
 	exec := campaign.Executor{Registry: reg, Workers: cfg.Workers, Logf: cfg.Logf, OnCell: onCell}
-	if len(sweep.Specs) > 0 {
-		// One spec at a time, its repetitions on every worker: a few unevenly
-		// costly schemes still fill the cores.
-		exec.Workers, exec.InnerWorkers = 1, cmp.Or(max(cfg.Workers, 0), scenario.DefaultWorkers())
-	}
 	records, err := exec.Run(sweep, campaign.RunOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s campaign: %w", sweep.Name, err)

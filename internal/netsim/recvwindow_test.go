@@ -114,3 +114,30 @@ func TestRecvWindowWordRuns(t *testing.T) {
 		t.Fatalf("window not empty after full advance: count=%d", w.count)
 	}
 }
+
+// TestRecvWindowHasOutsideRange asks has about sequence numbers a whole ring
+// span and more away from the held ones. Their ring slots alias the held
+// words bit for bit, so only has's range guard can answer them: every such
+// probe must be false, and every held number true.
+func TestRecvWindowHasOutsideRange(t *testing.T) {
+	var w recvWindow
+	held := []int64{1000, 1003, 1064, 1100}
+	for _, seq := range held {
+		w.set(seq)
+	}
+	span := int64(64 * len(w.words))
+	for _, seq := range held {
+		if !w.has(seq) {
+			t.Fatalf("has(%d) = false for a held number", seq)
+		}
+		for _, k := range []int64{-3, -2, -1, 1, 2, 3} {
+			if probe := seq + k*span; w.has(probe) {
+				t.Errorf("has(%d) = true: %d rings from held %d, outside [%d, %d]", probe, k, seq, w.lo, w.hi)
+			}
+		}
+	}
+	var empty recvWindow
+	if empty.has(0) || empty.has(1000) {
+		t.Error("an empty window holds a number")
+	}
+}

@@ -2,9 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -62,26 +59,25 @@ type BatchRunner interface {
 	RunBatch(objective stats.Objective, jobs []BatchJob) ([]BatchResult, error)
 }
 
-// RunBatchLocal executes jobs on an in-process worker pool. This is the single
-// execution path for specimen simulations: the Evaluator calls it when no
-// Backend is configured, and every distrib worker calls it on its shard —
+// RunBatchLocal executes jobs on a scenario.Pool of workers. This is the
+// single execution path for specimen simulations: the Evaluator calls it when
+// no Backend is configured, and every distrib worker calls it on its shard —
 // which is what makes a distributed run byte-identical to an in-process one by
 // construction.
 //
 // Every job is a warm run. The improvement step scores its candidate trees on
 // the same specimens, batch after batch, so the simulated world (the
 // specimen's shape and the ConfigRange) repeats from job to job and only the
-// rule table and the seed differ. Jobs are dispatched world-major; each worker
-// builds one session per world it meets and re-runs it for every candidate and
-// every seed, rebinding the flows' senders to the job's tree and usage
-// collector.
+// rule table and the seed differ. Jobs are dispatched world-major, one pool
+// group per world; a worker builds one session per world it meets and re-runs
+// it for every candidate and every seed, rebinding the flows' senders to the
+// job's tree and usage collector.
 //
-// Workers outlive the call: they come from, and go back to, a package free
-// list with their session, spec and senders intact, so the next batch — the
-// next of a round's improvement steps, or a distrib worker's next shard —
-// starts in a warm world when it meets the same one. A worker whose job failed
-// goes back without its world. The list never holds more workers than the peak
-// concurrency the process has already reached.
+// A worker's batch state — its world's spec and senders — rides in its Local
+// field and so stays with it, warm session and all, in the pool's free list
+// between calls: the next batch — the next of a round's improvement steps, or
+// a distrib worker's next shard — starts in a warm world when it meets the
+// same one. A worker whose job failed goes back without its world.
 //
 // The batch's usage rows are allocated up front, one Counts block and one
 // Consulted block sized from every job's NumWhiskers, so a job allocates none
@@ -90,34 +86,25 @@ func RunBatchLocal(objective stats.Objective, workers int, jobs []BatchJob) ([]B
 	if len(jobs) == 0 {
 		return nil, nil
 	}
-	if workers <= 0 {
-		workers = scenario.DefaultWorkers()
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	order := worldMajor(jobs)
+	order, starts := worldMajor(jobs)
 	out := usageRows(jobs)
 	errs := make([]error, len(jobs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bw := acquireWorker(objective)
-			defer releaseWorker(bw)
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(order) {
-					return
-				}
-				i := order[n]
-				out[i], errs[i] = bw.run(jobs[i], out[i].Counts, out[i].Consulted)
+	pool := scenario.Pool[struct{}]{
+		Workers: workers,
+		Open:    func(g int) (int, error) { return starts[g+1] - starts[g], nil },
+		Task: func(w *scenario.Worker, g, k int, _ *struct{}) error {
+			b, ok := w.Local.(*batchWorker)
+			if !ok {
+				b = &batchWorker{sim: w}
+				w.Local = b
 			}
-		}()
+			b.objective = objective
+			i := order[starts[g]+k]
+			out[i], errs[i] = b.run(jobs[i], out[i].Counts, out[i].Consulted)
+			return nil
+		},
 	}
-	wg.Wait()
+	pool.Run(nil, len(starts)-1)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -144,34 +131,6 @@ func usageRows(jobs []BatchJob) []BatchResult {
 	return out
 }
 
-// workerPool keeps idle batch workers, warm worlds included, between
-// RunBatchLocal calls. It is a mutex-guarded free list and not a sync.Pool for
-// the reason scenario's engine pool is: a sync.Pool may drop entries at any GC,
-// which would silently bring the cold session builds back mid-training.
-var workerPool struct {
-	mu   sync.Mutex
-	free []*batchWorker
-}
-
-func acquireWorker(objective stats.Objective) *batchWorker {
-	workerPool.mu.Lock()
-	defer workerPool.mu.Unlock()
-	if n := len(workerPool.free); n > 0 {
-		b := workerPool.free[n-1]
-		workerPool.free[n-1] = nil
-		workerPool.free = workerPool.free[:n-1]
-		b.objective = objective
-		return b
-	}
-	return &batchWorker{objective: objective, sim: scenario.Runner{}.NewWorker()}
-}
-
-func releaseWorker(b *batchWorker) {
-	workerPool.mu.Lock()
-	workerPool.free = append(workerPool.free, b)
-	workerPool.mu.Unlock()
-}
-
 // world identifies the simulated network of a job: everything about it except
 // the rule table the senders execute and the seed of the run (spec.Seed is
 // always zero here).
@@ -187,28 +146,51 @@ func worldOf(j BatchJob) world {
 }
 
 // worldMajor returns the job indices grouped by world, worlds in order of
-// first appearance and jobs in batch order within a world, so a worker
-// draining the list meets each world once.
-func worldMajor(jobs []BatchJob) []int {
-	seen := make(map[world]int)
-	rank := make([]int, len(jobs))
-	order := make([]int, len(jobs))
-	for i, j := range jobs {
-		k := worldOf(j)
-		r, ok := seen[k]
-		if !ok {
-			r = len(seen)
-			seen[k] = r
+// first appearance and jobs in batch order within a world, and where each
+// world's run starts: world w's jobs are order[starts[w]:starts[w+1]]. A
+// batch has a handful of worlds, so a job finds its world's rank by scanning
+// the first job of each.
+func worldMajor(jobs []BatchJob) (order, starts []int) {
+	rank := func(i int, firsts []int) int {
+		k := worldOf(jobs[i])
+		for r, f := range firsts {
+			if worldOf(jobs[f]) == k {
+				return r
+			}
 		}
-		rank[i] = r
-		order[i] = i
+		return -1
 	}
-	sort.SliceStable(order, func(a, b int) bool { return rank[order[a]] < rank[order[b]] })
-	return order
+	// order holds each world's first job until the worlds are counted.
+	order = make([]int, len(jobs))
+	worlds := 0
+	for i := range jobs {
+		if rank(i, order[:worlds]) < 0 {
+			order[worlds] = i
+			worlds++
+		}
+	}
+	// starts[:worlds+1] counts each world's jobs, sums the counts into each
+	// world's end, and, as the jobs fill order backwards, moves every end
+	// down to its world's start; starts[worlds+1:] keeps the first jobs.
+	starts = make([]int, 2*worlds+1)
+	firsts := starts[worlds+1:]
+	copy(firsts, order)
+	for i := range jobs {
+		starts[rank(i, firsts)]++
+	}
+	for w := 1; w <= worlds; w++ {
+		starts[w] += starts[w-1]
+	}
+	for i := len(jobs) - 1; i >= 0; i-- {
+		r := rank(i, firsts)
+		starts[r]--
+		order[starts[r]] = i
+	}
+	return order, starts[: worlds+1 : worlds+1]
 }
 
-// batchWorker is one goroutine's worth of RunBatchLocal: a scenario worker,
-// plus the world it is currently in and the senders that world's session runs.
+// batchWorker is a scenario worker's RunBatchLocal state: the world it is in
+// and the senders that world's session runs.
 type batchWorker struct {
 	objective stats.Objective
 	sim       *scenario.Worker
@@ -218,10 +200,14 @@ type batchWorker struct {
 	// after a failed one, so the next job builds its world from scratch.
 	spec *scenario.Spec
 	// senders are the algorithms the world's session was built with; tree and
-	// rec are what a sender built now is bound to (the job being run).
+	// rec are what a sender built now is bound to (the job being run), and
+	// built whether the run under way has built one yet: a run that rebuilds
+	// the world (a new world, or a session the pool handed over without it)
+	// replaces them all.
 	senders []*core.Sender
 	tree    *core.WhiskerTree
 	rec     *usageCollector
+	built   bool
 	// res is the buffer every run's result is collected into; nothing run
 	// returns aliases it.
 	res scenario.Result
@@ -240,7 +226,6 @@ func (b *batchWorker) run(j BatchJob, counts []int64, consulted []bool) (BatchRe
 	u.reset(counts, consulted, j.WithSamples)
 	if k := worldOf(j); b.spec == nil || b.world != k {
 		b.world = k
-		b.senders = b.senders[:0]
 		//lint:ignore hotalloc entering a new world; the session built here is reused for every later job in it
 		spec := specFor(k.spec, k.cfg, b.newSender)
 		b.spec = &spec
@@ -250,6 +235,7 @@ func (b *batchWorker) run(j BatchJob, counts []int64, consulted []bool) (BatchRe
 		s.Rebind(j.Tree, u)
 	}
 	b.spec.Seed = j.Specimen.Seed
+	b.built = false
 	b.sim.RunInto(b.spec, 0, &b.res)
 	if err := b.res.Err; err != nil {
 		b.spec = nil
@@ -263,6 +249,9 @@ func (b *batchWorker) run(j BatchJob, counts []int64, consulted []bool) (BatchRe
 // newSender is the world's algorithm factory: the session under construction
 // gets a sender bound to the job being run, remembered for rebinding.
 func (b *batchWorker) newSender() cc.Algorithm {
+	if !b.built {
+		b.senders, b.built = b.senders[:0], true
+	}
 	s := core.NewSender(b.tree)
 	s.Recorder = b.rec
 	b.senders = append(b.senders, s)

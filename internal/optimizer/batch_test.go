@@ -58,16 +58,6 @@ func runAlone(w *batchWorker, j BatchJob) (BatchResult, error) {
 	return w.run(j, make([]int64, n), make([]bool, n))
 }
 
-// idleWorkers empties the package's worker pool and returns what it held, so a
-// test can start from a known pool and look at the one it leaves behind.
-func idleWorkers() []*batchWorker {
-	workerPool.mu.Lock()
-	defer workerPool.mu.Unlock()
-	idle := workerPool.free
-	workerPool.free = nil
-	return idle
-}
-
 // TestRunBatchWarmMatchesCold is the exactness guard for warm training jobs:
 // a shuffled batch of trees × specimens, run through RunBatchLocal's reused
 // per-world sessions, must return for every job exactly what that job returns
@@ -100,7 +90,7 @@ func TestRunBatchWarmMatchesCold(t *testing.T) {
 	// The shuffle must leave, somewhere in the dispatch order, a table
 	// following a smaller one on the same world: the rebound senders then
 	// index rules their predecessor's collector never had.
-	order := worldMajor(jobs)
+	order, _ := worldMajor(jobs)
 	grows := false
 	for n := 1; n < len(order); n++ {
 		prev, cur := jobs[order[n-1]], jobs[order[n]]
@@ -176,32 +166,33 @@ func TestTrainSessionsOutliveBatch(t *testing.T) {
 		}
 	}
 
-	idleWorkers()
 	if _, err := RunBatchLocal(obj, 1, one); err != nil {
 		t.Fatal(err)
 	}
-	pool := idleWorkers()
-	if len(pool) != 1 || pool[0].spec == nil || len(pool[0].senders) != cfg.MaxSenders {
-		t.Fatalf("a one-worker batch left %d workers in the pool (want 1, in a world of %d senders)", len(pool), cfg.MaxSenders)
+	// The pool's free list is last in, first out: NewWorker takes the worker
+	// the batch released.
+	w := scenario.Runner{}.NewWorker()
+	b, _ := w.Local.(*batchWorker)
+	if b == nil || b.spec == nil || len(b.senders) != cfg.MaxSenders {
+		t.Fatalf("a one-worker batch left no worker in a world of %d senders on top of the pool", cfg.MaxSenders)
 	}
-	w := pool[0]
-	built := append([]*core.Sender(nil), w.senders...)
-	releaseWorker(w)
+	built := append([]*core.Sender(nil), b.senders...)
+	w.Close()
 	got, err := RunBatchLocal(obj, 1, two)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("second batch, 1 worker", got)
-	pool = idleWorkers()
-	if len(pool) != 1 || pool[0] != w {
-		t.Fatalf("the second batch did not take the pooled worker and give it back: pool holds %d", len(pool))
+	if again := (scenario.Runner{}).NewWorker(); again != w {
+		t.Fatal("the second batch did not take the pooled worker and give it back")
+	} else {
+		again.Close()
 	}
-	for i, s := range w.senders {
-		if len(w.senders) != len(built) || s != built[i] {
-			t.Fatalf("the second batch built a session: sender %d of %d is not the one the first batch left", i, len(w.senders))
+	for i, s := range b.senders {
+		if len(b.senders) != len(built) || s != built[i] {
+			t.Fatalf("the second batch built a session: sender %d of %d is not the one the first batch left", i, len(b.senders))
 		}
 	}
-	releaseWorker(w)
 
 	// Several workers share the pool (under -race in CI): whichever of them
 	// are warm, cold or new, the results are the cold ones.
@@ -211,9 +202,6 @@ func TestTrainSessionsOutliveBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("4 workers", got)
-	}
-	if n := len(idleWorkers()); n < 1 || n > 4 {
-		t.Errorf("three 4-worker batches left %d workers in the pool, want at most the peak concurrency, 4", n)
 	}
 }
 
@@ -261,8 +249,12 @@ func TestWorldMajorGroupsInFirstAppearanceOrder(t *testing.T) {
 		sp.Seed = int64(i)
 		jobs = append(jobs, BatchJob{Specimen: sp})
 	}
-	if got, want := worldMajor(jobs), []int{0, 2, 5, 1, 4, 3}; !reflect.DeepEqual(got, want) {
-		t.Errorf("worldMajor = %v, want %v", got, want)
+	order, starts := worldMajor(jobs)
+	if want := []int{0, 2, 5, 1, 4, 3}; !reflect.DeepEqual(order, want) {
+		t.Errorf("worldMajor order = %v, want %v", order, want)
+	}
+	if want := []int{0, 3, 5, 6}; !reflect.DeepEqual(starts, want) {
+		t.Errorf("worldMajor starts = %v, want %v", starts, want)
 	}
 }
 
@@ -304,15 +296,16 @@ func TestBatchPanicIsTheJobsError(t *testing.T) {
 	unbuildable := good
 	unbuildable.Specimen.LinkRateBps = 0
 	for what, failing := range map[string]BatchJob{"panic": bad, "rate_bps": unbuildable} {
-		idleWorkers()
 		if _, err := RunBatchLocal(obj, 1, []BatchJob{good, failing}); err == nil || !strings.Contains(err.Error(), what) {
 			t.Errorf("batch ending in a failing job (%s) returned err = %v", what, err)
 		}
-		pool := idleWorkers()
-		if len(pool) != 1 || pool[0].spec != nil {
-			t.Fatalf("%s: the failed worker went back to the pool with its world (pool of %d)", what, len(pool))
+		// The pool's free list is last in, first out: this is the worker
+		// that ran the failing job.
+		last := scenario.Runner{}.NewWorker()
+		if b, _ := last.Local.(*batchWorker); b == nil || b.spec != nil {
+			t.Fatalf("%s: the failed worker went back to the pool with its world", what)
 		}
-		releaseWorker(pool[0])
+		last.Close()
 		if _, err := RunBatchLocal(obj, 2, []BatchJob{good, failing, good}); err == nil || !strings.Contains(err.Error(), what) {
 			t.Errorf("batch with a failing job (%s) returned err = %v", what, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -232,8 +231,8 @@ func (u *usageCollector) RecordTouch(idx int) {
 type Evaluator struct {
 	// Objective is the per-flow utility function (Equation 1).
 	Objective stats.Objective
-	// Workers bounds the number of concurrent specimen simulations; zero
-	// means one fewer than the number of CPUs.
+	// Workers bounds the number of concurrent specimen simulations; <= 0
+	// means runtime.GOMAXPROCS(0) (scenario.PoolSize).
 	Workers int
 	// NoCache disables the evaluation memo cache (and with it usage
 	// pruning, which transfers results through the cache). Every call then
@@ -266,7 +265,7 @@ type Evaluator struct {
 
 // NewEvaluator returns an evaluator for the given objective.
 func NewEvaluator(obj stats.Objective) *Evaluator {
-	return &Evaluator{Objective: obj, Workers: scenario.DefaultWorkers()}
+	return &Evaluator{Objective: obj}
 }
 
 // Stats returns the evaluator's cumulative work counters.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -50,7 +49,7 @@ type Remy struct {
 	Config    ConfigRange
 	Objective stats.Objective
 
-	// Workers bounds concurrent specimen simulations (0 = NumCPU-1).
+	// Workers bounds concurrent specimen simulations (0 = GOMAXPROCS).
 	Workers int
 	// Seed makes the whole design run reproducible.
 	Seed int64
@@ -90,7 +89,6 @@ func New(cfg ConfigRange, obj stats.Objective) *Remy {
 	return &Remy{
 		Config:           cfg,
 		Objective:        obj,
-		Workers:          scenario.DefaultWorkers(),
 		Seed:             1,
 		CandidateRungs:   DefaultCandidateRungs,
 		ImprovementIters: DefaultImprovementIters,

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/harness"
@@ -43,13 +42,13 @@ func (w *Worker) summarize(r *Result) {
 	r.Delay = stats.SummarizeInPlace(w.delays)
 }
 
-// Runner executes batches of Specs across a worker pool, one independent
-// sim.Engine per repetition (the engine is single-threaded by design;
-// parallelism comes from running many engines).
+// Runner executes batches of Specs on a Pool, one independent sim.Engine per
+// repetition (the engine is single-threaded by design; parallelism comes from
+// running many engines).
 type Runner struct {
 	// Registry resolves spec names; nil means Default().
 	Registry *Registry
-	// Workers bounds concurrent simulations; <= 0 means DefaultWorkers().
+	// Workers bounds concurrent simulations; <= 0 means PoolSize's default.
 	Workers int
 	// Logf, if non-nil, receives progress messages.
 	Logf func(format string, args ...any)
@@ -62,71 +61,22 @@ func (r Runner) registry() *Registry {
 	return Default()
 }
 
-// DefaultWorkers is the pool size every worker pool uses when its caller sets
-// none: all but one of the machine's CPUs, at least one.
-func DefaultWorkers() int { return max(1, runtime.NumCPU()-1) }
-
-func (r Runner) workers() int {
-	if r.Workers > 0 {
-		return r.Workers
-	}
-	return DefaultWorkers()
-}
-
 func (r Runner) logf(format string, args ...any) {
 	if r.Logf != nil {
 		r.Logf(format, args...)
 	}
 }
 
-// sessionPool keeps idle sessions between workers and Runner instances. A
-// pooled session is an engine with warm slab, heap and lane-ring capacity,
-// and beside it every part the worlds built on that engine left behind, so
-// the next world built on it — a campaign cell, a training world, a cold
-// repetition — allocates (almost) nothing. A plain mutex-guarded free list is
-// used instead of sync.Pool deliberately: sync.Pool may drop entries at any
-// GC, which would silently reintroduce cold-start allocations mid-campaign
-// (and flake the allocation regression tests that pin the warm path).
-var sessionPool struct {
-	mu   sync.Mutex
-	free []*Session
-}
-
-// acquireSession returns an idle session, or a new one when there is none.
-func acquireSession() *Session {
-	sessionPool.mu.Lock()
-	defer sessionPool.mu.Unlock()
-	if n := len(sessionPool.free); n > 0 {
-		ss := sessionPool.free[n-1]
-		sessionPool.free[n-1] = nil
-		sessionPool.free = sessionPool.free[:n-1]
-		return ss
-	}
-	return new(Session)
-}
-
-func releaseSession(ss *Session) {
-	if ss == nil {
-		return
-	}
-	sessionPool.mu.Lock()
-	sessionPool.free = append(sessionPool.free, ss)
-	sessionPool.mu.Unlock()
-}
-
-// task is one (spec, repetition) unit of work.
-type task struct {
-	si, rep int
-	spec    *Spec
-}
-
-// Worker is one goroutine's warm run state: a pooled session and the spec
-// whose world it holds. It is the single place a spec meets an engine —
-// rebuild the session's world for it once, then Run(seed) per repetition,
-// with panics recovered into Result.Err — and both Runner.Stream's goroutines
-// and the optimizer's batch workers execute through it. A Worker is not safe
-// for concurrent use.
+// Worker is one pool worker's warm run state: a session and the spec whose
+// world it holds. It is the single place a spec meets an engine — rebuild the
+// session's world for it once, then Run(seed) per repetition, with panics
+// recovered into Result.Err — and every Pool task executes through it. A
+// Worker is not safe for concurrent use.
 type Worker struct {
+	// Local is its user's own state for this worker (the optimizer keeps a
+	// training world's senders here); it stays with the worker between runs.
+	Local any
+
 	reg *Registry
 	// session is the worker's session, nil until its first run; spec and
 	// invariant describe its world: consecutive runs of the same *Spec reuse
@@ -140,15 +90,12 @@ type Worker struct {
 	tputs, delays []float64
 }
 
-// NewWorker returns an idle worker resolving names against the runner's
-// registry. Close it to return its session to the pool.
-func (r Runner) NewWorker() *Worker { return &Worker{reg: r.registry()} }
+// NewWorker returns an idle worker from the pool's free list, resolving
+// names against the runner's registry. Close it to return it there.
+func (r Runner) NewWorker() *Worker { return acquireWorker(r.registry()) }
 
-// Close returns the worker's session, parts and all, to the pool.
-func (w *Worker) Close() {
-	releaseSession(w.session)
-	w.discard()
-}
+// Close returns the worker, warm session and all, to the pool's free list.
+func (w *Worker) Close() { releaseWorker(w) }
 
 // discard forgets the worker's session without pooling it.
 func (w *Worker) discard() {
@@ -191,7 +138,7 @@ func (w *Worker) RunInto(spec *Spec, rep int, out *Result) {
 	if w.session == nil || w.spec != spec || !w.invariant {
 		w.spec = nil
 		if w.session == nil {
-			w.session = acquireSession()
+			w.session = new(Session)
 		}
 		if err := w.session.Rebuild(w.reg, spec, rep); err != nil {
 			out.Err = err
@@ -211,77 +158,57 @@ func (w *Worker) RunInto(spec *Spec, rep int, out *Result) {
 	}
 }
 
-// Stream executes every repetition of every spec across a fixed pool of
-// worker goroutines and streams results over the returned channel as they
-// complete. Each worker owns one pooled session for its lifetime, reuses its
-// world across a rep-invariant spec's repetitions and returns it to the pool
-// when the stream ends (a cancelled stream's workers drop theirs instead), so
-// steady-state campaigns run with warm-start (near-zero) per-rep allocation.
-// Every Result sent is the consumer's: nothing in it is reused by a later
-// repetition. Completion order depends on scheduling, but each Result is
+// Stream executes every repetition of every spec on a Pool of Workers, one
+// group per spec, and streams results over the returned channel as they
+// complete. Each worker keeps its session's world across a rep-invariant
+// spec's repetitions, so steady-state campaigns run with warm-start
+// (near-zero) per-rep allocation. Every Result sent is the consumer's:
+// nothing in it is reused by a later repetition. Completion order depends on
+// scheduling (one worker runs them in order), but each Result is
 // deterministic for its (spec, rep) pair; use RunAll for a deterministic
 // ordering. The channel closes after the last result.
 //
 // done, when non-nil, cancels the stream: once it is closed, no new
-// repetitions start, in-flight workers discard their results instead of
-// blocking on the abandoned channel, and every goroutine exits. A consumer
-// that stops reading early MUST close done (directly or via defer) or the
-// producer and workers leak, blocked on their sends forever.
+// repetitions start, in-flight repetitions discard their results instead of
+// blocking on the abandoned channel, and every goroutine exits (a worker that
+// was mid-run drops its session rather than pool it). A consumer that stops
+// reading early MUST close done (directly or via defer) or the workers leak,
+// blocked on their sends forever.
 func (r Runner) Stream(done <-chan struct{}, specs []Spec) <-chan Result {
 	out := make(chan Result)
-	tasks := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < r.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker := r.NewWorker()
-			defer func() {
-				// A worker whose stream was cancelled may have been
-				// abandoned mid-run (the campaign watchdog does that):
-				// whatever state its session is in, it is not pooled.
-				select {
-				case <-done:
-					worker.discard()
-				default:
-					worker.Close()
-				}
-			}()
-			for t := range tasks {
-				select {
-				case <-done:
-					// Cancelled between dispatch and start; skip the run.
-					return
-				default:
-				}
-				res := worker.Run(t.spec, t.rep)
-				res.SpecIndex = t.si
+	// fence keeps the close of out from the sends of repetitions a cancelled
+	// run abandoned.
+	var fence struct {
+		sync.RWMutex
+		closed bool
+	}
+	pool := Pool[struct{}]{
+		Registry: r.Registry,
+		Workers:  r.Workers,
+		Open: func(si int) (int, error) {
+			r.logf("scenario: running %q (%d repetitions)", specs[si].Name, specs[si].Reps())
+			return specs[si].Reps(), nil
+		},
+		Task: func(w *Worker, si, rep int, _ *struct{}) error {
+			res := w.Run(&specs[si], rep)
+			res.SpecIndex = si
+			fence.RLock()
+			defer fence.RUnlock()
+			if !fence.closed {
 				select {
 				case out <- res:
 				case <-done:
-					// The consumer gave up; drop the result so the worker
-					// (and the producer waiting on wg) can exit.
-					return
 				}
 			}
-		}()
+			return nil
+		},
 	}
 	go func() {
-		defer close(out)
-		defer wg.Wait()
-		defer close(tasks)
-		for si := range specs {
-			spec := &specs[si]
-			reps := spec.Reps()
-			r.logf("scenario: running %q (%d repetitions)", spec.Name, reps)
-			for rep := 0; rep < reps; rep++ {
-				select {
-				case <-done:
-					return
-				case tasks <- task{si: si, rep: rep, spec: spec}:
-				}
-			}
-		}
+		pool.Run(done, len(specs))
+		fence.Lock()
+		fence.closed = true
+		close(out)
+		fence.Unlock()
 	}()
 	return out
 }

@@ -333,9 +333,15 @@ func (a wedgedAlgorithm) OnAck(ev cc.AckEvent) {
 }
 
 func idleSessions() int {
-	sessionPool.mu.Lock()
-	defer sessionPool.mu.Unlock()
-	return len(sessionPool.free)
+	idleWorkers.mu.Lock()
+	defer idleWorkers.mu.Unlock()
+	n := 0
+	for _, w := range idleWorkers.free {
+		if w.session != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestAbandonedWorkerDiscardsSession is the campaign watchdog's case: it
@@ -364,5 +370,31 @@ func TestAbandonedWorkerDiscardsSession(t *testing.T) {
 	}
 	if got := idleSessions(); got != before-1 {
 		t.Errorf("the abandoned worker pooled its session: %d idle sessions, want %d", got, before-1)
+	}
+}
+
+// TestIdleWorkersKeepPeakConcurrency: runs on the pool take their workers
+// from the free list and give them back, so it never holds more workers
+// than ran at once.
+func TestIdleWorkersKeepPeakConcurrency(t *testing.T) {
+	idleWorkers.mu.Lock()
+	saved := idleWorkers.free
+	idleWorkers.free = nil
+	idleWorkers.mu.Unlock()
+	defer func() {
+		idleWorkers.mu.Lock()
+		idleWorkers.free = append(idleWorkers.free, saved...)
+		idleWorkers.mu.Unlock()
+	}()
+	for round := 0; round < 3; round++ {
+		if _, err := (Runner{Workers: 4}).RunOne(quickSpec(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idleWorkers.mu.Lock()
+	n := len(idleWorkers.free)
+	idleWorkers.mu.Unlock()
+	if n < 1 || n > 4 {
+		t.Errorf("three 4-worker runs left %d idle workers, want 1 to 4", n)
 	}
 }
