@@ -18,8 +18,8 @@ var ErrChaosExit = errors.New("distrib: chaos exit (ExitAfterBatches reached)")
 
 // ServeOptions configures a worker loop.
 type ServeOptions struct {
-	// Parallel is the worker's inner simulation pool (scenario.Runner
-	// workers); <= 0 means 1. The parallelism split lives at the process
+	// Parallel is the size of the worker's inner simulation pool (the
+	// scenario.Pool RunBatchLocal runs its shard on); <= 0 means 1. The parallelism split lives at the process
 	// level by default: N worker processes × 1 inner goroutine measures and
 	// scales cleanly, and a machine-sized worker can raise this instead.
 	Parallel int
