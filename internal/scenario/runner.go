@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/harness"
 	"repro/internal/stats"
@@ -176,12 +175,6 @@ func (w *Worker) RunInto(spec *Spec, rep int, out *Result) {
 // blocked on their sends forever.
 func (r Runner) Stream(done <-chan struct{}, specs []Spec) <-chan Result {
 	out := make(chan Result)
-	// fence keeps the close of out from the sends of repetitions a cancelled
-	// run abandoned.
-	var fence struct {
-		sync.RWMutex
-		closed bool
-	}
 	pool := Pool[struct{}]{
 		Registry: r.Registry,
 		Workers:  r.Workers,
@@ -190,25 +183,29 @@ func (r Runner) Stream(done <-chan struct{}, specs []Spec) <-chan Result {
 			return specs[si].Reps(), nil
 		},
 		Task: func(w *Worker, si, rep int, _ *struct{}) error {
+			select {
+			case <-done:
+				return nil // cancelled: start no repetition
+			default:
+			}
 			res := w.Run(&specs[si], rep)
 			res.SpecIndex = si
-			fence.RLock()
-			defer fence.RUnlock()
-			if !fence.closed {
+			select {
+			case <-done:
+			default:
 				select {
 				case out <- res:
+					return nil
 				case <-done:
 				}
 			}
+			w.discard() // cancelled mid-run: the session is not pooled
 			return nil
 		},
 	}
 	go func() {
-		pool.Run(done, len(specs))
-		fence.Lock()
-		fence.closed = true
+		pool.Run(nil, len(specs))
 		close(out)
-		fence.Unlock()
 	}()
 	return out
 }
