@@ -3,7 +3,6 @@ package golden
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/harness"
@@ -28,7 +27,7 @@ type rebuildWorld struct {
 // asymmetric reverse path, flow churn and the lossy outage — plus 10 Gbps
 // worlds under NewReno and under the datacenter RemyCC (whose receivers run
 // far enough behind that their window rings' sizes show in the results; see
-// netsim.Network.AttachPort) and a one-flow world, each with its fresh
+// netsim.Network.ReattachFlowRoute) and a one-flow world, each with its fresh
 // results.
 func rebuildWorlds(t *testing.T) []rebuildWorld {
 	t.Helper()
@@ -120,14 +119,18 @@ func rebuildOrders(n int) [][]int {
 // workers. A part a rebuild re-targets without clearing, or clears wrongly,
 // shows up as a divergence here.
 //
-// The runner gives a repetition what a fresh session would on the worker
-// that runs it: the first repetition of a world cold, a later one of a
-// rep-invariant spec warm when the same worker ran the one before, and cold
-// otherwise. Warm and cold agree everywhere but in the 10 Gbps RemyCC world
-// (see netsim.Network.AttachPort), so there, at 4 workers, the second
-// repetition may be either.
+// A warm run gives what a cold one at its seed gives, in every world: so the
+// runner gives every repetition what a new session built for it gives,
+// whichever worker runs it after whatever. In the 10 Gbps RemyCC world a
+// receiver that kept the window ring its last run grew would acknowledge
+// otherwise (see netsim.Network.ReattachFlowRoute).
 func TestRebuiltSessionMatchesFresh(t *testing.T) {
 	worlds := rebuildWorlds(t)
+	for _, w := range worlds {
+		if w.spec.RepInvariant() && !reflect.DeepEqual(w.fresh[1], w.cold1) {
+			t.Errorf("%s: a warm run diverges from a cold one at its seed\n got: %+v\nwant: %+v", w.name, w.fresh[1], w.cold1)
+		}
+	}
 	for oi, order := range rebuildOrders(len(worlds)) {
 		t.Run(fmt.Sprintf("session/order%d", oi), func(t *testing.T) {
 			var ss scenario.Session
@@ -161,18 +164,11 @@ func TestRebuiltSessionMatchesFresh(t *testing.T) {
 			}
 			for _, r := range results {
 				w := &worlds[r.SpecIndex]
-				var want []harness.Result
-				switch {
-				case r.Rep == 0:
-					want = w.fresh[:1]
-				case !w.spec.RepInvariant():
-					want = []harness.Result{w.cold1}
-				case workers == 1:
-					want = w.fresh[1:]
-				default:
-					want = []harness.Result{w.fresh[1], w.cold1}
+				want := w.fresh[0]
+				if r.Rep == 1 {
+					want = w.cold1
 				}
-				if r.Seed != w.seeds[r.Rep] || !slices.ContainsFunc(want, func(res harness.Result) bool { return reflect.DeepEqual(r.Res, res) }) {
+				if r.Seed != w.seeds[r.Rep] || !reflect.DeepEqual(r.Res, want) {
 					t.Errorf("%s rep %d: runner result diverges from a fresh session's", w.name, r.Rep)
 				}
 			}

@@ -94,6 +94,9 @@ type Network struct {
 	freeSlots []int
 	nextGen   uint64
 	liveFlows int
+	// runGen is nextGen as of the last Reset: a port whose generation is no
+	// later was last attached or connected in an earlier run.
+	runGen uint64
 
 	// OnDeliver, if set, is invoked for every data packet delivered to a
 	// receiver (used by the Figure 6 sequence-plot experiment). Once the
@@ -356,13 +359,20 @@ func (n *Network) AttachFlowRoute(sender Sender, fwd, rev []*Link, oneWay sim.Ti
 // new) routes. The port keeps its sender and receiver and reuses its route
 // slices' capacity, so respawning a flow through a warm port allocates
 // nothing; the receiver is reset so the new incarnation starts with fresh
-// cumulative-ack state regardless of what the previous one received. The
-// port may land in a different slot than it previously occupied.
+// cumulative-ack state regardless of what the previous one received. A port
+// last attached before the network's latest Reset gets a new receiver's
+// state, as AttachPort gives it: what an earlier run left in it must not
+// reach this run's acknowledgments (see recvWindow.advanceFrom). The port may
+// land in a different slot than it previously occupied.
 func (n *Network) ReattachFlowRoute(p *Port, fwd, rev []*Link, oneWay sim.Time) error {
 	if err := n.reattachable(p, fwd, rev, oneWay); err != nil {
 		return err
 	}
-	p.receiver.Reset()
+	if p.gen <= n.runGen {
+		p.receiver.renew()
+	} else {
+		p.receiver.Reset()
+	}
 	n.reattach(p, fwd, rev, oneWay)
 	return nil
 }
@@ -673,7 +683,9 @@ func (n *Network) reclaimInFlight(arg any) {
 // in-flight packet — data or acknowledgment — is recycled, every flow slot is
 // vacated and all counters are zeroed.
 // Ports survive detached — the owner re-attaches them (ReattachFlowRoute)
-// for the next run, which reuses their route capacity and allocates nothing.
+// for the next run, which reuses their route capacity, allocates nothing and
+// starts their receivers as new ones, so a run after Reset acknowledges what a
+// run of a just-built network would.
 // The attachment-generation counter keeps counting monotonically, so a
 // pooled network can never confuse a recycled packet with a new attachment.
 //
@@ -717,6 +729,7 @@ func (n *Network) Reset() {
 	n.flows = n.flows[:0]
 	n.freeSlots = n.freeSlots[:0]
 	n.liveFlows = 0
+	n.runGen = n.nextGen
 	n.packetsOffered = 0
 	n.packetsDropped = 0
 	n.acksDropped = 0

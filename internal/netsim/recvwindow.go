@@ -20,8 +20,9 @@ type recvWindow struct {
 	lo    int64    // inclusive: no set bit below lo
 	hi    int64    // inclusive: no set bit above hi
 	count int      // set bits
-	// first is the first-size ring the window allocated, kept for renew.
-	first []uint64
+	// spare holds a copy of the old ring while grow reindexes it into the
+	// same backing array.
+	spare []uint64
 }
 
 // recvWindowMinWords is the initial ring size: 4 words cover a 256-packet
@@ -43,10 +44,7 @@ func (w *recvWindow) has(seq int64) bool {
 func (w *recvWindow) set(seq int64) {
 	if w.count == 0 {
 		if len(w.words) == 0 {
-			if w.first == nil {
-				w.first = make([]uint64, recvWindowMinWords)
-			}
-			w.words = w.first // zero: see renew
+			w.resize(recvWindowMinWords) // zero: see renew
 		}
 		w.lo, w.hi = seq, seq
 	} else {
@@ -79,8 +77,8 @@ func (w *recvWindow) set(seq int64) {
 // or more below the lowest held sequence number its ring slot belongs to a
 // higher word, and bits held there are consumed as if seq had arrived — the
 // receiver acknowledges data it never received. What it does then depends on
-// the ring's size, which is why a receiver serving a new flow must start from
-// a new one's (renew).
+// the ring's size, which is why a receiver serving a new flow, or the first
+// incarnation of a flow in a new run, must start from a new one's (renew).
 func (w *recvWindow) advanceFrom(seq int64) int64 {
 	for w.count > 0 {
 		word := &w.words[int(seq>>6)&(len(w.words)-1)]
@@ -121,32 +119,44 @@ func (w *recvWindow) clearAll() {
 	w.lo, w.hi = 0, 0
 }
 
-// renew empties the window and gives it back the ring size a new window
-// starts with: a new window's first set sizes its ring to
-// recvWindowMinWords, and so does a renewed one's, out of its first ring,
-// zeroed. A ring grown past it, sized for the old flow's peak, is dropped.
+// renew empties the window and gives it back the ring a new window starts
+// with: a new window's first set sizes its ring to recvWindowMinWords, zero,
+// and so does a renewed one's, out of the backing array an earlier flow grew.
+// grow reuses that array's capacity too, so a renewed window passes through
+// the rings a new one would without allocating them.
 func (w *recvWindow) renew() {
 	w.clearAll()
-	if len(w.words) > recvWindowMinWords {
-		clear(w.first) // grow left the words it copied behind
-	}
-	w.words = nil
+	w.words = w.words[:0]
 }
 
-// grow reindexes the live words into a ring large enough for span words.
+// grow reindexes the live words into a ring large enough for span words. The
+// new ring is zero but for the words the loop copies into it, whether it is
+// allocated or carved from the old one's backing array (after the old ring is
+// copied aside into spare).
 func (w *recvWindow) grow(span int64) {
-	n := len(w.words) * 2
-	if n == 0 {
-		n = recvWindowMinWords
-	}
+	old := w.words
+	n := len(old) * 2
 	for int64(n) < span {
 		n *= 2
 	}
-	words := make([]uint64, n)
-	oldMask := len(w.words) - 1
-	mask := n - 1
-	for wd := w.lo >> 6; wd <= w.hi>>6; wd++ {
-		words[int(wd)&mask] = w.words[int(wd)&oldMask]
+	if n <= cap(old) {
+		w.spare = append(w.spare[:0], old...)
+		old = w.spare
 	}
-	w.words = words
+	w.resize(n)
+	mask, oldMask := n-1, len(old)-1
+	for wd := w.lo >> 6; wd <= w.hi>>6; wd++ {
+		w.words[int(wd)&mask] = old[int(wd)&oldMask]
+	}
+}
+
+// resize makes the ring n zero words, out of its backing array when that has
+// the capacity.
+func (w *recvWindow) resize(n int) {
+	if n <= cap(w.words) {
+		w.words = w.words[:n]
+		clear(w.words)
+	} else {
+		w.words = make([]uint64, n)
+	}
 }
