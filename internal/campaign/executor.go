@@ -231,9 +231,9 @@ func (e Executor) runPending(x *identity, pending []int, opts RunOptions) ([]Cel
 				}
 				rec = failedRecordFor(name, cell, specs[g].Name, err, attempts)
 			}
-			if attempts == 1 {
-				// Drop the spec, unless an abandoned repetition may still
-				// be reading it.
+			if err == nil && attempts == 1 {
+				// Drop the spec: every repetition that read it has
+				// returned. A timed-out attempt's may still be reading it.
 				specs[g] = scenario.Spec{}
 			}
 			if manifest != nil {

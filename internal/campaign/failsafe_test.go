@@ -319,3 +319,43 @@ func TestWedgedRepetitionKeepsThePool(t *testing.T) {
 		t.Fatalf("Run returned %v, want ErrInterrupted", err)
 	}
 }
+
+// heldAlgorithm is NewReno whose flow start waits for release.
+type heldAlgorithm struct {
+	cc.Algorithm
+	release <-chan struct{}
+}
+
+func (a heldAlgorithm) Reset(now sim.Time) {
+	<-a.release
+	a.Algorithm.Reset(now)
+}
+
+// TestTimeoutWithoutRetries runs a cell whose one attempt the watchdog
+// abandons, with no retry, beside a healthy one. The cell is quarantined and
+// the run goes on; and once the run is over, the abandoned repetition, let go,
+// finishes reading its spec — which, under the race detector, must not race
+// with the executor forgetting the cell.
+func TestTimeoutWithoutRetries(t *testing.T) {
+	release := make(chan struct{})
+	held := chaosSpec("held", "newreno")
+	held.Flows[0].Algorithm = func() cc.Algorithm { return heldAlgorithm{newreno.New(), release} }
+	sweep := SweepSpec{Name: "no-retries", Specs: []scenario.Spec{held, chaosSpec("good", "cubic")}}
+	records, err := Executor{Workers: 1, CellTimeout: 100 * time.Millisecond}.Run(sweep, RunOptions{})
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 2 {
+		t.Fatalf("got %d records, want 2", len(records))
+	}
+	if rec := records[0]; rec.Attempts != 1 || !strings.Contains(rec.Failure, "cell timeout") {
+		t.Errorf("held cell record %+v; want quarantined by the watchdog after 1 attempt", rec)
+	}
+	if rec := records[1]; rec.Failure != "" || rec.Aggregate.Reps != 1 {
+		t.Errorf("healthy cell record %+v", rec)
+	}
+	// Nothing outside the pool sees the released repetition return; give it
+	// the time its 0.3 s simulation needs to finish reading its spec.
+	time.Sleep(300 * time.Millisecond)
+}

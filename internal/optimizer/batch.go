@@ -147,46 +147,40 @@ func worldOf(j BatchJob) world {
 
 // worldMajor returns the job indices grouped by world, worlds in order of
 // first appearance and jobs in batch order within a world, and where each
-// world's run starts: world w's jobs are order[starts[w]:starts[w+1]]. A
-// batch has a handful of worlds, so a job finds its world's rank by scanning
-// the first job of each.
+// world's jobs start: world w's are order[starts[w]:starts[w+1]]. The two,
+// and each job's world, are carved from one block.
 func worldMajor(jobs []BatchJob) (order, starts []int) {
-	rank := func(i int, firsts []int) int {
-		k := worldOf(jobs[i])
-		for r, f := range firsts {
-			if worldOf(jobs[f]) == k {
-				return r
-			}
+	n := len(jobs)
+	block := make([]int, 3*n+1)
+	rank := block[:n]
+	seen := make(map[world]int)
+	for i, j := range jobs {
+		k := worldOf(j)
+		r, ok := seen[k]
+		if !ok {
+			r = len(seen)
+			seen[k] = r
 		}
-		return -1
+		rank[i] = r
 	}
-	// order holds each world's first job until the worlds are counted.
-	order = make([]int, len(jobs))
-	worlds := 0
-	for i := range jobs {
-		if rank(i, order[:worlds]) < 0 {
-			order[worlds] = i
-			worlds++
-		}
+	// A counting sort by world: starts[w+1] counts world w's jobs, and the
+	// running sums make it where world w+1 starts.
+	order, starts = block[n:2*n:2*n], block[2*n:2*n+len(seen)+1]
+	for _, r := range rank {
+		starts[r+1]++
 	}
-	// starts[:worlds+1] counts each world's jobs, sums the counts into each
-	// world's end, and, as the jobs fill order backwards, moves every end
-	// down to its world's start; starts[worlds+1:] keeps the first jobs.
-	starts = make([]int, 2*worlds+1)
-	firsts := starts[worlds+1:]
-	copy(firsts, order)
-	for i := range jobs {
-		starts[rank(i, firsts)]++
-	}
-	for w := 1; w <= worlds; w++ {
+	for w := 1; w < len(starts); w++ {
 		starts[w] += starts[w-1]
 	}
-	for i := len(jobs) - 1; i >= 0; i-- {
-		r := rank(i, firsts)
-		starts[r]--
+	for i, r := range rank {
 		order[starts[r]] = i
+		starts[r]++
 	}
-	return order, starts[: worlds+1 : worlds+1]
+	// Each starts[w] has moved on to where world w ends, which is where
+	// world w+1 starts: shift them back.
+	copy(starts[1:], starts)
+	starts[0] = 0
+	return order, starts
 }
 
 // batchWorker is a scenario worker's RunBatchLocal state: the world it is in

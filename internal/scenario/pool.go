@@ -21,20 +21,13 @@ func PoolSize(workers int) int {
 // Pool runs groups of indexed tasks on warm workers. It is the one executor
 // of independent simulations: Runner.Stream's (spec, repetition) pairs, a
 // campaign's (cell, repetition) pairs and the optimizer's (world, job) pairs
-// all run on it. Which worker runs which task changes no result as long as a
-// task's result is a function of its spec and index alone; a warm session
-// does keep the window rings its last run grew, which some worlds notice
-// (see netsim's recvWindow.advanceFrom), hence the rule on a group's last
-// task below.
+// all run on it. A task's result is a function of its spec and index alone —
+// a warm session's run gives what a just-built one's would — so which worker
+// runs which task changes no result.
 //
-// Groups open in order, each the moment a worker would otherwise idle. A
-// worker stays in the group of its last task while that group has tasks
-// waiting (its world is warm); otherwise it helps the oldest open group that
-// has two tasks or more waiting, or one and no task running; otherwise it
-// opens the next group. A group's last waiting task is left to a worker
-// already in it, which runs it warm: so a group of two tasks runs on one
-// worker, in order, and no worker idles while a group has tasks to share,
-// however uneven the groups.
+// Tasks start in (group, index) order: a worker takes the first waiting task
+// of the lowest group that has one, opening the next group when none has, so
+// no worker idles while any task waits, however uneven the groups.
 //
 // Workers come from a process-wide free list and go back to it when the run
 // ends, sessions, worlds and Local state intact, so the next run starts warm:
@@ -125,7 +118,7 @@ type poolRun[R any] struct {
 	mu   sync.Mutex
 	wake sync.Cond // a task was queued, a worker left, a group settled
 	// groups holds each group's current attempt and opened counts the groups
-	// opened: the cursor. Below low, no group has a task waiting to start.
+	// opened. Below low, the cursor, no group has a task waiting to start.
 	groups      []poolGroup[R]
 	opened, low int
 	// slots lists the live workers' places; an abandoned one leaves it.
@@ -149,17 +142,17 @@ type poolGroup[R any] struct {
 }
 
 // poolSlot is one worker's place in the run. g is the group of the task it is
-// running (-1 between tasks), last the group of its last task.
+// running (-1 between tasks).
 type poolSlot struct {
 	w         *Worker
-	g, last   int
+	g         int
 	abandoned bool
 	next      *poolSlot // in the run's list of live slots
 }
 
 // spawn starts slot s. r.mu is held.
 func (r *poolRun[R]) spawn(s *poolSlot) {
-	s.g, s.last, s.next = -1, -1, r.slots
+	s.g, s.next = -1, r.slots
 	r.slots = s
 	go r.slot(s)
 }
@@ -168,14 +161,14 @@ func (r *poolRun[R]) spawn(s *poolSlot) {
 func (r *poolRun[R]) slot(s *poolSlot) {
 	r.mu.Lock()
 	for r.err == nil && r.settled < len(r.groups) {
-		g, i := r.take(s)
+		g, i := r.take()
 		if g < 0 {
 			r.wake.Wait()
 			continue
 		}
 		gr := &r.groups[g]
 		out := &gr.results[i]
-		s.g, s.last = g, g
+		s.g = g
 		r.mu.Unlock()
 		if s.w == nil {
 			s.w = acquireWorker(r.reg)
@@ -210,51 +203,26 @@ func (r *poolRun[R]) slot(s *poolSlot) {
 	r.mu.Unlock()
 }
 
-// take returns the next task for s, opening groups as needed, or -1 when
-// there is none now. r.mu is held.
-func (r *poolRun[R]) take(s *poolSlot) (g, i int) {
-	g = -1
-	if s.last >= 0 && r.groups[s.last].waiting() > 0 {
-		g = s.last
-	}
-	if g < 0 {
-		g = r.oldest()
-	}
-	if g < 0 && r.err == nil && r.opened < len(r.groups) {
-		r.opened++
-		r.open(r.opened - 1)
-		return r.take(s)
-	}
-	if g < 0 {
-		return -1, -1
-	}
-	gr := &r.groups[g]
-	gr.running++
-	gr.next++
-	return g, gr.next - 1
-}
-
-// waiting is how many of the attempt's tasks wait to start.
-func (gr *poolGroup[R]) waiting() int {
-	if gr.over {
-		return 0
-	}
-	return gr.n - gr.next
-}
-
-// oldest returns the oldest open group with a task for a worker not in it:
-// one waiting while no task of the group runs, or two or more waiting. -1
-// if there is none. r.mu is held.
-func (r *poolRun[R]) oldest() int {
-	for r.low < r.opened && r.groups[r.low].waiting() == 0 {
+// take returns the first waiting task of the lowest group that has one,
+// opening groups as needed, or -1 when there is none now. r.mu is held.
+func (r *poolRun[R]) take() (g, i int) {
+	for r.low < len(r.groups) {
+		if r.low == r.opened {
+			if r.err != nil {
+				break
+			}
+			r.opened++
+			r.open(r.opened - 1)
+			continue // open may have let other slots move the cursor
+		}
+		if gr := &r.groups[r.low]; !gr.over && gr.next < gr.n {
+			gr.running++
+			gr.next++
+			return r.low, gr.next - 1
+		}
 		r.low++
 	}
-	for g := r.low; g < r.opened; g++ {
-		if gr := &r.groups[g]; gr.waiting() > 1 || (gr.waiting() == 1 && gr.running == 0) {
-			return g
-		}
-	}
-	return -1
+	return -1, -1
 }
 
 // open opens group g and queues its first attempt; a supervised group gets a

@@ -85,6 +85,9 @@ type Worker struct {
 	session   *Session
 	spec      *Spec
 	invariant bool
+	// stream is the Stream whose spec the worker ran last: the specs of an
+	// earlier one, whose caller owns them, may have changed since.
+	stream chan Result
 	// tputs and delays are summarize's working slices, kept between runs.
 	tputs, delays []float64
 }
@@ -161,7 +164,9 @@ func (w *Worker) RunInto(spec *Spec, rep int, out *Result) {
 // group per spec, and streams results over the returned channel as they
 // complete. Each worker keeps its session's world across a rep-invariant
 // spec's repetitions, so steady-state campaigns run with warm-start
-// (near-zero) per-rep allocation. Every Result sent is the consumer's:
+// (near-zero) per-rep allocation; a worker's first repetition of a Stream
+// rebuilds its world, since the caller may have changed a spec it ran in an
+// earlier one. Every Result sent is the consumer's:
 // nothing in it is reused by a later repetition. Completion order depends on
 // scheduling (one worker runs them in order), but each Result is
 // deterministic for its (spec, rep) pair; use RunAll for a deterministic
@@ -187,6 +192,9 @@ func (r Runner) Stream(done <-chan struct{}, specs []Spec) <-chan Result {
 			case <-done:
 				return nil // cancelled: start no repetition
 			default:
+			}
+			if w.stream != out {
+				w.stream, w.spec = out, nil // first task here: rebuild
 			}
 			res := w.Run(&specs[si], rep)
 			res.SpecIndex = si
