@@ -19,9 +19,6 @@ type seqWindow struct {
 	lo    int64 // inclusive: no live sequence number is below lo
 	hi    int64 // exclusive: no live sequence number is at or above hi
 	count int
-	// first is the first-size ring the window allocated, kept once the
-	// window has grown past it so that renew can go back to it.
-	first []sentRecord
 }
 
 // seqWindowMinSize is the initial ring size; it covers a typical congestion
@@ -56,8 +53,7 @@ func (w *seqWindow) put(seq int64, rec sentRecord) {
 	rec.live = true
 	if w.count == 0 {
 		if len(w.recs) == 0 {
-			w.recs = make([]sentRecord, seqWindowMinSize)
-			w.first = w.recs
+			w.resize(seqWindowMinSize) // zero: see renew
 		}
 		w.lo, w.hi = seq, seq+1
 	} else {
@@ -135,35 +131,49 @@ func (w *seqWindow) clearAll() {
 	w.lo, w.hi = 0, 0
 }
 
-// renew empties the window for a new flow. A ring grown past the first size
-// is dropped — the flow it was grown for has gone with its world — and the
-// window goes back to its first ring, so whatever it served before, a renewed
-// window allocates exactly what a new one allocates less that first ring.
+// renew empties the window and gives it back the ring a new window starts
+// with: a new window's first put sizes its ring to seqWindowMinSize, zero,
+// and so does a renewed one's, out of the backing array an earlier flow grew.
+// grow extends into that array's capacity too, so a renewed window passes
+// through the rings a new one would without allocating them.
 func (w *seqWindow) renew() {
-	if len(w.recs) > seqWindowMinSize {
-		clear(w.first) // grow left the records it copied behind
-		*w = seqWindow{recs: w.first, first: w.first}
-		return
-	}
-	w.clearAll()
+	*w = seqWindow{recs: w.recs[:0]}
 }
 
-// grow reindexes the live records into a ring large enough for span slots.
+// grow reindexes the live records into a ring large enough for span slots:
+// the old ring extended, in its backing array when that has the capacity and
+// copied into a new one otherwise, with the extension zero. A live record
+// then either keeps its slot or moves up into the extension, where no record
+// is yet, so the records move in place.
 func (w *seqWindow) grow(span int64) {
-	n := len(w.recs) * 2
-	if n == 0 {
-		n = seqWindowMinSize
-	}
+	old := w.recs
+	n := len(old) * 2
 	for int64(n) < span {
 		n *= 2
 	}
-	recs := make([]sentRecord, n)
-	oldMask := len(w.recs) - 1
-	mask := n - 1
+	if n <= cap(old) {
+		w.recs = old[:n]
+		clear(w.recs[len(old):])
+	} else {
+		w.recs = make([]sentRecord, n)
+		copy(w.recs, old)
+	}
+	mask, oldMask := n-1, len(old)-1
 	for seq := w.lo; seq < w.hi; seq++ {
-		if r := w.recs[int(seq)&oldMask]; r.live {
-			recs[int(seq)&mask] = r
+		from, to := int(seq)&oldMask, int(seq)&mask
+		if to != from && w.recs[from].live {
+			w.recs[to], w.recs[from] = w.recs[from], sentRecord{}
 		}
 	}
-	w.recs = recs
+}
+
+// resize makes the ring n zero records, out of its backing array when that
+// has the capacity.
+func (w *seqWindow) resize(n int) {
+	if n <= cap(w.recs) {
+		w.recs = w.recs[:n]
+		clear(w.recs)
+	} else {
+		w.recs = make([]sentRecord, n)
+	}
 }

@@ -149,10 +149,11 @@ func NewTransport(engine *sim.Engine, port *netsim.Port, algo Algorithm, mss int
 
 // Rebind makes t the transport NewTransport would build running algo over
 // port, on the engine t was built on, out of t's own parts: its timers, its
-// window ring at its first size (see seqWindow.renew), its retransmission
-// queue and resend log, emptied; everything else — connection state,
-// statistics, observers — starts afresh. A session builds its worlds'
-// transports this way (see scenario.Session).
+// window ring (renewed: it regrows through a new window's sizes into the
+// backing array it keeps, see seqWindow.renew), its retransmission queue and
+// resend log, emptied; everything else — connection state, statistics,
+// observers — starts afresh. A session builds its worlds' transports this way
+// (see scenario.Session).
 func (t *Transport) Rebind(port *netsim.Port, algo Algorithm, mss int) error {
 	if port == nil || algo == nil {
 		return fmt.Errorf("cc: Rebind requires port and algorithm")
@@ -492,8 +493,8 @@ func (t *Transport) OnAck(ack netsim.Ack, now sim.Time) {
 			}
 		}
 	} else {
-		// Duplicate cumulative ACK while data is outstanding.
-		if _, holeOutstanding := t.outstanding.get(t.cumAck); holeOutstanding && t.outstanding.Len() > 0 {
+		// Duplicate cumulative ACK while the hole is outstanding.
+		if _, holeOutstanding := t.outstanding.get(t.cumAck); holeOutstanding {
 			t.dupAcks++
 			if t.dupAcks == 3 && !t.inRecovery {
 				t.stats.LossEvents++

@@ -27,8 +27,11 @@ type rebuildWorld struct {
 // asymmetric reverse path, flow churn and the lossy outage — plus 10 Gbps
 // worlds under NewReno and under the datacenter RemyCC (whose receivers run
 // far enough behind that their window rings' sizes show in the results; see
-// netsim.Network.ReattachFlowRoute) and a one-flow world, each with its fresh
-// results.
+// netsim.Network.ReattachFlowRoute), a one-flow world, and last the shapes
+// of the benchmark's RemyCC worlds: 32 datacenter RemyCC senders at 10 Gbps,
+// whose send windows grow far past their first ring, and four RemyCC senders
+// of another table on a synthesized trace, which each rebuild draws into the
+// memory of the last one — each with its fresh results.
 func rebuildWorlds(t *testing.T) []rebuildWorld {
 	t.Helper()
 	var specs []scenario.Spec
@@ -62,6 +65,15 @@ func rebuildWorlds(t *testing.T) []rebuildWorld {
 			scenario.WithSeed(goldenSeed),
 			scenario.WithFlows(1, "vegas", 80, quickWorkload()),
 		),
+		tenGbps("10gbps/remy-dc-32", goldenSeed, scenario.FlowSpec{Scheme: "remy", RemyCC: remyAsset("remycc_dc.json"), Count: 32, RTTMs: 4, Workload: dcWorkload}),
+		scenario.New(
+			scenario.WithName("cellular/remy-4"),
+			scenario.WithLinkModel("verizon"),
+			scenario.WithQueue("", 1000),
+			scenario.WithDuration(3),
+			scenario.WithSeed(goldenSeed),
+			scenario.WithFlow(scenario.FlowSpec{Scheme: "remy", RemyCC: remyAsset("remycc_delta1.json"), Count: 4, RTTMs: 50, Workload: quickWorkload()}),
+		),
 	)
 	worlds := make([]rebuildWorld, len(specs))
 	for i, spec := range specs {
@@ -90,8 +102,10 @@ func rebuildWorlds(t *testing.T) []rebuildWorld {
 // listed, and interleaving the list's two halves backwards, so each world
 // follows a different predecessor in each — larger and smaller ones, with
 // other queues, faults and churn classes — and parts are both left over and
-// missing; and each world twice in a row, so it is rebuilt out of parts its
-// own runs grew.
+// missing; each world twice in a row, so it is rebuilt out of parts its own
+// runs grew; and the last world between two builds of the one before it, so
+// the 32 RemyCC senders go to the trace world's four, rebound to its table,
+// and come back.
 func rebuildOrders(n int) [][]int {
 	listed := make([]int, n)
 	mixed := make([]int, 0, n)
@@ -108,7 +122,7 @@ func rebuildOrders(n int) [][]int {
 			mixed = append(mixed, j)
 		}
 	}
-	return [][]int{listed, mixed, twice}
+	return [][]int{listed, mixed, twice, {n - 2, n - 1, n - 2}}
 }
 
 // TestRebuiltSessionMatchesFresh is the rebuild differential: one session,

@@ -21,7 +21,8 @@ type recvWindow struct {
 	hi    int64    // inclusive: no set bit above hi
 	count int      // set bits
 	// spare holds a copy of the old ring while grow reindexes it into the
-	// same backing array.
+	// same backing array. It is made with the array, behind the ring, so
+	// that a ring regrowing into its array never allocates for the copy.
 	spare []uint64
 }
 
@@ -131,8 +132,11 @@ func (w *recvWindow) renew() {
 
 // grow reindexes the live words into a ring large enough for span words. The
 // new ring is zero but for the words the loop copies into it, whether it is
-// allocated or carved from the old one's backing array (after the old ring is
-// copied aside into spare).
+// carved from the old one's backing array, after the old ring is copied aside
+// into spare, or allocated, together with a spare that can hold any ring the
+// new array will hold before it is outgrown. The words do not move in place:
+// advanceFrom's flaw can leave the live range wider than the ring, and then
+// the loop copies one old word into several new ones.
 func (w *recvWindow) grow(span int64) {
 	old := w.words
 	n := len(old) * 2
@@ -142,8 +146,11 @@ func (w *recvWindow) grow(span int64) {
 	if n <= cap(old) {
 		w.spare = append(w.spare[:0], old...)
 		old = w.spare
+		w.resize(n)
+	} else {
+		block := make([]uint64, n+n/2)
+		w.words, w.spare = block[:n:n], block[n:n]
 	}
-	w.resize(n)
 	mask, oldMask := n-1, len(old)-1
 	for wd := w.lo >> 6; wd <= w.hi>>6; wd++ {
 		w.words[int(wd)&mask] = old[int(wd)&oldMask]

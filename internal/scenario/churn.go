@@ -116,14 +116,17 @@ type flowState struct {
 	transport *cc.Transport
 	port      *netsim.Port
 	algoName  string
-	// stockScheme is the stock scheme the transport's algorithm was built
-	// for, which the algorithm goes back to the parts set under when the
-	// world is dismantled: empty when it is not a stock protocol's, or not
-	// this flow's own any more.
-	stockScheme string
+	// spareKey is the key the transport's algorithm goes back to the parts
+	// set under when the world is dismantled (see Protocol.spareKey): empty
+	// when it is neither a stock protocol's nor a RemyCC's, or not this
+	// flow's own any more.
+	spareKey string
 	// bytesAcked is onBytesAcked bound to the flow, made once with the flow
 	// state and installed on every transport the flow is bound to.
 	bytesAcked func(now sim.Time, bytes int64)
+	// made numbers the apparatus in the order its session made them (see
+	// parts.takeFlow).
+	made int
 
 	// Static-flow state: the on/off switcher and its bookkeeping, plus the
 	// resolved routes the session re-attaches the port with on each run. A
@@ -305,7 +308,7 @@ func (rt *churnRuntime) dismantle(p *parts) {
 		p.flows = append(p.flows, cs.live...)
 		clear(cs.live)
 		cs.live = cs.live[:0]
-		p.putAlgorithm(cs.proto.stockScheme(), cs.probe)
+		p.putAlgorithm(cs.proto.spareKey(), cs.probe)
 		cs.proto, cs.probe, cs.parked = Protocol{}, nil, 0
 		p.classes = append(p.classes, cs)
 	}
@@ -394,7 +397,7 @@ func (rt *churnRuntime) onArrival(cs *churnState, now sim.Time, bytes int64) {
 			return
 		}
 		fs.cs = cs
-		fs.algoName, fs.stockScheme = cs.algoName, cs.proto.stockScheme()
+		fs.algoName, fs.spareKey = cs.algoName, cs.proto.spareKey()
 	}
 	fs.retired = false
 	fs.arrivedAt = now

@@ -6,7 +6,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/traces"
 )
 
 // DeriveSeed returns the seed for one repetition of a spec. Repetition 0 uses
@@ -194,8 +193,9 @@ func (s Spec) queueOf(l loweredLink) QueueSpec {
 // RepInvariant reports whether the spec builds the same world for every
 // repetition. Only synthesized link traces vary across repetitions (a trace
 // *model* generates a fresh trace per rep from a rep-derived seed); fixed-rate
-// links and explicit traces are identical for every rep, so the Runner can
-// build one reusable Session per spec and vary only the seed.
+// links and explicit traces are identical for every rep, so one session built
+// for the spec serves every repetition with only the seed varying (a runner's
+// worker learns this from the world its session built).
 func (s Spec) RepInvariant() bool {
 	for _, l := range s.lower(nil).links {
 		if l.synthesized() {
@@ -203,37 +203,4 @@ func (s Spec) RepInvariant() bool {
 		}
 	}
 	return true
-}
-
-// resolveLinkService resolves one link's service description — explicit
-// trace > trace model > fixed rate — and the capacity estimate for
-// rate-aware queues (explicit override, then the fixed rate, then the
-// trace's long-term average).
-func (s Spec) resolveLinkService(reg *Registry, l loweredLink, traceSeed int64) (trace []sim.Time, capacityBps float64, err error) {
-	packetBytes := s.mtu()
-	switch {
-	case len(l.trace) > 0:
-		trace = l.trace
-	case l.synthesized():
-		m, err := reg.LinkModel(l.Model)
-		if err != nil {
-			return nil, 0, err
-		}
-		tr, err := m.Generate(s.Duration(), sim.NewRNG(traceSeed))
-		if err != nil {
-			return nil, 0, fmt.Errorf("scenario: spec %q link %q model %q: %w", s.Name, l.Name, l.Model, err)
-		}
-		trace = tr
-		if m.PacketBytes > 0 {
-			packetBytes = m.PacketBytes
-		}
-	}
-	capacityBps = l.XCPCapacityBps
-	if capacityBps <= 0 && len(trace) == 0 {
-		capacityBps = l.RateBps
-	}
-	if capacityBps <= 0 && len(trace) > 0 {
-		capacityBps = traces.AverageRateBps(trace, packetBytes, s.Duration())
-	}
-	return trace, capacityBps, nil
 }

@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/core"
 	"repro/internal/harness"
 )
 
@@ -36,7 +38,7 @@ func rebuildAllocWorlds() []Spec {
 // rebuilding one after the other — validating the spec, resolving its names
 // and building its world, algorithms included — allocates nothing.
 func TestRebuildAllocatesNothing(t *testing.T) {
-	if perRebuild := meanRebuildAllocs(t, rebuildAllocWorlds(), nil); perRebuild > 0 {
+	if perRebuild := meanRebuildAllocs(t, nil, rebuildAllocWorlds(), nil, false); perRebuild > 0 {
 		t.Errorf("rebuilding a world of stock schemes allocates %.0f times per rebuild, want 0", perRebuild)
 	}
 }
@@ -71,7 +73,7 @@ func TestRebuildAllocatesOnlyAlgorithms(t *testing.T) {
 			}
 		}
 	}
-	if own := meanRebuildAllocs(t, worlds, &algoAllocs); own > rebuildOverhead {
+	if own := meanRebuildAllocs(t, nil, worlds, &algoAllocs, false); own > rebuildOverhead {
 		t.Errorf("rebuilding a world allocates %.0f times per rebuild besides its algorithms (want <= %d)", own, rebuildOverhead)
 	}
 }
@@ -80,35 +82,84 @@ func TestRebuildAllocatesOnlyAlgorithms(t *testing.T) {
 // rebuild to allocate of its own: nothing.
 const rebuildOverhead = 0
 
-// meanRebuildAllocs builds, runs and rebuilds worlds in turn, round after
-// round, and returns what a rebuild allocates once every world has been seen,
-// less what *algos (zeroed before each rebuild, when non-nil) counts during
-// it. Like testing.AllocsPerRun, it judges the mean over many rebuilds,
-// truncated, so a stray allocation of the runtime's does not fail a test and
-// one per rebuild does.
-func meanRebuildAllocs(t *testing.T, worlds []Spec, algos *float64) float64 {
+// remyAllocWorlds returns the benchmark's RemyCC worlds in small: 32
+// datacenter RemyCC senders at 10 Gbps, whose send windows grow far past
+// their first ring, and four RemyCC senders of another table, registered on
+// reg, on a synthesized trace drawn afresh each rebuild.
+func remyAllocWorlds(t *testing.T, reg *Registry) []Spec {
+	t.Helper()
+	tree, err := core.LoadFile(filepath.Join("..", "..", "assets", "remycc_delta1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.RegisterRemy("remy-delta1", tree); err != nil {
+		t.Fatal(err)
+	}
+	dc := New(WithLink(10e9), WithQueue("", 1000), WithDuration(0.05), WithSeed(11),
+		WithFlow(FlowSpec{Scheme: "remy", RemyCC: filepath.Join("..", "..", "assets", "remycc_dc.json"), Count: 32, RTTMs: 4,
+			Workload: ByBytesWorkload(ExponentialDist(20e6), ExponentialDist(0.1))}))
+	cellular := New(WithLinkModel("verizon"), WithQueue("", 1000), WithDuration(1), WithSeed(11),
+		WithFlows(4, "remy-delta1", 50, ByBytesWorkload(ExponentialDist(100e3), ExponentialDist(0.5))))
+	return []Spec{dc, cellular}
+}
+
+// TestRebuildAndRunAllocateNothing is TestRebuildAllocatesNothing counting
+// each world's run too, over its worlds and the RemyCC ones: once every world
+// has been seen, rebuilding one after another and running it — RemyCC senders
+// rebound to their tables, send windows regrown into the memory earlier worlds
+// grew, the trace drawn into the last one's, the result collected into rows
+// a run before sized — allocates nothing.
+func TestRebuildAndRunAllocateNothing(t *testing.T) {
+	reg := Default().Clone()
+	worlds := append(rebuildAllocWorlds(), remyAllocWorlds(t, reg)...)
+	if perRebuild := meanRebuildAllocs(t, reg, worlds, nil, true); perRebuild > 0 {
+		t.Errorf("rebuilding and running a world allocates %.0f times per rebuild, want 0", perRebuild)
+	}
+}
+
+// meanRebuildAllocs builds, runs and rebuilds worlds in turn, resolving their
+// names against reg, round after round, and returns what a rebuild allocates
+// once every world has been seen, less what *algos (zeroed before each
+// rebuild, when non-nil) counts during it; with run set, what the run after it
+// allocates counts too. Like testing.AllocsPerRun, it judges the mean over
+// many rebuilds, truncated, so a stray allocation of the runtime's does not
+// fail a test and one per rebuild does.
+func meanRebuildAllocs(t *testing.T, reg *Registry, worlds []Spec, algos *float64, run bool) float64 {
 	t.Helper()
 	if algos == nil {
 		algos = new(float64)
 	}
 	var ss Session
-	var res harness.Result
+	// Each world collects into its own result: a world without churn classes
+	// gives a nil Churn row list, as a new result would have, which drops
+	// the capacity a churn world's rows left in a shared one.
+	res := make([]harness.Result, len(worlds))
 	const warm, measured = 2, 10
 	var allocs float64
 	for round := 0; round < warm+measured; round++ {
 		for i := range worlds {
 			*algos = 0
 			before := mallocs()
-			if err := ss.Rebuild(nil, &worlds[i], 0); err != nil {
+			if err := ss.Rebuild(reg, &worlds[i], 0); err != nil {
 				t.Fatal(err)
+			}
+			after := mallocs()
+			// A counted run repeats its world's first exactly, so it needs
+			// no packet, event or ring its world has not had before.
+			seed := int64(round)
+			if run {
+				seed = worlds[i].Seed
+			}
+			if err := ss.RunInto(seed, &res[i]); err != nil {
+				t.Fatal(err)
+			}
+			if run {
+				after = mallocs()
 			}
 			// Round 0 builds each world, round 1 grows the parts set's
-			// lists to hold both; from round 2 on, both have been seen.
+			// lists to hold them all; from round 2 on, all have been seen.
 			if round >= warm {
-				allocs += float64(mallocs()-before) - *algos
-			}
-			if err := ss.RunInto(int64(round), &res); err != nil {
-				t.Fatal(err)
+				allocs += float64(after-before) - *algos
 			}
 		}
 	}

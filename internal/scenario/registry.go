@@ -45,7 +45,18 @@ type Protocol struct {
 	// builds an algorithm whose Reset(0) restores exactly what New returns,
 	// so a session may hand one it already has to another flow.
 	stock bool
+	// remy is a RemyCC protocol's rule table: New builds
+	// core.NewSender(remy). Registry.Protocol keeps it only when the
+	// resolving registry marks the scheme as a RemyCC (see
+	// Registry.remySchemes); a session may then hand a sender it already has,
+	// rebound to remy, to another flow.
+	remy *core.WhiskerTree
 }
+
+// remySpareKey is the key a session keeps spare RemyCC senders under, which
+// serve any rule table once rebound: the name of the scheme that loads rule
+// tables by path, which is no stock protocol's.
+const remySpareKey = "remy"
 
 // QueueKind returns the protocol's bottleneck queue kind name.
 func (p Protocol) QueueKind() string {
@@ -55,11 +66,14 @@ func (p Protocol) QueueKind() string {
 	return p.Queue
 }
 
-// stockScheme returns the scheme a session keeps the protocol's spare
-// algorithms under: its name for a stock protocol, else "".
-func (p Protocol) stockScheme() string {
-	if p.stock {
+// spareKey returns the key a session keeps the protocol's spare algorithms
+// under: its name for a stock protocol, remySpareKey for a RemyCC, else "".
+func (p Protocol) spareKey() string {
+	switch {
+	case p.stock:
 		return p.Name
+	case p.remy != nil:
+		return remySpareKey
 	}
 	return ""
 }
@@ -98,8 +112,16 @@ type LinkModel struct {
 	Name string
 	// PacketBytes is the packet size used to convert rates to opportunities.
 	PacketBytes int
-	// Generate draws a trace of the given duration.
-	Generate func(duration sim.Time, rng *sim.RNG) ([]sim.Time, error)
+	// Append draws a trace of the given duration, appends it to dst and
+	// returns the extended slice. A session keeps what it returns and draws
+	// the next world's trace of the same link into it, so Append must not
+	// return memory of its own that it uses again.
+	Append func(dst []sim.Time, duration sim.Time, rng *sim.RNG) ([]sim.Time, error)
+}
+
+// Generate draws a trace of the given duration into new memory.
+func (m LinkModel) Generate(duration sim.Time, rng *sim.RNG) ([]sim.Time, error) {
+	return m.Append(nil, duration, rng)
 }
 
 // Registry resolves the names appearing in Specs: protocol schemes, queue
@@ -119,6 +141,10 @@ type Registry struct {
 	// DCTCP): their algorithms may be reused across flows and worlds (see
 	// parts.algorithm). A protocol a caller registers never is.
 	stockSchemes map[string]bool
+	// remySchemes marks the RemyCC protocols of RegisterRemy and the "remy"
+	// factory: their senders may be reused, each rebound to the rule table
+	// its protocol resolves to here.
+	remySchemes map[string]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -130,6 +156,7 @@ func NewRegistry() *Registry {
 
 		stockQueues:  make(map[string]bool),
 		stockSchemes: make(map[string]bool),
+		remySchemes:  make(map[string]bool),
 	}
 }
 
@@ -166,10 +193,13 @@ func (r *Registry) RegisterRemy(name string, tree *core.WhiskerTree) error {
 	if tree == nil {
 		return fmt.Errorf("scenario: RegisterRemy(%q) with nil tree", name)
 	}
-	return r.RegisterProtocol(Protocol{
-		Name: name,
-		New:  func() cc.Algorithm { return core.NewSender(tree) },
-	})
+	if err := r.RegisterProtocol(Remy(name, tree)); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.remySchemes[name] = true
+	r.mu.Unlock()
+	return nil
 }
 
 // Protocol resolves a flow entry to a concrete protocol.
@@ -177,6 +207,7 @@ func (r *Registry) Protocol(flow FlowSpec) (Protocol, error) {
 	r.mu.RLock()
 	f, ok := r.protocols[flow.Scheme]
 	stock := r.stockSchemes[flow.Scheme]
+	remy := r.remySchemes[flow.Scheme]
 	r.mu.RUnlock()
 	if !ok {
 		return Protocol{}, fmt.Errorf("scenario: unknown protocol %q (known: %v)", flow.Scheme, r.Protocols())
@@ -189,6 +220,9 @@ func (r *Registry) Protocol(flow FlowSpec) (Protocol, error) {
 		return Protocol{}, err
 	}
 	p.stock = stock
+	if !remy {
+		p.remy = nil
+	}
 	return p, nil
 }
 
@@ -249,7 +283,7 @@ func (r *Registry) RegisterLinkModel(m LinkModel) error {
 	if m.Name == "" {
 		return fmt.Errorf("scenario: link model registration without a name")
 	}
-	if m.Generate == nil {
+	if m.Append == nil {
 		return fmt.Errorf("scenario: link model %q registered with nil generator", m.Name)
 	}
 	r.mu.Lock()
@@ -306,6 +340,10 @@ func (r *Registry) Clone() *Registry {
 	for name, ok := range r.stockSchemes {
 		out.stockSchemes[name] = ok
 	}
+	//lint:ignore detmap map-to-map copy keyed identically; iteration order is unobservable
+	for name, ok := range r.remySchemes {
+		out.remySchemes[name] = ok
+	}
 	return out
 }
 
@@ -343,26 +381,24 @@ func mustRegisterBuiltins(r *Registry) {
 	}
 	// "remy" resolves a rule table from the flow's RemyCC file path, which is
 	// how JSON-driven specs name pre-trained tables. Every world a session
-	// builds resolves its flows again, so parsed tables are cached by path
-	// (they are immutable once loaded).
-	var remyTables sync.Map // path -> *core.WhiskerTree
+	// builds resolves its flows again, so the protocols of parsed tables are
+	// cached by path (tables are immutable once loaded).
+	var remyTables sync.Map // path -> Protocol
 	must(r.RegisterProtocolFactory("remy", func(flow FlowSpec) (Protocol, error) {
 		if flow.RemyCC == "" {
 			return Protocol{}, fmt.Errorf("scenario: scheme \"remy\" needs a remycc rule-table path")
 		}
-		var tree *core.WhiskerTree
 		if cached, ok := remyTables.Load(flow.RemyCC); ok {
-			tree = cached.(*core.WhiskerTree)
-		} else {
-			loaded, err := core.LoadFile(flow.RemyCC)
-			if err != nil {
-				return Protocol{}, fmt.Errorf("scenario: loading RemyCC %s: %w", flow.RemyCC, err)
-			}
-			actual, _ := remyTables.LoadOrStore(flow.RemyCC, loaded)
-			tree = actual.(*core.WhiskerTree)
+			return cached.(Protocol), nil
 		}
-		return Protocol{Name: "remy", New: func() cc.Algorithm { return core.NewSender(tree) }}, nil
+		tree, err := core.LoadFile(flow.RemyCC)
+		if err != nil {
+			return Protocol{}, fmt.Errorf("scenario: loading RemyCC %s: %w", flow.RemyCC, err)
+		}
+		actual, _ := remyTables.LoadOrStore(flow.RemyCC, Remy("remy", tree))
+		return actual.(Protocol), nil
 	}))
+	r.remySchemes["remy"] = true
 
 	// "cbr" is the unresponsive constant-rate cross-traffic source of the
 	// beyond-dumbbell scenarios; its rate comes from the flow's rate_bps.
@@ -409,7 +445,7 @@ func mustRegisterBuiltins(r *Registry) {
 		must(r.RegisterLinkModel(LinkModel{
 			Name:        name,
 			PacketBytes: m.PacketBytes,
-			Generate:    m.Generate,
+			Append:      m.Append,
 		}))
 	}
 }
@@ -516,7 +552,7 @@ func DCTCP() Protocol {
 // Remy returns a RemyCC protocol executing the given rule table over a
 // DropTail bottleneck (RemyCCs are purely end-to-end).
 func Remy(name string, tree *core.WhiskerTree) Protocol {
-	return Protocol{Name: name, New: func() cc.Algorithm { return core.NewSender(tree) }}
+	return Protocol{Name: name, New: func() cc.Algorithm { return core.NewSender(tree) }, remy: tree}
 }
 
 // BaselineProtocols returns the human-designed schemes of Figures 4–9 in the

@@ -71,7 +71,7 @@ func TestRegistryDuplicateRegistration(t *testing.T) {
 	if err := reg.RegisterQueue("q", queueFactory); err == nil {
 		t.Error("duplicate queue registration accepted")
 	}
-	model := LinkModel{Name: "m", Generate: func(sim.Time, *sim.RNG) ([]sim.Time, error) { return nil, nil }}
+	model := LinkModel{Name: "m", Append: func([]sim.Time, sim.Time, *sim.RNG) ([]sim.Time, error) { return nil, nil }}
 	if err := reg.RegisterLinkModel(model); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRegistryInvalidRegistrations(t *testing.T) {
 	if err := reg.RegisterLinkModel(LinkModel{Name: "m"}); err == nil {
 		t.Error("link model without generator accepted")
 	}
-	if err := reg.RegisterLinkModel(LinkModel{Generate: func(sim.Time, *sim.RNG) ([]sim.Time, error) { return nil, nil }}); err == nil {
+	if err := reg.RegisterLinkModel(LinkModel{Append: func([]sim.Time, sim.Time, *sim.RNG) ([]sim.Time, error) { return nil, nil }}); err == nil {
 		t.Error("unnamed link model accepted")
 	}
 }

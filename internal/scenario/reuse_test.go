@@ -180,7 +180,7 @@ func TestCallerAlgorithmsNeverPooled(t *testing.T) {
 		}
 		for _, ka := range ss.parts.algos {
 			if built[ka.algo] {
-				t.Fatalf("step %d: a caller's algorithm is a spare of %q", i, ka.scheme)
+				t.Fatalf("step %d: a caller's algorithm is a spare under %q", i, ka.key)
 			}
 		}
 	}

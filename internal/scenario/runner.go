@@ -147,7 +147,7 @@ func (w *Worker) RunInto(spec *Spec, rep int, out *Result) {
 			return
 		}
 		w.spec = spec
-		w.invariant = spec.RepInvariant()
+		w.invariant = !w.session.perRep
 	}
 	out.Seed = DeriveSeed(spec.Seed, rep)
 	if err := w.session.RunInto(out.Seed, &res); err != nil {
@@ -166,11 +166,13 @@ func (w *Worker) RunInto(spec *Spec, rep int, out *Result) {
 // spec's repetitions, so steady-state campaigns run with warm-start
 // (near-zero) per-rep allocation; a worker's first repetition of a Stream
 // rebuilds its world, since the caller may have changed a spec it ran in an
-// earlier one. Every Result sent is the consumer's:
-// nothing in it is reused by a later repetition. Completion order depends on
-// scheduling (one worker runs them in order), but each Result is
-// deterministic for its (spec, rep) pair; use RunAll for a deterministic
-// ordering. The channel closes after the last result.
+// earlier one. Every Result sent is the consumer's: nothing in it is reused
+// by a later repetition. The per-flow, per-link and per-class rows of a spec's
+// repetitions are carved from one block per spec (see resultRows), which a
+// Result kept keeps alive. Completion order depends on scheduling (one worker
+// runs them in order), but each Result is deterministic for its (spec, rep)
+// pair; use RunAll for a deterministic ordering. The channel closes after the
+// last result.
 //
 // done, when non-nil, cancels the stream: once it is closed, no new
 // repetitions start, in-flight repetitions discard their results instead of
@@ -180,11 +182,13 @@ func (w *Worker) RunInto(spec *Spec, rep int, out *Result) {
 // blocked on their sends forever.
 func (r Runner) Stream(done <-chan struct{}, specs []Spec) <-chan Result {
 	out := make(chan Result)
+	rows := make([]resultRows, len(specs))
 	pool := Pool[struct{}]{
 		Registry: r.Registry,
 		Workers:  r.Workers,
 		Open: func(si int) (int, error) {
 			r.logf("scenario: running %q (%d repetitions)", specs[si].Name, specs[si].Reps())
+			rows[si] = newResultRows(&specs[si])
 			return specs[si].Reps(), nil
 		},
 		Task: func(w *Worker, si, rep int, _ *struct{}) error {
@@ -196,7 +200,8 @@ func (r Runner) Stream(done <-chan struct{}, specs []Spec) <-chan Result {
 			if w.stream != out {
 				w.stream, w.spec = out, nil // first task here: rebuild
 			}
-			res := w.Run(&specs[si], rep)
+			res := Result{Res: rows[si].carve(rep)}
+			w.RunInto(&specs[si], rep, &res)
 			res.SpecIndex = si
 			select {
 			case <-done:
@@ -216,6 +221,50 @@ func (r Runner) Stream(done <-chan struct{}, specs []Spec) <-chan Result {
 		close(out)
 	}()
 	return out
+}
+
+// resultRows is one block each of the per-flow, per-link and per-class result
+// rows of every repetition of a spec, sized from the spec as a session's
+// collect sizes them, for Stream to carve each repetition's rows from.
+type resultRows struct {
+	flows                  []harness.FlowResult
+	links                  []harness.LinkResult
+	churn                  []harness.ChurnResult
+	nFlows, nLinks, nChurn int
+}
+
+func newResultRows(spec *Spec) resultRows {
+	r := resultRows{nLinks: 1}
+	for _, f := range spec.Flows {
+		r.nFlows += max(f.Count, 1)
+	}
+	if spec.Topology != nil {
+		r.nLinks = len(spec.Topology.Links)
+	}
+	if spec.Churn != nil {
+		r.nChurn = len(spec.Churn.Classes)
+	}
+	reps := spec.Reps()
+	r.flows = make([]harness.FlowResult, reps*r.nFlows)
+	r.links = make([]harness.LinkResult, reps*r.nLinks)
+	r.churn = make([]harness.ChurnResult, reps*r.nChurn)
+	return r
+}
+
+// carve returns repetition rep's share of the blocks, empty, each capped at
+// its own rows: collecting into them allocates nothing, and one repetition
+// can never write another's.
+func (r resultRows) carve(rep int) harness.Result {
+	return harness.Result{
+		Flows: share(r.flows, r.nFlows, rep),
+		Links: share(r.links, r.nLinks, rep),
+		Churn: share(r.churn, r.nChurn, rep),
+	}
+}
+
+// share returns the i-th n-element share of block, empty with capacity n.
+func share[T any](block []T, n, i int) []T {
+	return block[i*n : i*n : (i+1)*n]
 }
 
 // RunAll executes every repetition of every spec and returns the results

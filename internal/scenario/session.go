@@ -5,11 +5,13 @@ import (
 	"slices"
 
 	"repro/internal/cc"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/traces"
 	"repro/internal/workload"
 )
 
@@ -25,11 +27,14 @@ import (
 // Rebuild gives the session a world: it validates the spec, resolves its names
 // against a registry and builds the world in one pass, out of the parts the
 // old world leaves behind (see parts): packets, links, queues, fault states,
-// ports, transports, switchers, arrival processes, their distributions and
-// random streams are re-targeted rather than reallocated, and so are the
-// algorithms of the registry's stock protocols. Only an algorithm no world on
-// the session has built for its scheme yet, or one of a protocol the caller
-// supplied (a FlowSpec.Algorithm, a registered scheme, a RemyCC, a CBR
+// ports, transports with their window rings, switchers, arrival processes,
+// their distributions and random streams, and the synthesized traces of the
+// links are re-targeted rather than reallocated, and so are the algorithms of
+// the registry's stock protocols and the senders of its RemyCCs (RegisterRemy
+// and the "remy" scheme), each rebound to the rule table the registry maps
+// its scheme to. Only an algorithm no world on the session has built for its
+// scheme yet, or one of a protocol the caller supplied (a FlowSpec.Algorithm,
+// a scheme registered by RegisterProtocol or RegisterProtocolFactory, a CBR
 // source), is new. A zero Session holds no world and no parts; its first
 // Rebuild builds from nothing on a new engine.
 //
@@ -38,8 +43,9 @@ import (
 // warm-vs-fresh equality across schemes and queue disciplines,
 // TestRebuiltSessionMatchesFresh, TestRebuildSequenceMatchesFresh and
 // FuzzRebuildSequence pin rebuilt-vs-fresh equality across worlds,
-// TestStockResetMatchesNew pins the algorithm reuse, and
-// TestRebuildAllocatesNothing, TestRebuildAllocatesOnlyAlgorithms and
+// TestStockResetMatchesNew and TestRemySendersKeepTheirRegistrysTree pin the
+// algorithm reuse, and TestRebuildAllocatesNothing,
+// TestRebuildAllocatesOnlyAlgorithms, TestRebuildAndRunAllocateNothing and
 // TestCampaignSteadyStateAllocs pin the allocation claims.
 //
 // Reuse requires every mutable component to be resettable. All queue
@@ -72,6 +78,13 @@ type Session struct {
 	built bool
 	// dropHook is the network's ReleaseDropped, bound once.
 	dropHook func(*netsim.Packet)
+	// perRep is set when the world depends on its repetition: a link's trace
+	// is synthesized (see Spec.RepInvariant).
+	perRep bool
+	// traces holds the trace the current world synthesized for each link, by
+	// link index, kept when a world synthesizes none so the next one that
+	// does draws its trace into the same memory (see linkService).
+	traces [][]sim.Time
 	// lowered and protos are Rebuild's working lists — the spec's links and
 	// the protocols of its flows and churn classes — kept for their capacity.
 	lowered []loweredLink
@@ -84,9 +97,10 @@ type Session struct {
 // tables of names, slots and lanes (see netsim.Network.Rebuild) — and the set
 // holds the rest. A piece is taken when the new world needs it, never before,
 // so the set only ever holds what the largest world on the engine needed; and
-// a flow's window rings go back to the size a new flow's start at (see
+// a flow's window rings start again from the size a new flow's start at,
+// regrowing through the same sizes into the memory they keep (see
 // cc.Transport.Rebind and netsim.Network.AttachPort), so a flow apparatus
-// does not carry the largest window it ever served into every world after.
+// behaves as a new one whatever windows it served before.
 //
 // A retired churn flow returns here too, mid-run: within one world, the flow
 // apparatus of a churn class is recycled arrival after arrival through the
@@ -95,13 +109,14 @@ type parts struct {
 	// flows are flow apparatus: port, transport (window ring, resend log,
 	// retransmission queue, timers) and, once a static flow has used it, a
 	// switcher with its stream. A spare flow's transport still points at the
-	// algorithm it last ran, which belongs to no world (it is in algos, or no
-	// stock protocol built it), except for churn flows retired in the current
-	// world (flowState.cs), which keep theirs.
+	// algorithm it last ran, which belongs to no world (it is in algos, or
+	// neither a stock protocol nor a RemyCC built it), except for churn flows
+	// retired in the current world (flowState.cs), which keep theirs.
 	flows []*flowState
-	// algos are spare algorithms of stock protocols, keyed by scheme. They
-	// are kept apart from the flows, so which flow apparatus a flow gets (on
-	// which results depend, see takeFlow) does not change with its scheme.
+	// algos are spare algorithms of stock protocols and RemyCCs (see
+	// Protocol.spareKey). They are kept apart from the flows, so which flow
+	// apparatus a flow gets (on which results depend, see takeFlow) does not
+	// change with its scheme.
 	algos []keyedAlgorithm
 	// queues are reset queue disciplines with a key. Keys vary from world to
 	// world (discipline, buffer, rate), so the most recently built of each
@@ -114,12 +129,15 @@ type parts struct {
 	// classes are churn class runtimes with their arrival processes,
 	// streams and FCT aggregators.
 	classes []*churnState
+	// made counts the flow apparatus the session has made.
+	made int
 }
 
-// keyedAlgorithm is a spare algorithm and the stock scheme it was built for.
+// keyedAlgorithm is a spare algorithm and the key it is kept under (see
+// Protocol.spareKey).
 type keyedAlgorithm struct {
-	scheme string
-	algo   cc.Algorithm
+	key  string
+	algo cc.Algorithm
 }
 
 // keyedQueue is a link's queue discipline and the key it was built under.
@@ -194,9 +212,9 @@ func (ss *Session) dismantle(cfg netsim.GraphConfig) {
 	ss.flows = ss.flows[:0]
 	ss.churn.dismantle(p)
 	for _, fs := range p.flows {
-		if fs.stockScheme != "" {
-			p.putAlgorithm(fs.stockScheme, fs.transport.Algorithm())
-			fs.stockScheme = ""
+		if fs.spareKey != "" {
+			p.putAlgorithm(fs.spareKey, fs.transport.Algorithm())
+			fs.spareKey = ""
 		}
 		fs.cs = nil // its algorithm belongs to no world now
 	}
@@ -219,15 +237,19 @@ func (p *parts) trimQueues() {
 	}
 }
 
-// algorithm returns an algorithm of proto: for a stock protocol, the spare
-// of its scheme put back last, reset to what proto.New returns; else, or
+// algorithm returns an algorithm of proto: for a stock protocol or a RemyCC,
+// the spare of its key put back last (see Protocol.spareKey), a RemyCC sender
+// rebound to proto's rule table, reset to what proto.New returns; else, or
 // when there is none, a new one.
 func (p *parts) algorithm(proto Protocol) cc.Algorithm {
-	if scheme := proto.stockScheme(); scheme != "" {
+	if key := proto.spareKey(); key != "" {
 		for i := len(p.algos) - 1; i >= 0; i-- {
-			if p.algos[i].scheme == scheme {
+			if p.algos[i].key == key {
 				algo := p.algos[i].algo
 				p.algos = slices.Delete(p.algos, i, i+1)
+				if proto.remy != nil {
+					algo.(*core.Sender).Rebind(proto.remy, nil)
+				}
 				algo.Reset(0)
 				return algo
 			}
@@ -236,12 +258,12 @@ func (p *parts) algorithm(proto Protocol) cc.Algorithm {
 	return proto.New()
 }
 
-// putAlgorithm puts algo into the set as a spare of the given stock scheme;
-// an empty scheme marks an algorithm no stock protocol built, which is not
-// kept, and neither is a nil one.
-func (p *parts) putAlgorithm(scheme string, algo cc.Algorithm) {
-	if scheme != "" && algo != nil {
-		p.algos = append(p.algos, keyedAlgorithm{scheme: scheme, algo: algo})
+// putAlgorithm puts algo into the set as a spare under the given key; an
+// empty key marks an algorithm no stock protocol or RemyCC built, which is
+// not kept, and neither is a nil one.
+func (p *parts) putAlgorithm(key string, algo cc.Algorithm) {
+	if key != "" && algo != nil {
+		p.algos = append(p.algos, keyedAlgorithm{key: key, algo: algo})
 	}
 }
 
@@ -278,9 +300,10 @@ func (ss *Session) build(reg *Registry, spec *Spec, rep int, w lowered) error {
 	// flows imply as the final fallback) and a capacity estimate for
 	// rate-aware queues.
 	runSeed := DeriveSeed(spec.Seed, rep)
+	ss.perRep = false
 	defaultKind := ""
 	for li, l := range w.links {
-		trace, capacityBps, err := spec.resolveLinkService(reg, l, deriveLinkTraceSeed(runSeed, li))
+		trace, capacityBps, err := ss.linkService(reg, spec, l, li, runSeed)
 		if err != nil {
 			return err
 		}
@@ -358,7 +381,7 @@ func (ss *Session) build(reg *Registry, spec *Spec, rep int, w lowered) error {
 			if err := fs.bind(ss.engine, algo, ss.mtu); err != nil {
 				return err
 			}
-			fs.algoName, fs.stockScheme = algo.Name(), protos[i].stockScheme()
+			fs.algoName, fs.spareKey = algo.Name(), protos[i].spareKey()
 			wl := f.Workload.compile(&fs.on, &fs.off)
 			if fs.switcher == nil {
 				switcher, err := workload.NewSwitcher(wl, ss.engine, sim.NewRNG(0))
@@ -379,6 +402,47 @@ func (ss *Session) build(reg *Registry, spec *Spec, rep int, w lowered) error {
 	// — a churn-free world runs the byte-identical event sequence it always
 	// has.
 	return ss.churn.assemble(ss, spec, w, protos[len(spec.Flows):])
+}
+
+// linkService resolves link li's service description — explicit trace >
+// trace model > fixed rate — and the capacity estimate for rate-aware queues
+// (explicit override, then the fixed rate, then the trace's long-term
+// average). A synthesized trace is drawn into the memory of the one the
+// session's previous world drew for link li, from the root stream reseeded
+// with the link's trace seed (reset reseeds it again before any run); an
+// explicit trace is the caller's, used as it is.
+func (ss *Session) linkService(reg *Registry, spec *Spec, l loweredLink, li int, runSeed int64) (trace []sim.Time, capacityBps float64, err error) {
+	packetBytes := spec.mtu()
+	switch {
+	case len(l.trace) > 0:
+		trace = l.trace
+	case l.synthesized():
+		m, err := reg.LinkModel(l.Model)
+		if err != nil {
+			return nil, 0, err
+		}
+		for len(ss.traces) <= li {
+			ss.traces = append(ss.traces, nil)
+		}
+		ss.root.Reseed(deriveLinkTraceSeed(runSeed, li))
+		tr, err := m.Append(ss.traces[li][:0], spec.Duration(), ss.root)
+		if err != nil {
+			return nil, 0, fmt.Errorf("scenario: spec %q link %q model %q: %w", spec.Name, l.Name, l.Model, err)
+		}
+		ss.traces[li], trace = tr, tr
+		ss.perRep = true
+		if m.PacketBytes > 0 {
+			packetBytes = m.PacketBytes
+		}
+	}
+	capacityBps = l.XCPCapacityBps
+	if capacityBps <= 0 && len(trace) == 0 {
+		capacityBps = l.RateBps
+	}
+	if capacityBps <= 0 && len(trace) > 0 {
+		capacityBps = traces.AverageRateBps(trace, packetBytes, spec.Duration())
+	}
+	return trace, capacityBps, nil
 }
 
 // queueFor returns the queue discipline of a link of the given kind: a spare
@@ -429,25 +493,29 @@ func take[T any](list *[]*T) *T {
 }
 
 // takeFlow takes a flow apparatus out of the set, or makes an empty one. For
-// a churn class it takes the one the class retired last in this world, whose
-// algorithm is the class's already, or, when it has none, the last one no
-// class of this world owns; for a static flow (cs nil), the last one that has
-// served a static flow before, switcher and routes ready, or else the last.
-// The rest keep their order, so each class reuses its own flows last in,
-// first out, and never another class's: a reused flow's receiver keeps the
-// window ring it grew, and results depend on which one a flow gets (see
-// netsim.Network.AttachPort).
+// a churn class with flows retired in this world it takes the one retired
+// last, whose algorithm is the class's already; a reused flow's receiver
+// keeps the window ring it grew, and results depend on which one a flow gets
+// (see netsim.Network.AttachPort), so each class reuses its own flows last
+// in, first out, and never another class's. Otherwise it takes the first made
+// of those no class of this world owns, so a world gets the same apparatus
+// for its static flows whenever it is built, whatever was built before, and
+// their buffers — window rings, retransmission queue and log, switcher — grow
+// only the first time.
 func (p *parts) takeFlow(cs *churnState) *flowState {
 	pick := -1
-	for i := len(p.flows) - 1; i >= 0 && pick < 0; i-- {
-		fs := p.flows[i]
-		if (cs == nil && fs.switcher != nil) || (cs != nil && fs.cs == cs && cs.parked > 0) ||
-			(cs != nil && fs.cs == nil && cs.parked == 0) {
-			pick = i
+	if cs != nil && cs.parked > 0 {
+		for i := len(p.flows) - 1; i >= 0 && pick < 0; i-- {
+			if p.flows[i].cs == cs {
+				pick = i
+			}
 		}
-	}
-	if pick < 0 && cs == nil {
-		pick = len(p.flows) - 1
+	} else {
+		for i, fs := range p.flows {
+			if fs.cs == nil && (pick < 0 || fs.made < p.flows[pick].made) {
+				pick = i
+			}
+		}
 	}
 	if pick >= 0 {
 		fs := p.flows[pick]
@@ -457,7 +525,8 @@ func (p *parts) takeFlow(cs *churnState) *flowState {
 		}
 		return fs
 	}
-	fs := &flowState{}
+	fs := &flowState{made: p.made}
+	p.made++
 	fs.bytesAcked = fs.onBytesAcked
 	return fs
 }

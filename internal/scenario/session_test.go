@@ -8,18 +8,19 @@ import (
 )
 
 // TestTakeFlowOrder pins the order the parts set hands flow apparatus out
-// in, which results depend on: a reused flow's receiver keeps the window ring
-// it grew (see netsim.Network.AttachPort). A churn class gets the flow it
-// retired last, as from a stack of its own, and whatever else is in the set
-// keeps its order; a static flow gets the last one that served a static flow
-// before; a class with nothing retired gets the last flow no class owns, never
-// another class's.
+// in. A churn class gets the flow it retired last, as from a stack of its
+// own, and whatever else is in the set keeps its order: results depend on
+// that, since a reused flow's receiver keeps the window ring it grew (see
+// netsim.Network.AttachPort). Anything else — a static flow, a class with
+// nothing retired — gets the first made of the flows no class owns, never
+// another class's, so a world gets the same apparatus whenever it is built.
 func TestTakeFlowOrder(t *testing.T) {
 	a, b := &churnState{}, &churnState{}
 	flows := []*flowState{
-		{cs: a}, {cs: b}, {}, {cs: a}, {cs: b}, {cs: b}, {switcher: &workload.Switcher{}}, {},
+		{cs: a, made: 5}, {cs: b, made: 1}, {made: 6}, {cs: a, made: 0}, {cs: b, made: 2}, {cs: b, made: 3},
+		{switcher: &workload.Switcher{}, made: 7}, {made: 4},
 	}
-	p := &parts{flows: slices.Clone(flows)}
+	p := &parts{flows: slices.Clone(flows), made: len(flows)}
 	a.parked, b.parked = 2, 3
 	rest := func(skip ...*flowState) []*flowState {
 		var out []*flowState
@@ -42,19 +43,20 @@ func TestTakeFlowOrder(t *testing.T) {
 	if got := p.takeFlow(a); got != flows[0] || a.parked != 0 {
 		t.Fatalf("class a's second take got %p, want %p", got, flows[0])
 	}
-	if got := p.takeFlow(nil); got != flows[6] {
-		t.Fatalf("a static flow got %p, want the one with a switcher, %p", got, flows[6])
+	if got := p.takeFlow(nil); got != flows[7] {
+		t.Fatalf("a static flow got %p, want the first made no class owns, %p", got, flows[7])
 	}
-	// With nothing retired, a class takes the last flow no class owns, even
-	// from under another class's.
-	if got := p.takeFlow(a); got != flows[7] {
-		t.Fatalf("class a with nothing retired got %p, want the top, %p", got, flows[7])
-	}
+	// With nothing retired, a class takes the first made flow no class owns,
+	// never another class's.
 	if got := p.takeFlow(a); got != flows[2] {
-		t.Fatalf("class a with nothing retired got %p, want the last unowned, %p, not class b's", got, flows[2])
+		t.Fatalf("class a with nothing retired got %p, want the first made unowned, %p", got, flows[2])
 	}
-	if got := p.takeFlow(a); got.cs != nil || slices.Contains(flows, got) || b.parked != 2 {
-		t.Fatalf("class a with nothing unowned left got %p (class %p), b parked %d; want a new flow and b's 2 kept", got, got.cs, b.parked)
+	if got := p.takeFlow(a); got != flows[6] {
+		t.Fatalf("class a with nothing retired got %p, want the last unowned, %p, not class b's", got, flows[6])
+	}
+	if got := p.takeFlow(a); got.cs != nil || slices.Contains(flows, got) || got.made != len(flows) || b.parked != 2 {
+		t.Fatalf("class a with nothing unowned left got %p (class %p, made %d), b parked %d; want a new flow, made %d, and b's 2 kept",
+			got, got.cs, got.made, b.parked, len(flows))
 	}
 	if !slices.Equal(p.flows, []*flowState{flows[1], flows[4]}) {
 		t.Fatal("class b's retired flows did not stay in the set, in order")

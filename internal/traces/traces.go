@@ -105,13 +105,20 @@ func (m CellularModel) Validate() error {
 // using the supplied random stream. Opportunities are strictly increasing
 // times at which one packet of PacketBytes may be delivered.
 func (m CellularModel) Generate(duration sim.Time, rng *sim.RNG) ([]sim.Time, error) {
+	return m.Append(nil, duration, rng)
+}
+
+// Append is Generate appending the schedule to dst and returning the extended
+// slice, so a caller that keeps a schedule can generate its next one into the
+// same memory.
+func (m CellularModel) Append(dst []sim.Time, duration sim.Time, rng *sim.RNG) ([]sim.Time, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if duration <= 0 {
 		return nil, fmt.Errorf("traces: duration must be positive")
 	}
-	var opportunities []sim.Time
+	opportunities := dst
 	rate := m.MeanRateBps
 	var outageUntil sim.Time
 	// carry is the fractional packet accumulated at the current rate.
@@ -151,7 +158,7 @@ func (m CellularModel) Generate(duration sim.Time, rng *sim.RNG) ([]sim.Time, er
 			opportunities = append(opportunities, at)
 		}
 	}
-	if len(opportunities) == 0 {
+	if len(opportunities) == len(dst) {
 		return nil, fmt.Errorf("traces: model produced no delivery opportunities")
 	}
 	return opportunities, nil
