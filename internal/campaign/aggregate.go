@@ -75,10 +75,10 @@ type CellAggregate struct {
 // state. Folding MUST happen in repetition order: float accumulation is not
 // associative, and the determinism guarantee (shard union ≡ single process,
 // any worker count) holds because every execution folds the same results in
-// the same order.
+// the same order. A run keeps one and resets it for each cell.
 type cellAggregator struct {
 	reps        int
-	tput, delay *stats.FCTAggregator // generic P² stream summaries, not FCTs
+	tput, delay stats.FCTAggregator // generic P² stream summaries, not FCTs
 	utilSum     float64
 	utilN       int64
 	starved     int64
@@ -91,7 +91,17 @@ type cellAggregator struct {
 }
 
 func newCellAggregator() *cellAggregator {
-	return &cellAggregator{tput: stats.NewFCTAggregator(), delay: stats.NewFCTAggregator()}
+	a := new(cellAggregator)
+	a.reset()
+	return a
+}
+
+// reset empties the aggregator for the next cell: it is then what
+// newCellAggregator returns.
+func (a *cellAggregator) reset() {
+	*a = cellAggregator{}
+	a.tput.Reset()
+	a.delay.Reset()
 }
 
 // utilityObjective is the Eq. 1 configuration campaign reports use.

@@ -47,12 +47,13 @@ func TestCampaignSteadyStateAllocs(t *testing.T) {
 	// Cold construction of this cell costs several thousand allocations
 	// (engine slab, heap and lane rings, network, transports, churn pools — see
 	// BenchmarkFlowChurnCold in internal/scenario). The warm path keeps only
-	// per-rep result assembly: 4.2 allocs/rep measured, 7.2 under -race
-	// (whose sync.Pool drops items at random). The bound of 10 is 2.4× the
-	// plain measurement, and still catches any reintroduced per-rep
-	// construction.
-	if perRep > 10 {
-		t.Fatalf("steady-state campaign allocates %.1f allocs/rep; warm-start pooling has regressed (want <= 10)", perRep)
+	// per-rep result assembly — each repetition's rows, since a run's first
+	// cell has no earlier cell's results to write over: 4.0 allocs/rep
+	// measured, 7.0 under -race (whose sync.Pool drops items at random). The
+	// bound of 7.5 is the plain measurement plus that margin, and still
+	// catches any reintroduced per-rep construction.
+	if perRep > 7.5 {
+		t.Fatalf("steady-state campaign allocates %.1f allocs/rep; warm-start pooling has regressed (want <= 7.5)", perRep)
 	}
 }
 
@@ -61,9 +62,10 @@ func TestCampaignSteadyStateAllocs(t *testing.T) {
 // WriteCSV. Every cell's identity is rendered from axis strings formatted
 // once per run, report rows are appended without boxing, and repetition
 // summaries sort the worker's scratch in place, and a rebuilt world's stock
-// algorithms come out of its session's spares, so what remains per cell is
-// its worlds' warm-up, the supervised attempt, the aggregate and the record's
-// JSON.
+// algorithms come out of its session's spares; the run keeps one aggregator
+// and one manifest encoder, and a cell's repetitions write over an earlier
+// cell's results and rows. What remains per cell is its spec, its ID, its
+// share of the report and of the run's first cells' rows.
 func TestCampaignCellAllocs(t *testing.T) {
 	s := testSweep()
 	exec := Executor{Workers: 1}
@@ -91,12 +93,12 @@ func TestCampaignCellAllocs(t *testing.T) {
 	perCell := float64(after.Mallocs-before.Mallocs) / float64(s.NumCells())
 	t.Logf("campaign pass: %.1f allocs/cell", perCell)
 
-	// 58 allocs/cell measured, 64-68 under -race, since a rebuilt world
-	// takes its stock algorithms from the session's spares. The bound of 70
-	// is 20% over the plain measurement; building every algorithm anew
-	// again (91 measured) crosses it, and so does writing the report's CSV
-	// through boxed fields and encoding/csv again.
-	if perCell > 70 {
-		t.Fatalf("campaign pass allocates %.1f allocs/cell; per-cell bookkeeping has regressed (want <= 70)", perCell)
+	// 15.0 allocs/cell measured, 17.7-18.2 under -race. The bound of 19 is
+	// the plain measurement plus that margin; results made anew for every
+	// cell (21.5 measured) or the family built one option at a time again
+	// (22.6) each cross it. A new aggregator per cell (17.6) alone does not,
+	// which TestCellAggregatorResetIsNew covers instead.
+	if perCell > 19 {
+		t.Fatalf("campaign pass allocates %.1f allocs/cell; per-cell bookkeeping has regressed (want <= 19)", perCell)
 	}
 }

@@ -65,7 +65,7 @@ func deriveCellSeed[ID string | []byte](base int64, id ID) int64 {
 // explicit specs). It never materializes the scenario spec; call Cell.Spec
 // for that.
 func (s *SweepSpec) Cell(i int) (Cell, error) {
-	return (&identity{sweep: s, grid: s.gridCells()}).cell(i)
+	return (&identity{sweep: s, grid: s.gridCells()}).cell(i, make([]Coord, len(s.Axes)))
 }
 
 // identity renders a sweep's cell identities: coordinates, ID and seed.
@@ -96,15 +96,16 @@ func newIdentity(s *SweepSpec) *identity {
 	return x
 }
 
-// cell returns cell i's metadata, its coordinates in a slice of its own.
-func (x *identity) cell(i int) (Cell, error) {
+// cell returns cell i's metadata. A grid cell's coordinates go into coords,
+// one per axis, which the cell keeps; an explicit spec's cell has none.
+func (x *identity) cell(i int, coords []Coord) (Cell, error) {
 	s := x.sweep
 	if i < 0 || i >= s.NumCells() {
 		return Cell{}, fmt.Errorf("campaign: cell index %d out of range [0,%d)", i, s.NumCells())
 	}
 	c := Cell{Index: i, sweep: s, spec: -1}
 	if i < x.grid {
-		c.Coords = make([]Coord, len(s.Axes))
+		c.Coords = coords[:len(s.Axes):len(s.Axes)]
 	} else {
 		c.spec = i - x.grid
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -30,11 +31,13 @@ type Executor struct {
 	// Logf, if non-nil, receives progress messages.
 	Logf func(format string, args ...any)
 	// OnCell, if non-nil, observes every freshly executed cell with its full
-	// per-repetition results, in repetition order, before they are discarded.
-	// Calls are serialized but cell order follows completion, which is
-	// scheduling-dependent. Resumed (manifest-restored) cells are NOT
-	// replayed — their per-rep results no longer exist. Quarantined (failed)
-	// cells are not observed either: they have no results.
+	// per-repetition results, in repetition order. The results are valid
+	// only during the call: later cells' repetitions are written over them,
+	// so OnCell copies what it keeps. Calls are serialized but cell order
+	// follows completion, which is scheduling-dependent. Resumed
+	// (manifest-restored) cells are NOT replayed — their per-rep results no
+	// longer exist. Quarantined (failed) cells are not observed either: they
+	// have no results.
 	OnCell func(cell Cell, results []scenario.Result)
 	// CellTimeout, when positive, bounds each cell attempt's wall-clock time.
 	// An attempt that exceeds it is cancelled and — because a wedged
@@ -168,32 +171,39 @@ func (e Executor) Run(sweep SweepSpec, opts RunOptions) ([]CellRecord, error) {
 // runPending executes the given cell indices as one scenario.Pool run: a
 // group per cell, a task per repetition, cells opened in index order and
 // each cell's attempts supervised by the pool. A cell's repetitions fold, in
-// repetition order, into the O(1) aggregate. A cell whose attempts all fail
-// (panic, error, watchdog timeout) does not abort the campaign: it comes back
-// as a quarantine record (Failure set, zero aggregate) that is checkpointed
-// like any other, so a resume skips the known-bad cell. Only interruption and
-// infrastructure errors (an unwritable manifest) end the run.
+// repetition order, into the O(1) aggregate. What a cell leaves behind is
+// only its record: the run keeps one aggregator and one manifest encoder for
+// every cell, carves the cells' coordinates from one block, and the pool
+// hands each cell's results, rows and all, to a later cell. A cell whose
+// attempts all fail (panic, error, watchdog timeout) does not abort the
+// campaign: it comes back as a quarantine record (Failure set, zero
+// aggregate) that is checkpointed like any other, so a resume skips the
+// known-bad cell. Only interruption and infrastructure errors (an unwritable
+// manifest) end the run.
 func (e Executor) runPending(x *identity, pending []int, opts RunOptions) ([]CellRecord, error) {
-	var manifest *os.File
+	var manifest *json.Encoder
 	if opts.ManifestPath != "" {
 		f, err := os.OpenFile(opts.ManifestPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)
 		}
 		defer f.Close()
-		manifest = f
+		manifest = json.NewEncoder(f)
 	}
 
 	name := x.sweep.Name
+	axes := len(x.sweep.Axes)
+	coords := make([]Coord, len(pending)*axes)
 	cells := make([]Cell, len(pending))
 	specs := make([]scenario.Spec, len(pending))
-	var fresh []CellRecord
+	fresh := make([]CellRecord, 0, len(pending))
+	agg := newCellAggregator()
 	pool := scenario.Pool[scenario.Result]{
 		Registry: e.Registry,
 		Workers:  e.Workers,
 		Policy:   e.policy(),
 		Open: func(g int) (int, error) {
-			cell, err := x.cell(pending[g])
+			cell, err := x.cell(pending[g], coords[g*axes:(g+1)*axes])
 			if err != nil {
 				return 0, err
 			}
@@ -217,7 +227,7 @@ func (e Executor) runPending(x *identity, pending []int, opts RunOptions) ([]Cel
 			case cell.sweep == nil:
 				return err // the cell could not be enumerated
 			case err == nil:
-				agg := newCellAggregator()
+				agg.reset()
 				for _, res := range results {
 					agg.fold(res)
 				}
@@ -236,20 +246,27 @@ func (e Executor) runPending(x *identity, pending []int, opts RunOptions) ([]Cel
 				// returned. A timed-out attempt's may still be reading it.
 				specs[g] = scenario.Spec{}
 			}
+			fresh = append(fresh, rec)
 			if manifest != nil {
-				if err := AppendRecord(manifest, rec); err != nil {
+				if err := appendRecord(manifest, &fresh[len(fresh)-1]); err != nil {
+					fresh = fresh[:len(fresh)-1]
 					return err
 				}
 			}
-			fresh = append(fresh, rec)
+			// Logf is checked here, not only in logf: boxing the arguments
+			// would allocate even for a nil Logf.
 			if rec.Failure != "" {
-				e.logf("campaign: cell %q quarantined after %d attempt(s): %s", rec.ID, rec.Attempts, rec.Failure)
+				if e.Logf != nil {
+					e.Logf("campaign: cell %q quarantined after %d attempt(s): %s", rec.ID, rec.Attempts, rec.Failure)
+				}
 				return nil
 			}
 			if e.OnCell != nil {
 				e.OnCell(cell, results)
 			}
-			e.logf("campaign: cell %q done (%d reps, %d flows completed)", rec.ID, rec.Aggregate.Reps, rec.Aggregate.FlowsCompleted)
+			if e.Logf != nil {
+				e.Logf("campaign: cell %q done (%d reps, %d flows completed)", rec.ID, rec.Aggregate.Reps, rec.Aggregate.FlowsCompleted)
+			}
 			return nil
 		},
 	}

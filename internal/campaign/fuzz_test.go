@@ -81,7 +81,7 @@ func FuzzSweepSpecRoundTrip(f *testing.F) {
 			if err1 == nil && (c1.ID != c2.ID || c1.Seed != c2.Seed || c1.Scheme != c2.Scheme) {
 				t.Fatalf("cell %d identity changed across the round trip: %+v vs %+v", i, c1, c2)
 			}
-			if cx, err := x.cell(i); err != nil || !reflect.DeepEqual(cx, c1) {
+			if cx, err := x.cell(i, make([]Coord, len(s.Axes))); err != nil || !reflect.DeepEqual(cx, c1) {
 				t.Fatalf("cell %d from the shared identity = %+v, %v; want %+v", i, cx, err, c1)
 			}
 		}

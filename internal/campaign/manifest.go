@@ -65,11 +65,14 @@ func failedRecordFor(sweepName string, cell Cell, specName string, cause error, 
 
 // AppendRecord writes one manifest line (compact JSON + newline).
 func AppendRecord(w io.Writer, rec CellRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("campaign: encoding manifest record %q: %w", rec.ID, err)
-	}
-	if _, err := w.Write(append(data, '\n')); err != nil {
+	return appendRecord(json.NewEncoder(w), &rec)
+}
+
+// appendRecord writes rec as one manifest line through enc, an Encoder over
+// the manifest, which encodes into a buffer of its own and writes the line
+// in one Write. A run keeps one Encoder for all its records.
+func appendRecord(enc *json.Encoder, rec *CellRecord) error {
+	if err := enc.Encode(rec); err != nil {
 		return fmt.Errorf("campaign: writing manifest record %q: %w", rec.ID, err)
 	}
 	return nil

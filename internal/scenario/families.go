@@ -64,12 +64,28 @@ func (c FamilyConfig) rate(def float64) float64 {
 	return def
 }
 
-// apply sets the spec-level knobs shared by every family (currently the
-// buffer override).
-func (c FamilyConfig) apply(s *Spec) {
-	if c.BufferPackets > 0 {
-		s.Queue.CapacityPackets = c.BufferPackets
+// queue returns the spec-level queue every family starts from: the buffer
+// override, which links without their own queue spec inherit, or the
+// discipline default.
+func (c FamilyConfig) queue() QueueSpec {
+	return QueueSpec{CapacityPackets: max(c.BufferPackets, 0)}
+}
+
+// topology returns a topology of nodes and links, all in one allocation:
+// the spec and the two arrays its slices are carved from. A family has at
+// most three nodes and two links.
+func topology(nodes []NodeSpec, links []TopoLinkSpec, ackBytes int) *TopologySpec {
+	b := new(struct {
+		spec  TopologySpec
+		nodes [3]NodeSpec
+		links [2]TopoLinkSpec
+	})
+	b.spec = TopologySpec{
+		Nodes:    b.nodes[:copy(b.nodes[:], nodes):len(nodes)],
+		Links:    b.links[:copy(b.links[:], links):len(links)],
+		AckBytes: ackBytes,
 	}
+	return &b.spec
 }
 
 func (c FamilyConfig) flow(count int, rttMs float64, path, reverse []string) FlowSpec {
@@ -88,25 +104,24 @@ func (c FamilyConfig) flow(count int, rttMs float64, path, reverse []string) Flo
 // hops of a three-node chain while one cross flow loads each hop, so the
 // long flow pays queueing (and possibly drops) twice per round trip.
 func ParkingLotSpec(c FamilyConfig) Spec {
-	s := New(
-		WithName("parkinglot-"+c.Scheme),
-		WithDescription("Parking lot: src→mid→dst chain with a 10 Mbps and a 6 Mbps bottleneck; one long flow crosses both hops, one cross flow per hop."),
-		WithTopology(TopologySpec{
-			Nodes: []NodeSpec{{Name: "src"}, {Name: "mid"}, {Name: "dst"}},
-			Links: []TopoLinkSpec{
-				{Name: "hop1", From: "src", To: "mid", RateBps: c.rate(10e6), DelayMs: 10},
-				{Name: "hop2", From: "mid", To: "dst", RateBps: c.rate(6e6), DelayMs: 10},
-			},
-		}),
-		WithDuration(c.DurationSeconds),
-		WithSeed(c.Seed),
-		WithRepetitions(c.Repetitions),
-		WithFlow(c.flow(1, c.rtt(40), []string{"hop1", "hop2"}, nil)),
-		WithFlow(c.flow(1, c.rtt(40), []string{"hop1"}, nil)),
-		WithFlow(c.flow(1, c.rtt(40), []string{"hop2"}, nil)),
-	)
-	c.apply(&s)
-	return s
+	r := []string{"hop1", "hop2", "hop1", "hop2"} // the routes, in one block
+	return Spec{
+		Name:        "parkinglot-" + c.Scheme,
+		Description: "Parking lot: src→mid→dst chain with a 10 Mbps and a 6 Mbps bottleneck; one long flow crosses both hops, one cross flow per hop.",
+		Queue:       c.queue(),
+		Topology: topology([]NodeSpec{{Name: "src"}, {Name: "mid"}, {Name: "dst"}}, []TopoLinkSpec{
+			{Name: "hop1", From: "src", To: "mid", RateBps: c.rate(10e6), DelayMs: 10},
+			{Name: "hop2", From: "mid", To: "dst", RateBps: c.rate(6e6), DelayMs: 10},
+		}, 0),
+		Flows: []FlowSpec{
+			c.flow(1, c.rtt(40), r[0:2:2], nil),
+			c.flow(1, c.rtt(40), r[2:3:3], nil),
+			c.flow(1, c.rtt(40), r[3:4:4], nil),
+		},
+		DurationSeconds: c.DurationSeconds,
+		Seed:            c.Seed,
+		Repetitions:     c.Repetitions,
+	}
 }
 
 // CrossTrafficSpec is the dumbbell with unresponsive cross traffic: two
@@ -114,35 +129,33 @@ func ParkingLotSpec(c FamilyConfig) Spec {
 // constant-bit-rate source (5 Mbps while on) that ignores congestion — load
 // the responsive scheme can neither displace nor negotiate with.
 func CrossTrafficSpec(c FamilyConfig) Spec {
-	cross := FlowSpec{
-		Scheme:  "cbr",
-		RateBps: c.rate(5e6),
-		RTTMs:   80,
-		Workload: WorkloadSpec{
-			Mode:    ModeByTime,
-			On:      ExponentialDist(1.0),
-			Off:     ExponentialDist(1.0),
-			StartOn: true,
-		},
-		Path: []string{"bottleneck"},
-	}
-	s := New(
-		WithName("crosstraffic-"+c.Scheme),
-		WithDescription("Cross-traffic dumbbell: two responsive flows share a 15 Mbps bottleneck with an unresponsive on/off 5 Mbps CBR source."),
-		WithTopology(TopologySpec{
-			Nodes: []NodeSpec{{Name: "src"}, {Name: "dst"}},
-			Links: []TopoLinkSpec{
-				{Name: "bottleneck", From: "src", To: "dst", RateBps: c.rate(15e6), DelayMs: 25},
+	r := []string{"bottleneck", "bottleneck"} // the routes, in one block
+	return Spec{
+		Name:        "crosstraffic-" + c.Scheme,
+		Description: "Cross-traffic dumbbell: two responsive flows share a 15 Mbps bottleneck with an unresponsive on/off 5 Mbps CBR source.",
+		Queue:       c.queue(),
+		Topology: topology([]NodeSpec{{Name: "src"}, {Name: "dst"}}, []TopoLinkSpec{
+			{Name: "bottleneck", From: "src", To: "dst", RateBps: c.rate(15e6), DelayMs: 25},
+		}, 0),
+		Flows: []FlowSpec{
+			c.flow(2, c.rtt(100), r[0:1:1], nil),
+			{
+				Scheme:  "cbr",
+				RateBps: c.rate(5e6),
+				RTTMs:   80,
+				Workload: WorkloadSpec{
+					Mode:    ModeByTime,
+					On:      ExponentialDist(1.0),
+					Off:     ExponentialDist(1.0),
+					StartOn: true,
+				},
+				Path: r[1:2:2],
 			},
-		}),
-		WithDuration(c.DurationSeconds),
-		WithSeed(c.Seed),
-		WithRepetitions(c.Repetitions),
-		WithFlow(c.flow(2, c.rtt(100), []string{"bottleneck"}, nil)),
-		WithFlow(cross),
-	)
-	c.apply(&s)
-	return s
+		},
+		DurationSeconds: c.DurationSeconds,
+		Seed:            c.Seed,
+		Repetitions:     c.Repetitions,
+	}
 }
 
 // AsymmetricReverseSpec is the asymmetric-path dumbbell: data crosses a
@@ -150,25 +163,21 @@ func CrossTrafficSpec(c FamilyConfig) Spec {
 // link with its own (small) queue, so the ACK clock itself is congestible —
 // roughly 937 acks/s against the forward path's ~1250 packets/s.
 func AsymmetricReverseSpec(c FamilyConfig) Spec {
-	s := New(
-		WithName("asymreverse-"+c.Scheme),
-		WithDescription("Asymmetric reverse path: 15 Mbps forward bottleneck, 300 kbps ACK channel with a 100-packet queue (40-byte acks)."),
-		WithTopology(TopologySpec{
-			Nodes: []NodeSpec{{Name: "src"}, {Name: "dst"}},
-			Links: []TopoLinkSpec{
-				{Name: "fwd", From: "src", To: "dst", RateBps: c.rate(15e6), DelayMs: 25},
-				{Name: "rev", From: "dst", To: "src", RateBps: c.rate(0.3e6), DelayMs: 25,
-					Queue: QueueSpec{Kind: QueueDropTail, CapacityPackets: 100}},
-			},
-			AckBytes: 40,
-		}),
-		WithDuration(c.DurationSeconds),
-		WithSeed(c.Seed),
-		WithRepetitions(c.Repetitions),
-		WithFlow(c.flow(2, c.rtt(100), []string{"fwd"}, []string{"rev"})),
-	)
-	c.apply(&s)
-	return s
+	r := []string{"fwd", "rev"} // the routes, in one block
+	return Spec{
+		Name:        "asymreverse-" + c.Scheme,
+		Description: "Asymmetric reverse path: 15 Mbps forward bottleneck, 300 kbps ACK channel with a 100-packet queue (40-byte acks).",
+		Queue:       c.queue(),
+		Topology: topology([]NodeSpec{{Name: "src"}, {Name: "dst"}}, []TopoLinkSpec{
+			{Name: "fwd", From: "src", To: "dst", RateBps: c.rate(15e6), DelayMs: 25},
+			{Name: "rev", From: "dst", To: "src", RateBps: c.rate(0.3e6), DelayMs: 25,
+				Queue: QueueSpec{Kind: QueueDropTail, CapacityPackets: 100}},
+		}, 40),
+		Flows:           []FlowSpec{c.flow(2, c.rtt(100), r[0:1:1], r[1:2:2])},
+		DurationSeconds: c.DurationSeconds,
+		Seed:            c.Seed,
+		Repetitions:     c.Repetitions,
+	}
 }
 
 // churnMedianBytes is the median of the flow-churn family's size
@@ -192,6 +201,7 @@ func FlowChurnSpec(c FamilyConfig) Spec {
 		load = 0.5
 	}
 	hop1Bps, hop2Bps := c.rate(10e6), c.rate(6e6)
+	r := []string{"hop1", "hop2", "hop1", "hop2", "hop1", "hop2"} // the routes, in one block
 	size := ICSIDist(16e3)
 	class := func(path []string, shareBps float64) ChurnClassSpec {
 		rate := load * shareBps / (8 * churnMedianBytes)
@@ -204,31 +214,27 @@ func FlowChurnSpec(c FamilyConfig) Spec {
 			Path:         path,
 		}
 	}
-	s := New(
-		WithName("flowchurn-"+c.Scheme),
-		WithDescription("Flow churn: parking-lot topology under Poisson arrivals of ICSI-Pareto-sized transfers (end-to-end, hop1 and hop2 classes) alongside one static long flow; reports flow completion times."),
-		WithTopology(TopologySpec{
-			Nodes: []NodeSpec{{Name: "src"}, {Name: "mid"}, {Name: "dst"}},
-			Links: []TopoLinkSpec{
-				{Name: "hop1", From: "src", To: "mid", RateBps: hop1Bps, DelayMs: 10},
-				{Name: "hop2", From: "mid", To: "dst", RateBps: hop2Bps, DelayMs: 10},
-			},
-		}),
-		WithDuration(c.DurationSeconds),
-		WithSeed(c.Seed),
-		WithRepetitions(c.Repetitions),
-		WithFlow(c.flow(1, c.rtt(40), []string{"hop1", "hop2"}, nil)),
-		WithChurn(ChurnSpec{
+	return Spec{
+		Name:        "flowchurn-" + c.Scheme,
+		Description: "Flow churn: parking-lot topology under Poisson arrivals of ICSI-Pareto-sized transfers (end-to-end, hop1 and hop2 classes) alongside one static long flow; reports flow completion times.",
+		Queue:       c.queue(),
+		Topology: topology([]NodeSpec{{Name: "src"}, {Name: "mid"}, {Name: "dst"}}, []TopoLinkSpec{
+			{Name: "hop1", From: "src", To: "mid", RateBps: hop1Bps, DelayMs: 10},
+			{Name: "hop2", From: "mid", To: "dst", RateBps: hop2Bps, DelayMs: 10},
+		}, 0),
+		Flows: []FlowSpec{c.flow(1, c.rtt(40), r[0:2:2], nil)},
+		Churn: &ChurnSpec{
 			MaxLiveFlows: 512,
 			Classes: []ChurnClassSpec{
-				class([]string{"hop1", "hop2"}, hop2Bps/2),
-				class([]string{"hop1"}, hop1Bps/2),
-				class([]string{"hop2"}, hop2Bps/2),
+				class(r[2:4:4], hop2Bps/2),
+				class(r[4:5:5], hop1Bps/2),
+				class(r[5:6:6], hop2Bps/2),
 			},
-		}),
-	)
-	c.apply(&s)
-	return s
+		},
+		DurationSeconds: c.DurationSeconds,
+		Seed:            c.Seed,
+		Repetitions:     c.Repetitions,
+	}
 }
 
 // lossyOutageStartFraction places the lossy-outage family's blackout at 40%
@@ -244,15 +250,16 @@ const lossyOutageStartFraction = 0.4
 // packets. With both knobs zero the spec is a plain fault-free dumbbell, so
 // sweep grids get a built-in control column.
 func LossyOutageSpec(c FamilyConfig) Spec {
-	s := New(
-		WithName("lossyoutage-"+c.Scheme),
-		WithDescription("Lossy outage: 10 Mbps dumbbell, two responsive flows, a mid-run link outage and Gilbert–Elliott burst loss on the bottleneck."),
-		WithLink(c.rate(10e6)),
-		WithDuration(c.DurationSeconds),
-		WithSeed(c.Seed),
-		WithRepetitions(c.Repetitions),
-		WithFlow(c.flow(2, c.rtt(100), nil, nil)),
-	)
+	s := Spec{
+		Name:            "lossyoutage-" + c.Scheme,
+		Description:     "Lossy outage: 10 Mbps dumbbell, two responsive flows, a mid-run link outage and Gilbert–Elliott burst loss on the bottleneck.",
+		Link:            LinkSpec{RateBps: c.rate(10e6)},
+		Queue:           c.queue(),
+		Flows:           []FlowSpec{c.flow(2, c.rtt(100), nil, nil)},
+		DurationSeconds: c.DurationSeconds,
+		Seed:            c.Seed,
+		Repetitions:     c.Repetitions,
+	}
 	var sched faults.Schedule
 	if c.OutageSeconds > 0 {
 		sched.Outages = []faults.Outage{{
@@ -272,7 +279,6 @@ func LossyOutageSpec(c FamilyConfig) Spec {
 	if !sched.Empty() {
 		s.Faults = &FaultsSpec{Links: []LinkFaultSpec{{Schedule: sched}}}
 	}
-	c.apply(&s)
 	return s
 }
 

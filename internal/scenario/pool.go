@@ -31,8 +31,10 @@ func PoolSize(workers int) int {
 //
 // Workers come from a process-wide free list and go back to it when the run
 // ends, sessions, worlds and Local state intact, so the next run starts warm:
-// a spec a worker has run must not change in place afterwards, Seed apart. A
-// run allocates nothing per task.
+// a spec a worker has run must not change in place afterwards, Seed apart.
+// Results are kept too: once a group's Done has returned, its results go to
+// a later group's attempt to be written over, so a task can reuse the
+// capacity its out holds. A run allocates nothing per task.
 type Pool[R any] struct {
 	// Registry resolves spec names; nil means Default().
 	Registry *Registry
@@ -50,12 +52,17 @@ type Pool[R any] struct {
 	// fails the group without running it.
 	Open func(g int) (int, error)
 	// Task runs task i of group g on w and writes its result to out; an error
-	// fails the group's attempt. Tasks of one group run concurrently.
+	// fails the group's attempt. Tasks of one group run concurrently. out
+	// holds what a task of an earlier group left there, or the zero R: Task
+	// overwrites all of it, and may reuse the memory it refers to.
 	Task func(w *Worker, g, i int, out *R) error
 	// Done, if non-nil, receives each group's outcome: its results by task
 	// index when an attempt succeeded, else nil and the last error; attempts
 	// is how many were made. Calls are serialized, in completion order, and
 	// none is made once Run has returned. A Done error ends the run with it.
+	// The results are valid only during the call: when Done returns they go
+	// to a later group's tasks, which write over them, so Done copies what
+	// it keeps.
 	Done func(g int, results []R, attempts int, err error) error
 }
 
@@ -77,6 +84,7 @@ func (p Pool[R]) Run(stop <-chan struct{}, n int) error {
 		groups:     make([]poolGroup[R], n),
 	}
 	r.wake.L = &r.mu
+	r.spare = r.spareBuf[:0]
 	if r.supervised || stop != nil {
 		r.ctx, r.cancel = context.WithCancel(context.Background())
 		defer r.cancel()
@@ -125,6 +133,12 @@ type poolRun[R any] struct {
 	slots   *poolSlot
 	settled int   // groups whose outcome is final
 	err     error // why the run ended early; nil while it runs
+	// spare holds the results of groups whose Done has returned, for later
+	// attempts. An attempt with an abandoned task never gets here: the task
+	// may still write into its out. A run keeps about one per worker at a
+	// time, so spareBuf backs spare without an allocation of its own.
+	spare    [][]R
+	spareBuf [4][]R
 
 	doneMu sync.Mutex // serializes Done and fences it off from Run's return
 }
@@ -246,7 +260,7 @@ func (r *poolRun[R]) open(g int) {
 // is held.
 func (r *poolRun[R]) queueAttempt(g, n int) {
 	gr := &r.groups[g]
-	*gr = poolGroup[R]{n: n, results: make([]R, n), tries: gr.tries + 1}
+	*gr = poolGroup[R]{n: n, results: r.results(n), tries: gr.tries + 1}
 	if r.supervised {
 		gr.end = make(chan struct{})
 	}
@@ -256,6 +270,23 @@ func (r *poolRun[R]) queueAttempt(g, n int) {
 	}
 	r.low = min(r.low, g)
 	r.wake.Broadcast()
+}
+
+// results returns n results for an attempt: the spare ones returned last,
+// extended when they are too few, or new ones. r.mu is held.
+func (r *poolRun[R]) results(n int) []R {
+	k := len(r.spare)
+	if k == 0 {
+		return make([]R, n)
+	}
+	res := r.spare[k-1]
+	r.spare[k-1] = nil
+	r.spare = r.spare[:k-1]
+	res = res[:cap(res)]
+	if len(res) < n {
+		res = append(res, make([]R, n-len(res))...)
+	}
+	return res[:n]
 }
 
 // settle ends group g's attempt: a supervised group's supervisor takes it
@@ -341,8 +372,9 @@ func (r *poolRun[R]) drop(s *poolSlot) {
 	r.wake.Broadcast()
 }
 
-// finish hands group g's outcome to Done, unless the run has ended, and
-// counts the group settled. r.mu is not held.
+// finish hands group g's outcome to Done, unless the run has ended, counts
+// the group settled and keeps its results, which only a settled attempt whose
+// every task returned has, for a later attempt. r.mu is not held.
 func (r *poolRun[R]) finish(g int, results []R, attempts int, err error) {
 	r.doneMu.Lock()
 	r.mu.Lock()
@@ -356,6 +388,9 @@ func (r *poolRun[R]) finish(g int, results []R, attempts int, err error) {
 	r.doneMu.Unlock()
 	r.mu.Lock()
 	r.settled++
+	if results != nil {
+		r.spare = append(r.spare, results)
+	}
 	r.wake.Broadcast()
 	r.mu.Unlock()
 }

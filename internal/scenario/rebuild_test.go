@@ -3,6 +3,7 @@ package scenario
 import (
 	"math"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -117,6 +118,55 @@ func TestRebuildAndRunAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestSharedResultKeepsChurnRows runs a churn world, a churn-free world and
+// the churn world again, over and over, on one session into one result. The
+// churn-free world's result reads nil churn rows, as a new session's result
+// does; and once both worlds have been seen, no round allocates, because the
+// churn world gets back the rows the churn-free one left with the session
+// instead of making them again.
+func TestSharedResultKeepsChurnRows(t *testing.T) {
+	worlds := rebuildAllocWorlds()
+	churn, plain := &worlds[0], &worlds[1]
+	if churn.Churn == nil || plain.Churn != nil {
+		t.Fatal("rebuildAllocWorlds no longer returns a churn world and then a churn-free one")
+	}
+	var ss Session
+	var res harness.Result
+	run := func(spec *Spec) {
+		t.Helper()
+		if err := ss.Rebuild(nil, spec, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.RunInto(spec.Seed, &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const warm, measured = 2, 10
+	for round := 0; round < warm; round++ {
+		run(churn)
+		run(plain)
+	}
+	var fresh Session
+	if err := fresh.Rebuild(nil, plain, 0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run(plain.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Churn != nil || !reflect.DeepEqual(res, want) {
+		t.Fatalf("the churn-free world's shared result differs from a new session's:\n got %+v\nwant %+v", res, want)
+	}
+	before := mallocs()
+	for round := 0; round < measured; round++ {
+		run(churn)
+		run(plain)
+	}
+	if perRound := math.Trunc(float64(mallocs()-before) / measured); perRound > 0 {
+		t.Errorf("a churn world and a churn-free one sharing a result allocate %.0f times per round, want 0", perRound)
+	}
+}
+
 // meanRebuildAllocs builds, runs and rebuilds worlds in turn, resolving their
 // names against reg, round after round, and returns what a rebuild allocates
 // once every world has been seen, less what *algos (zeroed before each
@@ -130,10 +180,8 @@ func meanRebuildAllocs(t *testing.T, reg *Registry, worlds []Spec, algos *float6
 		algos = new(float64)
 	}
 	var ss Session
-	// Each world collects into its own result: a world without churn classes
-	// gives a nil Churn row list, as a new result would have, which drops
-	// the capacity a churn world's rows left in a shared one.
-	res := make([]harness.Result, len(worlds))
+	// Every world collects into one result, as a pool task's does.
+	var res harness.Result
 	const warm, measured = 2, 10
 	var allocs float64
 	for round := 0; round < warm+measured; round++ {
@@ -150,7 +198,7 @@ func meanRebuildAllocs(t *testing.T, reg *Registry, worlds []Spec, algos *float6
 			if run {
 				seed = worlds[i].Seed
 			}
-			if err := ss.RunInto(seed, &res[i]); err != nil {
+			if err := ss.RunInto(seed, &res); err != nil {
 				t.Fatal(err)
 			}
 			if run {

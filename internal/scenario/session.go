@@ -89,6 +89,10 @@ type Session struct {
 	// the protocols of its flows and churn classes — kept for their capacity.
 	lowered []loweredLink
 	protos  []Protocol
+	// churnRows are the churn rows of the last result a world without churn
+	// classes collected into, which reads nil rows, kept for the next result
+	// that needs rows and has none (see takeChurnRows).
+	churnRows []harness.ChurnResult
 }
 
 // parts is the set of pieces the worlds built on one engine leave behind for
@@ -544,7 +548,8 @@ func (ss *Session) Run(seed int64) (harness.Result, error) {
 
 // RunInto is Run writing the result into res, whose slices' capacity it
 // reuses: a caller that keeps one Result across runs collects every run
-// without allocating for it. Everything in res is overwritten.
+// without allocating for it, whatever worlds they are. Everything in res is
+// overwritten, and the rows it held are the session's to reuse.
 func (ss *Session) RunInto(seed int64, res *harness.Result) error {
 	if !ss.built {
 		return fmt.Errorf("scenario: the session holds no world: it was never built, or its last build failed")
@@ -615,7 +620,7 @@ func (ss *Session) collect(res *harness.Result) {
 	network := ss.network
 	*res = harness.Result{
 		Flows:        resize(res.Flows, len(ss.flows)),
-		Churn:        resize(res.Churn, len(ss.churn.classes)),
+		Churn:        ss.takeChurnRows(res.Churn),
 		Offered:      network.PacketsOffered(),
 		Delivered:    network.Link().Delivered(),
 		Dropped:      network.PacketsDropped(),
@@ -666,6 +671,24 @@ func (ss *Session) collect(res *harness.Result) {
 		}
 	}
 	ss.churn.collect(res.Churn)
+}
+
+// takeChurnRows returns the churn rows for the run just executed, made from
+// rows, the ones its result held. A world without churn classes gets nil
+// rows, as a new result has, and the session keeps the rows it was given for
+// the next result whose own are too few.
+func (ss *Session) takeChurnRows(rows []harness.ChurnResult) []harness.ChurnResult {
+	n := len(ss.churn.classes)
+	if n == 0 {
+		if cap(rows) > cap(ss.churnRows) {
+			ss.churnRows = rows[:0]
+		}
+		return nil
+	}
+	if cap(rows) < n && cap(ss.churnRows) >= n {
+		rows, ss.churnRows = ss.churnRows, nil
+	}
+	return resize(rows, n)
 }
 
 // resize returns s with length n, reusing its capacity when it suffices; nil
